@@ -15,8 +15,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use splicecast_netsim::{
-    star, Ctx, FlowModel, LinkSpec, NodeBehavior, NodeEvent, NodeId, NullBehavior, SimDuration,
-    SimStats, SimTime, Simulator, TcpConfig,
+    star, Ctx, FlowModel, FluidSolverStats, LinkSpec, NodeBehavior, NodeEvent, NodeId,
+    NullBehavior, SimDuration, SimStats, SimTime, Simulator, TcpConfig,
 };
 
 /// Receivers per sender: each sender's uplink is shared `FAN_OUT` ways,
@@ -55,7 +55,7 @@ impl NodeBehavior for FanSender {
     }
 }
 
-fn run_scale(n_leechers: usize, model: FlowModel) -> SimStats {
+fn run_scale(n_leechers: usize, model: FlowModel) -> (SimStats, FluidSolverStats) {
     let senders = n_leechers.div_ceil(FAN_OUT);
     let spec = LinkSpec::from_bytes_per_sec(128_000.0, SimDuration::from_millis(25), 0.025);
     let s = star(&vec![spec; senders + n_leechers]);
@@ -87,7 +87,7 @@ fn run_scale(n_leechers: usize, model: FlowModel) -> SimStats {
         n_leechers as u64 * (EXTRA_CHUNKS as u64 + 1),
         "every chunk must be delivered within the deadline"
     );
-    stats
+    (stats, sim.fluid_stats())
 }
 
 fn bench_scale(c: &mut Criterion) {
@@ -104,6 +104,28 @@ fn bench_scale(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // How local the fluid solver's work was: per rebalance, the flows whose
+    // ceilings were re-evaluated and whose completion was rescheduled, and
+    // the water-level steps per tight component filled.
+    if std::env::args().any(|a| a == "--bench") {
+        for &n in &[100usize, 250, 500] {
+            let (stats, solver) = run_scale(n, FlowModel::Fluid);
+            let per_rebalance = |count: u64| count as f64 / solver.rebalances as f64;
+            println!(
+                "info: scale/fluid/{n} flows {} rebalances {} per rebalance: dirty links {:.1} \
+                 flows reseeded {:.1} rescheduled {:.2} components filled {:.2}; \
+                 iterations per fill {:.1}",
+                stats.flows_started,
+                solver.rebalances,
+                per_rebalance(solver.dirty_links),
+                per_rebalance(solver.flows_reseeded),
+                per_rebalance(solver.flows_rescheduled),
+                per_rebalance(solver.components_filled),
+                solver.fill_iterations as f64 / solver.components_filled.max(1) as f64,
+            );
+        }
+    }
 }
 
 criterion_group!(benches, bench_scale);

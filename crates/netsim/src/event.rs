@@ -80,10 +80,6 @@ impl EventQueue {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -138,6 +134,5 @@ mod tests {
         q.push(SimTime::from_micros(42), timer(0));
         assert_eq!(q.next_time(), Some(SimTime::from_micros(42)));
         assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

@@ -104,6 +104,12 @@ impl FlowId {
     pub const fn raw(self) -> u64 {
         self.0
     }
+
+    /// The flow-table slot the id names (its low half; the high half is
+    /// the slot's generation).
+    pub(crate) const fn slot(self) -> usize {
+        (self.0 & u32::MAX as u64) as usize
+    }
 }
 
 impl fmt::Display for FlowId {

@@ -13,7 +13,8 @@
 //! - application [`NodeBehavior`]s that react to [`NodeEvent`]s through a
 //!   [`Ctx`] handle (messages, transfers, timers, churn);
 //! - a TCP flow model ([`TcpConfig`]) advanced in RTT rounds with slow
-//!   start, AIMD, Bernoulli loss, and max–min fair capacity sharing;
+//!   start, AIMD, Bernoulli loss, and max–min fair capacity sharing, or as
+//!   event-driven fluid rates ([`FlowModel::Fluid`]) for large swarms;
 //! - the [`Simulator`] event loop, seeded for bit-exact reproducibility.
 //!
 //! ## Example
@@ -53,6 +54,7 @@ pub mod trace;
 
 pub use error::NetError;
 pub use fault::{InjectedFaults, MessageFaults};
+pub use fluid::FluidSolverStats;
 pub use id::{DirLinkId, FlowId, LinkId, NodeId};
 pub use link::{Link, LinkSpec};
 pub use node::{NodeBehavior, NodeEvent, NullBehavior};

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use crate::error::NetError;
 use crate::event::{EventQueue, Scheduled};
 use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
-use crate::fluid::FillProblem;
+use crate::fluid::{FluidSolver, FluidSolverStats};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::node::{NodeBehavior, NodeEvent};
 use crate::rng::geometric_failures;
@@ -62,14 +62,10 @@ pub(crate) struct World {
     /// Scratch for `step_flow`: per-link decayed rates, computed once per
     /// round and reused for both the utilization read and the usage update.
     scratch_rates: Vec<f64>,
-    /// Fluid model: the rate solver and its reusable buffers. Its
-    /// `link_rate` output doubles as the utilization source for
-    /// [`Ctx::path_utilization`] under the fluid model.
-    fluid: FillProblem,
-    /// Fluid model: active-flow ids of the last rebalance (scratch).
-    fluid_ids: Vec<FlowId>,
-    /// Fluid model: per-flow effective loss of the last rebalance (scratch).
-    fluid_eff: Vec<f64>,
+    /// Fluid model: the rate solver and the per-link, per-flow state it
+    /// keeps between rebalances. Its pass-2 link rates double as the
+    /// utilization source for [`Ctx::path_utilization`].
+    fluid: FluidSolver,
     /// Injected message-fault plane, if any; `None` means `send_faulty`
     /// degenerates to `send` with no extra RNG draws.
     faults: Option<FaultPlane>,
@@ -115,6 +111,7 @@ impl World {
             return;
         };
         if fluid {
+            self.fluid.remove_flow(id, &flow.path);
             self.fluid_rebalance();
         }
         self.stats.flows_failed += 1;
@@ -191,13 +188,7 @@ impl World {
             let mut util: f64 = 0.0;
             for dir in path {
                 let cap = self.net.dir_spec(*dir).capacity_bps;
-                let rate = self
-                    .fluid
-                    .link_rate
-                    .get(dir.index())
-                    .copied()
-                    .unwrap_or(0.0);
-                util = util.max(rate / cap);
+                util = util.max(self.fluid.link_rate(*dir) / cap);
             }
             return util;
         }
@@ -340,36 +331,18 @@ impl World {
         debug_assert!(!f.fluid.active, "flow activated twice");
         f.fluid.active = true;
         f.fluid.rate_since = now;
+        self.fluid.add_flow(id, &f.path);
         self.fluid_rebalance();
     }
 
     /// Fluid model: integrates an active flow's progress up to now and
     /// brings the wire/link byte counters in line (goodput scaled by the
-    /// epoch's effective loss, modelling retransmission waste).
+    /// epoch's effective loss, modelling retransmission waste). Folds are
+    /// lazy: a flow is folded when its rate or effective loss changes, when
+    /// it leaves, and at the end of a run — not on every rebalance.
     fn fluid_fold(&mut self, id: FlowId) {
-        let now = self.now;
-        let Some(f) = self.flows.get_mut(id) else {
-            return;
-        };
-        if !f.fluid.active {
-            return;
-        }
-        let dt = now.saturating_since(f.fluid.rate_since).as_secs_f64();
-        if dt > 0.0 && f.fluid.rate_bps > 0.0 {
-            f.fluid.delivered =
-                (f.fluid.delivered + f.fluid.rate_bps * dt / 8.0).min(f.total as f64);
-        }
-        f.delivered = f.fluid.delivered as u64;
-        f.fluid.rate_since = now;
-        let eff = f.fluid.eff_loss.min(0.95);
-        let wire_total = (f.fluid.delivered / (1.0 - eff)) as u64;
-        let delta = wire_total.saturating_sub(f.fluid.wire_emitted);
-        if delta > 0 {
-            f.fluid.wire_emitted = wire_total;
-            self.stats.wire_bytes_sent += delta;
-            for dir in &f.path {
-                self.link_bytes[dir.index()] += delta;
-            }
+        if let Some(f) = self.flows.get_mut(id) {
+            fold_flow(f, self.now, &mut self.stats, &mut self.link_bytes);
         }
     }
 
@@ -392,7 +365,8 @@ impl World {
         self.fluid_fold(id);
         let f = self.flows.get(id).expect("flow just resolved");
         let (src, dst, tag, total, started, rtt) = (f.src, f.dst, f.tag, f.total, f.started, f.rtt);
-        self.flows.remove(id);
+        let flow = self.flows.remove(id).expect("flow just resolved");
+        self.fluid.remove_flow(id, &flow.path);
         self.stats.flows_completed += 1;
         self.stats.payload_bytes_delivered += total;
         // As in the round model: the receiver sees the last data half an
@@ -433,76 +407,57 @@ impl World {
         self.fluid_rebalance();
     }
 
-    /// Fluid model: re-solves max–min fair rates for every active flow.
+    /// Fluid model: brings the max–min fair rates in line with the flow set.
     ///
     /// Called on every flow-set change (activation, completion, failure,
     /// churn) and on capacity changes. Two solver passes: the first assumes
     /// saturated links when shaping loss (utilization 1), the second
     /// refines the ceilings with the utilization the first pass implies —
     /// mirroring the round model's utilization-shaped loss without its
-    /// per-round feedback loop. Flows whose rate actually changed get a
-    /// bumped epoch and a freshly scheduled [`Scheduled::FlowDone`]; the
-    /// rest keep their existing completion event.
+    /// per-round feedback loop. The solver recomputes only what the links
+    /// dirtied since the last call reach (see [`crate::fluid`]) and reports
+    /// the flows whose rate or effective loss changed at all; of those, the
+    /// ones whose rate changed materially get a bumped epoch and a freshly
+    /// scheduled [`Scheduled::FlowDone`]. Every other flow keeps its rate,
+    /// its unfolded progress and its completion event.
     fn fluid_rebalance(&mut self) {
         let tcp = self.tcp;
         let now = self.now;
-        let mut ids = std::mem::take(&mut self.fluid_ids);
-        self.flows.collect_fluid_active(&mut ids);
-        let dir_links = self.link_bytes.len();
-        self.fluid.reset(dir_links);
-        for l in 0..dir_links {
-            self.fluid.link_capacity[l] = self.net.dir_spec(DirLinkId(l as u32)).capacity_bps;
-        }
-        self.fluid_eff.clear();
-        for &id in &ids {
-            let f = self.flows.get(id).expect("active flow id");
+        let (flows, net) = (&self.flows, &self.net);
+        let ceiling = |id: FlowId, utilization: f64| {
+            let f = flows.get(id).expect("rated flow is in the table");
             let rtt_secs = f.rtt.as_secs_f64();
             let mut pressure = 0.0_f64;
             for dir in &f.path {
-                let cap = self.net.dir_spec(*dir).capacity_bps;
-                let competing = self.flows.load(*dir).saturating_sub(1) as f64;
+                let cap = net.dir_spec(*dir).capacity_bps;
+                let competing = flows.load(*dir).saturating_sub(1) as f64;
                 let bdp_bytes = cap / 8.0 * rtt_secs;
                 pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
             }
-            let (cap, eff) = fluid_ceiling(&tcp, rtt_secs, f.loss, 1.0, pressure);
-            self.fluid
-                .push_flow(f.path.iter().map(|d| d.index() as u32), cap);
-            self.fluid_eff.push(eff);
-        }
-        self.fluid.progressive_fill();
-        // Second pass: refine ceilings with the implied utilization.
-        for (i, &id) in ids.iter().enumerate() {
-            let f = self.flows.get(id).expect("active flow id");
-            let rtt_secs = f.rtt.as_secs_f64();
-            let mut utilization = 0.0_f64;
-            let mut pressure = 0.0_f64;
-            for dir in &f.path {
-                let cap = self.net.dir_spec(*dir).capacity_bps;
-                utilization = utilization.max(self.fluid.link_rate[dir.index()] / cap);
-                let competing = self.flows.load(*dir).saturating_sub(1) as f64;
-                let bdp_bytes = cap / 8.0 * rtt_secs;
-                pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
-            }
-            let (cap, eff) = fluid_ceiling(&tcp, rtt_secs, f.loss, utilization.min(1.0), pressure);
-            self.fluid.flows[i].cap_bps = cap;
-            self.fluid_eff[i] = eff;
-        }
-        self.fluid.progressive_fill();
-        for (i, &id) in ids.iter().enumerate() {
+            fluid_ceiling(&tcp, rtt_secs, f.loss, utilization, pressure)
+        };
+        self.fluid.solve(&ceiling);
+        #[cfg(debug_assertions)]
+        self.fluid.assert_matches_full_solve(&ceiling);
+        // Slot order, so that completions landing on the same microsecond
+        // keep the order a whole-table sweep would have pushed them in.
+        let resolved = std::mem::take(&mut self.fluid.changed);
+        for &slot in &resolved {
+            let (id, solved_bps, eff) = self.fluid.solved(slot);
+            // Fold under the outgoing rate and loss before either moves.
             self.fluid_fold(id);
-            let eff = self.fluid_eff[i];
-            let f = self.flows.get_mut(id).expect("active flow id");
+            let f = self.flows.get_mut(id).expect("rated flow is in the table");
             // Like the round model's one-packet-per-RTT minimum budget, a
             // flow never stalls entirely, even on an oversubscribed link.
             let rate_floor = tcp.mss as f64 * 8.0 / f.rtt.as_secs_f64();
-            let rate = self.fluid.rates[i].max(rate_floor);
+            let rate = solved_bps.max(rate_floor);
             f.fluid.eff_loss = eff;
             // Reschedule only on a material rate change. Utilization-shaped
             // ceilings wobble a little on every rebalance; rescheduling a
-            // FlowDone for each wobble would push O(flows) fresh events per
-            // flow-set change and drown the queue in stale ones. A flow that
-            // keeps its rate keeps its already-scheduled completion, so the
-            // bound on the completion-time error is the epsilon itself.
+            // FlowDone for each wobble would push fresh events per flow-set
+            // change and drown the queue in stale ones. A flow that keeps
+            // its rate keeps its already-scheduled completion, so the bound
+            // on the completion-time error is the epsilon itself.
             const FLUID_RATE_EPS: f64 = 1e-3;
             let changed =
                 (rate - f.fluid.rate_bps).abs() > rate.max(f.fluid.rate_bps) * FLUID_RATE_EPS;
@@ -518,9 +473,34 @@ impl World {
                         epoch: f.fluid.epoch,
                     },
                 );
+                self.fluid.stats.flows_rescheduled += 1;
             }
         }
-        self.fluid_ids = ids;
+        self.fluid.changed = resolved;
+    }
+}
+
+/// Integrates one fluid flow's progress up to `now`; see
+/// [`World::fluid_fold`]. A no-op for flows that are not being rated.
+fn fold_flow(f: &mut Flow, now: SimTime, stats: &mut SimStats, link_bytes: &mut [u64]) {
+    if !f.fluid.active {
+        return;
+    }
+    let dt = now.saturating_since(f.fluid.rate_since).as_secs_f64();
+    if dt > 0.0 && f.fluid.rate_bps > 0.0 {
+        f.fluid.delivered = (f.fluid.delivered + f.fluid.rate_bps * dt / 8.0).min(f.total as f64);
+    }
+    f.delivered = f.fluid.delivered as u64;
+    f.fluid.rate_since = now;
+    let eff = f.fluid.eff_loss.min(0.95);
+    let wire_total = (f.fluid.delivered / (1.0 - eff)) as u64;
+    let delta = wire_total.saturating_sub(f.fluid.wire_emitted);
+    if delta > 0 {
+        f.fluid.wire_emitted = wire_total;
+        stats.wire_bytes_sent += delta;
+        for dir in &f.path {
+            link_bytes[dir.index()] += delta;
+        }
     }
 }
 
@@ -748,6 +728,10 @@ impl Ctx<'_> {
             started: w.now,
             fluid: Default::default(),
         };
+        if w.tcp.flow_model == FlowModel::Fluid {
+            // The pressure term of the flows on these links reads the load.
+            w.fluid.touch(&flow.path);
+        }
         let id = w.flows.insert(flow);
         w.stats.flows_started += 1;
         if let Some(trace) = &mut w.trace {
@@ -894,6 +878,9 @@ impl Simulator {
     pub fn new(network: Network, seed: u64) -> Self {
         let node_count = network.node_count();
         let dir_links = network.link_count() * 2;
+        let fluid = FluidSolver::new(
+            (0..dir_links).map(|l| network.dir_spec(DirLinkId(l as u32)).capacity_bps),
+        );
         Simulator {
             world: World {
                 now: SimTime::ZERO,
@@ -909,9 +896,7 @@ impl Simulator {
                 link_bytes: vec![0; dir_links],
                 msg_order: FastHashMap::default(),
                 scratch_rates: Vec::new(),
-                fluid: FillProblem::default(),
-                fluid_ids: Vec::new(),
-                fluid_eff: Vec::new(),
+                fluid,
                 faults: None,
                 fault_stats: InjectedFaults::default(),
             },
@@ -1012,6 +997,12 @@ impl Simulator {
         self.world.stats
     }
 
+    /// Work counters of the fluid rate solver (all zero under the round
+    /// model): how local the re-solves were.
+    pub fn fluid_stats(&self) -> FluidSolverStats {
+        self.world.fluid.stats
+    }
+
     /// Wire bytes sent over one direction of a link so far.
     pub fn link_bytes_sent(&self, dir: DirLinkId) -> u64 {
         self.world.link_bytes.get(dir.index()).copied().unwrap_or(0)
@@ -1073,14 +1064,19 @@ impl Simulator {
                 Scheduled::Capacity { dir, capacity_bps } => {
                     self.world.net.set_capacity(dir, capacity_bps);
                     if self.world.tcp.flow_model == FlowModel::Fluid {
+                        self.world.fluid.set_capacity(dir, capacity_bps);
                         self.world.fluid_rebalance();
                     }
                 }
                 Scheduled::SetOnline { node, online } => self.world.set_online(node, online),
             }
         }
-        if self.world.queue.is_empty() && self.world.now < deadline {
-            // Queue drained early: the run ends at the last processed event.
+        // Folds are lazy, so flows still running at the deadline have
+        // progress and wire bytes outstanding: credit them before the
+        // end-of-run accounting reads the counters.
+        let w = &mut self.world;
+        for f in w.flows.iter_mut() {
+            fold_flow(f, w.now, &mut w.stats, &mut w.link_bytes);
         }
         self.finish();
         self.world.now
@@ -1803,6 +1799,39 @@ mod tests {
             seen[0] > 0 && seen[0] < seen[1] && seen[1] < seen[2],
             "{seen:?}"
         );
+    }
+
+    #[test]
+    fn fluid_deadline_credits_flows_still_running() {
+        // A lone 500 kB transfer cut off three seconds in. Nothing
+        // rebalances after its activation, so without a fold at the end of
+        // the run its progress and wire bytes would never be credited.
+        let s = two_leaf_star(0.02);
+        let mut net = s.network;
+        let path = net.path(s.leaves[0], s.leaves[1]).unwrap();
+        let mut sim = Simulator::new(net, 1);
+        sim.set_tcp_config(fluid_tcp());
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Sender {
+            to: s.leaves[1],
+            bytes: 500_000,
+        }));
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.run_until_idle(SimTime::from_secs_f64(3.0));
+        assert_eq!(sim.fluid_stats().rebalances, 1);
+        let flow = sim.world.flows.iter_mut().next().expect("still running");
+        let (delivered, eff_loss) = (flow.delivered, flow.fluid.eff_loss);
+        assert!(delivered > 100_000 && delivered < 500_000, "{delivered}");
+        assert!(eff_loss > 0.0);
+        let wire = sim.stats().wire_bytes_sent;
+        let expected = delivered as f64 / (1.0 - eff_loss);
+        assert!(
+            (wire as f64 - expected).abs() <= 2.0,
+            "{wire} vs {expected}"
+        );
+        for dir in path {
+            assert_eq!(sim.link_bytes_sent(dir), wire);
+        }
     }
 
     /// Sends one tagged message per timer tick (1 Hz), recording send errors.

@@ -309,10 +309,6 @@ impl FlowTable {
         FlowId((gen as u64) << 32 | slot as u64)
     }
 
-    fn slot_of(id: FlowId) -> usize {
-        (id.0 & u32::MAX as u64) as usize
-    }
-
     fn gen_of(id: FlowId) -> u32 {
         (id.0 >> 32) as u32
     }
@@ -346,7 +342,7 @@ impl FlowTable {
     }
 
     pub fn get_mut(&mut self, id: FlowId) -> Option<&mut Flow> {
-        let slot = self.slots.get_mut(Self::slot_of(id))?;
+        let slot = self.slots.get_mut(id.slot())?;
         if slot.gen != Self::gen_of(id) {
             return None;
         }
@@ -354,7 +350,7 @@ impl FlowTable {
     }
 
     pub fn get(&self, id: FlowId) -> Option<&Flow> {
-        let slot = self.slots.get(Self::slot_of(id))?;
+        let slot = self.slots.get(id.slot())?;
         if slot.gen != Self::gen_of(id) {
             return None;
         }
@@ -364,7 +360,7 @@ impl FlowTable {
     /// Removes a flow, releasing its link load and retiring the slot's
     /// generation. Returns the flow if it was still active.
     pub fn remove(&mut self, id: FlowId) -> Option<Flow> {
-        let idx = Self::slot_of(id);
+        let idx = id.slot();
         let slot = self.slots.get_mut(idx)?;
         if slot.gen != Self::gen_of(id) {
             return None;
@@ -387,19 +383,9 @@ impl FlowTable {
         self.link_load[dir.index()]
     }
 
-    /// Collects the ids of all flows the fluid solver should rate (active
-    /// flows past their handshake), in slot order — deterministic for a
-    /// given event history. Clears and fills `out` to keep the rebalance
-    /// path allocation-free.
-    pub fn collect_fluid_active(&self, out: &mut Vec<FlowId>) {
-        out.clear();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(flow) = &slot.flow {
-                if flow.fluid.active {
-                    out.push(Self::pack(idx as u32, slot.gen));
-                }
-            }
-        }
+    /// Every flow in the table, in slot order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Flow> {
+        self.slots.iter_mut().filter_map(|slot| slot.flow.as_mut())
     }
 
     /// Ids of all flows that have `node` as an endpoint, in insertion order.
