@@ -2,9 +2,10 @@
 
 use splicecast_core::{
     max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr, run_averaged,
-    sweep_with_workers, AbrAlgorithm, AbrConfig, CdnConfig, CdnOutageConfig, ChurnConfig,
-    CrashChurnConfig, DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, Ladder,
-    LinkFlapConfig, PolicyConfig, ShardedWorkload, SplicingSpec, SweepPoint, Table, VideoSpec,
+    sweep_with_workers, AbrAlgorithm, AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig,
+    ChurnConfig, CrashChurnConfig, DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig,
+    Ladder, LinkFlapConfig, PolicyConfig, ShardedWorkload, SplicingSpec, SweepPoint, Table,
+    VideoSpec,
 };
 
 use crate::args::Args;
@@ -40,10 +41,9 @@ COMMON OPTIONS (run / sweep):
     --tracker             tracker-based peer discovery
     --flow-model M        network model: rounds | fluid         [rounds]
     --control-plane C     swarm control plane: legacy | eventful  [legacy]
-    --scheduler S         source scheduler: scan | indexed      [indexed]
     --dissemination D     availability announcements: full | windowed  [full]
     --profile P           knob preset: paper | scale            [paper]
-                          (scale = fluid + eventful + windowed + indexed;
+                          (scale = fluid + eventful + windowed;
                            explicit flags still override)
     --have-window SECS    eventful Have-coalescing window  [auto: scales with
                           segment duration, clamped to 1-4 pump intervals]
@@ -104,10 +104,10 @@ fn parse_policy(raw: &str) -> Result<PolicyConfig, String> {
 fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     // A profile sets the *defaults* for the plane/model knobs; explicit
     // flags still override any of them.
-    let (default_flow, default_plane, default_sched, default_dissem) =
+    let (default_flow, default_plane, default_dissem) =
         match args.value("profile")?.unwrap_or("paper") {
-            "paper" => ("rounds", "legacy", "indexed", "full"),
-            "scale" => ("fluid", "eventful", "indexed", "windowed"),
+            "paper" => ("rounds", "legacy", "full"),
+            "scale" => ("fluid", "eventful", "windowed"),
             other => {
                 return Err(format!(
                     "unknown profile `{other}` (expected paper or scale)"
@@ -134,21 +134,11 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
             .unwrap_or(default_plane)
             .parse::<splicecast_core::ControlPlane>()?,
     );
-    config = config.with_scheduler(
-        args.value("scheduler")?
-            .unwrap_or(default_sched)
-            .parse::<splicecast_core::SchedulerMode>()?,
-    );
     config = config.with_dissemination(
         args.value("dissemination")?
             .unwrap_or(default_dissem)
             .parse::<splicecast_core::DisseminationMode>()?,
     );
-    if config.swarm.dissemination == splicecast_core::DisseminationMode::Windowed
-        && config.swarm.control_plane != splicecast_core::ControlPlane::Eventful
-    {
-        return Err("--dissemination windowed requires --control-plane eventful".to_owned());
-    }
     if let Some(raw) = args.value("have-window")? {
         let secs: f64 = raw
             .parse()
@@ -157,7 +147,10 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     }
     let churn: f64 = args.num("churn", 0.0)?;
     if churn > 0.0 {
-        config.swarm.churn = Some(ChurnConfig::new(churn, 45.0));
+        config.swarm.churn = Some(ChurnConfig {
+            volatile_fraction: churn,
+            mean_lifetime_secs: 45.0,
+        });
     }
     if args.flag("cdn") || args.flag("cdn-only") {
         config.swarm.cdn = Some(CdnConfig::default());
@@ -175,14 +168,14 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     let msg_delay_max: f64 = args.num("msg-delay-max", 2.0)?;
     let flaps: usize = args.num("flaps", 0usize)?;
     let outages: usize = args.num("cdn-outages", 0usize)?;
-    if outages > 0 && config.swarm.cdn.is_none() {
-        return Err("--cdn-outages needs --cdn".to_owned());
-    }
     if crash > 0.0 || msg_loss > 0.0 || msg_delay > 0.0 || flaps > 0 || outages > 0 {
         let window_secs = config.video.duration_secs;
         let degraded = config.swarm.peer_bandwidth_bytes_per_sec / 8.0;
         config = config.with_faults(FaultPlanConfig {
-            crash: (crash > 0.0).then(|| CrashChurnConfig::new(crash, crash_uptime)),
+            crash: (crash > 0.0).then_some(CrashChurnConfig {
+                crash_fraction: crash,
+                mean_uptime_secs: crash_uptime,
+            }),
             message_loss: msg_loss,
             message_delay_prob: msg_delay,
             message_delay_max_secs: msg_delay_max,
@@ -202,7 +195,34 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     if args.flag("defend") {
         config = config.with_defense(DefenseConfig::default());
     }
+    // The rules live in `SwarmConfig::check`; flag values are literals
+    // above so that an out-of-range one is its `Err`, not a panic.
+    config.swarm.check()?;
     Ok(config)
+}
+
+/// The `peer memory:` / `holder sets:` lines of a run report (nothing when
+/// the run did no memory accounting).
+fn memory_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
+    if averaged.mem.total_bytes() == 0 {
+        return String::new();
+    }
+    let mut out = format!(
+        "  peer memory:       {:.1} kB/peer\n",
+        averaged.mem_bytes_per_peer(leechers_per_run) / 1e3,
+    );
+    let sched = averaged.sched;
+    if sched.sparse_sets + sched.dense_sets + sched.complete_peers > 0 {
+        let runs = averaged.runs as f64;
+        out.push_str(&format!(
+            "  holder sets:       {:.0} sparse, {:.0} dense ({:.0} promotions), {:.0} peers complete-folded (per run)\n",
+            sched.sparse_sets as f64 / runs,
+            sched.dense_sets as f64 / runs,
+            sched.dense_promotions as f64 / runs,
+            sched.complete_peers as f64 / runs,
+        ));
+    }
+    out
 }
 
 fn seeds(args: &Args) -> Result<Vec<u64>, String> {
@@ -275,24 +295,7 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
         "  peer offload:      {:.0}%\n",
         averaged.peer_offload * 100.0
     ));
-    if averaged.mem.total_bytes() > 0 {
-        out.push_str(&format!(
-            "  peer memory:       {:.1} kB/peer ({:.1} kB pre-diet)\n",
-            averaged.mem_bytes_per_peer(config.swarm.n_leechers) / 1e3,
-            averaged.prediet_bytes_per_peer(config.swarm.n_leechers) / 1e3,
-        ));
-        let sched = averaged.sched;
-        if sched.sparse_sets + sched.dense_sets + sched.complete_peers > 0 {
-            let runs = averaged.runs as f64;
-            out.push_str(&format!(
-                "  holder sets:       {:.0} sparse, {:.0} dense ({:.0} promotions), {:.0} peers complete-folded (per run)\n",
-                sched.sparse_sets as f64 / runs,
-                sched.dense_sets as f64 / runs,
-                sched.dense_promotions as f64 / runs,
-                sched.complete_peers as f64 / runs,
-            ));
-        }
-    }
+    out.push_str(&memory_lines(&averaged, config.swarm.n_leechers));
     let runs = averaged.runs as f64;
     let control = averaged.control;
     out.push_str(&format!(
@@ -410,24 +413,7 @@ fn sharded_run(args: &Args, config: &ExperimentConfig, channels: usize) -> Resul
         agg.completion_rate * 100.0,
         agg.peer_offload * 100.0,
     ));
-    if agg.mem.total_bytes() > 0 {
-        out.push_str(&format!(
-            "  peer memory:       {:.1} kB/peer ({:.1} kB pre-diet)\n",
-            agg.mem_bytes_per_peer(config.swarm.n_leechers) / 1e3,
-            agg.prediet_bytes_per_peer(config.swarm.n_leechers) / 1e3,
-        ));
-        let sched = agg.sched;
-        if sched.sparse_sets + sched.dense_sets + sched.complete_peers > 0 {
-            let runs = agg.runs as f64;
-            out.push_str(&format!(
-                "  holder sets:       {:.0} sparse, {:.0} dense ({:.0} promotions), {:.0} peers complete-folded (per run)\n",
-                sched.sparse_sets as f64 / runs,
-                sched.dense_sets as f64 / runs,
-                sched.dense_promotions as f64 / runs,
-                sched.complete_peers as f64 / runs,
-            ));
-        }
-    }
+    out.push_str(&memory_lines(agg, config.swarm.n_leechers));
     Ok(out)
 }
 
@@ -457,14 +443,18 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
     // Every (bandwidth, splicing) cell is an independent deterministic
     // experiment; fan them out over worker threads. Results are identical
     // for any worker count.
+    let base = base_config(args)?;
     let mut points = Vec::new();
     for &bandwidth in &bandwidths {
         for name in &splicing_names {
+            let config = base
+                .clone()
+                .with_bandwidth(bandwidth * 1_000.0)
+                .with_splicing(parse_splicing(name)?);
+            config.swarm.check()?;
             points.push(SweepPoint {
                 label: format!("{name} @ {bandwidth:.0} kB/s"),
-                config: base_config(args)?
-                    .with_bandwidth(bandwidth * 1_000.0)
-                    .with_splicing(parse_splicing(name)?),
+                config,
             });
         }
     }

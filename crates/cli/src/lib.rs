@@ -145,6 +145,7 @@ mod tests {
         assert!(text.contains("bundles"), "{text}");
         // Memory accounting rides along in every run report.
         assert!(text.contains("peer memory"), "{text}");
+        assert!(text.contains("completion:        100%"), "{text}");
     }
 
     #[test]
@@ -209,6 +210,39 @@ mod tests {
     fn run_command_rejects_windowed_without_eventful() {
         let err = call(&["run", "--dissemination", "windowed"]).unwrap_err();
         assert!(err.contains("eventful"), "{err}");
+    }
+
+    /// Out-of-range values are the configuration's own `Err`, naming the
+    /// rule — never a panic out of the run.
+    #[test]
+    fn invalid_values_are_errors_not_panics() {
+        let cases: [(&[&str], &str); 8] = [
+            (
+                &["--have-window", "-1"],
+                "coalesce window must be a non-negative number",
+            ),
+            (&["--peers", "0"], "a swarm needs at least one leecher"),
+            (&["--bandwidth", "0"], "peer bandwidth must be positive"),
+            (
+                &["--dissemination", "windowed"],
+                "windowed dissemination requires the eventful control plane",
+            ),
+            (&["--churn", "2"], "volatile fraction must be in [0,1]"),
+            (&["--crash", "2"], "crash fraction must be in [0,1]"),
+            (&["--msg-loss", "2"], "message loss must be in [0,1]"),
+            (&["--cdn-outages", "1"], "CDN outages require a CDN"),
+        ];
+        for (flags, message) in cases {
+            for command in ["run", "sweep"] {
+                let tokens = [&[command][..], flags].concat();
+                let err = std::panic::catch_unwind(|| call(&tokens))
+                    .unwrap_or_else(|_| panic!("{tokens:?} unwound"))
+                    .unwrap_err();
+                assert!(err.contains(message), "{tokens:?}: {err}");
+            }
+        }
+        let err = call(&["sweep", "--bandwidths", "0,128"]).unwrap_err();
+        assert!(err.contains("peer bandwidth must be positive"), "{err}");
     }
 
     #[test]

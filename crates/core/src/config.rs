@@ -126,13 +126,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the download scheduler: the incremental holder index
-    /// (default) or the reference full-rescan implementation.
-    pub fn with_scheduler(mut self, scheduler: splicecast_swarm::SchedulerMode) -> Self {
-        self.swarm.scheduler = scheduler;
-        self
-    }
-
     /// Selects the availability dissemination mode: full announcements to
     /// every subscriber (default) or frontier-keyed interest windows with
     /// deferred holder-index folding (requires the eventful control plane).
@@ -142,15 +135,15 @@ impl ExperimentConfig {
     }
 
     /// The blessed big-swarm preset: every scalability optimisation at
-    /// once — the fluid flow model, the eventful control plane, windowed
-    /// interest dissemination, and the incremental holder index. This is
-    /// what `--profile scale` selects on the CLI; individual knobs can
-    /// still be overridden afterwards.
+    /// once — the fluid flow model, the eventful control plane, and
+    /// windowed interest dissemination (the incremental holder index is
+    /// already the default scheduler). This is what `--profile scale`
+    /// selects on the CLI; individual knobs can still be overridden
+    /// afterwards.
     pub fn with_scale_profile(self) -> Self {
         self.with_flow_model(splicecast_netsim::FlowModel::Fluid)
             .with_control_plane(splicecast_swarm::ControlPlane::Eventful)
             .with_dissemination(splicecast_swarm::DisseminationMode::Windowed)
-            .with_scheduler(splicecast_swarm::SchedulerMode::Indexed)
     }
 
     /// Installs a deterministic fault-injection plan (crash-stop churn,
@@ -192,7 +185,6 @@ mod tests {
             .with_policy(splicecast_swarm::PolicyConfig::Fixed(2))
             .with_leechers(5)
             .with_control_plane(splicecast_swarm::ControlPlane::Eventful)
-            .with_scheduler(splicecast_swarm::SchedulerMode::Scan)
             .with_dissemination(splicecast_swarm::DisseminationMode::Windowed);
         assert_eq!(cfg.swarm.peer_bandwidth_bytes_per_sec, 256_000.0);
         assert_eq!(cfg.swarm.seeder_bandwidth_bytes_per_sec, 256_000.0);
@@ -202,7 +194,6 @@ mod tests {
             cfg.swarm.control_plane,
             splicecast_swarm::ControlPlane::Eventful
         );
-        assert_eq!(cfg.swarm.scheduler, splicecast_swarm::SchedulerMode::Scan);
         assert_eq!(
             cfg.swarm.dissemination,
             splicecast_swarm::DisseminationMode::Windowed

@@ -131,17 +131,6 @@ impl AveragedMetrics {
             self.mem.total_bytes() as f64 / peers
         }
     }
-
-    /// Mean modeled pre-diet bytes per leecher (same denominator as
-    /// [`AveragedMetrics::mem_bytes_per_peer`]).
-    pub fn prediet_bytes_per_peer(&self, leechers_per_run: usize) -> f64 {
-        let peers = (self.runs * leechers_per_run) as f64;
-        if peers == 0.0 {
-            0.0
-        } else {
-            self.mem.prediet_bytes as f64 / peers
-        }
-    }
 }
 
 /// Runs `config` once per seed and averages, exactly like the paper's
@@ -201,7 +190,6 @@ pub fn sweep_with_workers(
     workers: usize,
 ) -> Vec<(String, AveragedMetrics)> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    assert!(workers >= 1, "need at least one worker");
 
     // Build each point's media up front, serially: points that stream the
     // identical video with the identical splicing (a bandwidth or policy
@@ -218,39 +206,65 @@ pub fn sweep_with_workers(
                 done
             });
 
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    let mut slots: Vec<Option<(String, AveragedMetrics)>> = Vec::new();
-    slots.resize_with(points.len(), || None);
-    let slots_mutex = std::sync::Mutex::new(&mut slots);
-    let failure_msg = std::sync::Mutex::new(None::<String>);
+    run_ordered(
+        points.len(),
+        workers,
+        |i| format!("sweep point '{}'", points[i].label),
+        |i| {
+            (
+                points[i].label.clone(),
+                run_prepared_averaged(&prepared[i], seeds),
+            )
+        },
+    )
+}
+
+/// Runs `job(i)` for every `i < n` on up to `workers` scoped threads and
+/// returns the results in index order, whichever thread ran which. A
+/// panicking job stops the pool and is re-raised on the caller's thread as
+/// `"<label_of(i)> panicked: <message>"`.
+///
+/// # Panics
+///
+/// Panics when `workers` is zero or any job panics.
+pub(crate) fn run_ordered<T: Send>(
+    n: usize,
+    workers: usize,
+    label_of: impl Fn(usize) -> String + Sync,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    assert!(workers >= 1, "need at least one worker");
+
+    let next = AtomicUsize::new(0);
+    // `failed` only stops workers from claiming more jobs; the message
+    // itself travels through the mutex.
+    let failed = AtomicBool::new(false);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let failure = Mutex::new(None::<String>);
+    // Jobs run outside both locks and under `catch_unwind`, so neither
+    // mutex can be poisoned.
+    const UNPOISONED: &str = "no job runs while a lock is held";
 
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(points.len().max(1)) {
+        for _ in 0..workers.min(n) {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() || failed.load(std::sync::atomic::Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || failed.load(Ordering::Relaxed) {
                     break;
                 }
-                // Clone the label before taking the slot lock: the lock
-                // guards only the brief writes into `slots`.
-                let label = points[i].label.clone();
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_prepared_averaged(&prepared[i], seeds)
-                })) {
-                    Ok(averaged) => {
-                        let mut guard = slots_mutex.lock().unwrap_or_else(|e| e.into_inner());
-                        guard[i] = Some((label, averaged));
-                    }
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))) {
+                    Ok(value) => slots.lock().expect(UNPOISONED)[i] = Some(value),
                     Err(payload) => {
                         let msg = payload
                             .downcast_ref::<&str>()
                             .map(|s| (*s).to_string())
                             .or_else(|| payload.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "non-string panic payload".to_string());
-                        *failure_msg.lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some(format!("sweep point '{label}' panicked: {msg}"));
-                        failed.store(true, std::sync::atomic::Ordering::Relaxed);
+                        *failure.lock().expect(UNPOISONED) =
+                            Some(format!("{} panicked: {msg}", label_of(i)));
+                        failed.store(true, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -258,12 +272,14 @@ pub fn sweep_with_workers(
         }
     });
 
-    if let Some(msg) = failure_msg.into_inner().unwrap_or_else(|e| e.into_inner()) {
+    if let Some(msg) = failure.into_inner().expect(UNPOISONED) {
         panic!("{msg}");
     }
     slots
+        .into_inner()
+        .expect(UNPOISONED)
         .into_iter()
-        .map(|s| s.expect("every sweep point filled"))
+        .map(|slot| slot.expect("every job ran"))
         .collect()
 }
 

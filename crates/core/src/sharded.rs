@@ -15,7 +15,7 @@
 //! [`sweep_with_workers`]: crate::sweep_with_workers
 
 use crate::config::ExperimentConfig;
-use crate::experiment::AveragedMetrics;
+use crate::experiment::{run_ordered, AveragedMetrics};
 use crate::runner::{PreparedExperiment, RunResult};
 
 /// FNV-1a over `bytes` — the channel-id hash feeding seed derivation.
@@ -119,58 +119,17 @@ impl ShardedWorkload {
     /// Panics when `workers` is zero or any channel run panics (the
     /// channel's panic message is propagated).
     pub fn run(&self, workers: usize) -> ShardedOutcome {
-        assert!(workers >= 1, "need at least one worker");
-
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let mut slots: Vec<Option<Vec<RunResult>>> = Vec::new();
-        slots.resize_with(self.channels.len(), || None);
-        let slots_mutex = std::sync::Mutex::new(&mut slots);
-        let failure_msg = std::sync::Mutex::new(None::<String>);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(self.channels.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= self.channels.len() || failed.load(std::sync::atomic::Ordering::Relaxed)
-                    {
-                        break;
-                    }
-                    let channel = &self.channels[i];
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.seeds
-                            .iter()
-                            .map(|&s| self.prepared.run(channel_seed(s, channel)))
-                            .collect::<Vec<RunResult>>()
-                    })) {
-                        Ok(runs) => {
-                            let mut guard = slots_mutex.lock().unwrap_or_else(|e| e.into_inner());
-                            guard[i] = Some(runs);
-                        }
-                        Err(payload) => {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_string());
-                            *failure_msg.lock().unwrap_or_else(|e| e.into_inner()) =
-                                Some(format!("channel '{channel}' panicked: {msg}"));
-                            failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some(msg) = failure_msg.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            panic!("{msg}");
-        }
-
-        let per_channel: Vec<Vec<RunResult>> = slots
-            .into_iter()
-            .map(|s| s.expect("every channel filled"))
-            .collect();
+        let per_channel: Vec<Vec<RunResult>> = run_ordered(
+            self.channels.len(),
+            workers,
+            |i| format!("channel '{}'", self.channels[i]),
+            |i| {
+                self.seeds
+                    .iter()
+                    .map(|&s| self.prepared.run(channel_seed(s, &self.channels[i])))
+                    .collect()
+            },
+        );
         let all_runs: Vec<RunResult> = per_channel.iter().flatten().cloned().collect();
         let channels = self
             .channels
@@ -236,20 +195,25 @@ mod tests {
 
     #[test]
     fn channels_match_standalone_runs_on_derived_seeds() {
-        let cfg = quick_config();
-        let workload = ShardedWorkload::with_channel_count(&cfg, 2, &[3, 4]);
-        let outcome = workload.run(2);
-        assert_eq!(outcome.channels.len(), 2);
-        for result in &outcome.channels {
-            let derived: Vec<u64> = [3u64, 4]
-                .iter()
-                .map(|&s| channel_seed(s, &result.channel))
-                .collect();
-            let standalone = run_averaged(&cfg, &derived);
-            assert_eq!(result.averaged, standalone, "channel {}", result.channel);
+        // On the paper stack and on the scale profile's.
+        for cfg in [quick_config(), quick_config().with_scale_profile()] {
+            let workload = ShardedWorkload::with_channel_count(&cfg, 2, &[3, 4]);
+            let outcome = workload.run(2);
+            assert_eq!(outcome.channels.len(), 2);
+            for result in &outcome.channels {
+                let derived: Vec<u64> = [3u64, 4]
+                    .iter()
+                    .map(|&s| channel_seed(s, &result.channel))
+                    .collect();
+                let standalone = run_averaged(&cfg, &derived);
+                assert_eq!(result.averaged, standalone, "channel {}", result.channel);
+            }
+            // The aggregate folds all channels' runs: 2 channels × 2 seeds,
+            // every viewer of every one finishing, memory accounted.
+            assert_eq!(outcome.aggregate.runs, 4);
+            assert_eq!(outcome.aggregate.completion_rate, 1.0);
+            assert!(outcome.aggregate.mem_bytes_per_peer(cfg.swarm.n_leechers) > 0.0);
         }
-        // The aggregate folds all channels' runs: 2 channels × 2 seeds.
-        assert_eq!(outcome.aggregate.runs, 4);
     }
 
     #[test]

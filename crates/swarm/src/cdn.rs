@@ -3,6 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::{must, rule};
+
 /// Configuration of the CDN node added to the star in hybrid mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CdnConfig {
@@ -26,21 +28,27 @@ impl Default for CdnConfig {
 }
 
 impl CdnConfig {
+    /// Checks the configuration: non-positive bandwidth/slots or a
+    /// negative latency is an `Err` naming the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            self.bandwidth_bytes_per_sec > 0.0,
+            "cdn bandwidth must be positive",
+        )?;
+        rule(
+            self.one_way_latency_secs >= 0.0,
+            "cdn latency must be non-negative",
+        )?;
+        rule(self.upload_slots > 0, "cdn upload slots must be positive")
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive bandwidth/slots or negative latency.
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(
-            self.bandwidth_bytes_per_sec > 0.0,
-            "cdn bandwidth must be positive"
-        );
-        assert!(
-            self.one_way_latency_secs >= 0.0,
-            "cdn latency must be non-negative"
-        );
-        assert!(self.upload_slots > 0, "cdn upload slots must be positive");
+        must(self.check());
     }
 }
 

@@ -5,6 +5,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::{must, rule};
+
 /// Configures which peers leave and when.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnConfig {
@@ -23,15 +25,28 @@ impl ChurnConfig {
     /// Panics if `volatile_fraction` is outside `[0, 1]` or the lifetime is
     /// not positive.
     pub fn new(volatile_fraction: f64, mean_lifetime_secs: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&volatile_fraction),
-            "volatile fraction must be in [0,1], got {volatile_fraction}"
-        );
-        assert!(mean_lifetime_secs > 0.0, "mean lifetime must be positive");
-        ChurnConfig {
+        let config = ChurnConfig {
             volatile_fraction,
             mean_lifetime_secs,
-        }
+        };
+        must(config.check());
+        config
+    }
+
+    /// Checks the knobs: a fraction outside `[0, 1]` or a non-positive
+    /// lifetime is an `Err` naming the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            (0.0..=1.0).contains(&self.volatile_fraction),
+            format!(
+                "volatile fraction must be in [0,1], got {}",
+                self.volatile_fraction
+            ),
+        )?;
+        rule(
+            self.mean_lifetime_secs > 0.0,
+            "mean lifetime must be positive",
+        )
     }
 
     /// Samples a departure delay (seconds after joining) for each of

@@ -11,6 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration};
 
+use crate::{must, rule};
+
 /// Configuration of the background load.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrossTrafficConfig {
@@ -35,24 +37,30 @@ impl Default for CrossTrafficConfig {
 }
 
 impl CrossTrafficConfig {
+    /// Checks the configuration: zero flows/bytes or a non-positive
+    /// duration is an `Err` naming the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            self.flows_per_peer > 0,
+            "cross traffic needs at least one flow per peer",
+        )?;
+        rule(
+            self.transfer_bytes > 0,
+            "cross-traffic transfers need bytes",
+        )?;
+        rule(
+            self.duration_secs > 0.0,
+            "cross-traffic duration must be positive",
+        )
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on zero flows/bytes or a non-positive duration.
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(
-            self.flows_per_peer > 0,
-            "cross traffic needs at least one flow per peer"
-        );
-        assert!(
-            self.transfer_bytes > 0,
-            "cross-traffic transfers need bytes"
-        );
-        assert!(
-            self.duration_secs > 0.0,
-            "cross-traffic duration must be positive"
-        );
+        must(self.check());
     }
 }
 

@@ -14,6 +14,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::{must, rule};
+
 /// Crash-stop churn: a fraction of leechers vanish *without* a Goodbye,
 /// leaving every other peer's view of them stale until defenses (or
 /// timeouts) notice.
@@ -34,15 +36,25 @@ impl CrashChurnConfig {
     /// Panics if `crash_fraction` is outside `[0, 1]` or the uptime is not
     /// positive.
     pub fn new(crash_fraction: f64, mean_uptime_secs: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&crash_fraction),
-            "crash fraction must be in [0,1], got {crash_fraction}"
-        );
-        assert!(mean_uptime_secs > 0.0, "mean uptime must be positive");
-        CrashChurnConfig {
+        let config = CrashChurnConfig {
             crash_fraction,
             mean_uptime_secs,
-        }
+        };
+        must(config.check());
+        config
+    }
+
+    /// Checks the knobs: a fraction outside `[0, 1]` or a non-positive
+    /// uptime is an `Err` naming the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            (0.0..=1.0).contains(&self.crash_fraction),
+            format!(
+                "crash fraction must be in [0,1], got {}",
+                self.crash_fraction
+            ),
+        )?;
+        rule(self.mean_uptime_secs > 0.0, "mean uptime must be positive")
     }
 
     /// Samples a crash delay (seconds after joining) for each of `n_peers`
@@ -76,18 +88,24 @@ pub struct LinkFlapConfig {
 }
 
 impl LinkFlapConfig {
+    /// Checks the knobs: a non-positive rate, duration, or window is an
+    /// `Err` naming the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            self.degraded_bytes_per_sec > 0.0,
+            "degraded rate must be positive",
+        )?;
+        rule(self.duration_secs > 0.0, "flap duration must be positive")?;
+        rule(self.window_secs > 0.0, "flap window must be positive")
+    }
+
     /// Validates the knobs.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive rates, durations, or window.
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(
-            self.degraded_bytes_per_sec > 0.0,
-            "degraded rate must be positive"
-        );
-        assert!(self.duration_secs > 0.0, "flap duration must be positive");
-        assert!(self.window_secs > 0.0, "flap window must be positive");
+        must(self.check());
     }
 
     /// Samples `(leecher index, start_secs)` for each scheduled flap.
@@ -115,14 +133,20 @@ pub struct CdnOutageConfig {
 }
 
 impl CdnOutageConfig {
+    /// Checks the knobs: a non-positive duration or window is an `Err`
+    /// naming the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(self.duration_secs > 0.0, "outage duration must be positive")?;
+        rule(self.window_secs > 0.0, "outage window must be positive")
+    }
+
     /// Validates the knobs.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive durations or window.
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(self.duration_secs > 0.0, "outage duration must be positive");
-        assert!(self.window_secs > 0.0, "outage window must be positive");
+        must(self.check());
     }
 
     /// Samples the start time of each scheduled outage.
@@ -160,42 +184,48 @@ pub struct FaultPlanConfig {
 }
 
 impl FaultPlanConfig {
+    /// Checks the plan against the scenario: out-of-range probabilities,
+    /// invalid sub-configs, or CDN outages without a CDN are an `Err`
+    /// naming the rule.
+    pub fn check(&self, has_cdn: bool) -> Result<(), String> {
+        rule(
+            (0.0..=1.0).contains(&self.message_loss),
+            format!("message loss must be in [0,1], got {}", self.message_loss),
+        )?;
+        rule(
+            (0.0..=1.0).contains(&self.message_delay_prob),
+            format!(
+                "message delay probability must be in [0,1], got {}",
+                self.message_delay_prob
+            ),
+        )?;
+        rule(
+            self.message_delay_max_secs >= 0.0,
+            "message delay bound must be non-negative",
+        )?;
+        if let Some(crash) = &self.crash {
+            crash.check()?;
+        }
+        if let Some(flaps) = &self.link_flaps {
+            flaps.check()?;
+        }
+        if let Some(outages) = &self.cdn_outages {
+            outages.check()?;
+            rule(
+                has_cdn || outages.count == 0,
+                "CDN outages require a CDN in the scenario",
+            )?;
+        }
+        Ok(())
+    }
+
     /// Validates the plan against the scenario.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range probabilities, invalid sub-configs, or CDN
-    /// outages without a CDN.
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self, has_cdn: bool) {
-        assert!(
-            (0.0..=1.0).contains(&self.message_loss),
-            "message loss must be in [0,1], got {}",
-            self.message_loss
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.message_delay_prob),
-            "message delay probability must be in [0,1], got {}",
-            self.message_delay_prob
-        );
-        assert!(
-            self.message_delay_max_secs >= 0.0,
-            "message delay bound must be non-negative"
-        );
-        if let Some(crash) = &self.crash {
-            // Re-run the constructor checks (the struct is also built via
-            // deserialization and literals).
-            let _ = CrashChurnConfig::new(crash.crash_fraction, crash.mean_uptime_secs);
-        }
-        if let Some(flaps) = &self.link_flaps {
-            flaps.validate();
-        }
-        if let Some(outages) = &self.cdn_outages {
-            outages.validate();
-            assert!(
-                has_cdn || outages.count == 0,
-                "CDN outages require a CDN in the scenario"
-            );
-        }
+        must(self.check(has_cdn));
     }
 }
 
@@ -238,43 +268,50 @@ impl Default for DefenseConfig {
 }
 
 impl DefenseConfig {
+    /// Checks the deadlines: a non-positive deadline or a keepalive
+    /// cadence that cannot beat the inactivity deadline is an `Err` naming
+    /// the rule.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            self.keepalive_secs > 0.0,
+            "keepalive cadence must be positive",
+        )?;
+        rule(
+            self.inactivity_timeout_secs > 0.0,
+            "inactivity timeout must be positive",
+        )?;
+        rule(
+            self.keepalive_secs < self.inactivity_timeout_secs,
+            format!(
+                "keepalive cadence ({}) must beat the inactivity timeout ({})",
+                self.keepalive_secs, self.inactivity_timeout_secs
+            ),
+        )?;
+        rule(
+            self.backoff_base_secs > 0.0,
+            "backoff base must be positive",
+        )?;
+        rule(
+            self.backoff_max_secs >= self.backoff_base_secs,
+            "backoff ceiling must be at least the base",
+        )?;
+        rule(
+            self.cdn_fallback_secs > 0.0,
+            "CDN fallback deadline must be positive",
+        )?;
+        rule(
+            self.watchdog_secs > 0.0,
+            "watchdog deadline must be positive",
+        )
+    }
+
     /// Validates the deadlines.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive deadlines or a keepalive cadence that cannot
-    /// beat the inactivity deadline.
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(
-            self.keepalive_secs > 0.0,
-            "keepalive cadence must be positive"
-        );
-        assert!(
-            self.inactivity_timeout_secs > 0.0,
-            "inactivity timeout must be positive"
-        );
-        assert!(
-            self.keepalive_secs < self.inactivity_timeout_secs,
-            "keepalive cadence ({}) must beat the inactivity timeout ({})",
-            self.keepalive_secs,
-            self.inactivity_timeout_secs
-        );
-        assert!(
-            self.backoff_base_secs > 0.0,
-            "backoff base must be positive"
-        );
-        assert!(
-            self.backoff_max_secs >= self.backoff_base_secs,
-            "backoff ceiling must be at least the base"
-        );
-        assert!(
-            self.cdn_fallback_secs > 0.0,
-            "CDN fallback deadline must be positive"
-        );
-        assert!(
-            self.watchdog_secs > 0.0,
-            "watchdog deadline must be positive"
-        );
+        must(self.check());
     }
 
     /// The period at which the defense checks run, derived from the

@@ -11,7 +11,7 @@ use splicecast_protocol::{decode_single, Bitfield, EncodeBuf, Message, PROTOCOL_
 
 use crate::fault::DefenseConfig;
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
-use crate::peer::{CompleteView, PeerClock, PeerLook, PeerView, PRE_DIET_VIEW_BYTES};
+use crate::peer::{CompleteView, PeerClock, PeerLook, PeerView};
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
 use crate::scheduler::{next_wanted_from, pick_source, HolderIndex, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
@@ -355,8 +355,7 @@ impl LeecherNode {
         node == self.cfg.seeder || self.cfg.cdn == Some(node)
     }
 
-    /// The defense clocks for `peer` (zeros when none were stamped yet —
-    /// exactly the value the pre-diet inline fields started at).
+    /// The defense clocks for `peer` (zeros when none were stamped yet).
     fn clock(&self, peer: NodeId) -> PeerClock {
         self.clocks.get(&peer).copied().unwrap_or_default()
     }
@@ -619,14 +618,6 @@ impl LeecherNode {
     /// segment gets `1/k` of the bandwidth while `k` parallel connections
     /// overload the access link (§VI-B).
     fn schedule(&mut self, ctx: &mut Ctx<'_>) {
-        let start = std::time::Instant::now();
-        self.schedule_pass(ctx);
-        crate::scheduler::sched_wall_add(start.elapsed());
-    }
-
-    /// One scheduling pass; only entered via [`Self::schedule`], which
-    /// accounts its wall clock to the process-wide probe.
-    fn schedule_pass(&mut self, ctx: &mut Ctx<'_>) {
         if !self.streaming {
             return;
         }
@@ -1627,8 +1618,8 @@ impl LeecherNode {
     ///
     /// In both modes a held segment with no in-flight entry may hold any
     /// subset of the rescan (usually none): its set is purged on
-    /// acquisition as part of the memory diet, and full mode keeps
-    /// mirroring later announcements into it.
+    /// acquisition, and full mode keeps mirroring later announcements
+    /// into it.
     #[cfg(debug_assertions)]
     fn audit_holder_index(&self) {
         if self.cfg.scheduler != SchedulerMode::Indexed {
@@ -1949,45 +1940,17 @@ impl LeecherNode {
     }
 
     /// Samples this leecher's memory footprint: allocator-visible bytes
-    /// behind the structures the memory diet targeted (peer views, the
-    /// holder index, and the auxiliary per-peer maps), plus the modeled
-    /// pre-diet cost of the same state.
-    ///
-    /// The model is deliberately simple and applied identically on both
-    /// sides: `BTreeMap` node overhead is excluded everywhere (it is the
-    /// same before and after the diet), and the pre-diet holder index is
-    /// reconstructed from the add/remove counters — without
-    /// purge-on-acquire every added-but-not-removed entry would still be
-    /// resident.
+    /// behind the per-peer structures (peer views, complete-peer records,
+    /// the holder index, and the auxiliary per-peer maps). `BTreeMap`
+    /// node overhead is excluded everywhere: map payloads only.
     pub fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
-        let mut view_bytes = 0u64;
-        let mut prediet_view_bytes = 0u64;
-        for view in self.views.values() {
-            view_bytes += view.mem_bytes() as u64;
-            prediet_view_bytes += view.prediet_mem_bytes() as u64;
-        }
-        // Complete peers: the compact record (map payload only, like the
-        // other side tables). Pre-diet each of them was an ordinary view —
-        // a 64-byte struct plus the eagerly allocated full bitfield heap.
+        let view_bytes = self.views.values().map(|v| v.mem_bytes() as u64).sum();
         let complete_bytes =
             (self.complete.len() * (size_of::<NodeId>() + size_of::<CompleteView>())) as u64;
-        let full_heap = self.full_field.heap_bytes() as u64;
-        let prediet_complete_bytes =
-            self.complete.len() as u64 * (PRE_DIET_VIEW_BYTES as u64 + full_heap);
-        // Map payloads only; node overhead cancels across the comparison.
         let bans = (self.timeout_bans.len() * (size_of::<u32>() + size_of::<NodeId>())) as u64;
         let health = (self.health.len() * (size_of::<NodeId>() + size_of::<SourceHealth>())) as u64;
         let clocks = (self.clocks.len() * (size_of::<NodeId>() + size_of::<PeerClock>())) as u64;
-        let spine = (self.holdings.len() as u64) * size_of::<Vec<NodeId>>() as u64;
-        // Pre-diet the index kept every added-but-not-removed entry; the
-        // liveness clocks lived inside the 64-byte views, so they do not
-        // count as auxiliary state there.
-        let retained = self
-            .report
-            .sched
-            .holder_adds
-            .saturating_sub(self.report.sched.holder_removes);
         PeerMemStats {
             view_bytes,
             views: self.views.len() as u64,
@@ -1996,12 +1959,6 @@ impl LeecherNode {
             aux_bytes: bans + health + clocks,
             complete_bytes,
             complete_views: self.complete.len() as u64,
-            prediet_bytes: prediet_view_bytes
-                + prediet_complete_bytes
-                + spine
-                + retained * size_of::<NodeId>() as u64
-                + bans
-                + health,
         }
     }
 

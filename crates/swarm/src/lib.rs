@@ -50,6 +50,25 @@ mod seeder;
 mod swarm;
 mod upload;
 
+/// One configuration rule: `Err(message)` unless `ok`. Every config's
+/// `check()` chains these with `?`, and its `validate()` panics with the
+/// same message.
+fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message.into())
+    }
+}
+
+/// The body of every `validate()`: panics with `check()`'s message.
+#[track_caller]
+fn must(checked: Result<(), String>) {
+    if let Err(message) = checked {
+        panic!("{message}");
+    }
+}
+
 pub use abr::{run_abr, AbrAlgorithm, AbrConfig, AbrMetrics, AbrReport};
 pub use cdn::{max_cdn_segment_bytes, CdnConfig};
 pub use churn::ChurnConfig;
@@ -67,9 +86,7 @@ pub use policy::{
     optimal_pool_size, AdaptivePooling, BandwidthEstimator, DownloadPolicy, EstimatorKind,
     FixedPool, PolicyConfig, PolicyInput, WEstimate,
 };
-pub use scheduler::{
-    next_wanted, pick_source, reset_sched_wall, sched_wall_ns, HolderIndex, SourceCandidate,
-};
+pub use scheduler::{next_wanted, pick_source, HolderIndex, SourceCandidate};
 pub use seeder::{info_hash_of, SeederNode};
 pub use swarm::{
     auto_coalesce_secs, run_swarm, run_swarm_shared, ControlPlane, DiscoveryMode,

@@ -141,15 +141,13 @@ impl DisseminationStats {
 }
 
 /// Memory-footprint accounting for one leecher, sampled when its report is
-/// written: allocator-visible bytes behind the peer's swarm state, plus a
-/// modeled pre-diet figure for the same state so the memory diet's effect
-/// is measurable per run. Deterministic for a given (segments, config,
-/// seed) — capacities follow the deterministic insert/remove sequence —
-/// but excluded from the `Debug` rendering like the other post-pin stats.
+/// written: allocator-visible bytes behind the peer's swarm state.
+/// Deterministic for a given (segments, config, seed) — capacities follow
+/// the deterministic insert/remove sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PeerMemStats {
     /// Bytes behind the peer-view table: per-view struct plus bitfield
-    /// heap (packed 40-byte views after the diet).
+    /// heap.
     pub view_bytes: u64,
     /// Live peer views at sample time.
     pub views: u64,
@@ -167,11 +165,6 @@ pub struct PeerMemStats {
     pub complete_bytes: u64,
     /// Complete-peer records at sample time.
     pub complete_views: u64,
-    /// Modeled bytes the same state cost before the diet: 64-byte views
-    /// with `Vec`-backed bitfields (one per neighbour, complete or not),
-    /// and a holder index retaining every added-but-not-removed entry
-    /// (no purge, no shrink, no complete-peer summaries).
-    pub prediet_bytes: u64,
 }
 
 impl PeerMemStats {
@@ -184,7 +177,6 @@ impl PeerMemStats {
         self.aux_bytes += other.aux_bytes;
         self.complete_bytes += other.complete_bytes;
         self.complete_views += other.complete_views;
-        self.prediet_bytes += other.prediet_bytes;
     }
 
     /// Total measured bytes (views + holder index + auxiliary state +
@@ -230,7 +222,7 @@ impl PeerFaultStats {
 }
 
 /// Final accounting for one leecher.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PeerReport {
     /// Leecher index (0-based, excluding the seeder).
     pub peer: usize,
@@ -269,35 +261,13 @@ pub struct PeerReport {
     pub mem: PeerMemStats,
 }
 
-/// `Debug` is hand-written to render exactly what the derive produced
-/// before `sched`, `fault`, and `dissem` existed: the legacy-plane digest
-/// test pins a hash of the formatted metrics, and those counters are
-/// diagnostics that stay zero in legacy runs anyway.
-impl std::fmt::Debug for PeerReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PeerReport")
-            .field("peer", &self.peer)
-            .field("qoe", &self.qoe)
-            .field("stalls", &self.stalls)
-            .field("bytes_downloaded", &self.bytes_downloaded)
-            .field("bytes_uploaded", &self.bytes_uploaded)
-            .field("segments_from_seeder", &self.segments_from_seeder)
-            .field("segments_from_peers", &self.segments_from_peers)
-            .field("segments_from_cdn", &self.segments_from_cdn)
-            .field("finished", &self.finished)
-            .field("departed", &self.departed)
-            .field("control", &self.control)
-            .finish()
-    }
-}
-
 /// Shared sink the leechers report into. Single-threaded by design: one
 /// simulation runs on one thread (experiment sweeps parallelise across
 /// whole simulations).
 pub type MetricsSink = Rc<RefCell<Vec<PeerReport>>>;
 
 /// Results of one swarm run.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SwarmMetrics {
     /// Per-leecher reports, ordered by peer index.
     pub reports: Vec<PeerReport>,
@@ -309,20 +279,6 @@ pub struct SwarmMetrics {
     /// outage windows). All zero when no fault plan is configured.
     #[serde(default)]
     pub injected: splicecast_netsim::InjectedFaults,
-}
-
-/// `Debug` is hand-written to render exactly what the derive produced
-/// before `injected` existed: the legacy-plane digest test pins a hash of
-/// the formatted metrics, and the injected counters are zero without a
-/// fault plan anyway.
-impl std::fmt::Debug for SwarmMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwarmMetrics")
-            .field("reports", &self.reports)
-            .field("sim_end_secs", &self.sim_end_secs)
-            .field("net", &self.net)
-            .finish()
-    }
 }
 
 impl SwarmMetrics {
@@ -426,15 +382,6 @@ impl SwarmMetrics {
             0.0
         } else {
             self.mem_totals().total_bytes() as f64 / self.reports.len() as f64
-        }
-    }
-
-    /// Mean modeled pre-diet bytes per leecher (0 with no reports).
-    pub fn mean_prediet_bytes_per_peer(&self) -> f64 {
-        if self.reports.is_empty() {
-            0.0
-        } else {
-            self.mem_totals().prediet_bytes as f64 / self.reports.len() as f64
         }
     }
 
@@ -611,74 +558,15 @@ mod tests {
     }
 
     #[test]
-    fn peer_report_debug_excludes_sched_counters() {
-        // The legacy digest test hashes the Debug rendering; the scheduler
-        // counters are diagnostics and must not leak into it.
-        let mut r = report(0, 0, 0.0, false);
-        r.sched.passes = 123_456;
-        let rendered = format!("{r:?}");
-        assert!(!rendered.contains("sched"), "{rendered}");
-        assert!(!rendered.contains("123456"), "{rendered}");
-        assert!(rendered.contains("control"), "{rendered}");
-    }
-
-    #[test]
-    fn debug_renderings_exclude_fault_counters() {
-        // Same digest-pin discipline for the fault plane: its counters are
-        // zero in fault-free runs, but they still must not widen the
-        // hashed rendering.
-        let mut r = report(0, 0, 0.0, false);
-        r.fault.silent_evictions = 654_321;
-        let rendered = format!("{r:?}");
-        assert!(!rendered.contains("fault"), "{rendered}");
-        assert!(!rendered.contains("654321"), "{rendered}");
-        let mut m = SwarmMetrics {
-            reports: vec![r],
-            sim_end_secs: 1.0,
-            net: Default::default(),
-            injected: Default::default(),
-        };
-        m.injected.messages_dropped = 999_888;
-        let rendered = format!("{m:?}");
-        assert!(!rendered.contains("injected"), "{rendered}");
-        assert!(!rendered.contains("999888"), "{rendered}");
-        assert!(rendered.contains("net"), "{rendered}");
-    }
-
-    #[test]
-    fn debug_rendering_excludes_dissem_counters() {
-        // Same digest-pin discipline again: windowed-dissemination counters
-        // must not widen the hashed rendering.
-        let mut r = report(0, 0, 0.0, false);
-        r.dissem.deferred_indices = 424_242;
-        let rendered = format!("{r:?}");
-        assert!(!rendered.contains("dissem"), "{rendered}");
-        assert!(!rendered.contains("424242"), "{rendered}");
-    }
-
-    #[test]
-    fn debug_rendering_excludes_mem_stats() {
-        // Same digest-pin discipline: memory accounting must not widen the
-        // hashed rendering.
-        let mut r = report(0, 0, 0.0, false);
-        r.mem.view_bytes = 717_171;
-        let rendered = format!("{r:?}");
-        assert!(!rendered.contains("mem"), "{rendered}");
-        assert!(!rendered.contains("717171"), "{rendered}");
-    }
-
-    #[test]
     fn mem_totals_sum_over_all_reports() {
         let mut a = report(0, 0, 0.0, false);
         a.mem.view_bytes = 400;
         a.mem.views = 10;
         a.mem.holder_bytes = 100;
-        a.mem.prediet_bytes = 1_000;
         let mut b = report(1, 0, 0.0, true); // churners count too
         b.mem.view_bytes = 200;
         b.mem.aux_bytes = 50;
         b.mem.holder_entries = 7;
-        b.mem.prediet_bytes = 500;
         let m = SwarmMetrics {
             reports: vec![a, b],
             sim_end_secs: 1.0,
@@ -691,10 +579,8 @@ mod tests {
         assert_eq!(total.holder_bytes, 100);
         assert_eq!(total.holder_entries, 7);
         assert_eq!(total.aux_bytes, 50);
-        assert_eq!(total.prediet_bytes, 1_500);
         assert_eq!(total.total_bytes(), 750);
         assert!((m.mean_mem_bytes_per_peer() - 375.0).abs() < 1e-9);
-        assert!((m.mean_prediet_bytes_per_peer() - 750.0).abs() < 1e-9);
         assert_eq!(SwarmMetrics::default().mean_mem_bytes_per_peer(), 0.0);
     }
 

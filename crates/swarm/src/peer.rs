@@ -12,8 +12,7 @@ use splicecast_protocol::Bitfield;
 /// booleans share a single flags byte behind accessor methods, the
 /// defense-only liveness clocks live in a side table the leecher
 /// allocates only when defenses are on (see `PeerClock`), and the field
-/// order leaves no interior padding. 40 bytes, down from the 64-byte
-/// pre-diet layout.
+/// order leaves no interior padding: 40 bytes.
 #[derive(Debug, Clone)]
 pub struct PeerView {
     /// Last availability map the peer sent, updated by `Have`s.
@@ -30,13 +29,6 @@ pub struct PeerView {
     /// The packed lifecycle booleans; see the `FLAG_*` constants.
     flags: u8,
 }
-
-/// Bytes one peer view cost in the pre-diet layout: a 64-byte struct
-/// (32-byte `Vec`-backed bitfield, four one-byte bools, two inline 8-byte
-/// defense clocks, padding). The fixed reference for the memory-diet
-/// accounting — shared by the probe, its test, and the complete-peer
-/// model so the baseline cannot silently drift.
-pub const PRE_DIET_VIEW_BYTES: usize = 64;
 
 /// We have sent them our handshake.
 const FLAG_GREETED: u8 = 1 << 0;
@@ -125,17 +117,9 @@ impl PeerView {
 
     /// Bytes this view costs: the struct itself plus the holdings
     /// bitfield's heap. Excludes the map overhead of whatever container
-    /// holds the view (the pre-diet model excludes it identically).
+    /// holds the view.
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.holdings.heap_bytes()
-    }
-
-    /// Bytes the same view cost in the pre-diet layout
-    /// ([`PRE_DIET_VIEW_BYTES`]) plus the same eagerly allocated holdings
-    /// heap. Kept as the fixed reference for the memory-diet accounting
-    /// so the saving is measurable against real state.
-    pub fn prediet_mem_bytes(&self) -> usize {
-        PRE_DIET_VIEW_BYTES + self.holdings.heap_bytes()
     }
 
     /// Collapses this view into a compact [`CompleteView`] record. The
@@ -318,10 +302,9 @@ impl<'a> PeerLook<'a> {
     }
 }
 
-/// Defense-only liveness clocks for one peer. Pre-diet these sat inline
-/// in every [`PeerView`] (16 bytes each) even though they are only read
-/// when `--defend` is on; the leecher now keeps them in a side map that
-/// stays empty otherwise.
+/// Defense-only liveness clocks for one peer. Only read when `--defend`
+/// is on, so the leecher keeps them in a side map that stays empty
+/// otherwise rather than inline in every [`PeerView`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeerClock {
     /// When we last received anything from this peer (the inactivity
@@ -562,15 +545,13 @@ mod tests {
         );
     }
 
-    /// The memory diet's whole point: the packed struct must stay at 40
-    /// bytes (24-byte boxed-slice bitfield + window pair + outstanding +
-    /// flags byte + padding), 37% under the 64-byte pre-diet layout.
+    /// The packed struct must stay at 40 bytes (24-byte boxed-slice
+    /// bitfield + window pair + outstanding + flags byte + padding).
     #[test]
     fn peer_view_is_packed() {
         assert_eq!(std::mem::size_of::<PeerView>(), 40);
         let v = PeerView::new(80);
         assert_eq!(v.mem_bytes(), 40 + 10, "struct plus 80 bits of heap");
-        assert_eq!(v.prediet_mem_bytes(), PRE_DIET_VIEW_BYTES + 10);
     }
 
     /// The complete-peer record must stay within one 16-byte line —

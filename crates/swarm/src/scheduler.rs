@@ -1,37 +1,8 @@
 //! Pure scheduling decisions: which segment next, from which source.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 use splicecast_netsim::NodeId;
-
-/// Process-wide accumulator of wall-clock time spent inside scheduling
-/// passes, in nanoseconds. Summed across every leecher of every swarm run
-/// in this process — a benchmarking probe, not a metric: it is
-/// non-deterministic and deliberately kept out of [`SwarmMetrics`]
-/// (which determinism tests compare bit-for-bit).
-///
-/// [`SwarmMetrics`]: crate::SwarmMetrics
-static SCHED_WALL_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Resets the process-wide scheduling wall-clock accumulator to zero.
-pub fn reset_sched_wall() {
-    SCHED_WALL_NS.store(0, Ordering::Relaxed);
-}
-
-/// Nanoseconds spent inside scheduling passes since the last
-/// [`reset_sched_wall`], summed across all runs in this process. Callers
-/// comparing configurations (e.g. the `fig_sched` bench) reset between
-/// runs and run them sequentially.
-pub fn sched_wall_ns() -> u64 {
-    SCHED_WALL_NS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn sched_wall_add(elapsed: Duration) {
-    SCHED_WALL_NS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-}
 
 /// Picks the next segment to request: streaming is sequential, so it is the
 /// lowest-indexed segment that is neither held nor already in flight.
@@ -419,9 +390,7 @@ impl HolderIndex {
         spine + sets
     }
 
-    /// Live entries across every segment (input to the pre-diet model:
-    /// without purge-on-acquire the index would hold every added entry
-    /// that was not explicitly removed).
+    /// Live entries across every segment.
     pub fn live_entries(&self) -> u64 {
         self.per_segment.iter().map(|h| h.len() as u64).sum()
     }

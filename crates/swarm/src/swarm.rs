@@ -20,6 +20,7 @@ use crate::leecher::{LeecherConfig, LeecherNode};
 use crate::metrics::SwarmMetrics;
 use crate::policy::{BandwidthEstimator, EstimatorKind, PolicyConfig};
 use crate::seeder::SeederNode;
+use crate::{must, rule};
 
 /// How leechers learn the addresses of their peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,18 +72,6 @@ pub enum SchedulerMode {
     /// to `Scan` by construction (same candidate order, same RNG draws).
     #[default]
     Indexed,
-}
-
-impl std::str::FromStr for SchedulerMode {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        match raw {
-            "scan" => Ok(SchedulerMode::Scan),
-            "indexed" => Ok(SchedulerMode::Indexed),
-            other => Err(format!("unknown scheduler `{other}` (scan | indexed)")),
-        }
-    }
 }
 
 /// How availability announcements fan out across the swarm.
@@ -248,67 +237,77 @@ impl Default for SwarmConfig {
 }
 
 impl SwarmConfig {
+    /// Checks the configuration: the first inconsistent setting (no
+    /// peers, non-positive rates, CDN-only mode without a CDN, a seeder
+    /// closer than half the peer-to-peer latency, ...) is an `Err` naming
+    /// the rule. The one place the rules live: the CLI reports the message,
+    /// [`Self::validate`] panics with it.
+    pub fn check(&self) -> Result<(), String> {
+        rule(self.n_leechers >= 1, "a swarm needs at least one leecher")?;
+        rule(
+            self.peer_bandwidth_bytes_per_sec > 0.0,
+            "peer bandwidth must be positive",
+        )?;
+        rule(
+            self.seeder_bandwidth_bytes_per_sec > 0.0,
+            "seeder bandwidth must be positive",
+        )?;
+        rule(
+            (0.0..1.0).contains(&self.end_to_end_loss),
+            "loss must be in [0,1)",
+        )?;
+        rule(
+            self.seeder_one_way_latency_secs >= self.peer_one_way_latency_secs / 2.0,
+            "seeder latency cannot be below half the peer-to-peer latency in a star",
+        )?;
+        rule(
+            self.p2p || self.cdn.is_some(),
+            "CDN-only mode requires a CDN",
+        )?;
+        if let Some(churn) = &self.churn {
+            churn.check()?;
+        }
+        if let Some(cdn) = &self.cdn {
+            cdn.check()?;
+        }
+        if let Some(cross) = &self.cross_traffic {
+            cross.check()?;
+        }
+        rule(
+            self.pump_interval_secs > 0.0,
+            "pump interval must be positive",
+        )?;
+        rule(
+            self.request_timeout_secs > 0.0,
+            "request timeout must be positive",
+        )?;
+        rule(
+            self.dissemination == DisseminationMode::Full
+                || self.control_plane == ControlPlane::Eventful,
+            "windowed dissemination requires the eventful control plane",
+        )?;
+        if let Some(window) = self.have_coalesce_secs {
+            rule(
+                window.is_finite() && window >= 0.0,
+                "coalesce window must be a non-negative number",
+            )?;
+        }
+        if let Some(faults) = &self.faults {
+            faults.check(self.cdn.is_some())?;
+        }
+        if let Some(defense) = &self.defense {
+            defense.check()?;
+        }
+        rule(self.max_sim_secs > 0.0, "sim cap must be positive")
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent settings (no peers, non-positive rates,
-    /// CDN-only mode without a CDN, a seeder closer than half the
-    /// peer-to-peer latency, ...).
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(self.n_leechers >= 1, "a swarm needs at least one leecher");
-        assert!(
-            self.peer_bandwidth_bytes_per_sec > 0.0,
-            "peer bandwidth must be positive"
-        );
-        assert!(
-            self.seeder_bandwidth_bytes_per_sec > 0.0,
-            "seeder bandwidth must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.end_to_end_loss),
-            "loss must be in [0,1)"
-        );
-        assert!(
-            self.seeder_one_way_latency_secs >= self.peer_one_way_latency_secs / 2.0,
-            "seeder latency cannot be below half the peer-to-peer latency in a star"
-        );
-        assert!(
-            self.p2p || self.cdn.is_some(),
-            "CDN-only mode requires a CDN"
-        );
-        if let Some(cdn) = &self.cdn {
-            cdn.validate();
-        }
-        if let Some(cross) = &self.cross_traffic {
-            cross.validate();
-        }
-        assert!(
-            self.pump_interval_secs > 0.0,
-            "pump interval must be positive"
-        );
-        assert!(
-            self.request_timeout_secs > 0.0,
-            "request timeout must be positive"
-        );
-        assert!(
-            self.dissemination == DisseminationMode::Full
-                || self.control_plane == ControlPlane::Eventful,
-            "windowed dissemination requires the eventful control plane"
-        );
-        if let Some(window) = self.have_coalesce_secs {
-            assert!(
-                window.is_finite() && window >= 0.0,
-                "coalesce window must be a non-negative number"
-            );
-        }
-        if let Some(faults) = &self.faults {
-            faults.validate(self.cdn.is_some());
-        }
-        if let Some(defense) = &self.defense {
-            defense.validate();
-        }
-        assert!(self.max_sim_secs > 0.0, "sim cap must be positive");
+        must(self.check());
     }
 
     /// Per-access-link loss so that the end-to-end (two-link) loss matches
@@ -637,6 +636,57 @@ mod tests {
         assert_ne!(a, c, "different seeds should differ somewhere");
     }
 
+    /// FNV-1a over an explicit list of the run's output fields, each as
+    /// one little-endian `u64` word: adding a diagnostic counter to a
+    /// stats struct leaves the digest alone, changing what a run
+    /// produces does not.
+    fn output_digest(metrics: &SwarmMetrics) -> u64 {
+        let mut words = Vec::new();
+        let opt_bits = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+        for r in &metrics.reports {
+            words.extend([
+                r.peer as u64,
+                opt_bits(r.qoe.startup_secs),
+                r.qoe.stall_count as u64,
+                r.qoe.total_stall_secs.to_bits(),
+                opt_bits(r.qoe.finished_secs),
+                r.stalls.len() as u64,
+            ]);
+            for stall in &r.stalls {
+                words.extend([stall.start_secs.to_bits(), stall.end_secs.to_bits()]);
+            }
+            words.extend([
+                r.bytes_downloaded,
+                r.bytes_uploaded,
+                r.segments_from_seeder as u64,
+                r.segments_from_peers as u64,
+                r.segments_from_cdn as u64,
+                u64::from(r.finished) | u64::from(r.departed) << 1,
+                r.control.haves_sent,
+                r.control.haves_suppressed,
+                r.control.have_bundles_sent,
+                r.control.haves_coalesced,
+                r.control.pumps_armed,
+                r.control.pumps_heartbeat,
+            ]);
+        }
+        let net = &metrics.net;
+        words.extend([
+            metrics.sim_end_secs.to_bits(),
+            net.messages_sent,
+            net.flows_started,
+            net.flows_completed,
+            net.flows_failed,
+            net.payload_bytes_delivered,
+            net.wire_bytes_sent,
+        ]);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        digest
+    }
+
     /// Pins the legacy control plane's exact output. Any change to
     /// legacy-mode behaviour — message order, timer cadence, RNG draws —
     /// shows up here as a digest mismatch, keeping the default path
@@ -644,13 +694,9 @@ mod tests {
     #[test]
     fn legacy_output_digest_is_pinned() {
         let metrics = run_swarm(&tiny_segments(), &tiny_config(), 11);
-        // FNV-1a over the full Debug rendering of the run.
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{metrics:?}").bytes() {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
         assert_eq!(
-            digest, 0x872b_2cf8_82a8_6794,
+            output_digest(&metrics),
+            0x8624_dba0_747e_5ada,
             "legacy run output changed; if intentional, update the pinned digest"
         );
     }
@@ -1130,6 +1176,121 @@ mod tests {
             ..SwarmConfig::default()
         };
         run_swarm(&tiny_segments(), &config, 1);
+    }
+
+    /// `check()` reports and `validate()` panics with the same message, one
+    /// failing field at a time — including the fields the CLI fills from
+    /// flags and the sub-configs' own rules.
+    #[test]
+    fn check_and_validate_agree_on_each_failing_field() {
+        let cases: Vec<(SwarmConfig, &str)> = vec![
+            (
+                SwarmConfig {
+                    n_leechers: 0,
+                    ..tiny_config()
+                },
+                "a swarm needs at least one leecher",
+            ),
+            (
+                SwarmConfig {
+                    peer_bandwidth_bytes_per_sec: 0.0,
+                    ..tiny_config()
+                },
+                "peer bandwidth must be positive",
+            ),
+            (
+                SwarmConfig {
+                    seeder_bandwidth_bytes_per_sec: f64::NAN,
+                    ..tiny_config()
+                },
+                "seeder bandwidth must be positive",
+            ),
+            (
+                SwarmConfig {
+                    end_to_end_loss: 1.0,
+                    ..tiny_config()
+                },
+                "loss must be in [0,1)",
+            ),
+            (
+                SwarmConfig {
+                    p2p: false,
+                    ..tiny_config()
+                },
+                "CDN-only mode requires a CDN",
+            ),
+            (
+                SwarmConfig {
+                    dissemination: DisseminationMode::Windowed,
+                    ..tiny_config()
+                },
+                "windowed dissemination requires the eventful control plane",
+            ),
+            (
+                SwarmConfig {
+                    have_coalesce_secs: Some(-1.0),
+                    ..tiny_config()
+                },
+                "coalesce window must be a non-negative number",
+            ),
+            (
+                SwarmConfig {
+                    max_sim_secs: 0.0,
+                    ..tiny_config()
+                },
+                "sim cap must be positive",
+            ),
+            (
+                SwarmConfig {
+                    churn: Some(ChurnConfig {
+                        volatile_fraction: 2.0,
+                        mean_lifetime_secs: 45.0,
+                    }),
+                    ..tiny_config()
+                },
+                "volatile fraction must be in [0,1], got 2",
+            ),
+            (
+                SwarmConfig {
+                    cdn: Some(CdnConfig {
+                        upload_slots: 0,
+                        ..CdnConfig::default()
+                    }),
+                    ..tiny_config()
+                },
+                "cdn upload slots must be positive",
+            ),
+            (
+                SwarmConfig {
+                    faults: Some(FaultPlanConfig {
+                        message_loss: 2.0,
+                        ..FaultPlanConfig::default()
+                    }),
+                    ..tiny_config()
+                },
+                "message loss must be in [0,1], got 2",
+            ),
+            (
+                SwarmConfig {
+                    defense: Some(DefenseConfig {
+                        watchdog_secs: 0.0,
+                        ..DefenseConfig::default()
+                    }),
+                    ..tiny_config()
+                },
+                "watchdog deadline must be positive",
+            ),
+        ];
+        assert_eq!(tiny_config().check(), Ok(()));
+        for (config, message) in cases {
+            assert_eq!(config.check(), Err(message.to_owned()));
+            let payload = std::panic::catch_unwind(|| config.validate())
+                .expect_err("validate() must panic where check() fails");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(message)
+            );
+        }
     }
 
     #[test]

@@ -8,16 +8,12 @@ kinds of gate can be declared in the baseline file:
 
 - `speedup_gate`: {"benches": [...], "min_speedup": X} — each listed
   benchmark's current median must be at least X times faster than the
-  committed baseline median (regression gate). Like `ratio_gate`, this may
-  be a *list* of such objects so different benches gate at different
-  thresholds (e.g. bytes/peer at >= 1.5x but wall clock at >= 1.0x).
+  committed baseline median (regression gate).
 - `ratio_gate`: {"pairs": [[slow, fast], ...], "min_ratio": X} — within
   the *current* run, the `slow` benchmark must be at least X times the
   `fast` one. This gates a relative property (e.g. the fluid flow model
   being >= 10x faster than the round model at scale) independently of the
-  machine the benches run on. A baseline may also declare a *list* of such
-  objects to gate several properties at different thresholds (e.g. message
-  volume at >= 5x and wall clock at >= 2x).
+  machine the benches run on.
 
 When `$GITHUB_STEP_SUMMARY` is set (GitHub Actions), the same comparison is
 appended there as a markdown table so the numbers are readable from the run
@@ -67,21 +63,6 @@ def parse_log(text: str) -> dict:
     return results
 
 
-def speedup_thresholds(baseline: dict) -> dict:
-    """Flattens `speedup_gate` (one object or a list) to name -> min_speedup."""
-    gates = baseline.get("speedup_gate")
-    if not gates:
-        return {}
-    if isinstance(gates, dict):
-        gates = [gates]
-    thresholds = {}
-    for gate in gates:
-        min_speedup = float(gate.get("min_speedup", 1.0))
-        for name in gate.get("benches", []):
-            thresholds[name] = max(min_speedup, thresholds.get(name, 0.0))
-    return thresholds
-
-
 def check_speedup_gate(baseline: dict, current: dict, rows: list) -> list:
     """Prints the baseline-vs-current table; returns gate failures.
 
@@ -89,7 +70,9 @@ def check_speedup_gate(baseline: dict, current: dict, rows: list) -> list:
     (benchmark, baseline, current, speedup-or-None, gate-label) for the
     markdown step summary.
     """
-    gated = speedup_thresholds(baseline)
+    gate = baseline.get("speedup_gate", {})
+    min_speedup = float(gate.get("min_speedup", 1.0))
+    gated = {name: min_speedup for name in gate.get("benches", [])}
 
     width = max(len(n) for n in baseline["benches"])
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  {'speedup':>8}")
@@ -121,41 +104,38 @@ def check_speedup_gate(baseline: dict, current: dict, rows: list) -> list:
 def check_ratio_gate(baseline: dict, current: dict, ratio_rows: list) -> list:
     """Checks slow/fast pairs within the current run; returns failures.
 
-    `ratio_gate` may be one gate object or a list of them. Each line prints
-    the absolute medians next to the ratio so a failing (or barely passing)
-    gate can be read without re-running the bench; the same tuples land in
-    `ratio_rows` as (label, slow, fast, slow-val, fast-val, ratio, min).
+    Each line prints the absolute medians next to the ratio so a failing
+    (or barely passing) gate can be read without re-running the bench; the
+    same tuples land in `ratio_rows` as (label, slow, fast, slow-val,
+    fast-val, ratio, min).
     """
-    gates = baseline.get("ratio_gate")
-    if not gates:
+    gate = baseline.get("ratio_gate")
+    if not gate:
         return []
-    if isinstance(gates, dict):
-        gates = [gates]
     failures = []
-    for gate in gates:
-        min_ratio = float(gate.get("min_ratio", 1.0))
-        label = gate.get("label", "ratio gate")
-        print(f"\n{label} (within this run, required >= {min_ratio:.1f}x):")
-        for slow, fast in gate.get("pairs", []):
-            missing = [n for n in (slow, fast) if n not in current]
-            if missing:
-                failures.append(f"{slow} / {fast}: missing {', '.join(missing)}")
-                print(f"  {slow} / {fast}: MISSING")
-                ratio_rows.append((label, slow, fast, None, None, None, min_ratio))
-                continue
-            ratio = current[slow] / current[fast]
-            ok = ratio >= min_ratio
-            print(
-                f"  {slow} / {fast}: {ratio:.2f}x {'ok' if ok else 'FAIL'}"
-                f"  ({current[slow]:.1f} / {current[fast]:.1f})"
+    min_ratio = float(gate.get("min_ratio", 1.0))
+    label = gate.get("label", "ratio gate")
+    print(f"\n{label} (within this run, required >= {min_ratio:.1f}x):")
+    for slow, fast in gate.get("pairs", []):
+        missing = [n for n in (slow, fast) if n not in current]
+        if missing:
+            failures.append(f"{slow} / {fast}: missing {', '.join(missing)}")
+            print(f"  {slow} / {fast}: MISSING")
+            ratio_rows.append((label, slow, fast, None, None, None, min_ratio))
+            continue
+        ratio = current[slow] / current[fast]
+        ok = ratio >= min_ratio
+        print(
+            f"  {slow} / {fast}: {ratio:.2f}x {'ok' if ok else 'FAIL'}"
+            f"  ({current[slow]:.1f} / {current[fast]:.1f})"
+        )
+        ratio_rows.append(
+            (label, slow, fast, current[slow], current[fast], ratio, min_ratio)
+        )
+        if not ok:
+            failures.append(
+                f"{slow} / {fast}: {ratio:.2f}x < required {min_ratio:.1f}x"
             )
-            ratio_rows.append(
-                (label, slow, fast, current[slow], current[fast], ratio, min_ratio)
-            )
-            if not ok:
-                failures.append(
-                    f"{slow} / {fast}: {ratio:.2f}x < required {min_ratio:.1f}x"
-                )
     return failures
 
 

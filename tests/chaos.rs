@@ -11,7 +11,7 @@
 use splicecast_core::{
     run_once, CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, CrashChurnConfig,
     DefenseConfig, DiscoveryMode, DisseminationMode, ExperimentConfig, FaultPlanConfig,
-    LinkFlapConfig, SchedulerMode, VideoSpec,
+    LinkFlapConfig, SchedulerMode, SwarmMetrics, VideoSpec,
 };
 
 /// splitmix64: derives independent fault knobs from one chaos seed without
@@ -40,6 +40,31 @@ fn base() -> ExperimentConfig {
     config.swarm.cdn = Some(CdnConfig::default());
     config.swarm.max_sim_secs = 900.0;
     config
+}
+
+/// Runs `config` under the indexed scheduler and under the reference scan
+/// and asserts the two agree on everything but the per-mode probes
+/// (pass/skip tallies and holder-index memory differ by design). Returns
+/// the indexed run.
+fn indexed_run_matching_scan(mut config: ExperimentConfig, seed: u64, what: &str) -> SwarmMetrics {
+    let mut run = |mode| {
+        config.swarm.scheduler = mode;
+        run_once(&config, seed).metrics
+    };
+    let indexed = run(SchedulerMode::Indexed);
+    let neutral = |mut metrics: SwarmMetrics| {
+        for report in &mut metrics.reports {
+            report.sched = Default::default();
+            report.mem = Default::default();
+        }
+        metrics
+    };
+    assert_eq!(
+        neutral(indexed.clone()),
+        neutral(run(SchedulerMode::Scan)),
+        "{what} diverged from the reference rescan"
+    );
+    indexed
 }
 
 /// A full random schedule: every fault class armed, knobs drawn from the
@@ -192,18 +217,7 @@ fn holder_index_survives_combined_churn_on_eventful_plane() {
         ..FaultPlanConfig::default()
     });
 
-    config.swarm.scheduler = SchedulerMode::Indexed;
-    let indexed = run_once(&config, 55).metrics;
-    config.swarm.scheduler = SchedulerMode::Scan;
-    let scanned = run_once(&config, 55).metrics;
-
-    // Compare the Debug rendering, which deliberately excludes the
-    // per-mode scheduler counters (passes vs skips differ by design).
-    assert_eq!(
-        format!("{indexed:?}"),
-        format!("{scanned:?}"),
-        "holder index diverged from the reference rescan under churn"
-    );
+    let indexed = indexed_run_matching_scan(config, 55, "holder index under churn");
     assert_eq!(
         indexed.stuck_peers().count(),
         0,
@@ -236,16 +250,7 @@ fn windowed_dissemination_survives_combined_churn() {
         ..FaultPlanConfig::default()
     });
 
-    config.swarm.scheduler = SchedulerMode::Indexed;
-    let indexed = run_once(&config, 55).metrics;
-    config.swarm.scheduler = SchedulerMode::Scan;
-    let scanned = run_once(&config, 55).metrics;
-
-    assert_eq!(
-        format!("{indexed:?}"),
-        format!("{scanned:?}"),
-        "windowed holder index diverged from the reference rescan"
-    );
+    let indexed = indexed_run_matching_scan(config, 55, "windowed holder index");
     assert_eq!(
         indexed.stuck_peers().count(),
         0,
@@ -280,16 +285,7 @@ fn dense_promotion_survives_combined_churn() {
         ..FaultPlanConfig::default()
     });
 
-    config.swarm.scheduler = SchedulerMode::Indexed;
-    let indexed = run_once(&config, 55).metrics;
-    config.swarm.scheduler = SchedulerMode::Scan;
-    let scanned = run_once(&config, 55).metrics;
-
-    assert_eq!(
-        format!("{indexed:?}"),
-        format!("{scanned:?}"),
-        "hybrid holder index diverged from the reference rescan"
-    );
+    let indexed = indexed_run_matching_scan(config, 55, "hybrid holder index");
     assert_eq!(
         indexed.stuck_peers().count(),
         0,

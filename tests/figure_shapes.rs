@@ -2,7 +2,8 @@
 //! as executable checks against the paper-scale configuration.
 //!
 //! These run the 19-peer, 2-minute experiments (minutes of CPU in debug
-//! builds), so they are `#[ignore]`d by default:
+//! builds, seconds in release), so they are `#[ignore]`d in the default
+//! debug suite and CI's `build-and-test` job runs them in release:
 //!
 //! ```sh
 //! cargo test --release -p splicecast-integration --test figure_shapes -- --ignored
