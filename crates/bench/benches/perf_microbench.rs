@@ -14,6 +14,7 @@ use splicecast_netsim::{
     Simulator,
 };
 use splicecast_protocol::{encode_to_bytes, Bitfield, Decoder, Message};
+use std::rc::Rc;
 
 fn bench_splicers(c: &mut Criterion) {
     let video = Video::builder().seed(1).build();
@@ -124,6 +125,25 @@ impl NodeBehavior for RepeatSender {
     }
 }
 
+/// Sends one small message to every other leaf at start, then only
+/// receives.
+struct Broadcaster {
+    me: NodeId,
+    leaves: Rc<[NodeId]>,
+}
+
+impl NodeBehavior for Broadcaster {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let payload = bytes::Bytes::from_static(&[0; 16]);
+        for &to in self.leaves.iter().filter(|&&to| to != self.me) {
+            ctx.send(to, payload.clone()).expect("send");
+        }
+    }
+    fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
+        black_box(event);
+    }
+}
+
 fn bench_hotpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath");
     group.sample_size(10);
@@ -147,6 +167,30 @@ fn bench_hotpath(c: &mut Criterion) {
                 sim.add_node(Box::new(NullBehavior));
             }
             sim.run_until_idle(SimTime::from_secs_f64(600.0));
+            black_box(sim.stats())
+        })
+    });
+
+    // The control-message hot path with no swarm on it: every leaf of a
+    // 250-leaf star messages every other leaf once (62 250 messages over
+    // as many ordered pairs), run to idle — route lookup, FIFO clamp,
+    // queue push, pop and dispatch, nothing else. A lookup keyed by node
+    // pair on this path shows up here first.
+    group.bench_function("mesh-broadcast", |b| {
+        b.iter(|| {
+            let spec = LinkSpec::from_bytes_per_sec(256_000.0, SimDuration::from_millis(25), 0.05);
+            let s = star(&vec![spec; 250]);
+            let leaves: Rc<[NodeId]> = s.leaves.as_slice().into();
+            let mut sim = Simulator::new(s.network, black_box(13));
+            sim.add_node(Box::new(NullBehavior)); // the hub
+            for &me in leaves.iter() {
+                sim.add_node(Box::new(Broadcaster {
+                    me,
+                    leaves: leaves.clone(),
+                }));
+            }
+            sim.run_until_idle(SimTime::from_secs_f64(600.0));
+            assert_eq!(sim.stats().messages_sent, 250 * 249);
             black_box(sim.stats())
         })
     });

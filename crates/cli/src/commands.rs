@@ -195,9 +195,9 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     if args.flag("defend") {
         config = config.with_defense(DefenseConfig::default());
     }
-    // The rules live in `SwarmConfig::check`; flag values are literals
+    // The rules live in the three `check()`s; flag values are literals
     // above so that an out-of-range one is its `Err`, not a panic.
-    config.swarm.check()?;
+    config.check()?;
     Ok(config)
 }
 
@@ -451,7 +451,7 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
                 .clone()
                 .with_bandwidth(bandwidth * 1_000.0)
                 .with_splicing(parse_splicing(name)?);
-            config.swarm.check()?;
+            config.check()?;
             points.push(SweepPoint {
                 label: format!("{name} @ {bandwidth:.0} kB/s"),
                 config,

@@ -216,7 +216,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 8] = [
+        let cases: [(&[&str], &str); 14] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -231,6 +231,12 @@ mod tests {
             (&["--crash", "2"], "crash fraction must be in [0,1]"),
             (&["--msg-loss", "2"], "message loss must be in [0,1]"),
             (&["--cdn-outages", "1"], "CDN outages require a CDN"),
+            (&["--clip-secs", "0"], "clip length must be a positive"),
+            (&["--clip-secs", "-5"], "clip length must be a positive"),
+            (&["--clip-secs", "nan"], "clip length must be a positive"),
+            (&["--splicing", "0s"], "segment duration must be positive"),
+            (&["--splicing", "bytes:0"], "segment size must be positive"),
+            (&["--policy", "fixed:0"], "a fixed pool needs at least one"),
         ];
         for (flags, message) in cases {
             for command in ["run", "sweep"] {
@@ -243,6 +249,8 @@ mod tests {
         }
         let err = call(&["sweep", "--bandwidths", "0,128"]).unwrap_err();
         assert!(err.contains("peer bandwidth must be positive"), "{err}");
+        let err = call(&["sweep", "--splicings", "4s,0s"]).unwrap_err();
+        assert!(err.contains("segment duration must be positive"), "{err}");
     }
 
     #[test]

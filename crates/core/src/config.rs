@@ -2,9 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use splicecast_media::{ContentProfile, EncoderConfig, Video};
+use splicecast_media::{ContentProfile, EncoderConfig, Video, TICKS_PER_SEC};
 use splicecast_swarm::SwarmConfig;
 
+use crate::rule;
 use crate::splicing::SplicingSpec;
 
 /// Describes the synthetic test video.
@@ -40,7 +41,29 @@ impl Default for VideoSpec {
 }
 
 impl VideoSpec {
+    /// The rule a field breaks, if any: the clip length, bitrate and frame
+    /// rate that [`Self::build`] would panic on. Callers holding outside
+    /// input (the CLI) check first and report the message.
+    pub fn check(&self) -> Result<(), String> {
+        rule(
+            self.duration_secs.is_finite() && self.duration_secs > 0.0,
+            format!(
+                "clip length must be a positive number of seconds, got {}",
+                self.duration_secs
+            ),
+        )?;
+        rule(self.bitrate_bps > 0, "bitrate must be positive")?;
+        rule(
+            self.fps > 0 && TICKS_PER_SEC.is_multiple_of(u64::from(self.fps)),
+            format!("fps {} must divide {TICKS_PER_SEC}", self.fps),
+        )
+    }
+
     /// Encodes the video.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Self::check`] fails, with the media crate's message.
     pub fn build(&self) -> Video {
         let encoder = EncoderConfig {
             fps: self.fps,
@@ -79,6 +102,15 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
+    /// Checks all three parts — video, splicing, swarm — and names the
+    /// first rule that fails; `Ok` means the experiment runs without a
+    /// configuration panic.
+    pub fn check(&self) -> Result<(), String> {
+        self.video.check()?;
+        self.splicing.check()?;
+        self.swarm.check()
+    }
+
     /// The paper's baseline setup (Fig. 2 operating point with 4 s
     /// splicing).
     pub fn paper_baseline() -> Self {
@@ -175,6 +207,45 @@ mod tests {
     #[test]
     fn video_build_is_deterministic() {
         assert_eq!(VideoSpec::default().build(), VideoSpec::default().build());
+    }
+
+    /// `check()` fails exactly where `build()` panics.
+    #[test]
+    fn video_check_agrees_with_build() {
+        let with = |edit: fn(&mut VideoSpec)| {
+            let mut spec = VideoSpec {
+                duration_secs: 4.0,
+                ..VideoSpec::default()
+            };
+            edit(&mut spec);
+            spec
+        };
+        let bad: [fn(&mut VideoSpec); 7] = [
+            |v| v.duration_secs = 0.0,
+            |v| v.duration_secs = -5.0,
+            |v| v.duration_secs = f64::NAN,
+            |v| v.duration_secs = f64::INFINITY,
+            |v| v.bitrate_bps = 0,
+            |v| v.fps = 0,
+            |v| v.fps = 7,
+        ];
+        for edit in bad {
+            let spec = with(edit);
+            assert!(spec.check().is_err(), "{spec:?}");
+            assert!(
+                std::panic::catch_unwind(|| spec.build()).is_err(),
+                "{spec:?}"
+            );
+        }
+        let good = with(|v| v.fps = 25);
+        assert_eq!(good.check(), Ok(()));
+        good.build();
+        assert_eq!(ExperimentConfig::default().check(), Ok(()));
+        let bad_splicing = ExperimentConfig::default().with_splicing(SplicingSpec::Bytes(0));
+        assert_eq!(
+            bad_splicing.check(),
+            Err("segment size must be positive".to_owned())
+        );
     }
 
     #[test]

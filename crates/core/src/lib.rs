@@ -46,6 +46,15 @@ mod sharded;
 mod splicing;
 mod stats;
 
+/// One line of a `check()`: `Err(message)` unless `ok`.
+fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message.into())
+    }
+}
+
 pub use config::{ExperimentConfig, VideoSpec};
 pub use experiment::{
     run_averaged, run_prepared_averaged, sweep, sweep_with_workers, AveragedMetrics, SweepPoint,

@@ -6,6 +6,8 @@ use splicecast_media::{
     ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, SegmentList, Splicer, Video,
 };
 
+use crate::rule;
+
 /// Which splicing strategy an experiment uses (§II).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SplicingSpec {
@@ -26,7 +28,29 @@ pub enum SplicingSpec {
 }
 
 impl SplicingSpec {
+    /// The rule a parameter breaks, if any: an `Err` here is exactly a
+    /// panic in [`Self::build`]. Callers holding outside input (the CLI)
+    /// check first and report the message.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            SplicingSpec::Gop => Ok(()),
+            SplicingSpec::Duration(secs) => rule(
+                secs.is_finite() && secs > 0.0,
+                format!("segment duration must be positive, got {secs}"),
+            ),
+            SplicingSpec::Bytes(bytes) => rule(bytes > 0, "segment size must be positive"),
+            SplicingSpec::Ramp { initial, max } => rule(
+                initial.is_finite() && initial > 0.0 && initial <= max,
+                format!("bad ramp range [{initial}, {max}]"),
+            ),
+        }
+    }
+
     /// Instantiates the splicer.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Self::check`] fails, with the splicer's own message.
     pub fn build(&self) -> Box<dyn Splicer> {
         match self {
             SplicingSpec::Gop => Box::new(GopSplicer),
@@ -68,6 +92,45 @@ mod tests {
             .label(),
             "ramp(1→8s)"
         );
+    }
+
+    /// `check()` fails exactly where `build()` panics.
+    #[test]
+    fn check_agrees_with_build() {
+        let bad = [
+            SplicingSpec::Duration(0.0),
+            SplicingSpec::Duration(-2.0),
+            SplicingSpec::Duration(f64::NAN),
+            SplicingSpec::Duration(f64::INFINITY),
+            SplicingSpec::Bytes(0),
+            SplicingSpec::Ramp {
+                initial: 8.0,
+                max: 1.0,
+            },
+            SplicingSpec::Ramp {
+                initial: 0.0,
+                max: 1.0,
+            },
+        ];
+        for spec in bad {
+            assert!(spec.check().is_err(), "{spec:?}");
+            assert!(
+                std::panic::catch_unwind(|| spec.build()).is_err(),
+                "{spec:?}"
+            );
+        }
+        for spec in [
+            SplicingSpec::Gop,
+            SplicingSpec::Duration(0.5),
+            SplicingSpec::Bytes(1),
+            SplicingSpec::Ramp {
+                initial: 2.0,
+                max: 2.0,
+            },
+        ] {
+            assert_eq!(spec.check(), Ok(()), "{spec:?}");
+            spec.build();
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@
 
 mod error;
 mod event;
-mod fasthash;
 mod fault;
 mod fluid;
 mod id;

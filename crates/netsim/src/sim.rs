@@ -1,7 +1,5 @@
 //! The simulator: event loop, node contexts, and the world state.
 
-use crate::fasthash::FastHashMap;
-
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,8 +55,12 @@ pub(crate) struct World {
     /// Wire bytes sent over each directed link.
     link_bytes: Vec<u64>,
     /// Last scheduled delivery per (src, dst), to keep the control channel
-    /// in order like a TCP connection would.
-    msg_order: FastHashMap<(NodeId, NodeId), SimTime>,
+    /// in order like a TCP connection would: one row per source, indexed
+    /// by destination, empty until that source first sends.
+    msg_order: Vec<Vec<SimTime>>,
+    /// Scratch for the route of the message being sent (or the path being
+    /// probed), so looking at a route allocates nothing.
+    scratch_route: Vec<DirLinkId>,
     /// Scratch for `step_flow`: per-link decayed rates, computed once per
     /// round and reused for both the utilization read and the usage update.
     scratch_rates: Vec<f64>,
@@ -611,11 +613,8 @@ impl Ctx<'_> {
         let delay = if to == self.me {
             LOOPBACK_DELAY
         } else {
-            // prime + borrow instead of `path()` so the steady path does
-            // not clone the cached route Vec on every message.
-            w.net.prime_route(self.me, to)?;
-            let path = w.net.cached_route(self.me, to);
-            let props = w.net.path_properties(path);
+            w.net.route(self.me, to, &mut w.scratch_route)?;
+            let props = w.net.path_properties(&w.scratch_route);
             let wire_bytes = payload.len() as u64 + MESSAGE_OVERHEAD_BYTES;
             let tx = SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / props.min_capacity_bps);
             // Each retransmission costs a full round trip (timeout + resend).
@@ -626,7 +625,11 @@ impl Ctx<'_> {
         // message still cannot overtake or be overtaken on its connection.
         let mut deliver_at = w.now + delay + extra;
         // FIFO per (src, dst) pair, like an ordered byte stream.
-        let slot = w.msg_order.entry((self.me, to)).or_insert(SimTime::ZERO);
+        let row = &mut w.msg_order[self.me.index()];
+        if row.is_empty() {
+            row.resize(w.online.len(), SimTime::ZERO);
+        }
+        let slot = &mut row[to.index()];
         if deliver_at <= *slot {
             deliver_at = *slot + SimDuration::from_micros(1);
         }
@@ -795,14 +798,10 @@ impl Ctx<'_> {
             return 0.0;
         }
         let w = &mut *self.world;
-        if w.net.prime_route(self.me, to).is_err() {
-            return 0.0;
+        match w.net.route(self.me, to, &mut w.scratch_route) {
+            Ok(()) => w.path_utilization(&w.scratch_route),
+            Err(_) => 0.0,
         }
-        let path = w.net.cached_route(self.me, to);
-        if path.is_empty() {
-            return 0.0;
-        }
-        w.path_utilization(path)
     }
 
     /// Bytes already delivered for an in-flight transfer, if it is still
@@ -894,7 +893,8 @@ impl Simulator {
                 trace: None,
                 stats: SimStats::default(),
                 link_bytes: vec![0; dir_links],
-                msg_order: FastHashMap::default(),
+                msg_order: vec![Vec::new(); node_count],
+                scratch_route: Vec::new(),
                 scratch_rates: Vec::new(),
                 fluid,
                 faults: None,
@@ -1304,40 +1304,114 @@ mod tests {
         assert_eq!(sim.active_flow_count(), 0);
     }
 
+    /// Per-pair FIFO across many interleaved pairs, under path loss
+    /// (retransmission delays) and the fault plane's injected delays:
+    /// every leaf sends numbered messages to every other leaf, round-robin
+    /// over the destinations, and each receiver sees each sender's numbers
+    /// in order. The last leaf never sends and so owns no FIFO row.
     #[test]
     fn messages_between_a_pair_arrive_in_order() {
-        struct Burst {
-            to: NodeId,
+        const LEAVES: usize = 6;
+        const PER_PAIR: u8 = 12;
+        struct Chatter {
+            peers: Vec<NodeId>,
+            /// Last number seen from each sender, by node index.
+            last: Vec<Option<u8>>,
+            delivered: Rc<RefCell<usize>>,
         }
-        impl NodeBehavior for Burst {
+        impl NodeBehavior for Chatter {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for i in 0..20u8 {
-                    ctx.send(self.to, Bytes::copy_from_slice(&[i])).unwrap();
+                for i in 0..PER_PAIR {
+                    for &to in &self.peers {
+                        ctx.send_faulty(to, Bytes::copy_from_slice(&[i])).unwrap();
+                    }
                 }
             }
-            fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: NodeEvent) {}
-        }
-        #[derive(Default)]
-        struct Order {
-            seen: Rc<RefCell<Vec<u8>>>,
-        }
-        impl NodeBehavior for Order {
             fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
-                if let NodeEvent::Message { payload, .. } = event {
-                    self.seen.borrow_mut().push(payload[0]);
+                if let NodeEvent::Message { from, payload } = event {
+                    let slot = &mut self.last[from.index()];
+                    let expected = slot.map_or(0, |n| n + 1);
+                    assert_eq!(payload[0], expected, "out of order from {from}");
+                    *slot = Some(payload[0]);
+                    *self.delivered.borrow_mut() += 1;
                 }
             }
         }
         // Heavy loss to force retransmission delays.
-        let s = two_leaf_star(0.3);
-        let seen = Rc::new(RefCell::new(Vec::new()));
+        let spec = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), 0.3);
+        let s = star(&[spec; LEAVES]);
+        let delivered = Rc::new(RefCell::new(0));
         let mut sim = Simulator::new(s.network, 99);
+        sim.set_message_faults(MessageFaults {
+            seed: 7,
+            loss: 0.0,
+            delay_prob: 0.5,
+            delay_max: SimDuration::from_millis(400),
+        });
         sim.add_node(Box::new(crate::node::NullBehavior));
-        sim.add_node(Box::new(Burst { to: s.leaves[1] }));
-        sim.add_node(Box::new(Order { seen: seen.clone() }));
+        let (&silent, talkers) = s.leaves.split_last().unwrap();
+        for &me in talkers {
+            sim.add_node(Box::new(Chatter {
+                peers: s.leaves.iter().copied().filter(|&n| n != me).collect(),
+                last: vec![None; LEAVES + 1],
+                delivered: delivered.clone(),
+            }));
+        }
+        sim.add_node(Box::new(Chatter {
+            peers: Vec::new(),
+            last: vec![None; LEAVES + 1],
+            delivered: delivered.clone(),
+        }));
+        sim.run_until_idle(SimTime::from_secs_f64(120.0));
+        assert_eq!(
+            *delivered.borrow(),
+            (LEAVES - 1) * (LEAVES - 1) * PER_PAIR as usize
+        );
+        assert!(sim.fault_stats().messages_delayed > 0, "delays were on");
+        for &talker in talkers {
+            assert_eq!(sim.world.msg_order[talker.index()].len(), LEAVES + 1);
+        }
+        assert!(sim.world.msg_order[silent.index()].is_empty());
+        assert!(sim.world.msg_order[s.hub.index()].is_empty());
+    }
+
+    /// Route discovery is per source: all-pairs traffic on a 300-leaf star
+    /// runs 300 searches, where one search per ordered pair ran 89 700.
+    #[test]
+    fn all_pairs_sends_search_once_per_source() {
+        struct Everyone {
+            me: NodeId,
+            leaves: Rc<Vec<NodeId>>,
+            got: Rc<RefCell<u64>>,
+        }
+        impl NodeBehavior for Everyone {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for &to in self.leaves.iter().filter(|&&to| to != self.me) {
+                    ctx.send(to, Bytes::from_static(b"hi")).unwrap();
+                }
+            }
+            fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::Message { .. } = event {
+                    *self.got.borrow_mut() += 1;
+                }
+            }
+        }
+        let spec = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), 0.01);
+        let s = star(&vec![spec; 300]);
+        let leaves = Rc::new(s.leaves.clone());
+        let got = Rc::new(RefCell::new(0));
+        let mut sim = Simulator::new(s.network, 3);
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        for &me in leaves.iter() {
+            sim.add_node(Box::new(Everyone {
+                me,
+                leaves: leaves.clone(),
+                got: got.clone(),
+            }));
+        }
         sim.run_until_idle(SimTime::from_secs_f64(60.0));
-        let seen = seen.borrow();
-        assert_eq!(*seen, (0..20).collect::<Vec<u8>>());
+        assert_eq!(*got.borrow(), 300 * 299);
+        assert_eq!(sim.world.net.trees_built, 300);
     }
 
     #[test]

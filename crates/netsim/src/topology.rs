@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use crate::fasthash::FastHashMap;
-
 use crate::error::NetError;
 use crate::id::{DirLinkId, LinkId, NodeId};
 use crate::link::{Link, LinkSpec};
@@ -11,8 +9,9 @@ use crate::time::SimDuration;
 
 /// The static network graph over which the simulator runs.
 ///
-/// Routing is shortest-path (hop count) with deterministic tie-breaking,
-/// computed lazily and cached. Link *capacities* may change during a run
+/// Routing is shortest-path (hop count) with deterministic tie-breaking:
+/// one breadth-first tree per *source*, built on the source's first use and
+/// covering every destination. Link *capacities* may change during a run
 /// (see [`crate::Simulator::schedule_capacity`]); the graph itself may not.
 ///
 /// # Examples
@@ -31,8 +30,25 @@ use crate::time::SimDuration;
 pub struct Network {
     links: Vec<Link>,
     adj: Vec<Vec<(NodeId, LinkId)>>,
-    route_cache: FastHashMap<(NodeId, NodeId), Vec<DirLinkId>>,
+    /// Shortest-path tree per source node, `None` until the source first
+    /// routes; emptied whenever the graph changes.
+    trees: Vec<Option<Box<[Hop]>>>,
+    /// Searches run so far (the locality test counts them).
+    #[cfg(test)]
+    pub(crate) trees_built: usize,
 }
+
+/// One node's entry in a source's shortest-path tree: the node the search
+/// first reached it from and the directed link it arrived over.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    prev: u32,
+    dir: DirLinkId,
+}
+
+/// `Hop::prev` of the source itself and of every node its search never
+/// reached.
+const NO_PREV: u32 = u32::MAX;
 
 /// Aggregate path properties used by the TCP and message models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,6 +71,7 @@ impl Network {
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.adj.len() as u32);
         self.adj.push(Vec::new());
+        self.trees.clear();
         id
     }
 
@@ -92,7 +109,7 @@ impl Network {
         });
         self.adj[a.index()].push((b, id));
         self.adj[b.index()].push((a, id));
-        self.route_cache.clear();
+        self.trees.clear();
         id
     }
 
@@ -145,49 +162,89 @@ impl Network {
     /// Returns [`NetError::NoRoute`] when the nodes are disconnected and
     /// [`NetError::UnknownNode`] for out-of-range ids.
     pub fn path(&mut self, src: NodeId, dst: NodeId) -> Result<Vec<DirLinkId>, NetError> {
-        if src.index() >= self.adj.len() || dst.index() >= self.adj.len() {
-            return Err(NetError::UnknownNode);
-        }
-        if src == dst {
-            return Ok(Vec::new());
-        }
-        if let Some(cached) = self.route_cache.get(&(src, dst)) {
-            return Ok(cached.clone());
-        }
-        let path = self.bfs(src, dst).ok_or(NetError::NoRoute { src, dst })?;
-        self.route_cache.insert((src, dst), path.clone());
+        let mut path = Vec::new();
+        self.route(src, dst, &mut path)?;
         Ok(path)
     }
 
-    /// Ensures the route from `src` to `dst` is cached, computing it if
-    /// needed, without cloning it. Pair with [`Network::cached_route`] on
-    /// hot paths that only need to *look at* the path.
+    /// [`Network::path`] into a buffer the caller reuses, for hot paths
+    /// that only *look at* the route: `out` is cleared and, on success,
+    /// holds the route (nothing when `src == dst`).
     ///
     /// # Errors
     ///
     /// Same as [`Network::path`].
-    pub fn prime_route(&mut self, src: NodeId, dst: NodeId) -> Result<(), NetError> {
-        if src.index() >= self.adj.len() || dst.index() >= self.adj.len() {
+    pub fn route(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<DirLinkId>,
+    ) -> Result<(), NetError> {
+        out.clear();
+        let n = self.adj.len();
+        if src.index() >= n || dst.index() >= n {
             return Err(NetError::UnknownNode);
         }
-        if src == dst || self.route_cache.contains_key(&(src, dst)) {
+        if src == dst {
             return Ok(());
         }
-        let path = self.bfs(src, dst).ok_or(NetError::NoRoute { src, dst })?;
-        self.route_cache.insert((src, dst), path);
+        if self.trees.len() < n {
+            self.trees.resize_with(n, || None);
+        }
+        if self.trees[src.index()].is_none() {
+            self.trees[src.index()] = Some(self.build_tree(src));
+        }
+        let tree = self.trees[src.index()].as_deref().expect("built above");
+        if tree[dst.index()].prev == NO_PREV {
+            return Err(NetError::NoRoute { src, dst });
+        }
+        // The tree is walked destination -> source and then reversed:
+        // `path_properties` multiplies `1 - loss` hop by hop, and from three
+        // hops up the float product depends on the order.
+        let mut cur = dst.index();
+        while cur != src.index() {
+            let hop = tree[cur];
+            out.push(hop.dir);
+            cur = hop.prev as usize;
+        }
+        out.reverse();
         Ok(())
     }
 
-    /// The cached route from `src` to `dst`, empty unless a prior
-    /// [`Network::path`] or [`Network::prime_route`] computed it (or
-    /// `src == dst`, whose route is genuinely empty).
-    pub fn cached_route(&self, src: NodeId, dst: NodeId) -> &[DirLinkId] {
-        self.route_cache
-            .get(&(src, dst))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Breadth-first search over the whole graph from `src`. Each node's
+    /// `prev` is fixed at its first discovery, so the tree holds, for every
+    /// destination, exactly the route a search stopping at that destination
+    /// finds.
+    fn build_tree(&mut self, src: NodeId) -> Box<[Hop]> {
+        #[cfg(test)]
+        {
+            self.trees_built += 1;
+        }
+        let unreached = Hop {
+            prev: NO_PREV,
+            dir: DirLinkId(0),
+        };
+        let mut tree = vec![unreached; self.adj.len()].into_boxed_slice();
+        let mut queue = VecDeque::from([src]);
+        while let Some(cur) = queue.pop_front() {
+            // Adjacency lists are in insertion order, so ties break
+            // deterministically by link creation order.
+            for &(next, link) in &self.adj[cur.index()] {
+                if next != src && tree[next.index()].prev == NO_PREV {
+                    tree[next.index()] = Hop {
+                        prev: cur.0,
+                        dir: self.links[link.index()].direction_from(link, cur),
+                    };
+                    queue.push_back(next);
+                }
+            }
+        }
+        tree
     }
 
+    /// The per-pair search the trees replaced, kept as their oracle: stops
+    /// once `dst` is dequeued.
+    #[cfg(test)]
     fn bfs(&self, src: NodeId, dst: NodeId) -> Option<Vec<DirLinkId>> {
         let n = self.adj.len();
         let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
@@ -199,8 +256,6 @@ impl Network {
             if cur == dst {
                 break;
             }
-            // Adjacency lists are in insertion order, so ties break
-            // deterministically by link creation order.
             for &(next, link) in &self.adj[cur.index()] {
                 if !seen[next.index()] {
                     seen[next.index()] = true;
@@ -432,6 +487,122 @@ mod tests {
         // The reverse direction is untouched.
         let rev = net.path(s.leaves[1], s.leaves[0]).unwrap();
         assert_eq!(net.dir_spec(rev[1]).capacity_bps, 8000.0);
+    }
+
+    /// Every ordered pair: the tree's answer is the per-pair search's.
+    fn assert_routes_match_per_pair_search(net: &mut Network) {
+        let n = net.node_count();
+        let mut route = Vec::new();
+        for s in (0..n).map(NodeId::from_index) {
+            for d in (0..n).map(NodeId::from_index) {
+                let got = net.route(s, d, &mut route);
+                match net.bfs(s, d) {
+                    Some(want) => {
+                        assert_eq!(got, Ok(()));
+                        assert_eq!(route, want, "{s} -> {d}");
+                        assert_eq!(want.is_empty(), s == d);
+                    }
+                    None => {
+                        assert_eq!(got, Err(NetError::NoRoute { src: s, dst: d }));
+                        assert!(route.is_empty());
+                    }
+                }
+            }
+        }
+        assert!(net.trees_built <= n, "one search per source at most");
+    }
+
+    proptest::proptest! {
+        /// Random graphs — a star plus random extra links (equal-length
+        /// alternatives, so tie-breaking is exercised) plus a few nodes
+        /// that may stay isolated or form their own component — route
+        /// exactly as the per-pair search did, and a `connect()` after
+        /// routes were served is seen by later answers.
+        #[test]
+        fn trees_match_the_per_pair_search(
+            leaves in 1usize..12,
+            strays in 0usize..4,
+            extra in proptest::collection::vec((proptest::any::<u32>(), proptest::any::<u32>()), 0..16),
+        ) {
+            let mut net = star(&vec![spec(1000.0, 5, 0.01); leaves]).network;
+            for _ in 0..strays {
+                net.add_node();
+            }
+            let n = net.node_count();
+            let pick = |x: u32| NodeId::from_index(x as usize % n);
+            let (early, late) = extra.split_at(extra.len() / 2);
+            for &(a, b) in early {
+                if pick(a) != pick(b) {
+                    net.connect_symmetric(pick(a), pick(b), spec(1000.0, 5, 0.01));
+                }
+            }
+            assert_routes_match_per_pair_search(&mut net);
+            for &(a, b) in late {
+                if pick(a) != pick(b) {
+                    net.connect_symmetric(pick(a), pick(b), spec(1000.0, 5, 0.01));
+                }
+            }
+            net.trees_built = 0;
+            assert_routes_match_per_pair_search(&mut net);
+        }
+    }
+
+    #[test]
+    fn builders_route_as_the_per_pair_search_did() {
+        assert_routes_match_per_pair_search(&mut full_mesh(7, spec(1000.0, 5, 0.0)).0);
+        let (mut net, ..) = dumbbell(4, 3, spec(1000.0, 1, 0.0), spec(100.0, 1, 0.0));
+        assert_routes_match_per_pair_search(&mut net);
+        assert_eq!(
+            net.route(
+                NodeId::from_index(0),
+                NodeId::from_index(99),
+                &mut Vec::new()
+            ),
+            Err(NetError::UnknownNode)
+        );
+    }
+
+    #[test]
+    fn a_new_link_changes_later_routes() {
+        let s = star(&[spec(1000.0, 25, 0.0); 3]);
+        let mut net = s.network;
+        assert_eq!(net.path(s.leaves[0], s.leaves[2]).unwrap().len(), 2);
+        let shortcut = net.connect_symmetric(s.leaves[0], s.leaves[2], spec(1000.0, 1, 0.0));
+        assert_eq!(
+            net.path(s.leaves[0], s.leaves[2]).unwrap(),
+            vec![DirLinkId::new_forward(shortcut)]
+        );
+        assert_eq!(
+            net.path(s.leaves[2], s.leaves[0]).unwrap(),
+            vec![DirLinkId::new_backward(shortcut)]
+        );
+    }
+
+    /// `1 - loss` is multiplied hop by hop from the source; with three
+    /// distinct losses the reverse-order product differs in its last bit,
+    /// which is why `route` reverses its tree walk.
+    #[test]
+    fn three_hop_loss_is_the_forward_order_product() {
+        let (la, lb, lc) = (0.05, 0.01, 0.3);
+        let mut net = Network::new();
+        let nodes: Vec<NodeId> = (0..4).map(|_| net.add_node()).collect();
+        for (i, loss) in [la, lb, lc].into_iter().enumerate() {
+            net.connect_symmetric(nodes[i], nodes[i + 1], spec(1000.0, 1, loss));
+        }
+        let forward = ((1.0 - la) * (1.0 - lb)) * (1.0 - lc);
+        let backward = ((1.0 - lc) * (1.0 - lb)) * (1.0 - la);
+        assert_ne!(forward.to_bits(), backward.to_bits(), "order matters here");
+        let path = net.path(nodes[0], nodes[3]).unwrap();
+        assert_eq!(path.len(), 3);
+        assert_eq!(
+            net.path_properties(&path).loss.to_bits(),
+            (1.0 - forward).to_bits()
+        );
+        let back = net.path(nodes[3], nodes[0]).unwrap();
+        assert_eq!(
+            net.path_properties(&back).loss.to_bits(),
+            (1.0 - backward).to_bits()
+        );
     }
 
     #[test]

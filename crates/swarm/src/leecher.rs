@@ -11,6 +11,7 @@ use splicecast_protocol::{decode_single, Bitfield, EncodeBuf, Message, PROTOCOL_
 
 use crate::fault::DefenseConfig;
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
+use crate::nodemap::NodeMap;
 use crate::peer::{CompleteView, PeerClock, PeerLook, PeerView};
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
 use crate::scheduler::{next_wanted_from, pick_source, HolderIndex, SourceCandidate};
@@ -183,7 +184,7 @@ pub struct LeecherNode {
     cfg: LeecherConfig,
     playback: Playback,
     holdings: Bitfield,
-    views: BTreeMap<NodeId, PeerView>,
+    views: NodeMap<PeerView>,
     /// Peers whose holdings are known complete, summarized out of
     /// `views`: each costs a compact [`CompleteView`] instead of a view
     /// plus bitfield, its holder-index entries are purged, and pick-time
@@ -191,15 +192,15 @@ pub struct LeecherNode {
     /// everything (the same sorted-position merge the CDN uses). The CDN
     /// itself is never summarized — its special casing throughout wants
     /// the real view.
-    complete: BTreeMap<NodeId, CompleteView>,
+    complete: NodeMap<CompleteView>,
     /// The shared all-set bitfield standing in for every complete peer's
     /// holdings (interned per thread; see `Bitfield::full_interned`).
     full_field: Arc<Bitfield>,
-    /// Defense-only liveness clocks, keyed like `views`. Empty (no heap)
+    /// Defense-only liveness clocks, keyed like `views`. No table at all
     /// unless defenses are on: the clocks moved out of `PeerView` so the
     /// common undefended swarm does not pay 16 bytes per view for state
     /// nothing reads.
-    clocks: BTreeMap<NodeId, PeerClock>,
+    clocks: NodeMap<PeerClock>,
     /// Per-segment holder index: for each segment, the sorted handshaken
     /// peers known to hold it (CDN excluded — its eligibility does not
     /// depend on holdings). Mirrors the views' bitfields incrementally.
@@ -279,7 +280,10 @@ impl LeecherNode {
         let segment_count = cfg.segments.len() as u32;
         let mut playback = Playback::new(&cfg.segments);
         playback.set_resume_threshold(cfg.resume_buffer_secs);
-        let mut views = BTreeMap::new();
+        // Every node id this leecher can meet: the other leechers plus
+        // seeder, CDN, hub, and itself occupy the low node indices.
+        let universe = cfg.others.len() + 4;
+        let mut views = NodeMap::with_slots(universe);
         views.insert(cfg.seeder, PeerView::new(segment_count));
         if let Some(cdn) = cfg.cdn {
             views.insert(cdn, PeerView::new(segment_count));
@@ -294,10 +298,6 @@ impl LeecherNode {
             peer: cfg.index,
             ..PeerReport::default()
         };
-        // Universe hint for the dense-promotion threshold: every peer this
-        // leecher could ever index (the other leechers plus seeder, CDN,
-        // hub, and itself occupy the low node indices).
-        let universe = cfg.others.len() + 4;
         let mut holders = HolderIndex::with_universe(segment_count, universe);
         if cfg.sparse_holders {
             holders = holders.sparse_only();
@@ -306,9 +306,12 @@ impl LeecherNode {
             playback,
             holdings: Bitfield::new(segment_count),
             views,
-            complete: BTreeMap::new(),
+            complete: NodeMap::with_slots(universe),
             full_field: Bitfield::full_interned(segment_count),
-            clocks: BTreeMap::new(),
+            clocks: match cfg.defense {
+                Some(_) => NodeMap::with_slots(universe),
+                None => NodeMap::default(),
+            },
             holders,
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
@@ -374,8 +377,8 @@ impl LeecherNode {
     /// the pre-summary single-map walk exactly. A free function over the
     /// fields so callers can hold other `&mut self` borrows.
     fn peers_merged<'a>(
-        views: &'a BTreeMap<NodeId, PeerView>,
-        complete: &'a BTreeMap<NodeId, CompleteView>,
+        views: &'a NodeMap<PeerView>,
+        complete: &'a NodeMap<CompleteView>,
         full: &'a Bitfield,
     ) -> impl Iterator<Item = (NodeId, PeerLook<'a>)> {
         let mut live = views.iter().peekable();
@@ -388,10 +391,10 @@ impl LeecherNode {
                 (None, None) => return None,
             };
             Some(if take_live {
-                let (&peer, view) = live.next().expect("peeked");
+                let (peer, view) = live.next().expect("peeked");
                 (peer, PeerLook::view(view))
             } else {
-                let (&peer, record) = done.next().expect("peeked");
+                let (peer, record) = done.next().expect("peeked");
                 (peer, PeerLook::complete(record, full))
             })
         })
@@ -477,7 +480,9 @@ impl LeecherNode {
         match result {
             Ok(()) => {
                 if self.cfg.defense.is_some() && self.knows_peer(to) {
-                    self.clocks.entry(to).or_default().last_spoke = ctx.now();
+                    self.clocks
+                        .get_or_insert_with(to, PeerClock::default)
+                        .last_spoke = ctx.now();
                 }
                 true
             }
@@ -599,7 +604,9 @@ impl LeecherNode {
             if result.is_ok() {
                 sent += 1;
                 if self.cfg.defense.is_some() && self.knows_peer(peer) {
-                    self.clocks.entry(peer).or_default().last_spoke = ctx.now();
+                    self.clocks
+                        .get_or_insert_with(peer, PeerClock::default)
+                        .last_spoke = ctx.now();
                 }
             } else {
                 self.forget_view(peer);
@@ -752,7 +759,7 @@ impl LeecherNode {
 
     /// Reference candidate collection: a full scan of every known peer —
     /// live views and complete-peer records merged in ascending `NodeId`
-    /// order (both maps are `BTreeMap`s), so the pool needs no sort for
+    /// order (both tables iterate ascending), so the pool needs no sort for
     /// determinism. Complete peers are handshaken by construction and
     /// hold every segment, so the uniform [`PeerLook`] checks compute for
     /// them exactly what the full view computed before summarization.
@@ -821,7 +828,7 @@ impl LeecherNode {
             let mut done = self.complete.iter().peekable();
             loop {
                 let next_indexed = indexed.peek().copied();
-                let next_done = done.peek().map(|(&p, _)| p);
+                let next_done = done.peek().map(|&(p, _)| p);
                 let (peer, complete_outstanding) = match (next_indexed, next_done) {
                     (Some(a), Some(b)) if a < b => {
                         indexed.next();
@@ -1068,7 +1075,7 @@ impl LeecherNode {
             if self.holdings.get(segment) {
                 continue;
             }
-            for (&peer, view) in &self.views {
+            for (peer, view) in self.views.iter() {
                 if view.handshaken()
                     && Some(peer) != self.cfg.cdn
                     && view.holdings.get(segment)
@@ -1129,7 +1136,9 @@ impl LeecherNode {
         if self.cfg.defense.is_some() {
             // A delivery is proof of life even though it is not a message.
             if self.knows_peer(from) {
-                self.clocks.entry(from).or_default().last_heard = now;
+                self.clocks
+                    .get_or_insert_with(from, PeerClock::default)
+                    .last_heard = now;
             }
             self.record_source_success(from);
         }
@@ -1272,7 +1281,9 @@ impl LeecherNode {
             return;
         };
         if self.cfg.defense.is_some() && self.knows_peer(from) {
-            self.clocks.entry(from).or_default().last_heard = ctx.now();
+            self.clocks
+                .get_or_insert_with(from, PeerClock::default)
+                .last_heard = ctx.now();
         }
         match message {
             Message::Handshake { .. } => {
@@ -1285,8 +1296,7 @@ impl LeecherNode {
                 if self.cfg.p2p && !self.is_origin(from) && !self.complete.contains_key(&from) {
                     let segment_count = self.holdings.len();
                     self.views
-                        .entry(from)
-                        .or_insert_with(|| PeerView::new(segment_count));
+                        .get_or_insert_with(from, || PeerView::new(segment_count));
                 }
                 self.greet(ctx, from);
                 let mut newly_handshaken = false;
@@ -1628,7 +1638,7 @@ impl LeecherNode {
         // Complete-peer invariants: the compact map is disjoint from the
         // live views, never contains the CDN, and only ever holds
         // handshaken peers (summarization requires the handshake).
-        for (&peer, record) in &self.complete {
+        for (peer, record) in self.complete.iter() {
             assert!(
                 !self.views.contains_key(&peer),
                 "peer {peer:?} has both a live view and a complete record"
@@ -1647,10 +1657,10 @@ impl LeecherNode {
             let expected: Vec<NodeId> = self
                 .views
                 .iter()
-                .filter(|&(&peer, view)| {
+                .filter(|&(peer, view)| {
                     Some(peer) != self.cfg.cdn && view.handshaken() && view.holdings.get(segment)
                 })
-                .map(|(&peer, _)| peer)
+                .map(|(peer, _)| peer)
                 .collect();
             let indexed: Vec<NodeId> = self.holders.of(segment).collect();
             assert!(
@@ -1941,23 +1951,21 @@ impl LeecherNode {
 
     /// Samples this leecher's memory footprint: allocator-visible bytes
     /// behind the per-peer structures (peer views, complete-peer records,
-    /// the holder index, and the auxiliary per-peer maps). `BTreeMap`
-    /// node overhead is excluded everywhere: map payloads only.
+    /// the holder index, and the auxiliary per-peer maps). The three
+    /// neighbour tables count every slot they allocated, occupied or not;
+    /// the two small `BTreeMap`s (bans, health) count payloads only.
     pub fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
-        let view_bytes = self.views.values().map(|v| v.mem_bytes() as u64).sum();
-        let complete_bytes =
-            (self.complete.len() * (size_of::<NodeId>() + size_of::<CompleteView>())) as u64;
+        let bitfield_heap: usize = self.views.values().map(|v| v.holdings.heap_bytes()).sum();
         let bans = (self.timeout_bans.len() * (size_of::<u32>() + size_of::<NodeId>())) as u64;
         let health = (self.health.len() * (size_of::<NodeId>() + size_of::<SourceHealth>())) as u64;
-        let clocks = (self.clocks.len() * (size_of::<NodeId>() + size_of::<PeerClock>())) as u64;
         PeerMemStats {
-            view_bytes,
+            view_bytes: (self.views.table_bytes() + bitfield_heap) as u64,
             views: self.views.len() as u64,
             holder_bytes: self.holders.heap_bytes() as u64,
             holder_entries: self.holders.live_entries(),
-            aux_bytes: bans + health + clocks,
-            complete_bytes,
+            aux_bytes: bans + health + self.clocks.table_bytes() as u64,
+            complete_bytes: self.complete.table_bytes() as u64,
             complete_views: self.complete.len() as u64,
         }
     }
@@ -2159,6 +2167,38 @@ mod tests {
             sparse_holders: false,
             sink: Rc::new(RefCell::new(Vec::new())),
         }
+    }
+
+    /// The neighbour tables are charged for every slot they allocated —
+    /// one per node id of the universe — not for their live entries, so
+    /// `swarm.mem.bytes_per_peer` stays a measurement of what the
+    /// allocator handed out.
+    #[test]
+    fn mem_estimate_counts_the_tables_at_capacity() {
+        use std::mem::size_of;
+        let ids: Vec<NodeId> = (0..6).map(NodeId::from_index).collect();
+        let others = vec![ids[3], ids[4], ids[5]];
+        let universe = (others.len() + 4) as u64;
+        let plain = LeecherNode::new(config(ids[1], others.clone(), DiscoveryMode::Tracker));
+        assert_eq!(plain.views.len(), 1, "tracker discovery: only the seeder");
+        let mem = plain.mem_bytes_estimate();
+        let bitfield_heap = plain.views[&ids[1]].holdings.heap_bytes() as u64;
+        assert_eq!(size_of::<Option<PeerView>>(), 40);
+        assert_eq!(mem.view_bytes, universe * 40 + bitfield_heap);
+        assert_eq!(
+            mem.complete_bytes,
+            universe * size_of::<Option<CompleteView>>() as u64
+        );
+        assert_eq!((mem.views, mem.complete_views), (1, 0));
+        assert_eq!(mem.aux_bytes, 0, "no defenses, no clock table");
+
+        let mut cfg = config(ids[1], others, DiscoveryMode::Tracker);
+        cfg.defense = Some(DefenseConfig::default());
+        let defended = LeecherNode::new(cfg).mem_bytes_estimate();
+        assert_eq!(
+            defended.aux_bytes,
+            universe * size_of::<Option<PeerClock>>() as u64
+        );
     }
 
     /// Regression test: a timed-out request was re-pointed at peer B, but

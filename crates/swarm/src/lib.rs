@@ -43,6 +43,7 @@ mod cross;
 mod fault;
 mod leecher;
 mod metrics;
+mod nodemap;
 mod peer;
 mod policy;
 mod scheduler;

@@ -146,8 +146,8 @@ impl DisseminationStats {
 /// the deterministic insert/remove sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PeerMemStats {
-    /// Bytes behind the peer-view table: per-view struct plus bitfield
-    /// heap.
+    /// Bytes behind the peer-view table: every slot it allocated (one
+    /// per node id, occupied or not) plus the live views' bitfield heap.
     pub view_bytes: u64,
     /// Live peer views at sample time.
     pub views: u64,
@@ -159,9 +159,9 @@ pub struct PeerMemStats {
     /// Bytes behind auxiliary per-peer state that is empty in the common
     /// case: defense clocks, timeout bans, source-health tracking.
     pub aux_bytes: u64,
-    /// Bytes behind the compact complete-peer records (peers summarized
-    /// out of the view table; their holdings are one shared interned
-    /// full bitfield, not counted per peer).
+    /// Bytes behind the complete-peer table, every slot counted (peers
+    /// summarized out of the view table; their holdings are one shared
+    /// interned full bitfield, not counted per peer).
     pub complete_bytes: u64,
     /// Complete-peer records at sample time.
     pub complete_views: u64,

@@ -115,13 +115,6 @@ impl PeerView {
         self.set_flag(FLAG_PEER_INTERESTED, value);
     }
 
-    /// Bytes this view costs: the struct itself plus the holdings
-    /// bitfield's heap. Excludes the map overhead of whatever container
-    /// holds the view.
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.holdings.heap_bytes()
-    }
-
     /// Collapses this view into a compact [`CompleteView`] record. The
     /// holdings bitfield is dropped — a complete peer's holdings are, by
     /// definition, the shared interned full field.
@@ -224,12 +217,6 @@ impl CompleteView {
         } else {
             self.flags &= !FLAG_PEER_INTERESTED;
         }
-    }
-
-    /// Bytes this record costs (the struct itself; the holdings are the
-    /// shared interned field, amortized across every complete peer).
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
     }
 }
 
@@ -550,8 +537,11 @@ mod tests {
     #[test]
     fn peer_view_is_packed() {
         assert_eq!(std::mem::size_of::<PeerView>(), 40);
+        // The neighbour table stores `Option<PeerView>`: the niche in the
+        // bitfield's pointer keeps an empty slot the size of a view.
+        assert_eq!(std::mem::size_of::<Option<PeerView>>(), 40);
         let v = PeerView::new(80);
-        assert_eq!(v.mem_bytes(), 40 + 10, "struct plus 80 bits of heap");
+        assert_eq!(v.holdings.heap_bytes(), 10, "80 bits of heap");
     }
 
     /// The complete-peer record must stay within one 16-byte line —
@@ -572,7 +562,6 @@ mod tests {
         v.set_peer_interested(false);
 
         let record = v.summarize_complete();
-        assert_eq!(record.mem_bytes(), 16);
         assert!(record.greeted() && record.handshaken() && record.interested_sent());
         assert!(!record.peer_interested());
         assert_eq!((record.win_lo, record.win_hi), (3, 9));

@@ -153,6 +153,15 @@ pub enum PolicyConfig {
 }
 
 impl PolicyConfig {
+    /// The rule the selector breaks, if any: a fixed pool of zero would
+    /// report itself as `pool-0` and run as a pool of one.
+    pub fn check(&self) -> Result<(), String> {
+        crate::rule(
+            *self != PolicyConfig::Fixed(0),
+            "a fixed pool needs at least one slot",
+        )
+    }
+
     /// Instantiates the policy.
     pub fn build(&self) -> Box<dyn DownloadPolicy> {
         match self {

@@ -264,6 +264,7 @@ impl SwarmConfig {
             self.p2p || self.cdn.is_some(),
             "CDN-only mode requires a CDN",
         )?;
+        self.policy.check()?;
         if let Some(churn) = &self.churn {
             churn.check()?;
         }
@@ -1218,6 +1219,13 @@ mod tests {
                     ..tiny_config()
                 },
                 "CDN-only mode requires a CDN",
+            ),
+            (
+                SwarmConfig {
+                    policy: PolicyConfig::Fixed(0),
+                    ..tiny_config()
+                },
+                "a fixed pool needs at least one slot",
             ),
             (
                 SwarmConfig {

@@ -5,9 +5,12 @@
 //! The property under test: as long as the CDN eventually comes back, every
 //! persistent peer (neither churned nor crashed) completes the stream, the
 //! simulation never deadlocks, and the fault counters reconcile with the
-//! per-peer reports. Each schedule is derived deterministically from its
-//! seed, so failures reproduce exactly.
+//! per-peer reports. Every run in this file also goes through
+//! [`conserving_run`], which asserts that bytes are conserved. Each schedule
+//! is derived deterministically from its seed, so failures reproduce
+//! exactly.
 
+use splicecast_core::swarm::PeerReport;
 use splicecast_core::{
     run_once, CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, CrashChurnConfig,
     DefenseConfig, DiscoveryMode, DisseminationMode, ExperimentConfig, FaultPlanConfig,
@@ -42,6 +45,67 @@ fn base() -> ExperimentConfig {
     config
 }
 
+/// Runs `config` once and asserts byte conservation before handing the
+/// metrics on — whatever the schedule crashed, dropped, delayed or cut off:
+///
+/// - a finished viewer holds every segment, one booked fetch each, so it
+///   downloaded at least the sum of all segment sizes (more when a raced
+///   re-request delivered a duplicate);
+/// - swarm-wide, the payload the network delivered is the payload the
+///   leechers booked, completed flow by completed flow. The network books
+///   a flow when the sender finishes and the receiver half a round trip
+///   later, so a receiver that crashes or leaves in between strands whole
+///   segments: with nobody departed the two sides are equal, otherwise the
+///   network is ahead by at most the completed flows no fetch accounts
+///   for, each at most the largest segment.
+fn conserving_run(config: &ExperimentConfig, seed: u64) -> SwarmMetrics {
+    let result = run_once(config, seed);
+    let metrics = result.metrics;
+    let fetched =
+        |r: &PeerReport| r.segments_from_seeder + r.segments_from_peers + r.segments_from_cdn;
+    for report in metrics.reports.iter().filter(|r| r.finished) {
+        assert_eq!(
+            fetched(report),
+            result.segment_count,
+            "seed {seed}: finished peer {} does not hold every segment",
+            report.peer
+        );
+        assert!(
+            report.bytes_downloaded >= result.total_transfer_bytes,
+            "seed {seed}: finished peer {} downloaded {} B of a {} B stream",
+            report.peer,
+            report.bytes_downloaded,
+            result.total_transfer_bytes
+        );
+    }
+    let delivered = metrics.net.payload_bytes_delivered;
+    let booked = metrics.total_bytes_downloaded();
+    let stranded = delivered
+        .checked_sub(booked)
+        .unwrap_or_else(|| panic!("seed {seed}: {booked} B booked, only {delivered} B delivered"));
+    if metrics.reports.iter().all(|r| !r.departed) {
+        assert_eq!(
+            stranded, 0,
+            "seed {seed}: nobody left, yet bytes went missing"
+        );
+    }
+    let fetches: u64 = metrics.reports.iter().map(|r| fetched(r) as u64).sum();
+    let unfetched_flows = metrics
+        .net
+        .flows_completed
+        .checked_sub(fetches)
+        .unwrap_or_else(|| panic!("seed {seed}: more fetches than completed flows"));
+    let largest = config
+        .splicing
+        .splice(&config.video.build())
+        .max_segment_bytes();
+    assert!(
+        stranded <= unfetched_flows * largest,
+        "seed {seed}: {stranded} B stranded by {unfetched_flows} flows of at most {largest} B"
+    );
+    metrics
+}
+
 /// Runs `config` under the indexed scheduler and under the reference scan
 /// and asserts the two agree on everything but the per-mode probes
 /// (pass/skip tallies and holder-index memory differ by design). Returns
@@ -49,7 +113,7 @@ fn base() -> ExperimentConfig {
 fn indexed_run_matching_scan(mut config: ExperimentConfig, seed: u64, what: &str) -> SwarmMetrics {
     let mut run = |mode| {
         config.swarm.scheduler = mode;
-        run_once(&config, seed).metrics
+        conserving_run(&config, seed)
     };
     let indexed = run(SchedulerMode::Indexed);
     let neutral = |mut metrics: SwarmMetrics| {
@@ -101,7 +165,7 @@ fn chaos_config(seed: u64) -> ExperimentConfig {
 fn seeded_chaos_schedules_all_converge() {
     for seed in 1u64..=10 {
         let config = chaos_config(seed);
-        let metrics = run_once(&config, seed).metrics;
+        let metrics = conserving_run(&config, seed);
         assert_eq!(metrics.reports.len(), 5, "chaos seed {seed} lost a report");
         assert!(
             metrics.sim_end_secs < config.swarm.max_sim_secs,
@@ -132,8 +196,8 @@ fn seeded_chaos_schedules_all_converge() {
 #[test]
 fn chaos_runs_are_reproducible() {
     let config = chaos_config(3);
-    let first = run_once(&config, 42).metrics;
-    let second = run_once(&config, 42).metrics;
+    let first = conserving_run(&config, 42);
+    let second = conserving_run(&config, 42);
     assert_eq!(first, second, "same seed, same schedule, same metrics");
 }
 
@@ -144,7 +208,7 @@ fn full_crash_fraction_marks_every_peer_crashed() {
         crash: Some(CrashChurnConfig::new(1.0, 5.0)),
         ..FaultPlanConfig::default()
     });
-    let metrics = run_once(&config, 9).metrics;
+    let metrics = conserving_run(&config, 9);
     assert_eq!(metrics.reports.len(), 5);
     for report in &metrics.reports {
         assert_eq!(
@@ -169,7 +233,7 @@ fn cdn_outage_counters_balance() {
         }),
         ..FaultPlanConfig::default()
     });
-    let metrics = run_once(&config, 21).metrics;
+    let metrics = conserving_run(&config, 21);
     assert_eq!(metrics.injected.outages_started, 1);
     assert_eq!(metrics.injected.outages_ended, 1);
     assert_eq!(
@@ -187,7 +251,7 @@ fn heavy_message_loss_drops_traffic_but_converges() {
         message_loss: 0.3,
         ..FaultPlanConfig::default()
     });
-    let metrics = run_once(&config, 33).metrics;
+    let metrics = conserving_run(&config, 33);
     assert!(
         metrics.injected.messages_dropped > 0,
         "30% loss must drop something"
