@@ -1,6 +1,7 @@
 //! A small `--flag value` argument parser (no external dependencies).
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The stored form of one option: its value plus whether the value was
 /// implied (a bare flag) rather than written by the user. Accessors that
@@ -19,6 +20,9 @@ pub struct Args {
     /// The first non-flag argument.
     pub command: String,
     options: BTreeMap<String, OptionValue>,
+    /// Every key an accessor was asked for: once a command has read its
+    /// configuration, the options it takes.
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -82,11 +86,16 @@ impl Args {
         Ok(args)
     }
 
+    fn lookup(&self, key: &str) -> Option<&OptionValue> {
+        self.asked.borrow_mut().insert(key.to_owned());
+        self.options.get(key)
+    }
+
     /// The raw value of an option, if present. Bare flags read as
     /// `"true"`; use [`Args::value`] for options that require an explicit
     /// value.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(|opt| opt.value.as_str())
+        self.lookup(key).map(|opt| opt.value.as_str())
     }
 
     fn missing_value(key: &str) -> String {
@@ -100,7 +109,7 @@ impl Args {
     /// Returns a message when the option was passed as a bare flag (no
     /// value, or the would-be value was another `--flag`).
     pub fn value(&self, key: &str) -> Result<Option<&str>, String> {
-        match self.options.get(key) {
+        match self.lookup(key) {
             None => Ok(None),
             Some(opt) if opt.implicit => Err(Self::missing_value(key)),
             Some(opt) => Ok(Some(opt.value.as_str())),
@@ -150,9 +159,29 @@ impl Args {
         }
     }
 
-    /// Names of all options that were passed.
-    pub fn option_keys(&self) -> impl Iterator<Item = &str> {
-        self.options.keys().map(String::as_str)
+    /// Rejects an option that was passed but that no accessor asked for.
+    /// A command calls this once it has read every option it takes and
+    /// before it does any work, so a misspelt flag is an error instead of
+    /// a silently ignored one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first such option and listing the
+    /// ones the command does take.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        match self.options.keys().find(|key| !asked.contains(*key)) {
+            None => Ok(()),
+            Some(key) => Err(format!(
+                "unknown option --{key} (`{}` takes {})",
+                self.command,
+                asked
+                    .iter()
+                    .map(|known| format!("--{known}"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )),
+        }
     }
 }
 
@@ -240,6 +269,22 @@ mod tests {
         let args = parse(&["run", "--cdn=true"]).unwrap();
         assert!(args.flag("cdn"));
         assert_eq!(args.value("cdn").unwrap(), Some("true"));
+    }
+
+    #[test]
+    fn an_option_nobody_read_is_rejected() {
+        let args = parse(&["run", "--peers", "4", "--seed", "7"]).unwrap();
+        assert_eq!(args.num("peers", 1usize).unwrap(), 4);
+        assert_eq!(args.num_list("seeds", &[1u64]).unwrap(), vec![1]);
+        assert!(!args.flag("cdn"));
+        assert_eq!(
+            args.reject_unread().unwrap_err(),
+            "unknown option --seed (`run` takes --cdn, --peers, --seeds)"
+        );
+        let args = parse(&["run", "--peers", "4"]).unwrap();
+        assert!(args.reject_unread().is_err(), "not read yet");
+        args.get("peers");
+        assert_eq!(args.reject_unread(), Ok(()));
     }
 
     #[test]

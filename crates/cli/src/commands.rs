@@ -212,14 +212,15 @@ fn memory_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
         averaged.mem_bytes_per_peer(leechers_per_run) / 1e3,
     );
     let sched = averaged.sched;
-    if sched.sparse_sets + sched.dense_sets + sched.complete_peers > 0 {
+    // A finished leecher has purged every set by the time it reports, so
+    // on a completed run the promotion count is all there is to print.
+    if sched.sparse_sets + sched.dense_sets + sched.dense_promotions > 0 {
         let runs = averaged.runs as f64;
         out.push_str(&format!(
-            "  holder sets:       {:.0} sparse, {:.0} dense ({:.0} promotions), {:.0} peers complete-folded (per run)\n",
+            "  holder sets:       {:.0} sparse, {:.0} dense, {:.0} promotions (per run)\n",
             sched.sparse_sets as f64 / runs,
             sched.dense_sets as f64 / runs,
             sched.dense_promotions as f64 / runs,
-            sched.complete_peers as f64 / runs,
         ));
     }
     out
@@ -250,10 +251,13 @@ fn workers(args: &Args) -> Result<usize, String> {
 pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     let config = base_config(args)?;
     let channels: usize = args.num("channels", 0usize)?;
+    let (seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv"));
+    args.reject_unread()?;
     if channels > 0 {
-        return sharded_run(args, &config, channels);
+        let workload = ShardedWorkload::with_channel_count(&config, channels, &seeds);
+        return Ok(sharded_run(&config, &workload, workers));
     }
-    let averaged = run_averaged(&config, &seeds(args)?);
+    let averaged = run_averaged(&config, &seeds);
     let mut out = String::new();
     out.push_str(&format!(
         "streaming {:.0}s of {:.1} Mbps video to {} peers at {:.0} kB/s ({} splicing, {} policy)\n\n",
@@ -366,7 +370,7 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
             fault.keepalives_sent as f64 / runs,
         ));
     }
-    if args.flag("csv") {
+    if csv {
         out.push_str(&format!(
             "\ncsv:\nstalls,stall_secs,startup_secs,completion,offload\n{:.2},{:.2},{:.2},{:.3},{:.3}\n",
             averaged.stalls.mean,
@@ -381,14 +385,13 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
 
 /// `splicecast run --channels C`: C independent channel swarms of the
 /// same configuration, fanned over worker threads.
-fn sharded_run(args: &Args, config: &ExperimentConfig, channels: usize) -> Result<String, String> {
-    let workload = ShardedWorkload::with_channel_count(config, channels, &seeds(args)?);
-    let outcome = workload.run(workers(args)?);
+fn sharded_run(config: &ExperimentConfig, workload: &ShardedWorkload, workers: usize) -> String {
+    let outcome = workload.run(workers);
     let mut out = format!(
         "streaming {:.0}s of {:.1} Mbps video on {} channels × {} peers at {:.0} kB/s\n\n",
         config.video.duration_secs,
         config.video.bitrate_bps as f64 / 1e6,
-        channels,
+        outcome.channels.len(),
         config.swarm.n_leechers,
         config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
     );
@@ -414,7 +417,7 @@ fn sharded_run(args: &Args, config: &ExperimentConfig, channels: usize) -> Resul
         agg.peer_offload * 100.0,
     ));
     out.push_str(&memory_lines(agg, config.swarm.n_leechers));
-    Ok(out)
+    out
 }
 
 /// `splicecast sweep`.
@@ -444,6 +447,9 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
     // experiment; fan them out over worker threads. Results are identical
     // for any worker count.
     let base = base_config(args)?;
+    let workers = workers(args)?;
+    let (chart, csv) = (args.flag("chart"), args.flag("csv"));
+    args.reject_unread()?;
     let mut points = Vec::new();
     for &bandwidth in &bandwidths {
         for name in &splicing_names {
@@ -458,7 +464,7 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
             });
         }
     }
-    let results = sweep_with_workers(&points, &seeds, workers(args)?);
+    let results = sweep_with_workers(&points, &seeds, workers);
     for (i, &bandwidth) in bandwidths.iter().enumerate() {
         let row: Vec<f64> = results[i * splicing_names.len()..(i + 1) * splicing_names.len()]
             .iter()
@@ -471,11 +477,11 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
         table.push_row(&format!("{bandwidth:.0}"), &row);
     }
     let mut out = table.to_string();
-    if args.flag("chart") {
+    if chart {
         out.push('\n');
         out.push_str(&splicecast_core::chart::render(&table, 56, 14));
     }
-    if args.flag("csv") {
+    if csv {
         out.push_str("\ncsv:\n");
         out.push_str(&table.to_csv());
     }
@@ -490,6 +496,8 @@ pub fn overhead_command(args: &Args) -> Result<String, String> {
     }
     .build();
     let durations = args.num_list("durations", &[1.0f64, 2.0, 4.0, 8.0, 16.0])?;
+    let csv = args.flag("csv");
+    args.reject_unread()?;
     let mut table = Table::new(
         "Splicing overhead",
         "splicing",
@@ -515,7 +523,7 @@ pub fn overhead_command(args: &Args) -> Result<String, String> {
         );
     }
     let mut out = table.to_string();
-    if args.flag("csv") {
+    if csv {
         out.push_str("\ncsv:\n");
         out.push_str(&table.to_csv());
     }
@@ -528,6 +536,7 @@ pub fn formula_command(args: &Args) -> Result<String, String> {
     let buffered: f64 = args.num("buffered", 4.0)?;
     let segment_kb: f64 = args.num("segment-kb", 512.0)?;
     let bitrate_mbps: f64 = args.num("bitrate-mbps", 1.0)?;
+    args.reject_unread()?;
     let b = bandwidth_kb * 1_000.0;
     let w = (segment_kb * 1_000.0) as u64;
     let k = optimal_pool_size(b, buffered, w);
@@ -575,6 +584,7 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
         ..AbrConfig::default()
     };
     let seeds = seeds(args)?;
+    args.reject_unread()?;
     let (mut stalls, mut stall_secs, mut startup, mut quality) = (0.0, 0.0, 0.0, 0.0);
     for &seed in &seeds {
         let metrics = run_abr(&ladder, &config, seed);

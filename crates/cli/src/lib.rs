@@ -216,7 +216,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 14] = [
+        let cases: [(&[&str], &str); 15] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -237,6 +237,7 @@ mod tests {
             (&["--splicing", "0s"], "segment duration must be positive"),
             (&["--splicing", "bytes:0"], "segment size must be positive"),
             (&["--policy", "fixed:0"], "a fixed pool needs at least one"),
+            (&["--peers", "4", "--seed", "7"], "unknown option --seed"),
         ];
         for (flags, message) in cases {
             for command in ["run", "sweep"] {
@@ -251,6 +252,14 @@ mod tests {
         assert!(err.contains("peer bandwidth must be positive"), "{err}");
         let err = call(&["sweep", "--splicings", "4s,0s"]).unwrap_err();
         assert!(err.contains("segment duration must be positive"), "{err}");
+        for tokens in [
+            &["overhead", "--seeds", "1"][..],
+            &["formula", "--peers", "3"],
+            &["abr", "--nope"],
+        ] {
+            let err = call(tokens).unwrap_err();
+            assert!(err.contains("unknown option --"), "{tokens:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,19 +1,8 @@
 //! Piece-availability bitsets exchanged between peers.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::ProtocolError;
-
-thread_local! {
-    /// Per-thread intern table for [`Bitfield::full_interned`], keyed by
-    /// length. A simulation thread only ever sees a handful of distinct
-    /// segment counts, so the table stays tiny and lives for the thread.
-    static FULL_FIELDS: RefCell<HashMap<u32, Arc<Bitfield>>> = RefCell::new(HashMap::new());
-}
 
 /// A fixed-width bitset tracking which segments a peer holds.
 ///
@@ -158,23 +147,6 @@ impl Bitfield {
             }
         }
         words.remainder().iter().all(|&b| b == 0xFF) && last == self.last_byte_mask()
-    }
-
-    /// A shared all-set bitfield of `len` bits, interned per thread: every
-    /// caller on the same thread gets a handle to one allocation. Used to
-    /// summarize known-complete peers — thousands of per-pair views
-    /// collapse onto a single full field instead of each owning a heap
-    /// copy. The value is immutable behind the `Arc`; a caller that needs
-    /// to diverge clones the inner `Bitfield` (copy-on-write by hand).
-    pub fn full_interned(len: u32) -> Arc<Bitfield> {
-        FULL_FIELDS.with(|cache| {
-            Arc::clone(
-                cache
-                    .borrow_mut()
-                    .entry(len)
-                    .or_insert_with(|| Arc::new(Bitfield::full(len))),
-            )
-        })
     }
 
     /// A bitfield of `len` bits, all set.
@@ -393,22 +365,6 @@ mod tests {
                 assert_eq!(a.is_complete(), naive_complete);
             }
         }
-    }
-
-    /// One allocation per (thread, length): repeated interning hands back
-    /// the same `Arc`, equal to the per-bit full field.
-    #[test]
-    fn full_interned_shares_one_allocation() {
-        for len in [0u32, 5, 64, 1031] {
-            let a = Bitfield::full_interned(len);
-            let b = Bitfield::full_interned(len);
-            assert!(Arc::ptr_eq(&a, &b), "len {len} not interned");
-            assert_eq!(*a, Bitfield::full(len));
-            assert!(a.is_complete());
-        }
-        let five = Bitfield::full_interned(5);
-        let sixtyfour = Bitfield::full_interned(64);
-        assert!(!Arc::ptr_eq(&five, &sixtyfour));
     }
 
     #[test]

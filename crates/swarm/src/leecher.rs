@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use splicecast_media::{Manifest, SegmentList};
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration, SimTime};
 use splicecast_player::{Playback, PlaybackState};
@@ -12,7 +13,7 @@ use splicecast_protocol::{decode_single, Bitfield, EncodeBuf, Message, PROTOCOL_
 use crate::fault::DefenseConfig;
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
 use crate::nodemap::NodeMap;
-use crate::peer::{CompleteView, PeerClock, PeerLook, PeerView};
+use crate::peer::{PeerClock, PeerView};
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
 use crate::scheduler::{next_wanted_from, pick_source, HolderIndex, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
@@ -185,17 +186,6 @@ pub struct LeecherNode {
     playback: Playback,
     holdings: Bitfield,
     views: NodeMap<PeerView>,
-    /// Peers whose holdings are known complete, summarized out of
-    /// `views`: each costs a compact [`CompleteView`] instead of a view
-    /// plus bitfield, its holder-index entries are purged, and pick-time
-    /// candidate collection folds it back in as an implicit holder of
-    /// everything (the same sorted-position merge the CDN uses). The CDN
-    /// itself is never summarized — its special casing throughout wants
-    /// the real view.
-    complete: NodeMap<CompleteView>,
-    /// The shared all-set bitfield standing in for every complete peer's
-    /// holdings (interned per thread; see `Bitfield::full_interned`).
-    full_field: Arc<Bitfield>,
     /// Defense-only liveness clocks, keyed like `views`. No table at all
     /// unless defenses are on: the clocks moved out of `PeerView` so the
     /// common undefended swarm does not pay 16 bytes per view for state
@@ -306,8 +296,6 @@ impl LeecherNode {
             playback,
             holdings: Bitfield::new(segment_count),
             views,
-            complete: NodeMap::with_slots(universe),
-            full_field: Bitfield::full_interned(segment_count),
             clocks: match cfg.defense {
                 Some(_) => NodeMap::with_slots(universe),
                 None => NodeMap::default(),
@@ -363,76 +351,12 @@ impl LeecherNode {
         self.clocks.get(&peer).copied().unwrap_or_default()
     }
 
-    /// Whether `peer` is known — it has a live view or a complete-peer
-    /// record.
-    fn knows_peer(&self, peer: NodeId) -> bool {
-        self.views.contains_key(&peer) || self.complete.contains_key(&peer)
-    }
-
-    /// Iterates every known peer in ascending `NodeId` order, presenting
-    /// live views and complete-peer records uniformly as [`PeerLook`]s.
-    /// The two maps are disjoint by invariant; this is the same
-    /// sorted-position merge the candidate collector uses, so iteration
-    /// order — and therefore wire order of anything broadcast — matches
-    /// the pre-summary single-map walk exactly. A free function over the
-    /// fields so callers can hold other `&mut self` borrows.
-    fn peers_merged<'a>(
-        views: &'a NodeMap<PeerView>,
-        complete: &'a NodeMap<CompleteView>,
-        full: &'a Bitfield,
-    ) -> impl Iterator<Item = (NodeId, PeerLook<'a>)> {
-        let mut live = views.iter().peekable();
-        let mut done = complete.iter().peekable();
-        std::iter::from_fn(move || {
-            let take_live = match (live.peek(), done.peek()) {
-                (Some((a, _)), Some((b, _))) => a < b,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return None,
-            };
-            Some(if take_live {
-                let (peer, view) = live.next().expect("peeked");
-                (peer, PeerLook::view(view))
-            } else {
-                let (peer, record) = done.next().expect("peeked");
-                (peer, PeerLook::complete(record, full))
-            })
-        })
-    }
-
-    /// Folds a peer whose holdings just became full into the compact
-    /// complete-peer map: its view and holder-index entries are dropped
-    /// and pick-time merging treats it as an implicit holder of
-    /// everything. The purge is deliberately not counted as holder
-    /// removes — nothing was forgotten, the entries became implicit. The
-    /// CDN keeps its real view (its special casing reads it), and
-    /// un-handshaken views stay put (they are not indexed yet, and the
-    /// handshake handler needs the real view to fold).
-    fn maybe_summarize_complete(&mut self, peer: NodeId) {
-        if Some(peer) == self.cfg.cdn {
-            return;
-        }
-        let complete = self
-            .views
-            .get(&peer)
-            .is_some_and(|v| v.handshaken() && v.holdings.is_complete());
-        if !complete {
-            return;
-        }
-        let view = self.views.remove(&peer).expect("checked above");
-        self.holders.remove_peer(peer);
-        self.complete.insert(peer, view.summarize_complete());
-    }
-
-    /// The outstanding-request counter for `peer`, wherever its record
-    /// lives.
-    fn outstanding_mut(&mut self, peer: NodeId) -> Option<&mut u32> {
-        if let Some(view) = self.views.get_mut(&peer) {
-            return Some(&mut view.outstanding);
-        }
-        self.complete
-            .get_mut(&peer)
-            .map(|record| &mut record.outstanding)
+    /// The defense clocks to stamp for `peer`: `None` when defenses are
+    /// off or the peer is not a neighbour (a stamp must not outlive the
+    /// view it describes).
+    fn clock_mut(&mut self, peer: NodeId) -> Option<&mut PeerClock> {
+        (self.cfg.defense.is_some() && self.views.contains_key(&peer))
+            .then(|| self.clocks.get_or_insert_with(peer, PeerClock::default))
     }
 
     /// Drops a peer's view and its holder-index entries. Evictions only
@@ -443,9 +367,6 @@ impl LeecherNode {
             if view.handshaken() && Some(peer) != self.cfg.cdn {
                 self.report.sched.holder_removes += self.holders.remove_peer(peer);
             }
-        } else if self.complete.remove(&peer).is_some() {
-            // Complete peers have no holder-index entries to purge.
-            self.clocks.remove(&peer);
         }
         // A one-shot ban names the peer whose request timed out on that
         // segment; once the peer is evicted the ban must not survive, or a
@@ -470,19 +391,19 @@ impl LeecherNode {
         )
     }
 
-    fn say(&mut self, ctx: &mut Ctx<'_>, to: NodeId, message: &Message) -> bool {
-        let wire = self.wire_buf.wire(message);
-        let result = if Self::droppable(message) {
+    /// The one send path: puts an encoded frame on the wire to `to` —
+    /// through the fault plane when `faulty` — and stamps the keepalive
+    /// clock, or evicts a peer that turned out unreachable.
+    fn send_wire(&mut self, ctx: &mut Ctx<'_>, to: NodeId, wire: Bytes, faulty: bool) -> bool {
+        let result = if faulty {
             ctx.send_faulty(to, wire)
         } else {
             ctx.send(to, wire)
         };
         match result {
             Ok(()) => {
-                if self.cfg.defense.is_some() && self.knows_peer(to) {
-                    self.clocks
-                        .get_or_insert_with(to, PeerClock::default)
-                        .last_spoke = ctx.now();
+                if let Some(clock) = self.clock_mut(to) {
+                    clock.last_spoke = ctx.now();
                 }
                 true
             }
@@ -495,10 +416,13 @@ impl LeecherNode {
         }
     }
 
+    fn say(&mut self, ctx: &mut Ctx<'_>, to: NodeId, message: &Message) -> bool {
+        let wire = self.wire_buf.wire(message);
+        self.send_wire(ctx, to, wire, Self::droppable(message))
+    }
+
     fn greet(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        if self.views.get(&peer).is_some_and(|v| v.greeted())
-            || self.complete.get(&peer).is_some_and(|c| c.greeted())
-        {
+        if self.views.get(&peer).is_some_and(|v| v.greeted()) {
             return;
         }
         let hs = Message::Handshake {
@@ -509,8 +433,6 @@ impl LeecherNode {
         if self.say(ctx, peer, &hs) {
             if let Some(view) = self.views.get_mut(&peer) {
                 view.set_greeted(true);
-            } else if let Some(record) = self.complete.get_mut(&peer) {
-                record.set_greeted(true);
             }
         }
     }
@@ -581,13 +503,14 @@ impl LeecherNode {
         &mut self,
         ctx: &mut Ctx<'_>,
         message: &Message,
-        mut include: impl FnMut(NodeId, PeerLook<'_>) -> bool,
+        mut include: impl FnMut(NodeId, &PeerView) -> bool,
     ) -> u64 {
         let mut peers = std::mem::take(&mut self.scratch_peers);
         peers.clear();
         peers.extend(
-            Self::peers_merged(&self.views, &self.complete, &self.full_field)
-                .filter(|&(peer, look)| include(peer, look))
+            self.views
+                .iter()
+                .filter(|&(peer, view)| include(peer, view))
                 .map(|(peer, _)| peer),
         );
         // One encode for the whole broadcast: a `Bytes` clone is a
@@ -596,22 +519,7 @@ impl LeecherNode {
         let faulty = Self::droppable(message);
         let mut sent = 0;
         for &peer in &peers {
-            let result = if faulty {
-                ctx.send_faulty(peer, wire.clone())
-            } else {
-                ctx.send(peer, wire.clone())
-            };
-            if result.is_ok() {
-                sent += 1;
-                if self.cfg.defense.is_some() && self.knows_peer(peer) {
-                    self.clocks
-                        .get_or_insert_with(peer, PeerClock::default)
-                        .last_spoke = ctx.now();
-                }
-            } else {
-                self.forget_view(peer);
-                self.uploads.forget_peer(peer);
-            }
+            sent += u64::from(self.send_wire(ctx, peer, wire.clone(), faulty));
         }
         self.scratch_peers = peers;
         sent
@@ -757,12 +665,9 @@ impl LeecherNode {
         picked
     }
 
-    /// Reference candidate collection: a full scan of every known peer —
-    /// live views and complete-peer records merged in ascending `NodeId`
-    /// order (both tables iterate ascending), so the pool needs no sort for
-    /// determinism. Complete peers are handshaken by construction and
-    /// hold every segment, so the uniform [`PeerLook`] checks compute for
-    /// them exactly what the full view computed before summarization.
+    /// Reference candidate collection: a full scan of every peer view in
+    /// ascending `NodeId` order (the table iterates ascending), so the
+    /// pool needs no sort for determinism.
     fn collect_candidates_scan(
         &self,
         ctx: &Ctx<'_>,
@@ -772,8 +677,8 @@ impl LeecherNode {
         out: &mut Vec<SourceCandidate>,
     ) {
         let cdn = self.cfg.cdn;
-        for (peer, look) in Self::peers_merged(&self.views, &self.complete, &self.full_field) {
-            if Some(peer) == exclude || !look.handshaken() || !ctx.is_online(peer) {
+        for (peer, view) in self.views.iter() {
+            if Some(peer) == exclude || !view.handshaken() || !ctx.is_online(peer) {
                 continue;
             }
             if cdn == Some(peer) {
@@ -781,7 +686,7 @@ impl LeecherNode {
                 if !cdn_busy {
                     out.push(SourceCandidate {
                         peer,
-                        outstanding: look.outstanding,
+                        outstanding: view.outstanding,
                     });
                 }
                 continue;
@@ -789,10 +694,10 @@ impl LeecherNode {
             if !self.cfg.p2p {
                 continue; // CDN-only mode: neither seeder nor peers serve data
             }
-            if look.holdings.get(index) {
+            if view.holdings.get(index) {
                 out.push(SourceCandidate {
                     peer,
-                    outstanding: look.outstanding,
+                    outstanding: view.outstanding,
                 });
             }
         }
@@ -800,11 +705,10 @@ impl LeecherNode {
 
     /// Indexed candidate collection: walks the holders of one segment
     /// instead of every view. The index already folds in handshaken-ness
-    /// and excludes the CDN and complete peers; online-ness stays a live
-    /// probe (a peer can go offline before its departure is observed).
-    /// The complete peers — implicit holders of everything — and the CDN
-    /// candidate are merged at their sorted `NodeId` positions, so the
-    /// order matches the scan exactly.
+    /// and excludes the CDN; online-ness stays a live probe (a peer can go
+    /// offline before its departure is observed). The CDN candidate is
+    /// merged at its sorted `NodeId` position, so the order matches the
+    /// scan exactly.
     fn collect_candidates_indexed(
         &self,
         ctx: &Ctx<'_>,
@@ -821,29 +725,7 @@ impl LeecherNode {
         });
         let mut cdn_pending = cdn_candidate;
         if self.cfg.p2p {
-            // Three-way sorted merge: the segment's indexed holders, the
-            // complete peers, and the CDN. The index and the complete map
-            // are disjoint by invariant (summarizing purges the entries).
-            let mut indexed = self.holders.of(index).peekable();
-            let mut done = self.complete.iter().peekable();
-            loop {
-                let next_indexed = indexed.peek().copied();
-                let next_done = done.peek().map(|&(p, _)| p);
-                let (peer, complete_outstanding) = match (next_indexed, next_done) {
-                    (Some(a), Some(b)) if a < b => {
-                        indexed.next();
-                        (a, None)
-                    }
-                    (_, Some(b)) => {
-                        let (_, record) = done.next().expect("peeked");
-                        (b, Some(record.outstanding))
-                    }
-                    (Some(a), None) => {
-                        indexed.next();
-                        (a, None)
-                    }
-                    (None, None) => break,
-                };
+            for peer in self.holders.of(index) {
                 if let Some(cdn) = cdn_pending {
                     if cdn < peer {
                         out.push(SourceCandidate {
@@ -856,15 +738,14 @@ impl LeecherNode {
                 if Some(peer) == exclude || !ctx.is_online(peer) {
                     continue;
                 }
-                let outstanding = match complete_outstanding {
-                    Some(outstanding) => outstanding,
-                    None => match self.views.get(&peer) {
-                        Some(view) => view.outstanding,
-                        // Evicted concurrently; the scan skips it too.
-                        None => continue,
-                    },
+                // Evicted concurrently; the scan skips it too.
+                let Some(view) = self.views.get(&peer) else {
+                    continue;
                 };
-                out.push(SourceCandidate { peer, outstanding });
+                out.push(SourceCandidate {
+                    peer,
+                    outstanding: view.outstanding,
+                });
             }
         }
         if let Some(cdn) = cdn_pending {
@@ -885,8 +766,8 @@ impl LeecherNode {
                     serving: false,
                 },
             );
-            if let Some(outstanding) = self.outstanding_mut(source) {
-                *outstanding += 1;
+            if let Some(view) = self.views.get_mut(&source) {
+                view.outstanding += 1;
             }
             if self.cfg.control_plane == ControlPlane::Eventful {
                 // A pump must run when this request's timeout expires.
@@ -898,8 +779,8 @@ impl LeecherNode {
 
     fn drop_in_flight(&mut self, index: u32) -> Option<InFlight> {
         let entry = self.in_flight.remove(&index)?;
-        if let Some(outstanding) = self.outstanding_mut(entry.source) {
-            *outstanding = outstanding.saturating_sub(1);
+        if let Some(view) = self.views.get_mut(&entry.source) {
+            view.outstanding = view.outstanding.saturating_sub(1);
         }
         // Freeing a segment can turn an exhausted schedule fillable again,
         // and freeing a CDN slot can give a source-less segment a source.
@@ -1017,20 +898,6 @@ impl LeecherNode {
     }
 
     fn update_interest(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        if let Some(record) = self.complete.get(&peer) {
-            if record.interested_sent() || self.is_origin(peer) {
-                return;
-            }
-            // A complete peer holds something we want exactly when our own
-            // holdings are not complete — the same answer `has_any_not_in`
-            // gave against the full view bitfield.
-            if !self.holdings.is_complete() && self.say(ctx, peer, &Message::Interested) {
-                if let Some(record) = self.complete.get_mut(&peer) {
-                    record.set_interested_sent(true);
-                }
-            }
-            return;
-        }
         let Some(view) = self.views.get(&peer) else {
             return;
         };
@@ -1133,15 +1000,11 @@ impl LeecherNode {
         self.cfg
             .estimator
             .observe(bytes, now.saturating_since(started).as_secs_f64());
-        if self.cfg.defense.is_some() {
-            // A delivery is proof of life even though it is not a message.
-            if self.knows_peer(from) {
-                self.clocks
-                    .get_or_insert_with(from, PeerClock::default)
-                    .last_heard = now;
-            }
-            self.record_source_success(from);
+        // A delivery is proof of life even though it is not a message.
+        if let Some(clock) = self.clock_mut(from) {
+            clock.last_heard = now;
         }
+        self.record_source_success(from);
         // Every delivery is a scheduling event: the bandwidth sample can
         // grow the adaptive pool, a freed slot or a new holding changes
         // what the next pass can request.
@@ -1276,24 +1139,82 @@ impl LeecherNode {
         });
     }
 
+    /// The mirror rule, stated once: whether a bit `from` just announced
+    /// for `index` enters the holder index now or stays parked in the view
+    /// until `ensure_folded` reaches it. Full dissemination mirrors
+    /// everything; windowed dissemination only what lies below the fold
+    /// horizon and can still be picked (unheld, or held with a raced
+    /// request in flight). A new holder of the exact segment the last
+    /// scheduling pass was blocked on re-dirties the schedule — holder
+    /// news for any other segment cannot change that pass's outcome. A
+    /// free function over the fields it touches, so callers can keep
+    /// their `views.get_mut` borrow.
+    #[allow(clippy::too_many_arguments)]
+    fn mirror_announced(
+        dissemination: DisseminationMode,
+        fold_horizon: u32,
+        holdings: &Bitfield,
+        in_flight: &BTreeMap<u32, InFlight>,
+        holders: &mut HolderIndex,
+        sched_state: &mut SchedState,
+        report: &mut PeerReport,
+        from: NodeId,
+        index: u32,
+    ) {
+        let mirror = dissemination == DisseminationMode::Full
+            || (index < fold_horizon && (!holdings.get(index) || in_flight.contains_key(&index)));
+        if !mirror {
+            report.dissem.deferred_indices += 1;
+        } else if holders.insert(index, from) {
+            report.sched.holder_adds += 1;
+            if *sched_state == SchedState::NoSource(index) {
+                *sched_state = SchedState::Dirty;
+            }
+        }
+    }
+
+    /// `from` announced `indices` (`Have` is a bundle of one): set the new
+    /// bits in its view and mirror them under the rule above.
+    fn on_haves(&mut self, ctx: &mut Ctx<'_>, from: NodeId, indices: &[u32]) {
+        if let Some(view) = self.views.get_mut(&from) {
+            let indexable = view.handshaken() && Some(from) != self.cfg.cdn;
+            for &index in indices {
+                if index < view.holdings.len() && !view.holdings.get(index) {
+                    view.holdings.set(index);
+                    if indexable {
+                        Self::mirror_announced(
+                            self.cfg.dissemination,
+                            self.fold_horizon,
+                            &self.holdings,
+                            &self.in_flight,
+                            &mut self.holders,
+                            &mut self.sched_state,
+                            &mut self.report,
+                            from,
+                            index,
+                        );
+                    }
+                }
+            }
+        }
+        self.update_interest(ctx, from);
+        self.schedule(ctx);
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
         let Ok(message) = decode_single(payload) else {
             return;
         };
-        if self.cfg.defense.is_some() && self.knows_peer(from) {
-            self.clocks
-                .get_or_insert_with(from, PeerClock::default)
-                .last_heard = ctx.now();
+        if let Some(clock) = self.clock_mut(from) {
+            clock.last_heard = ctx.now();
         }
         match message {
             Message::Handshake { .. } => {
                 // An unknown greeter (it discovered us via the tracker
                 // before we heard of it) gets a fresh view, so the
                 // handshake becomes mutual and its segments enter our
-                // source pool instead of being silently dropped. A peer
-                // already summarized as complete keeps its record — a
-                // fresh empty view would shadow it.
-                if self.cfg.p2p && !self.is_origin(from) && !self.complete.contains_key(&from) {
+                // source pool instead of being silently dropped.
+                if self.cfg.p2p && !self.is_origin(from) {
                     let segment_count = self.holdings.len();
                     self.views
                         .get_or_insert_with(from, || PeerView::new(segment_count));
@@ -1307,20 +1228,19 @@ impl LeecherNode {
                         if Some(from) != self.cfg.cdn {
                             // Bits learned before the handshake (e.g. a
                             // Bitfield that arrived first) become
-                            // candidates now: fold them into the index —
-                            // in windowed mode only below the fold
-                            // horizon, for segments still worth picking.
-                            let full = self.cfg.dissemination == DisseminationMode::Full;
+                            // candidates now.
                             for i in view.holdings.iter_set() {
-                                let mirror = full
-                                    || (i < self.fold_horizon
-                                        && (!self.holdings.get(i)
-                                            || self.in_flight.contains_key(&i)));
-                                if !mirror {
-                                    self.report.dissem.deferred_indices += 1;
-                                } else if self.holders.insert(i, from) {
-                                    self.report.sched.holder_adds += 1;
-                                }
+                                Self::mirror_announced(
+                                    self.cfg.dissemination,
+                                    self.fold_horizon,
+                                    &self.holdings,
+                                    &self.in_flight,
+                                    &mut self.holders,
+                                    &mut self.sched_state,
+                                    &mut self.report,
+                                    from,
+                                    i,
+                                );
                             }
                         }
                     }
@@ -1329,9 +1249,6 @@ impl LeecherNode {
                     // A fresh handshake can enable candidacy — indexed
                     // bits above, or the CDN becoming eligible.
                     self.sched_state = SchedState::Dirty;
-                    // A view whose bitfield arrived full before the
-                    // handshake qualifies for summarization now.
-                    self.maybe_summarize_complete(from);
                 }
                 let bitfield = Message::Bitfield(self.holdings.clone());
                 self.say(ctx, from, &bitfield);
@@ -1352,55 +1269,25 @@ impl LeecherNode {
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
-                if self.complete.contains_key(&from) {
-                    if bf.len() == self.holdings.len() && !bf.is_complete() {
-                        // A stale (delayed, droppable) bitfield overtaken
-                        // by the Haves that completed the peer: demote
-                        // back to a live view so the state keeps tracking
-                        // the last message received, re-indexing its set
-                        // bits under the usual mirror rule. The re-inserts
-                        // are deliberately not counted as holder adds —
-                        // the pre-summary index already carried them — and
-                        // pickable candidate sets are unchanged (both
-                        // worlds see exactly the bits of `bf`), so the
-                        // scheduler state needs no dirty mark.
-                        let record = self.complete.remove(&from).expect("checked above");
-                        let view = record.expand(bf);
-                        let full = self.cfg.dissemination == DisseminationMode::Full;
-                        for i in view.holdings.iter_set() {
-                            let mirror = full
-                                || (i < self.fold_horizon
-                                    && (!self.holdings.get(i) || self.in_flight.contains_key(&i)));
-                            if mirror {
-                                self.holders.insert(i, from);
-                            }
-                        }
-                        self.views.insert(from, view);
-                    }
-                    self.update_interest(ctx, from);
-                    self.schedule(ctx);
-                    return;
-                }
-                let mut dirty = false;
                 if let Some(view) = self.views.get_mut(&from) {
                     if bf.len() == view.holdings.len() {
                         let old = std::mem::replace(&mut view.holdings, bf);
                         if view.handshaken() && Some(from) != self.cfg.cdn {
                             // Diff the replacement into the holder index.
-                            let full = self.cfg.dissemination == DisseminationMode::Full;
                             for i in 0..old.len() {
                                 let (was, is) = (old.get(i), view.holdings.get(i));
                                 if !was && is {
-                                    let mirror = full
-                                        || (i < self.fold_horizon
-                                            && (!self.holdings.get(i)
-                                                || self.in_flight.contains_key(&i)));
-                                    if !mirror {
-                                        self.report.dissem.deferred_indices += 1;
-                                    } else if self.holders.insert(i, from) {
-                                        self.report.sched.holder_adds += 1;
-                                        dirty |= self.sched_state == SchedState::NoSource(i);
-                                    }
+                                    Self::mirror_announced(
+                                        self.cfg.dissemination,
+                                        self.fold_horizon,
+                                        &self.holdings,
+                                        &self.in_flight,
+                                        &mut self.holders,
+                                        &mut self.sched_state,
+                                        &mut self.report,
+                                        from,
+                                        i,
+                                    );
                                 } else if was && !is && self.holders.remove(i, from) {
                                     self.report.sched.holder_removes += 1;
                                 }
@@ -1408,92 +1295,13 @@ impl LeecherNode {
                         }
                     }
                 }
-                if dirty {
-                    self.sched_state = SchedState::Dirty;
-                }
-                self.maybe_summarize_complete(from);
                 self.update_interest(ctx, from);
                 self.schedule(ctx);
             }
-            Message::Have { index } => {
-                let mut dirty = false;
-                if let Some(view) = self.views.get_mut(&from) {
-                    if index < view.holdings.len() && !view.holdings.get(index) {
-                        view.holdings.set(index);
-                        if view.handshaken() && Some(from) != self.cfg.cdn {
-                            // Windowed mode parks announcements beyond the
-                            // fold horizon (and for segments already held)
-                            // in the view bitfield only; `ensure_folded`
-                            // mirrors them in when the frontier arrives.
-                            let mirror = self.cfg.dissemination == DisseminationMode::Full
-                                || (index < self.fold_horizon
-                                    && (!self.holdings.get(index)
-                                        || self.in_flight.contains_key(&index)));
-                            if !mirror {
-                                self.report.dissem.deferred_indices += 1;
-                            } else if self.holders.insert(index, from) {
-                                self.report.sched.holder_adds += 1;
-                                // Only a holder of the exact segment the
-                                // last pass was blocked on can change its
-                                // outcome.
-                                dirty = self.sched_state == SchedState::NoSource(index);
-                            }
-                        }
-                    }
-                }
-                if dirty {
-                    self.sched_state = SchedState::Dirty;
-                }
-                // A `Have` from a summarized peer falls through the view
-                // lookup above untouched — exactly what the full view did
-                // (the bit was already set) — and a `Have` that fills the
-                // last hole in a live view promotes it here.
-                self.maybe_summarize_complete(from);
-                self.update_interest(ctx, from);
-                self.schedule(ctx);
-            }
-            Message::HaveBundle { indices } => {
-                let mut dirty = false;
-                if let Some(view) = self.views.get_mut(&from) {
-                    let full = self.cfg.dissemination == DisseminationMode::Full;
-                    for &index in &indices {
-                        if index < view.holdings.len() && !view.holdings.get(index) {
-                            view.holdings.set(index);
-                            if view.handshaken() && Some(from) != self.cfg.cdn {
-                                let mirror = full
-                                    || (index < self.fold_horizon
-                                        && (!self.holdings.get(index)
-                                            || self.in_flight.contains_key(&index)));
-                                if !mirror {
-                                    self.report.dissem.deferred_indices += 1;
-                                } else if self.holders.insert(index, from) {
-                                    self.report.sched.holder_adds += 1;
-                                    dirty |= self.sched_state == SchedState::NoSource(index);
-                                }
-                            }
-                        }
-                    }
-                }
-                if dirty {
-                    self.sched_state = SchedState::Dirty;
-                }
-                self.maybe_summarize_complete(from);
-                self.update_interest(ctx, from);
-                self.schedule(ctx);
-            }
+            Message::Have { index } => self.on_haves(ctx, from, &[index]),
+            Message::HaveBundle { indices } => self.on_haves(ctx, from, &indices),
             Message::InterestWindow { start, end } => {
                 if !self.cfg.p2p || !self.windowed() {
-                    return;
-                }
-                if let Some(record) = self.complete.get_mut(&from) {
-                    // Window monotonicity applies to the compact record
-                    // too; the catch-up scan below would find nothing (a
-                    // complete peer already holds everything), so it is
-                    // skipped outright.
-                    if start >= record.win_lo && end >= start {
-                        record.win_lo = start;
-                        record.win_hi = end;
-                    }
                     return;
                 }
                 let Some(view) = self.views.get_mut(&from) else {
@@ -1533,18 +1341,11 @@ impl LeecherNode {
             Message::Interested => {
                 if let Some(view) = self.views.get_mut(&from) {
                     view.set_peer_interested(true);
-                } else if let Some(record) = self.complete.get_mut(&from) {
-                    record.set_peer_interested(true);
                 }
             }
             Message::NotInterested => {
-                // Complete peers send this the moment they finish, which
-                // is usually right after we summarized them — the flag
-                // must land in the compact record.
                 if let Some(view) = self.views.get_mut(&from) {
                     view.set_peer_interested(false);
-                } else if let Some(record) = self.complete.get_mut(&from) {
-                    record.set_peer_interested(false);
                 }
             }
             Message::ManifestData { payload } => {
@@ -1597,7 +1398,7 @@ impl LeecherNode {
                 let me = ctx.me();
                 for raw in peers {
                     let peer = NodeId::from_index(raw as usize);
-                    if peer == me || self.is_origin(peer) || self.knows_peer(peer) {
+                    if peer == me || self.is_origin(peer) || self.views.contains_key(&peer) {
                         continue;
                     }
                     if !ctx.is_online(peer) {
@@ -1607,8 +1408,7 @@ impl LeecherNode {
                     self.greet(ctx, peer);
                 }
             }
-            // Choke/Unchoke/Interested/NotInterested/KeepAlive: purely
-            // informational in this client.
+            // Choke/Unchoke/KeepAlive: purely informational in this client.
             _ => {}
         }
     }
@@ -1635,23 +1435,6 @@ impl LeecherNode {
         if self.cfg.scheduler != SchedulerMode::Indexed {
             return;
         }
-        // Complete-peer invariants: the compact map is disjoint from the
-        // live views, never contains the CDN, and only ever holds
-        // handshaken peers (summarization requires the handshake).
-        for (peer, record) in self.complete.iter() {
-            assert!(
-                !self.views.contains_key(&peer),
-                "peer {peer:?} has both a live view and a complete record"
-            );
-            assert!(
-                Some(peer) != self.cfg.cdn,
-                "the CDN must never be summarized as complete"
-            );
-            assert!(
-                record.handshaken(),
-                "complete record for un-handshaken peer {peer:?}"
-            );
-        }
         let windowed = self.windowed();
         for segment in 0..self.holdings.len() {
             let expected: Vec<NodeId> = self
@@ -1663,11 +1446,6 @@ impl LeecherNode {
                 .map(|(peer, _)| peer)
                 .collect();
             let indexed: Vec<NodeId> = self.holders.of(segment).collect();
-            assert!(
-                indexed.iter().all(|p| !self.complete.contains_key(p)),
-                "summarized peer left in the holder index at segment \
-                 {segment}: {indexed:?}"
-            );
             let dead = self.holdings.get(segment) && !self.in_flight.contains_key(&segment);
             if !windowed {
                 if dead {
@@ -1733,9 +1511,10 @@ impl LeecherNode {
         let mut stale = std::mem::take(&mut self.scratch_peers);
         stale.clear();
         stale.extend(
-            Self::peers_merged(&self.views, &self.complete, &self.full_field)
-                .filter(|&(peer, look)| {
-                    look.handshaken()
+            self.views
+                .iter()
+                .filter(|&(peer, view)| {
+                    view.handshaken()
                         && !self.is_origin(peer)
                         && now.saturating_since(self.clock(peer).last_heard) >= deadline
                         && !self
@@ -1755,9 +1534,10 @@ impl LeecherNode {
         let cadence = SimDuration::from_secs_f64(defense.keepalive_secs);
         stale.clear();
         stale.extend(
-            Self::peers_merged(&self.views, &self.complete, &self.full_field)
-                .filter(|&(peer, look)| {
-                    look.handshaken()
+            self.views
+                .iter()
+                .filter(|&(peer, view)| {
+                    view.handshaken()
                         && !self.is_origin(peer)
                         && now.saturating_since(self.clock(peer).last_spoke) >= cadence
                 })
@@ -1950,10 +1730,10 @@ impl LeecherNode {
     }
 
     /// Samples this leecher's memory footprint: allocator-visible bytes
-    /// behind the per-peer structures (peer views, complete-peer records,
-    /// the holder index, and the auxiliary per-peer maps). The three
-    /// neighbour tables count every slot they allocated, occupied or not;
-    /// the two small `BTreeMap`s (bans, health) count payloads only.
+    /// behind the per-peer structures (peer views, the holder index, and
+    /// the auxiliary per-peer maps). The two neighbour tables count every
+    /// slot they allocated, occupied or not; the two small `BTreeMap`s
+    /// (bans, health) count payloads only.
     pub fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
         let bitfield_heap: usize = self.views.values().map(|v| v.holdings.heap_bytes()).sum();
@@ -1965,8 +1745,6 @@ impl LeecherNode {
             holder_bytes: self.holders.heap_bytes() as u64,
             holder_entries: self.holders.live_entries(),
             aux_bytes: bans + health + self.clocks.table_bytes() as u64,
-            complete_bytes: self.complete.table_bytes() as u64,
-            complete_views: self.complete.len() as u64,
         }
     }
 
@@ -1986,7 +1764,6 @@ impl LeecherNode {
         self.report.sched.sparse_sets = sparse_sets;
         self.report.sched.dense_sets = dense_sets;
         self.report.sched.dense_promotions = self.holders.dense_promotions();
-        self.report.sched.complete_peers = self.complete.len() as u64;
         self.cfg.sink.borrow_mut().push(self.report.clone());
     }
 }
@@ -2185,12 +1962,9 @@ mod tests {
         let bitfield_heap = plain.views[&ids[1]].holdings.heap_bytes() as u64;
         assert_eq!(size_of::<Option<PeerView>>(), 40);
         assert_eq!(mem.view_bytes, universe * 40 + bitfield_heap);
-        assert_eq!(
-            mem.complete_bytes,
-            universe * size_of::<Option<CompleteView>>() as u64
-        );
-        assert_eq!((mem.views, mem.complete_views), (1, 0));
+        assert_eq!(mem.views, 1);
         assert_eq!(mem.aux_bytes, 0, "no defenses, no clock table");
+        assert_eq!(mem.total_bytes(), mem.view_bytes + mem.holder_bytes);
 
         let mut cfg = config(ids[1], others, DiscoveryMode::Tracker);
         cfg.defense = Some(DefenseConfig::default());
@@ -2592,22 +2366,25 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(5.0));
 
         let l = node.borrow();
-        // The stranger announced a full bitfield, so its freshly created
-        // view is immediately summarized into the compact complete map —
-        // an implicit holder of everything.
-        let record = l
-            .complete
+        // The stranger announced a full bitfield: its freshly created view
+        // is an ordinary neighbour record that happens to hold everything.
+        let view = l
+            .views
             .get(&stranger_id)
-            .expect("the unknown complete greeter must get a complete record");
+            .expect("the unknown greeter must get a view");
+        assert!(view.handshaken());
+        assert!(view.holdings.is_complete());
         assert!(
-            !l.views.contains_key(&stranger_id),
-            "a summarized peer must not keep a live view"
-        );
-        assert!(record.handshaken());
-        assert!(
-            record.interested_sent(),
+            view.interested_sent(),
             "holding segments we lack makes it interesting"
         );
+        for segment in 0..2 {
+            assert_eq!(
+                l.holders.of(segment).collect::<Vec<_>>(),
+                &[stranger_id][..],
+                "a full neighbour is a candidate for every segment"
+            );
+        }
         let heard = heard.borrow();
         assert!(
             heard.iter().any(|m| matches!(m, Message::Handshake { .. })),
@@ -2930,6 +2707,95 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// A neighbour that handshook with a full bitfield is an ordinary
+    /// view: a delayed, non-full `Bitfield` overtaken on the wire replaces
+    /// it like any other, so the cleared bits leave the view *and* the
+    /// holder index, the scheduler stops picking the peer for them, and a
+    /// later `Have` restores them.
+    #[test]
+    fn stale_bitfield_after_full_handshake_unindexes_cleared_bits() {
+        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+        let net = star(&[spec; 3]);
+        let (leecher_id, s_id, a_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
+
+        let node = Rc::new(RefCell::new(LeecherNode::new(config(
+            s_id,
+            vec![a_id],
+            DiscoveryMode::Full,
+        ))));
+
+        let hs = Message::Handshake {
+            peer_id: 9,
+            info_hash: crate::seeder::info_hash_of(""),
+            version: PROTOCOL_VERSION,
+        };
+        let mut stale = Bitfield::new(2);
+        stale.set(0);
+        let mut sim = Simulator::new(net.network, 5);
+        sim.add_node(Box::new(NullBehavior)); // hub
+        sim.add_node(Box::new(Shared(node.clone())));
+        sim.add_node(Box::new(NullBehavior)); // seeder stand-in, never handshakes
+        sim.add_node(Box::new(ScriptedPeer {
+            to: leecher_id,
+            stages: vec![
+                (
+                    SimDuration::from_secs_f64(0.3),
+                    vec![hs, Message::Bitfield(Bitfield::full(2))],
+                ),
+                (
+                    SimDuration::from_secs_f64(0.5),
+                    vec![Message::Bitfield(stale)],
+                ),
+                (
+                    SimDuration::from_secs_f64(0.5),
+                    vec![Message::Have { index: 1 }],
+                ),
+            ],
+            next: 0,
+            heard: Rc::new(RefCell::new(Vec::new())),
+        }));
+
+        sim.run_until_idle(SimTime::from_secs_f64(0.6));
+        {
+            let mut l = node.borrow_mut();
+            assert!(l.views[&a_id].holdings.is_complete());
+            assert_eq!(l.holders.of(1).collect::<Vec<_>>(), &[a_id][..]);
+            assert_eq!(
+                (l.report.sched.holder_adds, l.report.sched.holder_removes),
+                (2, 0)
+            );
+            // Downloads may start: the stale bitfield's scheduling pass
+            // must pick from what the index holds after the diff.
+            l.streaming = true;
+        }
+
+        sim.run_until_idle(SimTime::from_secs_f64(1.1));
+        {
+            let l = node.borrow();
+            assert!(l.views[&a_id].holdings.get(0) && !l.views[&a_id].holdings.get(1));
+            assert_eq!(l.holders.of(0).collect::<Vec<_>>(), &[a_id][..]);
+            assert_eq!(l.holders.of(1).count(), 0, "the cleared bit is unindexed");
+            assert_eq!(l.report.sched.holder_removes, 1);
+            assert_eq!(l.in_flight.get(&0).map(|f| f.source), Some(a_id));
+            assert!(
+                !l.in_flight.contains_key(&1),
+                "no pick may return the peer for a segment it disclaimed"
+            );
+            assert_eq!(l.sched_state, SchedState::NoSource(1));
+        }
+
+        sim.run_until_idle(SimTime::from_secs_f64(2.0));
+        let l = node.borrow();
+        assert!(l.views[&a_id].holdings.is_complete());
+        assert_eq!(l.holders.of(1).collect::<Vec<_>>(), &[a_id][..]);
+        assert_eq!(l.report.sched.holder_adds, 3);
+        assert_eq!(
+            l.in_flight.get(&1).map(|f| f.source),
+            Some(a_id),
+            "the restored holder unblocks the stalled segment"
+        );
     }
 
     fn windowed_config(seeder: NodeId, others: Vec<NodeId>) -> LeecherConfig {

@@ -80,9 +80,6 @@ pub struct SchedulerStats {
     pub dense_sets: u64,
     /// Cumulative sparse→dense holder-set promotions.
     pub dense_promotions: u64,
-    /// Peers summarized out of the view table and holder index as
-    /// complete (implicit holders of everything) at report time.
-    pub complete_peers: u64,
 }
 
 impl SchedulerStats {
@@ -98,7 +95,6 @@ impl SchedulerStats {
         self.sparse_sets += other.sparse_sets;
         self.dense_sets += other.dense_sets;
         self.dense_promotions += other.dense_promotions;
-        self.complete_peers += other.complete_peers;
     }
 }
 
@@ -159,12 +155,6 @@ pub struct PeerMemStats {
     /// Bytes behind auxiliary per-peer state that is empty in the common
     /// case: defense clocks, timeout bans, source-health tracking.
     pub aux_bytes: u64,
-    /// Bytes behind the complete-peer table, every slot counted (peers
-    /// summarized out of the view table; their holdings are one shared
-    /// interned full bitfield, not counted per peer).
-    pub complete_bytes: u64,
-    /// Complete-peer records at sample time.
-    pub complete_views: u64,
 }
 
 impl PeerMemStats {
@@ -175,14 +165,11 @@ impl PeerMemStats {
         self.holder_bytes += other.holder_bytes;
         self.holder_entries += other.holder_entries;
         self.aux_bytes += other.aux_bytes;
-        self.complete_bytes += other.complete_bytes;
-        self.complete_views += other.complete_views;
     }
 
-    /// Total measured bytes (views + holder index + auxiliary state +
-    /// complete-peer records).
+    /// Total measured bytes (views + holder index + auxiliary state).
     pub fn total_bytes(&self) -> u64 {
-        self.view_bytes + self.holder_bytes + self.aux_bytes + self.complete_bytes
+        self.view_bytes + self.holder_bytes + self.aux_bytes
     }
 }
 

@@ -114,179 +114,6 @@ impl PeerView {
     pub fn set_peer_interested(&mut self, value: bool) {
         self.set_flag(FLAG_PEER_INTERESTED, value);
     }
-
-    /// Collapses this view into a compact [`CompleteView`] record. The
-    /// holdings bitfield is dropped — a complete peer's holdings are, by
-    /// definition, the shared interned full field.
-    pub fn summarize_complete(&self) -> CompleteView {
-        CompleteView {
-            win_lo: self.win_lo,
-            win_hi: self.win_hi,
-            outstanding: self.outstanding,
-            flags: self.flags,
-        }
-    }
-}
-
-/// Compact record of a peer whose holdings are known to be complete.
-///
-/// Late in a run nearly every neighbour is complete, so the per-pair
-/// state for them collapses from a 40-byte [`PeerView`] plus a boxed
-/// bitfield to these 13 payload bytes: the holdings are implicit (the
-/// shared interned full `Bitfield`), and the peer's per-segment holder
-/// index entries are purged — it is folded back in at pick time as an
-/// implicit holder of everything.
-#[derive(Debug, Clone, Copy)]
-pub struct CompleteView {
-    /// The peer's announced interest window (kept so a stale non-full
-    /// `Bitfield` can demote back to a [`PeerView`] with the window
-    /// intact, and window monotonicity checks stay identical).
-    pub win_lo: u32,
-    /// One past the last segment of the peer's announced window.
-    pub win_hi: u32,
-    /// Requests we have sent them that have not completed or failed —
-    /// complete peers are exactly the ones still serving us.
-    pub outstanding: u32,
-    /// The packed lifecycle booleans, carried over from the view.
-    flags: u8,
-}
-
-impl CompleteView {
-    /// Rebuilds a full [`PeerView`] around `holdings` (demotion: a stale,
-    /// less-complete `Bitfield` arrived after the peer was summarized).
-    pub fn expand(&self, holdings: Bitfield) -> PeerView {
-        PeerView {
-            holdings,
-            win_lo: self.win_lo,
-            win_hi: self.win_hi,
-            outstanding: self.outstanding,
-            flags: self.flags,
-        }
-    }
-
-    /// Whether we have sent them our handshake.
-    #[inline]
-    pub fn greeted(&self) -> bool {
-        self.flags & FLAG_GREETED != 0
-    }
-
-    /// Records whether we have sent them our handshake.
-    #[inline]
-    pub fn set_greeted(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_GREETED;
-        } else {
-            self.flags &= !FLAG_GREETED;
-        }
-    }
-
-    /// Whether they have sent us their handshake (always true in
-    /// practice: only handshaken views are summarized).
-    #[inline]
-    pub fn handshaken(&self) -> bool {
-        self.flags & FLAG_HANDSHAKEN != 0
-    }
-
-    /// Whether we have told them we are interested.
-    #[inline]
-    pub fn interested_sent(&self) -> bool {
-        self.flags & FLAG_INTERESTED_SENT != 0
-    }
-
-    /// Records whether we have told them we are interested.
-    #[inline]
-    pub fn set_interested_sent(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_INTERESTED_SENT;
-        } else {
-            self.flags &= !FLAG_INTERESTED_SENT;
-        }
-    }
-
-    /// Whether the peer wants our availability announcements.
-    #[inline]
-    pub fn peer_interested(&self) -> bool {
-        self.flags & FLAG_PEER_INTERESTED != 0
-    }
-
-    /// Records whether the peer wants our availability announcements.
-    #[inline]
-    pub fn set_peer_interested(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_PEER_INTERESTED;
-        } else {
-            self.flags &= !FLAG_PEER_INTERESTED;
-        }
-    }
-}
-
-/// A read-only look at one peer, whichever store it lives in: a borrowed
-/// [`PeerView`], or a [`CompleteView`] presented with the shared full
-/// bitfield as its holdings. Broadcast filters and defense sweeps take
-/// this, so their logic is written once and computes identically for
-/// both representations.
-#[derive(Clone, Copy)]
-pub struct PeerLook<'a> {
-    /// The peer's holdings (the interned full field for complete peers).
-    pub holdings: &'a Bitfield,
-    /// First segment of the peer's announced interest window.
-    pub win_lo: u32,
-    /// One past the last segment of the peer's announced window.
-    pub win_hi: u32,
-    /// Requests we have sent them that have not completed or failed.
-    pub outstanding: u32,
-    flags: u8,
-}
-
-impl<'a> PeerLook<'a> {
-    /// Looks at a regular view.
-    pub fn view(view: &'a PeerView) -> Self {
-        PeerLook {
-            holdings: &view.holdings,
-            win_lo: view.win_lo,
-            win_hi: view.win_hi,
-            outstanding: view.outstanding,
-            flags: view.flags,
-        }
-    }
-
-    /// Looks at a complete-peer record; `full` is the node's shared
-    /// all-set bitfield.
-    pub fn complete(record: &CompleteView, full: &'a Bitfield) -> Self {
-        PeerLook {
-            holdings: full,
-            win_lo: record.win_lo,
-            win_hi: record.win_hi,
-            outstanding: record.outstanding,
-            flags: record.flags,
-        }
-    }
-
-    /// Whether we have sent them our handshake.
-    #[cfg(test)]
-    #[inline]
-    pub fn greeted(&self) -> bool {
-        self.flags & FLAG_GREETED != 0
-    }
-
-    /// Whether they have sent us their handshake.
-    #[inline]
-    pub fn handshaken(&self) -> bool {
-        self.flags & FLAG_HANDSHAKEN != 0
-    }
-
-    /// Whether we have told them we are interested.
-    #[cfg(test)]
-    #[inline]
-    pub fn interested_sent(&self) -> bool {
-        self.flags & FLAG_INTERESTED_SENT != 0
-    }
-
-    /// Whether the peer wants our availability announcements.
-    #[inline]
-    pub fn peer_interested(&self) -> bool {
-        self.flags & FLAG_PEER_INTERESTED != 0
-    }
 }
 
 /// Defense-only liveness clocks for one peer. Only read when `--defend`
@@ -542,65 +369,5 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<PeerView>>(), 40);
         let v = PeerView::new(80);
         assert_eq!(v.holdings.heap_bytes(), 10, "80 bits of heap");
-    }
-
-    /// The complete-peer record must stay within one 16-byte line —
-    /// that's the whole point of summarizing — and round-trip the
-    /// lifecycle flags, window, and outstanding count through
-    /// summarize/expand unchanged.
-    #[test]
-    fn complete_view_is_compact_and_round_trips() {
-        assert_eq!(std::mem::size_of::<CompleteView>(), 16);
-        let mut v = PeerView::new(12);
-        v.holdings = Bitfield::full(12);
-        v.win_lo = 3;
-        v.win_hi = 9;
-        v.outstanding = 2;
-        v.set_greeted(true);
-        v.set_handshaken(true);
-        v.set_interested_sent(true);
-        v.set_peer_interested(false);
-
-        let record = v.summarize_complete();
-        assert!(record.greeted() && record.handshaken() && record.interested_sent());
-        assert!(!record.peer_interested());
-        assert_eq!((record.win_lo, record.win_hi), (3, 9));
-        assert_eq!(record.outstanding, 2);
-
-        // Demotion path: a stale bitfield expands back to a view with
-        // every non-holdings field intact.
-        let mut stale = Bitfield::full(12);
-        stale.clear(7);
-        let back = record.expand(stale.clone());
-        assert_eq!(back.holdings, stale);
-        assert_eq!((back.win_lo, back.win_hi), (3, 9));
-        assert_eq!(back.outstanding, 2);
-        assert!(back.greeted() && back.handshaken() && back.interested_sent());
-        assert!(!back.peer_interested());
-    }
-
-    /// `PeerLook` must present identical fields whichever store the peer
-    /// lives in.
-    #[test]
-    fn peer_look_is_uniform_across_representations() {
-        let mut v = PeerView::new(8);
-        v.holdings = Bitfield::full(8);
-        v.win_lo = 1;
-        v.win_hi = 6;
-        v.outstanding = 3;
-        v.set_greeted(true);
-        v.set_handshaken(true);
-
-        let full = Bitfield::full(8);
-        let as_view = PeerLook::view(&v);
-        let record = v.summarize_complete();
-        let as_complete = PeerLook::complete(&record, &full);
-        for look in [as_view, as_complete] {
-            assert_eq!(look.holdings, &full);
-            assert_eq!((look.win_lo, look.win_hi), (1, 6));
-            assert_eq!(look.outstanding, 3);
-            assert!(look.greeted() && look.handshaken());
-            assert!(!look.interested_sent() && look.peer_interested());
-        }
     }
 }

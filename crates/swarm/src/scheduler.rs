@@ -134,7 +134,7 @@ impl Iterator for HolderIter<'_> {
 
 /// An incrementally maintained per-segment holder index: for each segment,
 /// the set of handshaken peers known to hold it, as a hybrid
-/// [`HolderSet`].
+/// `HolderSet`.
 ///
 /// This replaces the O(peers) rescan of every `PeerView` per scheduling
 /// decision with an O(holders-of-one-segment) walk. Maintenance happens at
@@ -146,11 +146,6 @@ impl Iterator for HolderIter<'_> {
 /// in ascending `NodeId` order in both representations, so picks are
 /// bit-identical to walking the `BTreeMap` of peer views (and to a
 /// sparse-only index — see the sparse-vs-hybrid differential test).
-///
-/// Known-complete peers are *not* in this index at all: the leecher
-/// summarizes them out ([`HolderIndex::remove_peer`] at promotion time)
-/// and merges them back in at pick time as implicit holders of
-/// everything, the same sorted-position merge the CDN already uses.
 #[derive(Debug, Clone)]
 pub struct HolderIndex {
     per_segment: Vec<HolderSet>,

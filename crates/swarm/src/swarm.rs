@@ -702,6 +702,49 @@ mod tests {
         );
     }
 
+    /// Pins the scale stack's exact output the way the legacy pin guards
+    /// the paper stack: eventful plane, fluid flows, interest windows,
+    /// tracker discovery, graceful and crash churn, lossy control
+    /// messages and the defenses, over a splice longer than the interest
+    /// window. A leecher refactor that is meant to keep behaviour must
+    /// leave this digest alone.
+    #[test]
+    fn scale_output_digest_is_pinned() {
+        let video = Video::builder().duration_secs(60.0).seed(6).build();
+        let segments = DurationSplicer::new(0.5).splice(&video);
+        let config = SwarmConfig {
+            n_leechers: 16,
+            // Joins spread over half the clip on fast links, so early
+            // peers run more than a window ahead of late ones.
+            join_stagger_secs: 30.0,
+            peer_bandwidth_bytes_per_sec: 4_000_000.0,
+            seeder_bandwidth_bytes_per_sec: 4_000_000.0,
+            control_plane: ControlPlane::Eventful,
+            flow_model: FlowModel::Fluid,
+            dissemination: DisseminationMode::Windowed,
+            discovery: DiscoveryMode::Tracker,
+            churn: Some(ChurnConfig::new(0.3, 20.0)),
+            faults: Some(FaultPlanConfig {
+                crash: Some(crate::fault::CrashChurnConfig::new(0.2, 15.0)),
+                message_loss: 0.02,
+                ..FaultPlanConfig::default()
+            }),
+            defense: Some(DefenseConfig::default()),
+            ..tiny_config()
+        };
+        let metrics = run_swarm(&segments, &config, 11);
+        let dissem = metrics.dissem_totals();
+        assert!(
+            segments.len() > 64 && dissem.window_capped > 0 && dissem.catchup_bundles > 0,
+            "the scenario must make the windows bind and catch-up fire: {dissem:?}"
+        );
+        assert_eq!(
+            output_digest(&metrics),
+            0xdcdc_33de_1d90_56e2,
+            "scale-stack run output changed; if intentional, update the pinned digest"
+        );
+    }
+
     /// The indexed scheduler must be bit-identical to the reference scan:
     /// same candidate order, same RNG draws, same messages — on both
     /// control planes, under churn, and with tracker discovery (late
