@@ -101,6 +101,16 @@ fn parse_policy(raw: &str) -> Result<PolicyConfig, String> {
     ))
 }
 
+/// The clip `--clip-secs` describes, checked.
+fn clip(args: &Args) -> Result<VideoSpec, String> {
+    let video = VideoSpec {
+        duration_secs: args.num("clip-secs", 120.0)?,
+        ..VideoSpec::default()
+    };
+    video.check()?;
+    Ok(video)
+}
+
 fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     // A profile sets the *defaults* for the plane/model knobs; explicit
     // flags still override any of them.
@@ -115,10 +125,7 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
             }
         };
     let mut config = ExperimentConfig::paper_baseline();
-    config.video = VideoSpec {
-        duration_secs: args.num("clip-secs", 120.0)?,
-        ..VideoSpec::default()
-    };
+    config.video = clip(args)?;
     let bandwidth_kb: f64 = args.num("bandwidth", 128.0)?;
     config = config.with_bandwidth(bandwidth_kb * 1_000.0);
     config = config.with_splicing(parse_splicing(args.value("splicing")?.unwrap_or("4s"))?);
@@ -255,7 +262,7 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     args.reject_unread()?;
     if channels > 0 {
         let workload = ShardedWorkload::with_channel_count(&config, channels, &seeds);
-        return Ok(sharded_run(&config, &workload, workers));
+        return Ok(sharded_run(&config, &workload, workers, csv));
     }
     let averaged = run_averaged(&config, &seeds);
     let mut out = String::new();
@@ -371,21 +378,31 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
         ));
     }
     if csv {
-        out.push_str(&format!(
-            "\ncsv:\nstalls,stall_secs,startup_secs,completion,offload\n{:.2},{:.2},{:.2},{:.3},{:.3}\n",
-            averaged.stalls.mean,
-            averaged.stall_secs.mean,
-            averaged.startup_secs.mean,
-            averaged.completion_rate,
-            averaged.peer_offload,
-        ));
+        out.push_str(&csv_block(&averaged));
     }
     Ok(out)
 }
 
+/// The `csv:` block of a run report: one header, one row.
+fn csv_block(averaged: &AveragedMetrics) -> String {
+    format!(
+        "\ncsv:\nstalls,stall_secs,startup_secs,completion,offload\n{:.2},{:.2},{:.2},{:.3},{:.3}\n",
+        averaged.stalls.mean,
+        averaged.stall_secs.mean,
+        averaged.startup_secs.mean,
+        averaged.completion_rate,
+        averaged.peer_offload,
+    )
+}
+
 /// `splicecast run --channels C`: C independent channel swarms of the
 /// same configuration, fanned over worker threads.
-fn sharded_run(config: &ExperimentConfig, workload: &ShardedWorkload, workers: usize) -> String {
+fn sharded_run(
+    config: &ExperimentConfig,
+    workload: &ShardedWorkload,
+    workers: usize,
+    csv: bool,
+) -> String {
     let outcome = workload.run(workers);
     let mut out = format!(
         "streaming {:.0}s of {:.1} Mbps video on {} channels × {} peers at {:.0} kB/s\n\n",
@@ -417,6 +434,9 @@ fn sharded_run(config: &ExperimentConfig, workload: &ShardedWorkload, workers: u
         agg.peer_offload * 100.0,
     ));
     out.push_str(&memory_lines(agg, config.swarm.n_leechers));
+    if csv {
+        out.push_str(&csv_block(agg));
+    }
     out
 }
 
@@ -490,14 +510,13 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
 
 /// `splicecast overhead`.
 pub fn overhead_command(args: &Args) -> Result<String, String> {
-    let video = VideoSpec {
-        duration_secs: args.num("clip-secs", 120.0)?,
-        ..VideoSpec::default()
-    }
-    .build();
+    let video = clip(args)?.build();
     let durations = args.num_list("durations", &[1.0f64, 2.0, 4.0, 8.0, 16.0])?;
     let csv = args.flag("csv");
     args.reject_unread()?;
+    for &d in &durations {
+        SplicingSpec::Duration(d).check()?;
+    }
     let mut table = Table::new(
         "Splicing overhead",
         "splicing",
@@ -571,7 +590,7 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
         }
     };
     let ladder = Ladder::builder()
-        .duration_secs(args.num("clip-secs", 120.0)?)
+        .duration_secs(clip(args)?.duration_secs)
         .bitrates(&[250_000, 500_000, 1_000_000])
         .segment_secs(4.0)
         .seed(2015)
@@ -585,6 +604,7 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
     };
     let seeds = seeds(args)?;
     args.reject_unread()?;
+    config.check()?;
     let (mut stalls, mut stall_secs, mut startup, mut quality) = (0.0, 0.0, 0.0, 0.0);
     for &seed in &seeds {
         let metrics = run_abr(&ladder, &config, seed);

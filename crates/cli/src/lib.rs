@@ -192,12 +192,15 @@ mod tests {
             "512",
             "--seeds",
             "1",
+            "--csv",
         ])
         .unwrap();
         assert!(text.contains("2 channels"), "{text}");
         assert!(text.contains("ch0"), "{text}");
         assert!(text.contains("ch1"), "{text}");
         assert!(text.contains("aggregate over 2 runs"), "{text}");
+        // The aggregate's row, under the header the unsharded run prints.
+        assert!(text.contains("\ncsv:\nstalls,stall_secs,"), "{text}");
     }
 
     #[test]
@@ -216,13 +219,14 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 15] = [
+        let cases: [(&[&str], &str); 16] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
             ),
             (&["--peers", "0"], "a swarm needs at least one leecher"),
             (&["--bandwidth", "0"], "peer bandwidth must be positive"),
+            (&["--bandwidth", "inf"], "bandwidths must be finite"),
             (
                 &["--dissemination", "windowed"],
                 "windowed dissemination requires the eventful control plane",
@@ -252,6 +256,28 @@ mod tests {
         assert!(err.contains("peer bandwidth must be positive"), "{err}");
         let err = call(&["sweep", "--splicings", "4s,0s"]).unwrap_err();
         assert!(err.contains("segment duration must be positive"), "{err}");
+        for (tokens, message) in [
+            (
+                &["sweep", "--bandwidths", "inf"][..],
+                "bandwidths must be finite",
+            ),
+            (&["abr", "--clients", "0"], "need at least one client"),
+            (
+                &["abr", "--bandwidth", "0"],
+                "client bandwidth must be positive",
+            ),
+            (
+                &["overhead", "--durations", "0"],
+                "segment duration must be positive",
+            ),
+            (&["overhead", "--clip-secs", "0"], "clip length must be"),
+            (&["abr", "--clip-secs", "0"], "clip length must be"),
+        ] {
+            let err = std::panic::catch_unwind(|| call(tokens))
+                .unwrap_or_else(|_| panic!("{tokens:?} unwound"))
+                .unwrap_err();
+            assert!(err.contains(message), "{tokens:?}: {err}");
+        }
         for tokens in [
             &["overhead", "--seeds", "1"][..],
             &["formula", "--peers", "3"],

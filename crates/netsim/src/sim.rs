@@ -75,9 +75,33 @@ pub(crate) struct World {
     fault_stats: InjectedFaults,
 }
 
+/// Overload pressure one link puts on a flow crossing it, shared by both
+/// flow models: when the *competing* flows cannot shrink their windows
+/// below `min_cwnd` without exceeding the link's BDP, the excess turns into
+/// timeouts, modelled as extra loss. A lone flow never overloads itself
+/// (its send budget already paces it), hence `load - 1`.
+fn link_pressure(tcp: &TcpConfig, cap_bps: f64, load: u32, rtt_secs: f64) -> f64 {
+    let competing = load.saturating_sub(1) as f64;
+    let bdp_bytes = cap_bps / 8.0 * rtt_secs;
+    competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes
+}
+
+/// The loss a flow effectively sees, shared by both flow models: the
+/// configured path loss shaped by utilization (it applies in full only when
+/// the path is busy, see [`TcpConfig::loss_utilization_floor`]) combined
+/// with the overload loss that pressure beyond the threshold turns into.
+fn effective_loss(tcp: &TcpConfig, loss: f64, utilization: f64, pressure: f64) -> f64 {
+    let floor = tcp.loss_utilization_floor;
+    let shaped = loss * (floor + (1.0 - floor) * utilization);
+    let overload = (tcp.overload_loss_coeff
+        * (pressure - tcp.overload_pressure_threshold).max(0.0))
+    .min(tcp.overload_loss_max);
+    1.0 - (1.0 - shaped) * (1.0 - overload)
+}
+
 /// The fluid model's per-flow rate ceiling: the Mathis loss-limited rate
-/// under the same shaped/overload effective loss the round model applies,
-/// bounded by the receive-window limit. Returns `(ceiling_bps, eff_loss)`.
+/// under the same effective loss the round model applies, bounded by the
+/// receive-window limit. Returns `(ceiling_bps, eff_loss)`.
 fn fluid_ceiling(
     tcp: &TcpConfig,
     rtt_secs: f64,
@@ -85,12 +109,7 @@ fn fluid_ceiling(
     utilization: f64,
     pressure: f64,
 ) -> (f64, f64) {
-    let floor = tcp.loss_utilization_floor;
-    let shaped = loss * (floor + (1.0 - floor) * utilization);
-    let overload = (tcp.overload_loss_coeff
-        * (pressure - tcp.overload_pressure_threshold).max(0.0))
-    .min(tcp.overload_loss_max);
-    let eff = 1.0 - (1.0 - shaped) * (1.0 - overload);
+    let eff = effective_loss(tcp, loss, utilization, pressure);
     let mss_bps = tcp.mss as f64 * 8.0 / rtt_secs;
     let window_bps = tcp.max_cwnd * mss_bps;
     let mathis_bps = if eff > 1e-12 {
@@ -183,23 +202,18 @@ impl World {
 
     /// The highest recent utilization (estimated send rate over capacity)
     /// along a path.
-    fn path_utilization(&self, path: &[crate::id::DirLinkId]) -> f64 {
-        if self.tcp.flow_model == FlowModel::Fluid {
-            // Fluid mode keeps exact per-link allocated rates, so the
-            // utilization is instantaneous rather than decay-averaged.
-            let mut util: f64 = 0.0;
-            for dir in path {
-                let cap = self.net.dir_spec(*dir).capacity_bps;
-                util = util.max(self.fluid.link_rate(*dir) / cap);
-            }
-            return util;
-        }
-        let now = self.now;
-        let tau = self.tcp.utilization_tau_secs;
+    fn path_utilization(&self, path: &[DirLinkId]) -> f64 {
+        let fluid = self.tcp.flow_model == FlowModel::Fluid;
         let mut util: f64 = 0.0;
         for dir in path {
             let cap = self.net.dir_spec(*dir).capacity_bps;
-            let rate = self.usage[dir.index()].rate_bps_at(now, tau);
+            let rate = if fluid {
+                // Fluid mode keeps exact per-link allocated rates, so the
+                // utilization is instantaneous rather than decay-averaged.
+                self.fluid.link_rate(*dir)
+            } else {
+                self.usage[dir.index()].rate_bps_at(self.now, self.tcp.utilization_tau_secs)
+            };
             util = util.max(rate / cap);
         }
         util
@@ -228,11 +242,7 @@ impl World {
         // - Utilization, for the shaped-queue loss model (the configured
         //   loss applies in full only when the path is busy, see
         //   [`TcpConfig::loss_utilization_floor`]).
-        // - Overload pressure: when the *competing* flows on a link cannot
-        //   shrink their windows below `min_cwnd` without exceeding its
-        //   BDP, the excess turns into timeouts, modelled as extra loss. A
-        //   lone flow never overloads itself (its send budget already
-        //   paces it), hence `load - 1`.
+        // - Overload pressure, see [`link_pressure`].
         //
         // The decayed per-link rates are kept so the usage update after the
         // round reuses them instead of re-evaluating the decay.
@@ -248,17 +258,9 @@ impl World {
             let rate = self.usage[dir.index()].rate_bps_at(now, tcp.utilization_tau_secs);
             rates.push(rate);
             utilization = utilization.max(rate / cap);
-            let competing = load.saturating_sub(1) as f64;
-            let bdp_bytes = cap / 8.0 * rtt_secs;
-            pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
+            pressure = pressure.max(link_pressure(&tcp, cap, load, rtt_secs));
         }
-        let utilization = utilization.min(1.0);
-        let floor = tcp.loss_utilization_floor;
-        let shaped_loss = flow.loss * (floor + (1.0 - floor) * utilization);
-        let overload_loss = (tcp.overload_loss_coeff
-            * (pressure - tcp.overload_pressure_threshold).max(0.0))
-        .min(tcp.overload_loss_max);
-        let effective_loss = 1.0 - (1.0 - shaped_loss) * (1.0 - overload_loss);
+        let effective_loss = effective_loss(&tcp, flow.loss, utilization.min(1.0), pressure);
 
         let flow = self.flows.get_mut(id).expect("flow vanished");
         let rtt = flow.rtt;
@@ -279,47 +281,55 @@ impl World {
                     .push(self.now + rtt, Scheduled::FlowRound { flow: raw });
             }
             RoundOutcome::Completed => {
-                let (src, dst, tag, total, started) =
-                    (flow.src, flow.dst, flow.tag, flow.total, flow.started);
-                self.flows.remove(id);
-                self.stats.flows_completed += 1;
-                self.stats.payload_bytes_delivered += total;
-                // Last data packets reach the receiver half an RTT after the
-                // round starts; the sender sees the final ack a full RTT in.
-                let recv_at = self.now + rtt / 2;
-                let ack_at = self.now + rtt;
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceRecord::FlowCompleted {
-                        at: recv_at,
-                        flow: id,
-                    });
-                }
-                self.queue.push(
-                    recv_at,
-                    Scheduled::Node {
-                        target: dst,
-                        event: NodeEvent::TransferComplete {
-                            flow: id,
-                            from: src,
-                            tag,
-                            bytes: total,
-                            started,
-                        },
-                    },
-                );
-                self.queue.push(
-                    ack_at,
-                    Scheduled::Node {
-                        target: src,
-                        event: NodeEvent::UploadComplete {
-                            flow: id,
-                            to: dst,
-                            tag,
-                        },
-                    },
-                );
+                self.complete_flow(id);
             }
         }
+    }
+
+    /// A flow delivered its last byte at the sender: it leaves the table,
+    /// is counted, and both ends hear of it — the receiver sees the last
+    /// data half an RTT after the sender finishes, the sender the final ack
+    /// a full RTT after.
+    fn complete_flow(&mut self, id: FlowId) -> Flow {
+        let flow = self
+            .flows
+            .remove(id)
+            .expect("completing flow is in the table");
+        self.stats.flows_completed += 1;
+        self.stats.payload_bytes_delivered += flow.total;
+        let recv_at = self.now + flow.rtt / 2;
+        let ack_at = self.now + flow.rtt;
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceRecord::FlowCompleted {
+                at: recv_at,
+                flow: id,
+            });
+        }
+        self.queue.push(
+            recv_at,
+            Scheduled::Node {
+                target: flow.dst,
+                event: NodeEvent::TransferComplete {
+                    flow: id,
+                    from: flow.src,
+                    tag: flow.tag,
+                    bytes: flow.total,
+                    started: flow.started,
+                },
+            },
+        );
+        self.queue.push(
+            ack_at,
+            Scheduled::Node {
+                target: flow.src,
+                event: NodeEvent::UploadComplete {
+                    flow: id,
+                    to: flow.dst,
+                    tag: flow.tag,
+                },
+            },
+        );
+        flow
     }
 
     /// Fluid model: a flow's handshake finished — join the rate solver.
@@ -365,47 +375,8 @@ impl World {
         let f = self.flows.get_mut(id).expect("flow just resolved");
         f.fluid.delivered = f.total as f64;
         self.fluid_fold(id);
-        let f = self.flows.get(id).expect("flow just resolved");
-        let (src, dst, tag, total, started, rtt) = (f.src, f.dst, f.tag, f.total, f.started, f.rtt);
-        let flow = self.flows.remove(id).expect("flow just resolved");
+        let flow = self.complete_flow(id);
         self.fluid.remove_flow(id, &flow.path);
-        self.stats.flows_completed += 1;
-        self.stats.payload_bytes_delivered += total;
-        // As in the round model: the receiver sees the last data half an
-        // RTT after the sender finishes; the sender sees the final ack a
-        // full RTT after.
-        let recv_at = self.now + rtt / 2;
-        let ack_at = self.now + rtt;
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceRecord::FlowCompleted {
-                at: recv_at,
-                flow: id,
-            });
-        }
-        self.queue.push(
-            recv_at,
-            Scheduled::Node {
-                target: dst,
-                event: NodeEvent::TransferComplete {
-                    flow: id,
-                    from: src,
-                    tag,
-                    bytes: total,
-                    started,
-                },
-            },
-        );
-        self.queue.push(
-            ack_at,
-            Scheduled::Node {
-                target: src,
-                event: NodeEvent::UploadComplete {
-                    flow: id,
-                    to: dst,
-                    tag,
-                },
-            },
-        );
         self.fluid_rebalance();
     }
 
@@ -432,9 +403,7 @@ impl World {
             let mut pressure = 0.0_f64;
             for dir in &f.path {
                 let cap = net.dir_spec(*dir).capacity_bps;
-                let competing = flows.load(*dir).saturating_sub(1) as f64;
-                let bdp_bytes = cap / 8.0 * rtt_secs;
-                pressure = pressure.max(competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes);
+                pressure = pressure.max(link_pressure(&tcp, cap, flows.load(*dir), rtt_secs));
             }
             fluid_ceiling(&tcp, rtt_secs, f.loss, utilization, pressure)
         };
@@ -823,11 +792,6 @@ impl Ctx<'_> {
                 (f.delivered, f.total)
             }
         })
-    }
-
-    /// Number of transfers this node is currently sending or receiving.
-    pub fn active_transfer_count(&self) -> usize {
-        self.world.flows.flows_touching(self.me).len()
     }
 }
 
@@ -1636,6 +1600,76 @@ mod tests {
         assert_eq!(stats.flows_completed, 1);
         assert_eq!(stats.payload_bytes_delivered, 500_000);
         assert!(stats.wire_bytes_sent >= 500_000, "{stats:?}");
+    }
+
+    /// The contract of `complete_flow`, under both flow models: the
+    /// receiver hears half an RTT after the sender finished, the sender a
+    /// full RTT after, and the flow is counted exactly once.
+    #[test]
+    fn completion_notifies_both_ends_and_counts_once() {
+        use NodeEvent::{TransferComplete, UploadComplete};
+        struct Stamp {
+            send: Option<NodeId>,
+            log: Rc<RefCell<Vec<(&'static str, SimTime)>>>,
+        }
+        impl NodeBehavior for Stamp {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                if let Some(to) = self.send {
+                    ctx.start_transfer(to, 300_000, 7).unwrap();
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                let what = match event {
+                    TransferComplete { bytes: 300_000, .. } => "received",
+                    UploadComplete { tag: 7, .. } => "acked",
+                    other => panic!("unexpected {other:?}"),
+                };
+                self.log.borrow_mut().push((what, ctx.now()));
+            }
+        }
+        for model in [FlowModel::Rounds, FlowModel::Fluid] {
+            let s = two_leaf_star(0.0);
+            let rtt = SimDuration::from_millis(100);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulator::new(s.network, 3);
+            sim.set_tcp_config(TcpConfig {
+                flow_model: model,
+                ..TcpConfig::default()
+            });
+            sim.enable_trace();
+            sim.add_node(Box::new(crate::node::NullBehavior));
+            for send in [Some(s.leaves[1]), None] {
+                let log = log.clone();
+                sim.add_node(Box::new(Stamp { send, log }));
+            }
+            sim.run_until_idle(SimTime::from_secs_f64(60.0));
+            let log = log.borrow();
+            let [("received", received), ("acked", acked)] = log[..] else {
+                panic!("{model:?}: {log:?}");
+            };
+            assert_eq!(acked, received + rtt / 2, "{model:?}");
+            let finished = acked.saturating_since(SimTime::ZERO + rtt);
+            assert!(finished >= rtt.mul_f64(1.5), "{model:?}: {finished:?}");
+            if model == FlowModel::Rounds {
+                // The sender finishes on a round boundary after the handshake.
+                let rounds = finished.as_micros() - rtt.mul_f64(1.5).as_micros();
+                assert_eq!(rounds % rtt.as_micros(), 0, "{finished:?}");
+            }
+            let traced = sim.take_trace();
+            let completions: Vec<_> = traced
+                .records()
+                .iter()
+                .filter_map(|r| match r {
+                    TraceRecord::FlowCompleted { at, .. } => Some(*at),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(completions, [received], "{model:?}");
+            let stats = sim.stats();
+            assert_eq!(stats.flows_completed, 1, "{model:?}");
+            assert_eq!(stats.payload_bytes_delivered, 300_000, "{model:?}");
+            assert_eq!(sim.active_flow_count(), 0, "{model:?}");
+        }
     }
 
     #[test]

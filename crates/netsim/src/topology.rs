@@ -149,12 +149,6 @@ impl Network {
             .capacity_bps = capacity_bps;
     }
 
-    /// Sets the capacity of both directions of a link.
-    pub fn set_capacity_both(&mut self, link: LinkId, capacity_bps: f64) {
-        self.set_capacity(DirLinkId::new(link, true), capacity_bps);
-        self.set_capacity(DirLinkId::new(link, false), capacity_bps);
-    }
-
     /// Shortest path from `src` to `dst` as a sequence of directed links.
     ///
     /// # Errors

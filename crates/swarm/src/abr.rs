@@ -25,6 +25,7 @@ use splicecast_protocol::{decode_single, encode_to_bytes, Message};
 
 use crate::peer::{UploadManager, UploadRequest};
 use crate::policy::{BandwidthEstimator, EstimatorKind};
+use crate::{must, rule};
 
 const TOKEN_BOOT: u64 = 1;
 const TOKEN_PUMP: u64 = 2;
@@ -142,22 +143,34 @@ impl Default for AbrConfig {
 }
 
 impl AbrConfig {
-    fn validate(&self) {
-        assert!(self.n_clients >= 1, "need at least one client");
-        assert!(
+    /// Checks the configuration: the first setting out of range is an
+    /// `Err` naming the rule. The CLI reports the message, [`run_abr`]
+    /// panics with it.
+    pub fn check(&self) -> Result<(), String> {
+        rule(self.n_clients >= 1, "need at least one client")?;
+        rule(
             self.client_bandwidth_bytes_per_sec > 0.0,
-            "client bandwidth must be positive"
-        );
-        assert!(
+            "client bandwidth must be positive",
+        )?;
+        rule(
             self.origin_bandwidth_bytes_per_sec > 0.0,
-            "origin bandwidth must be positive"
-        );
-        assert!(
+            "origin bandwidth must be positive",
+        )?;
+        rule(
+            self.client_bandwidth_bytes_per_sec.is_finite()
+                && self.origin_bandwidth_bytes_per_sec.is_finite(),
+            "bandwidths must be finite",
+        )?;
+        rule(
+            self.one_way_latency_secs.is_finite(),
+            "latency must be finite",
+        )?;
+        rule(
             (0.0..1.0).contains(&self.end_to_end_loss),
-            "loss must be in [0,1)"
-        );
-        assert!(self.origin_upload_slots > 0, "origin needs upload slots");
-        assert!(self.max_sim_secs > 0.0, "sim cap must be positive");
+            "loss must be in [0,1)",
+        )?;
+        rule(self.origin_upload_slots > 0, "origin needs upload slots")?;
+        rule(self.max_sim_secs > 0.0, "sim cap must be positive")
     }
 }
 
@@ -539,7 +552,7 @@ impl NodeBehavior for AbrClientNode {
 ///          metrics.mean_bitrate_bps() / 1e6, metrics.mean_stalls());
 /// ```
 pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
-    config.validate();
+    must(config.check());
     ladder.validate().expect("consistent ladder");
 
     let per_link_loss = 1.0 - (1.0 - config.end_to_end_loss).sqrt();

@@ -30,9 +30,10 @@ const TOKEN_CRASH: u64 = 4;
 const HEARTBEAT_PUMPS: f64 = 8.0;
 
 /// Tracker re-announce cadence, in pump intervals. The legacy pump
-/// re-announces every 10th fire; the eventful plane schedules the same
-/// cadence on absolute time so it is independent of pump activity.
-const ANNOUNCE_PUMPS: f64 = 10.0;
+/// re-announces on every fire that is a multiple of it; the eventful plane
+/// schedules the same cadence on absolute time so it is independent of
+/// pump activity.
+const ANNOUNCE_PUMPS: u64 = 10;
 
 /// Width of the announced interest window, in segments (windowed
 /// dissemination). Availability is only wanted for `[frontier, frontier +
@@ -471,7 +472,7 @@ impl LeecherNode {
         match self.cfg.control_plane {
             ControlPlane::Legacy => ctx.set_timer(self.cfg.pump_interval, TOKEN_PUMP),
             ControlPlane::Eventful => {
-                self.next_announce_at = ctx.now() + self.cfg.pump_interval.mul_f64(ANNOUNCE_PUMPS);
+                self.next_announce_at = ctx.now() + self.cfg.pump_interval * ANNOUNCE_PUMPS;
                 let first = ctx.now() + self.cfg.pump_interval;
                 self.arm_pump(ctx, first);
             }
@@ -496,6 +497,23 @@ impl LeecherNode {
             && !self.holdings.is_complete()
     }
 
+    /// The neighbours `pick` admits, ascending, in the reusable scratch
+    /// list; the caller hands the list back to `scratch_peers`.
+    fn peers_where(
+        &mut self,
+        mut pick: impl FnMut(&Self, NodeId, &PeerView) -> bool,
+    ) -> Vec<NodeId> {
+        let mut out = std::mem::take(&mut self.scratch_peers);
+        out.clear();
+        out.extend(
+            self.views
+                .iter()
+                .filter(|&(peer, view)| pick(self, peer, view))
+                .map(|(peer, _)| peer),
+        );
+        out
+    }
+
     /// Encodes `message` once and sends it to every view `include` admits,
     /// evicting peers that became unreachable. Returns the number of
     /// successful sends.
@@ -503,16 +521,9 @@ impl LeecherNode {
         &mut self,
         ctx: &mut Ctx<'_>,
         message: &Message,
-        mut include: impl FnMut(NodeId, &PeerView) -> bool,
+        include: impl FnMut(&Self, NodeId, &PeerView) -> bool,
     ) -> u64 {
-        let mut peers = std::mem::take(&mut self.scratch_peers);
-        peers.clear();
-        peers.extend(
-            self.views
-                .iter()
-                .filter(|&(peer, view)| include(peer, view))
-                .map(|(peer, _)| peer),
-        );
+        let peers = self.peers_where(include);
         // One encode for the whole broadcast: a `Bytes` clone is a
         // reference-count bump, not a copy.
         let wire = self.wire_buf.wire(message);
@@ -523,6 +534,35 @@ impl LeecherNode {
         }
         self.scratch_peers = peers;
         sent
+    }
+
+    /// [`Self::broadcast`] to fellow leechers only: the seeder and the CDN
+    /// hold everything and want nothing, so no availability or interest
+    /// announcement is ever for them (nor counted as suppressed).
+    fn broadcast_fellows(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        message: &Message,
+        mut include: impl FnMut(&PeerView) -> bool,
+    ) -> u64 {
+        self.broadcast(ctx, message, |me, peer, view| {
+            !me.is_origin(peer) && include(view)
+        })
+    }
+
+    /// The first segment not held, advancing the low-water mark to it.
+    fn first_unheld(&mut self) -> u32 {
+        while self.next_needed < self.holdings.len() && self.holdings.get(self.next_needed) {
+            self.next_needed += 1;
+        }
+        self.next_needed
+    }
+
+    /// Whether a source can still be picked for `index`: it is not held
+    /// yet, or a raced request for it is still in flight (a timeout redraw
+    /// would consult its holders).
+    fn pickable(&self, index: u32) -> bool {
+        !self.holdings.get(index) || self.in_flight.contains_key(&index)
     }
 
     /// The heart of §III: keep the download pool filled to the policy's
@@ -546,9 +586,7 @@ impl LeecherNode {
         }
         self.report.sched.passes += 1;
         let now = ctx.now().as_secs_f64();
-        while self.next_needed < self.holdings.len() && self.holdings.get(self.next_needed) {
-            self.next_needed += 1;
-        }
+        self.first_unheld();
         loop {
             let Some(want) = next_wanted_from(
                 self.next_needed,
@@ -616,10 +654,7 @@ impl LeecherNode {
         let cdn_busy = self
             .cfg
             .cdn
-            .map(|cdn| self.in_flight.values().filter(|f| f.source == cdn).count() >= 1)
-            .unwrap_or(true);
-        let seeder = self.cfg.seeder;
-        let cdn = self.cfg.cdn;
+            .is_none_or(|cdn| self.in_flight.values().any(|f| f.source == cdn));
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
         match self.cfg.scheduler {
@@ -656,9 +691,8 @@ impl LeecherNode {
         // is the last resort, so its uplink stays free to push *fresh*
         // segments into the swarm (classic BitTorrent etiquette, and what
         // keeps a bandwidth-tight swarm feasible).
-        let is_origin = |c: &SourceCandidate| c.peer == seeder || cdn == Some(c.peer);
-        if candidates.iter().any(|c| !is_origin(c)) {
-            candidates.retain(|c| !is_origin(c));
+        if candidates.iter().any(|c| !self.is_origin(c.peer)) {
+            candidates.retain(|c| !self.is_origin(c.peer));
         }
         let picked = pick_source(&candidates, ctx.rng());
         self.scratch_candidates = candidates;
@@ -676,25 +710,18 @@ impl LeecherNode {
         cdn_busy: bool,
         out: &mut Vec<SourceCandidate>,
     ) {
-        let cdn = self.cfg.cdn;
         for (peer, view) in self.views.iter() {
             if Some(peer) == exclude || !view.handshaken() || !ctx.is_online(peer) {
                 continue;
             }
-            if cdn == Some(peer) {
+            let eligible = if self.cfg.cdn == Some(peer) {
                 // §IV: downloads from the CDN happen one segment at a time.
-                if !cdn_busy {
-                    out.push(SourceCandidate {
-                        peer,
-                        outstanding: view.outstanding,
-                    });
-                }
-                continue;
-            }
-            if !self.cfg.p2p {
-                continue; // CDN-only mode: neither seeder nor peers serve data
-            }
-            if view.holdings.get(index) {
+                !cdn_busy
+            } else {
+                // CDN-only mode: neither seeder nor peers serve data.
+                self.cfg.p2p && view.holdings.get(index)
+            };
+            if eligible {
                 out.push(SourceCandidate {
                     peer,
                     outstanding: view.outstanding,
@@ -717,42 +744,33 @@ impl LeecherNode {
         cdn_busy: bool,
         out: &mut Vec<SourceCandidate>,
     ) {
-        let cdn_candidate = self.cfg.cdn.filter(|&cdn| {
-            !cdn_busy
-                && Some(cdn) != exclude
-                && self.views.get(&cdn).is_some_and(|v| v.handshaken())
-                && ctx.is_online(cdn)
-        });
-        let mut cdn_pending = cdn_candidate;
-        if self.cfg.p2p {
-            for peer in self.holders.of(index) {
-                if let Some(cdn) = cdn_pending {
-                    if cdn < peer {
-                        out.push(SourceCandidate {
-                            peer: cdn,
-                            outstanding: self.views[&cdn].outstanding,
-                        });
-                        cdn_pending = None;
-                    }
-                }
-                if Some(peer) == exclude || !ctx.is_online(peer) {
-                    continue;
-                }
-                // Evicted concurrently; the scan skips it too.
-                let Some(view) = self.views.get(&peer) else {
-                    continue;
-                };
+        let mut push = |peer: NodeId| {
+            // A holder evicted concurrently has no view; the scan skips it too.
+            if let Some(view) = self.views.get(&peer) {
                 out.push(SourceCandidate {
                     peer,
                     outstanding: view.outstanding,
                 });
             }
+        };
+        let mut cdn_pending = self.cfg.cdn.filter(|&cdn| {
+            !cdn_busy
+                && Some(cdn) != exclude
+                && self.views.get(&cdn).is_some_and(|v| v.handshaken())
+                && ctx.is_online(cdn)
+        });
+        if self.cfg.p2p {
+            for peer in self.holders.of(index) {
+                if let Some(cdn) = cdn_pending.take_if(|cdn| *cdn < peer) {
+                    push(cdn);
+                }
+                if Some(peer) != exclude && ctx.is_online(peer) {
+                    push(peer);
+                }
+            }
         }
         if let Some(cdn) = cdn_pending {
-            out.push(SourceCandidate {
-                peer: cdn,
-                outstanding: self.views[&cdn].outstanding,
-            });
+            push(cdn);
         }
     }
 
@@ -785,21 +803,18 @@ impl LeecherNode {
         // Freeing a segment can turn an exhausted schedule fillable again,
         // and freeing a CDN slot can give a source-less segment a source.
         self.sched_state = SchedState::Dirty;
-        if self.holdings.get(index) {
-            // A held segment losing its last in-flight entry (a raced
-            // duplicate resolving) will never be picked again.
-            self.purge_dead_holders(index);
-        }
+        // A held segment losing its last in-flight entry (a raced
+        // duplicate resolving) will never be picked again.
+        self.purge_dead_holders(index);
         Some(entry)
     }
 
     /// Frees the holder set of a segment the scheduler can never pick
-    /// again: held, with no raced in-flight entry left that a timeout
-    /// redraw could still consult. Memory-only — the scheduler never reads
-    /// these sets, so the pick sequence (and every RNG draw) is unchanged;
-    /// the counters stay untouched for the same reason.
+    /// again (see [`Self::pickable`]). Memory-only — the scheduler never
+    /// reads these sets, so the pick sequence (and every RNG draw) is
+    /// unchanged; the counters stay untouched for the same reason.
     fn purge_dead_holders(&mut self, index: u32) {
-        if !self.in_flight.contains_key(&index) {
+        if !self.pickable(index) {
             self.holders.purge_segment(index);
         }
     }
@@ -845,10 +860,18 @@ impl LeecherNode {
         }
     }
 
-    /// Re-requests entries that sat unserved past the timeout, or whose
-    /// source went offline. Re-requesting moves to a *different* source
-    /// when one exists (and cancels at the old one); otherwise the timer is
-    /// simply extended — the old source is still the only provider.
+    /// Whether a request must be looked at again: its source went offline,
+    /// or it sat unserved past the timeout.
+    fn overdue(&self, ctx: &Ctx<'_>, f: &InFlight) -> bool {
+        !ctx.is_online(f.source)
+            || (!f.serving
+                && ctx.now().saturating_since(f.requested_at) >= self.cfg.request_timeout)
+    }
+
+    /// Re-requests the overdue entries. Re-requesting moves to a
+    /// *different* source when one exists (and cancels at the old one);
+    /// otherwise the timer is simply extended — the old source is still the
+    /// only provider.
     fn check_timeouts(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let mut stale = std::mem::take(&mut self.scratch_stale);
@@ -856,11 +879,7 @@ impl LeecherNode {
         stale.extend(
             self.in_flight
                 .iter()
-                .filter(|(_, f)| {
-                    !ctx.is_online(f.source)
-                        || (!f.serving
-                            && now.saturating_since(f.requested_at) >= self.cfg.request_timeout)
-                })
+                .filter(|(_, f)| self.overdue(ctx, f))
                 .map(|(&i, &f)| (i, f)),
         );
         for &(index, entry) in &stale {
@@ -916,6 +935,11 @@ impl LeecherNode {
         self.cfg.dissemination == DisseminationMode::Windowed
     }
 
+    /// Whether this leecher has an interest window to announce.
+    fn announces_window(&self) -> bool {
+        self.windowed() && self.cfg.p2p && self.streaming && !self.holdings.is_complete()
+    }
+
     /// The interest window this leecher would announce right now.
     fn own_window(&self) -> (u32, u32) {
         let start = self.next_needed;
@@ -961,7 +985,7 @@ impl LeecherNode {
     /// yet). Called from the pump and delivery paths; the hysteresis keeps
     /// it to one broadcast per δ segments of progress.
     fn maybe_announce_window(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.windowed() || !self.cfg.p2p || !self.streaming || self.holdings.is_complete() {
+        if !self.announces_window() {
             return;
         }
         let (start, end) = self.own_window();
@@ -972,14 +996,9 @@ impl LeecherNode {
             return;
         }
         self.window_sent_from = Some(start);
-        let seeder = self.cfg.seeder;
-        let cdn = self.cfg.cdn;
-        let sent = self.broadcast(
-            ctx,
-            &Message::InterestWindow { start, end },
-            |peer, view| peer != seeder && Some(peer) != cdn && view.handshaken(),
-        );
-        self.report.dissem.windows_sent += sent;
+        let window = Message::InterestWindow { start, end };
+        self.report.dissem.windows_sent +=
+            self.broadcast_fellows(ctx, &window, |view| view.handshaken());
     }
 
     fn on_segment_complete(
@@ -1039,22 +1058,15 @@ impl LeecherNode {
         if self.cfg.p2p {
             match self.cfg.control_plane {
                 ControlPlane::Legacy => {
-                    let seeder = self.cfg.seeder;
-                    let cdn = self.cfg.cdn;
                     let mut suppressed = 0u64;
-                    let sent = self.broadcast(ctx, &Message::Have { index }, |peer, view| {
-                        if peer == seeder || Some(peer) == cdn {
-                            return false;
-                        }
+                    let sent = self.broadcast_fellows(ctx, &Message::Have { index }, |view| {
                         // A peer that already shows the segment, or that
                         // never completed a handshake (its view of us is
                         // seeded by the bitfield we send then), learns
                         // nothing from this Have.
-                        if !view.handshaken() || view.holdings.get(index) {
-                            suppressed += 1;
-                            return false;
-                        }
-                        true
+                        let learns = view.handshaken() && !view.holdings.get(index);
+                        suppressed += u64::from(!learns);
+                        learns
                     });
                     self.report.control.haves_sent += sent;
                     self.report.control.haves_suppressed += suppressed;
@@ -1085,8 +1097,6 @@ impl LeecherNode {
         indices.sort_unstable();
         indices.dedup();
         let n = indices.len() as u64;
-        let seeder = self.cfg.seeder;
-        let cdn = self.cfg.cdn;
         let message = Message::HaveBundle { indices };
         let Message::HaveBundle { indices } = &message else {
             unreachable!()
@@ -1094,10 +1104,7 @@ impl LeecherNode {
         let windowed = self.windowed();
         let mut suppressed = 0u64;
         let mut window_suppressed = 0u64;
-        let sent = self.broadcast(ctx, &message, |peer, view| {
-            if peer == seeder || Some(peer) == cdn {
-                return false;
-            }
+        let sent = self.broadcast_fellows(ctx, &message, |view| {
             if !view.handshaken()
                 || !view.peer_interested()
                 || indices.iter().all(|&i| view.holdings.get(i))
@@ -1132,68 +1139,47 @@ impl LeecherNode {
             return;
         }
         self.complete_notified = true;
-        let seeder = self.cfg.seeder;
-        let cdn = self.cfg.cdn;
-        self.broadcast(ctx, &Message::NotInterested, |peer, view| {
-            peer != seeder && Some(peer) != cdn && view.handshaken()
-        });
+        self.broadcast_fellows(ctx, &Message::NotInterested, |view| view.handshaken());
     }
 
     /// The mirror rule, stated once: whether a bit `from` just announced
     /// for `index` enters the holder index now or stays parked in the view
     /// until `ensure_folded` reaches it. Full dissemination mirrors
     /// everything; windowed dissemination only what lies below the fold
-    /// horizon and can still be picked (unheld, or held with a raced
-    /// request in flight). A new holder of the exact segment the last
-    /// scheduling pass was blocked on re-dirties the schedule — holder
-    /// news for any other segment cannot change that pass's outcome. A
-    /// free function over the fields it touches, so callers can keep
-    /// their `views.get_mut` borrow.
-    #[allow(clippy::too_many_arguments)]
-    fn mirror_announced(
-        dissemination: DisseminationMode,
-        fold_horizon: u32,
-        holdings: &Bitfield,
-        in_flight: &BTreeMap<u32, InFlight>,
-        holders: &mut HolderIndex,
-        sched_state: &mut SchedState,
-        report: &mut PeerReport,
-        from: NodeId,
-        index: u32,
-    ) {
-        let mirror = dissemination == DisseminationMode::Full
-            || (index < fold_horizon && (!holdings.get(index) || in_flight.contains_key(&index)));
+    /// horizon and can still be picked. A new holder of the exact segment
+    /// the last scheduling pass was blocked on re-dirties the schedule —
+    /// holder news for any other segment cannot change that pass's outcome.
+    fn mirror_announced(&mut self, from: NodeId, index: u32) {
+        let mirror = !self.windowed() || (index < self.fold_horizon && self.pickable(index));
         if !mirror {
-            report.dissem.deferred_indices += 1;
-        } else if holders.insert(index, from) {
-            report.sched.holder_adds += 1;
-            if *sched_state == SchedState::NoSource(index) {
-                *sched_state = SchedState::Dirty;
+            self.report.dissem.deferred_indices += 1;
+        } else if self.holders.insert(index, from) {
+            self.report.sched.holder_adds += 1;
+            if self.sched_state == SchedState::NoSource(index) {
+                self.sched_state = SchedState::Dirty;
             }
         }
+    }
+
+    /// Whether `from`'s announced bits belong in the holder index at all:
+    /// a handshaken neighbour other than the CDN (whose eligibility does
+    /// not depend on holdings).
+    fn indexable(&self, from: NodeId) -> bool {
+        Some(from) != self.cfg.cdn && self.views.get(&from).is_some_and(|v| v.handshaken())
     }
 
     /// `from` announced `indices` (`Have` is a bundle of one): set the new
     /// bits in its view and mirror them under the rule above.
     fn on_haves(&mut self, ctx: &mut Ctx<'_>, from: NodeId, indices: &[u32]) {
-        if let Some(view) = self.views.get_mut(&from) {
-            let indexable = view.handshaken() && Some(from) != self.cfg.cdn;
-            for &index in indices {
-                if index < view.holdings.len() && !view.holdings.get(index) {
-                    view.holdings.set(index);
-                    if indexable {
-                        Self::mirror_announced(
-                            self.cfg.dissemination,
-                            self.fold_horizon,
-                            &self.holdings,
-                            &self.in_flight,
-                            &mut self.holders,
-                            &mut self.sched_state,
-                            &mut self.report,
-                            from,
-                            index,
-                        );
-                    }
+        let indexable = self.indexable(from);
+        for &index in indices {
+            let Some(view) = self.views.get_mut(&from) else {
+                break;
+            };
+            if index < view.holdings.len() && !view.holdings.get(index) {
+                view.holdings.set(index);
+                if indexable {
+                    self.mirror_announced(from, index);
                 }
             }
         }
@@ -1220,45 +1206,28 @@ impl LeecherNode {
                         .get_or_insert_with(from, || PeerView::new(segment_count));
                 }
                 self.greet(ctx, from);
-                let mut newly_handshaken = false;
-                if let Some(view) = self.views.get_mut(&from) {
-                    if !view.handshaken() {
-                        view.set_handshaken(true);
-                        newly_handshaken = true;
-                        if Some(from) != self.cfg.cdn {
-                            // Bits learned before the handshake (e.g. a
-                            // Bitfield that arrived first) become
-                            // candidates now.
-                            for i in view.holdings.iter_set() {
-                                Self::mirror_announced(
-                                    self.cfg.dissemination,
-                                    self.fold_horizon,
-                                    &self.holdings,
-                                    &self.in_flight,
-                                    &mut self.holders,
-                                    &mut self.sched_state,
-                                    &mut self.report,
-                                    from,
-                                    i,
-                                );
-                            }
+                let newly_handshaken = self.views.get_mut(&from).is_some_and(|view| {
+                    let fresh = !view.handshaken();
+                    view.set_handshaken(true);
+                    fresh
+                });
+                if newly_handshaken {
+                    if self.indexable(from) {
+                        // Bits learned before the handshake (e.g. a
+                        // Bitfield that arrived first) become candidates
+                        // now.
+                        let learned: Vec<u32> = self.views[&from].holdings.iter_set().collect();
+                        for i in learned {
+                            self.mirror_announced(from, i);
                         }
                     }
-                }
-                if newly_handshaken {
                     // A fresh handshake can enable candidacy — indexed
                     // bits above, or the CDN becoming eligible.
                     self.sched_state = SchedState::Dirty;
                 }
                 let bitfield = Message::Bitfield(self.holdings.clone());
                 self.say(ctx, from, &bitfield);
-                if newly_handshaken
-                    && self.windowed()
-                    && self.cfg.p2p
-                    && self.streaming
-                    && !self.is_origin(from)
-                    && !self.holdings.is_complete()
-                {
+                if newly_handshaken && self.announces_window() && !self.is_origin(from) {
                     // Tell the newcomer our window right away; its view of
                     // us defaults to hearing everything otherwise.
                     let (start, end) = self.own_window();
@@ -1269,25 +1238,16 @@ impl LeecherNode {
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
+                let indexable = self.indexable(from);
                 if let Some(view) = self.views.get_mut(&from) {
                     if bf.len() == view.holdings.len() {
                         let old = std::mem::replace(&mut view.holdings, bf);
-                        if view.handshaken() && Some(from) != self.cfg.cdn {
+                        if indexable {
                             // Diff the replacement into the holder index.
                             for i in 0..old.len() {
-                                let (was, is) = (old.get(i), view.holdings.get(i));
+                                let (was, is) = (old.get(i), self.views[&from].holdings.get(i));
                                 if !was && is {
-                                    Self::mirror_announced(
-                                        self.cfg.dissemination,
-                                        self.fold_horizon,
-                                        &self.holdings,
-                                        &self.in_flight,
-                                        &mut self.holders,
-                                        &mut self.sched_state,
-                                        &mut self.report,
-                                        from,
-                                        i,
-                                    );
+                                    self.mirror_announced(from, i);
                                 } else if was && !is && self.holders.remove(i, from) {
                                     self.report.sched.holder_removes += 1;
                                 }
@@ -1435,7 +1395,6 @@ impl LeecherNode {
         if self.cfg.scheduler != SchedulerMode::Indexed {
             return;
         }
-        let windowed = self.windowed();
         for segment in 0..self.holdings.len() {
             let expected: Vec<NodeId> = self
                 .views
@@ -1446,22 +1405,7 @@ impl LeecherNode {
                 .map(|(peer, _)| peer)
                 .collect();
             let indexed: Vec<NodeId> = self.holders.of(segment).collect();
-            let dead = self.holdings.get(segment) && !self.in_flight.contains_key(&segment);
-            if !windowed {
-                if dead {
-                    assert!(
-                        indexed.iter().all(|p| expected.contains(p)),
-                        "stale holder-index entry at purged held segment \
-                         {segment}: {indexed:?} not within {expected:?}"
-                    );
-                } else {
-                    assert_eq!(
-                        indexed,
-                        expected.as_slice(),
-                        "holder index drifted from the peer views at segment {segment}"
-                    );
-                }
-            } else if segment >= self.fold_horizon {
+            if self.windowed() && segment >= self.fold_horizon {
                 assert!(
                     indexed.is_empty(),
                     "holder index populated beyond the fold horizon \
@@ -1469,21 +1413,28 @@ impl LeecherNode {
                     segment,
                     self.fold_horizon
                 );
-            } else if !self.holdings.get(segment) || self.in_flight.contains_key(&segment) {
+            } else if self.pickable(segment) {
                 assert_eq!(
                     indexed,
                     expected.as_slice(),
-                    "holder index drifted from the peer views at pickable \
-                     folded segment {segment}"
+                    "holder index drifted from the peer views at pickable segment {segment}"
                 );
             } else {
                 assert!(
                     indexed.iter().all(|p| expected.contains(p)),
-                    "stale holder-index entry at held segment {segment}: \
-                     {indexed:?} not within {expected:?}"
+                    "stale holder-index entry at purged held segment \
+                     {segment}: {indexed:?} not within {expected:?}"
                 );
             }
         }
+    }
+
+    /// The handshaken fellow leechers (never an origin) that `pick` admits;
+    /// see [`Self::peers_where`].
+    fn fellows_where(&mut self, pick: impl Fn(&Self, NodeId) -> bool) -> Vec<NodeId> {
+        self.peers_where(|me, peer, view| {
+            view.handshaken() && !me.is_origin(peer) && pick(me, peer)
+        })
     }
 
     /// One pass of the failure defenses; a no-op when defenses are off.
@@ -1508,55 +1459,31 @@ impl LeecherNode {
         // mid-transfer to us are exempt — a multi-second bulk transfer
         // sends no messages, and its failure is reported by the flow layer.
         let deadline = SimDuration::from_secs_f64(defense.inactivity_timeout_secs);
-        let mut stale = std::mem::take(&mut self.scratch_peers);
-        stale.clear();
-        stale.extend(
-            self.views
-                .iter()
-                .filter(|&(peer, view)| {
-                    view.handshaken()
-                        && !self.is_origin(peer)
-                        && now.saturating_since(self.clock(peer).last_heard) >= deadline
-                        && !self
-                            .in_flight
-                            .values()
-                            .any(|f| f.source == peer && f.serving)
-                })
-                .map(|(peer, _)| peer),
-        );
+        let stale = self.fellows_where(|me, peer| {
+            now.saturating_since(me.clock(peer).last_heard) >= deadline
+                && !me.in_flight.values().any(|f| f.source == peer && f.serving)
+        });
         for &peer in &stale {
             self.report.fault.silent_evictions += 1;
             self.forget_view(peer);
             self.uploads.forget_peer(peer);
         }
+        self.scratch_peers = stale;
         // Keepalives: make sure *our* silence never trips a remote
         // inactivity detector.
         let cadence = SimDuration::from_secs_f64(defense.keepalive_secs);
-        stale.clear();
-        stale.extend(
-            self.views
-                .iter()
-                .filter(|&(peer, view)| {
-                    view.handshaken()
-                        && !self.is_origin(peer)
-                        && now.saturating_since(self.clock(peer).last_spoke) >= cadence
-                })
-                .map(|(peer, _)| peer),
-        );
-        for &peer in &stale {
+        let quiet = self
+            .fellows_where(|me, peer| now.saturating_since(me.clock(peer).last_spoke) >= cadence);
+        for &peer in &quiet {
             self.report.fault.keepalives_sent += 1;
             self.say(ctx, peer, &Message::KeepAlive);
         }
-        stale.clear();
-        self.scratch_peers = stale;
+        self.scratch_peers = quiet;
         // CDN fallback: when the first wanted segment has not moved for the
         // fallback window, escalate it to the CDN — the swarm must never
         // deadlock while the CDN is up.
         if self.streaming && !self.holdings.is_complete() {
-            let mut frontier = self.next_needed;
-            while frontier < self.holdings.len() && self.holdings.get(frontier) {
-                frontier += 1;
-            }
+            let frontier = self.first_unheld();
             if frontier != self.frontier {
                 self.frontier = frontier;
                 self.frontier_since = now;
@@ -1628,22 +1555,24 @@ impl LeecherNode {
         self.request_from(ctx, cdn, frontier);
     }
 
-    /// The legacy maintenance pump: fixed cadence, polls everything.
-    fn legacy_pump(&mut self, ctx: &mut Ctx<'_>) {
+    /// What a pump does first on either plane: audit, bring playback up to
+    /// now, re-point overdue requests, run the defenses.
+    fn pump_common(&mut self, ctx: &mut Ctx<'_>) {
+        self.pumps += 1;
         #[cfg(debug_assertions)]
         self.audit_holder_index();
         self.playback.advance(ctx.now().as_secs_f64());
         self.check_timeouts(ctx);
         self.defense_pump(ctx);
+    }
+
+    /// The legacy maintenance pump: fixed cadence, polls everything.
+    fn legacy_pump(&mut self, ctx: &mut Ctx<'_>) {
+        self.pump_common(ctx);
         self.schedule(ctx);
         // Under tracker discovery, re-announce periodically so late
         // joiners become visible.
-        self.pumps += 1;
-        if self.cfg.p2p
-            && self.cfg.discovery == crate::swarm::DiscoveryMode::Tracker
-            && self.pumps.is_multiple_of(10)
-            && !self.holdings.is_complete()
-        {
+        if self.announces() && self.pumps.is_multiple_of(ANNOUNCE_PUMPS) {
             self.say(ctx, self.cfg.seeder, &Message::PeerListRequest);
         }
         if self.playback.state() != PlaybackState::Finished {
@@ -1665,29 +1594,21 @@ impl LeecherNode {
             return;
         }
         self.earliest_armed = SimTime::MAX;
-        self.pumps += 1;
-        #[cfg(debug_assertions)]
-        self.audit_holder_index();
         let due_flush = self.flush_at.is_some_and(|t| t <= now);
-        let due_timeout = self.in_flight.values().any(|f| {
-            !ctx.is_online(f.source)
-                || (!f.serving && now.saturating_since(f.requested_at) >= self.cfg.request_timeout)
-        });
+        let due_timeout = self.in_flight.values().any(|f| self.overdue(ctx, f));
         let due_announce = self.announces() && self.next_announce_at <= now;
         if due_flush || due_timeout || due_announce {
             self.report.control.pumps_armed += 1;
         } else {
             self.report.control.pumps_heartbeat += 1;
         }
-        self.playback.advance(now.as_secs_f64());
-        self.check_timeouts(ctx);
-        self.defense_pump(ctx);
+        self.pump_common(ctx);
         if due_flush {
             self.flush_haves(ctx);
         }
         if due_announce {
             self.say(ctx, self.cfg.seeder, &Message::PeerListRequest);
-            self.next_announce_at = now + self.cfg.pump_interval.mul_f64(ANNOUNCE_PUMPS);
+            self.next_announce_at = now + self.cfg.pump_interval * ANNOUNCE_PUMPS;
         }
         self.schedule(ctx);
         self.maybe_announce_window(ctx);
@@ -1785,7 +1706,7 @@ impl NodeBehavior for LeecherNode {
                 token: TOKEN_DEPART,
             } => {
                 self.write_report(ctx, true);
-                self.broadcast(ctx, &Message::Goodbye, |_, _| true);
+                self.broadcast(ctx, &Message::Goodbye, |_, _, _| true);
                 ctx.go_offline();
             }
             NodeEvent::Timer { token: TOKEN_CRASH } => {
@@ -1973,6 +1894,71 @@ mod tests {
             defended.aux_bytes,
             universe * size_of::<Option<PeerClock>>() as u64
         );
+    }
+
+    /// The legacy plane's `Have` goes to fellow leechers only: a
+    /// handshaken fellow that lacks the segment hears it; one that never
+    /// handshook and one that already shows the bit are counted as
+    /// suppressed; the seeder and the CDN are neither sent to nor counted.
+    #[test]
+    fn legacy_have_reaches_fellows_and_counts_only_them() {
+        struct Inbox {
+            log: Rc<RefCell<Vec<(NodeId, Message)>>>,
+            deliver_to: Option<NodeId>,
+        }
+        impl NodeBehavior for Inbox {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                if self.deliver_to.is_some() {
+                    ctx.set_timer(SimDuration::from_secs_f64(1.0), 0);
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                match (event, self.deliver_to) {
+                    (NodeEvent::Timer { .. }, Some(to)) => {
+                        ctx.start_transfer(to, 10_000, 0).unwrap();
+                    }
+                    (NodeEvent::Message { payload, .. }, _) => {
+                        let message = decode_single(&payload).unwrap();
+                        self.log.borrow_mut().push((ctx.me(), message));
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+        let net = star(&[spec; 6]);
+        let [me, seeder, cdn, lacks, stranger, shows] = net.leaves[..] else {
+            unreachable!()
+        };
+        let mut cfg = config(seeder, vec![lacks, stranger, shows], DiscoveryMode::Full);
+        cfg.cdn = Some(cdn);
+        let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
+        {
+            let mut l = node.borrow_mut();
+            for peer in [seeder, cdn, lacks, shows] {
+                l.views.get_mut(&peer).unwrap().set_handshaken(true);
+            }
+            l.views.get_mut(&shows).unwrap().holdings.set(0);
+        }
+
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(net.network, 42);
+        sim.add_node(Box::new(NullBehavior)); // hub
+        sim.add_node(Box::new(Shared(node.clone())));
+        for peer in [seeder, cdn, lacks, stranger, shows] {
+            sim.add_node(Box::new(Inbox {
+                log: log.clone(),
+                deliver_to: (peer == seeder).then_some(me),
+            }));
+        }
+        sim.run_until_idle(SimTime::from_secs_f64(10.0));
+
+        let l = node.borrow();
+        assert!(l.holdings.get(0), "the seeder's delivery arrived");
+        assert_eq!(*log.borrow(), [(lacks, Message::Have { index: 0 })]);
+        assert_eq!(l.report.control.haves_sent, 1);
+        assert_eq!(l.report.control.haves_suppressed, 2);
     }
 
     /// Regression test: a timed-out request was re-pointed at peer B, but

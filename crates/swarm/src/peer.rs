@@ -229,11 +229,6 @@ impl UploadManager {
         Some(next)
     }
 
-    /// A copy of the queued requests, in order (for load-aware policies).
-    pub fn queue_snapshot(&self) -> Vec<UploadRequest> {
-        self.queue.iter().copied().collect()
-    }
-
     /// Drops queued requests matching the predicate (used for `Cancel` and
     /// for peers that went offline).
     pub fn drop_queued<F: FnMut(&UploadRequest) -> bool>(&mut self, mut drop_if: F) {

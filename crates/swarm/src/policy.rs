@@ -51,16 +51,12 @@ pub trait DownloadPolicy: fmt::Debug {
 /// assert_eq!(k, 4); // ⌊128k · 8 / 256k⌋
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdaptivePooling {
-    /// Optional ceiling on the pool (0 = unlimited). The paper places no
-    /// cap; a cap is useful when testing pathological inputs.
-    pub max_pool: usize,
-}
+pub struct AdaptivePooling;
 
 impl AdaptivePooling {
     /// The paper's uncapped policy.
     pub fn new() -> Self {
-        AdaptivePooling { max_pool: 0 }
+        AdaptivePooling
     }
 }
 
@@ -95,16 +91,11 @@ pub fn optimal_pool_size(
 
 impl DownloadPolicy for AdaptivePooling {
     fn pool_size(&self, input: &PolicyInput) -> usize {
-        let k = optimal_pool_size(
+        optimal_pool_size(
             input.bandwidth_bytes_per_sec,
             input.buffered_secs,
             input.next_segment_bytes,
-        );
-        if self.max_pool > 0 {
-            k.min(self.max_pool)
-        } else {
-            k
-        }
+        )
     }
 
     fn name(&self) -> String {
@@ -268,15 +259,6 @@ mod tests {
         assert!(optimal_pool_size(200_000.0, 10.0, 100_000) >= base);
         assert!(optimal_pool_size(100_000.0, 20.0, 100_000) >= base);
         assert!(optimal_pool_size(100_000.0, 10.0, 200_000) <= base);
-    }
-
-    #[test]
-    fn adaptive_cap_applies() {
-        let capped = AdaptivePooling { max_pool: 3 };
-        assert_eq!(capped.pool_size(&input(1e9, 100.0, 1)), 3);
-        let uncapped = AdaptivePooling::new();
-        assert!(uncapped.pool_size(&input(1e6, 100.0, 1000)) > 3);
-        assert_eq!(uncapped.name(), "adaptive");
     }
 
     #[test]

@@ -261,6 +261,16 @@ impl SwarmConfig {
             "seeder latency cannot be below half the peer-to-peer latency in a star",
         )?;
         rule(
+            self.peer_bandwidth_bytes_per_sec.is_finite()
+                && self.seeder_bandwidth_bytes_per_sec.is_finite(),
+            "bandwidths must be finite",
+        )?;
+        rule(
+            self.peer_one_way_latency_secs.is_finite()
+                && self.seeder_one_way_latency_secs.is_finite(),
+            "latencies must be finite",
+        )?;
+        rule(
             self.p2p || self.cdn.is_some(),
             "CDN-only mode requires a CDN",
         )?;
@@ -1255,6 +1265,13 @@ mod tests {
                     ..tiny_config()
                 },
                 "loss must be in [0,1)",
+            ),
+            (
+                SwarmConfig {
+                    peer_bandwidth_bytes_per_sec: f64::INFINITY,
+                    ..tiny_config()
+                },
+                "bandwidths must be finite",
             ),
             (
                 SwarmConfig {
