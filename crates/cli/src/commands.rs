@@ -257,10 +257,15 @@ fn workers(args: &Args) -> Result<usize, String> {
 /// `splicecast run`.
 pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     let config = base_config(args)?;
-    let channels: usize = args.num("channels", 0usize)?;
+    // Absent means unsharded; an explicit count must name at least one.
+    let sharded = args.value("channels")?.is_some();
+    let channels: usize = args.num("channels", 0)?;
+    if sharded && channels == 0 {
+        return Err("--channels needs at least 1".to_owned());
+    }
     let (seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv"));
     args.reject_unread()?;
-    if channels > 0 {
+    if sharded {
         let workload = ShardedWorkload::with_channel_count(&config, channels, &seeds);
         return Ok(sharded_run(&config, &workload, workers, csv));
     }
@@ -556,6 +561,18 @@ pub fn formula_command(args: &Args) -> Result<String, String> {
     let segment_kb: f64 = args.num("segment-kb", 512.0)?;
     let bitrate_mbps: f64 = args.num("bitrate-mbps", 1.0)?;
     args.reject_unread()?;
+    for (value, what) in [
+        (bandwidth_kb, "peer bandwidth"),
+        (segment_kb, "segment size"),
+        (bitrate_mbps, "bitrate"),
+    ] {
+        if !(value.is_finite() && value > 0.0) {
+            return Err(format!("{what} must be positive and finite, got {value}"));
+        }
+    }
+    if !(buffered.is_finite() && buffered >= 0.0) {
+        return Err("buffered time must be a non-negative number of seconds".to_owned());
+    }
     let b = bandwidth_kb * 1_000.0;
     let w = (segment_kb * 1_000.0) as u64;
     let k = optimal_pool_size(b, buffered, w);

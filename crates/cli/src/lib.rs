@@ -270,6 +270,35 @@ mod tests {
                 &["overhead", "--durations", "0"],
                 "segment duration must be positive",
             ),
+            (&["run", "--channels", "0"], "--channels needs at least 1"),
+            (
+                &["formula", "--bandwidth", "nan"],
+                "peer bandwidth must be positive",
+            ),
+            (
+                &["formula", "--bandwidth", "-5"],
+                "peer bandwidth must be positive",
+            ),
+            (
+                &["formula", "--bandwidth", "inf"],
+                "peer bandwidth must be positive and finite",
+            ),
+            (
+                &["formula", "--segment-kb", "0"],
+                "segment size must be positive",
+            ),
+            (
+                &["formula", "--bitrate-mbps", "0"],
+                "bitrate must be positive",
+            ),
+            (
+                &["formula", "--buffered", "-1"],
+                "buffered time must be a non-negative number",
+            ),
+            (
+                &["formula", "--buffered", "nan"],
+                "buffered time must be a non-negative number",
+            ),
             (&["overhead", "--clip-secs", "0"], "clip length must be"),
             (&["abr", "--clip-secs", "0"], "clip length must be"),
         ] {

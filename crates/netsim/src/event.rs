@@ -29,20 +29,36 @@ pub(crate) enum Scheduled {
 
 /// A time-ordered event queue with deterministic FIFO tie-breaking.
 ///
-/// The heap holds only small `(time, seq, slot)` keys — ties in time break
-/// by insertion order (`seq`), making runs deterministic — while the
-/// payloads sit in a slab indexed by `slot`. Sift operations on a binary
-/// heap move entries around `log n` times each, so keeping the moved value
-/// at three words instead of a full [`Scheduled`] makes the queue largely
-/// disappear from simulation profiles.
+/// The heap holds one `u128` key per event — see [`key`] — so a sift step
+/// is a single integer compare and a 16-byte move; ties in time break by
+/// insertion order (`seq`), making runs deterministic. The payloads sit in
+/// a slab indexed by the key's `slot` bits and never move.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    heap: BinaryHeap<Reverse<u128>>,
     /// Payload per slot; `None` marks a free slot.
     payloads: Vec<Option<Scheduled>>,
     /// Freed slot indices, reused LIFO.
     free: Vec<u32>,
     seq: u64,
+}
+
+/// Bits of a key that name the payload slot: at most 2²⁴ pending events.
+const SLOT_BITS: u32 = 24;
+/// One past the largest sequence number a key can carry (40 bits).
+const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+
+/// Packs `time_µs << 64 | seq << 24 | slot`: integer order on keys is
+/// `(time, seq)` order, and `seq` is unique among live keys, so the slot
+/// bits never decide a comparison. A slot that does not fit its 24 bits
+/// panics rather than spill into `seq` and misorder the run.
+fn key(time: SimTime, seq: u64, slot: u32) -> u128 {
+    assert!(
+        slot >> SLOT_BITS == 0,
+        "event queue: more than 2^{SLOT_BITS} events pending at once"
+    );
+    debug_assert!(seq < SEQ_LIMIT);
+    u128::from(time.as_micros()) << 64 | u128::from(seq) << SLOT_BITS | u128::from(slot)
 }
 
 impl EventQueue {
@@ -59,22 +75,39 @@ impl EventQueue {
             }
         };
         self.payloads[slot as usize] = Some(what);
-        let seq = self.seq;
+        if self.seq == SEQ_LIMIT {
+            self.renumber();
+        }
+        self.heap.push(Reverse(key(time, self.seq, slot)));
         self.seq += 1;
-        self.heap.push(Reverse((time, seq, slot)));
+    }
+
+    /// Reassigns the live keys the sequence numbers `0..len` in pop order,
+    /// once every 2⁴⁰ pushes: relative order is unchanged and `seq` has
+    /// room again (fewer than 2²⁴ keys are live).
+    fn renumber(&mut self) {
+        const SEQ_MASK: u128 = ((SEQ_LIMIT - 1) as u128) << SLOT_BITS;
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.sort_unstable_by_key(|&Reverse(k)| k);
+        for (seq, Reverse(k)) in keys.iter_mut().enumerate() {
+            *k = *k & !SEQ_MASK | (seq as u128) << SLOT_BITS;
+        }
+        self.seq = keys.len() as u64;
+        self.heap = keys.into();
     }
 
     pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((time, _, _))| time)
+        self.heap.peek().map(|&Reverse(k)| time_of(k))
     }
 
     pub fn pop(&mut self) -> Option<(SimTime, Scheduled)> {
-        let Reverse((time, _, slot)) = self.heap.pop()?;
-        let what = self.payloads[slot as usize]
+        let Reverse(k) = self.heap.pop()?;
+        let slot = k as usize & ((1 << SLOT_BITS) - 1);
+        let what = self.payloads[slot]
             .take()
             .expect("heap key without payload");
-        self.free.push(slot);
-        Some((time, what))
+        self.free.push(slot as u32);
+        Some((time_of(k), what))
     }
 
     pub fn len(&self) -> usize {
@@ -82,9 +115,14 @@ impl EventQueue {
     }
 }
 
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_micros((key >> 64) as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn timer(token: u64) -> Scheduled {
         Scheduled::Node {
@@ -134,5 +172,159 @@ mod tests {
         q.push(SimTime::from_micros(42), timer(0));
         assert_eq!(q.next_time(), Some(SimTime::from_micros(42)));
         assert_eq!(q.len(), 1);
+    }
+
+    /// An [`EventQueue`] checked against the definition of its order: a
+    /// `Vec` of `(time, push order)` sorted by exactly that pair.
+    #[derive(Default)]
+    struct Checked {
+        queue: EventQueue,
+        /// Pending events, latest first once sorted, so the next one due
+        /// is at the back.
+        model: Vec<(SimTime, u64)>,
+        sorted: bool,
+        pushed: u64,
+        /// Time of the last event popped: the simulation clock.
+        now: SimTime,
+    }
+
+    impl Checked {
+        fn push(&mut self, time: SimTime) {
+            self.queue.push(time, timer(self.pushed));
+            self.model.push((time, self.pushed));
+            self.sorted = false;
+            self.pushed += 1;
+        }
+
+        /// Pops once and compares with the model; `false` when empty.
+        fn pop(&mut self) -> bool {
+            if !self.sorted {
+                // Stable merge sort: one pass over an already-sorted prefix.
+                self.model.sort_by_key(|&entry| Reverse(entry));
+                self.sorted = true;
+            }
+            let expected = self.model.pop();
+            assert_eq!(self.queue.next_time(), expected.map(|(time, _)| time));
+            let got = self.queue.pop().map(|(time, what)| (time, token_of(what)));
+            assert_eq!(got, expected);
+            assert_eq!(self.queue.len(), self.model.len());
+            if let Some((time, _)) = got {
+                self.now = time;
+            }
+            got.is_some()
+        }
+
+        fn drain(&mut self) {
+            while self.pop() {}
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Push at the clock: runs behind everything already due now.
+        PushNow,
+        /// Push this many microseconds before the clock.
+        PushPast(u64),
+        PushAt(u64),
+        /// Push this many events at one instant.
+        Burst {
+            at: u64,
+            count: u32,
+        },
+        Pop(u32),
+    }
+
+    /// Arms are drawn uniformly; a repeated arm is a weight.
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            Just(Op::PushNow),
+            Just(Op::PushNow),
+            (1u64..1_000).prop_map(Op::PushPast),
+            Just(Op::PushAt(u64::MAX)),
+            // A narrow band, dense with ties, and the whole range.
+            (0u64..64).prop_map(Op::PushAt),
+            (0u64..64).prop_map(Op::PushAt),
+            any::<u64>().prop_map(Op::PushAt),
+            (1u32..6).prop_map(Op::Pop),
+            (1u32..6).prop_map(Op::Pop),
+            (1u32..6).prop_map(Op::Pop),
+            (1u32..6).prop_map(Op::Pop),
+            ((0u64..64), (1_000u32..4_000)).prop_map(|(at, count)| Op::Burst { at, count }),
+        ]
+    }
+
+    proptest! {
+        // ~5 M events in release (the CI step), ~150 k in the debug suite.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 128 }))]
+
+        #[test]
+        fn pops_match_a_vec_sorted_by_time_then_push_order(
+            ops in prop::collection::vec(op(), 1..400),
+        ) {
+            let mut q = Checked::default();
+            for op in ops {
+                match op {
+                    Op::PushNow => q.push(q.now),
+                    Op::PushPast(by) => {
+                        q.push(SimTime::from_micros(q.now.as_micros().saturating_sub(by)));
+                    }
+                    Op::PushAt(at) => q.push(SimTime::from_micros(at)),
+                    Op::Burst { at, count } => {
+                        for _ in 0..count {
+                            q.push(SimTime::from_micros(at));
+                        }
+                    }
+                    Op::Pop(count) => {
+                        for _ in 0..count {
+                            q.pop();
+                        }
+                    }
+                }
+            }
+            q.drain();
+        }
+    }
+
+    /// The sequence counter runs out after 2⁴⁰ pushes; the push that would
+    /// wrap renumbers the live keys instead, and order — including FIFO
+    /// among ties pushed on either side of the renumbering — is unchanged.
+    #[test]
+    fn sequence_numbers_are_renumbered_not_wrapped() {
+        let mut q = Checked::default();
+        let spread = [7, 5, 7, u64::MAX, 5, 0, 7].map(SimTime::from_micros);
+        spread.into_iter().for_each(|at| q.push(at));
+        q.pop();
+        // 2⁴⁰ real pushes are out of a test's reach: jump the counter.
+        q.queue.seq = SEQ_LIMIT - 3;
+        spread.into_iter().for_each(|at| q.push(at));
+        // The fourth push found 6 + 3 live keys and renumbered them 0..9.
+        assert_eq!(q.queue.seq, 9 + 4);
+        // Thousands of ties with a second renumbering in their middle.
+        q.queue.seq = SEQ_LIMIT - 1_500;
+        for _ in 0..3_000 {
+            q.push(SimTime::from_micros(5));
+        }
+        assert_eq!(q.queue.seq, 13 + 3_000);
+        q.drain();
+        assert_eq!(q.pushed, 14 + 3_000);
+    }
+
+    /// Keys at the packing limits still order by `(time, seq)`.
+    #[test]
+    fn keys_at_the_limits_keep_their_order() {
+        let t = SimTime::from_micros;
+        let (max_seq, max_slot) = (SEQ_LIMIT - 1, (1 << SLOT_BITS) - 1);
+        assert!(key(t(9), 4, max_slot) < key(t(9), 5, 0));
+        assert!(key(t(9), max_seq, max_slot) < key(t(10), 0, 0));
+        assert_eq!(key(SimTime::MAX, max_seq, max_slot), u128::MAX);
+        assert_eq!(time_of(key(SimTime::MAX, max_seq, max_slot)), SimTime::MAX);
+    }
+
+    /// A slot that does not fit fails loudly instead of carrying into
+    /// `seq`. (Through `key`: 2²⁴ live payloads would be over 1 GB.)
+    #[test]
+    #[should_panic(expected = "more than 2^24 events pending")]
+    fn a_slot_past_the_limit_is_refused() {
+        key(SimTime::ZERO, 0, 1 << SLOT_BITS);
     }
 }

@@ -18,22 +18,52 @@ use crate::error::ProtocolError;
 /// assert!(held.get(3) && !held.get(4));
 /// assert_eq!(held.iter_set().collect::<Vec<_>>(), vec![3, 7]);
 /// ```
-/// The backing store is a boxed slice rather than a `Vec`: a bitfield
-/// never grows after construction, and dropping the capacity word keeps
-/// the struct at 24 bytes — swarms hold one of these per (peer, view)
-/// pair, so the word matters at 10k-peer scale.
+/// Swarms hold one of these per (peer, view) pair, so the struct is 24
+/// bytes and a field of at most 64 bits — 60 two-second segments, the
+/// common case — owns no heap at all: its bytes sit in the struct, and a
+/// `Have` touches the cache line the view is already on. Wider fields use
+/// a boxed slice rather than a `Vec` (a bitfield never grows, so no
+/// capacity word).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Bitfield {
     len: u32,
-    bits: Box<[u8]>,
+    bits: Store,
+}
+
+/// Where the bytes live. `len` alone decides the variant and the unused
+/// tail of an inline array stays zero, so the derived `Eq` and `Hash`
+/// compare content.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Store {
+    /// `len <= 64`: the first `len.div_ceil(8)` bytes are the field.
+    Inline([u8; 8]),
+    Heap(Box<[u8]>),
 }
 
 impl Bitfield {
     /// Creates an all-zero bitfield of `len` bits.
     pub fn new(len: u32) -> Self {
-        Bitfield {
-            len,
-            bits: vec![0; (len as usize).div_ceil(8)].into_boxed_slice(),
+        let bits = if len <= 64 {
+            Store::Inline([0; 8])
+        } else {
+            Store::Heap(vec![0; (len as usize).div_ceil(8)].into_boxed_slice())
+        };
+        Bitfield { len, bits }
+    }
+
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match &self.bits {
+            Store::Inline(bytes) => &bytes[..(self.len as usize).div_ceil(8)],
+            Store::Heap(bytes) => bytes,
+        }
+    }
+
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        match &mut self.bits {
+            Store::Inline(bytes) => &mut bytes[..(self.len as usize).div_ceil(8)],
+            Store::Heap(bytes) => bytes,
         }
     }
 
@@ -54,18 +84,25 @@ impl Bitfield {
                 return Err(ProtocolError::MalformedBitfield);
             }
         }
-        Ok(Bitfield {
-            len,
-            bits: bytes.into_boxed_slice(),
-        })
+        let bits = if len <= 64 {
+            let mut inline = [0; 8];
+            inline[..bytes.len()].copy_from_slice(&bytes);
+            Store::Inline(inline)
+        } else {
+            Store::Heap(bytes.into_boxed_slice())
+        };
+        Ok(Bitfield { len, bits })
     }
 
-    /// Bytes of heap this bitfield owns (exactly `len.div_ceil(8)`; a
-    /// boxed slice has no spare capacity). Input to the swarm's per-peer
-    /// memory accounting.
+    /// Bytes of heap this bitfield owns: none up to 64 bits, exactly
+    /// `len.div_ceil(8)` above (a boxed slice has no spare capacity).
+    /// Input to the swarm's per-peer memory accounting.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        self.bits.len()
+        match &self.bits {
+            Store::Inline(_) => 0,
+            Store::Heap(bytes) => bytes.len(),
+        }
     }
 
     /// Number of bits.
@@ -83,7 +120,7 @@ impl Bitfield {
     /// The raw bytes, most significant bit first (BitTorrent convention).
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bits
+        self.bytes()
     }
 
     /// Whether bit `index` is set.
@@ -94,7 +131,7 @@ impl Bitfield {
     #[inline]
     pub fn get(&self, index: u32) -> bool {
         assert!(index < self.len, "bit {index} out of range {}", self.len);
-        self.bits[(index / 8) as usize] & (0x80 >> (index % 8)) != 0
+        self.bytes()[(index / 8) as usize] & (0x80 >> (index % 8)) != 0
     }
 
     /// Sets bit `index`.
@@ -105,7 +142,7 @@ impl Bitfield {
     #[inline]
     pub fn set(&mut self, index: u32) {
         assert!(index < self.len, "bit {index} out of range {}", self.len);
-        self.bits[(index / 8) as usize] |= 0x80 >> (index % 8);
+        self.bytes_mut()[(index / 8) as usize] |= 0x80 >> (index % 8);
     }
 
     /// Clears bit `index`.
@@ -116,19 +153,19 @@ impl Bitfield {
     #[inline]
     pub fn clear(&mut self, index: u32) {
         assert!(index < self.len, "bit {index} out of range {}", self.len);
-        self.bits[(index / 8) as usize] &= !(0x80 >> (index % 8));
+        self.bytes_mut()[(index / 8) as usize] &= !(0x80 >> (index % 8));
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
-        self.bits.iter().map(|b| b.count_ones()).sum()
+        self.bytes().iter().map(|b| b.count_ones()).sum()
     }
 
     /// The expected value of the trailing byte when every bit is set:
     /// all ones except the spare (past-`len`) bits, which stay clear.
     #[inline]
     fn last_byte_mask(&self) -> u8 {
-        let spare = self.bits.len() * 8 - self.len as usize;
+        let spare = self.bytes().len() * 8 - self.len as usize;
         0xFFu8 << spare
     }
 
@@ -137,7 +174,7 @@ impl Bitfield {
     /// wide field costs len/64 comparisons, not a per-bit (or per-byte)
     /// scan; only the sub-word tail is checked byte-wise.
     pub fn is_complete(&self) -> bool {
-        let Some((&last, body)) = self.bits.split_last() else {
+        let Some((&last, body)) = self.bytes().split_last() else {
             return true;
         };
         let mut words = body.chunks_exact(8);
@@ -152,11 +189,9 @@ impl Bitfield {
     /// A bitfield of `len` bits, all set.
     pub fn full(len: u32) -> Self {
         let mut bf = Bitfield::new(len);
-        for b in &mut bf.bits {
-            *b = 0xFF;
-        }
         let mask = bf.last_byte_mask();
-        if let Some(last) = bf.bits.last_mut() {
+        bf.bytes_mut().fill(0xFF);
+        if let Some(last) = bf.bytes_mut().last_mut() {
             *last = mask;
         }
         bf
@@ -166,7 +201,7 @@ impl Bitfield {
     /// wholesale and walks set bits of a nonzero byte via leading-zeros
     /// (bits are MSB-first on the wire).
     pub fn iter_set(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bits
+        self.bytes()
             .iter()
             .enumerate()
             .filter(|(_, &b)| b != 0)
@@ -187,7 +222,7 @@ impl Bitfield {
     pub fn missing_from(&self, other: &Bitfield) -> Vec<u32> {
         assert_eq!(self.len, other.len, "bitfield lengths differ");
         let mut out = Vec::new();
-        for (byte, (&s, &o)) in self.bits.iter().zip(&other.bits).enumerate() {
+        for (byte, (&s, &o)) in self.bytes().iter().zip(other.bytes()).enumerate() {
             let diff = s & !o;
             if diff != 0 {
                 out.extend(SetBits {
@@ -208,9 +243,9 @@ impl Bitfield {
     /// Panics when the lengths differ.
     pub fn has_any_not_in(&self, other: &Bitfield) -> bool {
         assert_eq!(self.len, other.len, "bitfield lengths differ");
-        self.bits
+        self.bytes()
             .iter()
-            .zip(&other.bits)
+            .zip(other.bytes())
             .any(|(&s, &o)| s & !o != 0)
     }
 }
@@ -365,6 +400,99 @@ mod tests {
                 assert_eq!(a.is_complete(), naive_complete);
             }
         }
+    }
+
+    fn hash_of(bf: &Bitfield) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        bf.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Every public reader of `bf` (and the binary ones against `other`)
+    /// against the `Vec<bool>` it is supposed to represent.
+    fn assert_matches_model(bf: &Bitfield, model: &[bool], other: &Bitfield, other_model: &[bool]) {
+        let len = model.len() as u32;
+        let set: Vec<u32> = (0..len).filter(|&i| model[i as usize]).collect();
+        assert_eq!((bf.len(), bf.is_empty()), (len, len == 0));
+        assert!((0..len).all(|i| bf.get(i) == model[i as usize]));
+        assert_eq!(bf.count_ones() as usize, set.len());
+        assert_eq!(bf.is_complete(), set.len() == model.len());
+        assert_eq!(bf.iter_set().collect::<Vec<_>>(), set);
+        let mut wire = vec![0u8; model.len().div_ceil(8)];
+        for &i in &set {
+            wire[i as usize / 8] |= 0x80 >> (i % 8);
+        }
+        assert_eq!(bf.as_bytes(), wire);
+        assert_eq!(bf.heap_bytes(), if len <= 64 { 0 } else { wire.len() });
+        let missing: Vec<u32> = set
+            .iter()
+            .copied()
+            .filter(|&i| !other_model[i as usize])
+            .collect();
+        assert_eq!(bf.missing_from(other), missing);
+        assert_eq!(bf.has_any_not_in(other), !missing.is_empty());
+        // The wire form round-trips to an equal field that hashes alike.
+        let back = Bitfield::from_wire(len, wire).unwrap();
+        assert_eq!(&back, bf);
+        assert_eq!(hash_of(&back), hash_of(bf));
+        assert_eq!(bf == other, model == other_model);
+    }
+
+    /// The inline (≤ 64 bits) and boxed stores are one type: on both sides
+    /// of the boundary every method agrees with a `Vec<bool>`.
+    #[test]
+    fn every_method_matches_a_bool_vec_on_both_sides_of_64_bits() {
+        let mut state = 0xB17F_1E1D;
+        for len in [0u32, 1, 7, 8, 63, 64, 65, 128, 197] {
+            let n = len as usize;
+            let other = random_bitfield(len, 50, &mut state);
+            let other_model: Vec<bool> = (0..len).map(|i| other.get(i)).collect();
+            let mut bf = Bitfield::new(len);
+            let mut model = vec![false; n];
+            assert_matches_model(&bf, &model, &other, &other_model);
+            for _ in 0..3 * n {
+                let i = (lcg(&mut state) % u64::from(len)) as u32;
+                if lcg(&mut state).is_multiple_of(3) {
+                    bf.clear(i);
+                    model[i as usize] = false;
+                } else {
+                    bf.set(i);
+                    model[i as usize] = true;
+                }
+                assert_matches_model(&bf, &model, &other, &other_model);
+            }
+            // The same content reached from the other end: full, then cleared.
+            let mut carved = Bitfield::full(len);
+            assert_matches_model(&carved, &vec![true; n], &other, &other_model);
+            for i in (0..len).filter(|&i| !model[i as usize]) {
+                carved.clear(i);
+            }
+            assert_eq!(carved, bf);
+            assert_eq!(hash_of(&carved), hash_of(&bf));
+            assert_eq!(carved.clone(), bf);
+
+            // The wire form is still checked: byte count and spare bits.
+            let wire = bf.as_bytes().to_vec();
+            let mut long = wire.clone();
+            long.push(0);
+            assert!(Bitfield::from_wire(len, long).is_err());
+            if let Some((&last, short)) = wire.split_last() {
+                assert!(Bitfield::from_wire(len, short.to_vec()).is_err());
+                if len % 8 != 0 {
+                    let mut spare = wire.clone();
+                    spare[n / 8] = last | 1;
+                    assert!(Bitfield::from_wire(len, spare).is_err());
+                }
+            }
+        }
+    }
+
+    /// 24 bytes either way: the inline bytes overlay the boxed slice's
+    /// length word, and the variant tag is the pointer's null niche.
+    #[test]
+    fn bitfield_is_three_words() {
+        assert_eq!(std::mem::size_of::<Bitfield>(), 24);
     }
 
     #[test]

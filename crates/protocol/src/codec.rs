@@ -154,39 +154,42 @@ fn body_len(msg: &Message) -> usize {
     }
 }
 
+/// Splits one frame into its body (type byte first; empty for a
+/// keep-alive) and the number of bytes that trail it.
+fn split_frame(data: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
+    let truncated = ProtocolError::BadBody {
+        kind: 0xFF,
+        len: data.len(),
+    };
+    let Some((len, rest)) = data.split_first_chunk::<4>() else {
+        return Err(truncated);
+    };
+    let len = u32::from_be_bytes(*len);
+    if len > MAX_FRAME_LEN {
+        return Err(ProtocolError::FrameTooLarge { len });
+    }
+    let Some((body, trailing)) = rest.split_at_checked(len as usize) else {
+        return Err(truncated);
+    };
+    Ok((body, trailing.len()))
+}
+
 /// Decodes exactly one message from `data`.
 ///
-/// Parses in place: the only allocations are for messages that carry
-/// owned data (`Bitfield`, `ManifestData`, `PeerList`), which keeps the
-/// per-message receive path of the simulator allocation-free.
+/// Parses in place, but the [`Message`] it returns owns its data:
+/// `Bitfield`, `ManifestData`, `PeerList` and `HaveBundle` each allocate.
+/// The simulator's receive path reads the one frequent case,
+/// `HaveBundle`, through [`have_bundle_indices`] instead, which does not.
 ///
 /// # Errors
 ///
 /// Fails on truncated input, trailing bytes, or any malformed frame.
 pub fn decode_single(data: &[u8]) -> Result<Message, ProtocolError> {
-    if data.len() < 4 {
-        return Err(ProtocolError::BadBody {
-            kind: 0xFF,
-            len: data.len(),
-        });
-    }
-    let len = u32::from_be_bytes(data[..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::FrameTooLarge { len });
-    }
-    let rest = &data[4..];
-    if rest.len() < len as usize {
-        return Err(ProtocolError::BadBody {
-            kind: 0xFF,
-            len: data.len(),
-        });
-    }
-    let msg = if len == 0 {
-        Message::KeepAlive
-    } else {
-        decode_body_slice(rest[0], &rest[1..len as usize])?
+    let (body, trailing) = split_frame(data)?;
+    let msg = match body.split_first() {
+        None => Message::KeepAlive,
+        Some((&kind, body)) => decode_body_slice(kind, body)?,
     };
-    let trailing = rest.len() - len as usize;
     if trailing != 0 {
         return Err(ProtocolError::BadBody {
             kind: 0xFE,
@@ -194,6 +197,26 @@ pub fn decode_single(data: &[u8]) -> Result<Message, ProtocolError> {
         });
     }
     Ok(msg)
+}
+
+/// The indices of a `HaveBundle` frame, read in place: `Some` exactly when
+/// [`decode_single`] would return `Ok(Message::HaveBundle { .. })`, with
+/// the same indices in the same order and no allocation.
+///
+/// # Examples
+///
+/// ```
+/// use splicecast_protocol::{encode_to_bytes, have_bundle_indices, Message};
+///
+/// let wire = encode_to_bytes(&Message::HaveBundle { indices: vec![3, 9] });
+/// assert_eq!(have_bundle_indices(&wire).unwrap().collect::<Vec<_>>(), [3, 9]);
+/// assert!(have_bundle_indices(&encode_to_bytes(&Message::Have { index: 3 })).is_none());
+/// ```
+pub fn have_bundle_indices(frame: &[u8]) -> Option<impl Iterator<Item = u32> + '_> {
+    match split_frame(frame) {
+        Ok(([15, body @ ..], 0)) => u32_list(15, body).ok(),
+        _ => None,
+    }
 }
 
 /// A streaming decoder: feed arbitrary chunks, poll complete messages.
@@ -283,6 +306,25 @@ fn read_u64(body: &mut &[u8]) -> u64 {
     u64::from_be_bytes(split(body, 8).try_into().expect("8 bytes"))
 }
 
+/// The body of a `PeerList` or `HaveBundle`, read in place: a count, then
+/// exactly that many big-endian `u32`s.
+fn u32_list(kind: u8, mut body: &[u8]) -> Result<impl Iterator<Item = u32> + '_, ProtocolError> {
+    let bad = |body: &[u8]| ProtocolError::BadBody {
+        kind,
+        len: body.len(),
+    };
+    if body.len() < 4 {
+        return Err(bad(body));
+    }
+    let count = read_u32(&mut body) as usize;
+    if body.len() != count * 4 {
+        return Err(bad(body));
+    }
+    Ok(body
+        .chunks_exact(4)
+        .map(|word| u32::from_be_bytes(word.try_into().expect("4 bytes"))))
+}
+
 fn decode_body_slice(kind: u8, mut body: &[u8]) -> Result<Message, ProtocolError> {
     let fixed = |body: &[u8], n: usize| -> Result<(), ProtocolError> {
         if body.len() != n {
@@ -370,40 +412,12 @@ fn decode_body_slice(kind: u8, mut body: &[u8]) -> Result<Message, ProtocolError
             fixed(body, 0)?;
             Message::PeerListRequest
         }
-        14 => {
-            if body.len() < 4 {
-                return Err(ProtocolError::BadBody {
-                    kind,
-                    len: body.len(),
-                });
-            }
-            let count = read_u32(&mut body) as usize;
-            if body.len() != count * 4 {
-                return Err(ProtocolError::BadBody {
-                    kind,
-                    len: body.len(),
-                });
-            }
-            let peers = (0..count).map(|_| read_u32(&mut body)).collect();
-            Message::PeerList { peers }
-        }
-        15 => {
-            if body.len() < 4 {
-                return Err(ProtocolError::BadBody {
-                    kind,
-                    len: body.len(),
-                });
-            }
-            let count = read_u32(&mut body) as usize;
-            if body.len() != count * 4 {
-                return Err(ProtocolError::BadBody {
-                    kind,
-                    len: body.len(),
-                });
-            }
-            let indices = (0..count).map(|_| read_u32(&mut body)).collect();
-            Message::HaveBundle { indices }
-        }
+        14 => Message::PeerList {
+            peers: u32_list(kind, body)?.collect(),
+        },
+        15 => Message::HaveBundle {
+            indices: u32_list(kind, body)?.collect(),
+        },
         16 => {
             fixed(body, 8)?;
             Message::InterestWindow {
@@ -620,6 +634,48 @@ mod tests {
     fn decode_single_rejects_truncation() {
         let wire = encode_to_bytes(&Message::Have { index: 1 });
         assert!(decode_single(&wire[..wire.len() - 1]).is_err());
+    }
+
+    /// `have_bundle_indices` against the owned decoder, on `frame`.
+    fn assert_reader_agrees(frame: &[u8]) {
+        let in_place = have_bundle_indices(frame).map(Iterator::collect::<Vec<_>>);
+        let owned = match decode_single(frame) {
+            Ok(Message::HaveBundle { indices }) => Some(indices),
+            _ => None,
+        };
+        assert_eq!(in_place, owned, "frame {frame:?}");
+    }
+
+    /// The in-place reader is `Some(v)` exactly when the owned decoder
+    /// returns `HaveBundle { indices: v }`: on every message, every
+    /// truncation of its frame, every single-byte mutation, trailing
+    /// bytes, and an over-long declared length.
+    #[test]
+    fn have_bundle_reader_agrees_with_decode_single() {
+        let mut bundles_read = 0;
+        for msg in all_messages() {
+            let wire = encode_to_bytes(&msg).to_vec();
+            assert_reader_agrees(&wire);
+            bundles_read += usize::from(have_bundle_indices(&wire).is_some());
+            for end in 0..wire.len() {
+                assert_reader_agrees(&wire[..end]);
+            }
+            for at in 0..wire.len() {
+                for byte in 0..=u8::MAX {
+                    let mut mutated = wire.clone();
+                    mutated[at] = byte;
+                    assert_reader_agrees(&mutated);
+                }
+            }
+            let mut trailing = wire.clone();
+            trailing.push(0);
+            assert_reader_agrees(&trailing);
+            assert!(have_bundle_indices(&trailing).is_none());
+        }
+        assert_eq!(bundles_read, 2, "both bundles of `all_messages`");
+        let mut oversize = (MAX_FRAME_LEN + 1).to_be_bytes().to_vec();
+        oversize.extend([15, 0, 0, 0, 0]);
+        assert_reader_agrees(&oversize);
     }
 
     #[test]

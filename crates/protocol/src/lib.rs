@@ -30,6 +30,8 @@ mod error;
 mod message;
 
 pub use bitfield::Bitfield;
-pub use codec::{decode_single, encode, encode_to_bytes, Decoder, EncodeBuf, MAX_FRAME_LEN};
+pub use codec::{
+    decode_single, encode, encode_to_bytes, have_bundle_indices, Decoder, EncodeBuf, MAX_FRAME_LEN,
+};
 pub use error::ProtocolError;
 pub use message::{Message, PROTOCOL_MAGIC, PROTOCOL_VERSION};

@@ -8,11 +8,13 @@ use splicecast_protocol::Bitfield;
 /// What this node knows about one remote peer.
 ///
 /// Swarms keep one view per (node, peer) pair — O(peers²) instances — so
-/// the struct is packed for the 10k-peer regime: the four lifecycle
-/// booleans share a single flags byte behind accessor methods, the
-/// defense-only liveness clocks live in a side table the leecher
-/// allocates only when defenses are on (see `PeerClock`), and the field
-/// order leaves no interior padding: 40 bytes.
+/// the struct is packed for the 10k-peer regime: three of the four
+/// lifecycle booleans share a flags byte behind accessor methods (the
+/// fourth is a plain `bool`, whose invalid bit patterns let the neighbour
+/// table's `Option<PeerView>` stay the size of a view), the defense-only
+/// liveness clocks live in a side table the leecher allocates only when
+/// defenses are on (see `PeerClock`), and the field order leaves no
+/// interior padding: 40 bytes.
 #[derive(Debug, Clone)]
 pub struct PeerView {
     /// Last availability map the peer sent, updated by `Have`s.
@@ -28,18 +30,18 @@ pub struct PeerView {
     pub outstanding: u32,
     /// The packed lifecycle booleans; see the `FLAG_*` constants.
     flags: u8,
+    /// They have sent us their handshake.
+    handshaken: bool,
 }
 
 /// We have sent them our handshake.
 const FLAG_GREETED: u8 = 1 << 0;
-/// They have sent us their handshake.
-const FLAG_HANDSHAKEN: u8 = 1 << 1;
 /// We have told them we are interested.
-const FLAG_INTERESTED_SENT: u8 = 1 << 2;
+const FLAG_INTERESTED_SENT: u8 = 1 << 1;
 /// The peer wants our availability announcements. Set by default; a
 /// `NotInterested` from them (the eventful control plane's unsubscribe)
 /// clears it, an `Interested` restores it.
-const FLAG_PEER_INTERESTED: u8 = 1 << 3;
+const FLAG_PEER_INTERESTED: u8 = 1 << 2;
 
 impl PeerView {
     /// A fresh view with nothing known.
@@ -50,6 +52,7 @@ impl PeerView {
             win_hi: segment_count,
             outstanding: 0,
             flags: FLAG_PEER_INTERESTED,
+            handshaken: false,
         }
     }
 
@@ -82,13 +85,13 @@ impl PeerView {
     /// Whether they have sent us their handshake.
     #[inline]
     pub fn handshaken(&self) -> bool {
-        self.flag(FLAG_HANDSHAKEN)
+        self.handshaken
     }
 
     /// Records whether they have sent us their handshake.
     #[inline]
     pub fn set_handshaken(&mut self, value: bool) {
-        self.set_flag(FLAG_HANDSHAKEN, value);
+        self.handshaken = value;
     }
 
     /// Whether we have told them we are interested.
@@ -354,15 +357,18 @@ mod tests {
         );
     }
 
-    /// The packed struct must stay at 40 bytes (24-byte boxed-slice
-    /// bitfield + window pair + outstanding + flags byte + padding).
+    /// The packed struct must stay at 40 bytes (24-byte bitfield + window
+    /// pair + outstanding + flags byte + `handshaken` + padding).
     #[test]
     fn peer_view_is_packed() {
         assert_eq!(std::mem::size_of::<PeerView>(), 40);
-        // The neighbour table stores `Option<PeerView>`: the niche in the
-        // bitfield's pointer keeps an empty slot the size of a view.
+        // The neighbour table stores `Option<PeerView>`. The bitfield's
+        // inline/boxed store uses up the pointer's niche, so the empty
+        // slot is encoded in `handshaken` and stays the size of a view.
         assert_eq!(std::mem::size_of::<Option<PeerView>>(), 40);
         let v = PeerView::new(80);
         assert_eq!(v.holdings.heap_bytes(), 10, "80 bits of heap");
+        let v = PeerView::new(60);
+        assert_eq!(v.holdings.heap_bytes(), 0, "60 bits sit in the view");
     }
 }
