@@ -152,8 +152,10 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
             .map_err(|_| format!("bad --have-window `{raw}`"))?;
         config.swarm.have_coalesce_secs = Some(secs);
     }
+    // Zero means off. Any other value — negative or NaN included — builds
+    // the config, so that `check()` below is what judges it.
     let churn: f64 = args.num("churn", 0.0)?;
-    if churn > 0.0 {
+    if churn != 0.0 {
         config.swarm.churn = Some(ChurnConfig {
             volatile_fraction: churn,
             mean_lifetime_secs: 45.0,
@@ -175,11 +177,11 @@ fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     let msg_delay_max: f64 = args.num("msg-delay-max", 2.0)?;
     let flaps: usize = args.num("flaps", 0usize)?;
     let outages: usize = args.num("cdn-outages", 0usize)?;
-    if crash > 0.0 || msg_loss > 0.0 || msg_delay > 0.0 || flaps > 0 || outages > 0 {
+    if crash != 0.0 || msg_loss != 0.0 || msg_delay != 0.0 || flaps > 0 || outages > 0 {
         let window_secs = config.video.duration_secs;
         let degraded = config.swarm.peer_bandwidth_bytes_per_sec / 8.0;
         config = config.with_faults(FaultPlanConfig {
-            crash: (crash > 0.0).then_some(CrashChurnConfig {
+            crash: (crash != 0.0).then_some(CrashChurnConfig {
                 crash_fraction: crash,
                 mean_uptime_secs: crash_uptime,
             }),
@@ -587,6 +589,9 @@ pub fn formula_command(args: &Args) -> Result<String, String> {
     ))
 }
 
+/// The bitrate ladder `splicecast abr` streams, bits per second.
+const ABR_LADDER_BPS: [u64; 3] = [250_000, 500_000, 1_000_000];
+
 /// `splicecast abr`.
 pub fn abr_command(args: &Args) -> Result<String, String> {
     let algorithm = match args.value("algorithm")?.unwrap_or("buffer") {
@@ -600,6 +605,13 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
                 let rung: usize = rung
                     .parse()
                     .map_err(|_| format!("bad rendition `{rung}`"))?;
+                if rung >= ABR_LADDER_BPS.len() {
+                    return Err(format!(
+                        "no rendition {rung}: the ladder has {} rungs (0 to {})",
+                        ABR_LADDER_BPS.len(),
+                        ABR_LADDER_BPS.len() - 1
+                    ));
+                }
                 AbrAlgorithm::FixedRendition(rung)
             } else {
                 return Err(format!("unknown algorithm `{other}`"));
@@ -608,7 +620,7 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
     };
     let ladder = Ladder::builder()
         .duration_secs(clip(args)?.duration_secs)
-        .bitrates(&[250_000, 500_000, 1_000_000])
+        .bitrates(&ABR_LADDER_BPS)
         .segment_secs(4.0)
         .seed(2015)
         .build();

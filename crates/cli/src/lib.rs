@@ -219,7 +219,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 16] = [
+        let cases: [(&[&str], &str); 24] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -234,6 +234,21 @@ mod tests {
             (&["--churn", "2"], "volatile fraction must be in [0,1]"),
             (&["--crash", "2"], "crash fraction must be in [0,1]"),
             (&["--msg-loss", "2"], "message loss must be in [0,1]"),
+            // Negative and NaN fractions are not "off": they reach `check()`.
+            (&["--churn", "-0.5"], "volatile fraction must be in [0,1]"),
+            (&["--churn", "nan"], "volatile fraction must be in [0,1]"),
+            (&["--crash", "-0.1"], "crash fraction must be in [0,1]"),
+            (&["--crash", "nan"], "crash fraction must be in [0,1]"),
+            (&["--msg-loss", "-0.1"], "message loss must be in [0,1]"),
+            (&["--msg-loss", "nan"], "message loss must be in [0,1]"),
+            (
+                &["--msg-delay", "-0.1"],
+                "message delay probability must be in [0,1]",
+            ),
+            (
+                &["--msg-delay", "nan"],
+                "message delay probability must be in [0,1]",
+            ),
             (&["--cdn-outages", "1"], "CDN outages require a CDN"),
             (&["--clip-secs", "0"], "clip length must be a positive"),
             (&["--clip-secs", "-5"], "clip length must be a positive"),
@@ -301,6 +316,14 @@ mod tests {
             ),
             (&["overhead", "--clip-secs", "0"], "clip length must be"),
             (&["abr", "--clip-secs", "0"], "clip length must be"),
+            (
+                &["abr", "--algorithm", "fixed:99"],
+                "no rendition 99: the ladder has 3 rungs",
+            ),
+            (
+                &["abr", "--algorithm", "fixed:3"],
+                "no rendition 3: the ladder has 3 rungs",
+            ),
         ] {
             let err = std::panic::catch_unwind(|| call(tokens))
                 .unwrap_or_else(|_| panic!("{tokens:?} unwound"))

@@ -200,7 +200,15 @@ pub struct LeecherNode {
     holders: HolderIndex,
     /// Outcome of the last scheduling pass (dirty-flag scheduling).
     sched_state: SchedState,
+    /// The request records, at most a pool's worth: what the timeout walk
+    /// iterates and a completion looks up.
     in_flight: BTreeMap<u32, InFlight>,
+    /// The keys of `in_flight` as one bit per segment, so the questions
+    /// asked a million times a run — is this segment pickable, is it
+    /// wanted — test a bit instead of descending the tree. Written only
+    /// next to the map's own two mutation sites, `request_from` and
+    /// `drop_in_flight`.
+    in_flight_mask: Bitfield,
     /// One-shot re-pick bans: segment → the source whose request just
     /// timed out there. Consulted (and consumed) by the next successful
     /// pick of that segment, so a re-request "moves to a *different*
@@ -306,6 +314,7 @@ impl LeecherNode {
             holders,
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
+            in_flight_mask: Bitfield::new(segment_count),
             timeout_bans: BTreeMap::new(),
             uploads,
             streaming: false,
@@ -572,7 +581,7 @@ impl LeecherNode {
     /// yet, or a raced request for it is still in flight (a timeout redraw
     /// would consult its holders).
     fn pickable(&self, index: u32) -> bool {
-        !self.holdings.get(index) || self.in_flight.contains_key(&index)
+        !self.holdings.get(index) || self.in_flight_mask.get(index)
     }
 
     /// The heart of §III: keep the download pool filled to the policy's
@@ -596,18 +605,23 @@ impl LeecherNode {
         }
         self.report.sched.passes += 1;
         let now = ctx.now().as_secs_f64();
-        self.first_unheld();
+        // Nothing below a want turns wanted inside a pass (holdings do not
+        // change and requests only add in-flight bits), so each scan
+        // resumes where the last one stopped: at that want, not after it —
+        // a request whose send failed left it wanted and must find it again.
+        let mut scan_from = self.first_unheld();
         loop {
             let Some(want) = next_wanted_from(
-                self.next_needed,
+                scan_from,
                 self.holdings.len(),
                 |i| self.holdings.get(i),
-                |i| self.in_flight.contains_key(&i),
+                |i| self.in_flight_mask.get(i),
             ) else {
                 self.sched_state = SchedState::Exhausted;
                 self.report.sched.exhausted += 1;
                 return; // everything held or requested
             };
+            scan_from = want;
             if self.windowed() && want >= self.next_needed.saturating_add(INTEREST_WINDOW_SEGS) {
                 // The want lies beyond the announced interest window, where
                 // peer availability is neither announced nor indexed; the
@@ -689,12 +703,25 @@ impl LeecherNode {
         // window — unless every candidate is banned, because a ban must
         // degrade preference, never starve the segment.
         if self.cfg.defense.is_some() && !self.health.is_empty() {
+            // Candidates and health records both ascend by `NodeId`: one
+            // merged walk moves the unbanned candidates to the front, and
+            // leaves the list as it was when there are none.
             let now = ctx.now();
-            let health = &self.health;
-            let banned =
-                |c: &SourceCandidate| health.get(&c.peer).is_some_and(|h| now < h.banned_until);
-            if candidates.iter().any(|c| !banned(c)) {
-                candidates.retain(|c| !banned(c));
+            let mut records = self.health.iter().peekable();
+            let mut kept = 0;
+            for i in 0..candidates.len() {
+                let peer = candidates[i].peer;
+                while records.next_if(|&(&p, _)| p < peer).is_some() {}
+                let banned = records
+                    .peek()
+                    .is_some_and(|&(&p, h)| p == peer && now < h.banned_until);
+                if !banned {
+                    candidates[kept] = candidates[i];
+                    kept += 1;
+                }
+            }
+            if kept > 0 {
+                candidates.truncate(kept);
             }
         }
         // Prefer fellow leechers whenever one holds the segment: the origin
@@ -794,6 +821,7 @@ impl LeecherNode {
                     serving: false,
                 },
             );
+            self.in_flight_mask.set(index);
             if let Some(view) = self.views.get_mut(&source) {
                 view.outstanding += 1;
             }
@@ -807,6 +835,7 @@ impl LeecherNode {
 
     fn drop_in_flight(&mut self, index: u32) -> Option<InFlight> {
         let entry = self.in_flight.remove(&index)?;
+        self.in_flight_mask.clear(index);
         if let Some(view) = self.views.get_mut(&entry.source) {
             view.outstanding = view.outstanding.saturating_sub(1);
         }
@@ -1440,6 +1469,21 @@ impl LeecherNode {
         }
     }
 
+    /// Invariant checked next to the holder index on every pump of a debug
+    /// build, and by the unit tests in any build: the in-flight mask has
+    /// exactly the bits of `in_flight`'s keys.
+    #[cfg(any(test, debug_assertions))]
+    fn audit_in_flight_mask(&self) {
+        assert!(
+            self.in_flight_mask
+                .iter_set()
+                .eq(self.in_flight.keys().copied()),
+            "in-flight mask {:?} drifted from the in-flight records {:?}",
+            self.in_flight_mask.iter_set().collect::<Vec<_>>(),
+            self.in_flight.keys().collect::<Vec<_>>()
+        );
+    }
+
     /// The handshaken fellow leechers (never an origin) that `pick` admits;
     /// see [`Self::peers_where`].
     fn fellows_where(&mut self, pick: impl Fn(&Self, NodeId) -> bool) -> Vec<NodeId> {
@@ -1571,7 +1615,10 @@ impl LeecherNode {
     fn pump_common(&mut self, ctx: &mut Ctx<'_>) {
         self.pumps += 1;
         #[cfg(debug_assertions)]
-        self.audit_holder_index();
+        {
+            self.audit_holder_index();
+            self.audit_in_flight_mask();
+        }
         self.playback.advance(ctx.now().as_secs_f64());
         self.check_timeouts(ctx);
         self.defense_pump(ctx);
@@ -1842,6 +1889,20 @@ mod tests {
         }
     }
 
+    /// Puts a request for `index` to `source` in flight as of time zero,
+    /// the way `request_from` records one: the entry and its mask bit.
+    fn put_in_flight(l: &mut LeecherNode, index: u32, source: NodeId, serving: bool) {
+        l.in_flight.insert(
+            index,
+            InFlight {
+                source,
+                requested_at: SimTime::ZERO,
+                serving,
+            },
+        );
+        l.in_flight_mask.set(index);
+    }
+
     fn two_segments() -> Arc<SegmentList> {
         let video = Video::builder().duration_secs(8.0).seed(1).build();
         Arc::new(DurationSplicer::new(4.0).splice(&video))
@@ -1991,14 +2052,7 @@ mod tests {
         {
             // The timeout path already moved segment 0 from A to B.
             let mut l = node.borrow_mut();
-            l.in_flight.insert(
-                0,
-                InFlight {
-                    source: b_id,
-                    requested_at: SimTime::ZERO,
-                    serving: true,
-                },
-            );
+            put_in_flight(&mut l, 0, b_id, true);
             l.views.get_mut(&a_id).unwrap().set_handshaken(true);
             let view_b = l.views.get_mut(&b_id).unwrap();
             view_b.set_handshaken(true);
@@ -2028,6 +2082,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
         {
             let l = node.borrow();
+            l.audit_in_flight_mask();
             assert!(
                 l.holdings.get(0),
                 "the stale delivery still yields the segment"
@@ -2052,6 +2107,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(10.0));
         {
             let l = node.borrow();
+            l.audit_in_flight_mask();
             assert!(l.in_flight.is_empty());
             assert_eq!(l.views[&b_id].outstanding, 0);
             let counted = l.report.segments_from_seeder
@@ -2105,19 +2161,13 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             l.streaming = true;
-            l.in_flight.insert(
-                0,
-                InFlight {
-                    source: a_id,
-                    requested_at: SimTime::ZERO,
-                    serving: false,
-                },
-            );
+            put_in_flight(&mut l, 0, a_id, false);
             l.views.get_mut(&a_id).unwrap().outstanding = 1;
         }
         sim.run_until_idle(SimTime::from_secs_f64(6.0));
 
         let l = node.borrow();
+        l.audit_in_flight_mask();
         let entry = l
             .in_flight
             .get(&0)
@@ -2179,19 +2229,13 @@ mod tests {
             let mut l = node.borrow_mut();
             l.streaming = true;
             l.holdings.set(0);
-            l.in_flight.insert(
-                0,
-                InFlight {
-                    source: a_id,
-                    requested_at: SimTime::ZERO,
-                    serving: true,
-                },
-            );
+            put_in_flight(&mut l, 0, a_id, true);
             l.views.get_mut(&a_id).unwrap().outstanding = 1;
         }
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
 
         let l = node.borrow();
+        l.audit_in_flight_mask();
         assert_eq!(l.views[&a_id].outstanding, 0, "the duplicate clears A");
         let entry = l.in_flight.get(&1).expect(
             "the slot freed by the duplicate delivery must be refilled \
@@ -2263,14 +2307,7 @@ mod tests {
             let mut l = node.borrow_mut();
             l.streaming = true;
             for (index, source) in [(0, a_id), (1, b_id)] {
-                l.in_flight.insert(
-                    index,
-                    InFlight {
-                        source,
-                        requested_at: SimTime::ZERO,
-                        serving: true,
-                    },
-                );
+                put_in_flight(&mut l, index, source, true);
                 l.views.get_mut(&source).unwrap().outstanding = 1;
             }
         }
@@ -2280,6 +2317,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(2.5));
         {
             let l = node.borrow();
+            l.audit_in_flight_mask();
             assert!(!l.in_flight.contains_key(&0), "the dead download is gone");
             assert!(l.in_flight.contains_key(&1));
             assert!(!l.views.contains_key(&a_id), "the churned source is gone");
@@ -2295,6 +2333,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(5.0));
         {
             let l = node.borrow();
+            l.audit_in_flight_mask();
             let entry = l
                 .in_flight
                 .get(&0)
@@ -2639,14 +2678,7 @@ mod tests {
             l.streaming = true;
             l.holdings.set(1);
             for index in [0, 1] {
-                l.in_flight.insert(
-                    index,
-                    InFlight {
-                        source: a_id,
-                        requested_at: SimTime::ZERO,
-                        serving: true,
-                    },
-                );
+                put_in_flight(&mut l, index, a_id, true);
             }
             l.views.get_mut(&a_id).unwrap().set_handshaken(true);
             l.views.get_mut(&a_id).unwrap().outstanding = 2;
@@ -2655,6 +2687,7 @@ mod tests {
         // A crashes at t = 2: both transfers fail back-to-back.
         sim.run_until_idle(SimTime::from_secs_f64(3.0));
         let l = node.borrow();
+        l.audit_in_flight_mask();
         assert!(!l.views.contains_key(&a_id), "the crashed uploader is gone");
         let seg0 = l
             .in_flight
@@ -2978,20 +3011,14 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             l.streaming = true;
-            l.in_flight.insert(
-                1,
-                InFlight {
-                    source: d_id,
-                    requested_at: SimTime::ZERO,
-                    serving: true,
-                },
-            );
+            put_in_flight(&mut l, 1, d_id, true);
             l.views.get_mut(&d_id).unwrap().set_handshaken(true);
             l.views.get_mut(&d_id).unwrap().outstanding = 1;
         }
         sim.run_until_idle(SimTime::from_secs_f64(6.0));
 
         let l = node.borrow();
+        l.audit_in_flight_mask();
         assert!(l.holdings.get(1), "the delivery must land");
         assert!(
             l.report.dissem.window_suppressed >= 1,

@@ -232,16 +232,35 @@ impl UploadManager {
         Some(next)
     }
 
-    /// Drops queued requests matching the predicate (used for `Cancel` and
-    /// for peers that went offline).
-    pub fn drop_queued<F: FnMut(&UploadRequest) -> bool>(&mut self, mut drop_if: F) {
-        self.queue.retain(|r| !drop_if(r));
+    /// Handles a `Cancel`: removes every queued request of `peer` for
+    /// `segment` (a re-request after a timeout can queue the pair twice)
+    /// and leaves the order of the rest untouched. Two `Cancel`s in three
+    /// arrive at a queue hundreds of entries long, so the queue is only
+    /// *read* for matches and each one removed where it sits — no pass
+    /// that rewrites every entry.
+    pub fn cancel(&mut self, peer: NodeId, segment: u32) {
+        let mut from = 0;
+        while let Some(offset) = self
+            .queue
+            .range(from..)
+            .position(|r| r.peer == peer && r.segment == segment)
+        {
+            from += offset;
+            self.queue.remove(from);
+        }
+    }
+
+    /// Drops every queued request of a peer that went offline. Departures
+    /// are rare, so this keeps the one full pass over the queue.
+    pub fn forget_peer(&mut self, peer: NodeId) {
+        self.queue.retain(|r| r.peer != peer);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn req(peer: usize, seg: u32) -> UploadRequest {
         UploadRequest {
@@ -308,15 +327,142 @@ mod tests {
     }
 
     #[test]
-    fn drop_queued_filters() {
+    fn forget_peer_drops_all_of_its_requests() {
         let mut m = UploadManager::new(1);
         m.offer(req(1, 0), any);
         m.offer(req(2, 1), any);
         m.offer(req(2, 2), any);
         m.offer(req(3, 3), any);
-        m.drop_queued(|r| r.peer == NodeId::from_index(2));
+        m.forget_peer(NodeId::from_index(2));
         assert_eq!(m.queued(), 1);
         assert_eq!(m.release(any), Some(req(3, 3)));
+    }
+
+    /// A re-request can queue the same `(peer, segment)` twice; one
+    /// `Cancel` removes every copy and nothing else, in place.
+    #[test]
+    fn cancel_removes_every_duplicate_and_nothing_else() {
+        let mut m = UploadManager::new(1);
+        m.offer(req(9, 9), any); // takes the slot
+        let queued = [
+            req(2, 5),
+            req(1, 5),
+            req(2, 5),
+            req(2, 6),
+            req(3, 5),
+            req(2, 5),
+        ];
+        for r in queued {
+            assert!(!m.offer(r, any));
+        }
+        m.cancel(NodeId::from_index(2), 5);
+        let left: Vec<_> = m.queue.iter().copied().collect();
+        assert_eq!(left, [req(1, 5), req(2, 6), req(3, 5)]);
+        assert_eq!(m.active(), 1, "an upload in progress is left to finish");
+        m.cancel(NodeId::from_index(2), 5); // nothing queued: a no-op
+        m.cancel(NodeId::from_index(7), 0);
+        assert_eq!(m.queued(), 3);
+    }
+
+    /// The parent's `UploadManager`, written out: a `VecDeque` whose
+    /// `Cancel` and departure both `retain` over every entry.
+    struct Model {
+        max_active: usize,
+        active: usize,
+        queue: VecDeque<UploadRequest>,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Offer {
+            request: UploadRequest,
+            admit: bool,
+        },
+        /// Prefer requests for `segment`, fall back to requests of `peer`
+        /// (either may match nothing: both ranges run one past the ids).
+        Release {
+            segment: u32,
+            peer: usize,
+        },
+        Cancel(UploadRequest),
+        Forget(usize),
+    }
+
+    /// Four peers and four segments, so most pairs are queued more than
+    /// once. Arms are drawn uniformly; a repeated arm is a weight.
+    fn op() -> impl Strategy<Value = Op> {
+        let request = || (0usize..4, 0u32..4).prop_map(|(peer, seg)| req(peer, seg));
+        let offer = || {
+            // Three offers in four are admitted when a slot is free.
+            (request(), 0u32..4).prop_map(|(request, coin)| Op::Offer {
+                request,
+                admit: coin != 0,
+            })
+        };
+        let release =
+            || (0u32..5, 0usize..5).prop_map(|(segment, peer)| Op::Release { segment, peer });
+        prop_oneof![
+            offer(),
+            offer(),
+            offer(),
+            release(),
+            release(),
+            request().prop_map(Op::Cancel),
+            request().prop_map(Op::Cancel),
+            (0usize..4).prop_map(Op::Forget),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 2048 }))]
+
+        #[test]
+        fn every_step_matches_a_deque_with_retain(
+            slots in 1usize..4,
+            ops in prop::collection::vec(op(), 1..300),
+        ) {
+            let mut real = UploadManager::new(slots);
+            let mut model = Model { max_active: slots, active: 0, queue: VecDeque::new() };
+            for op in ops {
+                match op {
+                    Op::Offer { request, admit } => {
+                        let started = model.active < model.max_active && admit;
+                        if started {
+                            model.active += 1;
+                        } else {
+                            model.queue.push_back(request);
+                        }
+                        prop_assert_eq!(real.offer(request, |_| admit), started);
+                    }
+                    // Releasing with no upload active is a panic on both
+                    // sides (`release_when_idle_panics`).
+                    Op::Release { .. } if model.active == 0 => {}
+                    Op::Release { segment, peer } => {
+                        let primary = |r: &UploadRequest| r.segment == segment;
+                        let fallback = |r: &UploadRequest| r.peer == NodeId::from_index(peer);
+                        let at = model
+                            .queue
+                            .iter()
+                            .position(primary)
+                            .or_else(|| model.queue.iter().position(fallback));
+                        let next = at.and_then(|at| model.queue.remove(at));
+                        model.active -= usize::from(next.is_none());
+                        prop_assert_eq!(real.release_preferring(primary, fallback), next);
+                    }
+                    Op::Cancel(request) => {
+                        model.queue.retain(|r| *r != request);
+                        real.cancel(request.peer, request.segment);
+                    }
+                    Op::Forget(peer) => {
+                        model.queue.retain(|r| r.peer != NodeId::from_index(peer));
+                        real.forget_peer(NodeId::from_index(peer));
+                    }
+                }
+                prop_assert_eq!(real.active(), model.active);
+                prop_assert_eq!(real.queued(), model.queue.len());
+                prop_assert_eq!(&real.queue, &model.queue);
+            }
+        }
     }
 
     #[test]

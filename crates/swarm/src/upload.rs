@@ -1,7 +1,5 @@
 //! The upload side shared by seeders, leechers, and CDN nodes.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use splicecast_media::SegmentList;
 use splicecast_netsim::{Ctx, FlowId, NodeId};
@@ -23,10 +21,14 @@ const DUP_UTILIZATION_MAX: f64 = 0.6;
 #[derive(Debug)]
 pub struct UploadSide {
     mgr: UploadManager,
-    active_flows: HashMap<FlowId, UploadRequest>,
+    /// The uploads in progress, at most `slots` of them in no particular
+    /// order: every reader either walks them all (once per queued request
+    /// a release looks at) or looks one flow up, and a scan of so few
+    /// pairs costs less than hashing the key.
+    active_flows: Vec<(FlowId, UploadRequest)>,
     /// Peers we have served before — the connection to them is kept alive,
-    /// so further segments skip the TCP handshake.
-    warm_peers: std::collections::HashSet<NodeId>,
+    /// so further segments skip the TCP handshake. One bit per node index.
+    warm_peers: Vec<u64>,
     /// Payload bytes of completed uploads.
     pub bytes_uploaded: u64,
     /// Scratch buffer for per-request frames (`SegmentHeader`).
@@ -42,8 +44,8 @@ impl UploadSide {
     pub fn new(slots: usize) -> Self {
         UploadSide {
             mgr: UploadManager::new(slots),
-            active_flows: HashMap::new(),
-            warm_peers: std::collections::HashSet::new(),
+            active_flows: Vec::with_capacity(slots),
+            warm_peers: Vec::new(),
             bytes_uploaded: 0,
             wire_buf: EncodeBuf::new(),
             choke_wire: encode_to_bytes(&Message::Choke),
@@ -63,7 +65,31 @@ impl UploadSide {
 
     /// True when no active upload is already pushing `segment`.
     fn segment_idle(&self, segment: u32) -> bool {
-        !self.active_flows.values().any(|r| r.segment == segment)
+        !self.active_flows.iter().any(|(_, r)| r.segment == segment)
+    }
+
+    /// Forgets an ended flow, returning its request when it was an upload
+    /// of ours.
+    fn take_flow(&mut self, flow: FlowId) -> Option<UploadRequest> {
+        let at = self.active_flows.iter().position(|&(f, _)| f == flow)?;
+        Some(self.active_flows.swap_remove(at).1)
+    }
+
+    fn is_warm(&self, peer: NodeId) -> bool {
+        let (word, bit) = (peer.index() / 64, 1u64 << (peer.index() % 64));
+        self.warm_peers.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    fn set_warm(&mut self, peer: NodeId, warm: bool) {
+        let (word, bit) = (peer.index() / 64, 1u64 << (peer.index() % 64));
+        if warm {
+            if self.warm_peers.len() <= word {
+                self.warm_peers.resize(word + 1, 0);
+            }
+            self.warm_peers[word] |= bit;
+        } else if let Some(w) = self.warm_peers.get_mut(word) {
+            *w &= !bit;
+        }
     }
 
     /// Handles an incoming `Request`. `have` guards against requests for
@@ -104,8 +130,7 @@ impl UploadSide {
     /// Handles a `Cancel`: drops matching queued requests (an in-flight
     /// upload is left to finish, as in BitTorrent).
     pub fn on_cancel(&mut self, from: NodeId, index: u32) {
-        self.mgr
-            .drop_queued(|r| r.peer == from && r.segment == index);
+        self.mgr.cancel(from, index);
     }
 
     /// Handles `UploadComplete`. Returns `true` when the flow was one of
@@ -116,7 +141,7 @@ impl UploadSide {
         flow: FlowId,
         segments: &SegmentList,
     ) -> bool {
-        let Some(request) = self.active_flows.remove(&flow) else {
+        let Some(request) = self.take_flow(flow) else {
             return false;
         };
         self.bytes_uploaded += segments[request.segment as usize].bytes;
@@ -132,7 +157,7 @@ impl UploadSide {
         flow: FlowId,
         segments: &SegmentList,
     ) -> bool {
-        if self.active_flows.remove(&flow).is_none() {
+        if self.take_flow(flow).is_none() {
             return false;
         }
         self.release_and_continue(ctx, segments);
@@ -142,18 +167,17 @@ impl UploadSide {
     /// Drops everything involving a departed peer (queued requests only;
     /// in-flight flows fail on their own through the simulator).
     pub fn forget_peer(&mut self, peer: NodeId) {
-        self.mgr.drop_queued(|r| r.peer == peer);
-        self.warm_peers.remove(&peer);
+        self.mgr.forget_peer(peer);
+        self.set_warm(peer, false);
     }
 
     fn pop_serviceable(&mut self, ctx: &mut Ctx<'_>) -> Option<UploadRequest> {
         // Prefer requests for segments nobody is currently receiving (they
         // grow the number of replicas); serve duplicates only to requesters
-        // whose path still has spare capacity. The active set is at most
-        // `slots` entries, so a linear scan beats building hash sets.
+        // whose path still has spare capacity.
         let active_flows = &self.active_flows;
         self.mgr.release_preferring(
-            |r| !active_flows.values().any(|a| a.segment == r.segment),
+            |r| !active_flows.iter().any(|(_, a)| a.segment == r.segment),
             |r| ctx.path_utilization(r.peer) < DUP_UTILIZATION_MAX,
         )
     }
@@ -177,15 +201,15 @@ impl UploadSide {
             let reachable = ctx.send(req.peer, self.unchoke_wire.clone()).is_ok()
                 && ctx.send(req.peer, self.wire_buf.wire(&header)).is_ok();
             if reachable {
-                let started = if self.warm_peers.contains(&req.peer) {
+                let started = if self.is_warm(req.peer) {
                     ctx.start_transfer_warm(req.peer, bytes, u64::from(req.segment))
                 } else {
                     ctx.start_transfer(req.peer, bytes, u64::from(req.segment))
                 };
                 match started {
                     Ok(flow) => {
-                        self.warm_peers.insert(req.peer);
-                        self.active_flows.insert(flow, req);
+                        self.set_warm(req.peer, true);
+                        self.active_flows.push((flow, req));
                         return;
                     }
                     Err(_) => { /* fall through to release */ }
