@@ -1,11 +1,11 @@
 //! The CLI subcommands.
 
+use splicecast_core::figures::{figure, FIGURES};
 use splicecast_core::{
     max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr, run_averaged,
-    sweep_with_workers, AbrAlgorithm, AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig,
-    ChurnConfig, CrashChurnConfig, DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig,
-    Ladder, LinkFlapConfig, PolicyConfig, ShardedWorkload, SplicingSpec, SweepPoint, Table,
-    VideoSpec,
+    AbrAlgorithm, AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig, ChurnConfig,
+    CrashChurnConfig, DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, Grid,
+    Ladder, LinkFlapConfig, PolicyConfig, ShardedWorkload, SplicingSpec, Table, VideoSpec,
 };
 
 use crate::args::Args;
@@ -21,12 +21,14 @@ USAGE:
 COMMANDS:
     run       stream one configuration and print its metrics
     sweep     bandwidth × splicing sweep printed as a figure-style table
+    figure    one named figure of EXPERIMENTS.md: figure <NAME> [options]
+              {figures}
     overhead  splicing byte-overhead statistics (no simulation)
     formula   evaluate Eq. 1 and the §IV CDN segment-size bound
     abr       adaptive-bitrate baseline (CDN-served ladder)
     help      this text
 
-COMMON OPTIONS (run / sweep):
+COMMON OPTIONS (run / sweep / figure; a figure overwrites what it varies):
     --bandwidth KB        peer access bandwidth in kB/s        [128]
     --bandwidths A,B,...  sweep bandwidths in kB/s             [128,256,512,768]
     --splicing S          gop | <secs>s | bytes:<n>            [4s]
@@ -47,13 +49,13 @@ COMMON OPTIONS (run / sweep):
                            explicit flags still override)
     --have-window SECS    eventful Have-coalescing window  [auto: scales with
                           segment duration, clamped to 1-4 pump intervals]
-    --workers N           worker threads for sweep / --channels  [all cores]
+    --workers N           worker threads for sweep / figure / --channels  [all cores]
     --channels C          run C independent channel swarms (sharded)  [off]
     --metric M            sweep metric: stalls|stallsecs|startup  [stalls]
-    --chart               draw the sweep as an ASCII chart
+    --chart               draw the sweep (a figure's first table) as an ASCII chart
     --csv                 also print machine-readable rows
 
-FAULT / DEFENSE OPTIONS (run / sweep):
+FAULT / DEFENSE OPTIONS (run / sweep / figure):
     --crash FRAC          crash-stop fraction (silent, no Goodbye)  [off]
     --crash-uptime SECS   mean uptime before a crash           [45]
     --msg-loss P          control-message drop probability     [0]
@@ -69,7 +71,13 @@ FORMULA OPTIONS:
 ABR OPTIONS:
     --clients N --bandwidth KB --algorithm buffer|rate|fixed:<rung>
 "
-    .to_owned()
+    .replace("{figures}", &figure_names())
+}
+
+/// The registry's names, in its order.
+fn figure_names() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    names.join(" ")
 }
 
 fn parse_splicing(raw: &str) -> Result<SplicingSpec, String> {
@@ -111,41 +119,33 @@ fn clip(args: &Args) -> Result<VideoSpec, String> {
     Ok(video)
 }
 
-fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
+pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     // A profile sets the *defaults* for the plane/model knobs; explicit
     // flags still override any of them.
-    let (default_flow, default_plane, default_dissem) =
-        match args.value("profile")?.unwrap_or("paper") {
-            "paper" => ("rounds", "legacy", "full"),
-            "scale" => ("fluid", "eventful", "windowed"),
-            other => {
-                return Err(format!(
-                    "unknown profile `{other}` (expected paper or scale)"
-                ))
-            }
-        };
-    let mut config = ExperimentConfig::paper_baseline();
+    let mut config = match args.value("profile")?.unwrap_or("paper") {
+        "paper" => ExperimentConfig::paper_baseline(),
+        "scale" => ExperimentConfig::paper_baseline().with_scale_profile(),
+        other => {
+            return Err(format!(
+                "unknown profile `{other}` (expected paper or scale)"
+            ))
+        }
+    };
     config.video = clip(args)?;
     let bandwidth_kb: f64 = args.num("bandwidth", 128.0)?;
     config = config.with_bandwidth(bandwidth_kb * 1_000.0);
     config = config.with_splicing(parse_splicing(args.value("splicing")?.unwrap_or("4s"))?);
     config = config.with_policy(parse_policy(args.value("policy")?.unwrap_or("adaptive"))?);
     config = config.with_leechers(args.num("peers", 19usize)?);
-    config = config.with_flow_model(
-        args.value("flow-model")?
-            .unwrap_or(default_flow)
-            .parse::<splicecast_core::netsim::FlowModel>()?,
-    );
-    config = config.with_control_plane(
-        args.value("control-plane")?
-            .unwrap_or(default_plane)
-            .parse::<splicecast_core::ControlPlane>()?,
-    );
-    config = config.with_dissemination(
-        args.value("dissemination")?
-            .unwrap_or(default_dissem)
-            .parse::<splicecast_core::DisseminationMode>()?,
-    );
+    if let Some(raw) = args.value("flow-model")? {
+        config = config.with_flow_model(raw.parse()?);
+    }
+    if let Some(raw) = args.value("control-plane")? {
+        config = config.with_control_plane(raw.parse()?);
+    }
+    if let Some(raw) = args.value("dissemination")? {
+        config = config.with_dissemination(raw.parse()?);
+    }
     if let Some(raw) = args.value("have-window")? {
         let secs: f64 = raw
             .parse()
@@ -447,72 +447,76 @@ fn sharded_run(
     out
 }
 
-/// `splicecast sweep`.
-pub fn sweep_command(args: &Args) -> Result<String, String> {
-    let bandwidths = args.num_list("bandwidths", &[128.0f64, 256.0, 512.0, 768.0])?;
-    let splicing_names: Vec<String> = match args.value("splicings")? {
-        None => vec!["gop".into(), "2s".into(), "4s".into(), "8s".into()],
-        Some(raw) => raw.split(',').map(|s| s.trim().to_owned()).collect(),
-    };
-    let metric = args.value("metric")?.unwrap_or("stalls");
-    let seeds = seeds(args)?;
-
-    let mut table = Table::new(
-        match metric {
-            "stalls" => "Stalls per viewer",
-            "stallsecs" => "Total stall duration, seconds",
-            "startup" => "Startup time, seconds",
-            other => return Err(format!("unknown metric `{other}`")),
-        },
-        "bandwidth (kB/s)",
-        &splicing_names
-            .iter()
-            .map(String::as_str)
-            .collect::<Vec<_>>(),
-    );
-    // Every (bandwidth, splicing) cell is an independent deterministic
-    // experiment; fan them out over worker threads. Results are identical
-    // for any worker count.
-    let base = base_config(args)?;
-    let workers = workers(args)?;
-    let (chart, csv) = (args.flag("chart"), args.flag("csv"));
-    args.reject_unread()?;
-    let mut points = Vec::new();
-    for &bandwidth in &bandwidths {
-        for name in &splicing_names {
-            let config = base
-                .clone()
-                .with_bandwidth(bandwidth * 1_000.0)
-                .with_splicing(parse_splicing(name)?);
-            config.check()?;
-            points.push(SweepPoint {
-                label: format!("{name} @ {bandwidth:.0} kB/s"),
-                config,
-            });
+/// Every table, the first one charted on `--chart` and printed again as a
+/// `csv:` block on `--csv`.
+fn render(tables: &[Table], chart: bool, csv: bool) -> String {
+    let mut out = String::new();
+    for (i, table) in tables.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
         }
-    }
-    let results = sweep_with_workers(&points, &seeds, workers);
-    for (i, &bandwidth) in bandwidths.iter().enumerate() {
-        let row: Vec<f64> = results[i * splicing_names.len()..(i + 1) * splicing_names.len()]
-            .iter()
-            .map(|(_, averaged)| match metric {
-                "stalls" => averaged.stalls.mean,
-                "stallsecs" => averaged.stall_secs.mean,
-                _ => averaged.startup_secs.mean,
-            })
-            .collect();
-        table.push_row(&format!("{bandwidth:.0}"), &row);
-    }
-    let mut out = table.to_string();
-    if chart {
-        out.push('\n');
-        out.push_str(&splicecast_core::chart::render(&table, 56, 14));
+        out.push_str(&table.to_string());
+        if i == 0 && chart {
+            out.push('\n');
+            out.push_str(&splicecast_core::chart::render(table, 56, 14));
+        }
     }
     if csv {
         out.push_str("\ncsv:\n");
-        out.push_str(&table.to_csv());
+        out.push_str(&tables[0].to_csv());
     }
-    Ok(out)
+    out
+}
+
+/// `splicecast sweep`.
+pub fn sweep_command(args: &Args) -> Result<String, String> {
+    let bandwidths: Vec<(String, f64)> = args
+        .num_list("bandwidths", &[128.0f64, 256.0, 512.0, 768.0])?
+        .into_iter()
+        .map(|kb| (format!("{kb:.0}"), kb * 1_000.0))
+        .collect();
+    let splicings = args
+        .value("splicings")?
+        .unwrap_or("gop,2s,4s,8s")
+        .split(',')
+        .map(str::trim)
+        .map(|name| Ok((name, parse_splicing(name)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let (title, metric): (_, fn(&AveragedMetrics) -> f64) =
+        match args.value("metric")?.unwrap_or("stalls") {
+            "stalls" => ("Stalls per viewer", |m| m.stalls.mean),
+            "stallsecs" => ("Total stall duration, seconds", |m| m.stall_secs.mean),
+            "startup" => ("Startup time, seconds", |m| m.startup_secs.mean),
+            other => return Err(format!("unknown metric `{other}`")),
+        };
+    let (base, seeds, workers) = (base_config(args)?, seeds(args)?, workers(args)?);
+    let (chart, csv) = (args.flag("chart"), args.flag("csv"));
+    args.reject_unread()?;
+    let grid = Grid::new("bandwidth (kB/s)", &bandwidths, &splicings, |&bw, &s| {
+        base.clone().with_bandwidth(bw).with_splicing(s)
+    });
+    grid.check()?;
+    let table = grid.run(&seeds, workers).table(title, metric, 1);
+    Ok(render(&[table], chart, csv))
+}
+
+/// `splicecast figure <name>`: one figure of the registry over the swarm
+/// the options describe.
+pub fn figure_command(name: Option<&str>, args: &Args) -> Result<String, String> {
+    let names = figure_names();
+    let name =
+        name.ok_or_else(|| format!("`figure` needs a name right after it, one of: {names}"))?;
+    let figure = figure(name)
+        .ok_or_else(|| format!("unknown figure `{name}` (expected one of: {names})"))?;
+    let (base, seeds, workers) = (base_config(args)?, seeds(args)?, workers(args)?);
+    let (chart, csv) = (args.flag("chart"), args.flag("csv"));
+    args.reject_unread()?;
+    let tables = figure.run(&base, &seeds, workers);
+    Ok(format!(
+        "{}\n\n{}",
+        figure.caption,
+        render(&tables, chart, csv)
+    ))
 }
 
 /// `splicecast overhead`.

@@ -8,6 +8,7 @@
 //! ```text
 //! splicecast run --bandwidth 256 --splicing 4s --peers 8
 //! splicecast sweep --bandwidths 128,256,512 --metric stalls
+//! splicecast figure fig2 --profile scale --csv
 //! splicecast overhead
 //! splicecast formula --bandwidth 128 --buffered 8 --segment-kb 512
 //! splicecast abr --bandwidth 160 --algorithm buffer
@@ -28,6 +29,15 @@ pub use args::Args;
 pub fn run(raw: &[String]) -> Result<String, String> {
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" || raw[0] == "-h" {
         return Ok(commands::help());
+    }
+    if raw[0] == "figure" {
+        // The one command with an operand: the figure's name comes first.
+        let (name, options) = match raw.get(1) {
+            Some(name) if !name.starts_with("--") => (Some(name.as_str()), &raw[2..]),
+            _ => (None, &raw[1..]),
+        };
+        let args = Args::parse(&[&raw[..1], options].concat())?;
+        return commands::figure_command(name, &args);
     }
     let args = Args::parse(raw)?;
     match args.command.as_str() {
@@ -170,6 +180,30 @@ mod tests {
         assert!(!text.contains("interest windows"), "{text}");
     }
 
+    /// `--profile scale` is the builder, not a second spelling of it.
+    #[test]
+    fn scale_profile_flag_is_the_scale_profile_builder() {
+        let parse = |tokens: &[&str]| {
+            let raw: Vec<String> = tokens.iter().map(|s| (*s).to_owned()).collect();
+            commands::base_config(&Args::parse(&raw).unwrap()).unwrap()
+        };
+        let paper = parse(&["run"]);
+        assert_eq!(
+            paper,
+            splicecast_core::ExperimentConfig::paper_baseline().with_bandwidth(128_000.0)
+        );
+        assert_eq!(
+            parse(&["run", "--profile", "scale"]),
+            paper.clone().with_scale_profile()
+        );
+        assert_eq!(
+            parse(&["run", "--profile", "scale", "--flow-model", "rounds"]),
+            paper
+                .with_scale_profile()
+                .with_flow_model(splicecast_core::netsim::FlowModel::Rounds)
+        );
+    }
+
     #[test]
     fn unknown_profile_errors() {
         let err = call(&["run", "--profile", "huge"]).unwrap_err();
@@ -219,7 +253,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 24] = [
+        let cases: [(&[&str], &str); 25] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -254,13 +288,15 @@ mod tests {
             (&["--clip-secs", "-5"], "clip length must be a positive"),
             (&["--clip-secs", "nan"], "clip length must be a positive"),
             (&["--splicing", "0s"], "segment duration must be positive"),
+            // Rounds to zero 90 kHz ticks: the splicer would never advance.
+            (&["--splicing", "0.000001s"], "at least one media tick"),
             (&["--splicing", "bytes:0"], "segment size must be positive"),
             (&["--policy", "fixed:0"], "a fixed pool needs at least one"),
             (&["--peers", "4", "--seed", "7"], "unknown option --seed"),
         ];
         for (flags, message) in cases {
-            for command in ["run", "sweep"] {
-                let tokens = [&[command][..], flags].concat();
+            for command in [&["run"][..], &["sweep"], &["figure", "fig2"]] {
+                let tokens = [command, flags].concat();
                 let err = std::panic::catch_unwind(|| call(&tokens))
                     .unwrap_or_else(|_| panic!("{tokens:?} unwound"))
                     .unwrap_err();
@@ -276,6 +312,19 @@ mod tests {
                 &["sweep", "--bandwidths", "inf"][..],
                 "bandwidths must be finite",
             ),
+            (
+                &["sweep", "--splicings", "4s,0.000001s"],
+                "at least one media tick",
+            ),
+            (
+                &["overhead", "--durations", "0.000001"],
+                "at least one media tick",
+            ),
+            (&["figure"], "`figure` needs a name"),
+            (&["figure", "--peers", "3"], "`figure` needs a name"),
+            (&["figure", "fig6"], "unknown figure `fig6`"),
+            (&["figure", "fig2", "--peers", "0"], "at least one leecher"),
+            (&["figure", "fig2", "--metric", "startup"], "unknown option"),
             (&["abr", "--clients", "0"], "need at least one client"),
             (
                 &["abr", "--bandwidth", "0"],
@@ -385,6 +434,26 @@ mod tests {
         ])
         .unwrap();
         assert!(text.contains("o = 4s"), "{text}");
+    }
+
+    #[test]
+    fn figure_command_prints_every_table_of_the_figure() {
+        let quick = ["--peers", "3", "--clip-secs", "12", "--seeds", "1"];
+        let text = call(&[&["figure", "fig5", "--csv", "--chart"], &quick[..]].concat()).unwrap();
+        assert!(text.starts_with("Figure 5: "), "{text}");
+        for needle in [
+            "Total number of stalls",
+            "Startup time, seconds (supplementary)",
+            "Total delay",
+            "o = adaptive",
+            "\ncsv:\nbandwidth,adaptive,pool-2,pool-4,pool-8\n128 kB/s,",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+        // The same figure on the other stack is a different experiment.
+        let paper = call(&[&["figure", "fig5"], &quick[..]].concat()).unwrap();
+        let scale = [&["figure", "fig5", "--profile", "scale"], &quick[..]].concat();
+        assert_ne!(call(&scale).unwrap(), paper);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Multi-seed experiments and parameter sweeps.
+//! Multi-seed experiments and the worker pool that fans them out.
 //!
 //! The paper "ran the application three times for each bandwidth and took
 //! the rounded average" (§VI-A); [`run_averaged`] reproduces exactly that
-//! methodology, and [`sweep`] fans a list of labelled configurations out
-//! over worker threads.
+//! methodology, and the worker pool here fans independent runs — the cells
+//! of a [`Grid`](crate::figures::Grid), the channels of a
+//! [`ShardedWorkload`](crate::ShardedWorkload) — out over threads.
 
 use serde::{Deserialize, Serialize};
 
@@ -155,70 +156,6 @@ pub fn run_prepared_averaged(prepared: &PreparedExperiment, seeds: &[u64]) -> Av
     AveragedMetrics::from_runs(&results)
 }
 
-/// A labelled configuration for a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Label shown in reports (e.g. "gop @ 128 kB/s").
-    pub label: String,
-    /// The configuration to run.
-    pub config: ExperimentConfig,
-}
-
-/// Runs every sweep point (each averaged over `seeds`) in parallel across
-/// worker threads, preserving input order in the output.
-///
-/// # Panics
-///
-/// Panics when `seeds` is empty or any worker run panics.
-pub fn sweep(points: &[SweepPoint], seeds: &[u64]) -> Vec<(String, AveragedMetrics)> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    sweep_with_workers(points, seeds, workers)
-}
-
-/// [`sweep`] with an explicit worker-thread count. Results are identical
-/// for any count ≥ 1 (every point is an independent deterministic run).
-///
-/// # Panics
-///
-/// Panics when `seeds` is empty, `workers` is zero, or any worker run
-/// panics (the worker's panic message is propagated).
-pub fn sweep_with_workers(
-    points: &[SweepPoint],
-    seeds: &[u64],
-    workers: usize,
-) -> Vec<(String, AveragedMetrics)> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-
-    // Build each point's media up front, serially: points that stream the
-    // identical video with the identical splicing (a bandwidth or policy
-    // sweep) share one built segment list instead of re-encoding per point.
-    let prepared: Vec<PreparedExperiment> =
-        points
-            .iter()
-            .fold(Vec::with_capacity(points.len()), |mut done, point| {
-                let p = done
-                    .iter()
-                    .find_map(|q: &PreparedExperiment| q.try_share(&point.config))
-                    .unwrap_or_else(|| PreparedExperiment::new(&point.config));
-                done.push(p);
-                done
-            });
-
-    run_ordered(
-        points.len(),
-        workers,
-        |i| format!("sweep point '{}'", points[i].label),
-        |i| {
-            (
-                points[i].label.clone(),
-                run_prepared_averaged(&prepared[i], seeds),
-            )
-        },
-    )
-}
-
 /// Runs `job(i)` for every `i < n` on up to `workers` scoped threads and
 /// returns the results in index order, whichever thread ran which. A
 /// panicking job stops the pool and is re-raised on the caller's thread as
@@ -287,6 +224,7 @@ pub(crate) fn run_ordered<T: Send>(
 mod tests {
     use super::*;
     use crate::config::VideoSpec;
+    use crate::figures::Grid;
     use crate::runner::run_once;
     use crate::splicing::SplicingSpec;
 
@@ -317,23 +255,20 @@ mod tests {
         assert_eq!(avg.segment_count, 3);
     }
 
+    /// A one-series grid over `bandwidths`, each cell `make(bandwidth)`.
+    fn bandwidth_grid(bandwidths: &[f64], make: impl Fn(f64) -> ExperimentConfig) -> Grid {
+        let rows: Vec<(String, f64)> = bandwidths.iter().map(|&bw| (format!("{bw}"), bw)).collect();
+        Grid::new("bandwidth", &rows, &[("quick", ())], |&bw, _| make(bw))
+    }
+
     #[test]
     fn sweep_preserves_order_and_matches_serial() {
-        let points: Vec<SweepPoint> = [512_000.0, 768_000.0]
-            .iter()
-            .map(|&bw| SweepPoint {
-                label: format!("{bw}"),
-                config: quick_config(bw),
-            })
-            .collect();
+        let bandwidths = [512_000.0, 768_000.0];
         let seeds = [3];
-        let parallel = sweep(&points, &seeds);
-        assert_eq!(parallel.len(), 2);
-        assert_eq!(parallel[0].0, "512000");
-        assert_eq!(parallel[1].0, "768000");
-        for (point, (_, metrics)) in points.iter().zip(&parallel) {
-            let serial = run_averaged(&point.config, &seeds);
-            assert_eq!(*metrics, serial, "parallel and serial disagree");
+        let parallel = bandwidth_grid(&bandwidths, quick_config).run(&seeds, 2);
+        for (row, &bw) in bandwidths.iter().enumerate() {
+            let serial = run_averaged(&quick_config(bw), &seeds);
+            assert_eq!(*parallel.at(row, 0), serial, "parallel and serial disagree");
         }
     }
 
@@ -435,61 +370,39 @@ mod tests {
 
     #[test]
     fn sweep_is_identical_across_worker_counts() {
-        let points: Vec<SweepPoint> = [512_000.0, 640_000.0, 768_000.0]
-            .iter()
-            .map(|&bw| SweepPoint {
-                label: format!("{bw}"),
-                config: quick_config(bw),
-            })
-            .collect();
+        let grid = bandwidth_grid(&[512_000.0, 640_000.0, 768_000.0], quick_config);
         let seeds = [3, 4];
-        let one = sweep_with_workers(&points, &seeds, 1);
-        let four = sweep_with_workers(&points, &seeds, 4);
-        assert_eq!(one, four);
+        assert_eq!(grid.run(&seeds, 1), grid.run(&seeds, 4));
     }
 
     #[test]
     fn sweep_propagates_worker_panics() {
         // An invalid configuration makes the worker panic inside the run;
-        // the sweep must report it instead of dying on a poisoned lock.
-        let mut bad = quick_config(512_000.0);
-        bad.swarm.n_leechers = 0;
-        let points = vec![SweepPoint {
-            label: "bad".into(),
-            config: bad,
-        }];
-        let result = std::panic::catch_unwind(|| sweep_with_workers(&points, &[1], 2));
-        let payload = result.expect_err("sweep should propagate the panic");
+        // the grid must report it instead of dying on a poisoned lock.
+        let grid = bandwidth_grid(&[512_000.0], |bw| quick_config(bw).with_leechers(0));
+        assert!(grid.check().is_err());
+        let result = std::panic::catch_unwind(|| grid.run(&[1], 2));
+        let payload = result.expect_err("the grid should propagate the panic");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
         assert!(
-            msg.contains("sweep point 'bad' panicked"),
+            msg.contains("grid cell 'quick @ 512000' panicked"),
             "unexpected panic message: {msg}"
         );
     }
 
     #[test]
     fn fluid_sweep_is_identical_across_worker_counts() {
-        let make = |bw: f64| {
-            let mut cfg = quick_config(bw);
-            cfg.swarm.flow_model = splicecast_netsim::FlowModel::Fluid;
-            cfg
-        };
-        let points: Vec<SweepPoint> = [512_000.0, 640_000.0]
-            .iter()
-            .map(|&bw| SweepPoint {
-                label: format!("{bw}"),
-                config: make(bw),
-            })
-            .collect();
+        let make = |bw: f64| quick_config(bw).with_flow_model(splicecast_netsim::FlowModel::Fluid);
+        let bandwidths = [512_000.0, 640_000.0];
+        let grid = bandwidth_grid(&bandwidths, make);
         let seeds = [7];
-        let serial = sweep_with_workers(&points, &seeds, 1);
-        let parallel = sweep_with_workers(&points, &seeds, 3);
-        assert_eq!(serial, parallel);
-        for (point, (_, metrics)) in points.iter().zip(&serial) {
-            assert_eq!(*metrics, run_averaged(&point.config, &seeds));
+        let serial = grid.run(&seeds, 1);
+        assert_eq!(serial, grid.run(&seeds, 3));
+        for (row, &bw) in bandwidths.iter().enumerate() {
+            assert_eq!(*serial.at(row, 0), run_averaged(&make(bw), &seeds));
         }
     }
 }

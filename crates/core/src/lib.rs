@@ -13,8 +13,9 @@
 //! - [`ExperimentConfig`] / [`VideoSpec`] / [`SplicingSpec`]: describe an
 //!   experiment (defaults = the paper's GENI setup);
 //! - [`run_once`] → [`RunResult`]: one seeded, deterministic swarm run;
-//! - [`run_averaged`] / [`sweep`]: the paper's three-run rounded-average
-//!   methodology and parallel parameter sweeps;
+//! - [`run_averaged`]: the paper's three-run rounded-average methodology;
+//! - [`Grid`] / [`figures::FIGURES`]: rows × series grids of experiments
+//!   run on a worker pool, and the named figures built from them;
 //! - [`optimal_pool_size`] / [`max_cdn_segment_bytes`]: the paper's
 //!   formulas, standalone;
 //! - [`Table`]: figure-shaped text reports.
@@ -39,6 +40,7 @@
 pub mod chart;
 mod config;
 mod experiment;
+pub mod figures;
 mod formula;
 mod report;
 mod runner;
@@ -56,10 +58,8 @@ fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
 }
 
 pub use config::{ExperimentConfig, VideoSpec};
-pub use experiment::{
-    run_averaged, run_prepared_averaged, sweep, sweep_with_workers, AveragedMetrics, SweepPoint,
-    DEFAULT_SEEDS,
-};
+pub use experiment::{run_averaged, run_prepared_averaged, AveragedMetrics, DEFAULT_SEEDS};
+pub use figures::{Grid, GridResult};
 pub use formula::{max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size};
 pub use report::Table;
 pub use runner::{run_once, PreparedExperiment, RunResult};

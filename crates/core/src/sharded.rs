@@ -7,12 +7,10 @@
 //! fanned across worker threads and merged into per-channel plus
 //! cross-channel [`AveragedMetrics`].
 //!
-//! Determinism contract: like [`sweep_with_workers`], results are
+//! Determinism contract: like [`Grid::run`](crate::Grid::run), results are
 //! bit-identical for any worker count ≥ 1 — each channel is an independent
 //! deterministic simulation, workers only claim whole channels, and the
 //! output slots preserve channel order.
-//!
-//! [`sweep_with_workers`]: crate::sweep_with_workers
 
 use crate::config::ExperimentConfig;
 use crate::experiment::{run_ordered, AveragedMetrics};

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use splicecast_media::{
-    ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, SegmentList, Splicer, Video,
+    ByteSplicer, DurationSplicer, GopSplicer, MediaTicks, RampSplicer, SegmentList, Splicer, Video,
 };
 
 use crate::rule;
@@ -27,6 +27,15 @@ pub enum SplicingSpec {
     },
 }
 
+/// A cut interval under half a 90 kHz tick rounds to zero ticks, which
+/// the splicers refuse (their boundary walk would never advance).
+fn whole_tick(secs: f64) -> Result<(), String> {
+    rule(
+        !MediaTicks::from_secs_f64(secs).is_zero(),
+        format!("segment duration must be at least one media tick, got {secs}"),
+    )
+}
+
 impl SplicingSpec {
     /// The rule a parameter breaks, if any: an `Err` here is exactly a
     /// panic in [`Self::build`]. Callers holding outside input (the CLI)
@@ -34,15 +43,21 @@ impl SplicingSpec {
     pub fn check(&self) -> Result<(), String> {
         match *self {
             SplicingSpec::Gop => Ok(()),
-            SplicingSpec::Duration(secs) => rule(
-                secs.is_finite() && secs > 0.0,
-                format!("segment duration must be positive, got {secs}"),
-            ),
+            SplicingSpec::Duration(secs) => {
+                rule(
+                    secs.is_finite() && secs > 0.0,
+                    format!("segment duration must be positive, got {secs}"),
+                )?;
+                whole_tick(secs)
+            }
             SplicingSpec::Bytes(bytes) => rule(bytes > 0, "segment size must be positive"),
-            SplicingSpec::Ramp { initial, max } => rule(
-                initial.is_finite() && initial > 0.0 && initial <= max,
-                format!("bad ramp range [{initial}, {max}]"),
-            ),
+            SplicingSpec::Ramp { initial, max } => {
+                rule(
+                    initial.is_finite() && initial > 0.0 && initial <= max,
+                    format!("bad ramp range [{initial}, {max}]"),
+                )?;
+                whole_tick(initial)
+            }
         }
     }
 
@@ -111,6 +126,12 @@ mod tests {
                 initial: 0.0,
                 max: 1.0,
             },
+            // Under half a 90 kHz tick: zero ticks, an endless boundary walk.
+            SplicingSpec::Duration(1e-6),
+            SplicingSpec::Ramp {
+                initial: 1e-6,
+                max: 1.0,
+            },
         ];
         for spec in bad {
             assert!(spec.check().is_err(), "{spec:?}");
@@ -122,6 +143,7 @@ mod tests {
         for spec in [
             SplicingSpec::Gop,
             SplicingSpec::Duration(0.5),
+            SplicingSpec::Duration(1e-5),
             SplicingSpec::Bytes(1),
             SplicingSpec::Ramp {
                 initial: 2.0,

@@ -86,12 +86,14 @@ impl DurationSplicer {
     ///
     /// # Panics
     ///
-    /// Panics unless `target_secs` is positive and finite.
+    /// Panics unless `target_secs` is positive, finite and at least one
+    /// media tick.
     pub fn new(target_secs: f64) -> Self {
         assert!(
             target_secs.is_finite() && target_secs > 0.0,
             "segment duration must be positive, got {target_secs}"
         );
+        assert_whole_tick(target_secs);
         DurationSplicer { target_secs }
     }
 
@@ -207,12 +209,14 @@ impl RampSplicer {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < initial_secs <= max_secs` and `growth >= 1`.
+    /// Panics unless `0 < initial_secs <= max_secs`, `initial_secs` is at
+    /// least one media tick and `growth >= 1`.
     pub fn new(initial_secs: f64, max_secs: f64, growth: f64) -> Self {
         assert!(
             initial_secs.is_finite() && initial_secs > 0.0 && initial_secs <= max_secs,
             "bad ramp range [{initial_secs}, {max_secs}]"
         );
+        assert_whole_tick(initial_secs);
         assert!(
             growth.is_finite() && growth >= 1.0,
             "growth must be at least 1, got {growth}"
@@ -262,6 +266,15 @@ impl Splicer for RampSplicer {
             format_secs_bare(self.max_secs)
         )
     }
+}
+
+/// A cut interval that rounds to zero ticks would never advance the
+/// boundary walk in `splice`.
+fn assert_whole_tick(secs: f64) {
+    assert!(
+        !MediaTicks::from_secs_f64(secs).is_zero(),
+        "segment duration must be at least one media tick, got {secs}"
+    );
 }
 
 fn format_secs_bare(secs: f64) -> String {
@@ -478,6 +491,25 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_duration_panics() {
         let _ = DurationSplicer::new(0.0);
+    }
+
+    /// Half a 90 kHz tick is ~5.6 µs: below it the interval is zero ticks
+    /// (refused), above it every frame is its own segment.
+    #[test]
+    fn sub_tick_durations_panic_and_one_tick_splices_per_frame() {
+        let refused: [fn() -> String; 2] = [
+            || DurationSplicer::new(1e-6).name(),
+            || RampSplicer::new(1e-6, 1.0, 1.5).name(),
+        ];
+        for build in refused {
+            let payload = std::panic::catch_unwind(build).expect_err("must refuse");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("at least one media tick"), "{msg}");
+        }
+        let video = Video::builder().duration_secs(1.0).seed(1).build();
+        let list = DurationSplicer::new(1e-5).splice(&video);
+        list.validate(&video).unwrap();
+        assert_eq!(list.len(), video.frames().len());
     }
 
     #[test]

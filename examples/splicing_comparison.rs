@@ -1,11 +1,11 @@
 //! GOP-based vs duration-based splicing across bandwidths — a scaled-down
-//! version of the paper's Figures 2 and 3.
+//! version of the paper's Figures 2 and 3, as one [`Grid`].
 //!
 //! ```sh
 //! cargo run --release -p splicecast-examples --example splicing_comparison
 //! ```
 
-use splicecast_core::{run_averaged, ExperimentConfig, SplicingSpec, Table, VideoSpec};
+use splicecast_core::{ExperimentConfig, Grid, SplicingSpec, VideoSpec};
 
 fn main() {
     let bandwidths = [
@@ -19,39 +19,31 @@ fn main() {
         ("4s", SplicingSpec::Duration(4.0)),
         ("8s", SplicingSpec::Duration(8.0)),
     ];
+    let mut base = ExperimentConfig::paper_baseline().with_leechers(10);
+    base.video = VideoSpec {
+        duration_secs: 60.0,
+        ..VideoSpec::default()
+    };
 
-    let mut stall_table = Table::new(
-        "Stalls per viewer (10 peers, 60 s clip)",
+    let grid = Grid::new(
         "bandwidth",
-        &["gop", "2s", "4s", "8s"],
-    );
-    let mut duration_table = Table::new(
-        "Total stall seconds per viewer",
-        "bandwidth",
-        &["gop", "2s", "4s", "8s"],
-    );
-
-    for (label, bandwidth) in bandwidths {
-        let mut stalls = Vec::new();
-        let mut durations = Vec::new();
-        for (_, splicing) in &variants {
-            let mut config = ExperimentConfig::paper_baseline()
+        &bandwidths,
+        &variants,
+        |&bandwidth, &splicing| {
+            base.clone()
                 .with_bandwidth(bandwidth)
-                .with_splicing(*splicing)
-                .with_leechers(10);
-            config.video = VideoSpec {
-                duration_secs: 60.0,
-                ..VideoSpec::default()
-            };
-            let avg = run_averaged(&config, &[1, 2]);
-            stalls.push(avg.stalls.mean);
-            durations.push(avg.stall_secs.mean);
-        }
-        stall_table.push_row(label, &stalls);
-        duration_table.push_row(label, &durations);
-    }
-    println!("{stall_table}");
-    println!("{duration_table}");
+                .with_splicing(splicing)
+        },
+    );
+    let result = grid.run(&[1, 2], 2);
+    let stalls = result.table(
+        "Stalls per viewer (10 peers, 60 s clip)",
+        |m| m.stalls.mean,
+        1,
+    );
+    let durations = result.table("Total stall seconds per viewer", |m| m.stall_secs.mean, 1);
+    println!("{stalls}");
+    println!("{durations}");
     println!("expected shape: the gop column dominates, and everything");
     println!("shrinks as bandwidth grows (cf. the paper's Figs. 2-3).");
 }
