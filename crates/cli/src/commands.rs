@@ -2,13 +2,14 @@
 
 use splicecast_core::figures::{figure, FIGURES};
 use splicecast_core::{
-    max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr, run_averaged,
-    AbrAlgorithm, AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig, ChurnConfig,
-    CrashChurnConfig, DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, Grid,
-    Ladder, LinkFlapConfig, PolicyConfig, ShardedWorkload, SplicingSpec, Table, VideoSpec,
+    max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr, run_all, AbrAlgorithm,
+    AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig, ChurnConfig, CrashChurnConfig,
+    DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, Grid, Ladder, LinkFlapConfig,
+    PolicyConfig, PreparedExperiment, RunResult, SplicingSpec, Table, VideoSpec,
 };
 
 use crate::args::Args;
+use crate::sharded::channel_runs_seeds;
 
 /// The `help` text.
 pub fn help() -> String {
@@ -49,7 +50,7 @@ COMMON OPTIONS (run / sweep / figure; a figure overwrites what it varies):
                            explicit flags still override)
     --have-window SECS    eventful Have-coalescing window  [auto: scales with
                           segment duration, clamped to 1-4 pump intervals]
-    --workers N           worker threads for sweep / figure / --channels  [all cores]
+    --workers N           worker threads for run / sweep / figure  [all cores]
     --channels C          run C independent channel swarms (sharded)  [off]
     --metric M            sweep metric: stalls|stallsecs|startup  [stalls]
     --chart               draw the sweep (a figure's first table) as an ASCII chart
@@ -210,16 +211,26 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     Ok(config)
 }
 
-/// The `peer memory:` / `holder sets:` lines of a run report (nothing when
-/// the run did no memory accounting).
-fn memory_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
-    if averaged.mem.total_bytes() == 0 {
-        return String::new();
-    }
+/// The `stalls:` … `peer offload:` lines of a run report, then its
+/// `peer memory:` / `holder sets:` lines (none when the run did no memory
+/// accounting).
+fn qoe_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
     let mut out = format!(
+        "  stalls:            {:.1}  (rounded: {})\n  stall time:        {:.1} s\n  startup:           {:.1} s\n  completion:        {:.0}%\n  peer offload:      {:.0}%\n",
+        averaged.stalls.mean,
+        averaged.rounded_stalls,
+        averaged.stall_secs.mean,
+        averaged.startup_secs.mean,
+        averaged.completion_rate * 100.0,
+        averaged.peer_offload * 100.0,
+    );
+    if averaged.mem.total_bytes() == 0 {
+        return out;
+    }
+    out.push_str(&format!(
         "  peer memory:       {:.1} kB/peer\n",
         averaged.mem_bytes_per_peer(leechers_per_run) / 1e3,
-    );
+    ));
     let sched = averaged.sched;
     // A finished leecher has purged every set by the time it reports, so
     // on a completed run the promotion count is all there is to print.
@@ -265,63 +276,62 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     if sharded && channels == 0 {
         return Err("--channels needs at least 1".to_owned());
     }
-    let (seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv"));
+    let (mut seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv"));
     args.reject_unread()?;
+    let per_channel = seeds.len();
     if sharded {
-        let workload = ShardedWorkload::with_channel_count(&config, channels, &seeds);
-        return Ok(sharded_run(&config, &workload, workers, csv));
+        seeds = channel_runs_seeds(channels, &seeds);
     }
-    let averaged = run_averaged(&config, &seeds);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "streaming {:.0}s of {:.1} Mbps video to {} peers at {:.0} kB/s ({} splicing, {} policy)\n\n",
-        config.video.duration_secs,
-        config.video.bitrate_bps as f64 / 1e6,
-        config.swarm.n_leechers,
-        config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
-        config.splicing.label(),
-        match config.swarm.policy {
-            PolicyConfig::Adaptive => "adaptive".to_owned(),
-            PolicyConfig::Fixed(k) => format!("fixed-{k}"),
-        },
-    ));
-    out.push_str(&format!(
-        "  segments:          {}\n",
-        averaged.segment_count
-    ));
-    out.push_str(&format!(
-        "  byte overhead:     {:.1}%\n",
-        averaged.overhead_ratio * 100.0
-    ));
-    out.push_str(&format!(
-        "  stalls:            {:.1}  (rounded: {})\n",
-        averaged.stalls.mean, averaged.rounded_stalls
-    ));
-    out.push_str(&format!(
-        "  stall time:        {:.1} s\n",
-        averaged.stall_secs.mean
-    ));
-    out.push_str(&format!(
-        "  startup:           {:.1} s\n",
-        averaged.startup_secs.mean
-    ));
-    out.push_str(&format!(
-        "  completion:        {:.0}%\n",
-        averaged.completion_rate * 100.0
-    ));
-    out.push_str(&format!(
-        "  peer offload:      {:.0}%\n",
-        averaged.peer_offload * 100.0
-    ));
-    out.push_str(&memory_lines(&averaged, config.swarm.n_leechers));
+    let prepared = [PreparedExperiment::new(&config)];
+    let results = run_all(&prepared, &seeds, workers, |_| "the run".to_owned()).remove(0);
+    let averaged = AveragedMetrics::from_runs(&results);
+    let mut out = if sharded {
+        channel_lines(&config, &results, per_channel)
+    } else {
+        format!(
+            "streaming {:.0}s of {:.1} Mbps video to {} peers at {:.0} kB/s ({} splicing, {} policy)\n\n  segments:          {}\n  byte overhead:     {:.1}%\n",
+            config.video.duration_secs,
+            config.video.bitrate_bps as f64 / 1e6,
+            config.swarm.n_leechers,
+            config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
+            config.splicing.label(),
+            match config.swarm.policy {
+                PolicyConfig::Adaptive => "adaptive".to_owned(),
+                PolicyConfig::Fixed(k) => format!("fixed-{k}"),
+            },
+            averaged.segment_count,
+            averaged.overhead_ratio * 100.0
+        )
+    };
+    out.push_str(&qoe_lines(&averaged, config.swarm.n_leechers));
+    if !sharded {
+        out.push_str(&counter_lines(&averaged));
+    }
+    out.push_str(&stuck_block(&results));
+    if csv {
+        out.push_str(&format!(
+            "\ncsv:\nstalls,stall_secs,startup_secs,completion,offload\n{:.2},{:.2},{:.2},{:.3},{:.3}\n",
+            averaged.stalls.mean,
+            averaged.stall_secs.mean,
+            averaged.startup_secs.mean,
+            averaged.completion_rate,
+            averaged.peer_offload,
+        ));
+    }
+    Ok(out)
+}
+
+/// The control-plane, scheduler, dissemination and fault counters of a
+/// `run` report, per run; a line whose counters are all zero is left out.
+fn counter_lines(averaged: &AveragedMetrics) -> String {
     let runs = averaged.runs as f64;
     let control = averaged.control;
-    out.push_str(&format!(
+    let mut out = format!(
         "  have traffic:      {:.0} haves, {:.0} bundles, {:.0} suppressed (per run)\n",
         control.haves_sent as f64 / runs,
         control.have_bundles_sent as f64 / runs,
         control.haves_suppressed as f64 / runs,
-    ));
+    );
     if control.have_bundles_sent > 0 {
         out.push_str(&format!(
             "  coalescing:        {:.1} haves per bundle\n",
@@ -384,66 +394,54 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
             fault.keepalives_sent as f64 / runs,
         ));
     }
-    if csv {
-        out.push_str(&csv_block(&averaged));
+    out
+}
+
+/// Who is stuck, per run that left a staying viewer unfinished: the first
+/// ten lines of its `stuck_report()` and how many more there are.
+fn stuck_block(runs: &[RunResult]) -> String {
+    let mut out = String::new();
+    for run in runs {
+        let report = run.metrics.stuck_report();
+        let stuck = report.lines().count();
+        if stuck > 0 {
+            out.push_str(&format!("\nstuck viewers (seed {}):\n", run.seed));
+        }
+        for line in report.lines().take(10) {
+            out.push_str(&format!("  {line}\n"));
+        }
+        if stuck > 10 {
+            out.push_str(&format!("  … and {} more\n", stuck - 10));
+        }
     }
-    Ok(out)
+    out
 }
 
-/// The `csv:` block of a run report: one header, one row.
-fn csv_block(averaged: &AveragedMetrics) -> String {
-    format!(
-        "\ncsv:\nstalls,stall_secs,startup_secs,completion,offload\n{:.2},{:.2},{:.2},{:.3},{:.3}\n",
-        averaged.stalls.mean,
-        averaged.stall_secs.mean,
-        averaged.startup_secs.mean,
-        averaged.completion_rate,
-        averaged.peer_offload,
-    )
-}
-
-/// `splicecast run --channels C`: C independent channel swarms of the
-/// same configuration, fanned over worker threads.
-fn sharded_run(
-    config: &ExperimentConfig,
-    workload: &ShardedWorkload,
-    workers: usize,
-    csv: bool,
-) -> String {
-    let outcome = workload.run(workers);
+/// The head of a `run --channels C` report. A channel is the same
+/// experiment on the seeds derived from its id, so `runs` is every
+/// channel's runs in channel order: one line per channel, then the title of
+/// the aggregate over all of them.
+fn channel_lines(config: &ExperimentConfig, runs: &[RunResult], per_channel: usize) -> String {
     let mut out = format!(
         "streaming {:.0}s of {:.1} Mbps video on {} channels × {} peers at {:.0} kB/s\n\n",
         config.video.duration_secs,
         config.video.bitrate_bps as f64 / 1e6,
-        outcome.channels.len(),
+        runs.len() / per_channel,
         config.swarm.n_leechers,
         config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
     );
-    for result in &outcome.channels {
+    for (i, channel_runs) in runs.chunks(per_channel).enumerate() {
+        let averaged = AveragedMetrics::from_runs(channel_runs);
         out.push_str(&format!(
             "  {:<6} stalls {:>5.1}  stall time {:>6.1} s  startup {:>5.1} s  completion {:>3.0}%\n",
-            result.channel,
-            result.averaged.stalls.mean,
-            result.averaged.stall_secs.mean,
-            result.averaged.startup_secs.mean,
-            result.averaged.completion_rate * 100.0,
+            format!("ch{i}"),
+            averaged.stalls.mean,
+            averaged.stall_secs.mean,
+            averaged.startup_secs.mean,
+            averaged.completion_rate * 100.0,
         ));
     }
-    let agg = &outcome.aggregate;
-    out.push_str(&format!(
-        "\naggregate over {} runs:\n  stalls:            {:.1}  (rounded: {})\n  stall time:        {:.1} s\n  startup:           {:.1} s\n  completion:        {:.0}%\n  peer offload:      {:.0}%\n",
-        agg.runs,
-        agg.stalls.mean,
-        agg.rounded_stalls,
-        agg.stall_secs.mean,
-        agg.startup_secs.mean,
-        agg.completion_rate * 100.0,
-        agg.peer_offload * 100.0,
-    ));
-    out.push_str(&memory_lines(agg, config.swarm.n_leechers));
-    if csv {
-        out.push_str(&csv_block(agg));
-    }
+    out.push_str(&format!("\naggregate over {} runs:\n", runs.len()));
     out
 }
 

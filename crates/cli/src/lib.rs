@@ -18,6 +18,7 @@
 
 mod args;
 mod commands;
+mod sharded;
 
 pub use args::Args;
 
@@ -235,6 +236,57 @@ mod tests {
         assert!(text.contains("aggregate over 2 runs"), "{text}");
         // The aggregate's row, under the header the unsharded run prints.
         assert!(text.contains("\ncsv:\nstalls,stall_secs,"), "{text}");
+    }
+
+    /// Seeds fan out over `--workers`; the report never depends on the count.
+    #[test]
+    fn run_command_is_identical_across_worker_counts() {
+        let quick = [
+            "run",
+            "--peers",
+            "3",
+            "--clip-secs",
+            "12",
+            "--seeds",
+            "5,6,7",
+        ];
+        let one = call(&[&quick[..], &["--workers", "1"]].concat()).unwrap();
+        assert_eq!(
+            one,
+            call(&[&quick[..], &["--workers", "4"]].concat()).unwrap()
+        );
+        // A completed run has nobody to name.
+        assert!(one.contains("completion:        100%"), "{one}");
+        assert!(!one.contains("stuck viewers"), "{one}");
+    }
+
+    /// A run that leaves viewers unfinished says which, per seed: ten lines
+    /// of each run's `stuck_report()`, then a count of the rest.
+    #[test]
+    fn collapsed_run_names_its_stuck_viewers() {
+        // 6 MB over 1 kB/s links cannot arrive inside the simulated-time cap.
+        let text = call(&[
+            "run",
+            "--peers",
+            "12",
+            "--clip-secs",
+            "48",
+            "--bandwidth",
+            "1",
+            "--seeds",
+            "1,2",
+            "--csv",
+        ])
+        .unwrap();
+        assert!(text.contains("completion:        0%"), "{text}");
+        for seed in [1, 2] {
+            let block = format!("\nstuck viewers (seed {seed}):\n  peer 0: ");
+            assert!(text.contains(&block), "{text}");
+        }
+        assert_eq!(text.matches(" segments (").count(), 20, "{text}");
+        assert_eq!(text.matches("\n  … and 2 more\n").count(), 2, "{text}");
+        // The csv block stays the tail of the report.
+        assert!(text.ends_with(",0.000,0.816\n"), "{text}");
     }
 
     #[test]

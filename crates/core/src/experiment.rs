@@ -1,12 +1,15 @@
 //! Multi-seed experiments and the worker pool that fans them out.
 //!
 //! The paper "ran the application three times for each bandwidth and took
-//! the rounded average" (§VI-A); [`run_averaged`] reproduces exactly that
-//! methodology, and the worker pool here fans independent runs — the cells
-//! of a [`Grid`](crate::figures::Grid), the channels of a
-//! [`ShardedWorkload`](crate::ShardedWorkload) — out over threads.
+//! the rounded average" (§VI-A), so the unit of work is one seeded run of
+//! one experiment. [`run_all`] is the only place such runs are fanned out
+//! over threads — a [`Grid`](crate::figures::Grid) hands it an experiment
+//! per cell, [`run_averaged`] a single one, a caller that wants independent
+//! channels the same one on derived seeds — and
+//! [`AveragedMetrics::from_runs`] the only fold.
 
 use serde::{Deserialize, Serialize};
+use splicecast_swarm::SwarmMetrics;
 
 use crate::config::ExperimentConfig;
 use crate::runner::{PreparedExperiment, RunResult};
@@ -68,15 +71,10 @@ impl AveragedMetrics {
     /// Panics on an empty result list.
     pub fn from_runs(results: &[RunResult]) -> Self {
         assert!(!results.is_empty(), "no runs to average");
-        let stalls: Vec<f64> = results.iter().map(|r| r.metrics.mean_stalls()).collect();
-        let stall_secs: Vec<f64> = results
-            .iter()
-            .map(|r| r.metrics.mean_stall_secs())
-            .collect();
-        let startup: Vec<f64> = results
-            .iter()
-            .map(|r| r.metrics.mean_startup_secs())
-            .collect();
+        let per_run = |metric: fn(&SwarmMetrics) -> f64| -> Vec<f64> {
+            results.iter().map(|r| metric(&r.metrics)).collect()
+        };
+        let stalls = per_run(SwarmMetrics::mean_stalls);
         let mut control = splicecast_swarm::ControlPlaneStats::default();
         let mut sched = splicecast_swarm::SchedulerStats::default();
         let mut dissem = splicecast_swarm::DisseminationStats::default();
@@ -95,22 +93,10 @@ impl AveragedMetrics {
             runs: results.len(),
             rounded_stalls: rounded_mean(&stalls),
             stalls: Summary::of(&stalls),
-            stall_secs: Summary::of(&stall_secs),
-            startup_secs: Summary::of(&startup),
-            completion_rate: Summary::of(
-                &results
-                    .iter()
-                    .map(|r| r.metrics.completion_rate())
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
-            peer_offload: Summary::of(
-                &results
-                    .iter()
-                    .map(|r| r.metrics.peer_offload_ratio())
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
+            stall_secs: Summary::of(&per_run(SwarmMetrics::mean_stall_secs)),
+            startup_secs: Summary::of(&per_run(SwarmMetrics::mean_startup_secs)),
+            completion_rate: Summary::of(&per_run(SwarmMetrics::completion_rate)).mean,
+            peer_offload: Summary::of(&per_run(SwarmMetrics::peer_offload_ratio)).mean,
             overhead_ratio: results[0].overhead_ratio,
             segment_count: results[0].segment_count,
             control,
@@ -135,25 +121,45 @@ impl AveragedMetrics {
 }
 
 /// Runs `config` once per seed and averages, exactly like the paper's
-/// three-run methodology.
+/// three-run methodology (the video is encoded and spliced once).
 ///
 /// # Panics
 ///
-/// Panics when `seeds` is empty.
+/// Panics when `seeds` is empty or a run panics.
 pub fn run_averaged(config: &ExperimentConfig, seeds: &[u64]) -> AveragedMetrics {
-    run_prepared_averaged(&PreparedExperiment::new(config), seeds)
+    let prepared = [PreparedExperiment::new(config)];
+    AveragedMetrics::from_runs(&run_all(&prepared, seeds, 1, |_| "the run".to_owned())[0])
 }
 
-/// [`run_averaged`] over an experiment whose media is already built —
-/// the video is encoded and spliced once, not once per seed.
+/// Runs every experiment once per seed on up to `workers` threads — with
+/// `k` seeds, job `j` is `prepared[j / k].run(seeds[j % k])` — and returns
+/// each experiment's runs in seed order. Every job is an independent
+/// deterministic run, so the result is the same for any count ≥ 1; up to
+/// `min(workers, jobs)` swarms are resident at once.
 ///
 /// # Panics
 ///
-/// Panics when `seeds` is empty.
-pub fn run_prepared_averaged(prepared: &PreparedExperiment, seeds: &[u64]) -> AveragedMetrics {
+/// Panics when `seeds` is empty, `workers` is zero, or a run panics, with
+/// `"seed <s> of <label(i)> panicked: <message>"` for experiment `i`.
+pub fn run_all(
+    prepared: &[PreparedExperiment],
+    seeds: &[u64],
+    workers: usize,
+    label: impl Fn(usize) -> String + Sync,
+) -> Vec<Vec<RunResult>> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let results: Vec<RunResult> = seeds.iter().map(|&s| prepared.run(s)).collect();
-    AveragedMetrics::from_runs(&results)
+    let k = seeds.len();
+    let mut runs = run_ordered(
+        prepared.len() * k,
+        workers,
+        |j| format!("seed {} of {}", seeds[j % k], label(j / k)),
+        |j| prepared[j / k].run(seeds[j % k]),
+    )
+    .into_iter();
+    prepared
+        .iter()
+        .map(|_| runs.by_ref().take(k).collect())
+        .collect()
 }
 
 /// Runs `job(i)` for every `i < n` on up to `workers` scoped threads and
@@ -164,7 +170,7 @@ pub fn run_prepared_averaged(prepared: &PreparedExperiment, seeds: &[u64]) -> Av
 /// # Panics
 ///
 /// Panics when `workers` is zero or any job panics.
-pub(crate) fn run_ordered<T: Send>(
+fn run_ordered<T: Send>(
     n: usize,
     workers: usize,
     label_of: impl Fn(usize) -> String + Sync,
@@ -238,6 +244,15 @@ mod tests {
         };
         cfg.swarm.max_sim_secs = 300.0;
         cfg
+    }
+
+    /// The message `job` panics with, re-raised on this thread by the pool.
+    fn panic_message(job: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(job).expect_err("the pool re-raises the panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
     }
 
     #[test]
@@ -362,6 +377,46 @@ mod tests {
         );
     }
 
+    /// The contract of the one fan-out: cell `(i, s)` of the result is
+    /// `prepared[i].run(seeds[s])`, whatever the worker count, on the paper
+    /// stack and on the scale profile's.
+    #[test]
+    fn run_all_is_each_prepared_run_at_any_worker_count() {
+        let seeds = [3, 4];
+        for base in [
+            quick_config(512_000.0),
+            quick_config(512_000.0).with_scale_profile(),
+        ] {
+            let prepared = [
+                PreparedExperiment::new(&base),
+                PreparedExperiment::new(&base.clone().with_splicing(SplicingSpec::Gop)),
+            ];
+            let expected: Vec<Vec<RunResult>> = prepared
+                .iter()
+                .map(|p| seeds.iter().map(|&s| p.run(s)).collect())
+                .collect();
+            assert_ne!(expected[0], expected[1]);
+            assert_ne!(expected[0][0], expected[0][1]);
+            for workers in [1, 2, 8] {
+                let got = run_all(&prepared, &seeds, workers, |i| format!("experiment {i}"));
+                assert_eq!(got, expected, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn run_all_reraises_a_panic_naming_label_and_seed() {
+        let prepared = [
+            PreparedExperiment::new(&quick_config(512_000.0)),
+            PreparedExperiment::new(&quick_config(512_000.0).with_leechers(0)),
+        ];
+        let label = |i| format!("experiment {i}");
+        assert_eq!(
+            panic_message(|| drop(run_all(&prepared, &[7], 2, label))),
+            "seed 7 of experiment 1 panicked: a swarm needs at least one leecher"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seeds_panic() {
@@ -381,12 +436,7 @@ mod tests {
         // the grid must report it instead of dying on a poisoned lock.
         let grid = bandwidth_grid(&[512_000.0], |bw| quick_config(bw).with_leechers(0));
         assert!(grid.check().is_err());
-        let result = std::panic::catch_unwind(|| grid.run(&[1], 2));
-        let payload = result.expect_err("the grid should propagate the panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = panic_message(|| drop(grid.run(&[1], 2)));
         assert!(
             msg.contains("grid cell 'quick @ 512000' panicked"),
             "unexpected panic message: {msg}"

@@ -17,7 +17,7 @@ use splicecast_swarm::{
 };
 
 use crate::config::ExperimentConfig;
-use crate::experiment::{run_ordered, run_prepared_averaged, AveragedMetrics};
+use crate::experiment::{run_all, AveragedMetrics};
 use crate::formula::max_cdn_segment_secs;
 use crate::report::Table;
 use crate::runner::PreparedExperiment;
@@ -58,16 +58,15 @@ impl Grid {
         self.cells.iter().try_for_each(ExperimentConfig::check)
     }
 
-    /// Runs every cell (each averaged over `seeds`) on up to `workers`
-    /// threads. Results are identical for any count ≥ 1: every cell is an
-    /// independent deterministic run.
+    /// Runs every cell once per seed on up to `workers` threads (a one-cell
+    /// grid still uses a worker per seed) and averages each cell over its
+    /// seeds. Results are identical for any count ≥ 1.
     ///
     /// # Panics
     ///
-    /// Panics when `seeds` is empty, `workers` is zero, or a cell's run
-    /// panics (the message names the cell).
+    /// Panics when `seeds` is empty, `workers` is zero, or a run panics
+    /// (the message names the cell and the seed).
     pub fn run(&self, seeds: &[u64], workers: usize) -> GridResult {
-        assert!(!seeds.is_empty(), "need at least one seed");
         // Build each cell's media up front, serially: cells that stream the
         // identical video with the identical splicing (a bandwidth or policy
         // axis) share one built segment list instead of re-encoding per cell.
@@ -80,12 +79,12 @@ impl Grid {
             prepared.push(p);
         }
         let n = self.series.len();
-        let cells = run_ordered(
-            self.cells.len(),
-            workers,
-            |i| format!("grid cell '{} @ {}'", self.series[i % n], self.rows[i / n]),
-            |i| run_prepared_averaged(&prepared[i], seeds),
-        );
+        let cells = run_all(&prepared, seeds, workers, |i| {
+            format!("grid cell '{} @ {}'", self.series[i % n], self.rows[i / n])
+        })
+        .iter()
+        .map(|runs| AveragedMetrics::from_runs(runs))
+        .collect();
         GridResult {
             x_label: self.x_label.clone(),
             rows: self.rows.clone(),

@@ -14,8 +14,9 @@
 //!   experiment (defaults = the paper's GENI setup);
 //! - [`run_once`] → [`RunResult`]: one seeded, deterministic swarm run;
 //! - [`run_averaged`]: the paper's three-run rounded-average methodology;
+//! - [`run_all`]: every (experiment, seed) run on the one worker pool;
 //! - [`Grid`] / [`figures::FIGURES`]: rows × series grids of experiments
-//!   run on a worker pool, and the named figures built from them;
+//!   and the named figures built from them;
 //! - [`optimal_pool_size`] / [`max_cdn_segment_bytes`]: the paper's
 //!   formulas, standalone;
 //! - [`Table`]: figure-shaped text reports.
@@ -44,7 +45,6 @@ pub mod figures;
 mod formula;
 mod report;
 mod runner;
-mod sharded;
 mod splicing;
 mod stats;
 
@@ -58,12 +58,11 @@ fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
 }
 
 pub use config::{ExperimentConfig, VideoSpec};
-pub use experiment::{run_averaged, run_prepared_averaged, AveragedMetrics, DEFAULT_SEEDS};
+pub use experiment::{run_all, run_averaged, AveragedMetrics, DEFAULT_SEEDS};
 pub use figures::{Grid, GridResult};
 pub use formula::{max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size};
 pub use report::Table;
 pub use runner::{run_once, PreparedExperiment, RunResult};
-pub use sharded::{channel_seed, fnv1a, ChannelResult, ShardedOutcome, ShardedWorkload};
 pub use splicing::SplicingSpec;
 pub use stats::{rounded_mean, Summary};
 

@@ -239,7 +239,8 @@ impl Default for SwarmConfig {
 impl SwarmConfig {
     /// Checks the configuration: the first inconsistent setting (no
     /// peers, non-positive rates, CDN-only mode without a CDN, a seeder
-    /// closer than half the peer-to-peer latency, ...) is an `Err` naming
+    /// closer than half the peer-to-peer latency, a time or rate the
+    /// simulator's constructors would refuse, ...) is an `Err` naming
     /// the rule. The one place the rules live: the CLI reports the message,
     /// [`Self::validate`] panics with it.
     pub fn check(&self) -> Result<(), String> {
@@ -284,13 +285,15 @@ impl SwarmConfig {
         if let Some(cross) = &self.cross_traffic {
             cross.check()?;
         }
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        let non_negative = |v: f64| v >= 0.0 && v.is_finite();
         rule(
-            self.pump_interval_secs > 0.0,
-            "pump interval must be positive",
+            positive(self.pump_interval_secs),
+            "pump interval must be positive and finite",
         )?;
         rule(
-            self.request_timeout_secs > 0.0,
-            "request timeout must be positive",
+            positive(self.request_timeout_secs),
+            "request timeout must be positive and finite",
         )?;
         rule(
             self.dissemination == DisseminationMode::Full
@@ -309,7 +312,34 @@ impl SwarmConfig {
         if let Some(defense) = &self.defense {
             defense.check()?;
         }
-        rule(self.max_sim_secs > 0.0, "sim cap must be positive")
+        // The rest is what a constructor further down refuses with a panic:
+        // `UploadManager`, `BandwidthEstimator`, `gen_range`, `SimTime`.
+        rule(
+            self.peer_upload_slots >= 1 && self.seeder_upload_slots >= 1,
+            "peer and seeder upload slots must be positive",
+        )?;
+        if let EstimatorKind::Ewma { alpha } = self.estimator {
+            rule(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0,1]")?;
+        }
+        rule(
+            non_negative(self.join_stagger_secs),
+            "join stagger must be non-negative",
+        )?;
+        rule(
+            non_negative(self.resume_buffer_secs),
+            "resume buffer must be non-negative",
+        )?;
+        for &(at_secs, bytes_per_sec) in &self.bandwidth_schedule {
+            rule(non_negative(at_secs), "schedule times must be non-negative")?;
+            rule(
+                positive(bytes_per_sec),
+                "scheduled bandwidth must be positive",
+            )?;
+        }
+        rule(
+            positive(self.max_sim_secs),
+            "sim cap must be positive and finite",
+        )
     }
 
     /// Validates the configuration.
@@ -1306,7 +1336,112 @@ mod tests {
                     max_sim_secs: 0.0,
                     ..tiny_config()
                 },
-                "sim cap must be positive",
+                "sim cap must be positive and finite",
+            ),
+            (
+                SwarmConfig {
+                    max_sim_secs: f64::INFINITY,
+                    ..tiny_config()
+                },
+                "sim cap must be positive and finite",
+            ),
+            (
+                SwarmConfig {
+                    pump_interval_secs: f64::INFINITY,
+                    ..tiny_config()
+                },
+                "pump interval must be positive and finite",
+            ),
+            (
+                SwarmConfig {
+                    request_timeout_secs: f64::INFINITY,
+                    ..tiny_config()
+                },
+                "request timeout must be positive and finite",
+            ),
+            (
+                SwarmConfig {
+                    peer_upload_slots: 0,
+                    ..tiny_config()
+                },
+                "peer and seeder upload slots must be positive",
+            ),
+            (
+                SwarmConfig {
+                    seeder_upload_slots: 0,
+                    ..tiny_config()
+                },
+                "peer and seeder upload slots must be positive",
+            ),
+            (
+                SwarmConfig {
+                    estimator: EstimatorKind::Ewma { alpha: 0.0 },
+                    ..tiny_config()
+                },
+                "EWMA alpha must be in (0,1]",
+            ),
+            (
+                SwarmConfig {
+                    estimator: EstimatorKind::Ewma { alpha: f64::NAN },
+                    ..tiny_config()
+                },
+                "EWMA alpha must be in (0,1]",
+            ),
+            (
+                SwarmConfig {
+                    join_stagger_secs: -1.0,
+                    ..tiny_config()
+                },
+                "join stagger must be non-negative",
+            ),
+            (
+                SwarmConfig {
+                    join_stagger_secs: f64::NAN,
+                    ..tiny_config()
+                },
+                "join stagger must be non-negative",
+            ),
+            (
+                SwarmConfig {
+                    resume_buffer_secs: f64::NAN,
+                    ..tiny_config()
+                },
+                "resume buffer must be non-negative",
+            ),
+            (
+                SwarmConfig {
+                    resume_buffer_secs: -1.0,
+                    ..tiny_config()
+                },
+                "resume buffer must be non-negative",
+            ),
+            (
+                SwarmConfig {
+                    bandwidth_schedule: vec![(1.0, 64_000.0), (2.0, 0.0)],
+                    ..tiny_config()
+                },
+                "scheduled bandwidth must be positive",
+            ),
+            (
+                SwarmConfig {
+                    bandwidth_schedule: vec![(1.0, f64::INFINITY)],
+                    ..tiny_config()
+                },
+                "scheduled bandwidth must be positive",
+            ),
+            (
+                SwarmConfig {
+                    bandwidth_schedule: vec![(-1.0, 1000.0)],
+                    ..tiny_config()
+                },
+                "schedule times must be non-negative",
+            ),
+            (
+                SwarmConfig {
+                    bandwidth_schedule: vec![(f64::NAN, 1000.0)],
+                    ..tiny_config()
+                },
+                "schedule times must be non-negative",
             ),
             (
                 SwarmConfig {
