@@ -44,7 +44,9 @@ COMMON OPTIONS (run / sweep / figure; a figure overwrites what it varies):
     --tracker             tracker-based peer discovery
     --flow-model M        network model: rounds | fluid         [rounds]
     --control-plane C     swarm control plane: legacy | eventful  [legacy]
-    --dissemination D     availability announcements: full | windowed  [full]
+    --dissemination D     availability indexing: full | windowed  [full]
+                          (windowed = deferred holder-index fold + 64-segment
+                           request lookahead; same messages as full)
     --profile P           knob preset: paper | scale            [paper]
                           (scale = fluid + eventful + windowed;
                            explicit flags still override)
@@ -355,13 +357,12 @@ fn counter_lines(averaged: &AveragedMetrics) -> String {
         ));
     }
     let dissem = averaged.dissem;
-    if dissem.windows_sent > 0 {
+    if dissem.deferred_indices + dissem.fold_inserts > 0 {
         out.push_str(&format!(
-            "  interest windows:  {:.0} sent, {:.0} catch-up bundles, {:.0} indices deferred, {:.0} folded (per run)\n",
-            dissem.windows_sent as f64 / runs,
-            dissem.catchup_bundles as f64 / runs,
+            "  deferred fold:     {:.0} indices deferred, {:.0} folded, {:.0} lookahead stops (per run)\n",
             dissem.deferred_indices as f64 / runs,
             dissem.fold_inserts as f64 / runs,
+            dissem.window_capped as f64 / runs,
         ));
     }
     let injected = averaged.injected;

@@ -114,25 +114,32 @@ mod tests {
         assert!(text.contains("startup"), "{text}");
     }
 
+    /// `--dissemination windowed` is a representation on either stack: on
+    /// a clip within the 64-segment lookahead it prints `full`'s report,
+    /// memory and holder-set bookkeeping aside, plus its own fold line.
     #[test]
     fn run_command_windowed_dissemination() {
-        let text = call(&[
-            "run",
-            "--peers",
-            "3",
-            "--clip-secs",
-            "12",
-            "--bandwidth",
-            "512",
-            "--seeds",
-            "1",
-            "--control-plane",
-            "eventful",
-            "--dissemination",
-            "windowed",
-        ])
-        .unwrap();
-        assert!(text.contains("stalls"), "{text}");
+        let stacks: [&[&str]; 2] = [&["--control-plane", "legacy"], &["--profile", "scale"]];
+        for stack in stacks {
+            let report = |mode: &str| {
+                let mut tokens = vec!["run", "--peers", "3", "--clip-secs", "12", "--csv"];
+                tokens.extend(["--bandwidth", "512", "--seeds", "1"]);
+                tokens.extend(stack);
+                tokens.extend(["--dissemination", mode]);
+                call(&tokens).unwrap()
+            };
+            let shared = |text: &str| -> Vec<String> {
+                let bookkeeping = ["  peer memory:", "  holder sets:", "  deferred fold:"];
+                text.lines()
+                    .filter(|line| !bookkeeping.iter().any(|head| line.starts_with(head)))
+                    .map(str::to_owned)
+                    .collect()
+            };
+            let (windowed, full) = (report("windowed"), report("full"));
+            assert!(windowed.contains("  deferred fold:"), "{windowed}");
+            assert!(!full.contains("  deferred fold:"), "{full}");
+            assert_eq!(shared(&windowed), shared(&full), "{stack:?}");
+        }
     }
 
     #[test]
@@ -178,7 +185,7 @@ mod tests {
             "1",
         ])
         .unwrap();
-        assert!(!text.contains("interest windows"), "{text}");
+        assert!(!text.contains("deferred fold"), "{text}");
     }
 
     /// `--profile scale` is the builder, not a second spelling of it.
@@ -295,12 +302,6 @@ mod tests {
         assert!(err.contains("--workers"), "{err}");
     }
 
-    #[test]
-    fn run_command_rejects_windowed_without_eventful() {
-        let err = call(&["run", "--dissemination", "windowed"]).unwrap_err();
-        assert!(err.contains("eventful"), "{err}");
-    }
-
     /// Out-of-range values are the configuration's own `Err`, naming the
     /// rule — never a panic out of the run.
     #[test]
@@ -313,10 +314,6 @@ mod tests {
             (&["--peers", "0"], "a swarm needs at least one leecher"),
             (&["--bandwidth", "0"], "peer bandwidth must be positive"),
             (&["--bandwidth", "inf"], "bandwidths must be finite"),
-            (
-                &["--dissemination", "windowed"],
-                "windowed dissemination requires the eventful control plane",
-            ),
             (&["--churn", "2"], "volatile fraction must be in [0,1]"),
             (&["--crash", "2"], "crash fraction must be in [0,1]"),
             (&["--msg-loss", "2"], "message loss must be in [0,1]"),
@@ -339,6 +336,8 @@ mod tests {
             (&["--clip-secs", "0"], "clip length must be a positive"),
             (&["--clip-secs", "-5"], "clip length must be a positive"),
             (&["--clip-secs", "nan"], "clip length must be a positive"),
+            // Would pass a finite-and-positive test, then allocate 3e10 frames.
+            (&["--clip-secs", "1e9"], "at most 86400"),
             (&["--splicing", "0s"], "segment duration must be positive"),
             // Rounds to zero 90 kHz ticks: the splicer would never advance.
             (&["--splicing", "0.000001s"], "at least one media tick"),
@@ -417,6 +416,8 @@ mod tests {
             ),
             (&["overhead", "--clip-secs", "0"], "clip length must be"),
             (&["abr", "--clip-secs", "0"], "clip length must be"),
+            (&["overhead", "--clip-secs", "1e9"], "at most 86400"),
+            (&["abr", "--clip-secs", "1e9"], "at most 86400"),
             (
                 &["abr", "--algorithm", "fixed:99"],
                 "no rendition 99: the ladder has 3 rungs",

@@ -28,6 +28,9 @@ pub struct VideoSpec {
     pub content_seed: u64,
 }
 
+/// Longest clip [`VideoSpec::check`] admits: 24 h, 2.6 M frames at 30 fps.
+const MAX_CLIP_SECS: f64 = 86_400.0;
+
 impl Default for VideoSpec {
     fn default() -> Self {
         VideoSpec {
@@ -42,13 +45,14 @@ impl Default for VideoSpec {
 
 impl VideoSpec {
     /// The rule a field breaks, if any: the clip length, bitrate and frame
-    /// rate that [`Self::build`] would panic on. Callers holding outside
-    /// input (the CLI) check first and report the message.
+    /// rate that [`Self::build`] would panic on, and a clip so long that
+    /// its frame table would exhaust memory instead. Callers holding
+    /// outside input (the CLI) check first and report the message.
     pub fn check(&self) -> Result<(), String> {
         rule(
-            self.duration_secs.is_finite() && self.duration_secs > 0.0,
+            self.duration_secs > 0.0 && self.duration_secs <= MAX_CLIP_SECS,
             format!(
-                "clip length must be a positive number of seconds, got {}",
+                "clip length must be a positive number of seconds, at most {MAX_CLIP_SECS}, got {}",
                 self.duration_secs
             ),
         )?;
@@ -158,9 +162,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the availability dissemination mode: full announcements to
-    /// every subscriber (default) or frontier-keyed interest windows with
-    /// deferred holder-index folding (requires the eventful control plane).
+    /// Selects how received availability is indexed: on arrival (default)
+    /// or windowed — the deferred holder-index fold plus a 64-segment
+    /// request lookahead; the messages sent are the same.
     pub fn with_dissemination(mut self, mode: splicecast_swarm::DisseminationMode) -> Self {
         self.swarm.dissemination = mode;
         self
@@ -168,7 +172,7 @@ impl ExperimentConfig {
 
     /// The blessed big-swarm preset: every scalability optimisation at
     /// once — the fluid flow model, the eventful control plane, and
-    /// windowed interest dissemination (the incremental holder index is
+    /// windowed dissemination (the incremental holder index is
     /// already the default scheduler). This is what `--profile scale`
     /// selects on the CLI; individual knobs can still be overridden
     /// afterwards.
@@ -246,6 +250,21 @@ mod tests {
             bad_splicing.check(),
             Err("segment size must be positive".to_owned())
         );
+    }
+
+    /// The clip bound sits at 24 h: `build()` would not panic beyond it,
+    /// it would allocate until the process dies.
+    #[test]
+    fn clip_length_is_bounded_at_a_day() {
+        let of = |duration_secs| VideoSpec {
+            duration_secs,
+            ..VideoSpec::default()
+        };
+        assert_eq!(of(86_400.0).check(), Ok(()));
+        for too_long in [86_400.5, 1e9, f64::MAX] {
+            let err = of(too_long).check().unwrap_err();
+            assert!(err.contains("at most 86400"), "{err}");
+        }
     }
 
     #[test]

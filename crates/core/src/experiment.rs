@@ -337,44 +337,40 @@ mod tests {
 
     #[test]
     fn windowed_dissemination_preserves_qoe_on_the_paper_baseline() {
-        // Windowed interest dissemination only changes *who hears which
-        // announcement when*, never what gets scheduled inside the window:
-        // on the paper's baseline swarm (where the adaptive pool is far
-        // smaller than the 64-segment window, so the window edge never
-        // binds) it must deliver the same viewer experience as full
-        // dissemination on the same eventful plane.
-        let full_cfg = ExperimentConfig::paper_baseline()
-            .with_control_plane(splicecast_swarm::ControlPlane::Eventful);
-        let windowed_cfg = ExperimentConfig::paper_baseline()
-            .with_control_plane(splicecast_swarm::ControlPlane::Eventful)
-            .with_dissemination(splicecast_swarm::DisseminationMode::Windowed);
-        let full = run_averaged(&full_cfg, &DEFAULT_SEEDS);
-        let windowed = run_averaged(&windowed_cfg, &DEFAULT_SEEDS);
+        // Windowed dissemination sends what full dissemination sends and
+        // only indexes it later; the paper's baseline splice (30 segments)
+        // sits inside the 64-segment lookahead, so on either plane it is
+        // the full run exactly, holder-index bookkeeping aside.
+        for plane in [
+            splicecast_swarm::ControlPlane::Legacy,
+            splicecast_swarm::ControlPlane::Eventful,
+        ] {
+            let full_cfg = ExperimentConfig::paper_baseline().with_control_plane(plane);
+            let windowed_cfg = full_cfg
+                .clone()
+                .with_dissemination(splicecast_swarm::DisseminationMode::Windowed);
+            let full = run_averaged(&full_cfg, &DEFAULT_SEEDS);
+            let windowed = run_averaged(&windowed_cfg, &DEFAULT_SEEDS);
 
-        assert_eq!(full.completion_rate, 1.0);
-        assert_eq!(windowed.completion_rate, 1.0);
-        assert_eq!(
-            full.rounded_stalls, windowed.rounded_stalls,
-            "stall counts diverged: full {:.2} vs windowed {:.2}",
-            full.stalls.mean, windowed.stalls.mean
-        );
-        let (ft, wt) = (full.stall_secs.mean, windowed.stall_secs.mean);
-        assert!(
-            (wt - ft).abs() <= (ft * 0.2).max(1.0),
-            "stall time diverged: full {ft:.1} s vs windowed {wt:.1} s"
-        );
-
-        // The equivalence is not vacuous: windows were announced and
-        // announcements really were deferred past the fold horizon.
-        assert_eq!(full.dissem, splicecast_swarm::DisseminationStats::default());
-        assert!(windowed.dissem.windows_sent > 0);
-        assert!(windowed.dissem.deferred_indices > 0);
-        assert!(
-            windowed.sched.holder_adds < full.sched.holder_adds,
-            "deferral must cut holder-index inserts: windowed {} vs full {}",
-            windowed.sched.holder_adds,
-            full.sched.holder_adds
-        );
+            // The equivalence is not vacuous: announcements really were
+            // deferred past the fold horizon.
+            assert_eq!(full.dissem, splicecast_swarm::DisseminationStats::default());
+            assert!(windowed.dissem.deferred_indices > 0);
+            assert!(
+                windowed.sched.holder_adds < full.sched.holder_adds,
+                "deferral must cut holder-index inserts: windowed {} vs full {}",
+                windowed.sched.holder_adds,
+                full.sched.holder_adds
+            );
+            assert_eq!(full.completion_rate, 1.0);
+            let bookkeeping_aside = AveragedMetrics {
+                sched: full.sched,
+                dissem: full.dissem,
+                mem: full.mem,
+                ..windowed
+            };
+            assert_eq!(bookkeeping_aside, full, "{plane:?}");
+        }
     }
 
     /// The contract of the one fan-out: cell `(i, s)` of the result is

@@ -66,10 +66,6 @@ pub fn encode(msg: &Message, dst: &mut BytesMut) {
             dst.put_u32(*index);
             dst.put_u64(*bytes);
         }
-        Message::InterestWindow { start, end } => {
-            dst.put_u32(*start);
-            dst.put_u32(*end);
-        }
         Message::Bitfield(bf) => {
             dst.put_u32(bf.len());
             dst.put_slice(bf.as_bytes());
@@ -147,7 +143,6 @@ fn body_len(msg: &Message) -> usize {
         Message::PeerList { peers } => 4 + 4 * peers.len(),
         Message::HaveBundle { indices } => 4 + 4 * indices.len(),
         Message::SegmentHeader { .. } => 12,
-        Message::InterestWindow { .. } => 8,
         Message::Bitfield(bf) => 4 + bf.as_bytes().len(),
         Message::ManifestData { payload } => payload.len(),
         Message::Handshake { .. } => 8 + 1 + 8 + 20,
@@ -418,13 +413,6 @@ fn decode_body_slice(kind: u8, mut body: &[u8]) -> Result<Message, ProtocolError
         15 => Message::HaveBundle {
             indices: u32_list(kind, body)?.collect(),
         },
-        16 => {
-            fixed(body, 8)?;
-            Message::InterestWindow {
-                start: read_u32(&mut body),
-                end: read_u32(&mut body),
-            }
-        }
         20 => {
             fixed(body, 37)?;
             if split(&mut body, 8) != PROTOCOL_MAGIC.as_slice() {
@@ -470,11 +458,6 @@ mod tests {
             },
             Message::HaveBundle { indices: vec![] },
             Message::Bitfield(bf),
-            Message::InterestWindow { start: 17, end: 81 },
-            Message::InterestWindow {
-                start: 0,
-                end: u32::MAX,
-            },
             Message::Request { index: u32::MAX },
             Message::RequestRendition {
                 rendition: 3,
@@ -556,44 +539,26 @@ mod tests {
         );
     }
 
+    /// Wire type 16 carried the retired interest-window announcement; it
+    /// is unassigned again, whatever body follows it.
     #[test]
-    fn interest_window_wire_form_is_pinned() {
-        let wire = encode_to_bytes(&Message::InterestWindow { start: 1, end: 9 });
-        assert_eq!(&wire[..], &[0, 0, 0, 9, 16, 0, 0, 0, 1, 0, 0, 0, 9]);
+    fn retired_wire_type_16_is_an_unknown_type() {
+        let frame = [0, 0, 0, 9, 16, 0, 0, 0, 1, 0, 0, 0, 9];
+        assert_eq!(
+            decode_single(&frame).unwrap_err(),
+            ProtocolError::UnknownType(16)
+        );
+        let mut dec = Decoder::new();
+        dec.feed(&frame);
+        assert_eq!(dec.poll().unwrap_err(), ProtocolError::UnknownType(16));
+        assert!(have_bundle_indices(&frame).is_none());
     }
 
     #[test]
-    fn interest_window_rejects_every_wrong_body_length() {
-        // The body is exactly two u32s; any other length is malformed.
-        for bad_len in [0usize, 1, 4, 7, 9, 12] {
-            let mut frame = BytesMut::new();
-            frame.put_u32(1 + bad_len as u32);
-            frame.put_u8(16);
-            frame.put_slice(&vec![0u8; bad_len]);
-            assert_eq!(
-                decode_single(&frame).unwrap_err(),
-                ProtocolError::BadBody {
-                    kind: 16,
-                    len: bad_len
-                },
-                "body length {bad_len} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn interest_window_decodes_arbitrary_bounds() {
-        // Property check over a deterministic sample of (start, end)
-        // pairs, including inverted and empty windows — the codec carries
-        // them verbatim; semantics are the swarm layer's business.
-        let mut state = 0x1234_5678u64;
-        for _ in 0..256 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let start = (state >> 16) as u32;
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let end = (state >> 16) as u32;
-            let msg = Message::InterestWindow { start, end };
-            assert_eq!(decode_single(&encode_to_bytes(&msg)).unwrap(), msg);
+    fn no_encoder_emits_wire_type_16() {
+        for message in all_messages() {
+            let wire = encode_to_bytes(&message);
+            assert_ne!(wire.get(4), Some(&16), "{}", message.name());
         }
     }
 

@@ -51,18 +51,6 @@ pub enum Message {
     },
     /// Full availability map of the sender (sent after handshake).
     Bitfield(crate::Bitfield),
-    /// The half-open segment range `[start, end)` the sender currently
-    /// wants to hear availability about — the windowed refinement of
-    /// [`Message::Interested`]. Uploaders may suppress Have/HaveBundle
-    /// indices outside the receiver's latest window; a later announcement
-    /// supersedes an earlier one, so this message is droppable like the
-    /// availability traffic it governs.
-    InterestWindow {
-        /// First wanted segment index (the receiver's frontier).
-        start: u32,
-        /// One past the last wanted segment index.
-        end: u32,
-    },
     /// Ask the receiver to upload one segment.
     Request {
         /// Segment index.
@@ -128,7 +116,6 @@ impl Message {
             Message::PeerListRequest => 13,
             Message::PeerList { .. } => 14,
             Message::HaveBundle { .. } => 15,
-            Message::InterestWindow { .. } => 16,
             Message::Handshake { .. } => 20,
         })
     }
@@ -145,7 +132,6 @@ impl Message {
             Message::Have { .. } => "have",
             Message::HaveBundle { .. } => "have-bundle",
             Message::Bitfield(_) => "bitfield",
-            Message::InterestWindow { .. } => "interest-window",
             Message::Request { .. } => "request",
             Message::RequestRendition { .. } => "request-rendition",
             Message::Cancel { .. } => "cancel",
@@ -173,7 +159,6 @@ mod tests {
             Message::Have { index: 0 },
             Message::HaveBundle { indices: vec![0] },
             Message::Bitfield(crate::Bitfield::new(1)),
-            Message::InterestWindow { start: 0, end: 0 },
             Message::Request { index: 0 },
             Message::SegmentHeader { index: 0, bytes: 0 },
             Message::Cancel { index: 0 },

@@ -37,17 +37,11 @@ const HEARTBEAT_PUMPS: f64 = 8.0;
 /// pump activity.
 const ANNOUNCE_PUMPS: u64 = 10;
 
-/// Width of the announced interest window, in segments (windowed
-/// dissemination). Availability is only wanted for `[frontier, frontier +
-/// INTEREST_WINDOW_SEGS)`, and the scheduler never requests beyond that
-/// edge, so announcing — and indexing — anything further is pure waste.
-const INTEREST_WINDOW_SEGS: u32 = 64;
-
-/// How far the frontier must advance past the last broadcast window start
-/// before a fresh `InterestWindow` goes out. The hysteresis bounds the
-/// announcement rate at one broadcast per δ segments of progress instead
-/// of one per delivery; the checks ride the existing pump/delivery paths.
-const WINDOW_ADVANCE_SEGS: u32 = INTEREST_WINDOW_SEGS / 4;
+/// How far past the frontier a windowed leecher requests, in segments:
+/// the scheduler stops at `next_needed + REQUEST_LOOKAHEAD_SEGS`, so
+/// availability beyond that edge need not be indexed until the frontier
+/// approaches it (the deferred fold).
+const REQUEST_LOOKAHEAD_SEGS: u32 = 64;
 
 /// Everything a leecher needs to operate.
 pub struct LeecherConfig {
@@ -97,8 +91,8 @@ pub struct LeecherConfig {
     pub control_plane: ControlPlane,
     /// How upload sources are found (full rescan vs. incremental index).
     pub scheduler: SchedulerMode,
-    /// How availability is disseminated: full flooding, or frontier-keyed
-    /// interest windows with deferred receiver-side indexing.
+    /// How received availability is indexed: on arrival, or windowed (the
+    /// deferred fold and the request lookahead).
     pub dissemination: DisseminationMode,
     /// How long completions may wait before a coalesced `HaveBundle`
     /// flush (eventful mode only).
@@ -153,13 +147,13 @@ enum SchedState {
     /// going offline only *shrink* the candidate set, so they need no
     /// mark.)
     NoSource(u32),
-    /// The last pass stopped at the interest-window edge (windowed
+    /// The last pass stopped at the lookahead edge (windowed
     /// dissemination): the next wanted segment lies at or beyond
-    /// `next_needed + INTEREST_WINDOW_SEGS`, which the window protocol
-    /// neither announces nor requests. Every want below the edge was held,
-    /// in flight, or just requested, so only the frontier advancing can
-    /// change the outcome — and every delivery marks dirty.
-    WindowEdge,
+    /// `next_needed + REQUEST_LOOKAHEAD_SEGS`, which a windowed leecher
+    /// never requests. Every want below the edge was held, in flight, or
+    /// just requested, so only the frontier advancing can change the
+    /// outcome — and every delivery marks dirty.
+    LookaheadEdge,
     /// The last pass stopped at the pool-size cap. Skippable even though
     /// the adaptive pool size is time-varying: between deliveries the
     /// buffered lead `T` only *shrinks* (the play head advances, the
@@ -241,9 +235,6 @@ pub struct LeecherNode {
     earliest_armed: SimTime,
     /// Whether peers were told we are complete (`NotInterested`).
     complete_notified: bool,
-    /// Start of the last `InterestWindow` broadcast (windowed mode);
-    /// `None` until the first announcement goes out.
-    window_sent_from: Option<u32>,
     /// Receiver-side fold horizon (windowed mode): announcements for
     /// segments below it are live-mirrored into the holder index, while
     /// everything at or beyond it is parked in the per-peer bitfields only
@@ -327,7 +318,6 @@ impl LeecherNode {
             next_announce_at: SimTime::MAX,
             earliest_armed: SimTime::MAX,
             complete_notified: false,
-            window_sent_from: None,
             fold_horizon: 0,
             report,
             reported: false,
@@ -406,7 +396,6 @@ impl LeecherNode {
             Message::Have { .. }
                 | Message::HaveBundle { .. }
                 | Message::Bitfield(_)
-                | Message::InterestWindow { .. }
                 | Message::Request { .. }
         )
     }
@@ -622,11 +611,11 @@ impl LeecherNode {
                 return; // everything held or requested
             };
             scan_from = want;
-            if self.windowed() && want >= self.next_needed.saturating_add(INTEREST_WINDOW_SEGS) {
-                // The want lies beyond the announced interest window, where
-                // peer availability is neither announced nor indexed; the
-                // edge moves with the frontier, i.e. with deliveries.
-                self.sched_state = SchedState::WindowEdge;
+            if self.windowed() && want >= self.next_needed.saturating_add(REQUEST_LOOKAHEAD_SEGS) {
+                // The want lies beyond the lookahead, where availability is
+                // not indexed yet; the edge moves with the frontier, i.e.
+                // with deliveries.
+                self.sched_state = SchedState::LookaheadEdge;
                 self.report.dissem.window_capped += 1;
                 return;
             }
@@ -974,20 +963,6 @@ impl LeecherNode {
         self.cfg.dissemination == DisseminationMode::Windowed
     }
 
-    /// Whether this leecher has an interest window to announce.
-    fn announces_window(&self) -> bool {
-        self.windowed() && self.cfg.p2p && self.streaming && !self.holdings.is_complete()
-    }
-
-    /// The interest window this leecher would announce right now.
-    fn own_window(&self) -> (u32, u32) {
-        let start = self.next_needed;
-        let end = start
-            .saturating_add(INTEREST_WINDOW_SEGS)
-            .min(self.holdings.len());
-        (start, end)
-    }
-
     /// Windowed dissemination's lazy fold: advances the fold horizon to
     /// `upto`, mirroring the announcements parked in the peer bitfields
     /// into the holder index for the newly covered segments. Segments we
@@ -1016,28 +991,6 @@ impl LeecherNode {
                 }
             }
         }
-    }
-
-    /// Broadcasts this leecher's interest window to every handshaken
-    /// fellow leecher once the frontier has advanced at least
-    /// [`WINDOW_ADVANCE_SEGS`] past the last broadcast (or none was sent
-    /// yet). Called from the pump and delivery paths; the hysteresis keeps
-    /// it to one broadcast per δ segments of progress.
-    fn maybe_announce_window(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.announces_window() {
-            return;
-        }
-        let (start, end) = self.own_window();
-        if self
-            .window_sent_from
-            .is_some_and(|sent| start < sent.saturating_add(WINDOW_ADVANCE_SEGS))
-        {
-            return;
-        }
-        self.window_sent_from = Some(start);
-        let window = Message::InterestWindow { start, end };
-        self.report.dissem.windows_sent +=
-            self.broadcast_fellows(ctx, &window, |view| view.handshaken());
     }
 
     fn on_segment_complete(
@@ -1120,7 +1073,6 @@ impl LeecherNode {
             }
         }
         self.schedule(ctx);
-        self.maybe_announce_window(ctx);
     }
 
     /// Flushes the pending completions as one `HaveBundle`, skipping peers
@@ -1138,31 +1090,17 @@ impl LeecherNode {
         let Message::HaveBundle { indices } = &message else {
             unreachable!()
         };
-        let windowed = self.windowed();
         let mut suppressed = 0u64;
-        let mut window_suppressed = 0u64;
         let sent = self.broadcast_fellows(ctx, &message, |view| {
-            if !view.handshaken()
-                || !view.peer_interested()
-                || indices.iter().all(|&i| view.holdings.get(i))
-            {
-                suppressed += n;
-                return false;
-            }
-            if windowed && !indices.iter().any(|&i| view.win_lo <= i && i < view.win_hi) {
-                // No bundled index inside the peer's announced window:
-                // below it the peer holds everything already, and beyond
-                // it the window's next advance triggers a catch-up bundle.
-                suppressed += n;
-                window_suppressed += 1;
-                return false;
-            }
-            true
+            let learns = view.handshaken()
+                && view.peer_interested()
+                && !indices.iter().all(|&i| view.holdings.get(i));
+            suppressed += u64::from(!learns) * n;
+            learns
         });
         self.report.control.have_bundles_sent += sent;
         self.report.control.haves_coalesced += sent * n;
         self.report.control.haves_suppressed += suppressed;
-        self.report.dissem.window_suppressed += window_suppressed;
     }
 
     /// Once complete, tells every handshaken peer we no longer want
@@ -1267,14 +1205,6 @@ impl LeecherNode {
                 }
                 let bitfield = Message::Bitfield(self.holdings.clone());
                 self.say(ctx, from, &bitfield);
-                if newly_handshaken && self.announces_window() && !self.is_origin(from) {
-                    // Tell the newcomer our window right away; its view of
-                    // us defaults to hearing everything otherwise.
-                    let (start, end) = self.own_window();
-                    if self.say(ctx, from, &Message::InterestWindow { start, end }) {
-                        self.report.dissem.windows_sent += 1;
-                    }
-                }
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
@@ -1300,44 +1230,6 @@ impl LeecherNode {
             }
             Message::Have { index } => self.on_haves(ctx, from, std::iter::once(index)),
             Message::HaveBundle { indices } => self.on_haves(ctx, from, indices.into_iter()),
-            Message::InterestWindow { start, end } => {
-                if !self.cfg.p2p || !self.windowed() {
-                    return;
-                }
-                let Some(view) = self.views.get_mut(&from) else {
-                    return;
-                };
-                if start < view.win_lo || end < start {
-                    // Reordered (stale) or malformed announcement: windows
-                    // advance monotonically, a newer one already applied.
-                    return;
-                }
-                let old_hi = view.win_hi;
-                view.win_lo = start;
-                view.win_hi = end;
-                if !view.handshaken() {
-                    return;
-                }
-                // Catch-up: indices we hold that were suppressed because
-                // they lay beyond the peer's previous window and are now
-                // covered. `[old_hi, end)` intervals tile the stream as
-                // windows advance, so each index is caught up at most once
-                // per peer; the first announcement shrinks the default
-                // full-stream window, making the range empty (nothing was
-                // ever suppressed before it).
-                let lo = old_hi.max(start);
-                let mut catchup = Vec::new();
-                for i in lo..end {
-                    if self.holdings.get(i) && !view.holdings.get(i) {
-                        catchup.push(i);
-                    }
-                }
-                if !catchup.is_empty() {
-                    self.report.dissem.catchup_bundles += 1;
-                    self.report.dissem.catchup_haves += catchup.len() as u64;
-                    self.say(ctx, from, &Message::HaveBundle { indices: catchup });
-                }
-            }
             Message::Interested => {
                 if let Some(view) = self.views.get_mut(&from) {
                     view.set_peer_interested(true);
@@ -1669,7 +1561,6 @@ impl LeecherNode {
             self.next_announce_at = now + self.cfg.pump_interval * ANNOUNCE_PUMPS;
         }
         self.schedule(ctx);
-        self.maybe_announce_window(ctx);
         self.rearm_pump(ctx);
     }
 
@@ -1953,8 +1844,8 @@ mod tests {
         assert_eq!(plain.views.len(), 1, "tracker discovery: only the seeder");
         let mem = plain.mem_bytes_estimate();
         let bitfield_heap = plain.views[&ids[1]].holdings.heap_bytes() as u64;
-        assert_eq!(size_of::<Option<PeerView>>(), 40);
-        assert_eq!(mem.view_bytes, universe * 40 + bitfield_heap);
+        assert_eq!(size_of::<Option<PeerView>>(), 32);
+        assert_eq!(mem.view_bytes, universe * 32 + bitfield_heap);
         assert_eq!(mem.views, 1);
         assert_eq!(mem.aux_bytes, 0, "no defenses, no clock table");
         assert_eq!(mem.total_bytes(), mem.view_bytes + mem.holder_bytes);
@@ -1968,57 +1859,73 @@ mod tests {
         );
     }
 
-    /// The legacy plane's `Have` goes to fellow leechers only: a
-    /// handshaken fellow that lacks the segment hears it; one that never
-    /// handshook and one that already shows the bit are counted as
-    /// suppressed; the seeder and the CDN are neither sent to nor counted.
-    #[test]
-    fn legacy_have_reaches_fellows_and_counts_only_them() {
-        struct Inbox {
-            log: Rc<RefCell<Vec<(NodeId, Message)>>>,
-            deliver_to: Option<NodeId>,
-        }
-        impl NodeBehavior for Inbox {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                if self.deliver_to.is_some() {
-                    ctx.set_timer(SimDuration::from_secs_f64(1.0), 0);
-                }
-            }
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-                match (event, self.deliver_to) {
-                    (NodeEvent::Timer { .. }, Some(to)) => {
-                        ctx.start_transfer(to, 10_000, 0).unwrap();
-                    }
-                    (NodeEvent::Message { payload, .. }, _) => {
-                        let message = decode_single(&payload).unwrap();
-                        self.log.borrow_mut().push((ctx.me(), message));
-                    }
-                    _ => {}
-                }
-            }
-        }
+    /// Logs every message it hears; `deliver_to` names a node that gets
+    /// segment 0 from it one second in.
+    struct Inbox {
+        log: Rc<RefCell<Vec<(NodeId, Message)>>>,
+        deliver_to: Option<NodeId>,
+    }
 
+    impl NodeBehavior for Inbox {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.deliver_to.is_some() {
+                ctx.set_timer(SimDuration::from_secs_f64(1.0), 0);
+            }
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            match (event, self.deliver_to) {
+                (NodeEvent::Timer { .. }, Some(to)) => {
+                    ctx.start_transfer(to, 10_000, 0).unwrap();
+                }
+                (NodeEvent::Message { payload, .. }, _) => {
+                    let message = decode_single(&payload).unwrap();
+                    self.log.borrow_mut().push((ctx.me(), message));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// One delivery of segment 0 from the seeder to a leecher on `plane`
+    /// whose fellows are: `lacks` (handshaken, lacks the segment),
+    /// `stranger` (never handshook), `shows` (already shows the bit) and
+    /// `unsubscribed` (handshaken, said `NotInterested`). Returns those
+    /// four ids, every availability message anyone heard, and the
+    /// leecher's control counters.
+    fn announce_to_fellows(
+        plane: ControlPlane,
+        dissemination: DisseminationMode,
+    ) -> (
+        [NodeId; 4],
+        Vec<(NodeId, Message)>,
+        crate::ControlPlaneStats,
+    ) {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
-        let net = star(&[spec; 6]);
-        let [me, seeder, cdn, lacks, stranger, shows] = net.leaves[..] else {
+        let net = star(&[spec; 7]);
+        let [me, seeder, cdn, lacks, stranger, shows, unsubscribed] = net.leaves[..] else {
             unreachable!()
         };
-        let mut cfg = config(seeder, vec![lacks, stranger, shows], DiscoveryMode::Full);
+        let fellows = [lacks, stranger, shows, unsubscribed];
+        let mut cfg = config(seeder, fellows.to_vec(), DiscoveryMode::Full);
         cfg.cdn = Some(cdn);
+        cfg.control_plane = plane;
+        cfg.dissemination = dissemination;
         let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
         {
             let mut l = node.borrow_mut();
-            for peer in [seeder, cdn, lacks, shows] {
+            for peer in [seeder, cdn, lacks, shows, unsubscribed] {
                 l.views.get_mut(&peer).unwrap().set_handshaken(true);
             }
             l.views.get_mut(&shows).unwrap().holdings.set(0);
+            let view = l.views.get_mut(&unsubscribed).unwrap();
+            view.set_peer_interested(false);
         }
 
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulator::new(net.network, 42);
         sim.add_node(Box::new(NullBehavior)); // hub
         sim.add_node(Box::new(Shared(node.clone())));
-        for peer in [seeder, cdn, lacks, stranger, shows] {
+        for peer in [seeder, cdn, lacks, stranger, shows, unsubscribed] {
             sim.add_node(Box::new(Inbox {
                 log: log.clone(),
                 deliver_to: (peer == seeder).then_some(me),
@@ -2028,9 +1935,40 @@ mod tests {
 
         let l = node.borrow();
         assert!(l.holdings.get(0), "the seeder's delivery arrived");
-        assert_eq!(*log.borrow(), [(lacks, Message::Have { index: 0 })]);
-        assert_eq!(l.report.control.haves_sent, 1);
-        assert_eq!(l.report.control.haves_suppressed, 2);
+        let mut heard = log.take();
+        heard.retain(|(_, m)| matches!(m, Message::Have { .. } | Message::HaveBundle { .. }));
+        (fellows, heard, l.report.control)
+    }
+
+    /// The legacy plane's `Have` goes to fellow leechers only: a
+    /// handshaken fellow that lacks the segment hears it (the eventful
+    /// plane's unsubscribe means nothing here); one that never handshook
+    /// and one that already shows the bit are counted as suppressed; the
+    /// seeder and the CDN are neither sent to nor counted.
+    #[test]
+    fn legacy_have_reaches_fellows_and_counts_only_them() {
+        let ([lacks, _, _, unsubscribed], heard, control) =
+            announce_to_fellows(ControlPlane::Legacy, DisseminationMode::Full);
+        let have = Message::Have { index: 0 };
+        assert_eq!(heard, [(lacks, have.clone()), (unsubscribed, have)]);
+        assert_eq!(control.haves_sent, 2);
+        assert_eq!(control.haves_suppressed, 2);
+    }
+
+    /// The eventful plane's flushed `HaveBundle` follows the same rule,
+    /// plus the unsubscribe: a fellow that said `NotInterested` is
+    /// suppressed too — and that is every reason there is, in `Windowed`
+    /// mode as in `Full`.
+    #[test]
+    fn eventful_bundle_reaches_subscribed_fellows_and_counts_only_them() {
+        for dissemination in [DisseminationMode::Full, DisseminationMode::Windowed] {
+            let ([lacks, ..], heard, control) =
+                announce_to_fellows(ControlPlane::Eventful, dissemination);
+            let bundle = Message::HaveBundle { indices: vec![0] };
+            assert_eq!(heard, [(lacks, bundle)], "{dissemination:?}");
+            assert_eq!(control.have_bundles_sent, 1);
+            assert_eq!(control.haves_suppressed, 3);
+        }
     }
 
     /// Regression test: a timed-out request was re-pointed at peer B, but
@@ -2702,11 +2640,11 @@ mod tests {
         assert!(!l.in_flight.contains_key(&1), "the held duplicate is gone");
     }
 
-    /// Sends scripted message batches at staged times (each delay relative
+    /// Sends scripted frame batches at staged times (each delay relative
     /// to the previous stage) and records every decodable reply.
     struct ScriptedPeer {
         to: NodeId,
-        stages: Vec<(SimDuration, Vec<Message>)>,
+        stages: Vec<(SimDuration, Vec<Bytes>)>,
         next: usize,
         heard: Rc<RefCell<Vec<Message>>>,
     }
@@ -2721,8 +2659,8 @@ mod tests {
             match event {
                 NodeEvent::Timer { .. } => {
                     let (_, batch) = &self.stages[self.next];
-                    for message in batch {
-                        ctx.send(self.to, encode_to_bytes(message)).unwrap();
+                    for frame in batch {
+                        ctx.send(self.to, frame.clone()).unwrap();
                     }
                     self.next += 1;
                     if let Some((after, _)) = self.stages.get(self.next) {
@@ -2772,15 +2710,18 @@ mod tests {
             stages: vec![
                 (
                     SimDuration::from_secs_f64(0.3),
-                    vec![hs, Message::Bitfield(Bitfield::full(2))],
+                    vec![
+                        encode_to_bytes(&hs),
+                        encode_to_bytes(&Message::Bitfield(Bitfield::full(2))),
+                    ],
                 ),
                 (
                     SimDuration::from_secs_f64(0.5),
-                    vec![Message::Bitfield(stale)],
+                    vec![encode_to_bytes(&Message::Bitfield(stale))],
                 ),
                 (
                     SimDuration::from_secs_f64(0.5),
-                    vec![Message::Have { index: 1 }],
+                    vec![encode_to_bytes(&Message::Have { index: 1 })],
                 ),
             ],
             next: 0,
@@ -2894,149 +2835,59 @@ mod tests {
         assert_eq!(l.report.sched.holder_adds, 1);
     }
 
-    /// An `InterestWindow` that advances past a subscriber's previously
-    /// recorded window triggers a targeted catch-up bundle of everything we
-    /// hold in the newly revealed range.
+    /// Wire type 16 carried the retired interest-window announcement. A
+    /// leecher that still receives one — windowed, from a handshaken
+    /// neighbour — treats it like any frame it cannot decode: its state,
+    /// its report and what it says back match a run without the frame.
     #[test]
-    fn window_advance_triggers_catchup_bundle() {
-        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
-        let net = star(&[spec; 3]);
-        let (leecher_id, s_id, b_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
-
-        let node = Rc::new(RefCell::new(LeecherNode::new(windowed_config(
-            s_id,
-            vec![b_id],
-        ))));
-
-        let heard: Rc<RefCell<Vec<Message>>> = Rc::new(RefCell::new(Vec::new()));
-        let hs = Message::Handshake {
-            peer_id: 9,
-            info_hash: crate::seeder::info_hash_of(""),
-            version: PROTOCOL_VERSION,
-        };
-        let mut sim = Simulator::new(net.network, 5);
-        sim.add_node(Box::new(NullBehavior)); // hub
-        sim.add_node(Box::new(Shared(node.clone())));
-        sim.add_node(Box::new(NullBehavior)); // seeder stand-in
-        sim.add_node(Box::new(ScriptedPeer {
-            to: leecher_id,
-            stages: vec![
-                // B introduces itself wanting only segment 0 — the default
-                // full-stream window shrinks, nothing to catch up.
-                (
-                    SimDuration::from_secs_f64(0.3),
-                    vec![hs, Message::InterestWindow { start: 0, end: 1 }],
-                ),
-                // B's frontier advances to segment 1, which we acquired
-                // while it was outside B's window.
-                (
-                    SimDuration::from_secs_f64(1.0),
-                    vec![Message::InterestWindow { start: 1, end: 2 }],
-                ),
-            ],
-            next: 0,
-            heard: heard.clone(),
-        }));
-
-        sim.run_until_idle(SimTime::from_secs_f64(0.6));
-        {
-            let mut l = node.borrow_mut();
-            assert_eq!(
-                (l.views[&b_id].win_lo, l.views[&b_id].win_hi),
-                (0, 1),
-                "the first announcement must shrink the default window"
-            );
-            assert_eq!(l.report.dissem.catchup_bundles, 0);
-            l.holdings.set(1);
-        }
-        sim.run_until_idle(SimTime::from_secs_f64(3.0));
-
-        let l = node.borrow();
-        assert_eq!((l.views[&b_id].win_lo, l.views[&b_id].win_hi), (1, 2));
-        assert_eq!(l.report.dissem.catchup_bundles, 1);
-        assert_eq!(l.report.dissem.catchup_haves, 1);
-        assert!(
-            heard
-                .borrow()
-                .iter()
-                .any(|m| matches!(m, Message::HaveBundle { indices } if indices == &[1])),
-            "the revealed segment must be caught up to B"
-        );
-    }
-
-    /// A flushed Have bundle whose every index falls outside a subscriber's
-    /// announced interest window is suppressed for that subscriber, while
-    /// the acquisition still advances our own announced window.
-    #[test]
-    fn have_bundles_outside_the_peer_window_are_suppressed() {
-        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
-        let net = star(&[spec; 4]);
-        let (leecher_id, s_id, d_id, b_id) =
-            (net.leaves[0], net.leaves[1], net.leaves[2], net.leaves[3]);
-
-        let node = Rc::new(RefCell::new(LeecherNode::new(windowed_config(
-            s_id,
-            vec![d_id, b_id],
-        ))));
-
-        let heard: Rc<RefCell<Vec<Message>>> = Rc::new(RefCell::new(Vec::new()));
-        let hs = Message::Handshake {
-            peer_id: 9,
-            info_hash: crate::seeder::info_hash_of(""),
-            version: PROTOCOL_VERSION,
-        };
-        let mut sim = Simulator::new(net.network, 5);
-        sim.add_node(Box::new(NullBehavior)); // hub
-        sim.add_node(Box::new(Shared(node.clone())));
-        sim.add_node(Box::new(NullBehavior)); // seeder stand-in
-                                              // D: delivers segment 1 mid-run.
-        sim.add_node(Box::new(At {
-            after: SimDuration::from_secs_f64(1.0),
-            action: move |ctx: &mut Ctx<'_>| {
-                ctx.start_transfer(leecher_id, 10_000, 1).unwrap();
-            },
-        }));
-        // B: subscribes to segment 0 only, then listens.
-        sim.add_node(Box::new(ScriptedPeer {
-            to: leecher_id,
-            stages: vec![(
+    fn a_type_16_frame_changes_nothing_and_gets_no_reply() {
+        let run = |with_frame: bool| {
+            let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+            let net = star(&[spec; 3]);
+            let (leecher_id, s_id, b_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
+            let node = Rc::new(RefCell::new(LeecherNode::new(windowed_config(
+                s_id,
+                vec![b_id],
+            ))));
+            let hs = Message::Handshake {
+                peer_id: 9,
+                info_hash: crate::seeder::info_hash_of(""),
+                version: PROTOCOL_VERSION,
+            };
+            let greeting = [hs, Message::Bitfield(Bitfield::full(2))];
+            let mut stages = vec![(
                 SimDuration::from_secs_f64(0.3),
-                vec![hs, Message::InterestWindow { start: 0, end: 1 }],
-            )],
-            next: 0,
-            heard: heard.clone(),
-        }));
-
-        sim.run_until_idle(SimTime::from_secs_f64(0.5));
-        {
-            let mut l = node.borrow_mut();
-            l.streaming = true;
-            put_in_flight(&mut l, 1, d_id, true);
-            l.views.get_mut(&d_id).unwrap().set_handshaken(true);
-            l.views.get_mut(&d_id).unwrap().outstanding = 1;
-        }
-        sim.run_until_idle(SimTime::from_secs_f64(6.0));
-
-        let l = node.borrow();
-        l.audit_in_flight_mask();
-        assert!(l.holdings.get(1), "the delivery must land");
-        assert!(
-            l.report.dissem.window_suppressed >= 1,
-            "the bundle for segment 1 must be window-suppressed for B"
-        );
-        assert!(
-            !heard
-                .borrow()
-                .iter()
-                .any(|m| matches!(m, Message::Have { .. } | Message::HaveBundle { .. })),
-            "B must hear no availability for segments outside its window"
-        );
-        assert!(
-            heard
-                .borrow()
-                .iter()
-                .any(|m| matches!(m, Message::InterestWindow { .. })),
-            "our own window announcement must still reach B"
-        );
+                greeting.iter().map(encode_to_bytes).collect(),
+            )];
+            if with_frame {
+                let frame: &[u8] = &[0, 0, 0, 9, 16, 0, 0, 0, 1, 0, 0, 0, 2];
+                stages.push((
+                    SimDuration::from_secs_f64(0.5),
+                    vec![Bytes::from_static(frame)],
+                ));
+            }
+            let heard: Rc<RefCell<Vec<Message>>> = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulator::new(net.network, 5);
+            sim.add_node(Box::new(NullBehavior)); // hub
+            sim.add_node(Box::new(Shared(node.clone())));
+            sim.add_node(Box::new(NullBehavior)); // seeder stand-in
+            sim.add_node(Box::new(ScriptedPeer {
+                to: leecher_id,
+                stages,
+                next: 0,
+                heard: heard.clone(),
+            }));
+            sim.run_until_idle(SimTime::from_secs_f64(3.0));
+            let l = node.borrow();
+            assert!(l.views[&b_id].holdings.is_complete(), "B's greeting landed");
+            let said = heard.borrow().clone();
+            (
+                l.report.clone(),
+                l.holders.of(1).count(),
+                l.sched_state,
+                said,
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 }

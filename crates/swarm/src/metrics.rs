@@ -98,20 +98,17 @@ impl SchedulerStats {
     }
 }
 
-/// Windowed-dissemination counters for one leecher: what the interest
-/// windows suppressed on the send side and deferred on the receive side.
+/// Windowed-dissemination counters for one leecher: what the deferred
+/// fold parked and folded, and how often the request lookahead bound.
 /// All zero under full dissemination.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisseminationStats {
-    /// `InterestWindow` announcements sent (windows × receiving peers).
+    /// Always 0: the sender-side window protocol is gone. Kept because
+    /// `benchmark/src/counters.rs` reads the field.
     pub windows_sent: u64,
-    /// Catch-up `HaveBundle`s sent when a peer's window advanced over
-    /// indices previously suppressed for it.
+    /// Always 0, kept for the same reader.
     pub catchup_bundles: u64,
-    /// Indices carried inside catch-up bundles.
-    pub catchup_haves: u64,
-    /// Per-peer bundle sends skipped because no bundled index fell inside
-    /// the peer's announced window.
+    /// Always 0, kept for the same reader.
     pub window_suppressed: u64,
     /// Announced indices parked in the per-peer bitfield without a holder-
     /// index insert (beyond the fold horizon or already held).
@@ -119,17 +116,13 @@ pub struct DisseminationStats {
     /// Holder-index inserts performed lazily when the fold horizon
     /// advanced over parked indices.
     pub fold_inserts: u64,
-    /// Scheduling passes stopped at the interest-window edge.
+    /// Scheduling passes stopped at the request-lookahead edge.
     pub window_capped: u64,
 }
 
 impl DisseminationStats {
     /// Accumulates `other` into `self`.
     pub fn absorb(&mut self, other: &DisseminationStats) {
-        self.windows_sent += other.windows_sent;
-        self.catchup_bundles += other.catchup_bundles;
-        self.catchup_haves += other.catchup_haves;
-        self.window_suppressed += other.window_suppressed;
         self.deferred_indices += other.deferred_indices;
         self.fold_inserts += other.fold_inserts;
         self.window_capped += other.window_capped;
@@ -574,14 +567,10 @@ mod tests {
     #[test]
     fn dissem_totals_sum_over_all_reports() {
         let mut a = report(0, 0, 0.0, false);
-        a.dissem.windows_sent = 4;
         a.dissem.deferred_indices = 10;
         a.dissem.fold_inserts = 3;
         let mut b = report(1, 0, 0.0, true); // churners count too
-        b.dissem.windows_sent = 2;
-        b.dissem.window_suppressed = 5;
-        b.dissem.catchup_bundles = 1;
-        b.dissem.catchup_haves = 7;
+        b.dissem.deferred_indices = 2;
         b.dissem.window_capped = 9;
         let m = SwarmMetrics {
             reports: vec![a, b],
@@ -590,12 +579,8 @@ mod tests {
             injected: Default::default(),
         };
         let total = m.dissem_totals();
-        assert_eq!(total.windows_sent, 6);
-        assert_eq!(total.deferred_indices, 10);
+        assert_eq!(total.deferred_indices, 12);
         assert_eq!(total.fold_inserts, 3);
-        assert_eq!(total.window_suppressed, 5);
-        assert_eq!(total.catchup_bundles, 1);
-        assert_eq!(total.catchup_haves, 7);
         assert_eq!(total.window_capped, 9);
     }
 

@@ -14,18 +14,11 @@ use splicecast_protocol::Bitfield;
 /// table's `Option<PeerView>` stay the size of a view), the defense-only
 /// liveness clocks live in a side table the leecher allocates only when
 /// defenses are on (see `PeerClock`), and the field order leaves no
-/// interior padding: 40 bytes.
+/// interior padding: 32 bytes.
 #[derive(Debug, Clone)]
 pub struct PeerView {
     /// Last availability map the peer sent, updated by `Have`s.
     pub holdings: Bitfield,
-    /// First segment of the peer's announced interest window (windowed
-    /// dissemination). Defaults to 0 — the whole stream — so full-mode
-    /// peers and peers that never announce a window hear everything.
-    pub win_lo: u32,
-    /// One past the last segment of the peer's announced interest window.
-    /// Defaults to `segment_count`.
-    pub win_hi: u32,
     /// Requests we have sent them that have not completed or failed.
     pub outstanding: u32,
     /// The packed lifecycle booleans; see the `FLAG_*` constants.
@@ -48,8 +41,6 @@ impl PeerView {
     pub fn new(segment_count: u32) -> Self {
         PeerView {
             holdings: Bitfield::new(segment_count),
-            win_lo: 0,
-            win_hi: segment_count,
             outstanding: 0,
             flags: FLAG_PEER_INTERESTED,
             handshaken: false,
@@ -481,7 +472,6 @@ mod tests {
             v.peer_interested(),
             "peers are subscribed until they opt out"
         );
-        assert_eq!((v.win_lo, v.win_hi), (0, 10), "default window spans all");
         assert_eq!(v.outstanding, 0);
         assert_eq!(v.holdings.count_ones(), 0);
     }
@@ -503,15 +493,15 @@ mod tests {
         );
     }
 
-    /// The packed struct must stay at 40 bytes (24-byte bitfield + window
-    /// pair + outstanding + flags byte + `handshaken` + padding).
+    /// The packed struct must stay at 32 bytes (24-byte bitfield +
+    /// outstanding + flags byte + `handshaken` + padding).
     #[test]
     fn peer_view_is_packed() {
-        assert_eq!(std::mem::size_of::<PeerView>(), 40);
+        assert_eq!(std::mem::size_of::<PeerView>(), 32);
         // The neighbour table stores `Option<PeerView>`. The bitfield's
         // inline/boxed store uses up the pointer's niche, so the empty
         // slot is encoded in `handshaken` and stays the size of a view.
-        assert_eq!(std::mem::size_of::<Option<PeerView>>(), 40);
+        assert_eq!(std::mem::size_of::<Option<PeerView>>(), 32);
         let v = PeerView::new(80);
         assert_eq!(v.holdings.heap_bytes(), 10, "80 bits of heap");
         let v = PeerView::new(60);

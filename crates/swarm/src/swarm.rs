@@ -74,7 +74,7 @@ pub enum SchedulerMode {
     Indexed,
 }
 
-/// How availability announcements fan out across the swarm.
+/// How a leecher indexes the availability announced to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DisseminationMode {
     /// Every Have/HaveBundle reaches every interested subscriber and is
@@ -82,12 +82,11 @@ pub enum DisseminationMode {
     /// inserts per run.
     #[default]
     Full,
-    /// Leechers announce a moving interest window `[frontier, frontier+W)`
-    /// via `InterestWindow`; uploaders suppress bundles with no index in
-    /// the subscriber's window, and receivers park out-of-horizon indices
-    /// in the per-peer bitfield, folding them into the holder index only
-    /// as the wanted frontier advances. Requires the eventful control
-    /// plane (windows ride the armed-deadline pumps).
+    /// The same messages as `Full`, a lazier receiver: announced indices
+    /// beyond the fold horizon stay parked in the per-peer bitfield and
+    /// enter the holder index only as the wanted frontier reaches them,
+    /// and a leecher requests at most 64 segments past its frontier. On a
+    /// stream of ≤ 64 segments a run is bit-identical to `Full`.
     Windowed,
 }
 
@@ -171,9 +170,8 @@ pub struct SwarmConfig {
     /// How upload sources are found (full rescan vs. incremental index).
     #[serde(default)]
     pub scheduler: SchedulerMode,
-    /// How availability announcements fan out (full broadcast vs.
-    /// windowed interest subscriptions). `Windowed` requires the
-    /// eventful control plane.
+    /// How received availability is indexed (on arrival vs. the
+    /// windowed deferred fold).
     #[serde(default)]
     pub dissemination: DisseminationMode,
     /// Coalescing window of the eventful control plane, seconds: how long
@@ -294,11 +292,6 @@ impl SwarmConfig {
         rule(
             positive(self.request_timeout_secs),
             "request timeout must be positive and finite",
-        )?;
-        rule(
-            self.dissemination == DisseminationMode::Full
-                || self.control_plane == ControlPlane::Eventful,
-            "windowed dissemination requires the eventful control plane",
         )?;
         if let Some(window) = self.have_coalesce_secs {
             rule(
@@ -743,10 +736,10 @@ mod tests {
     }
 
     /// Pins the scale stack's exact output the way the legacy pin guards
-    /// the paper stack: eventful plane, fluid flows, interest windows,
+    /// the paper stack: eventful plane, fluid flows, the deferred fold,
     /// tracker discovery, graceful and crash churn, lossy control
-    /// messages and the defenses, over a splice longer than the interest
-    /// window. A leecher refactor that is meant to keep behaviour must
+    /// messages and the defenses, over a splice longer than the request
+    /// lookahead. A leecher refactor that is meant to keep behaviour must
     /// leave this digest alone.
     #[test]
     fn scale_output_digest_is_pinned() {
@@ -755,7 +748,7 @@ mod tests {
         let config = SwarmConfig {
             n_leechers: 16,
             // Joins spread over half the clip on fast links, so early
-            // peers run more than a window ahead of late ones.
+            // peers run more than a lookahead ahead of late ones.
             join_stagger_secs: 30.0,
             peer_bandwidth_bytes_per_sec: 4_000_000.0,
             seeder_bandwidth_bytes_per_sec: 4_000_000.0,
@@ -775,12 +768,12 @@ mod tests {
         let metrics = run_swarm(&segments, &config, 11);
         let dissem = metrics.dissem_totals();
         assert!(
-            segments.len() > 64 && dissem.window_capped > 0 && dissem.catchup_bundles > 0,
-            "the scenario must make the windows bind and catch-up fire: {dissem:?}"
+            segments.len() > 64 && dissem.window_capped > 0 && dissem.fold_inserts > 0,
+            "the scenario must make the lookahead bind and the fold defer: {dissem:?}"
         );
         assert_eq!(
             output_digest(&metrics),
-            0xdcdc_33de_1d90_56e2,
+            0x0047_445a_3d4f_9c13,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }
@@ -1061,16 +1054,15 @@ mod tests {
         );
     }
 
-    /// Windowed dissemination end to end: completions still reach everyone
-    /// (via windows, catch-ups, and the lazy fold), the deferral counters
-    /// show real work avoided, and the holder-index insert volume drops.
-    /// The ≥2× insert reduction is a scale effect gated by the
-    /// `fig_dissem` bench at 250/500 leechers, not asserted here.
+    /// Windowed dissemination past the lookahead, where it is no longer
+    /// `Full` bit for bit: the stream still completes, the deferral
+    /// counters show real work avoided, and the holder-index insert volume
+    /// drops.
     #[test]
     fn windowed_dissemination_defers_and_still_completes() {
         let video = Video::builder().duration_secs(48.0).seed(6).build();
-        // 96 half-second segments: longer than the 64-segment interest
-        // window, so the window edge and the send-side suppression bind.
+        // 96 half-second segments: longer than the 64-segment request
+        // lookahead, so its edge binds.
         let segments = DurationSplicer::new(0.5).splice(&video);
         let base = SwarmConfig {
             n_leechers: 8,
@@ -1098,11 +1090,10 @@ mod tests {
             "full mode must not touch the windowed counters"
         );
         let d = windowed.dissem_totals();
-        assert!(d.windows_sent > 0, "windows must be announced");
         assert!(d.deferred_indices > 0, "announcements must be deferred");
         assert!(
             d.window_capped > 0,
-            "the fat-link pool must hit the window edge"
+            "the fat-link pool must hit the lookahead edge"
         );
         let full_adds = full.sched_totals().holder_adds;
         let win_adds = windowed.sched_totals().holder_adds;
@@ -1111,6 +1102,45 @@ mod tests {
             "windowed holder adds {win_adds} should undercut full \
              dissemination's {full_adds}"
         );
+    }
+
+    /// The paper stack's network and control plane, then the scale stack's.
+    const STACKS: [(FlowModel, ControlPlane); 2] = [
+        (FlowModel::Rounds, ControlPlane::Legacy),
+        (FlowModel::Fluid, ControlPlane::Eventful),
+    ];
+
+    /// Past the lookahead on the paper's own splice — GOP segments, 197
+    /// of them, variable in size — and on both stacks, the legacy plane
+    /// included: only what stays true there is asserted.
+    #[test]
+    fn windowed_past_the_lookahead_completes_on_both_stacks() {
+        let video = Video::builder().duration_secs(120.0).seed(2015).build();
+        let segments = splicecast_media::GopSplicer.splice(&video);
+        assert!(segments.len() > 3 * 64, "{} segments", segments.len());
+        for (flow_model, control_plane) in STACKS {
+            let run = |dissemination| {
+                let config = SwarmConfig {
+                    n_leechers: 6,
+                    peer_bandwidth_bytes_per_sec: 16_000_000.0,
+                    seeder_bandwidth_bytes_per_sec: 16_000_000.0,
+                    flow_model,
+                    control_plane,
+                    dissemination,
+                    ..tiny_config()
+                };
+                run_swarm(&segments, &config, 5)
+            };
+            let full = run(DisseminationMode::Full);
+            let windowed = run(DisseminationMode::Windowed);
+            assert_eq!(windowed.completion_rate(), 1.0, "{control_plane:?}");
+            let d = windowed.dissem_totals();
+            assert!(d.window_capped > 0, "{control_plane:?}: {d:?}");
+            assert!(
+                windowed.sched_totals().holder_adds < full.sched_totals().holder_adds,
+                "{control_plane:?}: the fold must undercut full's inserts"
+            );
+        }
     }
 
     /// Windowed dissemination maintains the holder index lazily, but the
@@ -1152,6 +1182,75 @@ mod tests {
         let scan = run(SchedulerMode::Scan);
         let indexed = run(SchedulerMode::Indexed);
         assert_eq!(scan, indexed, "windowed scheduler modes diverged");
+    }
+
+    /// Within the lookahead windowed dissemination is a representation,
+    /// not a behaviour: on a stream of ≤ 64 segments a `Windowed` run puts
+    /// the same bytes on the wire at the same instants as a `Full` run —
+    /// on both stacks, plain and under tracker discovery, churn, crashes,
+    /// message loss and the defenses. Only the holder-index bookkeeping
+    /// (adds, removes, set census), the dissemination counters and the
+    /// memory probe are zeroed before comparing: those are what the
+    /// deferred fold changes.
+    #[test]
+    fn windowed_matches_full_bit_for_bit_within_the_lookahead() {
+        let video = Video::builder().duration_secs(30.0).seed(6).build();
+        let segments = DurationSplicer::new(0.5).splice(&video);
+        assert_eq!(segments.len(), 60);
+        let plain = SwarmConfig {
+            n_leechers: 8,
+            peer_bandwidth_bytes_per_sec: 4_000_000.0,
+            seeder_bandwidth_bytes_per_sec: 4_000_000.0,
+            ..tiny_config()
+        };
+        let hostile = SwarmConfig {
+            discovery: DiscoveryMode::Tracker,
+            churn: Some(ChurnConfig::new(0.3, 20.0)),
+            faults: Some(FaultPlanConfig {
+                crash: Some(crate::fault::CrashChurnConfig::new(0.2, 15.0)),
+                message_loss: 0.05,
+                ..FaultPlanConfig::default()
+            }),
+            defense: Some(DefenseConfig::default()),
+            ..plain.clone()
+        };
+        for (flow_model, control_plane) in STACKS {
+            for (scenario, base) in [("plain", &plain), ("hostile", &hostile)] {
+                for seed in [11, 12, 13] {
+                    let run = |dissemination| {
+                        let config = SwarmConfig {
+                            flow_model,
+                            control_plane,
+                            dissemination,
+                            ..base.clone()
+                        };
+                        let mut metrics = run_swarm(&segments, &config, seed);
+                        let deferred = metrics.dissem_totals().deferred_indices;
+                        for report in &mut metrics.reports {
+                            report.sched = crate::SchedulerStats {
+                                holder_adds: 0,
+                                holder_removes: 0,
+                                sparse_sets: 0,
+                                dense_sets: 0,
+                                dense_promotions: 0,
+                                ..report.sched
+                            };
+                            report.dissem = Default::default();
+                            report.mem = Default::default();
+                        }
+                        (metrics, deferred)
+                    };
+                    let (full, _) = run(DisseminationMode::Full);
+                    let (windowed, deferred) = run(DisseminationMode::Windowed);
+                    let case = format!("{flow_model:?}/{control_plane:?}/{scenario}/seed {seed}");
+                    assert!(deferred > 0, "{case}: the fold never deferred anything");
+                    if scenario == "plain" {
+                        assert_eq!(windowed.completion_rate(), 1.0, "{case}");
+                    }
+                    assert_eq!(full, windowed, "{case}: windowed diverged from full");
+                }
+            }
+        }
     }
 
     /// The hybrid sparse/dense holder index must be bit-identical to a
@@ -1220,16 +1319,6 @@ mod tests {
                 "scenario {i} diverged between holder-set representations"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "windowed dissemination requires the eventful control plane")]
-    fn windowed_without_eventful_panics() {
-        let config = SwarmConfig {
-            dissemination: DisseminationMode::Windowed,
-            ..tiny_config()
-        };
-        run_swarm(&tiny_segments(), &config, 1);
     }
 
     #[test]
@@ -1316,13 +1405,6 @@ mod tests {
                     ..tiny_config()
                 },
                 "a fixed pool needs at least one slot",
-            ),
-            (
-                SwarmConfig {
-                    dissemination: DisseminationMode::Windowed,
-                    ..tiny_config()
-                },
-                "windowed dissemination requires the eventful control plane",
             ),
             (
                 SwarmConfig {

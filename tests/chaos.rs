@@ -296,8 +296,8 @@ fn holder_index_survives_combined_churn_on_eventful_plane() {
 }
 
 /// The combined-churn schedule again, under windowed dissemination: lost
-/// and reordered `InterestWindow` announcements, crashed subscribers, and
-/// churn-evicted holders must never strand the deferred fold. In debug
+/// announcements, crashed neighbours, and churn-evicted holders must
+/// never strand the deferred fold. In debug
 /// builds the windowed candidate auditor checks the lazy holder index
 /// against a full rescan (exact below the fold horizon, empty above) on
 /// every pass; the Scan/Indexed comparison catches release builds too.
@@ -321,10 +321,8 @@ fn windowed_dissemination_survives_combined_churn() {
         "persistent peers stuck:\n{}",
         indexed.stuck_report()
     );
-    let dissem = indexed.dissem_totals();
-    assert!(dissem.windows_sent > 0, "windows must be announced");
     assert!(
-        dissem.deferred_indices > 0,
+        indexed.dissem_totals().deferred_indices > 0,
         "the schedule must exercise the deferred fold"
     );
 }

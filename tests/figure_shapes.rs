@@ -81,7 +81,8 @@ fn fig2_gop_splicing_is_worst_at_every_bandwidth() {
             "gop > 2s @256",
             "gop > 4s @256",
             "gop > 2s @512",
-            "gop > 2s @768"
+            "gop > 2s @768",
+            "gop > 4s @768"
         ]
     );
 }
