@@ -44,11 +44,8 @@ COMMON OPTIONS (run / sweep / figure; a figure overwrites what it varies):
     --tracker             tracker-based peer discovery
     --flow-model M        network model: rounds | fluid         [rounds]
     --control-plane C     swarm control plane: legacy | eventful  [legacy]
-    --dissemination D     availability indexing: full | windowed  [full]
-                          (windowed = deferred holder-index fold + 64-segment
-                           request lookahead; same messages as full)
     --profile P           knob preset: paper | scale            [paper]
-                          (scale = fluid + eventful + windowed;
+                          (scale = fluid + eventful;
                            explicit flags still override)
     --have-window SECS    eventful Have-coalescing window  [auto: scales with
                           segment duration, clamped to 1-4 pump intervals]
@@ -145,9 +142,6 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     }
     if let Some(raw) = args.value("control-plane")? {
         config = config.with_control_plane(raw.parse()?);
-    }
-    if let Some(raw) = args.value("dissemination")? {
-        config = config.with_dissemination(raw.parse()?);
     }
     if let Some(raw) = args.value("have-window")? {
         let secs: f64 = raw
@@ -323,7 +317,7 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The control-plane, scheduler, dissemination and fault counters of a
+/// The control-plane, scheduler, deferred-fold and fault counters of a
 /// `run` report, per run; a line whose counters are all zero is left out.
 fn counter_lines(averaged: &AveragedMetrics) -> String {
     let runs = averaged.runs as f64;
@@ -359,10 +353,9 @@ fn counter_lines(averaged: &AveragedMetrics) -> String {
     let dissem = averaged.dissem;
     if dissem.deferred_indices + dissem.fold_inserts > 0 {
         out.push_str(&format!(
-            "  deferred fold:     {:.0} indices deferred, {:.0} folded, {:.0} lookahead stops (per run)\n",
+            "  deferred fold:     {:.0} indices deferred, {:.0} folded (per run)\n",
             dissem.deferred_indices as f64 / runs,
             dissem.fold_inserts as f64 / runs,
-            dissem.window_capped as f64 / runs,
         ));
     }
     let injected = averaged.injected;

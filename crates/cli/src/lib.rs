@@ -114,31 +114,21 @@ mod tests {
         assert!(text.contains("startup"), "{text}");
     }
 
-    /// `--dissemination windowed` is a representation on either stack: on
-    /// a clip within the 64-segment lookahead it prints `full`'s report,
-    /// memory and holder-set bookkeeping aside, plus its own fold line.
+    /// The deferred fold is what every leecher runs, not a choice: either
+    /// profile prints its line, and `--dissemination` is no option.
     #[test]
-    fn run_command_windowed_dissemination() {
-        let stacks: [&[&str]; 2] = [&["--control-plane", "legacy"], &["--profile", "scale"]];
-        for stack in stacks {
-            let report = |mode: &str| {
-                let mut tokens = vec!["run", "--peers", "3", "--clip-secs", "12", "--csv"];
-                tokens.extend(["--bandwidth", "512", "--seeds", "1"]);
-                tokens.extend(stack);
-                tokens.extend(["--dissemination", mode]);
-                call(&tokens).unwrap()
-            };
-            let shared = |text: &str| -> Vec<String> {
-                let bookkeeping = ["  peer memory:", "  holder sets:", "  deferred fold:"];
-                text.lines()
-                    .filter(|line| !bookkeeping.iter().any(|head| line.starts_with(head)))
-                    .map(str::to_owned)
-                    .collect()
-            };
-            let (windowed, full) = (report("windowed"), report("full"));
-            assert!(windowed.contains("  deferred fold:"), "{windowed}");
-            assert!(!full.contains("  deferred fold:"), "{full}");
-            assert_eq!(shared(&windowed), shared(&full), "{stack:?}");
+    fn dissemination_is_not_an_option() {
+        let quick = ["run", "--peers", "3", "--clip-secs", "12", "--seeds", "1"];
+        for profile in ["paper", "scale"] {
+            let text = call(&[&quick[..], &["--profile", profile]].concat()).unwrap();
+            let fold = text.lines().find(|l| l.starts_with("  deferred fold:"));
+            let fold = fold.unwrap_or_else(|| panic!("{profile}: {text}"));
+            assert!(fold.contains(" indices deferred, "), "{fold}");
+            assert!(fold.ends_with(" folded (per run)"), "{fold}");
+        }
+        for mode in ["full", "windowed"] {
+            let err = call(&[&quick[..], &["--dissemination", mode]].concat()).unwrap_err();
+            assert!(err.contains("unknown option --dissemination"), "{err}");
         }
     }
 
@@ -168,13 +158,13 @@ mod tests {
 
     #[test]
     fn scale_profile_allows_explicit_overrides() {
-        // --dissemination full overrides the profile's windowed default.
+        // --control-plane legacy overrides the profile's eventful default.
         let text = call(&[
             "run",
             "--profile",
             "scale",
-            "--dissemination",
-            "full",
+            "--control-plane",
+            "legacy",
             "--peers",
             "3",
             "--clip-secs",
@@ -185,7 +175,7 @@ mod tests {
             "1",
         ])
         .unwrap();
-        assert!(!text.contains("deferred fold"), "{text}");
+        assert!(text.contains(" haves, 0 bundles, "), "{text}");
     }
 
     /// `--profile scale` is the builder, not a second spelling of it.
@@ -306,7 +296,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 25] = [
+        let cases: [(&[&str], &str); 30] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -333,6 +323,25 @@ mod tests {
                 "message delay probability must be in [0,1]",
             ),
             (&["--cdn-outages", "1"], "CDN outages require a CDN"),
+            // Times past a day and window counts past 10 000 used to pass
+            // `check()` and panic (or run out of memory) inside the run.
+            (
+                &["--msg-delay", "0.5", "--msg-delay-max", "inf"],
+                "message delay bound must be in [0,86400] s",
+            ),
+            (
+                &["--msg-delay", "0.5", "--msg-delay-max", "1e30"],
+                "message delay bound must be in [0,86400] s",
+            ),
+            (
+                &["--crash", "0.5", "--crash-uptime", "inf"],
+                "mean uptime must be positive and at most 86400 s",
+            ),
+            (&["--flaps", "100000000"], "at most 10000 flap windows"),
+            (
+                &["--cdn", "--cdn-outages", "100000000"],
+                "at most 10000 outage windows",
+            ),
             (&["--clip-secs", "0"], "clip length must be a positive"),
             (&["--clip-secs", "-5"], "clip length must be a positive"),
             (&["--clip-secs", "nan"], "clip length must be a positive"),

@@ -162,24 +162,14 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects how received availability is indexed: on arrival (default)
-    /// or windowed — the deferred holder-index fold plus a 64-segment
-    /// request lookahead; the messages sent are the same.
-    pub fn with_dissemination(mut self, mode: splicecast_swarm::DisseminationMode) -> Self {
-        self.swarm.dissemination = mode;
-        self
-    }
-
     /// The blessed big-swarm preset: every scalability optimisation at
-    /// once — the fluid flow model, the eventful control plane, and
-    /// windowed dissemination (the incremental holder index is
-    /// already the default scheduler). This is what `--profile scale`
-    /// selects on the CLI; individual knobs can still be overridden
-    /// afterwards.
+    /// once — the fluid flow model and the eventful control plane (the
+    /// incremental holder index and its deferred fold are what every
+    /// leecher runs anyway). This is what `--profile scale` selects on the
+    /// CLI; individual knobs can still be overridden afterwards.
     pub fn with_scale_profile(self) -> Self {
         self.with_flow_model(splicecast_netsim::FlowModel::Fluid)
             .with_control_plane(splicecast_swarm::ControlPlane::Eventful)
-            .with_dissemination(splicecast_swarm::DisseminationMode::Windowed)
     }
 
     /// Installs a deterministic fault-injection plan (crash-stop churn,
@@ -274,8 +264,7 @@ mod tests {
             .with_splicing(SplicingSpec::Gop)
             .with_policy(splicecast_swarm::PolicyConfig::Fixed(2))
             .with_leechers(5)
-            .with_control_plane(splicecast_swarm::ControlPlane::Eventful)
-            .with_dissemination(splicecast_swarm::DisseminationMode::Windowed);
+            .with_control_plane(splicecast_swarm::ControlPlane::Eventful);
         assert_eq!(cfg.swarm.peer_bandwidth_bytes_per_sec, 256_000.0);
         assert_eq!(cfg.swarm.seeder_bandwidth_bytes_per_sec, 256_000.0);
         assert_eq!(cfg.splicing, SplicingSpec::Gop);
@@ -283,10 +272,6 @@ mod tests {
         assert_eq!(
             cfg.swarm.control_plane,
             splicecast_swarm::ControlPlane::Eventful
-        );
-        assert_eq!(
-            cfg.swarm.dissemination,
-            splicecast_swarm::DisseminationMode::Windowed
         );
     }
 

@@ -47,8 +47,7 @@ pub struct AveragedMetrics {
     /// Scheduler counters summed over every run.
     #[serde(default)]
     pub sched: splicecast_swarm::SchedulerStats,
-    /// Windowed-dissemination counters summed over every run (all zero in
-    /// full mode).
+    /// Deferred-fold counters summed over every run.
     #[serde(default)]
     pub dissem: splicecast_swarm::DisseminationStats,
     /// Peer-side fault/defense counters summed over every run.
@@ -333,44 +332,6 @@ mod tests {
         assert!(eventful.control.have_bundles_sent > 0);
         assert!(eventful.control.pumps() > 0);
         assert!(legacy.control.haves_sent > eventful.control.have_bundles_sent);
-    }
-
-    #[test]
-    fn windowed_dissemination_preserves_qoe_on_the_paper_baseline() {
-        // Windowed dissemination sends what full dissemination sends and
-        // only indexes it later; the paper's baseline splice (30 segments)
-        // sits inside the 64-segment lookahead, so on either plane it is
-        // the full run exactly, holder-index bookkeeping aside.
-        for plane in [
-            splicecast_swarm::ControlPlane::Legacy,
-            splicecast_swarm::ControlPlane::Eventful,
-        ] {
-            let full_cfg = ExperimentConfig::paper_baseline().with_control_plane(plane);
-            let windowed_cfg = full_cfg
-                .clone()
-                .with_dissemination(splicecast_swarm::DisseminationMode::Windowed);
-            let full = run_averaged(&full_cfg, &DEFAULT_SEEDS);
-            let windowed = run_averaged(&windowed_cfg, &DEFAULT_SEEDS);
-
-            // The equivalence is not vacuous: announcements really were
-            // deferred past the fold horizon.
-            assert_eq!(full.dissem, splicecast_swarm::DisseminationStats::default());
-            assert!(windowed.dissem.deferred_indices > 0);
-            assert!(
-                windowed.sched.holder_adds < full.sched.holder_adds,
-                "deferral must cut holder-index inserts: windowed {} vs full {}",
-                windowed.sched.holder_adds,
-                full.sched.holder_adds
-            );
-            assert_eq!(full.completion_rate, 1.0);
-            let bookkeeping_aside = AveragedMetrics {
-                sched: full.sched,
-                dissem: full.dissem,
-                mem: full.mem,
-                ..windowed
-            };
-            assert_eq!(bookkeeping_aside, full, "{plane:?}");
-        }
     }
 
     /// The contract of the one fan-out: cell `(i, s)` of the result is

@@ -77,7 +77,6 @@ pub use splicecast_media::{ContentProfile, Ladder, SegmentList, Video};
 pub use splicecast_swarm::{
     run_abr, AbrAlgorithm, AbrConfig, AbrMetrics, CdnConfig, CdnOutageConfig, ChurnConfig,
     ControlPlane, ControlPlaneStats, CrashChurnConfig, DefenseConfig, DiscoveryMode,
-    DisseminationMode, DisseminationStats, EstimatorKind, FaultPlanConfig, LinkFlapConfig,
-    PeerFaultStats, PeerMemStats, PolicyConfig, SchedulerMode, SchedulerStats, SwarmConfig,
-    SwarmMetrics,
+    DisseminationStats, EstimatorKind, FaultPlanConfig, LinkFlapConfig, PeerFaultStats,
+    PeerMemStats, PolicyConfig, SchedulerMode, SchedulerStats, SwarmConfig, SwarmMetrics,
 };

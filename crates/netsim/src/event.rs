@@ -15,10 +15,10 @@ pub(crate) enum Scheduled {
     /// Advance one RTT round of a TCP flow (round model), or activate a
     /// freshly-handshaken flow (fluid model).
     FlowRound { flow: u64 },
-    /// Complete a fluid-model flow, if its rate epoch is still current (a
-    /// rebalance that changed the flow's rate bumps the epoch, leaving the
-    /// previously-scheduled completion stale).
-    FlowDone { flow: u64, epoch: u32 },
+    /// Complete a fluid-model flow, if this is its live completion event
+    /// (the one at the flow's `armed_at`) and the flow is due; a live pop
+    /// that comes early, because the rate dropped since, re-arms itself.
+    FlowDone { flow: u64 },
     /// Apply a scheduled link-capacity change (bandwidth modulation).
     Capacity { dir: DirLinkId, capacity_bps: f64 },
     /// Flip a node's online flag at a scheduled time (fault-injected outage

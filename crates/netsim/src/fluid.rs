@@ -77,8 +77,9 @@ pub struct FluidSolverStats {
     pub components_filled: u64,
     /// Water-level steps taken by those fills.
     pub fill_iterations: u64,
-    /// Flows whose rate changed materially, so that their completion event
-    /// was rescheduled.
+    /// Completion events pushed: a material rate change that moved a
+    /// flow's finish earlier than its pending event, or a pending event
+    /// that popped early and re-armed itself.
     pub flows_rescheduled: u64,
 }
 

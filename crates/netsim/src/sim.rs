@@ -343,13 +343,14 @@ impl World {
         debug_assert!(!f.fluid.active, "flow activated twice");
         f.fluid.active = true;
         f.fluid.rate_since = now;
+        f.fluid.armed_at = SimTime::MAX;
         self.fluid.add_flow(id, &f.path);
         self.fluid_rebalance();
     }
 
     /// Fluid model: integrates an active flow's progress up to now and
     /// brings the wire/link byte counters in line (goodput scaled by the
-    /// epoch's effective loss, modelling retransmission waste). Folds are
+    /// effective loss it ran under, modelling retransmission waste). Folds are
     /// lazy: a flow is folded when its rate or effective loss changes, when
     /// it leaves, and at the end of a run — not on every rebalance.
     fn fluid_fold(&mut self, id: FlowId) {
@@ -358,21 +359,30 @@ impl World {
         }
     }
 
-    /// Fluid model: a flow's scheduled completion instant arrived. Ignored
-    /// when stale (the flow is gone, still handshaking, or its rate changed
-    /// since the event was scheduled).
-    fn fluid_done(&mut self, raw: u64, epoch: u32) {
+    /// Fluid model: a completion event popped. Only the one at the flow's
+    /// `armed_at` is live (the flow may be gone or still handshaking, or an
+    /// earlier arm superseded this event); a live pop ahead of `done_at` —
+    /// the rate dropped since it was pushed — re-arms itself there, and one
+    /// that is due completes the flow.
+    fn fluid_done(&mut self, raw: u64) {
         let id = FlowId(raw);
-        let Some(f) = self.flows.get(id) else {
+        let now = self.now;
+        let Some(f) = self.flows.get_mut(id) else {
             return;
         };
-        if !f.fluid.active || f.fluid.epoch != epoch {
+        if !f.fluid.active || f.fluid.armed_at != now {
+            return;
+        }
+        if now < f.fluid.done_at {
+            f.fluid.armed_at = f.fluid.done_at;
+            self.queue
+                .push(f.fluid.done_at, Scheduled::FlowDone { flow: raw });
+            self.fluid.stats.flows_rescheduled += 1;
             return;
         }
         // The event time is the analytic completion instant; snap the
         // integrated progress to exactly done before the final fold so the
         // last few bits of float error cannot leave the flow short.
-        let f = self.flows.get_mut(id).expect("flow just resolved");
         f.fluid.delivered = f.total as f64;
         self.fluid_fold(id);
         let flow = self.complete_flow(id);
@@ -390,9 +400,11 @@ impl World {
     /// per-round feedback loop. The solver recomputes only what the links
     /// dirtied since the last call reach (see [`crate::fluid`]) and reports
     /// the flows whose rate or effective loss changed at all; of those, the
-    /// ones whose rate changed materially get a bumped epoch and a freshly
-    /// scheduled [`Scheduled::FlowDone`]. Every other flow keeps its rate,
-    /// its unfolded progress and its completion event.
+    /// ones whose rate changed materially get a new `done_at`, and a fresh
+    /// [`Scheduled::FlowDone`] only when that is earlier than the one they
+    /// have pending (a later finish is picked up when the pending event
+    /// pops, see [`World::fluid_done`]). Every other flow keeps its rate,
+    /// its unfolded progress and its completion instant.
     fn fluid_rebalance(&mut self) {
         let tcp = self.tcp;
         let now = self.now;
@@ -423,28 +435,24 @@ impl World {
             let rate_floor = tcp.mss as f64 * 8.0 / f.rtt.as_secs_f64();
             let rate = solved_bps.max(rate_floor);
             f.fluid.eff_loss = eff;
-            // Reschedule only on a material rate change. Utilization-shaped
-            // ceilings wobble a little on every rebalance; rescheduling a
-            // FlowDone for each wobble would push fresh events per flow-set
-            // change and drown the queue in stale ones. A flow that keeps
-            // its rate keeps its already-scheduled completion, so the bound
-            // on the completion-time error is the epsilon itself.
+            // Move the completion only on a material rate change.
+            // Utilization-shaped ceilings wobble a little on every
+            // rebalance; a flow that keeps its rate keeps its completion
+            // instant, so the bound on the completion-time error is the
+            // epsilon itself.
             const FLUID_RATE_EPS: f64 = 1e-3;
             let changed =
                 (rate - f.fluid.rate_bps).abs() > rate.max(f.fluid.rate_bps) * FLUID_RATE_EPS;
             if changed {
                 f.fluid.rate_bps = rate;
-                f.fluid.epoch += 1;
                 let remaining = (f.total as f64 - f.fluid.delivered).max(0.0);
-                let done_at = now + SimDuration::from_secs_f64(remaining * 8.0 / rate);
-                self.queue.push(
-                    done_at,
-                    Scheduled::FlowDone {
-                        flow: id.raw(),
-                        epoch: f.fluid.epoch,
-                    },
-                );
-                self.fluid.stats.flows_rescheduled += 1;
+                f.fluid.done_at = now + SimDuration::from_secs_f64(remaining * 8.0 / rate);
+                if f.fluid.done_at < f.fluid.armed_at {
+                    f.fluid.armed_at = f.fluid.done_at;
+                    self.queue
+                        .push(f.fluid.done_at, Scheduled::FlowDone { flow: id.raw() });
+                    self.fluid.stats.flows_rescheduled += 1;
+                }
             }
         }
         self.fluid.changed = resolved;
@@ -1024,7 +1032,7 @@ impl Simulator {
             match what {
                 Scheduled::Node { target, event } => self.dispatch(target, event),
                 Scheduled::FlowRound { flow } => self.world.step_flow(flow),
-                Scheduled::FlowDone { flow, epoch } => self.world.fluid_done(flow, epoch),
+                Scheduled::FlowDone { flow } => self.world.fluid_done(flow),
                 Scheduled::Capacity { dir, capacity_bps } => {
                     self.world.net.set_capacity(dir, capacity_bps);
                     if self.world.tcp.flow_model == FlowModel::Fluid {
@@ -1796,6 +1804,79 @@ mod tests {
         assert_eq!(stats.flows_failed, 1);
         assert!(stats.wire_bytes_sent > 0, "{stats:?}");
         assert!(stats.wire_bytes_sent < 1_000_000, "{stats:?}");
+    }
+
+    /// The three things a popped `FlowDone` can be, on one 2 MB flow whose
+    /// second hop is throttled and restored twice: live but early (the
+    /// rate dropped since it was pushed) — re-armed once, at `done_at`;
+    /// superseded by an earlier arm — ignored; live and due — the flow
+    /// completes exactly at `done_at`.
+    #[test]
+    fn fluid_done_pop_rearms_is_ignored_or_completes() {
+        let s = two_leaf_star(0.0);
+        let done = Rc::new(RefCell::new(None));
+        let mut net = s.network;
+        let hop = net.path(s.leaves[0], s.leaves[1]).unwrap()[1];
+        let mut sim = Simulator::new(net, 3);
+        sim.set_tcp_config(fluid_tcp());
+        let full = 1_000_000.0;
+        for (at, capacity_bps) in [(1, full / 2.0), (20, full), (22, full / 8.0), (40, full)] {
+            sim.schedule_capacity(SimTime::from_secs_f64(at as f64), hop, capacity_bps);
+        }
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Sender {
+            to: s.leaves[1],
+            bytes: 2_000_000,
+        }));
+        sim.add_node(Box::new(Receiver { done: done.clone() }));
+        // Runs to `secs`; returns (armed_at, done_at, completion events
+        // pushed so far) of the one flow.
+        let mut at = |secs: f64| {
+            sim.run_until_idle(SimTime::from_secs_f64(secs));
+            let pushed = sim.fluid_stats().flows_rescheduled;
+            let f = sim.world.flows.iter_mut().next().expect("still running");
+            (f.fluid.armed_at, f.fluid.done_at, pushed)
+        };
+
+        // Activation arms the first event, E1, at the finish under the full
+        // rate (about 16 s).
+        let (e1, done_at, pushed) = at(0.5);
+        assert_eq!((e1, pushed), (done_at, 1));
+        // The throttle at 1 s moves the finish later and pushes nothing.
+        let (armed, d2, pushed) = at(5.0);
+        assert_eq!((armed, pushed), (e1, 1));
+        assert!(d2 > e1);
+        // E1 pops early and re-arms itself once, as E2 at the new finish.
+        let (e2, done_at, pushed) = at(e1.as_secs_f64() + 0.1);
+        assert_eq!((e2, done_at, pushed), (d2, d2, 2));
+        // The restore at 20 s moves the finish ahead of E2: E3 is pushed.
+        let (e3, done_at, pushed) = at(21.0);
+        assert_eq!((e3, pushed), (done_at, 3));
+        assert!(e3 < e2);
+        // The deep throttle at 22 s moves the finish past E2; E3 pops
+        // early and re-arms as E4.
+        let (e4, done_at, pushed) = at(e3.as_secs_f64() + 0.1);
+        assert_eq!((e4, pushed), (done_at, 4));
+        assert!(e4 > e2);
+        // E2, superseded by the earlier E3, pops on a flow armed elsewhere
+        // and is ignored: nothing completes, nothing is pushed.
+        assert_eq!(at(e2.as_secs_f64() + 0.1), (e4, e4, 4));
+        // The restore at 40 s arms E5 ahead of E4; it pops when due and
+        // the flow completes at exactly that instant.
+        let (e5, done_at, pushed) = at(40.5);
+        assert_eq!((e5, pushed), (done_at, 5));
+        assert!(e5 < e4);
+        sim.run_until_idle(SimTime::from_secs_f64(300.0));
+        let (_, heard) = done.borrow().expect("transfer completes");
+        // The receiver hears half an RTT (4 x 25 ms / 2) after the sender
+        // finished.
+        assert_eq!(
+            SimTime::from_secs_f64(heard),
+            e5 + SimDuration::from_millis(50)
+        );
+        assert_eq!(sim.stats().flows_completed, 1);
+        // E4 popped on a flow that is gone.
+        assert_eq!(sim.fluid_stats().flows_rescheduled, 5);
     }
 
     #[test]

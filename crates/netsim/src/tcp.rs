@@ -34,9 +34,10 @@ use crate::time::{SimDuration, SimTime};
 ///   paper's window dynamics (handshake, slow start, AIMD, Bernoulli loss)
 ///   but `O(flows × rounds)` events, which caps feasible swarm sizes.
 /// * [`FlowModel::Fluid`] treats each flow as a constant-rate pipe: max–min
-///   fair shares are recomputed only when the flow set changes and exactly
-///   one completion event is scheduled per rate epoch — `O(flow-set
-///   changes)` events, making 100×-larger swarms tractable. Loss and
+///   fair shares are recomputed only when the flow set changes and a flow
+///   has at most one live completion event, pushed again only when its
+///   finish moves earlier — `O(flow-set changes)` events, making
+///   100×-larger swarms tractable. Loss and
 ///   window limits are folded in as a Mathis-style rate ceiling so
 ///   aggregate metrics stay close to the round model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -173,18 +174,22 @@ pub(crate) struct FluidFlowState {
     /// When `rate_bps` took effect (progress is integrated lazily from
     /// this instant).
     pub rate_since: SimTime,
-    /// Precise bytes delivered (kept in f64 so repeated epoch folds do not
+    /// Precise bytes delivered (kept in f64 so repeated folds do not
     /// accumulate rounding error); `Flow::delivered` is its floor.
     pub delivered: f64,
-    /// Effective loss of the current epoch, used to account retransmission
-    /// waste in the wire-byte counters.
+    /// Effective loss since the last rebalance that reached the flow, used
+    /// to account retransmission waste in the wire-byte counters.
     pub eff_loss: f64,
     /// Wire bytes already credited to the stats/link counters.
     pub wire_emitted: u64,
-    /// Bumped whenever the assigned rate changes; a
-    /// [`crate::event::Scheduled::FlowDone`] carrying an older epoch is
-    /// stale and ignored.
-    pub epoch: u32,
+    /// When the flow finishes under `rate_bps`; moved by every material
+    /// rate change.
+    pub done_at: SimTime,
+    /// Instant of the flow's earliest pending
+    /// [`crate::event::Scheduled::FlowDone`] ([`SimTime::MAX`] at
+    /// activation, never later than `done_at` once one is pushed). Only the
+    /// pop at this instant is live; every other one is ignored.
+    pub armed_at: SimTime,
 }
 
 /// What a round of the flow produced.

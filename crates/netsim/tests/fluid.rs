@@ -1,7 +1,8 @@
 //! The fluid model's local rate solver, through the public API: a seeded
 //! chaos schedule that has to get past the debug-build oracle (every
 //! rebalance is re-solved in full and compared bit for bit) and conserve
-//! bytes, and the locality of a single activation.
+//! bytes, the locality of a single activation, and the bound on
+//! completion events per flow.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -202,4 +203,69 @@ fn one_activation_reseeds_only_the_flows_on_its_links() {
     assert!(small.flows_rescheduled >= 1);
     // Independent of how many other flows are active.
     assert_eq!(activation_cost(300), small);
+}
+
+/// Sends `left` transfers of `bytes` to `to`, each started when the one
+/// before it is acknowledged.
+struct Chain {
+    to: NodeId,
+    bytes: u64,
+    left: u32,
+}
+
+impl Chain {
+    fn next(&mut self, ctx: &mut Ctx<'_>) {
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.start_transfer(self.to, self.bytes, 0).unwrap();
+        }
+    }
+}
+
+impl NodeBehavior for Chain {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.next(ctx);
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+        if let NodeEvent::UploadComplete { .. } = event {
+            self.next(ctx);
+        }
+    }
+}
+
+/// One long flow into a downlink that 40 short flows cross one after
+/// another: every short flow halves the long one's rate when it activates
+/// and restores it when it finishes. A completion event is pushed only when
+/// a flow's finish moves *earlier* than the event it has pending, and these
+/// 80 rate changes only ever move the long flow's finish later than the
+/// event armed at its activation — so it costs a handful of re-arms, not
+/// two events per short flow.
+#[test]
+fn completion_events_stay_within_a_constant_per_completed_flow() {
+    const SHORT_FLOWS: u32 = 40;
+    let spec = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), 0.0);
+    let s = star(&[spec; 3]);
+    let mut sim = Simulator::new(s.network, 7);
+    sim.set_tcp_config(fluid());
+    sim.add_node(Box::new(NullBehavior)); // the hub
+    let chain = |bytes, left| {
+        let to = s.leaves[2];
+        Box::new(Chain { to, bytes, left })
+    };
+    sim.add_node(chain(4_000_000, 1));
+    sim.add_node(chain(50_000, SHORT_FLOWS));
+    sim.add_node(Box::new(NullBehavior));
+    // The short flows are done after about 42 s; the long one needs at
+    // least 32 s alone.
+    sim.run_until_idle(SimTime::from_secs_f64(41.0));
+    assert_eq!(sim.active_flow_count(), 2, "the long flow outlives them");
+    sim.run_until_idle(SimTime::from_secs_f64(600.0));
+    let completed = sim.stats().flows_completed;
+    assert_eq!(completed, u64::from(SHORT_FLOWS) + 1);
+    let pushed = sim.fluid_stats().flows_rescheduled;
+    assert!(
+        (completed..=completed + 8).contains(&pushed),
+        "{pushed} completion events for {completed} flows"
+    );
 }

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{must, rule};
+use crate::{must, positive_secs, rule};
 
 /// Configures which peers leave and when.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,8 +33,8 @@ impl ChurnConfig {
         config
     }
 
-    /// Checks the knobs: a fraction outside `[0, 1]` or a non-positive
-    /// lifetime is an `Err` naming the rule.
+    /// Checks the knobs: a fraction outside `[0, 1]` or a lifetime that is
+    /// not positive or longer than a day is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
         rule(
             (0.0..=1.0).contains(&self.volatile_fraction),
@@ -43,10 +43,7 @@ impl ChurnConfig {
                 self.volatile_fraction
             ),
         )?;
-        rule(
-            self.mean_lifetime_secs > 0.0,
-            "mean lifetime must be positive",
-        )
+        positive_secs("mean lifetime", self.mean_lifetime_secs)
     }
 
     /// Samples a departure delay (seconds after joining) for each of
@@ -111,5 +108,19 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn bad_lifetime_panics() {
         let _ = ChurnConfig::new(0.5, 0.0);
+    }
+
+    /// A departure sampled from an infinite mean is no instant of the
+    /// simulator's clock.
+    #[test]
+    fn unbounded_lifetime_is_a_check_error() {
+        for mean_lifetime_secs in [f64::INFINITY, 1e30, f64::NAN] {
+            let config = ChurnConfig {
+                volatile_fraction: 0.5,
+                mean_lifetime_secs,
+            };
+            let err = config.check().unwrap_err();
+            assert!(err.contains("at most 86400 s"), "{err}");
+        }
     }
 }

@@ -14,7 +14,19 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{must, rule};
+use crate::{must, positive_secs, rule, MAX_KNOB_SECS};
+
+/// The most link-flap or CDN-outage windows one plan may schedule. Every
+/// window is events pending from time zero; the event queue holds 2²⁴.
+const MAX_FAULT_WINDOWS: usize = 10_000;
+
+/// The rule for a window count.
+fn window_count(what: &str, count: usize) -> Result<(), String> {
+    rule(
+        count <= MAX_FAULT_WINDOWS,
+        format!("at most {MAX_FAULT_WINDOWS} {what} windows, got {count}"),
+    )
+}
 
 /// Crash-stop churn: a fraction of leechers vanish *without* a Goodbye,
 /// leaving every other peer's view of them stale until defenses (or
@@ -44,8 +56,8 @@ impl CrashChurnConfig {
         config
     }
 
-    /// Checks the knobs: a fraction outside `[0, 1]` or a non-positive
-    /// uptime is an `Err` naming the rule.
+    /// Checks the knobs: a fraction outside `[0, 1]` or an uptime that is
+    /// not positive or longer than a day is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
         rule(
             (0.0..=1.0).contains(&self.crash_fraction),
@@ -54,7 +66,7 @@ impl CrashChurnConfig {
                 self.crash_fraction
             ),
         )?;
-        rule(self.mean_uptime_secs > 0.0, "mean uptime must be positive")
+        positive_secs("mean uptime", self.mean_uptime_secs)
     }
 
     /// Samples a crash delay (seconds after joining) for each of `n_peers`
@@ -88,15 +100,17 @@ pub struct LinkFlapConfig {
 }
 
 impl LinkFlapConfig {
-    /// Checks the knobs: a non-positive rate, duration, or window is an
-    /// `Err` naming the rule.
+    /// Checks the knobs: too many windows, a rate that is not positive and
+    /// finite, or a duration or window that is not positive or longer than
+    /// a day is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
+        window_count("flap", self.count)?;
         rule(
-            self.degraded_bytes_per_sec > 0.0,
-            "degraded rate must be positive",
+            self.degraded_bytes_per_sec > 0.0 && self.degraded_bytes_per_sec.is_finite(),
+            "degraded rate must be positive and finite",
         )?;
-        rule(self.duration_secs > 0.0, "flap duration must be positive")?;
-        rule(self.window_secs > 0.0, "flap window must be positive")
+        positive_secs("flap duration", self.duration_secs)?;
+        positive_secs("flap window", self.window_secs)
     }
 
     /// Validates the knobs.
@@ -133,11 +147,12 @@ pub struct CdnOutageConfig {
 }
 
 impl CdnOutageConfig {
-    /// Checks the knobs: a non-positive duration or window is an `Err`
-    /// naming the rule.
+    /// Checks the knobs: too many windows, or a duration or window that is
+    /// not positive or longer than a day, is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
-        rule(self.duration_secs > 0.0, "outage duration must be positive")?;
-        rule(self.window_secs > 0.0, "outage window must be positive")
+        window_count("outage", self.count)?;
+        positive_secs("outage duration", self.duration_secs)?;
+        positive_secs("outage window", self.window_secs)
     }
 
     /// Validates the knobs.
@@ -184,9 +199,10 @@ pub struct FaultPlanConfig {
 }
 
 impl FaultPlanConfig {
-    /// Checks the plan against the scenario: out-of-range probabilities,
-    /// invalid sub-configs, or CDN outages without a CDN are an `Err`
-    /// naming the rule.
+    /// Checks the plan against the scenario: out-of-range probabilities, a
+    /// delay bound that is negative, infinite or longer than a day, invalid
+    /// sub-configs, or CDN outages without a CDN are an `Err` naming the
+    /// rule.
     pub fn check(&self, has_cdn: bool) -> Result<(), String> {
         rule(
             (0.0..=1.0).contains(&self.message_loss),
@@ -200,8 +216,11 @@ impl FaultPlanConfig {
             ),
         )?;
         rule(
-            self.message_delay_max_secs >= 0.0,
-            "message delay bound must be non-negative",
+            (0.0..=MAX_KNOB_SECS).contains(&self.message_delay_max_secs),
+            format!(
+                "message delay bound must be in [0,{MAX_KNOB_SECS}] s, got {}",
+                self.message_delay_max_secs
+            ),
         )?;
         if let Some(crash) = &self.crash {
             crash.check()?;
@@ -387,6 +406,115 @@ mod tests {
             ..FaultPlanConfig::default()
         };
         plan.validate(false);
+    }
+
+    /// Every time in a plan is finite and at most a day, every window
+    /// count at most `MAX_FAULT_WINDOWS`: what lies beyond used to pass
+    /// `check()` and panic inside the run.
+    #[test]
+    fn unbounded_times_and_window_counts_are_check_errors() {
+        let flaps = LinkFlapConfig {
+            count: 1,
+            degraded_bytes_per_sec: 10_000.0,
+            duration_secs: 10.0,
+            window_secs: 120.0,
+        };
+        let outages = CdnOutageConfig {
+            count: 1,
+            duration_secs: 10.0,
+            window_secs: 120.0,
+        };
+        let crash = |mean_uptime_secs| CrashChurnConfig {
+            crash_fraction: 0.5,
+            mean_uptime_secs,
+        };
+        let plan = FaultPlanConfig {
+            crash: Some(crash(86_400.0)),
+            message_delay_prob: 0.5,
+            message_delay_max_secs: 86_400.0,
+            link_flaps: Some(LinkFlapConfig {
+                count: MAX_FAULT_WINDOWS,
+                ..flaps
+            }),
+            cdn_outages: Some(CdnOutageConfig {
+                count: MAX_FAULT_WINDOWS,
+                ..outages
+            }),
+            ..FaultPlanConfig::default()
+        };
+        assert_eq!(plan.check(true), Ok(()));
+        let too_many = MAX_FAULT_WINDOWS + 1;
+        for beyond in [f64::INFINITY, 1e30, 86_400.5, f64::NAN] {
+            let delay = FaultPlanConfig {
+                message_delay_max_secs: beyond,
+                ..plan
+            };
+            let (duration_secs, window_secs) = (beyond, beyond);
+            let cases = [
+                (
+                    delay.check(true),
+                    "message delay bound must be in [0,86400]",
+                ),
+                (crash(beyond).check(), "mean uptime must be positive and at"),
+                (
+                    LinkFlapConfig {
+                        duration_secs,
+                        ..flaps
+                    }
+                    .check(),
+                    "flap duration must be positive and at most 86400 s",
+                ),
+                (
+                    LinkFlapConfig {
+                        window_secs,
+                        ..flaps
+                    }
+                    .check(),
+                    "flap window must be positive and at most 86400 s",
+                ),
+                (
+                    CdnOutageConfig {
+                        duration_secs,
+                        ..outages
+                    }
+                    .check(),
+                    "outage duration must be positive and at most 86400 s",
+                ),
+                (
+                    CdnOutageConfig {
+                        window_secs,
+                        ..outages
+                    }
+                    .check(),
+                    "outage window must be positive and at most 86400 s",
+                ),
+            ];
+            for (checked, message) in cases {
+                let err = checked.unwrap_err();
+                assert!(err.contains(message), "{beyond}: {err}");
+            }
+        }
+        let err = LinkFlapConfig {
+            degraded_bytes_per_sec: f64::INFINITY,
+            ..flaps
+        }
+        .check()
+        .unwrap_err();
+        assert_eq!(err, "degraded rate must be positive and finite");
+        let err = LinkFlapConfig {
+            count: too_many,
+            ..flaps
+        }
+        .check()
+        .unwrap_err();
+        assert_eq!(err, "at most 10000 flap windows, got 10001");
+        let err = CdnOutageConfig {
+            count: too_many,
+            ..outages
+        }
+        .check()
+        .unwrap_err();
+        assert_eq!(err, "at most 10000 outage windows, got 10001");
     }
 
     #[test]

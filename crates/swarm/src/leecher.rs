@@ -37,12 +37,6 @@ const HEARTBEAT_PUMPS: f64 = 8.0;
 /// pump activity.
 const ANNOUNCE_PUMPS: u64 = 10;
 
-/// How far past the frontier a windowed leecher requests, in segments:
-/// the scheduler stops at `next_needed + REQUEST_LOOKAHEAD_SEGS`, so
-/// availability beyond that edge need not be indexed until the frontier
-/// approaches it (the deferred fold).
-const REQUEST_LOOKAHEAD_SEGS: u32 = 64;
-
 /// Everything a leecher needs to operate.
 pub struct LeecherConfig {
     /// Leecher index (for reports), 0-based.
@@ -91,8 +85,8 @@ pub struct LeecherConfig {
     pub control_plane: ControlPlane,
     /// How upload sources are found (full rescan vs. incremental index).
     pub scheduler: SchedulerMode,
-    /// How received availability is indexed: on arrival, or windowed (the
-    /// deferred fold and the request lookahead).
+    /// Retired: read by nothing since the deferred fold became the one
+    /// indexing path; see [`DisseminationMode`].
     pub dissemination: DisseminationMode,
     /// How long completions may wait before a coalesced `HaveBundle`
     /// flush (eventful mode only).
@@ -147,13 +141,6 @@ enum SchedState {
     /// going offline only *shrink* the candidate set, so they need no
     /// mark.)
     NoSource(u32),
-    /// The last pass stopped at the lookahead edge (windowed
-    /// dissemination): the next wanted segment lies at or beyond
-    /// `next_needed + REQUEST_LOOKAHEAD_SEGS`, which a windowed leecher
-    /// never requests. Every want below the edge was held, in flight, or
-    /// just requested, so only the frontier advancing can change the
-    /// outcome — and every delivery marks dirty.
-    LookaheadEdge,
     /// The last pass stopped at the pool-size cap. Skippable even though
     /// the adaptive pool size is time-varying: between deliveries the
     /// buffered lead `T` only *shrinks* (the play head advances, the
@@ -235,10 +222,10 @@ pub struct LeecherNode {
     earliest_armed: SimTime,
     /// Whether peers were told we are complete (`NotInterested`).
     complete_notified: bool,
-    /// Receiver-side fold horizon (windowed mode): announcements for
-    /// segments below it are live-mirrored into the holder index, while
-    /// everything at or beyond it is parked in the per-peer bitfields only
-    /// and folded in lazily as the scheduler's wanted frontier reaches it.
+    /// Receiver-side fold horizon: announcements for segments below it
+    /// are live-mirrored into the holder index, while everything at or
+    /// beyond it is parked in the per-peer bitfields only and folded in
+    /// lazily as the scheduler's wanted frontier reaches it.
     fold_horizon: u32,
     report: PeerReport,
     reported: bool,
@@ -611,14 +598,6 @@ impl LeecherNode {
                 return; // everything held or requested
             };
             scan_from = want;
-            if self.windowed() && want >= self.next_needed.saturating_add(REQUEST_LOOKAHEAD_SEGS) {
-                // The want lies beyond the lookahead, where availability is
-                // not indexed yet; the edge moves with the frontier, i.e.
-                // with deliveries.
-                self.sched_state = SchedState::LookaheadEdge;
-                self.report.dissem.window_capped += 1;
-                return;
-            }
             self.ensure_folded(want.saturating_add(1));
             let w = match self.cfg.w_estimate {
                 crate::policy::WEstimate::MeanSegment => self.mean_segment_bytes,
@@ -959,20 +938,13 @@ impl LeecherNode {
         }
     }
 
-    fn windowed(&self) -> bool {
-        self.cfg.dissemination == DisseminationMode::Windowed
-    }
-
-    /// Windowed dissemination's lazy fold: advances the fold horizon to
-    /// `upto`, mirroring the announcements parked in the peer bitfields
-    /// into the holder index for the newly covered segments. Segments we
-    /// already hold are skipped outright — their holders can never be
-    /// picked — which is where the bulk of full dissemination's
-    /// O(peers × segments) insert volume disappears.
+    /// The deferred fold: advances the fold horizon to `upto`, mirroring
+    /// the announcements parked in the peer bitfields into the holder index
+    /// for the newly covered segments. Segments we already hold are skipped
+    /// outright — their holders can never be picked — which is where the
+    /// bulk of an on-arrival mirror's O(peers × segments) insert volume
+    /// disappears.
     fn ensure_folded(&mut self, upto: u32) {
-        if !self.windowed() {
-            return;
-        }
         let upto = upto.min(self.holdings.len());
         while self.fold_horizon < upto {
             let segment = self.fold_horizon;
@@ -1117,16 +1089,15 @@ impl LeecherNode {
         self.broadcast_fellows(ctx, &Message::NotInterested, |view| view.handshaken());
     }
 
-    /// The mirror rule, stated once: whether a bit `from` just announced
-    /// for `index` enters the holder index now or stays parked in the view
-    /// until `ensure_folded` reaches it. Full dissemination mirrors
-    /// everything; windowed dissemination only what lies below the fold
-    /// horizon and can still be picked. A new holder of the exact segment
-    /// the last scheduling pass was blocked on re-dirties the schedule —
-    /// holder news for any other segment cannot change that pass's outcome.
+    /// The mirror rule, stated once: a bit `from` just announced for
+    /// `index` enters the holder index now only when it lies below the fold
+    /// horizon and can still be picked; otherwise it stays parked in the
+    /// view until `ensure_folded` reaches it. A new holder of the exact
+    /// segment the last scheduling pass was blocked on re-dirties the
+    /// schedule — holder news for any other segment cannot change that
+    /// pass's outcome.
     fn mirror_announced(&mut self, from: NodeId, index: u32) {
-        let mirror = !self.windowed() || (index < self.fold_horizon && self.pickable(index));
-        if !mirror {
+        if index >= self.fold_horizon || !self.pickable(index) {
             self.report.dissem.deferred_indices += 1;
         } else if self.holders.insert(index, from) {
             self.report.sched.holder_adds += 1;
@@ -1310,18 +1281,14 @@ impl LeecherNode {
     /// every pump in debug builds (CI's test profile), so index drift fails
     /// the build loudly instead of skewing the schedule silently.
     ///
-    /// Windowed dissemination deliberately weakens the mirror: the index
-    /// must never hold a *stale* entry (always a subset of the rescan), it
-    /// must be empty beyond the fold horizon, and it must equal the rescan
+    /// The deferred fold deliberately weakens the mirror: the index must
+    /// never hold a *stale* entry (always a subset of the rescan), it must
+    /// be empty beyond the fold horizon, and it must equal the rescan
     /// exactly for every segment the scheduler can still pick a source for
     /// — folded and unheld, or held with a raced in-flight entry. Held
-    /// segments without one may retain a partial holder set: their inserts
-    /// stopped the moment they were acquired, and nothing consults them.
-    ///
-    /// In both modes a held segment with no in-flight entry may hold any
-    /// subset of the rescan (usually none): its set is purged on
-    /// acquisition, and full mode keeps mirroring later announcements
-    /// into it.
+    /// segments without one may retain a partial holder set (usually
+    /// none): it is purged on acquisition, its inserts stopped at that
+    /// moment, and nothing consults it.
     #[cfg(debug_assertions)]
     fn audit_holder_index(&self) {
         if self.cfg.scheduler != SchedulerMode::Indexed {
@@ -1337,7 +1304,7 @@ impl LeecherNode {
                 .map(|(peer, _)| peer)
                 .collect();
             let indexed: Vec<NodeId> = self.holders.of(segment).collect();
-            if self.windowed() && segment >= self.fold_horizon {
+            if segment >= self.fold_horizon {
                 assert!(
                     indexed.is_empty(),
                     "holder index populated beyond the fold horizon \
@@ -1823,7 +1790,7 @@ mod tests {
             discovery,
             control_plane: ControlPlane::Legacy,
             scheduler: SchedulerMode::Indexed,
-            dissemination: DisseminationMode::Full,
+            dissemination: DisseminationMode::default(),
             coalesce_window: SimDuration::from_secs_f64(1.0),
             sparse_holders: false,
             sink: Rc::new(RefCell::new(Vec::new())),
@@ -1894,7 +1861,6 @@ mod tests {
     /// leecher's control counters.
     fn announce_to_fellows(
         plane: ControlPlane,
-        dissemination: DisseminationMode,
     ) -> (
         [NodeId; 4],
         Vec<(NodeId, Message)>,
@@ -1909,7 +1875,6 @@ mod tests {
         let mut cfg = config(seeder, fellows.to_vec(), DiscoveryMode::Full);
         cfg.cdn = Some(cdn);
         cfg.control_plane = plane;
-        cfg.dissemination = dissemination;
         let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
         {
             let mut l = node.borrow_mut();
@@ -1948,7 +1913,7 @@ mod tests {
     #[test]
     fn legacy_have_reaches_fellows_and_counts_only_them() {
         let ([lacks, _, _, unsubscribed], heard, control) =
-            announce_to_fellows(ControlPlane::Legacy, DisseminationMode::Full);
+            announce_to_fellows(ControlPlane::Legacy);
         let have = Message::Have { index: 0 };
         assert_eq!(heard, [(lacks, have.clone()), (unsubscribed, have)]);
         assert_eq!(control.haves_sent, 2);
@@ -1957,18 +1922,14 @@ mod tests {
 
     /// The eventful plane's flushed `HaveBundle` follows the same rule,
     /// plus the unsubscribe: a fellow that said `NotInterested` is
-    /// suppressed too — and that is every reason there is, in `Windowed`
-    /// mode as in `Full`.
+    /// suppressed too — and that is every reason there is.
     #[test]
     fn eventful_bundle_reaches_subscribed_fellows_and_counts_only_them() {
-        for dissemination in [DisseminationMode::Full, DisseminationMode::Windowed] {
-            let ([lacks, ..], heard, control) =
-                announce_to_fellows(ControlPlane::Eventful, dissemination);
-            let bundle = Message::HaveBundle { indices: vec![0] };
-            assert_eq!(heard, [(lacks, bundle)], "{dissemination:?}");
-            assert_eq!(control.have_bundles_sent, 1);
-            assert_eq!(control.haves_suppressed, 3);
-        }
+        let ([lacks, ..], heard, control) = announce_to_fellows(ControlPlane::Eventful);
+        let bundle = Message::HaveBundle { indices: vec![0] };
+        assert_eq!(heard, [(lacks, bundle)]);
+        assert_eq!(control.have_bundles_sent, 1);
+        assert_eq!(control.haves_suppressed, 3);
     }
 
     /// Regression test: a timed-out request was re-pointed at peer B, but
@@ -2339,7 +2300,9 @@ mod tests {
         }));
         sim.run_until_idle(SimTime::from_secs_f64(5.0));
 
-        let l = node.borrow();
+        // Not streaming yet, so no scheduling pass has folded anything.
+        let mut l = node.borrow_mut();
+        l.ensure_folded(2);
         // The stranger announced a full bitfield: its freshly created view
         // is an ordinary neighbour record that happens to hold everything.
         let view = l
@@ -2618,6 +2581,8 @@ mod tests {
             for index in [0, 1] {
                 put_in_flight(&mut l, index, a_id, true);
             }
+            // The scheduling pass behind a real request folds up to it.
+            l.ensure_folded(2);
             l.views.get_mut(&a_id).unwrap().set_handshaken(true);
             l.views.get_mut(&a_id).unwrap().outstanding = 2;
         }
@@ -2732,6 +2697,8 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             assert!(l.views[&a_id].holdings.is_complete());
+            // Not streaming yet, so no scheduling pass has folded anything.
+            l.ensure_folded(2);
             assert_eq!(l.holders.of(1).collect::<Vec<_>>(), &[a_id][..]);
             assert_eq!(
                 (l.report.sched.holder_adds, l.report.sched.holder_removes),
@@ -2769,23 +2736,22 @@ mod tests {
         );
     }
 
-    fn windowed_config(seeder: NodeId, others: Vec<NodeId>) -> LeecherConfig {
+    fn eventful_config(seeder: NodeId, others: Vec<NodeId>) -> LeecherConfig {
         let mut cfg = config(seeder, others, DiscoveryMode::Full);
         cfg.control_plane = ControlPlane::Eventful;
-        cfg.dissemination = DisseminationMode::Windowed;
         cfg
     }
 
-    /// Windowed dissemination parks announcements beyond the fold horizon
-    /// in the per-peer view only; `ensure_folded` mirrors them into the
+    /// Announcements beyond the fold horizon are parked in the per-peer
+    /// view only; `ensure_folded` mirrors them into the
     /// holder index once the scheduling frontier actually reaches them.
     #[test]
-    fn windowed_haves_defer_then_fold_on_demand() {
+    fn haves_defer_then_fold_on_demand() {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
         let net = star(&[spec; 3]);
         let (leecher_id, s_id, a_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
 
-        let node = Rc::new(RefCell::new(LeecherNode::new(windowed_config(
+        let node = Rc::new(RefCell::new(LeecherNode::new(eventful_config(
             s_id,
             vec![a_id],
         ))));
@@ -2836,8 +2802,7 @@ mod tests {
     }
 
     /// Wire type 16 carried the retired interest-window announcement. A
-    /// leecher that still receives one — windowed, from a handshaken
-    /// neighbour — treats it like any frame it cannot decode: its state,
+    /// leecher that still receives one from a handshaken neighbour treats it like any frame it cannot decode: its state,
     /// its report and what it says back match a run without the frame.
     #[test]
     fn a_type_16_frame_changes_nothing_and_gets_no_reply() {
@@ -2845,7 +2810,7 @@ mod tests {
             let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
             let net = star(&[spec; 3]);
             let (leecher_id, s_id, b_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
-            let node = Rc::new(RefCell::new(LeecherNode::new(windowed_config(
+            let node = Rc::new(RefCell::new(LeecherNode::new(eventful_config(
                 s_id,
                 vec![b_id],
             ))));

@@ -62,6 +62,20 @@ fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
     }
 }
 
+/// The longest time a churn or fault knob may name, seconds: a day, like
+/// the clip itself. Past it (or at infinity) a sampled instant no longer
+/// fits the simulator's clock.
+const MAX_KNOB_SECS: f64 = 86_400.0;
+
+/// The rule for a knob that is a length of time: `0 < secs ≤` a day, which
+/// is false for NaN and the infinities.
+fn positive_secs(what: &str, secs: f64) -> Result<(), String> {
+    rule(
+        secs > 0.0 && secs <= MAX_KNOB_SECS,
+        format!("{what} must be positive and at most {MAX_KNOB_SECS} s, got {secs}"),
+    )
+}
+
 /// The body of every `validate()`: panics with `check()`'s message.
 #[track_caller]
 fn must(checked: Result<(), String>) {

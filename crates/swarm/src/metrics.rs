@@ -98,9 +98,8 @@ impl SchedulerStats {
     }
 }
 
-/// Windowed-dissemination counters for one leecher: what the deferred
-/// fold parked and folded, and how often the request lookahead bound.
-/// All zero under full dissemination.
+/// Deferred-fold counters for one leecher: what it parked in the peer
+/// bitfields and what it folded into the holder index later.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisseminationStats {
     /// Always 0: the sender-side window protocol is gone. Kept because
@@ -116,8 +115,6 @@ pub struct DisseminationStats {
     /// Holder-index inserts performed lazily when the fold horizon
     /// advanced over parked indices.
     pub fold_inserts: u64,
-    /// Scheduling passes stopped at the request-lookahead edge.
-    pub window_capped: u64,
 }
 
 impl DisseminationStats {
@@ -125,7 +122,6 @@ impl DisseminationStats {
     pub fn absorb(&mut self, other: &DisseminationStats) {
         self.deferred_indices += other.deferred_indices;
         self.fold_inserts += other.fold_inserts;
-        self.window_capped += other.window_capped;
     }
 }
 
@@ -233,7 +229,7 @@ pub struct PeerReport {
     /// Fault and defense counters for this peer.
     #[serde(default)]
     pub fault: PeerFaultStats,
-    /// Windowed-dissemination counters for this peer.
+    /// Deferred-fold counters for this peer.
     #[serde(default)]
     pub dissem: DisseminationStats,
     /// Memory-footprint accounting for this peer.
@@ -329,7 +325,7 @@ impl SwarmMetrics {
         total
     }
 
-    /// Summed windowed-dissemination counters over every report.
+    /// Summed deferred-fold counters over every report.
     pub fn dissem_totals(&self) -> DisseminationStats {
         let mut total = DisseminationStats::default();
         for report in &self.reports {
@@ -571,7 +567,7 @@ mod tests {
         a.dissem.fold_inserts = 3;
         let mut b = report(1, 0, 0.0, true); // churners count too
         b.dissem.deferred_indices = 2;
-        b.dissem.window_capped = 9;
+        b.dissem.fold_inserts = 9;
         let m = SwarmMetrics {
             reports: vec![a, b],
             sim_end_secs: 1.0,
@@ -580,8 +576,7 @@ mod tests {
         };
         let total = m.dissem_totals();
         assert_eq!(total.deferred_indices, 12);
-        assert_eq!(total.fold_inserts, 3);
-        assert_eq!(total.window_capped, 9);
+        assert_eq!(total.fold_inserts, 12);
     }
 
     #[test]

@@ -74,34 +74,18 @@ pub enum SchedulerMode {
     Indexed,
 }
 
-/// How a leecher indexes the availability announced to it.
+/// Retired. Every leecher indexes announced availability the same way — the
+/// deferred fold, see `LeecherNode::ensure_folded` — and nothing reads this
+/// type any more: it and the two config fields of its type stay only
+/// because `benchmark/src/traced.rs` copies one field into the other
+/// (ROADMAP 4(d)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DisseminationMode {
-    /// Every Have/HaveBundle reaches every interested subscriber and is
-    /// applied to the holder index on arrival: O(peers²) traffic and
-    /// inserts per run.
+    /// Was: index every announcement on arrival.
     #[default]
     Full,
-    /// The same messages as `Full`, a lazier receiver: announced indices
-    /// beyond the fold horizon stay parked in the per-peer bitfield and
-    /// enter the holder index only as the wanted frontier reaches them,
-    /// and a leecher requests at most 64 segments past its frontier. On a
-    /// stream of ≤ 64 segments a run is bit-identical to `Full`.
+    /// Was: the deferred fold plus a 64-segment request lookahead.
     Windowed,
-}
-
-impl std::str::FromStr for DisseminationMode {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        match raw {
-            "full" => Ok(DisseminationMode::Full),
-            "windowed" => Ok(DisseminationMode::Windowed),
-            other => Err(format!(
-                "unknown dissemination mode `{other}` (full | windowed)"
-            )),
-        }
-    }
 }
 
 /// Configuration of one swarm run. The defaults are the paper's GENI
@@ -170,8 +154,7 @@ pub struct SwarmConfig {
     /// How upload sources are found (full rescan vs. incremental index).
     #[serde(default)]
     pub scheduler: SchedulerMode,
-    /// How received availability is indexed (on arrival vs. the
-    /// windowed deferred fold).
+    /// Retired: read by nothing, see [`DisseminationMode`].
     #[serde(default)]
     pub dissemination: DisseminationMode,
     /// Coalescing window of the eventful control plane, seconds: how long
@@ -738,9 +721,9 @@ mod tests {
     /// Pins the scale stack's exact output the way the legacy pin guards
     /// the paper stack: eventful plane, fluid flows, the deferred fold,
     /// tracker discovery, graceful and crash churn, lossy control
-    /// messages and the defenses, over a splice longer than the request
-    /// lookahead. A leecher refactor that is meant to keep behaviour must
-    /// leave this digest alone.
+    /// messages and the defenses, over a 120-segment splice. A leecher
+    /// refactor that is meant to keep behaviour must leave this digest
+    /// alone.
     #[test]
     fn scale_output_digest_is_pinned() {
         let video = Video::builder().duration_secs(60.0).seed(6).build();
@@ -748,13 +731,12 @@ mod tests {
         let config = SwarmConfig {
             n_leechers: 16,
             // Joins spread over half the clip on fast links, so early
-            // peers run more than a lookahead ahead of late ones.
+            // peers run far ahead of late ones.
             join_stagger_secs: 30.0,
             peer_bandwidth_bytes_per_sec: 4_000_000.0,
             seeder_bandwidth_bytes_per_sec: 4_000_000.0,
             control_plane: ControlPlane::Eventful,
             flow_model: FlowModel::Fluid,
-            dissemination: DisseminationMode::Windowed,
             discovery: DiscoveryMode::Tracker,
             churn: Some(ChurnConfig::new(0.3, 20.0)),
             faults: Some(FaultPlanConfig {
@@ -768,12 +750,12 @@ mod tests {
         let metrics = run_swarm(&segments, &config, 11);
         let dissem = metrics.dissem_totals();
         assert!(
-            segments.len() > 64 && dissem.window_capped > 0 && dissem.fold_inserts > 0,
-            "the scenario must make the lookahead bind and the fold defer: {dissem:?}"
+            dissem.fold_inserts > 0,
+            "the scenario must make the fold defer: {dissem:?}"
         );
         assert_eq!(
             output_digest(&metrics),
-            0x0047_445a_3d4f_9c13,
+            0x209e_6e74_617e_7d25,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }
@@ -781,41 +763,55 @@ mod tests {
     /// The indexed scheduler must be bit-identical to the reference scan:
     /// same candidate order, same RNG draws, same messages — on both
     /// control planes, under churn, and with tracker discovery (late
-    /// joins, evictions, bundles all exercise the index maintenance).
-    /// Scheduler counters are zeroed before comparing: pass/skip tallies
-    /// are *expected* to differ between the modes.
+    /// joins, evictions, bundles all exercise the index maintenance), and
+    /// on 80 half-second segments over fat links, where early viewers run
+    /// far past the fold horizon of late ones: the deferred fold maintains
+    /// the index lazily, but the candidate set any pick sees must still
+    /// equal a full rescan. Scheduler counters are zeroed before comparing:
+    /// pass/skip tallies are *expected* to differ between the modes.
     #[test]
     fn indexed_scheduler_matches_scan_bit_for_bit() {
         let video = Video::builder().duration_secs(40.0).seed(6).build();
-        let segments = DurationSplicer::new(4.0).splice(&video);
+        let coarse = DurationSplicer::new(4.0).splice(&video);
+        let fine = DurationSplicer::new(0.5).splice(&video);
+        let churn = Some(ChurnConfig {
+            volatile_fraction: 0.3,
+            mean_lifetime_secs: 20.0,
+        });
+        let eventful = SwarmConfig {
+            n_leechers: 6,
+            control_plane: ControlPlane::Eventful,
+            flow_model: FlowModel::Fluid,
+            churn,
+            ..tiny_config()
+        };
         let scenarios = [
-            SwarmConfig {
-                n_leechers: 6,
-                churn: Some(ChurnConfig {
-                    volatile_fraction: 0.3,
-                    mean_lifetime_secs: 20.0,
-                }),
-                discovery: DiscoveryMode::Tracker,
-                ..tiny_config()
-            },
-            SwarmConfig {
-                n_leechers: 6,
-                control_plane: ControlPlane::Eventful,
-                flow_model: FlowModel::Fluid,
-                churn: Some(ChurnConfig {
-                    volatile_fraction: 0.3,
-                    mean_lifetime_secs: 20.0,
-                }),
-                ..tiny_config()
-            },
+            (
+                &coarse,
+                SwarmConfig {
+                    n_leechers: 6,
+                    churn,
+                    discovery: DiscoveryMode::Tracker,
+                    ..tiny_config()
+                },
+            ),
+            (&coarse, eventful.clone()),
+            (
+                &fine,
+                SwarmConfig {
+                    peer_bandwidth_bytes_per_sec: 4_000_000.0,
+                    seeder_bandwidth_bytes_per_sec: 4_000_000.0,
+                    ..eventful
+                },
+            ),
         ];
-        for (i, base) in scenarios.into_iter().enumerate() {
+        for (i, (segments, base)) in scenarios.into_iter().enumerate() {
             let run = |mode| {
                 let config = SwarmConfig {
                     scheduler: mode,
                     ..base.clone()
                 };
-                let mut metrics = run_swarm(&segments, &config, 11);
+                let mut metrics = run_swarm(segments, &config, 11);
                 for report in &mut metrics.reports {
                     report.sched = Default::default();
                     // Scan mode never populates the holder index, so the
@@ -1054,17 +1050,15 @@ mod tests {
         );
     }
 
-    /// Windowed dissemination past the lookahead, where it is no longer
-    /// `Full` bit for bit: the stream still completes, the deferral
-    /// counters show real work avoided, and the holder-index insert volume
-    /// drops.
+    /// The deferred fold on a 96-segment stream and fat links: the stream
+    /// completes, announcements are parked, and more of them are parked
+    /// than are ever folded — the holder-index inserts an on-arrival
+    /// mirror would have made and the fold never does.
     #[test]
-    fn windowed_dissemination_defers_and_still_completes() {
+    fn deferred_fold_parks_more_than_it_folds_and_completes() {
         let video = Video::builder().duration_secs(48.0).seed(6).build();
-        // 96 half-second segments: longer than the 64-segment request
-        // lookahead, so its edge binds.
         let segments = DurationSplicer::new(0.5).splice(&video);
-        let base = SwarmConfig {
+        let config = SwarmConfig {
             n_leechers: 8,
             peer_bandwidth_bytes_per_sec: 16_000_000.0,
             seeder_bandwidth_bytes_per_sec: 16_000_000.0,
@@ -1073,34 +1067,13 @@ mod tests {
             control_plane: ControlPlane::Eventful,
             ..tiny_config()
         };
-        let full = run_swarm(&segments, &base, 5);
-        let windowed = run_swarm(
-            &segments,
-            &SwarmConfig {
-                dissemination: DisseminationMode::Windowed,
-                ..base
-            },
-            5,
-        );
-        assert_eq!(full.completion_rate(), 1.0);
-        assert_eq!(windowed.completion_rate(), 1.0);
-        assert_eq!(
-            full.dissem_totals(),
-            crate::DisseminationStats::default(),
-            "full mode must not touch the windowed counters"
-        );
-        let d = windowed.dissem_totals();
-        assert!(d.deferred_indices > 0, "announcements must be deferred");
+        let metrics = run_swarm(&segments, &config, 5);
+        assert_eq!(metrics.completion_rate(), 1.0);
+        let d = metrics.dissem_totals();
+        assert!(d.fold_inserts > 0, "parked announcements must be folded");
         assert!(
-            d.window_capped > 0,
-            "the fat-link pool must hit the lookahead edge"
-        );
-        let full_adds = full.sched_totals().holder_adds;
-        let win_adds = windowed.sched_totals().holder_adds;
-        assert!(
-            win_adds < full_adds,
-            "windowed holder adds {win_adds} should undercut full \
-             dissemination's {full_adds}"
+            d.deferred_indices > d.fold_inserts,
+            "the fold must skip inserts an on-arrival mirror makes: {d:?}"
         );
     }
 
@@ -1110,146 +1083,37 @@ mod tests {
         (FlowModel::Fluid, ControlPlane::Eventful),
     ];
 
-    /// Past the lookahead on the paper's own splice — GOP segments, 197
-    /// of them, variable in size — and on both stacks, the legacy plane
-    /// included: only what stays true there is asserted.
+    /// Eq. 1 alone bounds how far ahead a viewer requests. On the paper's
+    /// own splice — GOP segments, 197 of them, variable in size — and on
+    /// both stacks, a fixed pool of 100 fills: a viewer with 100 segments
+    /// in flight has requested past `next_needed + 64`, where the deferred
+    /// fold once stopped the scheduler. Everybody finishes.
     #[test]
-    fn windowed_past_the_lookahead_completes_on_both_stacks() {
+    fn gop_viewers_request_far_past_the_frontier_on_both_stacks() {
         let video = Video::builder().duration_secs(120.0).seed(2015).build();
         let segments = splicecast_media::GopSplicer.splice(&video);
         assert!(segments.len() > 3 * 64, "{} segments", segments.len());
         for (flow_model, control_plane) in STACKS {
-            let run = |dissemination| {
-                let config = SwarmConfig {
-                    n_leechers: 6,
-                    peer_bandwidth_bytes_per_sec: 16_000_000.0,
-                    seeder_bandwidth_bytes_per_sec: 16_000_000.0,
-                    flow_model,
-                    control_plane,
-                    dissemination,
-                    ..tiny_config()
-                };
-                run_swarm(&segments, &config, 5)
-            };
-            let full = run(DisseminationMode::Full);
-            let windowed = run(DisseminationMode::Windowed);
-            assert_eq!(windowed.completion_rate(), 1.0, "{control_plane:?}");
-            let d = windowed.dissem_totals();
-            assert!(d.window_capped > 0, "{control_plane:?}: {d:?}");
-            assert!(
-                windowed.sched_totals().holder_adds < full.sched_totals().holder_adds,
-                "{control_plane:?}: the fold must undercut full's inserts"
-            );
-        }
-    }
-
-    /// Windowed dissemination maintains the holder index lazily, but the
-    /// candidate set any pick sees must still equal a full rescan: the
-    /// indexed scheduler stays bit-identical to the scan under windowed
-    /// mode, churn included. Scheduler and dissemination counters are
-    /// zeroed before comparing — pass/skip and edge-stop tallies differ
-    /// between the modes by design.
-    #[test]
-    fn windowed_indexed_matches_scan_bit_for_bit() {
-        let video = Video::builder().duration_secs(40.0).seed(6).build();
-        let segments = DurationSplicer::new(0.5).splice(&video);
-        let base = SwarmConfig {
-            n_leechers: 6,
-            control_plane: ControlPlane::Eventful,
-            flow_model: FlowModel::Fluid,
-            dissemination: DisseminationMode::Windowed,
-            peer_bandwidth_bytes_per_sec: 4_000_000.0,
-            seeder_bandwidth_bytes_per_sec: 4_000_000.0,
-            churn: Some(ChurnConfig {
-                volatile_fraction: 0.3,
-                mean_lifetime_secs: 20.0,
-            }),
-            ..tiny_config()
-        };
-        let run = |mode| {
             let config = SwarmConfig {
-                scheduler: mode,
-                ..base.clone()
+                n_leechers: 6,
+                peer_bandwidth_bytes_per_sec: 16_000_000.0,
+                seeder_bandwidth_bytes_per_sec: 16_000_000.0,
+                policy: crate::policy::PolicyConfig::Fixed(100),
+                flow_model,
+                control_plane,
+                ..tiny_config()
             };
-            let mut metrics = run_swarm(&segments, &config, 11);
-            for report in &mut metrics.reports {
-                report.sched = Default::default();
-                report.dissem = Default::default();
-                report.mem = Default::default();
+            let metrics = run_swarm(&segments, &config, 5);
+            assert_eq!(metrics.completion_rate(), 1.0, "{control_plane:?}");
+            for report in &metrics.reports {
+                assert!(
+                    report.sched.full_pool > 0,
+                    "{control_plane:?}: viewer {} never had 100 segments in flight",
+                    report.peer
+                );
             }
-            metrics
-        };
-        let scan = run(SchedulerMode::Scan);
-        let indexed = run(SchedulerMode::Indexed);
-        assert_eq!(scan, indexed, "windowed scheduler modes diverged");
-    }
-
-    /// Within the lookahead windowed dissemination is a representation,
-    /// not a behaviour: on a stream of ≤ 64 segments a `Windowed` run puts
-    /// the same bytes on the wire at the same instants as a `Full` run —
-    /// on both stacks, plain and under tracker discovery, churn, crashes,
-    /// message loss and the defenses. Only the holder-index bookkeeping
-    /// (adds, removes, set census), the dissemination counters and the
-    /// memory probe are zeroed before comparing: those are what the
-    /// deferred fold changes.
-    #[test]
-    fn windowed_matches_full_bit_for_bit_within_the_lookahead() {
-        let video = Video::builder().duration_secs(30.0).seed(6).build();
-        let segments = DurationSplicer::new(0.5).splice(&video);
-        assert_eq!(segments.len(), 60);
-        let plain = SwarmConfig {
-            n_leechers: 8,
-            peer_bandwidth_bytes_per_sec: 4_000_000.0,
-            seeder_bandwidth_bytes_per_sec: 4_000_000.0,
-            ..tiny_config()
-        };
-        let hostile = SwarmConfig {
-            discovery: DiscoveryMode::Tracker,
-            churn: Some(ChurnConfig::new(0.3, 20.0)),
-            faults: Some(FaultPlanConfig {
-                crash: Some(crate::fault::CrashChurnConfig::new(0.2, 15.0)),
-                message_loss: 0.05,
-                ..FaultPlanConfig::default()
-            }),
-            defense: Some(DefenseConfig::default()),
-            ..plain.clone()
-        };
-        for (flow_model, control_plane) in STACKS {
-            for (scenario, base) in [("plain", &plain), ("hostile", &hostile)] {
-                for seed in [11, 12, 13] {
-                    let run = |dissemination| {
-                        let config = SwarmConfig {
-                            flow_model,
-                            control_plane,
-                            dissemination,
-                            ..base.clone()
-                        };
-                        let mut metrics = run_swarm(&segments, &config, seed);
-                        let deferred = metrics.dissem_totals().deferred_indices;
-                        for report in &mut metrics.reports {
-                            report.sched = crate::SchedulerStats {
-                                holder_adds: 0,
-                                holder_removes: 0,
-                                sparse_sets: 0,
-                                dense_sets: 0,
-                                dense_promotions: 0,
-                                ..report.sched
-                            };
-                            report.dissem = Default::default();
-                            report.mem = Default::default();
-                        }
-                        (metrics, deferred)
-                    };
-                    let (full, _) = run(DisseminationMode::Full);
-                    let (windowed, deferred) = run(DisseminationMode::Windowed);
-                    let case = format!("{flow_model:?}/{control_plane:?}/{scenario}/seed {seed}");
-                    assert!(deferred > 0, "{case}: the fold never deferred anything");
-                    if scenario == "plain" {
-                        assert_eq!(windowed.completion_rate(), 1.0, "{case}");
-                    }
-                    assert_eq!(full, windowed, "{case}: windowed diverged from full");
-                }
-            }
+            let d = metrics.dissem_totals();
+            assert!(d.fold_inserts > 0, "{control_plane:?}: {d:?}");
         }
     }
 
@@ -1257,7 +1121,7 @@ mod tests {
     /// sparse-only index: promotion changes the representation, never the
     /// membership or the ascending iteration order a pick sees. Exercised
     /// on the same hostile scenarios as the scan-vs-indexed differential —
-    /// tracker discovery with churn, and the eventful+fluid+windowed stack
+    /// tracker discovery with churn, and the eventful+fluid stack
     /// — with enough leechers that per-segment holder sets actually cross
     /// the promotion threshold. Scheduler counters and the memory probe
     /// are zeroed before comparing: the representation census and heap
@@ -1280,7 +1144,6 @@ mod tests {
                 n_leechers: 12,
                 control_plane: ControlPlane::Eventful,
                 flow_model: FlowModel::Fluid,
-                dissemination: DisseminationMode::Windowed,
                 churn: Some(ChurnConfig {
                     volatile_fraction: 0.3,
                     mean_lifetime_secs: 20.0,

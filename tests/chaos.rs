@@ -13,8 +13,8 @@
 use splicecast_core::swarm::PeerReport;
 use splicecast_core::{
     run_once, CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, CrashChurnConfig,
-    DefenseConfig, DiscoveryMode, DisseminationMode, ExperimentConfig, FaultPlanConfig,
-    LinkFlapConfig, SchedulerMode, SwarmMetrics, VideoSpec,
+    DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, LinkFlapConfig, SchedulerMode,
+    SwarmMetrics, VideoSpec,
 };
 
 /// splitmix64: derives independent fault knobs from one chaos seed without
@@ -265,10 +265,12 @@ fn heavy_message_loss_drops_traffic_but_converges() {
 }
 
 /// Combined churn (graceful departures + crash-stop) under the eventful
-/// control plane with tracker discovery. In debug builds the indexed
-/// scheduler's candidate auditor cross-checks the holder index against a
-/// full rescan on every pass, so this doubles as the index-eviction audit;
-/// the explicit Scan/Indexed comparison below catches release builds too.
+/// control plane with tracker discovery: lost announcements, crashed
+/// neighbours and churn-evicted holders must never strand the deferred
+/// fold. In debug builds the candidate auditor checks the lazy holder
+/// index against a full rescan (exact below the fold horizon, empty above)
+/// on every pass, so this doubles as the index-eviction audit; the
+/// explicit Scan/Indexed comparison below catches release builds too.
 #[test]
 fn holder_index_survives_combined_churn_on_eventful_plane() {
     let mut config = base();
@@ -293,34 +295,6 @@ fn holder_index_survives_combined_churn_on_eventful_plane() {
         departed >= 1,
         "this schedule is meant to churn somebody out"
     );
-}
-
-/// The combined-churn schedule again, under windowed dissemination: lost
-/// announcements, crashed neighbours, and churn-evicted holders must
-/// never strand the deferred fold. In debug
-/// builds the windowed candidate auditor checks the lazy holder index
-/// against a full rescan (exact below the fold horizon, empty above) on
-/// every pass; the Scan/Indexed comparison catches release builds too.
-#[test]
-fn windowed_dissemination_survives_combined_churn() {
-    let mut config = base();
-    config.swarm.discovery = DiscoveryMode::Tracker;
-    config.swarm.control_plane = ControlPlane::Eventful;
-    config.swarm.dissemination = DisseminationMode::Windowed;
-    config.swarm.churn = Some(ChurnConfig::new(0.4, 15.0));
-    config.swarm.faults = Some(FaultPlanConfig {
-        crash: Some(CrashChurnConfig::new(0.3, 12.0)),
-        message_loss: 0.05,
-        ..FaultPlanConfig::default()
-    });
-
-    let indexed = indexed_run_matching_scan(config, 55, "windowed holder index");
-    assert_eq!(
-        indexed.stuck_peers().count(),
-        0,
-        "persistent peers stuck:\n{}",
-        indexed.stuck_report()
-    );
     assert!(
         indexed.dissem_totals().deferred_indices > 0,
         "the schedule must exercise the deferred fold"
@@ -329,9 +303,8 @@ fn windowed_dissemination_survives_combined_churn() {
 
 /// The combined-churn schedule with a swarm large enough that per-segment
 /// holder sets cross the sparse→dense promotion threshold mid-run, under
-/// windowed dissemination, crash-stop churn, and message loss. In debug
-/// builds (CI's test profile) every pump re-runs the windowed-aware holder
-/// auditor against the hybrid representation — stale dense bits or broken
+/// crash-stop churn and message loss. In debug builds (CI's test profile)
+/// every pump re-runs the fold-aware holder auditor against the hybrid representation — stale dense bits or broken
 /// ascending iteration fail loudly here; the Scan/Indexed comparison
 /// catches release builds too.
 #[test]
@@ -339,7 +312,6 @@ fn dense_promotion_survives_combined_churn() {
     let mut config = base().with_leechers(32);
     config.swarm.discovery = DiscoveryMode::Tracker;
     config.swarm.control_plane = ControlPlane::Eventful;
-    config.swarm.dissemination = DisseminationMode::Windowed;
     config.swarm.churn = Some(ChurnConfig::new(0.4, 15.0));
     config.swarm.faults = Some(FaultPlanConfig {
         crash: Some(CrashChurnConfig::new(0.3, 12.0)),
