@@ -116,9 +116,21 @@ impl Args {
         }
     }
 
-    /// Whether a bare flag was passed.
-    pub fn flag(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
+    /// Whether a flag is on: absent is off, bare or `true` / `1` / `yes`
+    /// is on, `false` / `0` / `no` is off.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for any other value, which is most often the next
+    /// word of the command line swallowed by a bare flag.
+    pub fn flag(&self, key: &str) -> Result<bool, String> {
+        match self.get(key) {
+            None | Some("false" | "0" | "no") => Ok(false),
+            Some("true" | "1" | "yes") => Ok(true),
+            Some(other) => Err(format!(
+                "--{key} is a flag (no value, or true / false), got `{other}`"
+            )),
+        }
     }
 
     /// A parsed numeric option with a default.
@@ -199,8 +211,8 @@ mod tests {
         assert_eq!(args.command, "run");
         assert_eq!(args.get("peers"), Some("8"));
         assert_eq!(args.get("splicing"), Some("gop"));
-        assert!(args.flag("cdn"));
-        assert!(!args.flag("tracker"));
+        assert_eq!(args.flag("cdn"), Ok(true));
+        assert_eq!(args.flag("tracker"), Ok(false));
     }
 
     #[test]
@@ -227,7 +239,7 @@ mod tests {
     #[test]
     fn bare_flag_before_another_flag() {
         let args = parse(&["run", "--cdn", "--peers", "4"]).unwrap();
-        assert!(args.flag("cdn"));
+        assert_eq!(args.flag("cdn"), Ok(true));
         assert_eq!(args.get("peers"), Some("4"));
     }
 
@@ -261,14 +273,39 @@ mod tests {
     #[test]
     fn bare_flags_still_read_as_flags() {
         let args = parse(&["run", "--cdn"]).unwrap();
-        assert!(args.flag("cdn"));
+        assert_eq!(args.flag("cdn"), Ok(true));
         assert!(
             args.value("cdn").is_err(),
             "bare flag has no explicit value"
         );
         let args = parse(&["run", "--cdn=true"]).unwrap();
-        assert!(args.flag("cdn"));
+        assert_eq!(args.flag("cdn"), Ok(true));
         assert_eq!(args.value("cdn").unwrap(), Some("true"));
+    }
+
+    #[test]
+    fn a_flag_given_a_stray_value_is_an_error() {
+        for (raw, want) in [
+            ("true", true),
+            ("1", true),
+            ("yes", true),
+            ("false", false),
+            ("0", false),
+            ("no", false),
+        ] {
+            let args = parse(&["run", "--defend", raw]).unwrap();
+            assert_eq!(args.flag("defend"), Ok(want), "--defend {raw}");
+            let args = parse(&["run", &format!("--defend={raw}")]).unwrap();
+            assert_eq!(args.flag("defend"), Ok(want), "--defend={raw}");
+        }
+        let args = parse(&["run", "--defend", "banana", "--crash", "0.5"]).unwrap();
+        assert_eq!(
+            args.flag("defend"),
+            Err("--defend is a flag (no value, or true / false), got `banana`".to_owned())
+        );
+        assert_eq!(args.num("crash", 0.0).unwrap(), 0.5);
+        let args = parse(&["run", "--csv=nope"]).unwrap();
+        assert!(args.flag("csv").is_err());
     }
 
     #[test]
@@ -276,7 +313,7 @@ mod tests {
         let args = parse(&["run", "--peers", "4", "--seed", "7"]).unwrap();
         assert_eq!(args.num("peers", 1usize).unwrap(), 4);
         assert_eq!(args.num_list("seeds", &[1u64]).unwrap(), vec![1]);
-        assert!(!args.flag("cdn"));
+        assert_eq!(args.flag("cdn"), Ok(false));
         assert_eq!(
             args.reject_unread().unwrap_err(),
             "unknown option --seed (`run` takes --cdn, --peers, --seeds)"

@@ -158,13 +158,14 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
             mean_lifetime_secs: 45.0,
         });
     }
-    if args.flag("cdn") || args.flag("cdn-only") {
+    let cdn_only = args.flag("cdn-only")?;
+    if args.flag("cdn")? || cdn_only {
         config.swarm.cdn = Some(CdnConfig::default());
     }
-    if args.flag("cdn-only") {
+    if cdn_only {
         config.swarm.p2p = false;
     }
-    if args.flag("tracker") {
+    if args.flag("tracker")? {
         config.swarm.discovery = DiscoveryMode::Tracker;
     }
     let crash: f64 = args.num("crash", 0.0)?;
@@ -198,7 +199,7 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
             }),
         });
     }
-    if args.flag("defend") {
+    if args.flag("defend")? {
         config = config.with_defense(DefenseConfig::default());
     }
     // The rules live in the three `check()`s; flag values are literals
@@ -272,7 +273,7 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     if sharded && channels == 0 {
         return Err("--channels needs at least 1".to_owned());
     }
-    let (mut seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv"));
+    let (mut seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv")?);
     args.reject_unread()?;
     let per_channel = seeds.len();
     if sharded {
@@ -482,7 +483,7 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
             other => return Err(format!("unknown metric `{other}`")),
         };
     let (base, seeds, workers) = (base_config(args)?, seeds(args)?, workers(args)?);
-    let (chart, csv) = (args.flag("chart"), args.flag("csv"));
+    let (chart, csv) = (args.flag("chart")?, args.flag("csv")?);
     args.reject_unread()?;
     let grid = Grid::new("bandwidth (kB/s)", &bandwidths, &splicings, |&bw, &s| {
         base.clone().with_bandwidth(bw).with_splicing(s)
@@ -501,7 +502,7 @@ pub fn figure_command(name: Option<&str>, args: &Args) -> Result<String, String>
     let figure = figure(name)
         .ok_or_else(|| format!("unknown figure `{name}` (expected one of: {names})"))?;
     let (base, seeds, workers) = (base_config(args)?, seeds(args)?, workers(args)?);
-    let (chart, csv) = (args.flag("chart"), args.flag("csv"));
+    let (chart, csv) = (args.flag("chart")?, args.flag("csv")?);
     args.reject_unread()?;
     let tables = figure.run(&base, &seeds, workers);
     Ok(format!(
@@ -515,7 +516,7 @@ pub fn figure_command(name: Option<&str>, args: &Args) -> Result<String, String>
 pub fn overhead_command(args: &Args) -> Result<String, String> {
     let video = clip(args)?.build();
     let durations = args.num_list("durations", &[1.0f64, 2.0, 4.0, 8.0, 16.0])?;
-    let csv = args.flag("csv");
+    let csv = args.flag("csv")?;
     args.reject_unread()?;
     for &d in &durations {
         SplicingSpec::Duration(d).check()?;

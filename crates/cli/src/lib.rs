@@ -296,7 +296,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 30] = [
+        let cases: [(&[&str], &str); 35] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -353,6 +353,15 @@ mod tests {
             (&["--splicing", "bytes:0"], "segment size must be positive"),
             (&["--policy", "fixed:0"], "a fixed pool needs at least one"),
             (&["--peers", "4", "--seed", "7"], "unknown option --seed"),
+            // A flag followed by a word takes it as its value: an error, not off.
+            (
+                &["--defend", "banana", "--crash", "0.5"],
+                "--defend is a flag (no value, or true / false), got `banana`",
+            ),
+            (&["--csv", "nope"], "--csv is a flag"),
+            (&["--tracker", "8"], "--tracker is a flag"),
+            (&["--cdn", "2"], "--cdn is a flag"),
+            (&["--cdn-only", "x"], "--cdn-only is a flag"),
         ];
         for (flags, message) in cases {
             for command in [&["run"][..], &["sweep"], &["figure", "fig2"]] {
@@ -385,6 +394,9 @@ mod tests {
             (&["figure", "fig6"], "unknown figure `fig6`"),
             (&["figure", "fig2", "--peers", "0"], "at least one leecher"),
             (&["figure", "fig2", "--metric", "startup"], "unknown option"),
+            (&["figure", "fig2", "--chart", "bars"], "--chart is a flag"),
+            (&["sweep", "--chart", "bars"], "--chart is a flag"),
+            (&["overhead", "--csv", "nope"], "--csv is a flag"),
             (&["abr", "--clients", "0"], "need at least one client"),
             (
                 &["abr", "--bandwidth", "0"],

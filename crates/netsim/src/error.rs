@@ -11,7 +11,7 @@ use crate::id::NodeId;
 pub enum NetError {
     /// A node id did not refer to a node in the network.
     UnknownNode,
-    /// No path exists between the given nodes.
+    /// No path exists between the given nodes: a transfer to oneself.
     NoRoute {
         /// Source of the attempted route.
         src: NodeId,

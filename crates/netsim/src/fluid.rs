@@ -806,13 +806,14 @@ mod tests {
         assert_eq!(solver.stats.components_filled, 2, "one per pass");
     }
 
-    /// A random star (`up(i) = 2i`, `down(i) = 2i + 1`) or dumbbell (the
-    /// leaves split into two sides joined by one more link pair) problem.
+    /// A random star (`up(i) = 2i`, `down(i) = 2i + 1`) problem, or a
+    /// bridged one (the leaves split into two sides joined by one more link
+    /// pair, so some paths are three links long).
     /// `capacity_mode` picks, per link, a random capacity, the exact sum of
     /// the ceilings crossing it, or that sum moved by up to ±10⁻⁵.
     fn build_problem(
         leaves: u32,
-        dumbbell: bool,
+        bridged: bool,
         pairs: &[(u32, u32, u32, f64)],
         links: &[(u32, f64, f64)],
     ) -> (Vec<f64>, Vec<TestFlow>) {
@@ -823,7 +824,7 @@ mod tests {
                 let (a, b) = (a % leaves, b % leaves);
                 let b = if a == b { (b + 1) % leaves } else { b };
                 let mut path = vec![2 * a];
-                if dumbbell && side(a) != side(b) {
+                if bridged && side(a) != side(b) {
                     path.push(2 * leaves + u32::from(side(a)));
                 }
                 path.push(2 * b + 1);
@@ -885,12 +886,12 @@ mod tests {
         #[test]
         fn local_fill_is_max_min_and_matches_the_global_fill(
             leaves in 2u32..10,
-            dumbbell in any::<bool>(),
+            bridged in any::<bool>(),
             pairs in prop::collection::vec(
                 (any::<u32>(), any::<u32>(), 0u32..6, 1e3f64..1e7), 1..48),
             links in prop::collection::vec((0u32..4, 1e3f64..3e7, -1e-5f64..1e-5), 1..24),
         ) {
-            let (capacity, flows) = build_problem(leaves, dumbbell, &pairs, &links);
+            let (capacity, flows) = build_problem(leaves, bridged, &pairs, &links);
             let (local, _) = local_fill(&capacity, &flows);
             assert_max_min(&capacity, &flows, &local);
             let global = global_fill(&capacity, &flows);

@@ -6,8 +6,9 @@ use serde::{Deserialize, Serialize};
 
 /// Identifies a node (host) in the simulated network.
 ///
-/// Node ids are dense indices assigned by [`crate::Network`] in creation
-/// order, so they can be used to index per-node tables.
+/// Node ids are dense indices assigned by [`crate::star`] (the hub is 0,
+/// the leaves follow in order), so they can be used to index per-node
+/// tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub(crate) u32);
 
@@ -32,7 +33,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifies an undirected link between two nodes.
+/// Identifies an undirected link: the access link of one leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LinkId(pub(crate) u32);
 
@@ -58,12 +59,12 @@ impl DirLinkId {
         DirLinkId(link.0 * 2 + u32::from(!forward))
     }
 
-    /// The `a -> b` direction of a link.
+    /// The forward (leaf -> hub) direction of a link.
     pub fn new_forward(link: LinkId) -> Self {
         DirLinkId::new(link, true)
     }
 
-    /// The `b -> a` direction of a link.
+    /// The backward (hub -> leaf) direction of a link.
     pub fn new_backward(link: LinkId) -> Self {
         DirLinkId::new(link, false)
     }
@@ -73,7 +74,7 @@ impl DirLinkId {
         LinkId(self.0 / 2)
     }
 
-    /// True when this is the `a -> b` direction of the link.
+    /// True when this is the forward (leaf -> hub) direction of the link.
     pub fn is_forward(self) -> bool {
         self.0.is_multiple_of(2)
     }

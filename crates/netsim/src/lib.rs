@@ -8,8 +8,8 @@
 //!
 //! The simulator is organised as:
 //!
-//! - a [`Network`] graph of nodes and [`LinkSpec`]-described links with
-//!   shortest-path routing ([`star`], [`full_mesh`], [`dumbbell`] builders);
+//! - a [`Network`]: the paper's [`star`] of [`LinkSpec`]-described access
+//!   links around one hub, every route up one link and down another;
 //! - application [`NodeBehavior`]s that react to [`NodeEvent`]s through a
 //!   [`Ctx`] handle (messages, transfers, timers, churn);
 //! - a TCP flow model ([`TcpConfig`]) advanced in RTT rounds with slow
@@ -55,10 +55,10 @@ pub use error::NetError;
 pub use fault::{InjectedFaults, MessageFaults};
 pub use fluid::FluidSolverStats;
 pub use id::{DirLinkId, FlowId, LinkId, NodeId};
-pub use link::{Link, LinkSpec};
+pub use link::LinkSpec;
 pub use node::{NodeBehavior, NodeEvent, NullBehavior};
 pub use sim::{Ctx, SimStats, Simulator};
 pub use tcp::{FlowModel, TcpConfig};
 pub use time::{SimDuration, SimTime};
-pub use topology::{dumbbell, full_mesh, star, Network, PathProperties, Star};
+pub use topology::{star, Network, PathProperties, Star};
 pub use trace::{Trace, TraceRecord, TraceSummary};

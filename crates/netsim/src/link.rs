@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::id::{DirLinkId, LinkId, NodeId};
 use crate::time::SimDuration;
 
 /// Static properties of one direction of a link.
@@ -65,27 +64,20 @@ impl LinkSpec {
     }
 }
 
-/// A bidirectional link between two nodes, with independent per-direction
-/// specs (capacity is *not* shared between directions, as on full-duplex
+/// One access link of the star, with independent per-direction specs
+/// (capacity is *not* shared between directions, as on full-duplex
 /// Ethernet).
 #[derive(Debug, Clone)]
-pub struct Link {
-    pub(crate) a: NodeId,
-    pub(crate) b: NodeId,
-    /// Spec of the `a -> b` direction.
+pub(crate) struct Link {
+    /// Spec of the forward (leaf -> hub) direction.
     pub(crate) forward: LinkSpec,
-    /// Spec of the `b -> a` direction.
+    /// Spec of the backward (hub -> leaf) direction.
     pub(crate) backward: LinkSpec,
 }
 
 impl Link {
-    /// The two endpoints, in `(a, b)` order.
-    pub fn endpoints(&self) -> (NodeId, NodeId) {
-        (self.a, self.b)
-    }
-
     /// Spec for the given direction.
-    pub fn spec(&self, forward: bool) -> &LinkSpec {
+    pub(crate) fn spec(&self, forward: bool) -> &LinkSpec {
         if forward {
             &self.forward
         } else {
@@ -98,21 +90,6 @@ impl Link {
             &mut self.forward
         } else {
             &mut self.backward
-        }
-    }
-
-    /// The directed-link id for traffic leaving `from` over this link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of the link.
-    pub fn direction_from(&self, id: LinkId, from: NodeId) -> DirLinkId {
-        if from == self.a {
-            DirLinkId::new(id, true)
-        } else if from == self.b {
-            DirLinkId::new(id, false)
-        } else {
-            panic!("{from} is not an endpoint of {id}");
         }
     }
 }
@@ -144,27 +121,10 @@ mod tests {
     #[test]
     fn directions() {
         let link = Link {
-            a: NodeId(0),
-            b: NodeId(1),
             forward: LinkSpec::new(8.0, SimDuration::ZERO, 0.0),
             backward: LinkSpec::new(16.0, SimDuration::ZERO, 0.0),
         };
-        let id = LinkId(0);
-        assert!(link.direction_from(id, NodeId(0)).is_forward());
-        assert!(!link.direction_from(id, NodeId(1)).is_forward());
         assert_eq!(link.spec(true).capacity_bps, 8.0);
         assert_eq!(link.spec(false).capacity_bps, 16.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn direction_from_stranger_panics() {
-        let link = Link {
-            a: NodeId(0),
-            b: NodeId(1),
-            forward: LinkSpec::new(8.0, SimDuration::ZERO, 0.0),
-            backward: LinkSpec::new(8.0, SimDuration::ZERO, 0.0),
-        };
-        let _ = link.direction_from(LinkId(0), NodeId(5));
     }
 }

@@ -537,8 +537,8 @@ impl Ctx<'_> {
     /// # Errors
     ///
     /// [`NetError::NodeOffline`] when the destination has gone offline
-    /// (models a connection reset) and [`NetError::NoRoute`] /
-    /// [`NetError::UnknownNode`] for unroutable destinations.
+    /// (models a connection reset) and [`NetError::UnknownNode`] for an
+    /// out-of-range id.
     pub fn send(&mut self, to: NodeId, payload: Bytes) -> Result<(), NetError> {
         self.send_inner(to, payload, false)
     }
@@ -644,8 +644,9 @@ impl Ctx<'_> {
     /// # Errors
     ///
     /// [`NetError::EmptyTransfer`] for zero-byte transfers,
-    /// [`NetError::NodeOffline`] when the destination is offline, and
-    /// routing errors for unreachable destinations.
+    /// [`NetError::NodeOffline`] when the destination is offline,
+    /// [`NetError::UnknownNode`] for an out-of-range id and
+    /// [`NetError::NoRoute`] for a transfer to oneself.
     pub fn start_transfer(&mut self, to: NodeId, bytes: u64, tag: u64) -> Result<FlowId, NetError> {
         self.transfer_inner(to, bytes, tag, false)
     }
@@ -767,13 +768,10 @@ impl Ctx<'_> {
 
     /// Recent utilization of the path from this node to `to`: the busiest
     /// link's estimated send rate over its capacity, in `[0, ~1]`. Returns
-    /// 0 when no route exists. Lets applications make load-aware choices
-    /// (e.g. only push a duplicate upload when the uplink has spare
-    /// capacity).
+    /// 0 for this node itself (an empty route) and for an unknown one. Lets
+    /// applications make load-aware choices (e.g. only push a duplicate
+    /// upload when the uplink has spare capacity).
     pub fn path_utilization(&mut self, to: NodeId) -> f64 {
-        if to == self.me || to.index() >= self.world.online.len() {
-            return 0.0;
-        }
         let w = &mut *self.world;
         match w.net.route(self.me, to, &mut w.scratch_route) {
             Ok(()) => w.path_utilization(&w.scratch_route),
@@ -895,8 +893,8 @@ impl Simulator {
         }
     }
 
-    /// Registers the behaviour for the next node id, in network creation
-    /// order.
+    /// Registers the behaviour for the next node id: the hub first, then
+    /// the leaves in order.
     ///
     /// # Panics
     ///
@@ -1347,45 +1345,6 @@ mod tests {
         assert!(sim.world.msg_order[s.hub.index()].is_empty());
     }
 
-    /// Route discovery is per source: all-pairs traffic on a 300-leaf star
-    /// runs 300 searches, where one search per ordered pair ran 89 700.
-    #[test]
-    fn all_pairs_sends_search_once_per_source() {
-        struct Everyone {
-            me: NodeId,
-            leaves: Rc<Vec<NodeId>>,
-            got: Rc<RefCell<u64>>,
-        }
-        impl NodeBehavior for Everyone {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for &to in self.leaves.iter().filter(|&&to| to != self.me) {
-                    ctx.send(to, Bytes::from_static(b"hi")).unwrap();
-                }
-            }
-            fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
-                if let NodeEvent::Message { .. } = event {
-                    *self.got.borrow_mut() += 1;
-                }
-            }
-        }
-        let spec = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), 0.01);
-        let s = star(&vec![spec; 300]);
-        let leaves = Rc::new(s.leaves.clone());
-        let got = Rc::new(RefCell::new(0));
-        let mut sim = Simulator::new(s.network, 3);
-        sim.add_node(Box::new(crate::node::NullBehavior));
-        for &me in leaves.iter() {
-            sim.add_node(Box::new(Everyone {
-                me,
-                leaves: leaves.clone(),
-                got: got.clone(),
-            }));
-        }
-        sim.run_until_idle(SimTime::from_secs_f64(60.0));
-        assert_eq!(*got.borrow(), 300 * 299);
-        assert_eq!(sim.world.net.trees_built, 300);
-    }
-
     #[test]
     fn identical_seeds_produce_identical_traces() {
         fn run(seed: u64) -> Trace {
@@ -1410,9 +1369,8 @@ mod tests {
         fn completion_time(modulate: bool) -> f64 {
             let s = two_leaf_star(0.0);
             let done = Rc::new(RefCell::new(None));
-            let mut net = s.network;
-            let dir = net.path(s.leaves[0], s.leaves[1]).unwrap();
-            let mut sim = Simulator::new(net, 3);
+            let dir = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
+            let mut sim = Simulator::new(s.network, 3);
             if modulate {
                 // Throttle the second hop to 1/10 capacity after 1 second.
                 sim.schedule_capacity(SimTime::from_secs_f64(1.0), dir[1], 100_000.0);
@@ -1538,9 +1496,8 @@ mod tests {
     fn link_bytes_match_wire_totals_per_hop() {
         let s = two_leaf_star(0.0);
         let done = Rc::new(RefCell::new(None));
-        let mut net = s.network;
-        let path = net.path(s.leaves[0], s.leaves[1]).unwrap();
-        let mut sim = Simulator::new(net, 4);
+        let path = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
+        let mut sim = Simulator::new(s.network, 4);
         sim.add_node(Box::new(crate::node::NullBehavior));
         sim.add_node(Box::new(Sender {
             to: s.leaves[1],
@@ -1554,9 +1511,12 @@ mod tests {
         }
     }
 
+    /// A zero-byte transfer, a transfer to oneself (the one `NoRoute` on a
+    /// star) and one to a node past the star are each refused.
     #[test]
     fn zero_byte_transfer_is_rejected() {
         struct Z {
+            me: NodeId,
             to: NodeId,
         }
         impl NodeBehavior for Z {
@@ -1565,13 +1525,27 @@ mod tests {
                     ctx.start_transfer(self.to, 0, 0),
                     Err(NetError::EmptyTransfer)
                 ));
+                assert_eq!(
+                    ctx.start_transfer(self.me, 10, 0),
+                    Err(NetError::NoRoute {
+                        src: self.me,
+                        dst: self.me
+                    })
+                );
+                assert_eq!(
+                    ctx.start_transfer(NodeId::from_index(3), 10, 0),
+                    Err(NetError::UnknownNode)
+                );
             }
             fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: NodeEvent) {}
         }
         let s = two_leaf_star(0.0);
         let mut sim = Simulator::new(s.network, 1);
         sim.add_node(Box::new(crate::node::NullBehavior));
-        sim.add_node(Box::new(Z { to: s.leaves[1] }));
+        sim.add_node(Box::new(Z {
+            me: s.leaves[0],
+            to: s.leaves[1],
+        }));
         sim.add_node(Box::new(crate::node::NullBehavior));
         sim.run_until_idle(SimTime::from_secs_f64(1.0));
     }
@@ -1815,9 +1789,8 @@ mod tests {
     fn fluid_done_pop_rearms_is_ignored_or_completes() {
         let s = two_leaf_star(0.0);
         let done = Rc::new(RefCell::new(None));
-        let mut net = s.network;
-        let hop = net.path(s.leaves[0], s.leaves[1]).unwrap()[1];
-        let mut sim = Simulator::new(net, 3);
+        let hop = s.network.path(s.leaves[0], s.leaves[1]).unwrap()[1];
+        let mut sim = Simulator::new(s.network, 3);
         sim.set_tcp_config(fluid_tcp());
         let full = 1_000_000.0;
         for (at, capacity_bps) in [(1, full / 2.0), (20, full), (22, full / 8.0), (40, full)] {
@@ -1996,9 +1969,8 @@ mod tests {
         // rebalances after its activation, so without a fold at the end of
         // the run its progress and wire bytes would never be credited.
         let s = two_leaf_star(0.02);
-        let mut net = s.network;
-        let path = net.path(s.leaves[0], s.leaves[1]).unwrap();
-        let mut sim = Simulator::new(net, 1);
+        let path = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
+        let mut sim = Simulator::new(s.network, 1);
         sim.set_tcp_config(fluid_tcp());
         sim.add_node(Box::new(crate::node::NullBehavior));
         sim.add_node(Box::new(Sender {

@@ -4,6 +4,9 @@
 //! where the claims that fail today are listed and asserted as an equality,
 //! so a fidelity fix must shrink the list.
 //!
+//! The last test pins EXPERIMENTS.md's Figure 2–5 tables to the output
+//! of `splicecast figure figN`, so the document cannot drift from the code.
+//!
 //! These run the 19-peer, 2-minute experiments (minutes of CPU in debug
 //! builds, seconds in release), so they are `#[ignore]`d in the default
 //! debug suite and CI's `build-and-test` job runs them in release:
@@ -162,5 +165,29 @@ fn fig5_adaptive_pooling_starts_fastest() {
             }
         }
         assert_eq!(failed.0, NONE, "scale stack: {scale}");
+    }
+}
+
+/// Every table `splicecast figure fig2` … `fig5` prints (default seeds,
+/// paper stack) appears verbatim in EXPERIMENTS.md, so the ✓ / ✗ prose
+/// beside them is checked against today's numbers.
+#[test]
+#[ignore = "paper-scale run: use --release -- --ignored"]
+fn experiments_md_tables_are_the_figure_output() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+    for name in ["fig2", "fig3", "fig4", "fig5"] {
+        let tables = figure(name).expect("a registered figure").run(
+            &ExperimentConfig::paper_baseline(),
+            &SEEDS,
+            workers,
+        );
+        for table in tables {
+            let text = table.to_string();
+            assert!(
+                doc.contains(&text),
+                "EXPERIMENTS.md lacks {name}'s table; re-capture it with `splicecast figure {name}` and re-check its claims:\n{text}"
+            );
+        }
     }
 }
