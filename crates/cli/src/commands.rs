@@ -372,21 +372,13 @@ fn counter_lines(averaged: &AveragedMetrics) -> String {
             injected.outages_started as f64 / runs,
         ));
     }
-    if fault.silent_evictions
-        + fault.backoff_bans
-        + fault.cdn_fallbacks
-        + fault.watchdog_trips
-        + fault.keepalives_sent
-        + fault.manifest_retries
-        > 0
+    if fault.backoff_bans + fault.cdn_fallbacks + fault.watchdog_trips + fault.manifest_retries > 0
     {
         out.push_str(&format!(
-            "  defenses:          {:.0} evictions, {:.0} bans, {:.0} CDN fallbacks, {:.0} watchdog trips, {:.0} keepalives (per run)\n",
-            fault.silent_evictions as f64 / runs,
+            "  defenses:          {:.0} bans, {:.0} CDN fallbacks, {:.0} watchdog trips (per run)\n",
             fault.backoff_bans as f64 / runs,
             fault.cdn_fallbacks as f64 / runs,
             fault.watchdog_trips as f64 / runs,
-            fault.keepalives_sent as f64 / runs,
         ));
     }
     out

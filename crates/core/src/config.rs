@@ -179,8 +179,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables the peer-side failure defenses (inactivity eviction,
-    /// keepalives, source backoff, CDN fallback, watchdog).
+    /// Enables the peer-side failure defenses (manifest retry, source
+    /// backoff, CDN fallback, watchdog).
     pub fn with_defense(mut self, defense: splicecast_swarm::DefenseConfig) -> Self {
         self.swarm.defense = Some(defense);
         self

@@ -5,10 +5,12 @@
 //! partially: peers crash-stop, control messages get lost or delayed,
 //! access links degrade, and the CDN blinks. [`FaultPlanConfig`] describes
 //! a deterministic, seeded schedule of such faults; [`DefenseConfig`]
-//! describes the peer-side countermeasures (inactivity eviction, keepalives,
-//! exponential source backoff, CDN fallback, a liveness watchdog). Both are
-//! optional, and a run with neither configured is bit-identical to one
-//! predating their existence.
+//! describes the peer-side countermeasures (manifest retry, exponential
+//! source backoff, CDN fallback, a liveness watchdog). Both are optional,
+//! and a run with neither configured is bit-identical to one predating
+//! their existence. A crash needs no countermeasure of its own: like a TCP
+//! connection reset, it surfaces as a failed send, a failed transfer or an
+//! offline probe.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -29,8 +31,8 @@ fn window_count(what: &str, count: usize) -> Result<(), String> {
 }
 
 /// Crash-stop churn: a fraction of leechers vanish *without* a Goodbye,
-/// leaving every other peer's view of them stale until defenses (or
-/// timeouts) notice.
+/// leaving every other peer's view of them stale until a send, a transfer
+/// or an online probe finds them gone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrashChurnConfig {
     /// Fraction of leechers that will crash-stop before finishing.
@@ -252,13 +254,6 @@ impl FaultPlanConfig {
 /// time; all defenses are off unless this config is present on the swarm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DefenseConfig {
-    /// Send a `KeepAlive` to a handshaken peer we have not written to for
-    /// this long (keeps quiet-but-healthy links from tripping the peer's
-    /// inactivity detector).
-    pub keepalive_secs: f64,
-    /// Evict a handshaken non-origin peer we have not heard from for this
-    /// long — exactly like a Goodbye (views, holder index, upload queue).
-    pub inactivity_timeout_secs: f64,
     /// First backoff-ban window after a source failure; doubles per
     /// consecutive failure.
     pub backoff_base_secs: f64,
@@ -276,8 +271,6 @@ pub struct DefenseConfig {
 impl Default for DefenseConfig {
     fn default() -> Self {
         DefenseConfig {
-            keepalive_secs: 10.0,
-            inactivity_timeout_secs: 30.0,
             backoff_base_secs: 5.0,
             backoff_max_secs: 60.0,
             cdn_fallback_secs: 15.0,
@@ -287,25 +280,9 @@ impl Default for DefenseConfig {
 }
 
 impl DefenseConfig {
-    /// Checks the deadlines: a non-positive deadline or a keepalive
-    /// cadence that cannot beat the inactivity deadline is an `Err` naming
-    /// the rule.
+    /// Checks the deadlines: a non-positive deadline or a backoff ceiling
+    /// below its base is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
-        rule(
-            self.keepalive_secs > 0.0,
-            "keepalive cadence must be positive",
-        )?;
-        rule(
-            self.inactivity_timeout_secs > 0.0,
-            "inactivity timeout must be positive",
-        )?;
-        rule(
-            self.keepalive_secs < self.inactivity_timeout_secs,
-            format!(
-                "keepalive cadence ({}) must beat the inactivity timeout ({})",
-                self.keepalive_secs, self.inactivity_timeout_secs
-            ),
-        )?;
         rule(
             self.backoff_base_secs > 0.0,
             "backoff base must be positive",
@@ -333,16 +310,11 @@ impl DefenseConfig {
         must(self.check());
     }
 
-    /// The period at which the defense checks run, derived from the
-    /// tightest deadline (half of it, so no deadline can be missed by more
-    /// than 50%).
+    /// The period at which the defense checks run: half the tighter of the
+    /// CDN-fallback and watchdog deadlines, so neither can be missed by
+    /// more than 50%.
     pub fn tick_secs(&self) -> f64 {
-        let tightest = self
-            .keepalive_secs
-            .min(self.inactivity_timeout_secs)
-            .min(self.cdn_fallback_secs)
-            .min(self.watchdog_secs);
-        tightest / 2.0
+        self.cdn_fallback_secs.min(self.watchdog_secs) / 2.0
     }
 }
 
@@ -520,18 +492,8 @@ mod tests {
     #[test]
     fn default_defense_validates() {
         DefenseConfig::default().validate();
-        // Tightest default deadline is the 10 s keepalive.
-        assert!((DefenseConfig::default().tick_secs() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "must beat the inactivity timeout")]
-    fn keepalive_slower_than_inactivity_panics() {
-        DefenseConfig {
-            keepalive_secs: 40.0,
-            ..DefenseConfig::default()
-        }
-        .validate();
+        // Tightest default deadline is the 15 s CDN fallback.
+        assert!((DefenseConfig::default().tick_secs() - 7.5).abs() < 1e-12);
     }
 
     #[test]

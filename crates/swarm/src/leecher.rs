@@ -15,7 +15,7 @@ use splicecast_protocol::{
 use crate::fault::DefenseConfig;
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
 use crate::nodemap::NodeMap;
-use crate::peer::{PeerClock, PeerView};
+use crate::peer::PeerView;
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
 use crate::scheduler::{next_wanted_from, pick_source, HolderIndex, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
@@ -61,12 +61,12 @@ pub struct LeecherConfig {
     /// If set, the peer departs this long after joining (churn).
     pub depart_after: Option<SimDuration>,
     /// If set, the peer crash-stops this long after joining: it goes
-    /// offline without a `Goodbye`, leaving the swarm to detect the
-    /// silence (fault injection).
+    /// offline without a `Goodbye`, leaving the swarm to find it gone
+    /// through failed sends and transfers (fault injection).
     pub crash_after: Option<SimDuration>,
-    /// Failure defenses (inactivity eviction, keepalives, source backoff,
-    /// CDN fallback, watchdog). `None` disables them all and keeps the
-    /// leecher byte-identical to the pre-defense behaviour.
+    /// Failure defenses (manifest retry, source backoff, CDN fallback,
+    /// watchdog). `None` disables them all and keeps the leecher
+    /// byte-identical to the pre-defense behaviour.
     pub defense: Option<DefenseConfig>,
     /// Cadence of the maintenance timer.
     pub pump_interval: SimDuration,
@@ -170,11 +170,6 @@ pub struct LeecherNode {
     playback: Playback,
     holdings: Bitfield,
     views: NodeMap<PeerView>,
-    /// Defense-only liveness clocks, keyed like `views`. No table at all
-    /// unless defenses are on: the clocks moved out of `PeerView` so the
-    /// common undefended swarm does not pay 16 bytes per view for state
-    /// nothing reads.
-    clocks: NodeMap<PeerClock>,
     /// Per-segment holder index: for each segment, the sorted handshaken
     /// peers known to hold it (CDN excluded — its eligibility does not
     /// depend on holdings). Mirrors the views' bitfields incrementally.
@@ -285,10 +280,6 @@ impl LeecherNode {
             playback,
             holdings: Bitfield::new(segment_count),
             views,
-            clocks: match cfg.defense {
-                Some(_) => NodeMap::with_slots(universe),
-                None => NodeMap::default(),
-            },
             holders,
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
@@ -335,32 +326,10 @@ impl LeecherNode {
         node == self.cfg.seeder || self.cfg.cdn == Some(node)
     }
 
-    /// The defense clocks for `peer` (zeros when none were stamped yet).
-    fn clock(&self, peer: NodeId) -> PeerClock {
-        self.clocks.get(&peer).copied().unwrap_or_default()
-    }
-
-    /// The defense clocks to stamp for `peer`: `None` when defenses are
-    /// off or the peer is not a neighbour (a stamp must not outlive the
-    /// view it describes).
-    fn clock_mut(&mut self, peer: NodeId) -> Option<&mut PeerClock> {
-        (self.cfg.defense.is_some() && self.views.contains_key(&peer))
-            .then(|| self.clocks.get_or_insert_with(peer, PeerClock::default))
-    }
-
-    /// Stamps `from` as heard from at `now`: any message or delivery is
-    /// proof of life for the inactivity detector.
-    fn heard(&mut self, from: NodeId, now: SimTime) {
-        if let Some(clock) = self.clock_mut(from) {
-            clock.last_heard = now;
-        }
-    }
-
     /// Drops a peer's view and its holder-index entries. Evictions only
     /// shrink the candidate sets, so they never mark the scheduler dirty.
     fn forget_view(&mut self, peer: NodeId) {
         if let Some(view) = self.views.remove(&peer) {
-            self.clocks.remove(&peer);
             if view.handshaken() && Some(peer) != self.cfg.cdn {
                 self.report.sched.holder_removes += self.holders.remove_peer(peer);
             }
@@ -376,7 +345,7 @@ impl LeecherNode {
     /// periodic availability traffic (a later announcement supersedes a
     /// lost one) and requests (they carry their own timeout). Everything
     /// that shapes connection state — handshakes, goodbyes, manifest
-    /// exchange, cancels, keepalives — stays reliable.
+    /// exchange, cancels — stays reliable.
     fn droppable(message: &Message) -> bool {
         matches!(
             message,
@@ -388,28 +357,21 @@ impl LeecherNode {
     }
 
     /// The one send path: puts an encoded frame on the wire to `to` —
-    /// through the fault plane when `faulty` — and stamps the keepalive
-    /// clock, or evicts a peer that turned out unreachable.
+    /// through the fault plane when `faulty` — or evicts a peer that turned
+    /// out unreachable. That failed send is how a crash is detected, as a
+    /// TCP sender learns of a dead peer from a connection reset.
     fn send_wire(&mut self, ctx: &mut Ctx<'_>, to: NodeId, wire: Bytes, faulty: bool) -> bool {
         let result = if faulty {
             ctx.send_faulty(to, wire)
         } else {
             ctx.send(to, wire)
         };
-        match result {
-            Ok(()) => {
-                if let Some(clock) = self.clock_mut(to) {
-                    clock.last_spoke = ctx.now();
-                }
-                true
-            }
-            Err(_) => {
-                // Unreachable peer (churned out): forget it entirely.
-                self.forget_view(to);
-                self.uploads.forget_peer(to);
-                false
-            }
+        if result.is_err() {
+            // Unreachable peer (churned out or crashed): forget it entirely.
+            self.forget_view(to);
+            self.uploads.forget_peer(to);
         }
+        result.is_ok()
     }
 
     fn say(&mut self, ctx: &mut Ctx<'_>, to: NodeId, message: &Message) -> bool {
@@ -492,33 +454,23 @@ impl LeecherNode {
             && !self.holdings.is_complete()
     }
 
-    /// The neighbours `pick` admits, ascending, in the reusable scratch
-    /// list; the caller hands the list back to `scratch_peers`.
-    fn peers_where(
-        &mut self,
-        mut pick: impl FnMut(&Self, NodeId, &PeerView) -> bool,
-    ) -> Vec<NodeId> {
-        let mut out = std::mem::take(&mut self.scratch_peers);
-        out.clear();
-        out.extend(
-            self.views
-                .iter()
-                .filter(|&(peer, view)| pick(self, peer, view))
-                .map(|(peer, _)| peer),
-        );
-        out
-    }
-
     /// Encodes `message` once and sends it to every view `include` admits,
-    /// evicting peers that became unreachable. Returns the number of
-    /// successful sends.
+    /// in ascending order, evicting peers that became unreachable. Returns
+    /// the number of successful sends.
     fn broadcast(
         &mut self,
         ctx: &mut Ctx<'_>,
         message: &Message,
-        include: impl FnMut(&Self, NodeId, &PeerView) -> bool,
+        mut include: impl FnMut(&Self, NodeId, &PeerView) -> bool,
     ) -> u64 {
-        let peers = self.peers_where(include);
+        let mut peers = std::mem::take(&mut self.scratch_peers);
+        peers.clear();
+        peers.extend(
+            self.views
+                .iter()
+                .filter(|&(peer, view)| include(self, peer, view))
+                .map(|(peer, _)| peer),
+        );
         // One encode for the whole broadcast: a `Bytes` clone is a
         // reference-count bump, not a copy.
         let wire = self.wire_buf.wire(message);
@@ -983,8 +935,6 @@ impl LeecherNode {
         self.cfg
             .estimator
             .observe(bytes, now.saturating_since(started).as_secs_f64());
-        // A delivery is proof of life even though it is not a message.
-        self.heard(from, now);
         self.record_source_success(from);
         // Every delivery is a scheduling event: the bandwidth sample can
         // grow the adaptive pool, a freed slot or a new holding changes
@@ -1136,13 +1086,11 @@ impl LeecherNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
         // Three messages in four are a `HaveBundle`: read in place, no `Vec`.
         if let Some(indices) = have_bundle_indices(payload) {
-            self.heard(from, ctx.now());
             return self.on_haves(ctx, from, indices);
         }
         let Ok(message) = decode_single(payload) else {
             return;
         };
-        self.heard(from, ctx.now());
         match message {
             Message::Handshake { .. } => {
                 // An unknown greeter (it discovered us via the tracker
@@ -1343,14 +1291,6 @@ impl LeecherNode {
         );
     }
 
-    /// The handshaken fellow leechers (never an origin) that `pick` admits;
-    /// see [`Self::peers_where`].
-    fn fellows_where(&mut self, pick: impl Fn(&Self, NodeId) -> bool) -> Vec<NodeId> {
-        self.peers_where(|me, peer, view| {
-            view.handshaken() && !me.is_origin(peer) && pick(me, peer)
-        })
-    }
-
     /// One pass of the failure defenses; a no-op when defenses are off.
     /// Runs from both pump flavours. Everything here is deterministic and
     /// RNG-free except where it funnels into the normal scheduling path.
@@ -1368,31 +1308,6 @@ impl LeecherNode {
             self.manifest_asked_at = now;
             self.report.fault.manifest_retries += 1;
         }
-        // Silent-failure detection: a handshaken peer that has said nothing
-        // for the inactivity window is treated like a Goodbye. Peers
-        // mid-transfer to us are exempt — a multi-second bulk transfer
-        // sends no messages, and its failure is reported by the flow layer.
-        let deadline = SimDuration::from_secs_f64(defense.inactivity_timeout_secs);
-        let stale = self.fellows_where(|me, peer| {
-            now.saturating_since(me.clock(peer).last_heard) >= deadline
-                && !me.in_flight.values().any(|f| f.source == peer && f.serving)
-        });
-        for &peer in &stale {
-            self.report.fault.silent_evictions += 1;
-            self.forget_view(peer);
-            self.uploads.forget_peer(peer);
-        }
-        self.scratch_peers = stale;
-        // Keepalives: make sure *our* silence never trips a remote
-        // inactivity detector.
-        let cadence = SimDuration::from_secs_f64(defense.keepalive_secs);
-        let quiet = self
-            .fellows_where(|me, peer| now.saturating_since(me.clock(peer).last_spoke) >= cadence);
-        for &peer in &quiet {
-            self.report.fault.keepalives_sent += 1;
-            self.say(ctx, peer, &Message::KeepAlive);
-        }
-        self.scratch_peers = quiet;
         // CDN fallback: when the first wanted segment has not moved for the
         // fallback window, escalate it to the CDN — the swarm must never
         // deadlock while the CDN is up.
@@ -1568,9 +1483,9 @@ impl LeecherNode {
 
     /// Samples this leecher's memory footprint: allocator-visible bytes
     /// behind the per-peer structures (peer views, the holder index, and
-    /// the auxiliary per-peer maps). The two neighbour tables count every
-    /// slot they allocated, occupied or not; the two small `BTreeMap`s
-    /// (bans, health) count payloads only.
+    /// the auxiliary per-peer maps). The neighbour table counts every slot
+    /// it allocated, occupied or not; the two small `BTreeMap`s (bans,
+    /// health) count payloads only.
     pub fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
         let bitfield_heap: usize = self.views.values().map(|v| v.holdings.heap_bytes()).sum();
@@ -1581,7 +1496,7 @@ impl LeecherNode {
             views: self.views.len() as u64,
             holder_bytes: self.holders.heap_bytes() as u64,
             holder_entries: self.holders.live_entries(),
-            aux_bytes: bans + health + self.clocks.table_bytes() as u64,
+            aux_bytes: bans + health,
         }
     }
 
@@ -1627,8 +1542,8 @@ impl NodeBehavior for LeecherNode {
             }
             NodeEvent::Timer { token: TOKEN_CRASH } => {
                 // Crash-stop: vanish without a Goodbye. The rest of the
-                // swarm only learns of it through failed transfers,
-                // undeliverable sends, and the inactivity detector.
+                // swarm learns of it the way TCP would: through failed
+                // transfers, undeliverable sends and offline probes.
                 self.report.fault.crashes = 1;
                 self.write_report(ctx, true);
                 ctx.go_offline();
@@ -1797,10 +1712,10 @@ mod tests {
         }
     }
 
-    /// The neighbour tables are charged for every slot they allocated —
-    /// one per node id of the universe — not for their live entries, so
+    /// The neighbour table is charged for every slot it allocated — one
+    /// per node id of the universe — not for its live entries, so
     /// `swarm.mem.bytes_per_peer` stays a measurement of what the
-    /// allocator handed out.
+    /// allocator handed out. Defenses add no per-neighbour table.
     #[test]
     fn mem_estimate_counts_the_tables_at_capacity() {
         use std::mem::size_of;
@@ -1814,16 +1729,13 @@ mod tests {
         assert_eq!(size_of::<Option<PeerView>>(), 32);
         assert_eq!(mem.view_bytes, universe * 32 + bitfield_heap);
         assert_eq!(mem.views, 1);
-        assert_eq!(mem.aux_bytes, 0, "no defenses, no clock table");
+        assert_eq!(mem.aux_bytes, 0, "no bans, no health records");
         assert_eq!(mem.total_bytes(), mem.view_bytes + mem.holder_bytes);
 
         let mut cfg = config(ids[1], others, DiscoveryMode::Tracker);
         cfg.defense = Some(DefenseConfig::default());
         let defended = LeecherNode::new(cfg).mem_bytes_estimate();
-        assert_eq!(
-            defended.aux_bytes,
-            universe * size_of::<Option<PeerClock>>() as u64
-        );
+        assert_eq!(defended, mem, "defenses allocate nothing up front");
     }
 
     /// Logs every message it hears; `deliver_to` names a node that gets
@@ -2350,7 +2262,7 @@ mod tests {
 
     /// Regression test (stale-ban hygiene): a one-shot timeout ban names a
     /// source; when that source is evicted — Goodbye, undeliverable send,
-    /// or the inactivity detector — the ban must die with it, or the
+    /// failed transfer or offline probe — the ban must die with it, or the
     /// redraw's `unwrap_or(banned)` fallback could point a request at a
     /// peer that no longer exists.
     #[test]
@@ -2415,58 +2327,98 @@ mod tests {
         );
     }
 
-    /// The inactivity detector evicts a handshaken peer that went silent,
-    /// after keepalives kept our own side of the link audibly alive.
+    /// Silence is not a crash. With defenses on, a neighbour that
+    /// handshakes and then says nothing (a finished viewer has nothing to
+    /// say) stays a neighbour however long it is quiet. A neighbour that
+    /// crashes is never picked as a source — the online probe skips it —
+    /// and is dropped by the first send that fails, as a TCP connection
+    /// reset would report it.
     #[test]
-    fn silent_peer_is_evicted() {
+    fn quiet_peer_is_kept_and_crashed_peer_dropped_on_failed_send() {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
-        let net = star(&[spec; 3]);
-        let (leecher_id, s_id, a_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
+        let net = star(&[spec; 4]);
+        let (leecher_id, s_id, quiet_id, crashed_id) =
+            (net.leaves[0], net.leaves[1], net.leaves[2], net.leaves[3]);
 
-        let mut cfg = config(s_id, vec![a_id], DiscoveryMode::Full);
+        let mut cfg = config(s_id, vec![quiet_id, crashed_id], DiscoveryMode::Full);
         cfg.join_delay = SimDuration::from_secs_f64(0.1);
-        cfg.defense = Some(DefenseConfig {
-            keepalive_secs: 1.0,
-            inactivity_timeout_secs: 3.0,
-            backoff_base_secs: 1.0,
-            backoff_max_secs: 4.0,
-            cdn_fallback_secs: 100.0,
-            watchdog_secs: 100.0,
-        });
+        cfg.defense = Some(DefenseConfig::default());
         let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
 
+        let handshake = encode_to_bytes(&Message::Handshake {
+            peer_id: 9,
+            info_hash: crate::seeder::info_hash_of(""),
+            version: PROTOCOL_VERSION,
+        });
         let mut sim = Simulator::new(net.network, 5);
         sim.add_node(Box::new(NullBehavior)); // hub
         sim.add_node(Box::new(Shared(node.clone())));
-        sim.add_node(Box::new(NullBehavior)); // seeder stand-in
         sim.add_node(Box::new(At {
-            // A handshakes once, then never speaks again.
-            after: SimDuration::from_secs_f64(0.3),
+            // The seeder stand-in delivers segment 1 at t = 40, and the
+            // leecher's `Have` for it goes to every fellow.
+            after: SimDuration::from_secs_f64(40.0),
             action: move |ctx: &mut Ctx<'_>| {
-                let hs = Message::Handshake {
-                    peer_id: 9,
-                    info_hash: crate::seeder::info_hash_of(""),
-                    version: PROTOCOL_VERSION,
-                };
-                ctx.send(leecher_id, encode_to_bytes(&hs)).unwrap();
+                ctx.start_transfer(leecher_id, 10_000, 1).unwrap();
             },
         }));
-        sim.run_until_idle(SimTime::from_secs_f64(6.0));
+        let hs = handshake.clone();
+        sim.add_node(Box::new(At {
+            // Handshakes once, then never speaks again.
+            after: SimDuration::from_secs_f64(0.3),
+            action: move |ctx: &mut Ctx<'_>| {
+                ctx.send(leecher_id, hs.clone()).unwrap();
+            },
+        }));
+        let mut fired = 0u32;
+        sim.add_node(Box::new(At {
+            // Handshakes and announces segment 0, then crashes at t = 1.
+            after: SimDuration::from_secs_f64(0.3),
+            action: move |ctx: &mut Ctx<'_>| {
+                fired += 1;
+                if fired == 1 {
+                    ctx.send(leecher_id, handshake.clone()).unwrap();
+                    ctx.send(leecher_id, encode_to_bytes(&Message::Have { index: 0 }))
+                        .unwrap();
+                    ctx.set_timer(SimDuration::from_secs_f64(0.7), 0);
+                } else {
+                    ctx.go_offline();
+                }
+            },
+        }));
 
+        // Streaming from t = 2: the crashed peer is the only announced
+        // holder of segment 0.
+        sim.run_until_idle(SimTime::from_secs_f64(2.0));
+        node.borrow_mut().streaming = true;
+        sim.run_until_idle(SimTime::from_secs_f64(39.5));
+        {
+            let l = node.borrow();
+            assert!(
+                l.views.contains_key(&quiet_id),
+                "a peer quiet for 39 s is still a neighbour"
+            );
+            assert!(
+                l.views.contains_key(&crashed_id),
+                "nothing was sent to the crashed peer yet"
+            );
+            assert!(
+                l.in_flight.is_empty(),
+                "the crashed holder must never be picked: {:?}",
+                l.in_flight
+            );
+        }
+
+        sim.run_until_idle(SimTime::from_secs_f64(42.0));
         let l = node.borrow();
+        assert!(l.holdings.get(1), "the seeder's delivery arrived");
         assert!(
-            !l.views.contains_key(&a_id),
-            "the silent peer must be evicted like a Goodbye"
+            !l.views.contains_key(&crashed_id),
+            "the failed `Have` send drops the crashed peer"
         );
-        assert_eq!(l.report.fault.silent_evictions, 1);
-        assert!(
-            l.report.fault.keepalives_sent >= 1,
-            "keepalives must have gone out before the eviction"
-        );
-        assert!(
-            l.views.contains_key(&s_id),
-            "origins are exempt from inactivity eviction"
-        );
+        assert!(l.views.contains_key(&quiet_id));
+        assert!(l.views.contains_key(&s_id));
+        assert!(l.in_flight.is_empty());
+        assert_eq!(l.report.fault.silent_evictions, 0);
     }
 
     /// Exponential backoff bans: each failure doubles the ban window up to

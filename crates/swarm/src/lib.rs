@@ -13,8 +13,8 @@
 //!   hybrid-CDN mode with the [`max_cdn_segment_bytes`] sizing bound;
 //! - [`FaultPlanConfig`] / [`DefenseConfig`]: deterministic fault injection
 //!   (crash-stop churn, control-message loss/delay, link flaps, CDN
-//!   outages) and the peer-side defenses it exercises (inactivity
-//!   eviction, keepalives, source backoff, CDN fallback, watchdog);
+//!   outages) and the peer-side defenses it exercises (manifest retry,
+//!   source backoff, CDN fallback, watchdog);
 //! - [`DiscoveryMode`]: full-knowledge or tracker-based peer discovery
 //!   (the seeder doubles as the tracker);
 //! - [`run_abr`]: the §I adaptive-bitrate baseline (CDN-served ladder
@@ -96,7 +96,7 @@ pub use metrics::{
     ControlPlaneStats, DisseminationStats, MetricsSink, PeerFaultStats, PeerMemStats, PeerReport,
     SchedulerStats, SwarmMetrics,
 };
-pub use peer::{PeerClock, PeerView, UploadManager, UploadRequest};
+pub use peer::{PeerView, UploadManager, UploadRequest};
 pub use policy::{
     optimal_pool_size, AdaptivePooling, BandwidthEstimator, DownloadPolicy, EstimatorKind,
     FixedPool, PolicyConfig, PolicyInput, WEstimate,

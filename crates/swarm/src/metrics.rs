@@ -169,8 +169,9 @@ impl PeerMemStats {
 pub struct PeerFaultStats {
     /// 1 when this peer crash-stopped (vanished without a Goodbye).
     pub crashes: u64,
-    /// Peers this leecher evicted on the inactivity deadline (silent
-    /// failures detected).
+    /// Always zero: no leecher evicts a neighbour for silence (a crash
+    /// surfaces as a failed send, transfer or online probe). Kept only
+    /// because the benchmark's `swarm.fault.evictions_n` reads it.
     pub silent_evictions: u64,
     /// Exponential-backoff ban windows opened against failing sources.
     pub backoff_bans: u64,
@@ -178,8 +179,6 @@ pub struct PeerFaultStats {
     pub cdn_fallbacks: u64,
     /// Liveness-watchdog trips (no download progress past the deadline).
     pub watchdog_trips: u64,
-    /// Keep-alive messages sent to quiet peers.
-    pub keepalives_sent: u64,
     /// Manifest re-requests after a silent bootstrap.
     pub manifest_retries: u64,
 }
@@ -192,7 +191,6 @@ impl PeerFaultStats {
         self.backoff_bans += other.backoff_bans;
         self.cdn_fallbacks += other.cdn_fallbacks;
         self.watchdog_trips += other.watchdog_trips;
-        self.keepalives_sent += other.keepalives_sent;
         self.manifest_retries += other.manifest_retries;
     }
 }
@@ -377,8 +375,7 @@ impl SwarmMetrics {
             let _ = writeln!(
                 out,
                 "peer {}: {} segments ({} seeder / {} peers / {} cdn), \
-                 {} stalls, watchdog trips {}, silent evictions {}, \
-                 backoff bans {}, cdn fallbacks {}",
+                 {} stalls, watchdog trips {}, backoff bans {}, cdn fallbacks {}",
                 r.peer,
                 r.segments_from_seeder + r.segments_from_peers + r.segments_from_cdn,
                 r.segments_from_seeder,
@@ -386,7 +383,6 @@ impl SwarmMetrics {
                 r.segments_from_cdn,
                 r.qoe.stall_count,
                 r.fault.watchdog_trips,
-                r.fault.silent_evictions,
                 r.fault.backoff_bans,
                 r.fault.cdn_fallbacks,
             );
@@ -582,7 +578,7 @@ mod tests {
     #[test]
     fn fault_totals_sum_over_all_reports() {
         let mut a = report(0, 0, 0.0, false);
-        a.fault.silent_evictions = 2;
+        a.fault.watchdog_trips = 2;
         a.fault.cdn_fallbacks = 1;
         let mut b = report(1, 0, 0.0, true);
         b.fault.crashes = 1;
@@ -595,7 +591,7 @@ mod tests {
         };
         let total = m.fault_totals();
         assert_eq!(total.crashes, 1);
-        assert_eq!(total.silent_evictions, 2);
+        assert_eq!(total.watchdog_trips, 2);
         assert_eq!(total.backoff_bans, 3);
         assert_eq!(total.cdn_fallbacks, 1);
     }

@@ -11,10 +11,8 @@ use splicecast_protocol::Bitfield;
 /// the struct is packed for the 10k-peer regime: three of the four
 /// lifecycle booleans share a flags byte behind accessor methods (the
 /// fourth is a plain `bool`, whose invalid bit patterns let the neighbour
-/// table's `Option<PeerView>` stay the size of a view), the defense-only
-/// liveness clocks live in a side table the leecher allocates only when
-/// defenses are on (see `PeerClock`), and the field order leaves no
-/// interior padding: 32 bytes.
+/// table's `Option<PeerView>` stay the size of a view), and the field
+/// order leaves no interior padding: 32 bytes.
 #[derive(Debug, Clone)]
 pub struct PeerView {
     /// Last availability map the peer sent, updated by `Have`s.
@@ -108,19 +106,6 @@ impl PeerView {
     pub fn set_peer_interested(&mut self, value: bool) {
         self.set_flag(FLAG_PEER_INTERESTED, value);
     }
-}
-
-/// Defense-only liveness clocks for one peer. Only read when `--defend`
-/// is on, so the leecher keeps them in a side map that stays empty
-/// otherwise rather than inline in every [`PeerView`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeerClock {
-    /// When we last received anything from this peer (the inactivity
-    /// detector's input).
-    pub last_heard: splicecast_netsim::SimTime,
-    /// When we last sent this peer anything (drives the keepalive
-    /// cadence).
-    pub last_spoke: splicecast_netsim::SimTime,
 }
 
 /// An accepted upload: who asked for which segment.

@@ -167,8 +167,8 @@ pub struct SwarmConfig {
     /// loss/delay, link flaps, CDN outages), if any.
     #[serde(default)]
     pub faults: Option<FaultPlanConfig>,
-    /// Peer-side failure defenses (inactivity eviction, keepalives,
-    /// source backoff, CDN fallback, watchdog), if any.
+    /// Peer-side failure defenses (manifest retry, source backoff, CDN
+    /// fallback, watchdog), if any.
     #[serde(default)]
     pub defense: Option<DefenseConfig>,
     /// Pins every holder set to the sparse representation. A
@@ -755,7 +755,7 @@ mod tests {
         );
         assert_eq!(
             output_digest(&metrics),
-            0x209e_6e74_617e_7d25,
+            0x4483_a5e4_d7e1_80e9,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }

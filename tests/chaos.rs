@@ -5,16 +5,23 @@
 //! The property under test: as long as the CDN eventually comes back, every
 //! persistent peer (neither churned nor crashed) completes the stream, the
 //! simulation never deadlocks, and the fault counters reconcile with the
-//! per-peer reports. Every run in this file also goes through
-//! [`conserving_run`], which asserts that bytes are conserved. Each schedule
-//! is derived deterministically from its seed, so failures reproduce
-//! exactly.
+//! per-peer reports. With no fault at all, the defenses evict nobody.
+//! Every run in this file also goes through [`conserving_run`], which
+//! asserts that bytes are conserved. Each schedule is derived
+//! deterministically from its seed, so failures reproduce exactly.
+//!
+//! One big-swarm case takes seconds in release builds and is `#[ignore]`d
+//! in the default suite:
+//!
+//! ```sh
+//! cargo test --release -p splicecast-integration --test chaos -- --ignored
+//! ```
 
 use splicecast_core::swarm::PeerReport;
 use splicecast_core::{
     run_once, CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, CrashChurnConfig,
     DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, LinkFlapConfig, SchedulerMode,
-    SwarmMetrics, VideoSpec,
+    SplicingSpec, SwarmMetrics, VideoSpec,
 };
 
 /// splitmix64: derives independent fault knobs from one chaos seed without
@@ -260,6 +267,55 @@ fn heavy_message_loss_drops_traffic_but_converges() {
         metrics.stuck_peers().count(),
         0,
         "defenses must route around lost control traffic:\n{}",
+        metrics.stuck_report()
+    );
+}
+
+/// `splicecast run --profile scale --splicing 2s --bandwidth 512 --defend`
+/// at `leechers`, no fault plan.
+fn defended_scale_swarm(leechers: usize, discovery: DiscoveryMode) -> ExperimentConfig {
+    let mut config = ExperimentConfig::paper_baseline()
+        .with_scale_profile()
+        .with_bandwidth(512_000.0)
+        .with_splicing(SplicingSpec::Duration(2.0))
+        .with_leechers(leechers)
+        .with_defense(DefenseConfig::default());
+    config.swarm.discovery = discovery;
+    config
+}
+
+/// A fault-free swarm evicts nobody. Nobody crashes or leaves, so every
+/// neighbour stays a neighbour: a viewer that finished playback falls
+/// quiet but is still a complete seed, and dropping it for its silence
+/// starves the viewers still downloading.
+#[test]
+fn fault_free_defended_swarm_evicts_nobody() {
+    for discovery in [DiscoveryMode::Tracker, DiscoveryMode::Full] {
+        let metrics = conserving_run(&defended_scale_swarm(40, discovery), 5);
+        assert_eq!(metrics.fault_totals().silent_evictions, 0, "{discovery:?}");
+        assert_eq!(
+            metrics.sched_totals().holder_removes,
+            0,
+            "{discovery:?}: a live neighbour was dropped"
+        );
+        assert_eq!(
+            metrics.stuck_peers().count(),
+            0,
+            "{discovery:?}: viewers stuck:\n{}",
+            metrics.stuck_report()
+        );
+    }
+}
+
+/// ROADMAP item 2's big tracker swarm finishes for every viewer.
+#[test]
+#[ignore = "600-leecher run: use --release -- --ignored"]
+fn defended_tracker_swarm_of_600_completes() {
+    let metrics = conserving_run(&defended_scale_swarm(600, DiscoveryMode::Tracker), 5);
+    assert_eq!(
+        metrics.stuck_peers().count(),
+        0,
+        "viewers stuck:\n{}",
         metrics.stuck_report()
     );
 }
