@@ -63,7 +63,7 @@ FAULT / DEFENSE OPTIONS (run / sweep / figure):
     --msg-delay-max SECS  max injected control delay           [2]
     --flaps N             degraded-link windows across the run [0]
     --cdn-outages N       CDN outage windows (needs --cdn)     [0]
-    --defend              enable the peer-side failure defenses
+    --defend              source backoff bans
 
 FORMULA OPTIONS:
     --bandwidth KB --buffered SECS --segment-kb KB
@@ -372,13 +372,10 @@ fn counter_lines(averaged: &AveragedMetrics) -> String {
             injected.outages_started as f64 / runs,
         ));
     }
-    if fault.backoff_bans + fault.cdn_fallbacks + fault.watchdog_trips + fault.manifest_retries > 0
-    {
+    if fault.backoff_bans > 0 {
         out.push_str(&format!(
-            "  defenses:          {:.0} bans, {:.0} CDN fallbacks, {:.0} watchdog trips (per run)\n",
+            "  defenses:          {:.0} bans (per run)\n",
             fault.backoff_bans as f64 / runs,
-            fault.cdn_fallbacks as f64 / runs,
-            fault.watchdog_trips as f64 / runs,
         ));
     }
     out

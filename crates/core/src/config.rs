@@ -179,8 +179,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables the peer-side failure defenses (manifest retry, source
-    /// backoff, CDN fallback, watchdog).
+    /// Enables the peer-side failure defense: source backoff bans.
     pub fn with_defense(mut self, defense: splicecast_swarm::DefenseConfig) -> Self {
         self.swarm.defense = Some(defense);
         self

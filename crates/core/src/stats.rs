@@ -48,16 +48,6 @@ impl Summary {
             median,
         }
     }
-
-    /// Half-width of the 95 % confidence interval of the mean (normal
-    /// approximation).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.stddev / (self.n as f64).sqrt()
-        }
-    }
 }
 
 /// The paper's "rounded average": round half away from zero to an integer.
@@ -88,20 +78,11 @@ mod tests {
         assert_eq!(single.mean, 3.5);
         assert_eq!(single.stddev, 0.0);
         assert_eq!(single.median, 3.5);
-        assert_eq!(single.ci95_half_width(), 0.0);
     }
 
     #[test]
     fn odd_median() {
         assert_eq!(Summary::of(&[3.0, 1.0, 2.0]).median, 2.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let small = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        let big_values: Vec<f64> = (0..100).map(|i| 1.0 + (i % 4) as f64).collect();
-        let big = Summary::of(&big_values);
-        assert!(big.ci95_half_width() < small.ci95_half_width());
     }
 
     #[test]

@@ -104,15 +104,6 @@ impl Ladder {
         self.renditions[rendition].bitrate_bps
     }
 
-    /// Index of the highest rendition whose bitrate does not exceed
-    /// `budget_bps`; rung 0 when even the lowest exceeds it.
-    pub fn rung_for_bitrate(&self, budget_bps: f64) -> usize {
-        self.renditions
-            .iter()
-            .rposition(|r| (r.bitrate_bps as f64) <= budget_bps)
-            .unwrap_or(0)
-    }
-
     /// Validates cross-rendition alignment: same segment count, same
     /// per-segment durations, strictly increasing bitrates.
     ///
@@ -289,20 +280,6 @@ mod tests {
         assert_eq!(l.len(), 2);
         assert_eq!(l.bitrate_bps(0), 200_000);
         assert_eq!(l.bitrate_bps(1), 800_000);
-    }
-
-    #[test]
-    fn rung_for_bitrate_picks_the_highest_affordable() {
-        let l = ladder();
-        assert_eq!(
-            l.rung_for_bitrate(10_000.0),
-            0,
-            "below the ladder → lowest rung"
-        );
-        assert_eq!(l.rung_for_bitrate(300_000.0), 0);
-        assert_eq!(l.rung_for_bitrate(599_999.0), 0);
-        assert_eq!(l.rung_for_bitrate(600_000.0), 1);
-        assert_eq!(l.rung_for_bitrate(5e6), 2);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl Manifest {
         self.entries.iter().map(|e| e.bytes).sum()
     }
 
-    /// Total playback duration in seconds.
-    pub fn total_duration_secs(&self) -> f64 {
-        self.entries.iter().map(|e| e.duration_secs).sum()
-    }
-
     /// Emits the playlist as `m3u8` text. Segment byte sizes travel in a
     /// `#EXT-X-SPLICECAST-BYTES` application tag.
     pub fn to_m3u8(&self) -> String {
@@ -181,7 +176,6 @@ mod tests {
         let m = Manifest::from_segments("clip", &list);
         assert_eq!(m.len(), list.len());
         assert_eq!(m.total_bytes(), list.total_bytes());
-        assert!((m.total_duration_secs() - 20.0).abs() < 0.1);
         assert_eq!(m.target_duration_secs, 4);
         assert_eq!(m.entries[0].uri, "clip-00000.m4s");
     }

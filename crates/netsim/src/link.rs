@@ -57,11 +57,6 @@ impl LinkSpec {
     pub fn capacity_bytes_per_sec(&self) -> f64 {
         self.capacity_bps / 8.0
     }
-
-    /// Time for `bytes` to be serialised onto the link at full capacity.
-    pub fn transmission_delay(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.capacity_bps)
-    }
 }
 
 /// One access link of the star, with independent per-direction specs
@@ -103,7 +98,6 @@ mod tests {
         let s = LinkSpec::from_bytes_per_sec(1_000.0, SimDuration::from_millis(10), 0.0);
         assert_eq!(s.capacity_bps, 8_000.0);
         assert_eq!(s.capacity_bytes_per_sec(), 1_000.0);
-        assert_eq!(s.transmission_delay(500), SimDuration::from_millis(500));
     }
 
     #[test]

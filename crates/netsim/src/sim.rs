@@ -73,6 +73,9 @@ pub(crate) struct World {
     faults: Option<FaultPlane>,
     /// Counters of injected faults (drops, delays, outage windows).
     fault_stats: InjectedFaults,
+    /// Failure notices owed to nodes an outage window took offline, with
+    /// the instant each was due; delivered when the node is back online.
+    held_notices: Vec<(NodeId, SimTime, NodeEvent)>,
 }
 
 /// Overload pressure one link puts on a flow crossing it, shared by both
@@ -145,28 +148,32 @@ impl World {
         }
         let notice_at = self.now + flow.rtt;
         for &node in notify {
+            let peer = if node == flow.src { flow.dst } else { flow.src };
+            let event = NodeEvent::TransferFailed {
+                flow: id,
+                peer,
+                tag: flow.tag,
+                delivered: flow.delivered,
+            };
             if self.online[node.index()] {
-                let peer = if node == flow.src { flow.dst } else { flow.src };
                 self.queue.push(
                     notice_at,
                     Scheduled::Node {
                         target: node,
-                        event: NodeEvent::TransferFailed {
-                            flow: id,
-                            peer,
-                            tag: flow.tag,
-                            delivered: flow.delivered,
-                        },
+                        event,
                     },
                 );
+            } else {
+                self.held_notices.push((node, notice_at, event));
             }
         }
     }
 
-    /// Takes a node offline: fails all its flows (counterparts notified)
-    /// and stops event delivery to it. Shared by [`Ctx::go_offline`] and
-    /// scheduled outage windows.
-    fn force_offline(&mut self, node: NodeId) {
+    /// Takes a node offline: fails all its flows and stops event delivery
+    /// to it. The counterparts are notified; so is the node itself when it
+    /// `returns` (an outage window), once it is back online. Shared by
+    /// [`Ctx::go_offline`] and scheduled outage windows.
+    fn force_offline(&mut self, node: NodeId, returns: bool) {
         if !self.online[node.index()] {
             return;
         }
@@ -181,12 +188,14 @@ impl World {
                 debug_assert!(false, "per-node flow index held a stale id");
                 break;
             };
-            let counterpart = if f.src == node { f.dst } else { f.src };
-            self.fail_flow(id, &[counterpart]);
+            let both = [if f.src == node { f.dst } else { f.src }, node];
+            self.fail_flow(id, if returns { &both } else { &both[..1] });
         }
     }
 
     /// Applies a scheduled online-flag flip (fault-injected outage edges).
+    /// An outage is a pause: the node comes back knowing which of its
+    /// flows the outage failed.
     fn set_online(&mut self, node: NodeId, online: bool) {
         if node.index() >= self.online.len() || self.online[node.index()] == online {
             return;
@@ -194,9 +203,14 @@ impl World {
         if online {
             self.online[node.index()] = true;
             self.fault_stats.outages_ended += 1;
+            let now = self.now;
+            for (target, due, event) in self.held_notices.extract_if(.., |n| n.0 == node) {
+                self.queue
+                    .push(due.max(now), Scheduled::Node { target, event });
+            }
         } else {
             self.fault_stats.outages_started += 1;
-            self.force_offline(node);
+            self.force_offline(node, true);
         }
     }
 
@@ -763,7 +777,7 @@ impl Ctx<'_> {
     /// leaving the swarm.
     pub fn go_offline(&mut self) {
         let me = self.me;
-        self.world.force_offline(me);
+        self.world.force_offline(me, false);
     }
 
     /// Recent utilization of the path from this node to `to`: the busiest
@@ -869,6 +883,7 @@ impl Simulator {
                 fluid,
                 faults: None,
                 fault_stats: InjectedFaults::default(),
+                held_notices: Vec::new(),
             },
             nodes: Vec::new(),
             started: false,
@@ -926,8 +941,9 @@ impl Simulator {
 
     /// Schedules `node` to be offline for the window `[from, until)`: at
     /// `from` its flows fail and event delivery stops (exactly like
-    /// [`Ctx::go_offline`]); at `until` it starts receiving events again.
-    /// Models infrastructure outages (e.g. the CDN blinking).
+    /// [`Ctx::go_offline`]); at `until` it starts receiving events again,
+    /// among them a [`NodeEvent::TransferFailed`] for each flow the outage
+    /// failed. Models infrastructure outages (e.g. the CDN blinking).
     ///
     /// # Panics
     ///
@@ -2070,6 +2086,60 @@ mod tests {
         let faults = sim.fault_stats();
         assert_eq!(faults.outages_started, 1);
         assert_eq!(faults.outages_ended, 1);
+    }
+
+    /// An outage is a pause: a node taken offline in the middle of an
+    /// upload is told the upload failed once it is back, as its receiver
+    /// was told at once.
+    #[test]
+    fn offline_window_notifies_the_node_of_its_failed_flows_on_return() {
+        struct Failures {
+            seen: Rc<RefCell<Vec<(f64, NodeId, u64)>>>,
+            upload_to: Option<NodeId>,
+        }
+        impl NodeBehavior for Failures {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                if let Some(to) = self.upload_to {
+                    ctx.start_transfer(to, 10_000_000, 7).unwrap();
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::TransferFailed { peer, tag, .. } = event {
+                    let at = ctx.now().as_secs_f64();
+                    self.seen.borrow_mut().push((at, peer, tag));
+                }
+            }
+        }
+        let s = two_leaf_star(0.0);
+        let (uploader, receiver) = (s.leaves[0], s.leaves[1]);
+        let (up_seen, down_seen) = (Rc::default(), Rc::default());
+        let mut sim = Simulator::new(s.network, 5);
+        sim.schedule_offline_window(
+            uploader,
+            SimTime::from_secs_f64(1.0),
+            SimTime::from_secs_f64(3.0),
+        );
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Failures {
+            seen: Rc::clone(&up_seen),
+            upload_to: Some(receiver),
+        }));
+        sim.add_node(Box::new(Failures {
+            seen: Rc::clone(&down_seen),
+            upload_to: None,
+        }));
+        sim.run_until_idle(SimTime::from_secs_f64(10.0));
+        let down = down_seen.borrow();
+        assert_eq!(down.len(), 1, "{down:?}");
+        assert!(down[0].0 > 1.0 && down[0].0 < 1.5, "{down:?}");
+        assert_eq!((down[0].1, down[0].2), (uploader, 7));
+        let up = up_seen.borrow();
+        assert_eq!(
+            up.as_slice(),
+            [(3.0, receiver, 7)],
+            "the uploader hears of its failed upload when it is back"
+        );
+        assert_eq!(sim.active_flow_count(), 0);
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl SegmentBuffer {
         (idx < self.starts.len() && self.starts[idx] <= pts).then_some(idx)
     }
 
-    /// The first missing segment at or after `index`, if any.
-    pub fn next_missing(&self, index: usize) -> Option<usize> {
-        // Everything below `first_missing` is held, so start there.
-        (index.max(self.first_missing)..self.have.len()).find(|&i| !self.have[i])
-    }
-
     /// The timeline point up to which playback can run without interruption
     /// starting from `position`: the end of the contiguous run of held
     /// segments covering `position`. Returns `position` itself when the
@@ -197,19 +191,6 @@ mod tests {
         assert_eq!(b.segment_at(end), None);
         assert_eq!(b.buffered_from(end), MediaTicks::ZERO);
         assert_eq!(b.playable_until(end), end);
-    }
-
-    #[test]
-    fn next_missing_scans_forward() {
-        let mut b = buffer();
-        b.insert(0);
-        b.insert(2);
-        assert_eq!(b.next_missing(0), Some(1));
-        assert_eq!(b.next_missing(2), Some(3));
-        for i in 0..5 {
-            b.insert(i);
-        }
-        assert_eq!(b.next_missing(0), None);
     }
 
     #[test]

@@ -667,6 +667,18 @@ mod tests {
     }
 
     #[test]
+    fn rate_based_picks_the_highest_affordable_rung() {
+        let ladder = [300_000u64, 600_000, 1_200_000];
+        let exact = AbrAlgorithm::RateBased { safety: 1.0 };
+        let pick = |budget_bps: f64| exact.choose(&ladder, 0.0, budget_bps / 8.0);
+        assert_eq!(pick(10_000.0), 0, "below the ladder → lowest rung");
+        assert_eq!(pick(300_000.0), 0);
+        assert_eq!(pick(599_999.0), 0);
+        assert_eq!(pick(600_000.0), 1);
+        assert_eq!(pick(5e6), 2);
+    }
+
+    #[test]
     fn fixed_top_rendition_delivers_full_quality() {
         let metrics = run_abr(
             &small_ladder(),

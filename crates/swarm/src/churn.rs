@@ -49,17 +49,34 @@ impl ChurnConfig {
     /// Samples a departure delay (seconds after joining) for each of
     /// `n_peers` leechers; `None` means the peer stays.
     pub fn sample_departures(&self, n_peers: usize, rng: &mut StdRng) -> Vec<Option<f64>> {
-        (0..n_peers)
-            .map(|_| {
-                if rng.gen::<f64>() < self.volatile_fraction {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    Some(-u.ln() * self.mean_lifetime_secs)
-                } else {
-                    None
-                }
-            })
-            .collect()
+        sample_lifetimes(
+            self.volatile_fraction,
+            self.mean_lifetime_secs,
+            n_peers,
+            rng,
+        )
     }
+}
+
+/// For each of `n_peers` peers: with probability `fraction`, an
+/// exponentially distributed lifetime of mean `mean_secs`, else `None`.
+/// Graceful departures and crash-stops draw alike.
+pub(crate) fn sample_lifetimes(
+    fraction: f64,
+    mean_secs: f64,
+    n_peers: usize,
+    rng: &mut StdRng,
+) -> Vec<Option<f64>> {
+    (0..n_peers)
+        .map(|_| {
+            if rng.gen::<f64>() < fraction {
+                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                Some(-u.ln() * mean_secs)
+            } else {
+                None
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

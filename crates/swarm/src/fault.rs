@@ -5,17 +5,18 @@
 //! partially: peers crash-stop, control messages get lost or delayed,
 //! access links degrade, and the CDN blinks. [`FaultPlanConfig`] describes
 //! a deterministic, seeded schedule of such faults; [`DefenseConfig`]
-//! describes the peer-side countermeasures (manifest retry, exponential
-//! source backoff, CDN fallback, a liveness watchdog). Both are optional,
-//! and a run with neither configured is bit-identical to one predating
-//! their existence. A crash needs no countermeasure of its own: like a TCP
-//! connection reset, it surfaces as a failed send, a failed transfer or an
-//! offline probe.
+//! describes the peer-side countermeasure, exponential source backoff
+//! bans. Both are optional, and a run with neither configured is
+//! bit-identical to one predating their existence. A crash needs no
+//! countermeasure of its own: like a TCP connection reset, it surfaces as a
+//! failed send, a failed transfer or an offline probe. A CDN outage needs
+//! none either: it is a pause, and the CDN serves again when it is back.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::churn::sample_lifetimes;
 use crate::{must, positive_secs, rule, MAX_KNOB_SECS};
 
 /// The most link-flap or CDN-outage windows one plan may schedule. Every
@@ -74,16 +75,7 @@ impl CrashChurnConfig {
     /// Samples a crash delay (seconds after joining) for each of `n_peers`
     /// leechers; `None` means the peer never crashes.
     pub fn sample_crashes(&self, n_peers: usize, rng: &mut StdRng) -> Vec<Option<f64>> {
-        (0..n_peers)
-            .map(|_| {
-                if rng.gen::<f64>() < self.crash_fraction {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    Some(-u.ln() * self.mean_uptime_secs)
-                } else {
-                    None
-                }
-            })
-            .collect()
+        sample_lifetimes(self.crash_fraction, self.mean_uptime_secs, n_peers, rng)
     }
 }
 
@@ -250,8 +242,9 @@ impl FaultPlanConfig {
     }
 }
 
-/// Peer-side failure defenses. Every deadline is in seconds of simulated
-/// time; all defenses are off unless this config is present on the swarm.
+/// Peer-side failure defenses: exponential backoff bans on failing
+/// sources, in seconds of simulated time. Off unless this config is present
+/// on the swarm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DefenseConfig {
     /// First backoff-ban window after a source failure; doubles per
@@ -259,13 +252,6 @@ pub struct DefenseConfig {
     pub backoff_base_secs: f64,
     /// Ceiling of the backoff-ban window.
     pub backoff_max_secs: f64,
-    /// Escalate a segment to the CDN when the download frontier has not
-    /// advanced for this long (graceful degradation: the swarm never
-    /// deadlocks while the CDN is up).
-    pub cdn_fallback_secs: f64,
-    /// Liveness watchdog: a peer making no download progress for this long
-    /// trips a diagnosable counter and forces a fresh scheduling pass.
-    pub watchdog_secs: f64,
 }
 
 impl Default for DefenseConfig {
@@ -273,15 +259,13 @@ impl Default for DefenseConfig {
         DefenseConfig {
             backoff_base_secs: 5.0,
             backoff_max_secs: 60.0,
-            cdn_fallback_secs: 15.0,
-            watchdog_secs: 45.0,
         }
     }
 }
 
 impl DefenseConfig {
-    /// Checks the deadlines: a non-positive deadline or a backoff ceiling
-    /// below its base is an `Err` naming the rule.
+    /// Checks the windows: a non-positive base or a ceiling below the base
+    /// is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
         rule(
             self.backoff_base_secs > 0.0,
@@ -290,31 +274,16 @@ impl DefenseConfig {
         rule(
             self.backoff_max_secs >= self.backoff_base_secs,
             "backoff ceiling must be at least the base",
-        )?;
-        rule(
-            self.cdn_fallback_secs > 0.0,
-            "CDN fallback deadline must be positive",
-        )?;
-        rule(
-            self.watchdog_secs > 0.0,
-            "watchdog deadline must be positive",
         )
     }
 
-    /// Validates the deadlines.
+    /// Validates the windows.
     ///
     /// # Panics
     ///
     /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
         must(self.check());
-    }
-
-    /// The period at which the defense checks run: half the tighter of the
-    /// CDN-fallback and watchdog deadlines, so neither can be missed by
-    /// more than 50%.
-    pub fn tick_secs(&self) -> f64 {
-        self.cdn_fallback_secs.min(self.watchdog_secs) / 2.0
     }
 }
 
@@ -492,8 +461,6 @@ mod tests {
     #[test]
     fn default_defense_validates() {
         DefenseConfig::default().validate();
-        // Tightest default deadline is the 15 s CDN fallback.
-        assert!((DefenseConfig::default().tick_secs() - 7.5).abs() < 1e-12);
     }
 
     #[test]

@@ -64,9 +64,8 @@ pub struct LeecherConfig {
     /// offline without a `Goodbye`, leaving the swarm to find it gone
     /// through failed sends and transfers (fault injection).
     pub crash_after: Option<SimDuration>,
-    /// Failure defenses (manifest retry, source backoff, CDN fallback,
-    /// watchdog). `None` disables them all and keeps the leecher
-    /// byte-identical to the pre-defense behaviour.
+    /// Failure defenses: source backoff bans. `None` disables them and
+    /// keeps the leecher byte-identical to the pre-defense behaviour.
     pub defense: Option<DefenseConfig>,
     /// Cadence of the maintenance timer.
     pub pump_interval: SimDuration,
@@ -139,7 +138,8 @@ enum SchedState {
     /// frontier). Holder news for other segments cannot change the
     /// outcome — the pass would stop at the same segment again. (Peers
     /// going offline only *shrink* the candidate set, so they need no
-    /// mark.)
+    /// mark. An origin coming back from an outage grows it, so no pass
+    /// ends here while one is down.)
     NoSource(u32),
     /// The last pass stopped at the pool-size cap. Skippable even though
     /// the adaptive pool size is time-varying: between deliveries the
@@ -234,18 +234,6 @@ pub struct LeecherNode {
     /// Per-source failure scores with backoff bans (defense plane only;
     /// empty when defenses are off).
     health: BTreeMap<NodeId, SourceHealth>,
-    /// Defense-pump cadence, precomputed from the config (zero = off).
-    defense_tick: SimDuration,
-    /// Holdings count at the last watchdog check.
-    progress_mark: u32,
-    /// When the watchdog last saw progress (or last tripped).
-    last_progress_at: SimTime,
-    /// First wanted segment at the last CDN-fallback check.
-    frontier: u32,
-    /// Since when the frontier has not advanced.
-    frontier_since: SimTime,
-    /// When the manifest was last requested (retry throttle).
-    manifest_asked_at: SimTime,
 }
 
 impl LeecherNode {
@@ -304,15 +292,6 @@ impl LeecherNode {
             scratch_peers: Vec::new(),
             scratch_stale: Vec::new(),
             health: BTreeMap::new(),
-            defense_tick: cfg
-                .defense
-                .map(|d| SimDuration::from_secs_f64(d.tick_secs()))
-                .unwrap_or(SimDuration::ZERO),
-            progress_mark: 0,
-            last_progress_at: SimTime::ZERO,
-            frontier: 0,
-            frontier_since: SimTime::ZERO,
-            manifest_asked_at: SimTime::ZERO,
             cfg,
         }
     }
@@ -326,11 +305,22 @@ impl LeecherNode {
         node == self.cfg.seeder || self.cfg.cdn == Some(node)
     }
 
+    /// Whether the seeder or the CDN is in an outage.
+    fn origin_down(&self, ctx: &Ctx<'_>) -> bool {
+        !ctx.is_online(self.cfg.seeder) || self.cfg.cdn.is_some_and(|cdn| !ctx.is_online(cdn))
+    }
+
     /// Drops a peer's view and its holder-index entries. Evictions only
     /// shrink the candidate sets, so they never mark the scheduler dirty.
+    /// An origin is never dropped: it is offline only during an outage,
+    /// which is a pause, and the `is_online` probe in every pick skips it
+    /// meanwhile.
     fn forget_view(&mut self, peer: NodeId) {
+        if self.is_origin(peer) {
+            return;
+        }
         if let Some(view) = self.views.remove(&peer) {
-            if view.handshaken() && Some(peer) != self.cfg.cdn {
+            if view.handshaken() {
                 self.report.sched.holder_removes += self.holders.remove_peer(peer);
             }
         }
@@ -368,6 +358,7 @@ impl LeecherNode {
         };
         if result.is_err() {
             // Unreachable peer (churned out or crashed): forget it entirely.
+            // An origin in an outage is kept, see `forget_view`.
             self.forget_view(to);
             self.uploads.forget_peer(to);
         }
@@ -416,9 +407,6 @@ impl LeecherNode {
             }
         }
         self.say(ctx, self.cfg.seeder, &Message::ManifestRequest);
-        self.manifest_asked_at = ctx.now();
-        self.last_progress_at = ctx.now();
-        self.frontier_since = ctx.now();
         if let Some(depart) = self.cfg.depart_after {
             ctx.set_timer(depart, TOKEN_DEPART);
         }
@@ -566,7 +554,13 @@ impl LeecherNode {
                 return;
             }
             let Some(mut source) = self.pick_source_for(ctx, want, None) else {
-                self.sched_state = SchedState::NoSource(want);
+                // An origin's return from an outage is no event, so while
+                // one is down the next pass must look again.
+                self.sched_state = if self.origin_down(ctx) {
+                    SchedState::Dirty
+                } else {
+                    SchedState::NoSource(want)
+                };
                 self.report.sched.no_source += 1;
                 return;
             };
@@ -1172,7 +1166,6 @@ impl LeecherNode {
                     _ => {
                         // Corrupt manifest: ask again.
                         self.say(ctx, self.cfg.seeder, &Message::ManifestRequest);
-                        self.manifest_asked_at = ctx.now();
                     }
                 }
             }
@@ -1291,101 +1284,8 @@ impl LeecherNode {
         );
     }
 
-    /// One pass of the failure defenses; a no-op when defenses are off.
-    /// Runs from both pump flavours. Everything here is deterministic and
-    /// RNG-free except where it funnels into the normal scheduling path.
-    fn defense_pump(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(defense) = self.cfg.defense else {
-            return;
-        };
-        let now = ctx.now();
-        // Manifest retry: without the manifest nothing else can start, so
-        // an unanswered request is re-asked after the request timeout.
-        if !self.streaming
-            && now.saturating_since(self.manifest_asked_at) >= self.cfg.request_timeout
-        {
-            self.say(ctx, self.cfg.seeder, &Message::ManifestRequest);
-            self.manifest_asked_at = now;
-            self.report.fault.manifest_retries += 1;
-        }
-        // CDN fallback: when the first wanted segment has not moved for the
-        // fallback window, escalate it to the CDN — the swarm must never
-        // deadlock while the CDN is up.
-        if self.streaming && !self.holdings.is_complete() {
-            let frontier = self.first_unheld();
-            if frontier != self.frontier {
-                self.frontier = frontier;
-                self.frontier_since = now;
-            } else if now.saturating_since(self.frontier_since)
-                >= SimDuration::from_secs_f64(defense.cdn_fallback_secs)
-            {
-                // Reset the window whether or not the escalation can act,
-                // so an unavailable CDN is retried once per window instead
-                // of on every tick.
-                self.frontier_since = now;
-                self.escalate_to_cdn(ctx, frontier);
-            }
-        }
-        // Watchdog: if the holdings count has not grown for the watchdog
-        // window, force a full scheduling pass and record the trip. The
-        // dirty mark deliberately bypasses every skip state — a wedged
-        // schedule is exactly what the skip logic cannot see.
-        if self.streaming && !self.holdings.is_complete() {
-            let progress = self.holdings.count_ones();
-            if progress != self.progress_mark {
-                self.progress_mark = progress;
-                self.last_progress_at = now;
-            } else if now.saturating_since(self.last_progress_at)
-                >= SimDuration::from_secs_f64(defense.watchdog_secs)
-            {
-                self.report.fault.watchdog_trips += 1;
-                self.last_progress_at = now;
-                self.sched_state = SchedState::Dirty;
-                self.schedule(ctx);
-            }
-        }
-    }
-
-    /// Points the starved `frontier` segment at the CDN: cancels whatever
-    /// sick request may sit on it and re-requests from the CDN directly,
-    /// re-introducing the CDN first if an outage eviction removed its view.
-    fn escalate_to_cdn(&mut self, ctx: &mut Ctx<'_>, frontier: u32) {
-        let Some(cdn) = self.cfg.cdn else {
-            return;
-        };
-        if !ctx.is_online(cdn) {
-            return; // mid-outage: retry next fallback window
-        }
-        if !self.views.contains_key(&cdn) {
-            self.views.insert(cdn, PeerView::new(self.holdings.len()));
-        }
-        if !self.views[&cdn].handshaken() {
-            // Re-handshake after an outage eviction; the escalation itself
-            // retries next window, once the handshake is mutual.
-            self.greet(ctx, cdn);
-            return;
-        }
-        if self
-            .in_flight
-            .get(&frontier)
-            .is_some_and(|f| f.source == cdn)
-        {
-            return; // already escalated; let it run
-        }
-        if let Some(entry) = self.in_flight.get(&frontier).copied() {
-            self.say(ctx, entry.source, &Message::Cancel { index: frontier });
-            self.drop_in_flight(frontier);
-        }
-        // The escalation bypasses the scheduling pass, so fold the segment
-        // in here: a later timeout check picks on this in-flight entry and
-        // the index must mirror the views for it by then.
-        self.ensure_folded(frontier.saturating_add(1));
-        self.report.fault.cdn_fallbacks += 1;
-        self.request_from(ctx, cdn, frontier);
-    }
-
     /// What a pump does first on either plane: audit, bring playback up to
-    /// now, re-point overdue requests, run the defenses.
+    /// now, re-point overdue requests, greet a returned CDN.
     fn pump_common(&mut self, ctx: &mut Ctx<'_>) {
         self.pumps += 1;
         #[cfg(debug_assertions)]
@@ -1395,7 +1295,16 @@ impl LeecherNode {
         }
         self.playback.advance(ctx.now().as_secs_f64());
         self.check_timeouts(ctx);
-        self.defense_pump(ctx);
+        // An outage that ate our greeting to the CDN — its send failed (we
+        // joined during the outage) or it was in flight when the outage
+        // began — is followed by a fresh one once the CDN is back.
+        if let Some(cdn) = self.cfg.cdn.filter(|cdn| !self.views[cdn].handshaken()) {
+            if ctx.is_online(cdn) {
+                self.greet(ctx, cdn);
+            } else if let Some(view) = self.views.get_mut(&cdn) {
+                view.set_greeted(false);
+            }
+        }
     }
 
     /// The legacy maintenance pump: fixed cadence, polls everything.
@@ -1468,10 +1377,6 @@ impl LeecherNode {
             // The heartbeat keeps stall/finish accounting moving and is
             // the safety net for anything no deadline covers.
             next = next.min(now + self.cfg.pump_interval.mul_f64(HEARTBEAT_PUMPS));
-            if !self.defense_tick.is_zero() {
-                // The defenses need a steady cadence to observe deadlines.
-                next = next.min(now + self.defense_tick);
-            }
         }
         if next == SimTime::MAX {
             self.pumping = false;
@@ -2432,7 +2337,6 @@ mod tests {
         cfg.defense = Some(DefenseConfig {
             backoff_base_secs: 2.0,
             backoff_max_secs: 10.0,
-            ..DefenseConfig::default()
         });
         let mut l = LeecherNode::new(cfg);
         let t0 = SimTime::ZERO;

@@ -13,8 +13,8 @@
 //!   hybrid-CDN mode with the [`max_cdn_segment_bytes`] sizing bound;
 //! - [`FaultPlanConfig`] / [`DefenseConfig`]: deterministic fault injection
 //!   (crash-stop churn, control-message loss/delay, link flaps, CDN
-//!   outages) and the peer-side defenses it exercises (manifest retry,
-//!   source backoff, CDN fallback, watchdog);
+//!   outages) and the peer-side defense it exercises (source backoff
+//!   bans);
 //! - [`DiscoveryMode`]: full-knowledge or tracker-based peer discovery
 //!   (the seeder doubles as the tracker);
 //! - [`run_abr`]: the §I adaptive-bitrate baseline (CDN-served ladder

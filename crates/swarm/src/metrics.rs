@@ -142,7 +142,7 @@ pub struct PeerMemStats {
     /// Live holder-index entries at sample time.
     pub holder_entries: u64,
     /// Bytes behind auxiliary per-peer state that is empty in the common
-    /// case: defense clocks, timeout bans, source-health tracking.
+    /// case: timeout bans, source-health tracking.
     pub aux_bytes: u64,
 }
 
@@ -175,12 +175,6 @@ pub struct PeerFaultStats {
     pub silent_evictions: u64,
     /// Exponential-backoff ban windows opened against failing sources.
     pub backoff_bans: u64,
-    /// Starved segments escalated to the CDN past the fallback deadline.
-    pub cdn_fallbacks: u64,
-    /// Liveness-watchdog trips (no download progress past the deadline).
-    pub watchdog_trips: u64,
-    /// Manifest re-requests after a silent bootstrap.
-    pub manifest_retries: u64,
 }
 
 impl PeerFaultStats {
@@ -189,9 +183,6 @@ impl PeerFaultStats {
         self.crashes += other.crashes;
         self.silent_evictions += other.silent_evictions;
         self.backoff_bans += other.backoff_bans;
-        self.cdn_fallbacks += other.cdn_fallbacks;
-        self.watchdog_trips += other.watchdog_trips;
-        self.manifest_retries += other.manifest_retries;
     }
 }
 
@@ -277,13 +268,6 @@ impl SwarmMetrics {
         mean(self.watching().filter_map(|r| r.qoe.startup_secs))
     }
 
-    /// Worst startup time, seconds.
-    pub fn max_startup_secs(&self) -> f64 {
-        self.watching()
-            .filter_map(|r| r.qoe.startup_secs)
-            .fold(0.0, f64::max)
-    }
-
     /// Fraction of watching peers that finished the video.
     pub fn completion_rate(&self) -> f64 {
         mean(self.watching().map(|r| if r.finished { 1.0 } else { 0.0 }))
@@ -350,15 +334,6 @@ impl SwarmMetrics {
         total
     }
 
-    /// Mean measured bytes per leecher (0 with no reports).
-    pub fn mean_mem_bytes_per_peer(&self) -> f64 {
-        if self.reports.is_empty() {
-            0.0
-        } else {
-            self.mem_totals().total_bytes() as f64 / self.reports.len() as f64
-        }
-    }
-
     /// Persistent peers (neither churned nor crashed) that never finished
     /// the video — the peers a healthy swarm must not leave behind.
     pub fn stuck_peers(&self) -> impl Iterator<Item = &PeerReport> {
@@ -375,16 +350,14 @@ impl SwarmMetrics {
             let _ = writeln!(
                 out,
                 "peer {}: {} segments ({} seeder / {} peers / {} cdn), \
-                 {} stalls, watchdog trips {}, backoff bans {}, cdn fallbacks {}",
+                 {} stalls, backoff bans {}",
                 r.peer,
                 r.segments_from_seeder + r.segments_from_peers + r.segments_from_cdn,
                 r.segments_from_seeder,
                 r.segments_from_peers,
                 r.segments_from_cdn,
                 r.qoe.stall_count,
-                r.fault.watchdog_trips,
                 r.fault.backoff_bans,
-                r.fault.cdn_fallbacks,
             );
         }
         out
@@ -458,7 +431,6 @@ mod tests {
         assert!((m.mean_stalls() - 3.0).abs() < 1e-9);
         assert!((m.mean_stall_secs() - 6.0).abs() < 1e-9);
         assert!((m.mean_startup_secs() - 0.5).abs() < 1e-9);
-        assert_eq!(m.max_startup_secs(), 1.0);
         assert_eq!(m.completion_rate(), 1.0);
     }
 
@@ -552,8 +524,6 @@ mod tests {
         assert_eq!(total.holder_entries, 7);
         assert_eq!(total.aux_bytes, 50);
         assert_eq!(total.total_bytes(), 750);
-        assert!((m.mean_mem_bytes_per_peer() - 375.0).abs() < 1e-9);
-        assert_eq!(SwarmMetrics::default().mean_mem_bytes_per_peer(), 0.0);
     }
 
     #[test]
@@ -578,8 +548,7 @@ mod tests {
     #[test]
     fn fault_totals_sum_over_all_reports() {
         let mut a = report(0, 0, 0.0, false);
-        a.fault.watchdog_trips = 2;
-        a.fault.cdn_fallbacks = 1;
+        a.fault.backoff_bans = 2;
         let mut b = report(1, 0, 0.0, true);
         b.fault.crashes = 1;
         b.fault.backoff_bans = 3;
@@ -591,9 +560,7 @@ mod tests {
         };
         let total = m.fault_totals();
         assert_eq!(total.crashes, 1);
-        assert_eq!(total.watchdog_trips, 2);
-        assert_eq!(total.backoff_bans, 3);
-        assert_eq!(total.cdn_fallbacks, 1);
+        assert_eq!(total.backoff_bans, 5);
     }
 
     #[test]
@@ -602,7 +569,7 @@ mod tests {
         let churned = report(1, 0, 0.0, true);
         let mut stuck = report(2, 5, 0.0, false);
         stuck.finished = false;
-        stuck.fault.watchdog_trips = 4;
+        stuck.fault.backoff_bans = 4;
         let m = SwarmMetrics {
             reports: vec![healthy, churned, stuck],
             sim_end_secs: 1.0,
@@ -612,7 +579,7 @@ mod tests {
         assert_eq!(m.stuck_peers().count(), 1);
         let diag = m.stuck_report();
         assert!(diag.contains("peer 2"), "{diag}");
-        assert!(diag.contains("watchdog trips 4"), "{diag}");
+        assert!(diag.contains("backoff bans 4"), "{diag}");
         assert!(!diag.contains("peer 0"), "{diag}");
         assert!(!diag.contains("peer 1"), "{diag}");
         // A healthy swarm diagnoses nothing.

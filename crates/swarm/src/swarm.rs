@@ -167,8 +167,7 @@ pub struct SwarmConfig {
     /// loss/delay, link flaps, CDN outages), if any.
     #[serde(default)]
     pub faults: Option<FaultPlanConfig>,
-    /// Peer-side failure defenses (manifest retry, source backoff, CDN
-    /// fallback, watchdog), if any.
+    /// Peer-side failure defenses (source backoff bans), if any.
     #[serde(default)]
     pub defense: Option<DefenseConfig>,
     /// Pins every holder set to the sparse representation. A
@@ -1421,12 +1420,12 @@ mod tests {
             (
                 SwarmConfig {
                     defense: Some(DefenseConfig {
-                        watchdog_secs: 0.0,
+                        backoff_base_secs: 0.0,
                         ..DefenseConfig::default()
                     }),
                     ..tiny_config()
                 },
-                "watchdog deadline must be positive",
+                "backoff base must be positive",
             ),
         ];
         assert_eq!(tiny_config().check(), Ok(()));

@@ -1,6 +1,7 @@
 //! Chaos harness: seeded random fault schedules (crash-stop churn ×
 //! control-message loss/delay × CDN outages × link flaps) driven through
-//! the public experiment API, with the peer-side defenses enabled.
+//! the public experiment API, with the peer-side defense (source backoff
+//! bans) enabled unless a case says otherwise.
 //!
 //! The property under test: as long as the CDN eventually comes back, every
 //! persistent peer (neither churned nor crashed) completes the stream, the
@@ -249,6 +250,57 @@ fn cdn_outage_counters_balance() {
         "{}",
         metrics.stuck_report()
     );
+}
+
+/// `splicecast run --peers 19 --splicing 4s --bandwidth 512 --cdn-only`
+/// with `outages` CDN outages of 10 s starting within `window_secs`.
+fn cdn_only_with_outages(outages: usize, window_secs: f64) -> ExperimentConfig {
+    let mut config = ExperimentConfig::paper_baseline()
+        .with_bandwidth(512_000.0)
+        .with_splicing(SplicingSpec::Duration(4.0));
+    config.swarm.cdn = Some(CdnConfig::default());
+    config.swarm.p2p = false;
+    config.swarm.faults = Some(FaultPlanConfig {
+        cdn_outages: Some(CdnOutageConfig {
+            count: outages,
+            duration_secs: 10.0,
+            window_secs,
+        }),
+        ..FaultPlanConfig::default()
+    });
+    config
+}
+
+/// Every viewer of a CDN-only swarm is served by the CDN alone (§IV), so
+/// nobody covers its outages. An outage is a pause: the CDN frees the
+/// upload slots its outage cut, and the viewers wait for it, with or
+/// without defenses. Two schedules: `run ... --cdn-outages 5` at seeds
+/// 101 / 202 / 303, and one outage from the first second, when the
+/// viewers join and greet the CDN.
+#[test]
+fn cdn_only_swarm_rides_out_cdn_outages() {
+    let clip_secs = ExperimentConfig::paper_baseline().video.duration_secs;
+    let schedules = [
+        (cdn_only_with_outages(5, clip_secs), [101, 202, 303]),
+        (cdn_only_with_outages(1, 1.0), [1, 2, 3]),
+    ];
+    for (mut config, seeds) in schedules {
+        for defense in [None, Some(DefenseConfig::default())] {
+            config.swarm.defense = defense;
+            for seed in seeds {
+                let metrics = conserving_run(&config, seed);
+                let injected = metrics.injected;
+                assert!(injected.outages_started > 0, "seed {seed}");
+                assert_eq!(injected.outages_started, injected.outages_ended);
+                assert_eq!(
+                    metrics.stuck_peers().count(),
+                    0,
+                    "seed {seed}, {defense:?}: viewers stuck:\n{}",
+                    metrics.stuck_report()
+                );
+            }
+        }
+    }
 }
 
 #[test]
