@@ -1,6 +1,7 @@
 //! The CLI subcommands.
 
 use splicecast_core::figures::{figure, FIGURES};
+use splicecast_core::media::PAPER_BITRATE_BPS;
 use splicecast_core::{
     max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr, run_all, AbrAlgorithm,
     AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig, ChurnConfig, CrashChurnConfig,
@@ -113,7 +114,6 @@ fn parse_policy(raw: &str) -> Result<PolicyConfig, String> {
 fn clip(args: &Args) -> Result<VideoSpec, String> {
     let video = VideoSpec {
         duration_secs: args.num("clip-secs", 120.0)?,
-        ..VideoSpec::default()
     };
     video.check()?;
     Ok(video)
@@ -200,7 +200,7 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
         });
     }
     if args.flag("defend")? {
-        config = config.with_defense(DefenseConfig::default());
+        config = config.with_defense(DefenseConfig);
     }
     // The rules live in the three `check()`s; flag values are literals
     // above so that an out-of-range one is its `Err`, not a panic.
@@ -288,7 +288,7 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
         format!(
             "streaming {:.0}s of {:.1} Mbps video to {} peers at {:.0} kB/s ({} splicing, {} policy)\n\n  segments:          {}\n  byte overhead:     {:.1}%\n",
             config.video.duration_secs,
-            config.video.bitrate_bps as f64 / 1e6,
+            PAPER_BITRATE_BPS as f64 / 1e6,
             config.swarm.n_leechers,
             config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
             config.splicing.label(),
@@ -409,7 +409,7 @@ fn channel_lines(config: &ExperimentConfig, runs: &[RunResult], per_channel: usi
     let mut out = format!(
         "streaming {:.0}s of {:.1} Mbps video on {} channels × {} peers at {:.0} kB/s\n\n",
         config.video.duration_secs,
-        config.video.bitrate_bps as f64 / 1e6,
+        PAPER_BITRATE_BPS as f64 / 1e6,
         runs.len() / per_channel,
         config.swarm.n_leechers,
         config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
@@ -575,9 +575,6 @@ pub fn formula_command(args: &Args) -> Result<String, String> {
     ))
 }
 
-/// The bitrate ladder `splicecast abr` streams, bits per second.
-const ABR_LADDER_BPS: [u64; 3] = [250_000, 500_000, 1_000_000];
-
 /// `splicecast abr`.
 pub fn abr_command(args: &Args) -> Result<String, String> {
     let algorithm = match args.value("algorithm")?.unwrap_or("buffer") {
@@ -591,11 +588,11 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
                 let rung: usize = rung
                     .parse()
                     .map_err(|_| format!("bad rendition `{rung}`"))?;
-                if rung >= ABR_LADDER_BPS.len() {
+                let rungs = Ladder::BITRATES_BPS.len();
+                if rung >= rungs {
                     return Err(format!(
-                        "no rendition {rung}: the ladder has {} rungs (0 to {})",
-                        ABR_LADDER_BPS.len(),
-                        ABR_LADDER_BPS.len() - 1
+                        "no rendition {rung}: the ladder has {rungs} rungs (0 to {})",
+                        rungs - 1
                     ));
                 }
                 AbrAlgorithm::FixedRendition(rung)
@@ -606,16 +603,12 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
     };
     let ladder = Ladder::builder()
         .duration_secs(clip(args)?.duration_secs)
-        .bitrates(&ABR_LADDER_BPS)
-        .segment_secs(4.0)
-        .seed(2015)
         .build();
     let config = AbrConfig {
         n_clients: args.num("clients", 19usize)?,
         client_bandwidth_bytes_per_sec: args.num("bandwidth", 256.0)? * 1_000.0,
         algorithm,
         max_sim_secs: 900.0,
-        ..AbrConfig::default()
     };
     let seeds = seeds(args)?;
     args.reject_unread()?;

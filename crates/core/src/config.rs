@@ -2,30 +2,21 @@
 
 use serde::{Deserialize, Serialize};
 
-use splicecast_media::{ContentProfile, EncoderConfig, Video, TICKS_PER_SEC};
+use splicecast_media::{Video, PAPER_CONTENT_SEED};
 use splicecast_swarm::SwarmConfig;
 
 use crate::rule;
 use crate::splicing::SplicingSpec;
 
-/// Describes the synthetic test video.
-///
-/// Defaults reproduce the paper's clip: 2 minutes of 1 Mbps, 30 fps MPEG-4
-/// with mixed content. The content seed is fixed so every run streams the
-/// *same* video, as in the paper (run-to-run randomness comes from the
-/// swarm seed instead).
+/// Describes the synthetic test video: the paper's clip, 1 Mbps, 30 fps
+/// MPEG-4 with mixed content, of a settable length (2 minutes by default).
+/// The content seed is [`PAPER_CONTENT_SEED`], so every run streams the
+/// *same* video, as in the paper (run-to-run randomness comes from the swarm
+/// seed instead).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VideoSpec {
     /// Clip length in seconds.
     pub duration_secs: f64,
-    /// Target bitrate in bits per second.
-    pub bitrate_bps: u64,
-    /// Frame rate.
-    pub fps: u32,
-    /// GOP-duration model.
-    pub profile: ContentProfile,
-    /// Seed for content sampling and frame-size jitter.
-    pub content_seed: u64,
 }
 
 /// Longest clip [`VideoSpec::check`] admits: 24 h, 2.6 M frames at 30 fps.
@@ -35,19 +26,15 @@ impl Default for VideoSpec {
     fn default() -> Self {
         VideoSpec {
             duration_secs: 120.0,
-            bitrate_bps: 1_000_000,
-            fps: 30,
-            profile: ContentProfile::paper_default(),
-            content_seed: 2015, // the venue year; any fixed value works
         }
     }
 }
 
 impl VideoSpec {
-    /// The rule a field breaks, if any: the clip length, bitrate and frame
-    /// rate that [`Self::build`] would panic on, and a clip so long that
-    /// its frame table would exhaust memory instead. Callers holding
-    /// outside input (the CLI) check first and report the message.
+    /// The rule the clip length breaks, if any: one that [`Self::build`]
+    /// would panic on, or one so long that its frame table would exhaust
+    /// memory instead. Callers holding outside input (the CLI) check first
+    /// and report the message.
     pub fn check(&self) -> Result<(), String> {
         rule(
             self.duration_secs > 0.0 && self.duration_secs <= MAX_CLIP_SECS,
@@ -55,11 +42,6 @@ impl VideoSpec {
                 "clip length must be a positive number of seconds, at most {MAX_CLIP_SECS}, got {}",
                 self.duration_secs
             ),
-        )?;
-        rule(self.bitrate_bps > 0, "bitrate must be positive")?;
-        rule(
-            self.fps > 0 && TICKS_PER_SEC.is_multiple_of(u64::from(self.fps)),
-            format!("fps {} must divide {TICKS_PER_SEC}", self.fps),
         )
     }
 
@@ -69,16 +51,9 @@ impl VideoSpec {
     ///
     /// Panics where [`Self::check`] fails, with the media crate's message.
     pub fn build(&self) -> Video {
-        let encoder = EncoderConfig {
-            fps: self.fps,
-            bitrate_bps: self.bitrate_bps,
-            ..EncoderConfig::default()
-        };
         Video::builder()
             .duration_secs(self.duration_secs)
-            .profile(self.profile.clone())
-            .encoder(encoder)
-            .seed(self.content_seed)
+            .seed(PAPER_CONTENT_SEED)
             .build()
     }
 }
@@ -205,32 +180,15 @@ mod tests {
     /// `check()` fails exactly where `build()` panics.
     #[test]
     fn video_check_agrees_with_build() {
-        let with = |edit: fn(&mut VideoSpec)| {
-            let mut spec = VideoSpec {
-                duration_secs: 4.0,
-                ..VideoSpec::default()
-            };
-            edit(&mut spec);
-            spec
-        };
-        let bad: [fn(&mut VideoSpec); 7] = [
-            |v| v.duration_secs = 0.0,
-            |v| v.duration_secs = -5.0,
-            |v| v.duration_secs = f64::NAN,
-            |v| v.duration_secs = f64::INFINITY,
-            |v| v.bitrate_bps = 0,
-            |v| v.fps = 0,
-            |v| v.fps = 7,
-        ];
-        for edit in bad {
-            let spec = with(edit);
+        for duration_secs in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let spec = VideoSpec { duration_secs };
             assert!(spec.check().is_err(), "{spec:?}");
             assert!(
                 std::panic::catch_unwind(|| spec.build()).is_err(),
                 "{spec:?}"
             );
         }
-        let good = with(|v| v.fps = 25);
+        let good = VideoSpec { duration_secs: 4.0 };
         assert_eq!(good.check(), Ok(()));
         good.build();
         assert_eq!(ExperimentConfig::default().check(), Ok(()));
@@ -245,10 +203,7 @@ mod tests {
     /// it would allocate until the process dies.
     #[test]
     fn clip_length_is_bounded_at_a_day() {
-        let of = |duration_secs| VideoSpec {
-            duration_secs,
-            ..VideoSpec::default()
-        };
+        let of = |duration_secs| VideoSpec { duration_secs };
         assert_eq!(of(86_400.0).check(), Ok(()));
         for too_long in [86_400.5, 1e9, f64::MAX] {
             let err = of(too_long).check().unwrap_err();

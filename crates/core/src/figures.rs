@@ -11,7 +11,7 @@
 //! only the *shape* (orderings, trends, crossovers) is expected to match
 //! the paper; `EXPERIMENTS.md` records both.
 
-use splicecast_media::Ladder;
+use splicecast_media::{Ladder, PAPER_BITRATE_BPS};
 use splicecast_swarm::{
     run_abr, AbrAlgorithm, AbrConfig, CdnConfig, ChurnConfig, CrossTrafficConfig, PolicyConfig,
 };
@@ -351,9 +351,8 @@ pub static FIGURES: [Figure; 10] = [
             let base = base.clone().with_bandwidth(256_000.0);
             Grid::new("cross traffic", &loads, &SPLICINGS, |&flows, &s| {
                 let mut config = base.clone().with_splicing(s);
-                config.swarm.cross_traffic = (flows > 0).then(|| CrossTrafficConfig {
+                config.swarm.cross_traffic = (flows > 0).then_some(CrossTrafficConfig {
                     flows_per_peer: flows,
-                    ..CrossTrafficConfig::default()
                 });
                 config
             })
@@ -373,7 +372,7 @@ pub static FIGURES: [Figure; 10] = [
         // as the design point), stream CDN-only like the ABR baseline.
         grid: |base| {
             let base = cdn_only(base, 0.05);
-            let bitrate = base.video.bitrate_bps as f64;
+            let bitrate = PAPER_BITRATE_BPS as f64;
             let series = [("dur-adapt", ())];
             Grid::new("bandwidth", &ABR_BANDWIDTHS, &series, |&bw, _| {
                 let d = max_cdn_segment_secs(bw, 4.0, bitrate).clamp(1.0, 8.0);
@@ -446,9 +445,6 @@ fn cdn_only(base: &ExperimentConfig, one_way_latency_secs: f64) -> ExperimentCon
 fn abr_tables(dur_adapt: &GridResult, base: &ExperimentConfig, seeds: &[u64]) -> Vec<Table> {
     let ladder = Ladder::builder()
         .duration_secs(base.video.duration_secs)
-        .bitrates(&[250_000, 500_000, 1_000_000])
-        .segment_secs(4.0)
-        .seed(base.video.content_seed)
         .build();
     let buffer_based = AbrAlgorithm::BufferBased {
         low_secs: 4.0,
@@ -489,7 +485,7 @@ fn abr_tables(dur_adapt: &GridResult, base: &ExperimentConfig, seeds: &[u64]) ->
             columns.push([stalls, stall_secs, bps / 1e6]);
         }
         let cell = dur_adapt.at(row, 0);
-        let full_quality = base.video.bitrate_bps as f64 / 1e6;
+        let full_quality = PAPER_BITRATE_BPS as f64 / 1e6;
         columns.push([cell.stalls.mean, cell.stall_secs.mean, full_quality]);
         for (k, table) in tables.iter_mut().enumerate() {
             let values: Vec<f64> = columns.iter().map(|column| column[k]).collect();
@@ -509,7 +505,6 @@ mod tests {
         let mut base = ExperimentConfig::paper_baseline().with_leechers(5);
         base.video = VideoSpec {
             duration_secs: 24.0,
-            ..VideoSpec::default()
         };
         base
     }

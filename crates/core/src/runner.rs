@@ -117,7 +117,6 @@ mod tests {
             .with_leechers(3);
         cfg.video = VideoSpec {
             duration_secs: 16.0,
-            ..VideoSpec::default()
         };
         cfg.swarm.max_sim_secs = 300.0;
         cfg

@@ -11,12 +11,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::content::ContentProfile;
-use crate::encoder::EncoderConfig;
 use crate::error::MediaError;
 use crate::segment::SegmentList;
 use crate::splicer::{DurationSplicer, Splicer};
-use crate::video::Video;
+use crate::video::{Video, PAPER_CONTENT_SEED};
 
 /// One rung of a [`Ladder`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,12 +35,7 @@ pub struct Rendition {
 /// ```
 /// use splicecast_media::Ladder;
 ///
-/// let ladder = Ladder::builder()
-///     .duration_secs(20.0)
-///     .bitrates(&[250_000, 500_000, 1_000_000])
-///     .segment_secs(4.0)
-///     .seed(7)
-///     .build();
+/// let ladder = Ladder::builder().duration_secs(20.0).build();
 /// assert_eq!(ladder.len(), 3);
 /// assert_eq!(ladder.segment_count(), 5);
 /// // Higher rungs cost more bytes for the same timeline.
@@ -54,6 +47,10 @@ pub struct Ladder {
 }
 
 impl Ladder {
+    /// The rendition bitrates every ladder carries, ascending, bits per
+    /// second.
+    pub const BITRATES_BPS: [u64; 3] = [250_000, 500_000, 1_000_000];
+
     /// Starts building a ladder.
     pub fn builder() -> LadderBuilder {
         LadderBuilder::default()
@@ -141,26 +138,21 @@ impl Ladder {
     }
 }
 
-/// Builder for [`Ladder`]s.
+/// The common segment duration of every rendition, seconds.
+const SEGMENT_SECS: f64 = 4.0;
+
+/// Builder for [`Ladder`]s: the paper's content (profile, seed, frame rate)
+/// at [`Ladder::BITRATES_BPS`], cut every 4 s. Only the clip length is
+/// settable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LadderBuilder {
     duration_secs: f64,
-    bitrates: Vec<u64>,
-    segment_secs: f64,
-    profile: ContentProfile,
-    fps: u32,
-    seed: u64,
 }
 
 impl Default for LadderBuilder {
     fn default() -> Self {
         LadderBuilder {
             duration_secs: 120.0,
-            bitrates: vec![250_000, 500_000, 1_000_000],
-            segment_secs: 4.0,
-            profile: ContentProfile::paper_default(),
-            fps: 30,
-            seed: 0,
         }
     }
 }
@@ -172,60 +164,23 @@ impl LadderBuilder {
         self
     }
 
-    /// Sets the rendition bitrates (bits per second). Sorted ascending and
-    /// deduplicated at build time.
-    pub fn bitrates(&mut self, bitrates: &[u64]) -> &mut Self {
-        self.bitrates = bitrates.to_vec();
-        self
-    }
-
-    /// Sets the common segment duration.
-    pub fn segment_secs(&mut self, secs: f64) -> &mut Self {
-        self.segment_secs = secs;
-        self
-    }
-
-    /// Sets the content profile shared by all renditions.
-    pub fn profile(&mut self, profile: ContentProfile) -> &mut Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Sets the content seed shared by all renditions.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
-        self
-    }
-
     /// Encodes every rendition from the same content realisation and cuts
     /// them at the same boundaries.
     ///
     /// # Panics
     ///
-    /// Panics when no bitrates are given or parameters are invalid.
+    /// Panics when the clip length is invalid.
     pub fn build(&self) -> Ladder {
-        assert!(
-            !self.bitrates.is_empty(),
-            "a ladder needs at least one bitrate"
-        );
-        let mut bitrates = self.bitrates.clone();
-        bitrates.sort_unstable();
-        bitrates.dedup();
-        let splicer = DurationSplicer::new(self.segment_secs);
-        let renditions = bitrates
+        let splicer = DurationSplicer::new(SEGMENT_SECS);
+        let renditions = Ladder::BITRATES_BPS
             .into_iter()
             .map(|bitrate_bps| {
                 // Same profile + same seed ⇒ identical GOP structure and
                 // per-frame jitter draws; only the byte scaling differs.
                 let video = Video::builder()
                     .duration_secs(self.duration_secs)
-                    .profile(self.profile.clone())
-                    .encoder(EncoderConfig {
-                        fps: self.fps,
-                        bitrate_bps,
-                        ..EncoderConfig::default()
-                    })
-                    .seed(self.seed)
+                    .bitrate_bps(bitrate_bps)
+                    .seed(PAPER_CONTENT_SEED)
                     .build();
                 let segments = splicer.splice(&video);
                 Rendition {
@@ -246,12 +201,7 @@ mod tests {
     use super::*;
 
     fn ladder() -> Ladder {
-        Ladder::builder()
-            .duration_secs(24.0)
-            .bitrates(&[300_000, 600_000, 1_200_000])
-            .segment_secs(4.0)
-            .seed(5)
-            .build()
+        Ladder::builder().duration_secs(24.0).build()
     }
 
     #[test]
@@ -272,14 +222,18 @@ mod tests {
     }
 
     #[test]
-    fn bitrates_sort_and_dedup() {
-        let l = Ladder::builder()
-            .duration_secs(8.0)
-            .bitrates(&[800_000, 200_000, 800_000])
-            .build();
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.bitrate_bps(0), 200_000);
-        assert_eq!(l.bitrate_bps(1), 800_000);
+    fn rungs_are_the_abr_ladder_ascending() {
+        let l = Ladder::builder().duration_secs(8.0).build();
+        assert_eq!(l.len(), 3);
+        let bitrates: Vec<u64> = (0..l.len()).map(|r| l.bitrate_bps(r)).collect();
+        assert_eq!(bitrates, Ladder::BITRATES_BPS);
+    }
+
+    /// A ladder over an empty clip has nothing to encode.
+    #[test]
+    #[should_panic(expected = "bad video length")]
+    fn empty_ladder_panics() {
+        let _ = Ladder::builder().duration_secs(0.0).build();
     }
 
     #[test]
@@ -289,11 +243,5 @@ mod tests {
         let video = l.renditions[2].video.clone();
         l.renditions[2].segments = DurationSplicer::new(2.0).splice(&video);
         assert!(l.validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bitrate")]
-    fn empty_ladder_panics() {
-        let _ = Ladder::builder().bitrates(&[]).build();
     }
 }

@@ -48,7 +48,7 @@ mod splicer;
 mod video;
 
 pub use content::{ContentProfile, SceneClass};
-pub use encoder::{encode, EncoderConfig};
+pub use encoder::{encode, EncoderConfig, PAPER_BITRATE_BPS};
 pub use error::MediaError;
 pub use frame::{Frame, FrameType, MediaTicks, TICKS_PER_SEC};
 pub use gop::GopView;
@@ -56,4 +56,4 @@ pub use ladder::{Ladder, LadderBuilder, Rendition};
 pub use manifest::{Manifest, ManifestEntry};
 pub use segment::{Segment, SegmentList};
 pub use splicer::{ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, Splicer};
-pub use video::{Video, VideoBuilder};
+pub use video::{Video, VideoBuilder, PAPER_CONTENT_SEED};

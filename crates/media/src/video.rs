@@ -164,6 +164,11 @@ impl Video {
     }
 }
 
+/// The content seed of the paper's test clip (the venue year; any fixed
+/// value works): every run streams the *same* video, as in the paper, and
+/// run-to-run randomness comes from the swarm seed instead.
+pub const PAPER_CONTENT_SEED: u64 = 2015;
+
 /// Builder for synthetic [`Video`]s.
 ///
 /// Defaults match the paper's test clip: 2 minutes of 1 Mbps, 30 fps

@@ -84,25 +84,10 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 }
 
 /// Draws a standard normal variate via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Draws a log-normal variate with the given parameters of the underlying
-/// normal distribution.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let x = splicecast_netsim::rng::log_normal(&mut rng, 0.0, 0.25);
-/// assert!(x > 0.0);
-/// ```
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    (mu + sigma * standard_normal(rng)).exp()
 }
 
 /// Draws from a geometric distribution: the number of failures before the
@@ -185,14 +170,6 @@ mod tests {
     fn exponential_zero_rate_is_infinite() {
         let mut r = rng();
         assert!(exponential(&mut r, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn log_normal_positive() {
-        let mut r = rng();
-        for _ in 0..1_000 {
-            assert!(log_normal(&mut r, 0.0, 0.5) > 0.0);
-        }
     }
 
     #[test]

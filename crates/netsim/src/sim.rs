@@ -11,7 +11,11 @@ use crate::fluid::{FluidSolver, FluidSolverStats};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::node::{NodeBehavior, NodeEvent};
 use crate::rng::geometric_failures;
-use crate::tcp::{Flow, FlowModel, FlowTable, LinkUsage, RoundOutcome, TcpConfig};
+use crate::tcp::{
+    Flow, FlowModel, FlowTable, LinkUsage, RoundOutcome, TcpConfig, HANDSHAKE_RTTS, INITIAL_CWND,
+    INITIAL_SSTHRESH, LOSS_UTILIZATION_FLOOR, MAX_CWND, MIN_CWND, MSS, OVERLOAD_LOSS_COEFF,
+    OVERLOAD_LOSS_MAX, OVERLOAD_PRESSURE_THRESHOLD, UTILIZATION_TAU_SECS,
+};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Network;
 use crate::trace::{Trace, TraceRecord};
@@ -52,8 +56,6 @@ pub(crate) struct World {
     tcp: TcpConfig,
     trace: Option<Trace>,
     stats: SimStats,
-    /// Wire bytes sent over each directed link.
-    link_bytes: Vec<u64>,
     /// Last scheduled delivery per (src, dst), to keep the control channel
     /// in order like a TCP connection would: one row per source, indexed
     /// by destination, empty until that source first sends.
@@ -80,41 +82,34 @@ pub(crate) struct World {
 
 /// Overload pressure one link puts on a flow crossing it, shared by both
 /// flow models: when the *competing* flows cannot shrink their windows
-/// below `min_cwnd` without exceeding the link's BDP, the excess turns into
+/// below `MIN_CWND` without exceeding the link's BDP, the excess turns into
 /// timeouts, modelled as extra loss. A lone flow never overloads itself
 /// (its send budget already paces it), hence `load - 1`.
-fn link_pressure(tcp: &TcpConfig, cap_bps: f64, load: u32, rtt_secs: f64) -> f64 {
+fn link_pressure(cap_bps: f64, load: u32, rtt_secs: f64) -> f64 {
     let competing = load.saturating_sub(1) as f64;
     let bdp_bytes = cap_bps / 8.0 * rtt_secs;
-    competing * tcp.min_cwnd * tcp.mss as f64 / bdp_bytes
+    competing * MIN_CWND * MSS as f64 / bdp_bytes
 }
 
 /// The loss a flow effectively sees, shared by both flow models: the
 /// configured path loss shaped by utilization (it applies in full only when
-/// the path is busy, see [`TcpConfig::loss_utilization_floor`]) combined
+/// the path is busy, see [`LOSS_UTILIZATION_FLOOR`]) combined
 /// with the overload loss that pressure beyond the threshold turns into.
-fn effective_loss(tcp: &TcpConfig, loss: f64, utilization: f64, pressure: f64) -> f64 {
-    let floor = tcp.loss_utilization_floor;
+fn effective_loss(loss: f64, utilization: f64, pressure: f64) -> f64 {
+    let floor = LOSS_UTILIZATION_FLOOR;
     let shaped = loss * (floor + (1.0 - floor) * utilization);
-    let overload = (tcp.overload_loss_coeff
-        * (pressure - tcp.overload_pressure_threshold).max(0.0))
-    .min(tcp.overload_loss_max);
+    let overload = (OVERLOAD_LOSS_COEFF * (pressure - OVERLOAD_PRESSURE_THRESHOLD).max(0.0))
+        .min(OVERLOAD_LOSS_MAX);
     1.0 - (1.0 - shaped) * (1.0 - overload)
 }
 
 /// The fluid model's per-flow rate ceiling: the Mathis loss-limited rate
 /// under the same effective loss the round model applies, bounded by the
 /// receive-window limit. Returns `(ceiling_bps, eff_loss)`.
-fn fluid_ceiling(
-    tcp: &TcpConfig,
-    rtt_secs: f64,
-    loss: f64,
-    utilization: f64,
-    pressure: f64,
-) -> (f64, f64) {
-    let eff = effective_loss(tcp, loss, utilization, pressure);
-    let mss_bps = tcp.mss as f64 * 8.0 / rtt_secs;
-    let window_bps = tcp.max_cwnd * mss_bps;
+fn fluid_ceiling(rtt_secs: f64, loss: f64, utilization: f64, pressure: f64) -> (f64, f64) {
+    let eff = effective_loss(loss, utilization, pressure);
+    let mss_bps = MSS as f64 * 8.0 / rtt_secs;
+    let window_bps = MAX_CWND * mss_bps;
     let mathis_bps = if eff > 1e-12 {
         mss_bps * (1.5 / eff).sqrt()
     } else {
@@ -226,7 +221,7 @@ impl World {
                 // utilization is instantaneous rather than decay-averaged.
                 self.fluid.link_rate(*dir)
             } else {
-                self.usage[dir.index()].rate_bps_at(self.now, self.tcp.utilization_tau_secs)
+                self.usage[dir.index()].rate_bps_at(self.now, UTILIZATION_TAU_SECS)
             };
             util = util.max(rate / cap);
         }
@@ -246,7 +241,6 @@ impl World {
             return;
         };
 
-        let tcp = self.tcp;
         let now = self.now;
         let rtt_secs = flow.rtt.as_secs_f64();
 
@@ -255,7 +249,7 @@ impl World {
         // - Max–min fair share: the narrowest per-flow slice.
         // - Utilization, for the shaped-queue loss model (the configured
         //   loss applies in full only when the path is busy, see
-        //   [`TcpConfig::loss_utilization_floor`]).
+        //   [`LOSS_UTILIZATION_FLOOR`]).
         // - Overload pressure, see [`link_pressure`].
         //
         // The decayed per-link rates are kept so the usage update after the
@@ -269,24 +263,22 @@ impl World {
             let cap = self.net.dir_spec(*dir).capacity_bps;
             let load = self.flows.load(*dir);
             share_bps = share_bps.min(cap / load.max(1) as f64);
-            let rate = self.usage[dir.index()].rate_bps_at(now, tcp.utilization_tau_secs);
+            let rate = self.usage[dir.index()].rate_bps_at(now, UTILIZATION_TAU_SECS);
             rates.push(rate);
             utilization = utilization.max(rate / cap);
-            pressure = pressure.max(link_pressure(&tcp, cap, load, rtt_secs));
+            pressure = pressure.max(link_pressure(cap, load, rtt_secs));
         }
-        let effective_loss = effective_loss(&tcp, flow.loss, utilization.min(1.0), pressure);
+        let effective_loss = effective_loss(flow.loss, utilization.min(1.0), pressure);
 
         let flow = self.flows.get_mut(id).expect("flow vanished");
         let rtt = flow.rtt;
-        let (outcome, sent_bytes) =
-            flow.advance_round(&tcp, share_bps, effective_loss, &mut self.rng);
+        let (outcome, sent_bytes) = flow.advance_round(share_bps, effective_loss, &mut self.rng);
         self.stats.wire_bytes_sent += sent_bytes;
-        // `flow` borrows only the flow table; usage and link_bytes are
-        // disjoint fields, so the path needs no defensive clone.
-        let added_bps = sent_bytes as f64 * 8.0 / tcp.utilization_tau_secs;
+        // `flow` borrows only the flow table; usage is a disjoint field, so
+        // the path needs no defensive clone.
+        let added_bps = sent_bytes as f64 * 8.0 / UTILIZATION_TAU_SECS;
         for (dir, &rate) in flow.path.iter().zip(&rates) {
             self.usage[dir.index()].set_rate(now, rate + added_bps);
-            self.link_bytes[dir.index()] += sent_bytes;
         }
         self.scratch_rates = rates;
         match outcome {
@@ -363,13 +355,13 @@ impl World {
     }
 
     /// Fluid model: integrates an active flow's progress up to now and
-    /// brings the wire/link byte counters in line (goodput scaled by the
+    /// brings the wire byte counter in line (goodput scaled by the
     /// effective loss it ran under, modelling retransmission waste). Folds are
     /// lazy: a flow is folded when its rate or effective loss changes, when
     /// it leaves, and at the end of a run — not on every rebalance.
     fn fluid_fold(&mut self, id: FlowId) {
         if let Some(f) = self.flows.get_mut(id) {
-            fold_flow(f, self.now, &mut self.stats, &mut self.link_bytes);
+            fold_flow(f, self.now, &mut self.stats);
         }
     }
 
@@ -420,7 +412,6 @@ impl World {
     /// pops, see [`World::fluid_done`]). Every other flow keeps its rate,
     /// its unfolded progress and its completion instant.
     fn fluid_rebalance(&mut self) {
-        let tcp = self.tcp;
         let now = self.now;
         let (flows, net) = (&self.flows, &self.net);
         let ceiling = |id: FlowId, utilization: f64| {
@@ -429,9 +420,9 @@ impl World {
             let mut pressure = 0.0_f64;
             for dir in &f.path {
                 let cap = net.dir_spec(*dir).capacity_bps;
-                pressure = pressure.max(link_pressure(&tcp, cap, flows.load(*dir), rtt_secs));
+                pressure = pressure.max(link_pressure(cap, flows.load(*dir), rtt_secs));
             }
-            fluid_ceiling(&tcp, rtt_secs, f.loss, utilization, pressure)
+            fluid_ceiling(rtt_secs, f.loss, utilization, pressure)
         };
         self.fluid.solve(&ceiling);
         #[cfg(debug_assertions)]
@@ -446,7 +437,7 @@ impl World {
             let f = self.flows.get_mut(id).expect("rated flow is in the table");
             // Like the round model's one-packet-per-RTT minimum budget, a
             // flow never stalls entirely, even on an oversubscribed link.
-            let rate_floor = tcp.mss as f64 * 8.0 / f.rtt.as_secs_f64();
+            let rate_floor = MSS as f64 * 8.0 / f.rtt.as_secs_f64();
             let rate = solved_bps.max(rate_floor);
             f.fluid.eff_loss = eff;
             // Move the completion only on a material rate change.
@@ -475,7 +466,7 @@ impl World {
 
 /// Integrates one fluid flow's progress up to `now`; see
 /// [`World::fluid_fold`]. A no-op for flows that are not being rated.
-fn fold_flow(f: &mut Flow, now: SimTime, stats: &mut SimStats, link_bytes: &mut [u64]) {
+fn fold_flow(f: &mut Flow, now: SimTime, stats: &mut SimStats) {
     if !f.fluid.active {
         return;
     }
@@ -491,9 +482,6 @@ fn fold_flow(f: &mut Flow, now: SimTime, stats: &mut SimStats, link_bytes: &mut 
     if delta > 0 {
         f.fluid.wire_emitted = wire_total;
         stats.wire_bytes_sent += delta;
-        for dir in &f.path {
-            link_bytes[dir.index()] += delta;
-        }
     }
 }
 
@@ -717,8 +705,8 @@ impl Ctx<'_> {
             loss: props.loss,
             total: bytes,
             delivered: 0,
-            cwnd: w.tcp.initial_cwnd,
-            ssthresh: w.tcp.initial_ssthresh,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
             tag,
             started: w.now,
             fluid: Default::default(),
@@ -741,7 +729,7 @@ impl Ctx<'_> {
         // First data round: after the three-way handshake for a fresh
         // connection, after half an RTT (send → first data back) when the
         // connection is kept alive.
-        let setup = if warm { 0.5 } else { w.tcp.handshake_rtts };
+        let setup = if warm { 0.5 } else { HANDSHAKE_RTTS };
         let first_round = w.now + rtt.mul_f64(setup);
         w.queue
             .push(first_round, Scheduled::FlowRound { flow: id.raw() });
@@ -876,7 +864,6 @@ impl Simulator {
                 tcp: TcpConfig::default(),
                 trace: None,
                 stats: SimStats::default(),
-                link_bytes: vec![0; dir_links],
                 msg_order: vec![Vec::new(); node_count],
                 scratch_route: Vec::new(),
                 scratch_rates: Vec::new(),
@@ -890,7 +877,7 @@ impl Simulator {
         }
     }
 
-    /// Overrides the TCP model parameters. Must be called before `run`.
+    /// Selects the flow model. Must be called before `run`.
     pub fn set_tcp_config(&mut self, cfg: TcpConfig) {
         self.world.tcp = cfg;
     }
@@ -989,11 +976,6 @@ impl Simulator {
         self.world.fluid.stats
     }
 
-    /// Wire bytes sent over one direction of a link so far.
-    pub fn link_bytes_sent(&self, dir: DirLinkId) -> u64 {
-        self.world.link_bytes.get(dir.index()).copied().unwrap_or(0)
-    }
-
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -1062,7 +1044,7 @@ impl Simulator {
         // end-of-run accounting reads the counters.
         let w = &mut self.world;
         for f in w.flows.iter_mut() {
-            fold_flow(f, w.now, &mut w.stats, &mut w.link_bytes);
+            fold_flow(f, w.now, &mut w.stats);
         }
         self.finish();
         self.world.now
@@ -1508,25 +1490,6 @@ mod tests {
         assert!(stats.wire_bytes_sent < 600_000, "{stats:?}");
     }
 
-    #[test]
-    fn link_bytes_match_wire_totals_per_hop() {
-        let s = two_leaf_star(0.0);
-        let done = Rc::new(RefCell::new(None));
-        let path = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
-        let mut sim = Simulator::new(s.network, 4);
-        sim.add_node(Box::new(crate::node::NullBehavior));
-        sim.add_node(Box::new(Sender {
-            to: s.leaves[1],
-            bytes: 200_000,
-        }));
-        sim.add_node(Box::new(Receiver { done: done.clone() }));
-        sim.run_until_idle(SimTime::from_secs_f64(60.0));
-        let wire = sim.stats().wire_bytes_sent;
-        for dir in path {
-            assert_eq!(sim.link_bytes_sent(dir), wire);
-        }
-    }
-
     /// A zero-byte transfer, a transfer to oneself (the one `NoRoute` on a
     /// star) and one to a node past the star are each refused.
     #[test]
@@ -1569,7 +1532,6 @@ mod tests {
     fn fluid_tcp() -> TcpConfig {
         TcpConfig {
             flow_model: FlowModel::Fluid,
-            ..TcpConfig::default()
         }
     }
 
@@ -1630,10 +1592,7 @@ mod tests {
             let rtt = SimDuration::from_millis(100);
             let log = Rc::new(RefCell::new(Vec::new()));
             let mut sim = Simulator::new(s.network, 3);
-            sim.set_tcp_config(TcpConfig {
-                flow_model: model,
-                ..TcpConfig::default()
-            });
+            sim.set_tcp_config(TcpConfig { flow_model: model });
             sim.enable_trace();
             sim.add_node(Box::new(crate::node::NullBehavior));
             for send in [Some(s.leaves[1]), None] {
@@ -1679,10 +1638,7 @@ mod tests {
             let s = two_leaf_star(0.02);
             let done = Rc::new(RefCell::new(None));
             let mut sim = Simulator::new(s.network, 9);
-            sim.set_tcp_config(TcpConfig {
-                flow_model: model,
-                ..TcpConfig::default()
-            });
+            sim.set_tcp_config(TcpConfig { flow_model: model });
             sim.add_node(Box::new(crate::node::NullBehavior));
             sim.add_node(Box::new(Sender {
                 to: s.leaves[1],
@@ -1985,7 +1941,6 @@ mod tests {
         // rebalances after its activation, so without a fold at the end of
         // the run its progress and wire bytes would never be credited.
         let s = two_leaf_star(0.02);
-        let path = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
         let mut sim = Simulator::new(s.network, 1);
         sim.set_tcp_config(fluid_tcp());
         sim.add_node(Box::new(crate::node::NullBehavior));
@@ -2006,9 +1961,6 @@ mod tests {
             (wire as f64 - expected).abs() <= 2.0,
             "{wire} vs {expected}"
         );
-        for dir in path {
-            assert_eq!(sim.link_bytes_sent(dir), wire);
-        }
     }
 
     /// Sends one tagged message per timer tick (1 Hz), recording send errors.

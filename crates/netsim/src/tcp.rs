@@ -61,75 +61,53 @@ impl std::str::FromStr for FlowModel {
     }
 }
 
-/// Tunables of the TCP model.
-///
-/// The defaults follow modern TCP practice (MSS 1460, IW10 per RFC 6928).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Maximum segment size in bytes.
+pub(crate) const MSS: u64 = 1460;
+/// Initial congestion window, in packets (IW10 per RFC 6928).
+pub(crate) const INITIAL_CWND: f64 = 10.0;
+/// Initial slow-start threshold, in packets.
+pub(crate) const INITIAL_SSTHRESH: f64 = 64.0;
+/// RTT multiples consumed by connection establishment before the first
+/// data round (1.5 models the three-way handshake).
+pub(crate) const HANDSHAKE_RTTS: f64 = 1.5;
+/// Multiplicative-decrease factor β applied to the window on a lossy round
+/// (0.5 = classic Reno, 0.7 = CUBIC-like).
+pub(crate) const LOSS_DECREASE_FACTOR: f64 = 0.7;
+/// Congestion-avoidance growth per round is `1 + CA_GROWTH_FACTOR × cwnd`
+/// packets: 0 would be Reno's additive increase; a small positive value
+/// approximates CUBIC's faster reopening after a loss.
+pub(crate) const CA_GROWTH_FACTOR: f64 = 0.05;
+/// Congestion window floor after a loss, in packets.
+pub(crate) const MIN_CWND: f64 = 2.0;
+/// Congestion window ceiling, in packets (receive-window stand-in).
+pub(crate) const MAX_CWND: f64 = 512.0;
+/// Fraction of a link's configured loss that applies even when the link is
+/// idle. Shaped links (like the paper's GENI RSpec links) drop mostly under
+/// load: the effective per-packet loss of a link is
+/// `loss × (floor + (1 − floor) × utilization)`.
+pub(crate) const LOSS_UTILIZATION_FLOOR: f64 = 0.25;
+/// Time constant of the link-utilization estimator, seconds.
+pub(crate) const UTILIZATION_TAU_SECS: f64 = 1.0;
+/// Extra loss per unit of link *overload pressure* beyond the threshold.
+/// Pressure is `flows × MIN_CWND × MSS / BDP`: when so many flows share a
+/// link that even their minimum windows approach the bandwidth-delay
+/// product, real TCP cannot back off any further and collapses into
+/// retransmission timeouts. This is what makes an oversized download pool
+/// counterproductive on a thin link (the paper's §VI-B).
+pub(crate) const OVERLOAD_LOSS_COEFF: f64 = 0.9;
+/// Pressure level where the overload ramp starts (queues build before the
+/// hard limit).
+pub(crate) const OVERLOAD_PRESSURE_THRESHOLD: f64 = 0.6;
+/// Ceiling on the overload-induced extra loss.
+pub(crate) const OVERLOAD_LOSS_MAX: f64 = 0.85;
+
+/// The TCP model's one setting: which flow model advances transfers. Every
+/// other parameter of the model is a constant of this module.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TcpConfig {
-    /// Maximum segment size in bytes.
-    pub mss: u64,
-    /// Initial congestion window, in packets.
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold, in packets.
-    pub initial_ssthresh: f64,
-    /// RTT multiples consumed by connection establishment before the first
-    /// data round (1.5 models the three-way handshake).
-    pub handshake_rtts: f64,
-    /// Multiplicative-decrease factor applied to the window on a lossy
-    /// round (0.5 = classic Reno, 0.7 = CUBIC-like).
-    pub loss_decrease_factor: f64,
-    /// Congestion-avoidance growth per round is `1 + ca_growth_factor ×
-    /// cwnd` packets: 0 gives Reno's additive increase, small positive
-    /// values approximate CUBIC's faster reopening after a loss.
-    pub ca_growth_factor: f64,
-    /// Congestion window floor after a loss, in packets.
-    pub min_cwnd: f64,
-    /// Congestion window ceiling, in packets (receive-window stand-in).
-    pub max_cwnd: f64,
-    /// Fraction of a link's configured loss that applies even when the
-    /// link is idle. Shaped links (like the paper's GENI RSpec links) drop
-    /// mostly under load: the effective per-packet loss of a link is
-    /// `loss × (floor + (1 − floor) × utilization)`.
-    pub loss_utilization_floor: f64,
-    /// Time constant of the link-utilization estimator, seconds.
-    pub utilization_tau_secs: f64,
-    /// Extra loss per unit of link *overload pressure* beyond the
-    /// threshold. Pressure is `flows × min_cwnd × MSS / BDP`: when so many
-    /// flows share a link that even their minimum windows approach the
-    /// bandwidth-delay product, real TCP cannot back off any further and
-    /// collapses into retransmission timeouts. This is what makes an
-    /// oversized download pool counterproductive on a thin link (the
-    /// paper's §VI-B).
-    pub overload_loss_coeff: f64,
-    /// Pressure level where the overload ramp starts (queues build before
-    /// the hard limit).
-    pub overload_pressure_threshold: f64,
-    /// Ceiling on the overload-induced extra loss.
-    pub overload_loss_max: f64,
     /// How bulk transfers are advanced (per-RTT rounds or fluid rates).
     #[serde(default)]
     pub flow_model: FlowModel,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 1460,
-            initial_cwnd: 10.0,
-            initial_ssthresh: 64.0,
-            handshake_rtts: 1.5,
-            loss_decrease_factor: 0.7,
-            ca_growth_factor: 0.05,
-            min_cwnd: 2.0,
-            max_cwnd: 512.0,
-            loss_utilization_floor: 0.25,
-            utilization_tau_secs: 1.0,
-            overload_loss_coeff: 0.9,
-            overload_pressure_threshold: 0.6,
-            overload_loss_max: 0.85,
-            flow_model: FlowModel::Rounds,
-        }
-    }
 }
 
 /// Dynamic state of one flow.
@@ -207,7 +185,6 @@ impl Flow {
     /// Returns the outcome and the wire bytes put on the path this round.
     pub fn advance_round(
         &mut self,
-        cfg: &TcpConfig,
         fair_share_bps: f64,
         effective_loss: f64,
         rng: &mut StdRng,
@@ -217,23 +194,23 @@ impl Flow {
         let budget_bytes = fair_share_bps / 8.0 * self.rtt.as_secs_f64();
         // `as u64` truncates like `floor` for non-negative values without
         // the libm call (the default x86-64 target has no roundsd).
-        let budget_pkts = ((budget_bytes / cfg.mss as f64) as u64).max(1);
+        let budget_pkts = ((budget_bytes / MSS as f64) as u64).max(1);
         let window_pkts = (self.cwnd as u64).max(1);
-        let remaining_pkts = (self.total - self.delivered).div_ceil(cfg.mss);
+        let remaining_pkts = (self.total - self.delivered).div_ceil(MSS);
         let send = budget_pkts.min(window_pkts).min(remaining_pkts);
 
         let lost = binomial(rng, send, effective_loss);
         let arrived = send - lost;
-        self.delivered = (self.delivered + arrived * cfg.mss).min(self.total);
+        self.delivered = (self.delivered + arrived * MSS).min(self.total);
 
         if lost > 0 {
             // One loss event per round: multiplicative decrease.
-            self.ssthresh = (self.cwnd * cfg.loss_decrease_factor).max(cfg.min_cwnd);
+            self.ssthresh = (self.cwnd * LOSS_DECREASE_FACTOR).max(MIN_CWND);
             self.cwnd = self.ssthresh;
         } else if self.cwnd < self.ssthresh {
-            self.cwnd = (self.cwnd * 2.0).min(self.ssthresh).min(cfg.max_cwnd);
+            self.cwnd = (self.cwnd * 2.0).min(self.ssthresh).min(MAX_CWND);
         } else {
-            self.cwnd = (self.cwnd + 1.0 + cfg.ca_growth_factor * self.cwnd).min(cfg.max_cwnd);
+            self.cwnd = (self.cwnd + 1.0 + CA_GROWTH_FACTOR * self.cwnd).min(MAX_CWND);
         }
 
         let outcome = if self.delivered >= self.total {
@@ -241,7 +218,7 @@ impl Flow {
         } else {
             RoundOutcome::InProgress
         };
-        (outcome, send * cfg.mss)
+        (outcome, send * MSS)
     }
 }
 
@@ -432,11 +409,10 @@ mod tests {
 
     #[test]
     fn lossless_flow_completes_and_grows_window() {
-        let cfg = TcpConfig::default();
         let mut rng = StdRng::seed_from_u64(1);
         let mut flow = test_flow(1_000_000, 0.0);
         let mut rounds = 0;
-        while flow.advance_round(&cfg, 1e9, flow.loss, &mut rng).0 == RoundOutcome::InProgress {
+        while flow.advance_round(1e9, flow.loss, &mut rng).0 == RoundOutcome::InProgress {
             rounds += 1;
             assert!(rounds < 100, "flow did not complete");
         }
@@ -448,36 +424,33 @@ mod tests {
 
     #[test]
     fn budget_caps_window() {
-        let cfg = TcpConfig::default();
         let mut rng = StdRng::seed_from_u64(1);
         let mut flow = test_flow(10_000_000, 0.0);
         // 128 kB/s fair share, 100 ms RTT → 12.8 kB ≈ 8 packets per round.
-        let (_, sent) = flow.advance_round(&cfg, 128_000.0 * 8.0, 0.0, &mut rng);
-        assert_eq!(flow.delivered, 8 * cfg.mss);
-        assert_eq!(sent, 8 * cfg.mss);
+        let (_, sent) = flow.advance_round(128_000.0 * 8.0, 0.0, &mut rng);
+        assert_eq!(flow.delivered, 8 * MSS);
+        assert_eq!(sent, 8 * MSS);
     }
 
     #[test]
     fn lossy_rounds_shrink_window() {
-        let cfg = TcpConfig::default();
         let mut rng = StdRng::seed_from_u64(1);
         let mut flow = test_flow(100_000_000, 0.9);
         for _ in 0..50 {
-            flow.advance_round(&cfg, 1e9, 0.9, &mut rng);
+            flow.advance_round(1e9, 0.9, &mut rng);
         }
         assert!(flow.cwnd <= 4.0, "window stayed at {}", flow.cwnd);
-        assert!(flow.cwnd >= cfg.min_cwnd);
+        assert!(flow.cwnd >= MIN_CWND);
     }
 
     #[test]
     fn loss_limited_throughput_tracks_mathis() {
         // At p=5%, RTT=100ms, Mathis predicts ≈ MSS/RTT · sqrt(3/2p) ≈ 80 kB/s.
-        let cfg = TcpConfig::default();
         let mut rng = StdRng::seed_from_u64(42);
         let mut flow = test_flow(u64::MAX / 2, 0.05);
         let rounds = 5_000;
         for _ in 0..rounds {
-            flow.advance_round(&cfg, 1e12, 0.05, &mut rng);
+            flow.advance_round(1e12, 0.05, &mut rng);
         }
         let secs = rounds as f64 * flow.rtt.as_secs_f64();
         let goodput = flow.delivered as f64 / secs;

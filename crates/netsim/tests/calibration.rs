@@ -1,9 +1,9 @@
 //! The single-transfer calibration oracle: how long the fluid model takes
 //! to move one segment-sized transfer against the round model it stands in
 //! for, on the paper's star (25 ms access links, 5 % end-to-end loss,
-//! default `TcpConfig`). Every ratio is pinned as an equality within a
-//! band, so a change to `fluid_ceiling`, the solver or the round model has
-//! to move this table in the same commit.
+//! the TCP constants of `tcp.rs`). Every ratio is pinned as an equality
+//! within a band, so a change to `fluid_ceiling`, the solver or the round
+//! model has to move this table in the same commit.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -55,10 +55,7 @@ fn mean_completion_secs(
     );
     let s = star(&vec![spec; flows + 1]);
     let mut sim = Simulator::new(s.network, seed);
-    sim.set_tcp_config(TcpConfig {
-        flow_model: model,
-        ..TcpConfig::default()
-    });
+    sim.set_tcp_config(TcpConfig { flow_model: model });
     let done_secs = Rc::new(RefCell::new(Vec::new()));
     sim.add_node(Box::new(NullBehavior)); // the hub
     sim.add_node(Box::new(Receiver {

@@ -12,7 +12,6 @@ use splicecast_netsim::*;
 fn fluid() -> TcpConfig {
     TcpConfig {
         flow_model: FlowModel::Fluid,
-        ..TcpConfig::default()
     }
 }
 

@@ -97,27 +97,29 @@ impl AbrAlgorithm {
     }
 }
 
-/// Configuration of an ABR (CDN-served) streaming run.
+/// Origin (CDN) access-link capacity, bytes per second.
+const ORIGIN_BANDWIDTH_BYTES_PER_SEC: f64 = 8_000_000.0;
+/// One-way client↔origin latency, seconds.
+const ONE_WAY_LATENCY_SECS: f64 = 0.05;
+/// End-to-end packet loss.
+const END_TO_END_LOSS: f64 = 0.05;
+/// Concurrent uploads the origin serves.
+const ORIGIN_UPLOAD_SLOTS: usize = 64;
+/// Clients join uniformly within this window, seconds.
+const JOIN_STAGGER_SECS: f64 = 1.0;
+/// Player re-buffering threshold, seconds.
+const RESUME_BUFFER_SECS: f64 = 0.25;
+
+/// Configuration of an ABR (CDN-served) streaming run. The origin and the
+/// path to it are the paper's: a fat edge cache 50 ms away over 5 % loss.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AbrConfig {
     /// Number of clients.
     pub n_clients: usize,
     /// Client access-link capacity, bytes per second.
     pub client_bandwidth_bytes_per_sec: f64,
-    /// Origin (CDN) access-link capacity, bytes per second.
-    pub origin_bandwidth_bytes_per_sec: f64,
-    /// One-way client↔origin latency, seconds.
-    pub one_way_latency_secs: f64,
-    /// End-to-end packet loss.
-    pub end_to_end_loss: f64,
-    /// Concurrent uploads the origin serves.
-    pub origin_upload_slots: usize,
     /// The rendition-selection algorithm.
     pub algorithm: AbrAlgorithm,
-    /// Clients join uniformly within this window, seconds.
-    pub join_stagger_secs: f64,
-    /// Player re-buffering threshold, seconds.
-    pub resume_buffer_secs: f64,
     /// Hard cap on simulated time, seconds.
     pub max_sim_secs: f64,
 }
@@ -127,16 +129,10 @@ impl Default for AbrConfig {
         AbrConfig {
             n_clients: 19,
             client_bandwidth_bytes_per_sec: 256_000.0,
-            origin_bandwidth_bytes_per_sec: 8_000_000.0,
-            one_way_latency_secs: 0.05,
-            end_to_end_loss: 0.05,
-            origin_upload_slots: 64,
             algorithm: AbrAlgorithm::BufferBased {
                 low_secs: 4.0,
                 high_secs: 16.0,
             },
-            join_stagger_secs: 1.0,
-            resume_buffer_secs: 0.25,
             max_sim_secs: 1_800.0,
         }
     }
@@ -153,23 +149,9 @@ impl AbrConfig {
             "client bandwidth must be positive",
         )?;
         rule(
-            self.origin_bandwidth_bytes_per_sec > 0.0,
-            "origin bandwidth must be positive",
-        )?;
-        rule(
-            self.client_bandwidth_bytes_per_sec.is_finite()
-                && self.origin_bandwidth_bytes_per_sec.is_finite(),
+            self.client_bandwidth_bytes_per_sec.is_finite(),
             "bandwidths must be finite",
         )?;
-        rule(
-            self.one_way_latency_secs.is_finite(),
-            "latency must be finite",
-        )?;
-        rule(
-            (0.0..1.0).contains(&self.end_to_end_loss),
-            "loss must be in [0,1)",
-        )?;
-        rule(self.origin_upload_slots > 0, "origin needs upload slots")?;
         rule(self.max_sim_secs > 0.0, "sim cap must be positive")
     }
 }
@@ -546,7 +528,7 @@ impl NodeBehavior for AbrClientNode {
 /// use splicecast_media::Ladder;
 /// use splicecast_swarm::{run_abr, AbrConfig};
 ///
-/// let ladder = Ladder::builder().duration_secs(60.0).seed(1).build();
+/// let ladder = Ladder::builder().duration_secs(60.0).build();
 /// let metrics = run_abr(&ladder, &AbrConfig::default(), 42);
 /// println!("delivered {:.2} Mbps with {:.1} stalls",
 ///          metrics.mean_bitrate_bps() / 1e6, metrics.mean_stalls());
@@ -555,10 +537,10 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     must(config.check());
     ladder.validate().expect("consistent ladder");
 
-    let per_link_loss = 1.0 - (1.0 - config.end_to_end_loss).sqrt();
-    let link_latency = SimDuration::from_secs_f64(config.one_way_latency_secs / 2.0);
+    let per_link_loss = 1.0 - (1.0 - END_TO_END_LOSS).sqrt();
+    let link_latency = SimDuration::from_secs_f64(ONE_WAY_LATENCY_SECS / 2.0);
     let mut leaf_specs = vec![LinkSpec::from_bytes_per_sec(
-        config.origin_bandwidth_bytes_per_sec,
+        ORIGIN_BANDWIDTH_BYTES_PER_SEC,
         link_latency,
         per_link_loss,
     )];
@@ -586,11 +568,11 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     sim.add_node(Box::new(OriginNode::new(
         ladder,
         bytes.clone(),
-        config.origin_upload_slots,
+        ORIGIN_UPLOAD_SLOTS,
     )));
     for index in 0..config.n_clients {
         let mut playback = Playback::new(ladder.segments(0));
-        playback.set_resume_threshold(config.resume_buffer_secs);
+        playback.set_resume_threshold(RESUME_BUFFER_SECS);
         sim.add_node(Box::new(AbrClientNode {
             index,
             origin: origin_id,
@@ -602,9 +584,7 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
                 config.client_bandwidth_bytes_per_sec,
             ),
             playback,
-            join_delay: SimDuration::from_secs_f64(
-                setup_rng.gen_range(0.0..=config.join_stagger_secs),
-            ),
+            join_delay: SimDuration::from_secs_f64(setup_rng.gen_range(0.0..=JOIN_STAGGER_SECS)),
             pump: SimDuration::from_millis(500),
             streaming: false,
             in_flight: None,
@@ -630,12 +610,7 @@ mod tests {
     use super::*;
 
     fn small_ladder() -> Ladder {
-        Ladder::builder()
-            .duration_secs(24.0)
-            .bitrates(&[250_000, 500_000, 1_000_000])
-            .segment_secs(4.0)
-            .seed(3)
-            .build()
+        Ladder::builder().duration_secs(24.0).build()
     }
 
     fn small_config(algorithm: AbrAlgorithm) -> AbrConfig {
@@ -644,7 +619,6 @@ mod tests {
             client_bandwidth_bytes_per_sec: 200_000.0,
             algorithm,
             max_sim_secs: 600.0,
-            ..AbrConfig::default()
         }
     }
 
@@ -735,6 +709,53 @@ mod tests {
         let config = small_config(AbrAlgorithm::RateBased { safety: 0.8 });
         assert_eq!(run_abr(&ladder, &config, 5), run_abr(&ladder, &config, 5));
         assert_ne!(run_abr(&ladder, &config, 5), run_abr(&ladder, &config, 6));
+    }
+
+    /// Pins the ABR baseline's exact output on the ABR ladder, all three
+    /// arms of `figure abr`, one seed: FNV-1a over each client's QoE,
+    /// delivered bitrate, switches and rung counts, each as one
+    /// little-endian `u64` word.
+    #[test]
+    fn abr_output_digest_is_pinned() {
+        let ladder = small_ladder();
+        let arms = [
+            AbrAlgorithm::BufferBased {
+                low_secs: 4.0,
+                high_secs: 16.0,
+            },
+            AbrAlgorithm::RateBased { safety: 0.8 },
+            AbrAlgorithm::FixedRendition(2),
+        ];
+        let opt_bits = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+        let mut words = Vec::new();
+        for algorithm in arms {
+            let config = AbrConfig {
+                client_bandwidth_bytes_per_sec: 160_000.0,
+                ..small_config(algorithm)
+            };
+            let metrics = run_abr(&ladder, &config, 7);
+            words.push(metrics.sim_end_secs.to_bits());
+            for r in &metrics.reports {
+                words.extend([
+                    r.client as u64,
+                    opt_bits(r.qoe.startup_secs),
+                    r.qoe.stall_count as u64,
+                    r.qoe.total_stall_secs.to_bits(),
+                    opt_bits(r.qoe.finished_secs),
+                    r.mean_bitrate_bps.to_bits(),
+                    r.switches as u64,
+                ]);
+                words.extend(r.rung_counts.iter().map(|&n| n as u64));
+            }
+        }
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(
+            digest, 0x615b_0a50_df9f_9b47,
+            "ABR run output changed; if intentional, update the pinned digest"
+        );
     }
 
     #[test]

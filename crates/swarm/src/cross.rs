@@ -13,44 +13,32 @@ use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration};
 
 use crate::{must, rule};
 
+/// Size of each background transfer, bytes; a finished transfer is
+/// restarted immediately while the load window is open.
+const TRANSFER_BYTES: u64 = 2_000_000;
+/// How long the background load keeps restarting, seconds (bounded so runs
+/// terminate).
+const DURATION_SECS: f64 = 300.0;
+
 /// Configuration of the background load.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrossTrafficConfig {
     /// Concurrent competing downloads per viewer.
     pub flows_per_peer: usize,
-    /// Size of each background transfer; a finished transfer is restarted
-    /// immediately while the load window is open.
-    pub transfer_bytes: u64,
-    /// How long the background load keeps restarting, seconds (bounded so
-    /// runs terminate).
-    pub duration_secs: f64,
 }
 
 impl Default for CrossTrafficConfig {
     fn default() -> Self {
-        CrossTrafficConfig {
-            flows_per_peer: 1,
-            transfer_bytes: 2_000_000,
-            duration_secs: 300.0,
-        }
+        CrossTrafficConfig { flows_per_peer: 1 }
     }
 }
 
 impl CrossTrafficConfig {
-    /// Checks the configuration: zero flows/bytes or a non-positive
-    /// duration is an `Err` naming the rule.
+    /// Checks the configuration: zero flows is an `Err` naming the rule.
     pub fn check(&self) -> Result<(), String> {
         rule(
             self.flows_per_peer > 0,
             "cross traffic needs at least one flow per peer",
-        )?;
-        rule(
-            self.transfer_bytes > 0,
-            "cross-traffic transfers need bytes",
-        )?;
-        rule(
-            self.duration_secs > 0.0,
-            "cross-traffic duration must be positive",
         )
     }
 
@@ -90,21 +78,17 @@ impl NodeBehavior for CrossTrafficNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for &target in &self.targets {
             for _ in 0..self.config.flows_per_peer {
-                let _ =
-                    ctx.start_transfer(target, self.config.transfer_bytes, target.index() as u64);
+                let _ = ctx.start_transfer(target, TRANSFER_BYTES, target.index() as u64);
             }
         }
-        ctx.set_timer(
-            SimDuration::from_secs_f64(self.config.duration_secs),
-            TOKEN_STOP,
-        );
+        ctx.set_timer(SimDuration::from_secs_f64(DURATION_SECS), TOKEN_STOP);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
         match event {
             NodeEvent::Timer { token: TOKEN_STOP } => self.active = false,
             NodeEvent::UploadComplete { to, .. } if self.active && ctx.is_online(to) => {
-                let _ = ctx.start_transfer(to, self.config.transfer_bytes, to.index() as u64);
+                let _ = ctx.start_transfer(to, TRANSFER_BYTES, to.index() as u64);
             }
             // A failed upload means the viewer churned out: stop loading it.
             _ => {}
@@ -124,20 +108,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one flow")]
     fn zero_flows_panics() {
-        CrossTrafficConfig {
-            flows_per_peer: 0,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "duration must be positive")]
-    fn zero_duration_panics() {
-        CrossTrafficConfig {
-            duration_secs: 0.0,
-            ..Default::default()
-        }
-        .validate();
+        CrossTrafficConfig { flows_per_peer: 0 }.validate();
     }
 }

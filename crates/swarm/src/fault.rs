@@ -242,50 +242,17 @@ impl FaultPlanConfig {
     }
 }
 
+/// First backoff-ban window after a source failure, seconds; doubles per
+/// consecutive failure.
+pub(crate) const BACKOFF_BASE_SECS: f64 = 5.0;
+/// Ceiling of the backoff-ban window, seconds.
+pub(crate) const BACKOFF_MAX_SECS: f64 = 60.0;
+
 /// Peer-side failure defenses: exponential backoff bans on failing
-/// sources, in seconds of simulated time. Off unless this config is present
-/// on the swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DefenseConfig {
-    /// First backoff-ban window after a source failure; doubles per
-    /// consecutive failure.
-    pub backoff_base_secs: f64,
-    /// Ceiling of the backoff-ban window.
-    pub backoff_max_secs: f64,
-}
-
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        DefenseConfig {
-            backoff_base_secs: 5.0,
-            backoff_max_secs: 60.0,
-        }
-    }
-}
-
-impl DefenseConfig {
-    /// Checks the windows: a non-positive base or a ceiling below the base
-    /// is an `Err` naming the rule.
-    pub fn check(&self) -> Result<(), String> {
-        rule(
-            self.backoff_base_secs > 0.0,
-            "backoff base must be positive",
-        )?;
-        rule(
-            self.backoff_max_secs >= self.backoff_base_secs,
-            "backoff ceiling must be at least the base",
-        )
-    }
-
-    /// Validates the windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`Self::check`]'s message when it fails.
-    pub fn validate(&self) {
-        must(self.check());
-    }
-}
+/// sources, `BACKOFF_BASE_SECS` doubling up to `BACKOFF_MAX_SECS`. Off
+/// unless this config is present on the swarm.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DefenseConfig;
 
 #[cfg(test)]
 mod tests {
@@ -460,7 +427,11 @@ mod tests {
 
     #[test]
     fn default_defense_validates() {
-        DefenseConfig::default().validate();
+        crate::SwarmConfig {
+            defense: Some(DefenseConfig),
+            ..crate::SwarmConfig::default()
+        }
+        .validate();
     }
 
     #[test]

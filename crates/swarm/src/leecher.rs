@@ -12,7 +12,7 @@ use splicecast_protocol::{
     decode_single, have_bundle_indices, Bitfield, EncodeBuf, Message, PROTOCOL_VERSION,
 };
 
-use crate::fault::DefenseConfig;
+use crate::fault::{DefenseConfig, BACKOFF_BASE_SECS, BACKOFF_MAX_SECS};
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
 use crate::nodemap::NodeMap;
 use crate::peer::PeerView;
@@ -203,7 +203,6 @@ pub struct LeecherNode {
     /// [`SegmentList::mean_segment_bytes`] is O(segments); the list is
     /// immutable, so the mean is computed once.
     mean_segment_bytes: u64,
-    pumping: bool,
     pumps: u64,
     /// Completions awaiting a coalesced flush (eventful mode).
     pending_haves: Vec<u32>,
@@ -277,7 +276,6 @@ impl LeecherNode {
             streaming: false,
             next_needed: 0,
             mean_segment_bytes: cfg.segments.mean_segment_bytes().round() as u64,
-            pumping: false,
             pumps: 0,
             pending_haves: Vec::new(),
             flush_at: None,
@@ -413,7 +411,6 @@ impl LeecherNode {
         if let Some(crash) = self.cfg.crash_after {
             ctx.set_timer(crash, TOKEN_CRASH);
         }
-        self.pumping = true;
         match self.cfg.control_plane {
             ControlPlane::Legacy => ctx.set_timer(self.cfg.pump_interval, TOKEN_PUMP),
             ControlPlane::Eventful => {
@@ -777,9 +774,9 @@ impl LeecherNode {
     /// window, so a flaky source is sidelined for progressively longer
     /// instead of being re-picked every round.
     fn record_source_failure(&mut self, now: SimTime, source: NodeId) {
-        let Some(defense) = self.cfg.defense else {
+        if self.cfg.defense.is_none() {
             return;
-        };
+        }
         if self.is_origin(source) {
             // The seeder and CDN are the swarm's safety net; banning them
             // could starve segments no leecher holds yet.
@@ -791,8 +788,7 @@ impl LeecherNode {
         });
         entry.failures = entry.failures.saturating_add(1);
         let exponent = entry.failures.saturating_sub(1).min(8);
-        let window =
-            (defense.backoff_base_secs * f64::from(1u32 << exponent)).min(defense.backoff_max_secs);
+        let window = (BACKOFF_BASE_SECS * f64::from(1u32 << exponent)).min(BACKOFF_MAX_SECS);
         entry.banned_until = now + SimDuration::from_secs_f64(window);
         self.report.fault.backoff_bans += 1;
     }
@@ -821,10 +817,10 @@ impl LeecherNode {
                 && ctx.now().saturating_since(f.requested_at) >= self.cfg.request_timeout)
     }
 
-    /// Re-requests the overdue entries. Re-requesting moves to a
-    /// *different* source when one exists (and cancels at the old one);
-    /// otherwise the timer is simply extended — the old source is still the
-    /// only provider.
+    /// Re-requests the overdue entries: when a fresh pick lands on a source
+    /// other than the timed-out one, the request is cancelled there and
+    /// re-issued by the next scheduling pass; otherwise its timer is
+    /// extended and nothing is re-sent.
     fn check_timeouts(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let mut stale = std::mem::take(&mut self.scratch_stale);
@@ -842,10 +838,12 @@ impl LeecherNode {
                 continue;
             }
             self.record_source_failure(now, entry.source);
-            // Exclude the timed-out source from the pick itself: choosing
-            // from the full pool and filtering afterwards would let the
-            // later scheduling pass re-request from the very peer that
-            // just timed out (its random tie-break sees the full pool).
+            // The pick sees the full pool and the timed-out source is
+            // filtered out afterwards. The pick prefers fellows over the
+            // seeder and the CDN, so when the timed-out source is the only
+            // fellow holding the segment there is no alternative, even
+            // with an origin online: the request is re-timed, never re-sent,
+            // and a `Request` the fault plane dropped is never replaced.
             let alternative = self
                 .pick_source_for(ctx, index, None)
                 .filter(|&s| s != entry.source);
@@ -1318,8 +1316,6 @@ impl LeecherNode {
         }
         if self.playback.state() != PlaybackState::Finished {
             ctx.set_timer(self.cfg.pump_interval, TOKEN_PUMP);
-        } else {
-            self.pumping = false;
         }
     }
 
@@ -1379,7 +1375,6 @@ impl LeecherNode {
             next = next.min(now + self.cfg.pump_interval.mul_f64(HEARTBEAT_PUMPS));
         }
         if next == SimTime::MAX {
-            self.pumping = false;
             return;
         }
         let at = next.max(now);
@@ -1638,7 +1633,7 @@ mod tests {
         assert_eq!(mem.total_bytes(), mem.view_bytes + mem.holder_bytes);
 
         let mut cfg = config(ids[1], others, DiscoveryMode::Tracker);
-        cfg.defense = Some(DefenseConfig::default());
+        cfg.defense = Some(DefenseConfig);
         let defended = LeecherNode::new(cfg).mem_bytes_estimate();
         assert_eq!(defended, mem, "defenses allocate nothing up front");
     }
@@ -2247,7 +2242,7 @@ mod tests {
 
         let mut cfg = config(s_id, vec![quiet_id, crashed_id], DiscoveryMode::Full);
         cfg.join_delay = SimDuration::from_secs_f64(0.1);
-        cfg.defense = Some(DefenseConfig::default());
+        cfg.defense = Some(DefenseConfig);
         let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
 
         let handshake = encode_to_bytes(&Message::Handshake {
@@ -2334,13 +2329,10 @@ mod tests {
         let seeder = NodeId::from_index(2);
         let a = NodeId::from_index(3);
         let mut cfg = config(seeder, vec![a], DiscoveryMode::Full);
-        cfg.defense = Some(DefenseConfig {
-            backoff_base_secs: 2.0,
-            backoff_max_secs: 10.0,
-        });
+        cfg.defense = Some(DefenseConfig);
         let mut l = LeecherNode::new(cfg);
         let t0 = SimTime::ZERO;
-        for expected in [2.0, 4.0, 8.0, 10.0] {
+        for expected in [5.0, 10.0, 20.0, 40.0, 60.0] {
             l.record_source_failure(t0, a);
             assert_eq!(
                 l.health[&a].banned_until,
@@ -2348,15 +2340,15 @@ mod tests {
                 "ban window must double up to the cap"
             );
         }
-        assert_eq!(l.report.fault.backoff_bans, 4);
+        assert_eq!(l.report.fault.backoff_bans, 5);
         l.record_source_success(a);
-        assert_eq!(l.health[&a].failures, 3);
+        assert_eq!(l.health[&a].failures, 4);
         assert_eq!(
             l.health[&a].banned_until,
             SimTime::ZERO,
             "a success lifts the active ban"
         );
-        for _ in 0..3 {
+        for _ in 0..4 {
             l.record_source_success(a);
         }
         assert!(

@@ -284,9 +284,6 @@ impl SwarmConfig {
         if let Some(faults) = &self.faults {
             faults.check(self.cdn.is_some())?;
         }
-        if let Some(defense) = &self.defense {
-            defense.check()?;
-        }
         // The rest is what a constructor further down refuses with a panic:
         // `UploadManager`, `BandwidthEstimator`, `gen_range`, `SimTime`.
         rule(
@@ -464,7 +461,6 @@ pub fn run_swarm_shared(
     let mut sim = Simulator::new(star.network, seed);
     sim.set_tcp_config(TcpConfig {
         flow_model: config.flow_model,
-        ..TcpConfig::default()
     });
     sim.add_node(Box::new(NullBehavior)); // the hub
     sim.add_node(Box::new(SeederNode::new(
@@ -743,7 +739,7 @@ mod tests {
                 message_loss: 0.02,
                 ..FaultPlanConfig::default()
             }),
-            defense: Some(DefenseConfig::default()),
+            defense: Some(DefenseConfig),
             ..tiny_config()
         };
         let metrics = run_swarm(&segments, &config, 11);
@@ -756,6 +752,23 @@ mod tests {
             output_digest(&metrics),
             0x4483_a5e4_d7e1_80e9,
             "scale-stack run output changed; if intentional, update the pinned digest"
+        );
+    }
+
+    /// Pins a paper-stack run that shares every access link with the
+    /// default background load, the one path the two pins above and the
+    /// benchmark never reach.
+    #[test]
+    fn cross_traffic_output_digest_is_pinned() {
+        let config = SwarmConfig {
+            cross_traffic: Some(crate::cross::CrossTrafficConfig::default()),
+            ..tiny_config()
+        };
+        let metrics = run_swarm(&tiny_segments(), &config, 11);
+        assert_eq!(
+            output_digest(&metrics),
+            0x07de_d013_193f_c997,
+            "cross-traffic run output changed; if intentional, update the pinned digest"
         );
     }
 
@@ -1416,16 +1429,6 @@ mod tests {
                     ..tiny_config()
                 },
                 "message loss must be in [0,1], got 2",
-            ),
-            (
-                SwarmConfig {
-                    defense: Some(DefenseConfig {
-                        backoff_base_secs: 0.0,
-                        ..DefenseConfig::default()
-                    }),
-                    ..tiny_config()
-                },
-                "backoff base must be positive",
             ),
         ];
         assert_eq!(tiny_config().check(), Ok(()));

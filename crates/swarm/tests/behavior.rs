@@ -137,11 +137,7 @@ fn competing_flows_degrade_but_do_not_break_streaming() {
     let loaded = run_swarm(
         &segments(24.0),
         &SwarmConfig {
-            cross_traffic: Some(CrossTrafficConfig {
-                flows_per_peer: 2,
-                duration_secs: 120.0,
-                ..CrossTrafficConfig::default()
-            }),
+            cross_traffic: Some(CrossTrafficConfig { flows_per_peer: 2 }),
             ..config()
         },
         8,

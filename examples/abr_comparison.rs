@@ -8,12 +8,7 @@
 use splicecast_core::{run_abr, AbrAlgorithm, AbrConfig, Ladder};
 
 fn main() {
-    let ladder = Ladder::builder()
-        .duration_secs(60.0)
-        .bitrates(&[250_000, 500_000, 1_000_000])
-        .segment_secs(4.0)
-        .seed(7)
-        .build();
+    let ladder = Ladder::builder().duration_secs(60.0).build();
     println!(
         "ladder: {} renditions × {} segments of ~4 s\n",
         ladder.len(),
@@ -35,7 +30,6 @@ fn main() {
                 client_bandwidth_bytes_per_sec: bandwidth,
                 algorithm,
                 max_sim_secs: 600.0,
-                ..AbrConfig::default()
             };
             let metrics = run_abr(&ladder, &config, 42);
             println!(

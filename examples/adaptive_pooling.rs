@@ -32,7 +32,6 @@ fn main() {
             .with_leechers(8);
         config.video = VideoSpec {
             duration_secs: 60.0,
-            ..VideoSpec::default()
         };
         let avg = run_averaged(&config, &[7, 8]);
         println!(

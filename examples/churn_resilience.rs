@@ -15,7 +15,6 @@ fn main() {
             .with_leechers(10);
         config.video = VideoSpec {
             duration_secs: 60.0,
-            ..VideoSpec::default()
         };
         if volatile > 0.0 {
             config.swarm.churn = Some(ChurnConfig::new(volatile, 30.0));

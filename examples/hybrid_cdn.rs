@@ -39,7 +39,6 @@ fn main() {
             .with_leechers(8);
         config.video = VideoSpec {
             duration_secs: 60.0,
-            ..VideoSpec::default()
         };
         config.swarm.p2p = p2p;
         config.swarm.cdn = with_cdn.then_some(cdn);

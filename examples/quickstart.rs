@@ -14,7 +14,6 @@ fn main() {
         .with_leechers(8);
     config.video = VideoSpec {
         duration_secs: 60.0,
-        ..VideoSpec::default()
     };
 
     println!("streaming a 60 s / 1 Mbps clip to 8 peers at 256 kB/s\n");

@@ -22,7 +22,6 @@ fn main() {
     let mut base = ExperimentConfig::paper_baseline().with_leechers(10);
     base.video = VideoSpec {
         duration_secs: 60.0,
-        ..VideoSpec::default()
     };
 
     let grid = Grid::new(

@@ -43,10 +43,9 @@ fn base() -> ExperimentConfig {
     let mut config = ExperimentConfig::paper_baseline()
         .with_bandwidth(384_000.0)
         .with_leechers(5)
-        .with_defense(DefenseConfig::default());
+        .with_defense(DefenseConfig);
     config.video = VideoSpec {
         duration_secs: 25.0,
-        ..VideoSpec::default()
     };
     config.swarm.cdn = Some(CdnConfig::default());
     config.swarm.max_sim_secs = 900.0;
@@ -285,7 +284,7 @@ fn cdn_only_swarm_rides_out_cdn_outages() {
         (cdn_only_with_outages(1, 1.0), [1, 2, 3]),
     ];
     for (mut config, seeds) in schedules {
-        for defense in [None, Some(DefenseConfig::default())] {
+        for defense in [None, Some(DefenseConfig)] {
             config.swarm.defense = defense;
             for seed in seeds {
                 let metrics = conserving_run(&config, seed);
@@ -331,7 +330,7 @@ fn defended_scale_swarm(leechers: usize, discovery: DiscoveryMode) -> Experiment
         .with_bandwidth(512_000.0)
         .with_splicing(SplicingSpec::Duration(2.0))
         .with_leechers(leechers)
-        .with_defense(DefenseConfig::default());
+        .with_defense(DefenseConfig);
     config.swarm.discovery = discovery;
     config
 }

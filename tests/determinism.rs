@@ -10,7 +10,6 @@ fn config(variant: usize) -> ExperimentConfig {
         .with_leechers(4);
     config.video = VideoSpec {
         duration_secs: 20.0,
-        ..VideoSpec::default()
     };
     config.swarm.max_sim_secs = 400.0;
     match variant {

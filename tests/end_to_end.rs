@@ -11,7 +11,6 @@ fn small_config(splicing: SplicingSpec) -> ExperimentConfig {
         .with_leechers(5);
     config.video = VideoSpec {
         duration_secs: 30.0,
-        ..VideoSpec::default()
     };
     config.swarm.max_sim_secs = 600.0;
     config

@@ -8,7 +8,6 @@ fn base() -> ExperimentConfig {
         .with_leechers(6);
     config.video = VideoSpec {
         duration_secs: 30.0,
-        ..VideoSpec::default()
     };
     config.swarm.max_sim_secs = 900.0;
     config

@@ -71,7 +71,6 @@ fn swarm_with(policy: PolicyConfig, bandwidth: f64) -> splicecast_core::Averaged
         .with_leechers(8);
     config.video = VideoSpec {
         duration_secs: 60.0,
-        ..VideoSpec::default()
     };
     config.swarm.max_sim_secs = 900.0;
     run_averaged(&config, &[4, 5, 6])

@@ -11,7 +11,6 @@ fn averaged(bandwidth: f64, splicing: SplicingSpec) -> AveragedMetrics {
         .with_leechers(8);
     config.video = VideoSpec {
         duration_secs: 60.0,
-        ..VideoSpec::default()
     };
     config.swarm.max_sim_secs = 900.0;
     run_averaged(&config, &[1, 2])
