@@ -552,8 +552,8 @@ impl Ctx<'_> {
     /// installed this is exactly `send` — same code path, same RNG draws.
     ///
     /// Applications route their *droppable* traffic classes (periodic
-    /// announcements, requests that have their own timeout) through here and
-    /// keep connection-shaping messages (handshakes, goodbyes) on `send`.
+    /// announcements a later one supersedes) through here and keep the
+    /// rest (handshakes, requests, goodbyes) on `send`.
     ///
     /// # Errors
     ///

@@ -1,7 +1,8 @@
 //! Binary length-prefixed encoding of [`Message`]s.
 //!
 //! Framing follows BitTorrent: a big-endian `u32` length prefix, then a
-//! type byte and body. The zero-length frame is a keep-alive.
+//! type byte and body. There is no keep-alive: a zero-length frame is an
+//! error.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -26,16 +27,11 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// assert_eq!(&buf[..], &[0, 0, 0, 5, 4, 0, 0, 0, 7]);
 /// ```
 pub fn encode(msg: &Message, dst: &mut BytesMut) {
-    let Some(kind) = msg.wire_type() else {
-        dst.put_u32(0); // keep-alive
-        return;
-    };
     let body_len = body_len(msg);
     dst.reserve(4 + 1 + body_len);
     dst.put_u32(1 + body_len as u32);
-    dst.put_u8(kind);
+    dst.put_u8(msg.wire_type());
     match msg {
-        Message::KeepAlive => unreachable!("handled above"),
         Message::Choke
         | Message::Unchoke
         | Message::Interested
@@ -130,7 +126,6 @@ impl EncodeBuf {
 
 fn body_len(msg: &Message) -> usize {
     match msg {
-        Message::KeepAlive => 0,
         Message::Choke
         | Message::Unchoke
         | Message::Interested
@@ -149,9 +144,12 @@ fn body_len(msg: &Message) -> usize {
     }
 }
 
-/// Splits one frame into its body (type byte first; empty for a
-/// keep-alive) and the number of bytes that trail it.
-fn split_frame(data: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
+/// The error for a frame with no type byte.
+const UNTYPED_FRAME: ProtocolError = ProtocolError::BadBody { kind: 0xFF, len: 0 };
+
+/// Splits one frame into its type byte, its body and the number of bytes
+/// that trail it.
+fn split_frame(data: &[u8]) -> Result<(u8, &[u8], usize), ProtocolError> {
     let truncated = ProtocolError::BadBody {
         kind: 0xFF,
         len: data.len(),
@@ -163,10 +161,13 @@ fn split_frame(data: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge { len });
     }
-    let Some((body, trailing)) = rest.split_at_checked(len as usize) else {
+    let Some((frame, trailing)) = rest.split_at_checked(len as usize) else {
         return Err(truncated);
     };
-    Ok((body, trailing.len()))
+    let Some((&kind, body)) = frame.split_first() else {
+        return Err(UNTYPED_FRAME);
+    };
+    Ok((kind, body, trailing.len()))
 }
 
 /// Decodes exactly one message from `data`.
@@ -180,11 +181,8 @@ fn split_frame(data: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
 ///
 /// Fails on truncated input, trailing bytes, or any malformed frame.
 pub fn decode_single(data: &[u8]) -> Result<Message, ProtocolError> {
-    let (body, trailing) = split_frame(data)?;
-    let msg = match body.split_first() {
-        None => Message::KeepAlive,
-        Some((&kind, body)) => decode_body_slice(kind, body)?,
-    };
+    let (kind, body, trailing) = split_frame(data)?;
+    let msg = decode_body_slice(kind, body)?;
     if trailing != 0 {
         return Err(ProtocolError::BadBody {
             kind: 0xFE,
@@ -209,7 +207,7 @@ pub fn decode_single(data: &[u8]) -> Result<Message, ProtocolError> {
 /// ```
 pub fn have_bundle_indices(frame: &[u8]) -> Option<impl Iterator<Item = u32> + '_> {
     match split_frame(frame) {
-        Ok(([15, body @ ..], 0)) => u32_list(15, body).ok(),
+        Ok((15, body, 0)) => u32_list(15, body).ok(),
         _ => None,
     }
 }
@@ -265,13 +263,13 @@ impl Decoder {
         if len > MAX_FRAME_LEN {
             return Err(ProtocolError::FrameTooLarge { len });
         }
+        if len == 0 {
+            return Err(UNTYPED_FRAME);
+        }
         if self.buf.len() < 4 + len as usize {
             return Ok(None);
         }
         self.buf.advance(4);
-        if len == 0 {
-            return Ok(Some(Message::KeepAlive));
-        }
         let mut body = self.buf.split_to(len as usize).freeze();
         let kind = body.get_u8();
         decode_body(kind, body).map(Some)
@@ -442,7 +440,6 @@ mod tests {
         bf.set(0);
         bf.set(12);
         vec![
-            Message::KeepAlive,
             Message::Handshake {
                 peer_id: 0xDEAD_BEEF,
                 info_hash: [7; 20],
@@ -519,6 +516,21 @@ mod tests {
                 len: MAX_FRAME_LEN + 1
             }
         );
+    }
+
+    /// No message encodes to a zero-length frame, and no decoder accepts
+    /// one: the protocol has no keep-alive.
+    #[test]
+    fn zero_length_frame_is_an_error() {
+        let frame = [0, 0, 0, 0];
+        assert_eq!(decode_single(&frame).unwrap_err(), UNTYPED_FRAME);
+        let mut dec = Decoder::new();
+        dec.feed(&frame);
+        assert_eq!(dec.poll().unwrap_err(), UNTYPED_FRAME);
+        assert!(have_bundle_indices(&frame).is_none());
+        for message in all_messages() {
+            assert!(encode_to_bytes(&message).len() > 4, "{}", message.name());
+        }
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub const PROTOCOL_VERSION: u8 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Message {
-    /// Connection liveness probe; carries nothing.
-    KeepAlive,
     /// Opens a session between two peers.
     Handshake {
         /// The sender's stable identity.
@@ -95,11 +93,9 @@ pub enum Message {
 }
 
 impl Message {
-    /// The wire type byte for this message. [`Message::KeepAlive`] has no
-    /// type byte (it is the zero-length frame) and returns `None`.
-    pub fn wire_type(&self) -> Option<u8> {
-        Some(match self {
-            Message::KeepAlive => return None,
+    /// The wire type byte for this message.
+    pub fn wire_type(&self) -> u8 {
+        match self {
             Message::Choke => 0,
             Message::Unchoke => 1,
             Message::Interested => 2,
@@ -117,13 +113,12 @@ impl Message {
             Message::PeerList { .. } => 14,
             Message::HaveBundle { .. } => 15,
             Message::Handshake { .. } => 20,
-        })
+        }
     }
 
     /// A short name for logs.
     pub fn name(&self) -> &'static str {
         match self {
-            Message::KeepAlive => "keep-alive",
             Message::Handshake { .. } => "handshake",
             Message::Choke => "choke",
             Message::Unchoke => "unchoke",
@@ -181,15 +176,13 @@ mod tests {
         ];
         let mut seen = std::collections::HashSet::new();
         for m in &msgs {
-            let t = m.wire_type().expect("typed message");
+            let t = m.wire_type();
             assert!(seen.insert(t), "duplicate wire type {t} for {}", m.name());
         }
-        assert_eq!(Message::KeepAlive.wire_type(), None);
     }
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(Message::KeepAlive.name(), "keep-alive");
         assert_eq!(Message::Request { index: 3 }.name(), "request");
     }
 }

@@ -175,7 +175,7 @@ pub struct FaultPlanConfig {
     #[serde(default)]
     pub crash: Option<CrashChurnConfig>,
     /// Probability that a droppable control message (Have/HaveBundle/
-    /// Bitfield/Request) silently vanishes.
+    /// Bitfield) silently vanishes.
     #[serde(default)]
     pub message_loss: f64,
     /// Probability that a surviving droppable message gets extra delay.

@@ -308,46 +308,51 @@ impl LeecherNode {
         !ctx.is_online(self.cfg.seeder) || self.cfg.cdn.is_some_and(|cdn| !ctx.is_online(cdn))
     }
 
-    /// Drops a peer's view and its holder-index entries. Evictions only
-    /// shrink the candidate sets, so they never mark the scheduler dirty.
-    /// An origin is never dropped: it is offline only during an outage,
-    /// which is a pause, and the `is_online` probe in every pick skips it
-    /// meanwhile.
-    fn forget_view(&mut self, peer: NodeId) {
-        if self.is_origin(peer) {
-            return;
-        }
-        if let Some(view) = self.views.remove(&peer) {
-            if view.handshaken() {
-                self.report.sched.holder_removes += self.holders.remove_peer(peer);
+    /// Forgets a peer that left, however we learned it — a `Goodbye`, a
+    /// failed send, a failed transfer or the offline probe: its view, its
+    /// holder-index entries and its timeout bans go, and so does every
+    /// request we have in flight to it, which marks the scheduler dirty.
+    /// The next scheduling pass re-requests those segments. An origin keeps
+    /// its view: it is offline only during an outage, which is a pause, and
+    /// the `is_online` probe in every pick skips it meanwhile.
+    fn forget_peer(&mut self, peer: NodeId) {
+        if !self.is_origin(peer) {
+            if let Some(view) = self.views.remove(&peer) {
+                if view.handshaken() {
+                    self.report.sched.holder_removes += self.holders.remove_peer(peer);
+                }
             }
+            // A one-shot ban names the peer whose request timed out on
+            // that segment; it must not outlive the peer, or a later
+            // redraw's `unwrap_or(banned)` fallback could point a request
+            // at a source that no longer exists.
+            self.timeout_bans.retain(|_, &mut banned| banned != peer);
         }
-        // A one-shot ban names the peer whose request timed out on that
-        // segment; once the peer is evicted the ban must not survive, or a
-        // later redraw's `unwrap_or(banned)` fallback could point a request
-        // at a source that no longer exists.
-        self.timeout_bans.retain(|_, &mut banned| banned != peer);
+        while let Some(index) = self
+            .in_flight
+            .iter()
+            .find(|(_, f)| f.source == peer)
+            .map(|(&index, _)| index)
+        {
+            self.drop_in_flight(index);
+        }
     }
 
     /// Whether the injected fault plane may drop or delay this message:
-    /// periodic availability traffic (a later announcement supersedes a
-    /// lost one) and requests (they carry their own timeout). Everything
-    /// that shapes connection state — handshakes, goodbyes, manifest
-    /// exchange, cancels — stays reliable.
+    /// periodic availability traffic, where losing one costs a candidate
+    /// until the next announcement. Everything else — requests included —
+    /// is reliable, as on the TCP connection the paper's peers speak over.
     fn droppable(message: &Message) -> bool {
         matches!(
             message,
-            Message::Have { .. }
-                | Message::HaveBundle { .. }
-                | Message::Bitfield(_)
-                | Message::Request { .. }
+            Message::Have { .. } | Message::HaveBundle { .. } | Message::Bitfield(_)
         )
     }
 
     /// The one send path: puts an encoded frame on the wire to `to` —
-    /// through the fault plane when `faulty` — or evicts a peer that turned
-    /// out unreachable. That failed send is how a crash is detected, as a
-    /// TCP sender learns of a dead peer from a connection reset.
+    /// through the fault plane when `faulty` — or forgets a peer that
+    /// turned out unreachable. That failed send is how a crash is detected,
+    /// as a TCP sender learns of a dead peer from a connection reset.
     fn send_wire(&mut self, ctx: &mut Ctx<'_>, to: NodeId, wire: Bytes, faulty: bool) -> bool {
         let result = if faulty {
             ctx.send_faulty(to, wire)
@@ -355,10 +360,7 @@ impl LeecherNode {
             ctx.send(to, wire)
         };
         if result.is_err() {
-            // Unreachable peer (churned out or crashed): forget it entirely.
-            // An origin in an outage is kept, see `forget_view`.
-            self.forget_view(to);
-            self.uploads.forget_peer(to);
+            self.forget_peer(to);
         }
         result.is_ok()
     }
@@ -518,10 +520,9 @@ impl LeecherNode {
         }
         self.report.sched.passes += 1;
         let now = ctx.now().as_secs_f64();
-        // Nothing below a want turns wanted inside a pass (holdings do not
-        // change and requests only add in-flight bits), so each scan
-        // resumes where the last one stopped: at that want, not after it —
-        // a request whose send failed left it wanted and must find it again.
+        // Nothing below a want turns wanted inside a pass while requests
+        // go out (holdings do not change and requests only add in-flight
+        // bits), so each scan resumes where the last one stopped.
         let mut scan_from = self.first_unheld();
         loop {
             let Some(want) = next_wanted_from(
@@ -572,7 +573,11 @@ impl LeecherNode {
                         .unwrap_or(banned);
                 }
             }
-            self.request_from(ctx, source, want);
+            if !self.request_from(ctx, source, want) {
+                // The failed send forgot the source and dropped its other
+                // requests, which may lie below this want.
+                scan_from = self.first_unheld();
+            }
         }
     }
 
@@ -722,26 +727,30 @@ impl LeecherNode {
         }
     }
 
-    fn request_from(&mut self, ctx: &mut Ctx<'_>, source: NodeId, index: u32) {
-        if self.say(ctx, source, &Message::Request { index }) {
-            self.in_flight.insert(
-                index,
-                InFlight {
-                    source,
-                    requested_at: ctx.now(),
-                    serving: false,
-                },
-            );
-            self.in_flight_mask.set(index);
-            if let Some(view) = self.views.get_mut(&source) {
-                view.outstanding += 1;
-            }
-            if self.cfg.control_plane == ControlPlane::Eventful {
-                // A pump must run when this request's timeout expires.
-                let deadline = ctx.now() + self.cfg.request_timeout;
-                self.arm_pump(ctx, deadline);
-            }
+    /// Sends a `Request` for `index` to `source` and records it in flight;
+    /// returns whether the send went out.
+    fn request_from(&mut self, ctx: &mut Ctx<'_>, source: NodeId, index: u32) -> bool {
+        if !self.say(ctx, source, &Message::Request { index }) {
+            return false;
         }
+        self.in_flight.insert(
+            index,
+            InFlight {
+                source,
+                requested_at: ctx.now(),
+                serving: false,
+            },
+        );
+        self.in_flight_mask.set(index);
+        if let Some(view) = self.views.get_mut(&source) {
+            view.outstanding += 1;
+        }
+        if self.cfg.control_plane == ControlPlane::Eventful {
+            // A pump must run when this request's timeout expires.
+            let deadline = ctx.now() + self.cfg.request_timeout;
+            self.arm_pump(ctx, deadline);
+        }
+        true
     }
 
     fn drop_in_flight(&mut self, index: u32) -> Option<InFlight> {
@@ -817,10 +826,11 @@ impl LeecherNode {
                 && ctx.now().saturating_since(f.requested_at) >= self.cfg.request_timeout)
     }
 
-    /// Re-requests the overdue entries: when a fresh pick lands on a source
-    /// other than the timed-out one, the request is cancelled there and
-    /// re-issued by the next scheduling pass; otherwise its timer is
-    /// extended and nothing is re-sent.
+    /// Re-points the overdue entries. A source that went offline is
+    /// forgotten. For a timed-out one, when a fresh pick lands on a source
+    /// other than it, the request is cancelled there and re-issued by the
+    /// next scheduling pass; otherwise its timer is extended and nothing is
+    /// re-sent.
     fn check_timeouts(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let mut stale = std::mem::take(&mut self.scratch_stale);
@@ -833,8 +843,9 @@ impl LeecherNode {
         );
         for &(index, entry) in &stale {
             if !ctx.is_online(entry.source) {
-                self.forget_view(entry.source);
-                self.drop_in_flight(index);
+                // Also drops the source's other overdue entries; their
+                // turn in this loop finds nothing left to forget.
+                self.forget_peer(entry.source);
                 continue;
             }
             self.record_source_failure(now, entry.source);
@@ -842,8 +853,9 @@ impl LeecherNode {
             // filtered out afterwards. The pick prefers fellows over the
             // seeder and the CDN, so when the timed-out source is the only
             // fellow holding the segment there is no alternative, even
-            // with an origin online: the request is re-timed, never re-sent,
-            // and a `Request` the fault plane dropped is never replaced.
+            // with an origin online: the request is re-timed, never re-sent.
+            // That is safe because a `Request` is reliable: it waits in the
+            // queue of a source that is still online.
             let alternative = self
                 .pick_source_for(ctx, index, None)
                 .filter(|&s| s != entry.source);
@@ -1181,17 +1193,8 @@ impl LeecherNode {
             }
             Message::Cancel { index } => self.uploads.on_cancel(from, index),
             Message::Goodbye => {
-                self.forget_view(from);
-                self.uploads.forget_peer(from);
-                // The departed peer may hold our pending requests; an
-                // immediate pump re-points them instead of waiting for
-                // their timeout deadline.
-                if self.cfg.control_plane == ControlPlane::Eventful
-                    && self.in_flight.values().any(|f| f.source == from)
-                {
-                    let now = ctx.now();
-                    self.arm_pump(ctx, now);
-                }
+                self.forget_peer(from);
+                self.schedule(ctx);
             }
             Message::PeerList { peers } => {
                 if !self.cfg.p2p {
@@ -1210,7 +1213,7 @@ impl LeecherNode {
                     self.greet(ctx, peer);
                 }
             }
-            // Choke/Unchoke/KeepAlive: purely informational in this client.
+            // Choke/Unchoke: purely informational in this client.
             _ => {}
         }
     }
@@ -1462,50 +1465,17 @@ impl NodeBehavior for LeecherNode {
                 self.uploads
                     .on_upload_complete(ctx, flow, &self.cfg.segments);
             }
-            NodeEvent::TransferFailed {
-                flow, peer, tag, ..
-            } => {
+            NodeEvent::TransferFailed { flow, peer, .. } => {
                 if self
                     .uploads
                     .on_transfer_failed(ctx, flow, &self.cfg.segments)
                 {
                     return;
                 }
-                // A download died (the source churned out mid-transfer).
-                let index = tag as u32;
-                if self.in_flight.get(&index).is_some_and(|f| f.source == peer) {
-                    self.drop_in_flight(index);
-                    if !ctx.is_online(peer) {
-                        self.forget_view(peer);
-                    } else {
-                        self.record_source_failure(ctx.now(), peer);
-                    }
-                    if !self.in_flight.is_empty() && !self.holdings.get(index) {
-                        // Refill the hole in the current batch directly.
-                        if let Some(source) = self.pick_source_for(ctx, index, None) {
-                            self.request_from(ctx, source, index);
-                        } else if self.cfg.control_plane == ControlPlane::Eventful {
-                            // No source for the hole right now, and the
-                            // remaining in-flight entries are serving —
-                            // nothing would arm a deadline before the
-                            // distant heartbeat. Retry on a near-term pump
-                            // (the dirty flag is set, so a source that
-                            // appears in the meantime fills it even
-                            // sooner).
-                            let at = ctx.now() + self.cfg.pump_interval;
-                            self.arm_pump(ctx, at);
-                        }
-                    } else {
-                        // Either the pool just drained (re-batch from the
-                        // frontier) or the failed segment is already held
-                        // (a raced duplicate): the freed slot must be
-                        // rescheduled either way, not left idle until the
-                        // next pump. This matters when an uploader crashes
-                        // with several of our requests in flight — every
-                        // entry's failure event must make progress.
-                        self.schedule(ctx);
-                    }
-                }
+                // A download fails only when its source went offline:
+                // nothing here cancels a transfer.
+                self.forget_peer(peer);
+                self.schedule(ctx);
             }
             _ => {}
         }
@@ -1955,13 +1925,12 @@ mod tests {
         assert_eq!(entry.source, b_id);
     }
 
-    /// Regression test: when a download dies and no alternative source
-    /// exists while other downloads are still in flight, the hole is
-    /// neither re-requested nor covered by an armed deadline — in eventful
-    /// mode nothing runs until the slow heartbeat. A near-term pump must be
-    /// armed, and the hole must refill as soon as a source appears.
+    /// When a download dies and no alternative source exists while other
+    /// downloads are still in flight, the failed segment is left wanted
+    /// with the schedule blocked on it, so the announcement of a new
+    /// holder refills the hole at once, long before the heartbeat pump.
     #[test]
-    fn failed_transfer_hole_arms_retry_and_refills() {
+    fn failed_transfer_hole_refills_when_a_source_appears() {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
         let net = star(&[spec; 5]);
         let (leecher_id, s_id, a_id, b_id, c_id) = (
@@ -2032,12 +2001,7 @@ mod tests {
             assert!(!l.in_flight.contains_key(&0), "the dead download is gone");
             assert!(l.in_flight.contains_key(&1));
             assert!(!l.views.contains_key(&a_id), "the churned source is gone");
-            assert!(
-                l.earliest_armed.as_secs_f64() < 4.0,
-                "a near-term pump must be armed for the unfilled hole, \
-                 not the distant heartbeat (armed: {:.2} s)",
-                l.earliest_armed.as_secs_f64()
-            );
+            assert_eq!(l.sched_state, SchedState::NoSource(0));
         }
 
         // C announces segment 0 at t = 3.5: the hole refills immediately.
@@ -2050,6 +2014,102 @@ mod tests {
                 .get(&0)
                 .expect("the hole must refill once a source appears");
             assert_eq!(entry.source, c_id);
+        }
+    }
+
+    /// A `Goodbye` from a peer that holds our queued request (not yet
+    /// serving) re-requests the segment elsewhere in the same event, on
+    /// both control planes: no pump, no timeout.
+    #[test]
+    fn goodbye_re_requests_its_queued_segment_in_the_same_event() {
+        /// Forwards to the leecher and records, after each message from
+        /// `watch`, the source of the request for segment 0.
+        struct Probe {
+            node: Rc<RefCell<LeecherNode>>,
+            watch: NodeId,
+            seen: Rc<RefCell<Vec<Option<NodeId>>>>,
+        }
+        impl NodeBehavior for Probe {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                self.node.borrow_mut().on_start(ctx);
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                let watched =
+                    matches!(&event, NodeEvent::Message { from, .. } if *from == self.watch);
+                let mut l = self.node.borrow_mut();
+                l.on_event(ctx, event);
+                if watched {
+                    self.seen
+                        .borrow_mut()
+                        .push(l.in_flight.get(&0).map(|f| f.source));
+                }
+            }
+        }
+
+        for plane in [ControlPlane::Legacy, ControlPlane::Eventful] {
+            let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+            let net = star(&[spec; 4]);
+            let (leecher_id, s_id, a_id, b_id) =
+                (net.leaves[0], net.leaves[1], net.leaves[2], net.leaves[3]);
+            let mut cfg = config(s_id, vec![a_id, b_id], DiscoveryMode::Full);
+            cfg.join_delay = SimDuration::from_secs_f64(0.1);
+            cfg.control_plane = plane;
+            // Pumps far out of the picture: only the Goodbye may act.
+            cfg.pump_interval = SimDuration::from_secs_f64(50.0);
+            let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
+            let seen = Rc::new(RefCell::new(Vec::new()));
+
+            let mut sim = Simulator::new(net.network, 3);
+            sim.add_node(Box::new(NullBehavior)); // hub
+            sim.add_node(Box::new(Probe {
+                node: node.clone(),
+                watch: a_id,
+                seen: seen.clone(),
+            }));
+            sim.add_node(Box::new(NullBehavior)); // seeder stand-in
+            sim.add_node(Box::new(At {
+                // A departs at t = 1, as a churned leecher does.
+                after: SimDuration::from_secs_f64(1.0),
+                action: move |ctx: &mut Ctx<'_>| {
+                    ctx.send(leecher_id, encode_to_bytes(&Message::Goodbye))
+                        .unwrap();
+                    ctx.go_offline();
+                },
+            }));
+            sim.add_node(Box::new(At {
+                // B handshakes and announces segment 0.
+                after: SimDuration::from_secs_f64(0.3),
+                action: move |ctx: &mut Ctx<'_>| {
+                    let hs = Message::Handshake {
+                        peer_id: 9,
+                        info_hash: crate::seeder::info_hash_of(""),
+                        version: PROTOCOL_VERSION,
+                    };
+                    ctx.send(leecher_id, encode_to_bytes(&hs)).unwrap();
+                    ctx.send(leecher_id, encode_to_bytes(&Message::Have { index: 0 }))
+                        .unwrap();
+                },
+            }));
+
+            // Segment 0 is queued at A, which has not started serving it.
+            sim.run_until_idle(SimTime::from_secs_f64(0.5));
+            {
+                let mut l = node.borrow_mut();
+                l.streaming = true;
+                put_in_flight(&mut l, 0, a_id, false);
+                l.views.get_mut(&a_id).unwrap().outstanding = 1;
+            }
+            sim.run_until_idle(SimTime::from_secs_f64(2.0));
+
+            assert_eq!(
+                *seen.borrow(),
+                [Some(b_id)],
+                "{plane:?}: the Goodbye's own event must move segment 0 to B"
+            );
+            let l = node.borrow();
+            l.audit_in_flight_mask();
+            assert!(!l.views.contains_key(&a_id), "{plane:?}: A is forgotten");
+            assert_eq!(l.views[&b_id].outstanding, 1);
         }
     }
 
@@ -2174,7 +2234,7 @@ mod tests {
         l.timeout_bans.insert(0, a);
         l.timeout_bans.insert(1, b);
         l.timeout_bans.insert(2, a);
-        l.forget_view(a);
+        l.forget_peer(a);
         assert!(
             !l.timeout_bans.values().any(|&s| s == a),
             "bans naming the evicted peer must be purged"

@@ -225,12 +225,6 @@ impl UploadManager {
             self.queue.remove(from);
         }
     }
-
-    /// Drops every queued request of a peer that went offline. Departures
-    /// are rare, so this keeps the one full pass over the queue.
-    pub fn forget_peer(&mut self, peer: NodeId) {
-        self.queue.retain(|r| r.peer != peer);
-    }
 }
 
 #[cfg(test)]
@@ -302,18 +296,6 @@ mod tests {
         assert_eq!(m.queued(), 1);
     }
 
-    #[test]
-    fn forget_peer_drops_all_of_its_requests() {
-        let mut m = UploadManager::new(1);
-        m.offer(req(1, 0), any);
-        m.offer(req(2, 1), any);
-        m.offer(req(2, 2), any);
-        m.offer(req(3, 3), any);
-        m.forget_peer(NodeId::from_index(2));
-        assert_eq!(m.queued(), 1);
-        assert_eq!(m.release(any), Some(req(3, 3)));
-    }
-
     /// A re-request can queue the same `(peer, segment)` twice; one
     /// `Cancel` removes every copy and nothing else, in place.
     #[test]
@@ -340,8 +322,8 @@ mod tests {
         assert_eq!(m.queued(), 3);
     }
 
-    /// The parent's `UploadManager`, written out: a `VecDeque` whose
-    /// `Cancel` and departure both `retain` over every entry.
+    /// A reference `UploadManager`, written out: a `VecDeque` whose
+    /// `Cancel` is a `retain` over every entry.
     struct Model {
         max_active: usize,
         active: usize,
@@ -361,7 +343,6 @@ mod tests {
             peer: usize,
         },
         Cancel(UploadRequest),
-        Forget(usize),
     }
 
     /// Four peers and four segments, so most pairs are queued more than
@@ -385,7 +366,6 @@ mod tests {
             release(),
             request().prop_map(Op::Cancel),
             request().prop_map(Op::Cancel),
-            (0usize..4).prop_map(Op::Forget),
         ]
     }
 
@@ -428,10 +408,6 @@ mod tests {
                     Op::Cancel(request) => {
                         model.queue.retain(|r| *r != request);
                         real.cancel(request.peer, request.segment);
-                    }
-                    Op::Forget(peer) => {
-                        model.queue.retain(|r| r.peer != NodeId::from_index(peer));
-                        real.forget_peer(NodeId::from_index(peer));
                     }
                 }
                 prop_assert_eq!(real.active(), model.active);

@@ -116,12 +116,10 @@ impl SeederNode {
                     .on_request(ctx, from, index, &self.segments, true);
             }
             Message::Cancel { index } => self.uploads.on_cancel(from, index),
-            Message::Goodbye => {
-                self.members.retain(|&p| p != from);
-                self.uploads.forget_peer(from);
-            }
-            // Interest/choke signalling and keep-alives need no reaction
-            // from an origin that always serves.
+            // Interest/choke signalling needs no reaction from an origin
+            // that always serves, and neither does a `Goodbye`: the tracker
+            // answers with online members only, and a request queued by a
+            // peer that left is skipped when its turn comes.
             _ => {}
         }
     }

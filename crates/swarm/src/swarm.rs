@@ -750,7 +750,7 @@ mod tests {
         );
         assert_eq!(
             output_digest(&metrics),
-            0x4483_a5e4_d7e1_80e9,
+            0xcde3_a90f_8fe4_5610,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }

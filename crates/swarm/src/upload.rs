@@ -80,16 +80,12 @@ impl UploadSide {
         self.warm_peers.get(word).is_some_and(|w| w & bit != 0)
     }
 
-    fn set_warm(&mut self, peer: NodeId, warm: bool) {
+    fn set_warm(&mut self, peer: NodeId) {
         let (word, bit) = (peer.index() / 64, 1u64 << (peer.index() % 64));
-        if warm {
-            if self.warm_peers.len() <= word {
-                self.warm_peers.resize(word + 1, 0);
-            }
-            self.warm_peers[word] |= bit;
-        } else if let Some(w) = self.warm_peers.get_mut(word) {
-            *w &= !bit;
+        if self.warm_peers.len() <= word {
+            self.warm_peers.resize(word + 1, 0);
         }
+        self.warm_peers[word] |= bit;
     }
 
     /// Handles an incoming `Request`. `have` guards against requests for
@@ -164,13 +160,6 @@ impl UploadSide {
         true
     }
 
-    /// Drops everything involving a departed peer (queued requests only;
-    /// in-flight flows fail on their own through the simulator).
-    pub fn forget_peer(&mut self, peer: NodeId) {
-        self.mgr.forget_peer(peer);
-        self.set_warm(peer, false);
-    }
-
     fn pop_serviceable(&mut self, ctx: &mut Ctx<'_>) -> Option<UploadRequest> {
         // Prefer requests for segments nobody is currently receiving (they
         // grow the number of replicas); serve duplicates only to requesters
@@ -208,7 +197,7 @@ impl UploadSide {
                 };
                 match started {
                     Ok(flow) => {
-                        self.set_warm(req.peer, true);
+                        self.set_warm(req.peer);
                         self.active_flows.push((flow, req));
                         return;
                     }
