@@ -214,10 +214,10 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
 fn qoe_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
     let mut out = format!(
         "  stalls:            {:.1}  (rounded: {})\n  stall time:        {:.1} s\n  startup:           {:.1} s\n  completion:        {:.0}%\n  peer offload:      {:.0}%\n",
-        averaged.stalls.mean,
+        averaged.stalls,
         averaged.rounded_stalls,
-        averaged.stall_secs.mean,
-        averaged.startup_secs.mean,
+        averaged.stall_secs,
+        averaged.startup_secs,
         averaged.completion_rate * 100.0,
         averaged.peer_offload * 100.0,
     );
@@ -308,9 +308,9 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     if csv {
         out.push_str(&format!(
             "\ncsv:\nstalls,stall_secs,startup_secs,completion,offload\n{:.2},{:.2},{:.2},{:.3},{:.3}\n",
-            averaged.stalls.mean,
-            averaged.stall_secs.mean,
-            averaged.startup_secs.mean,
+            averaged.stalls,
+            averaged.stall_secs,
+            averaged.startup_secs,
             averaged.completion_rate,
             averaged.peer_offload,
         ));
@@ -419,9 +419,9 @@ fn channel_lines(config: &ExperimentConfig, runs: &[RunResult], per_channel: usi
         out.push_str(&format!(
             "  {:<6} stalls {:>5.1}  stall time {:>6.1} s  startup {:>5.1} s  completion {:>3.0}%\n",
             format!("ch{i}"),
-            averaged.stalls.mean,
-            averaged.stall_secs.mean,
-            averaged.startup_secs.mean,
+            averaged.stalls,
+            averaged.stall_secs,
+            averaged.startup_secs,
             averaged.completion_rate * 100.0,
         ));
     }
@@ -466,9 +466,9 @@ pub fn sweep_command(args: &Args) -> Result<String, String> {
         .collect::<Result<Vec<_>, String>>()?;
     let (title, metric): (_, fn(&AveragedMetrics) -> f64) =
         match args.value("metric")?.unwrap_or("stalls") {
-            "stalls" => ("Stalls per viewer", |m| m.stalls.mean),
-            "stallsecs" => ("Total stall duration, seconds", |m| m.stall_secs.mean),
-            "startup" => ("Startup time, seconds", |m| m.startup_secs.mean),
+            "stalls" => ("Stalls per viewer", |m| m.stalls),
+            "stallsecs" => ("Total stall duration, seconds", |m| m.stall_secs),
+            "startup" => ("Startup time, seconds", |m| m.startup_secs),
             other => return Err(format!("unknown metric `{other}`")),
         };
     let (base, seeds, workers) = (base_config(args)?, seeds(args)?, workers(args)?);

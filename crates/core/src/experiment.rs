@@ -13,7 +13,7 @@ use splicecast_swarm::SwarmMetrics;
 
 use crate::config::ExperimentConfig;
 use crate::runner::{PreparedExperiment, RunResult};
-use crate::stats::{rounded_mean, Summary};
+use crate::stats::{mean, rounded_mean};
 
 /// Seeds used when the caller does not supply their own (three runs, like
 /// the paper).
@@ -25,13 +25,13 @@ pub struct AveragedMetrics {
     /// Number of runs.
     pub runs: usize,
     /// Mean (over runs) of the per-viewer mean stall count.
-    pub stalls: Summary,
+    pub stalls: f64,
     /// The paper's headline number: the rounded average stall count.
     pub rounded_stalls: i64,
     /// Mean of per-viewer total stall duration, seconds.
-    pub stall_secs: Summary,
+    pub stall_secs: f64,
     /// Mean of per-viewer startup time, seconds.
-    pub startup_secs: Summary,
+    pub startup_secs: f64,
     /// Mean fraction of viewers that finished the video.
     pub completion_rate: f64,
     /// Mean fraction of segment deliveries served by other peers.
@@ -91,11 +91,11 @@ impl AveragedMetrics {
         AveragedMetrics {
             runs: results.len(),
             rounded_stalls: rounded_mean(&stalls),
-            stalls: Summary::of(&stalls),
-            stall_secs: Summary::of(&per_run(SwarmMetrics::mean_stall_secs)),
-            startup_secs: Summary::of(&per_run(SwarmMetrics::mean_startup_secs)),
-            completion_rate: Summary::of(&per_run(SwarmMetrics::completion_rate)).mean,
-            peer_offload: Summary::of(&per_run(SwarmMetrics::peer_offload_ratio)).mean,
+            stalls: mean(&stalls),
+            stall_secs: mean(&per_run(SwarmMetrics::mean_stall_secs)),
+            startup_secs: mean(&per_run(SwarmMetrics::mean_startup_secs)),
+            completion_rate: mean(&per_run(SwarmMetrics::completion_rate)),
+            peer_offload: mean(&per_run(SwarmMetrics::peer_offload_ratio)),
             overhead_ratio: results[0].overhead_ratio,
             segment_count: results[0].segment_count,
             control,
@@ -263,7 +263,7 @@ mod tests {
             .iter()
             .map(|&s| run_once(&cfg, s).metrics.mean_stalls())
             .collect();
-        assert!((avg.stalls.mean - Summary::of(&manual).mean).abs() < 1e-12);
+        assert!((avg.stalls - mean(&manual)).abs() < 1e-12);
         assert_eq!(avg.rounded_stalls, rounded_mean(&manual));
         assert_eq!(avg.segment_count, 3);
     }
@@ -317,9 +317,9 @@ mod tests {
         assert_eq!(
             legacy.rounded_stalls, eventful.rounded_stalls,
             "stall counts diverged: legacy {:.2} vs eventful {:.2}",
-            legacy.stalls.mean, eventful.stalls.mean
+            legacy.stalls, eventful.stalls
         );
-        let (lt, et) = (legacy.stall_secs.mean, eventful.stall_secs.mean);
+        let (lt, et) = (legacy.stall_secs, eventful.stall_secs);
         assert!(
             (et - lt).abs() <= (lt * 0.2).max(1.0),
             "stall time diverged: legacy {lt:.1} s vs eventful {et:.1} s"

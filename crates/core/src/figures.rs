@@ -168,10 +168,10 @@ pub fn figure(name: &str) -> Option<&'static Figure> {
 }
 
 type Metric = fn(&AveragedMetrics) -> f64;
-const STALLS: Metric = |m| m.stalls.mean;
+const STALLS: Metric = |m| m.stalls;
 const ROUNDED_STALLS: Metric = |m| m.rounded_stalls as f64;
-const STALL_SECS: Metric = |m| m.stall_secs.mean;
-const STARTUP_SECS: Metric = |m| m.startup_secs.mean;
+const STALL_SECS: Metric = |m| m.stall_secs;
+const STARTUP_SECS: Metric = |m| m.startup_secs;
 
 /// Every figure the repository reports: the paper's Figures 2–5, then the
 /// ablations its §I, §III, §IV and §VIII ask for.
@@ -235,7 +235,7 @@ pub static FIGURES: [Figure; 10] = [
             vec![
                 r.table(stalls, ROUNDED_STALLS, 0),
                 r.table("Startup time, seconds (supplementary)", STARTUP_SECS, 1),
-                r.table(delay, |m| m.startup_secs.mean + m.stall_secs.mean, 1),
+                r.table(delay, |m| m.startup_secs + m.stall_secs, 1),
             ]
         },
     },
@@ -486,7 +486,7 @@ fn abr_tables(dur_adapt: &GridResult, base: &ExperimentConfig, seeds: &[u64]) ->
         }
         let cell = dur_adapt.at(row, 0);
         let full_quality = PAPER_BITRATE_BPS as f64 / 1e6;
-        columns.push([cell.stalls.mean, cell.stall_secs.mean, full_quality]);
+        columns.push([cell.stalls, cell.stall_secs, full_quality]);
         for (k, table) in tables.iter_mut().enumerate() {
             let values: Vec<f64> = columns.iter().map(|column| column[k]).collect();
             table.push_row(label, &values);
@@ -538,10 +538,10 @@ mod tests {
         assert_eq!(cell(1, 0).n_leechers, 3);
         assert_eq!(cell(1, 0).peer_bandwidth_bytes_per_sec, 512_000.0);
         let result = grid.run(&[1], 2);
-        let table = result.table("t", |m| m.startup_secs.mean, 1);
+        let table = result.table("t", |m| m.startup_secs, 1);
         assert_eq!(table.len(), 2);
         assert_eq!(table.row_label(1).as_deref(), Some("hi"));
         assert_eq!(table.series_names(), ["3", "4", "5"]);
-        assert_eq!(table.value(1, 2), Some(result.at(1, 2).startup_secs.mean));
+        assert_eq!(table.value(1, 2), Some(result.at(1, 2).startup_secs));
     }
 }

@@ -64,7 +64,7 @@ pub use formula::{max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size
 pub use report::Table;
 pub use runner::{run_once, PreparedExperiment, RunResult};
 pub use splicing::SplicingSpec;
-pub use stats::{rounded_mean, Summary};
+pub use stats::rounded_mean;
 
 pub use splicecast_media as media;
 pub use splicecast_netsim as netsim;

@@ -4,7 +4,7 @@
 //! type byte and body. There is no keep-alive: a zero-length frame is an
 //! error.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::bitfield::Bitfield;
 use crate::error::ProtocolError;
@@ -40,10 +40,6 @@ pub fn encode(msg: &Message, dst: &mut BytesMut) {
         | Message::PeerListRequest
         | Message::Goodbye => {}
         Message::Have { index } | Message::Request { index } | Message::Cancel { index } => {
-            dst.put_u32(*index);
-        }
-        Message::RequestRendition { rendition, index } => {
-            dst.put_u8(*rendition);
             dst.put_u32(*index);
         }
         Message::PeerList { peers } => {
@@ -134,7 +130,6 @@ fn body_len(msg: &Message) -> usize {
         | Message::PeerListRequest
         | Message::Goodbye => 0,
         Message::Have { .. } | Message::Request { .. } | Message::Cancel { .. } => 4,
-        Message::RequestRendition { .. } => 5,
         Message::PeerList { peers } => 4 + 4 * peers.len(),
         Message::HaveBundle { indices } => 4 + 4 * indices.len(),
         Message::SegmentHeader { .. } => 12,
@@ -210,78 +205,6 @@ pub fn have_bundle_indices(frame: &[u8]) -> Option<impl Iterator<Item = u32> + '
         Ok((15, body, 0)) => u32_list(15, body).ok(),
         _ => None,
     }
-}
-
-/// A streaming decoder: feed arbitrary chunks, poll complete messages.
-///
-/// # Examples
-///
-/// ```
-/// use splicecast_protocol::{encode_to_bytes, Decoder, Message};
-///
-/// let wire = encode_to_bytes(&Message::Request { index: 2 });
-/// let mut dec = Decoder::new();
-/// dec.feed(&wire[..3]); // partial frame
-/// assert!(dec.poll().unwrap().is_none());
-/// dec.feed(&wire[3..]);
-/// assert_eq!(dec.poll().unwrap(), Some(Message::Request { index: 2 }));
-/// ```
-#[derive(Debug, Default)]
-pub struct Decoder {
-    buf: BytesMut,
-}
-
-impl Decoder {
-    /// Creates an empty decoder.
-    pub fn new() -> Self {
-        Decoder::default()
-    }
-
-    /// Appends received bytes to the internal buffer.
-    pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Attempts to decode the next complete message.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProtocolError`] on malformed frames. After an error the
-    /// decoder state is unspecified; drop the connection.
-    pub fn poll(&mut self) -> Result<Option<Message>, ProtocolError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_LEN {
-            return Err(ProtocolError::FrameTooLarge { len });
-        }
-        if len == 0 {
-            return Err(UNTYPED_FRAME);
-        }
-        if self.buf.len() < 4 + len as usize {
-            return Ok(None);
-        }
-        self.buf.advance(4);
-        let mut body = self.buf.split_to(len as usize).freeze();
-        let kind = body.get_u8();
-        decode_body(kind, body).map(Some)
-    }
-}
-
-fn decode_body(kind: u8, body: Bytes) -> Result<Message, ProtocolError> {
-    if kind == 10 {
-        // Streaming path: hand the manifest payload over without copying.
-        return Ok(Message::ManifestData { payload: body });
-    }
-    decode_body_slice(kind, &body)
 }
 
 /// Advances `body` past its first `n` bytes and returns them.
@@ -393,14 +316,6 @@ fn decode_body_slice(kind: u8, mut body: &[u8]) -> Result<Message, ProtocolError
             fixed(body, 0)?;
             Message::Goodbye
         }
-        12 => {
-            fixed(body, 5)?;
-            let rendition = split(&mut body, 1)[0];
-            Message::RequestRendition {
-                rendition,
-                index: read_u32(&mut body),
-            }
-        }
         13 => {
             fixed(body, 0)?;
             Message::PeerListRequest
@@ -456,10 +371,6 @@ mod tests {
             Message::HaveBundle { indices: vec![] },
             Message::Bitfield(bf),
             Message::Request { index: u32::MAX },
-            Message::RequestRendition {
-                rendition: 3,
-                index: 17,
-            },
             Message::PeerListRequest,
             Message::PeerList {
                 peers: vec![1, 5, 900],
@@ -487,46 +398,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_decoder_handles_byte_at_a_time() {
-        let mut wire = BytesMut::new();
-        let msgs = all_messages();
-        for m in &msgs {
-            encode(m, &mut wire);
-        }
-        let mut dec = Decoder::new();
-        let mut out = Vec::new();
-        for &b in wire.iter() {
-            dec.feed(&[b]);
-            while let Some(m) = dec.poll().unwrap() {
-                out.push(m);
-            }
-        }
-        assert_eq!(out, msgs);
-        assert_eq!(dec.buffered(), 0);
-    }
-
+    /// The length prefix alone is enough to refuse an oversize frame.
     #[test]
     fn oversize_frame_is_rejected_without_buffering() {
-        let mut dec = Decoder::new();
-        dec.feed(&(MAX_FRAME_LEN + 1).to_be_bytes());
         assert_eq!(
-            dec.poll().unwrap_err(),
+            decode_single(&(MAX_FRAME_LEN + 1).to_be_bytes()).unwrap_err(),
             ProtocolError::FrameTooLarge {
                 len: MAX_FRAME_LEN + 1
             }
         );
     }
 
-    /// No message encodes to a zero-length frame, and no decoder accepts
-    /// one: the protocol has no keep-alive.
+    /// No message encodes to a zero-length frame, and neither reader
+    /// accepts one: the protocol has no keep-alive.
     #[test]
     fn zero_length_frame_is_an_error() {
         let frame = [0, 0, 0, 0];
         assert_eq!(decode_single(&frame).unwrap_err(), UNTYPED_FRAME);
-        let mut dec = Decoder::new();
-        dec.feed(&frame);
-        assert_eq!(dec.poll().unwrap_err(), UNTYPED_FRAME);
         assert!(have_bundle_indices(&frame).is_none());
         for message in all_messages() {
             assert!(encode_to_bytes(&message).len() > 4, "{}", message.name());
@@ -535,18 +423,17 @@ mod tests {
 
     #[test]
     fn unknown_type_is_rejected() {
-        let mut dec = Decoder::new();
-        dec.feed(&[0, 0, 0, 1, 99]);
-        assert_eq!(dec.poll().unwrap_err(), ProtocolError::UnknownType(99));
+        assert_eq!(
+            decode_single(&[0, 0, 0, 1, 99]).unwrap_err(),
+            ProtocolError::UnknownType(99)
+        );
     }
 
     #[test]
     fn wrong_body_length_is_rejected() {
         // A `Have` with a 2-byte body.
-        let mut dec = Decoder::new();
-        dec.feed(&[0, 0, 0, 3, 4, 0, 0]);
         assert_eq!(
-            dec.poll().unwrap_err(),
+            decode_single(&[0, 0, 0, 3, 4, 0, 0]).unwrap_err(),
             ProtocolError::BadBody { kind: 4, len: 2 }
         );
     }
@@ -560,10 +447,24 @@ mod tests {
             decode_single(&frame).unwrap_err(),
             ProtocolError::UnknownType(16)
         );
-        let mut dec = Decoder::new();
-        dec.feed(&frame);
-        assert_eq!(dec.poll().unwrap_err(), ProtocolError::UnknownType(16));
         assert!(have_bundle_indices(&frame).is_none());
+    }
+
+    /// Wire type 12 carried the retired per-rendition request (an ABR
+    /// client now names a rendition's segment with a plain `Request`); it
+    /// is unassigned again, whatever body follows it.
+    #[test]
+    fn retired_wire_type_12_is_an_unknown_type() {
+        for frame in [&[0, 0, 0, 6, 12, 3, 0, 0, 0, 17][..], &[0, 0, 0, 1, 12]] {
+            assert_eq!(
+                decode_single(frame).unwrap_err(),
+                ProtocolError::UnknownType(12)
+            );
+        }
+        for message in all_messages() {
+            let wire = encode_to_bytes(&message);
+            assert_ne!(wire.get(4), Some(&12), "{}", message.name());
+        }
     }
 
     #[test]
@@ -657,19 +558,15 @@ mod tests {
 
     #[test]
     fn decoder_never_panics_on_arbitrary_prefixes() {
-        // Deterministic pseudo-fuzz: every prefix of a noisy buffer.
+        // Deterministic pseudo-fuzz: every prefix of every suffix of a
+        // noisy buffer. Any result is acceptable; a panic is not.
         let noise: Vec<u8> = (0..512u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
-        for end in 0..noise.len() {
-            let mut dec = Decoder::new();
-            dec.feed(&noise[..end]);
-            // Poll until it errors or stalls; must never panic.
-            for _ in 0..16 {
-                match dec.poll() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) | Err(_) => break,
-                }
+        for start in 0..noise.len() {
+            for end in start..noise.len() {
+                let _ = decode_single(&noise[start..end]);
+                let _ = have_bundle_indices(&noise[start..end]).map(Iterator::count);
             }
         }
     }

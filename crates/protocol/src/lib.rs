@@ -7,8 +7,9 @@
 //! - [`Message`]: handshake, choke/interest signalling, [`Bitfield`]
 //!   availability maps, `Have` announcements, whole-segment `Request`s, a
 //!   `SegmentHeader` announcing each bulk transfer, and manifest exchange.
-//! - [`encode`] / [`Decoder`]: a length-prefixed binary codec with streaming
-//!   (partial-buffer) decode, strict validation, and a frame-size cap.
+//! - [`encode`] / [`decode_single`]: a length-prefixed binary codec with
+//!   strict validation and a frame-size cap, one whole frame at a time (the
+//!   simulator delivers every message as one frame).
 //!
 //! ## Example
 //!
@@ -31,7 +32,7 @@ mod message;
 
 pub use bitfield::Bitfield;
 pub use codec::{
-    decode_single, encode, encode_to_bytes, have_bundle_indices, Decoder, EncodeBuf, MAX_FRAME_LEN,
+    decode_single, encode, encode_to_bytes, have_bundle_indices, EncodeBuf, MAX_FRAME_LEN,
 };
 pub use error::ProtocolError;
 pub use message::{Message, PROTOCOL_MAGIC, PROTOCOL_VERSION};

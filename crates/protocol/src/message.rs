@@ -54,14 +54,6 @@ pub enum Message {
         /// Segment index.
         index: u32,
     },
-    /// Ask the receiver to upload one segment of a specific rendition of a
-    /// multi-bitrate ladder (the adaptive-bitrate baseline).
-    RequestRendition {
-        /// Ladder rung, ascending by bitrate.
-        rendition: u8,
-        /// Segment index.
-        index: u32,
-    },
     /// Withdraw an earlier request.
     Cancel {
         /// Segment index.
@@ -108,7 +100,6 @@ impl Message {
             Message::ManifestRequest => 9,
             Message::ManifestData { .. } => 10,
             Message::Goodbye => 11,
-            Message::RequestRendition { .. } => 12,
             Message::PeerListRequest => 13,
             Message::PeerList { .. } => 14,
             Message::HaveBundle { .. } => 15,
@@ -128,7 +119,6 @@ impl Message {
             Message::HaveBundle { .. } => "have-bundle",
             Message::Bitfield(_) => "bitfield",
             Message::Request { .. } => "request",
-            Message::RequestRendition { .. } => "request-rendition",
             Message::Cancel { .. } => "cancel",
             Message::SegmentHeader { .. } => "segment-header",
             Message::ManifestRequest => "manifest-request",
@@ -162,10 +152,6 @@ mod tests {
                 payload: Bytes::new(),
             },
             Message::Goodbye,
-            Message::RequestRendition {
-                rendition: 0,
-                index: 0,
-            },
             Message::PeerListRequest,
             Message::PeerList { peers: vec![] },
             Message::Handshake {

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use bytes::BytesMut;
 use splicecast_protocol::*;
 
 fn arbitrary_message() -> impl Strategy<Value = Message> {
@@ -44,32 +43,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn any_message_stream_survives_arbitrary_chunking(
-        messages in prop::collection::vec(arbitrary_message(), 1..20),
-        chunk_sizes in prop::collection::vec(1usize..64, 1..32),
-    ) {
-        let mut wire = BytesMut::new();
-        for m in &messages {
-            encode(m, &mut wire);
-        }
-        let mut decoder = Decoder::new();
-        let mut decoded = Vec::new();
-        let mut offset = 0;
-        let mut chunk_idx = 0;
-        while offset < wire.len() {
-            let size = chunk_sizes[chunk_idx % chunk_sizes.len()].min(wire.len() - offset);
-            chunk_idx += 1;
-            decoder.feed(&wire[offset..offset + size]);
-            offset += size;
-            while let Some(m) = decoder.poll().unwrap() {
-                decoded.push(m);
-            }
-        }
-        prop_assert_eq!(decoded, messages);
-        prop_assert_eq!(decoder.buffered(), 0);
-    }
-
-    #[test]
     fn bitfield_matches_a_reference_model(
         ops in prop::collection::vec((any::<bool>(), any::<u16>()), 0..300),
         len in 1u32..300,
@@ -103,11 +76,9 @@ proptest! {
     fn truncated_frames_never_decode_to_garbage(msg in arbitrary_message()) {
         let wire = encode_to_bytes(&msg);
         for cut in 0..wire.len() {
-            let mut decoder = Decoder::new();
-            decoder.feed(&wire[..cut]);
-            // Incomplete, as expected: every frame has a type byte, so no
-            // proper prefix completes one.
-            prop_assert_eq!(decoder.poll(), Ok(None));
+            // Every frame has a type byte, so no proper prefix completes
+            // one: each is an error, never a shorter message.
+            prop_assert!(decode_single(&wire[..cut]).is_err());
         }
     }
 
@@ -116,10 +87,8 @@ proptest! {
         let mut wire = encode_to_bytes(&msg).to_vec();
         if wire.len() >= 4 {
             wire[3] ^= flip; // corrupt the low length byte
-            let mut decoder = Decoder::new();
-            decoder.feed(&wire);
             // Must not panic; any result is acceptable.
-            let _ = decoder.poll();
+            let _ = decode_single(&wire);
         }
     }
 }

@@ -6,25 +6,27 @@
 //! quality when the bandwidth becomes low". This module implements that
 //! baseline faithfully so the two approaches can be compared on the same
 //! substrate: CDN-served clients that fetch segments sequentially and pick
-//! a rendition of a [`Ladder`] per segment.
+//! a rendition of a [`Ladder`] per segment. The origin is the swarm's own
+//! [`SeederNode`] over every rung's segments in one list, so a client asks
+//! for a rendition with a plain `Request`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use rand::{Rng, SeedableRng};
-use splicecast_media::{Ladder, Manifest};
+use splicecast_media::{Ladder, Segment, SegmentList};
 use splicecast_netsim::{
-    star, Ctx, FlowId, LinkSpec, NodeBehavior, NodeEvent, NodeId, NullBehavior, SimDuration,
-    SimTime, Simulator,
+    star, Ctx, LinkSpec, NodeBehavior, NodeEvent, NodeId, NullBehavior, SimDuration, SimTime,
+    Simulator,
 };
 use splicecast_player::{Playback, PlaybackState, QoeMetrics, StallEvent};
 use splicecast_protocol::{decode_single, encode_to_bytes, Message};
 
-use crate::peer::{UploadManager, UploadRequest};
+use crate::metrics::mean;
 use crate::policy::{BandwidthEstimator, EstimatorKind};
+use crate::seeder::SeederNode;
 use crate::{must, rule};
 
 const TOKEN_BOOT: u64 = 1;
@@ -217,140 +219,20 @@ impl AbrMetrics {
     }
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for v in values {
-        sum += v;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Per-(rendition, segment) byte table shared by origin and clients.
-type ByteTable = Rc<Vec<Vec<u64>>>;
-
-fn byte_table(ladder: &Ladder) -> Vec<Vec<u64>> {
-    (0..ladder.len())
-        .map(|r| {
-            (0..ladder.segment_count())
-                .map(|s| ladder.segment_bytes(r, s))
-                .collect()
+/// Every rung's segments in one list for the origin to serve: rung `r`'s
+/// segment `i` is entry `r·n + i` (`n` = the ladder's segment count), and
+/// each entry's index is renumbered to its position so the manifest's URIs
+/// stay unique.
+fn all_renditions(ladder: &Ladder) -> SegmentList {
+    let segments = (0..ladder.len())
+        .flat_map(|r| ladder.segments(r).iter())
+        .enumerate()
+        .map(|(at, segment)| Segment {
+            index: at as u32,
+            ..*segment
         })
-        .collect()
-}
-
-fn tag_of(rendition: usize, index: u32) -> u64 {
-    ((rendition as u64) << 32) | u64::from(index)
-}
-
-fn untag(tag: u64) -> (usize, u32) {
-    ((tag >> 32) as usize, tag as u32)
-}
-
-/// The CDN origin: holds every rendition, serves rendition requests over
-/// bounded slots.
-#[derive(Debug)]
-struct OriginNode {
-    bytes: ByteTable,
-    manifest_wire: Bytes,
-    slots: UploadManager,
-    active: std::collections::HashMap<FlowId, ()>,
-}
-
-impl OriginNode {
-    fn new(ladder: &Ladder, bytes: ByteTable, slots: usize) -> Self {
-        let manifest = Manifest::from_segments("abr", ladder.segments(0));
-        OriginNode {
-            bytes,
-            manifest_wire: Bytes::from(manifest.to_m3u8().into_bytes()),
-            slots: UploadManager::new(slots),
-            active: std::collections::HashMap::new(),
-        }
-    }
-}
-
-impl NodeBehavior for OriginNode {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-        match event {
-            NodeEvent::Message { from, payload } => {
-                let Ok(message) = decode_single(&payload) else {
-                    return;
-                };
-                match message {
-                    Message::ManifestRequest => {
-                        let reply = Message::ManifestData {
-                            payload: self.manifest_wire.clone(),
-                        };
-                        let _ = ctx.send(from, encode_to_bytes(&reply));
-                    }
-                    Message::RequestRendition { rendition, index } => {
-                        self.start_upload(ctx, from, rendition as usize, index);
-                    }
-                    _ => {}
-                }
-            }
-            NodeEvent::UploadComplete { flow, .. } | NodeEvent::TransferFailed { flow, .. }
-                if self.active.remove(&flow).is_some() =>
-            {
-                if let Some(next) = self.slots.release(|_| true) {
-                    let (rendition, index) = untag_request(&next);
-                    self.begin_transfer(ctx, next.peer, rendition, index);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn tag_request(peer: NodeId, rendition: usize, index: u32) -> UploadRequest {
-    // UploadRequest.segment is 32 bits; pack the rendition into the top
-    // byte (ladders are tiny, segment counts < 2^24).
-    UploadRequest {
-        peer,
-        segment: ((rendition as u32) << 24) | index,
-    }
-}
-
-fn untag_request(request: &UploadRequest) -> (usize, u32) {
-    (
-        (request.segment >> 24) as usize,
-        request.segment & 0x00FF_FFFF,
-    )
-}
-
-impl OriginNode {
-    fn start_upload(&mut self, ctx: &mut Ctx<'_>, to: NodeId, rendition: usize, index: u32) {
-        if rendition >= self.bytes.len() || index as usize >= self.bytes[rendition].len() {
-            return; // malformed request
-        }
-        let request = tag_request(to, rendition, index);
-        if self.slots.offer(request, |_| true) {
-            self.begin_transfer(ctx, to, rendition, index);
-        } else {
-            let _ = ctx.send(to, encode_to_bytes(&Message::Choke));
-        }
-    }
-
-    fn begin_transfer(&mut self, ctx: &mut Ctx<'_>, to: NodeId, rendition: usize, index: u32) {
-        let bytes = self.bytes[rendition][index as usize];
-        let header = Message::SegmentHeader { index, bytes };
-        let _ = ctx.send(to, encode_to_bytes(&header));
-        match ctx.start_transfer_warm(to, bytes, tag_of(rendition, index)) {
-            Ok(flow) => {
-                self.active.insert(flow, ());
-            }
-            Err(_) => {
-                if let Some(next) = self.slots.release(|_| true) {
-                    let (r, i) = untag_request(&next);
-                    self.begin_transfer(ctx, next.peer, r, i);
-                }
-            }
-        }
-    }
+        .collect();
+    SegmentList::new(segments)
 }
 
 /// A sequential HLS-style client: fetch, measure, adapt, repeat.
@@ -366,8 +248,9 @@ struct AbrClientNode {
     join_delay: SimDuration,
     pump: SimDuration,
     streaming: bool,
-    in_flight: Option<(usize, u32)>,
-    requested_at: SimTime,
+    /// A request is out: the origin queues it until a slot frees, so the
+    /// client waits for its transfer and never re-sends.
+    in_flight: bool,
     rung_counts: Vec<usize>,
     last_rung: Option<usize>,
     switches: usize,
@@ -381,7 +264,7 @@ impl AbrClientNode {
     }
 
     fn request_next(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.streaming || self.in_flight.is_some() {
+        if !self.streaming || self.in_flight {
             return;
         }
         let Some(index) = self.next_segment() else {
@@ -392,14 +275,10 @@ impl AbrClientNode {
         let rung = self
             .algorithm
             .choose(&self.bitrates, buffered, self.estimator.bytes_per_sec());
-        let message = Message::RequestRendition {
-            rendition: rung as u8,
-            index,
+        let message = Message::Request {
+            index: rung as u32 * self.durations.len() as u32 + index,
         };
-        if ctx.send(self.origin, encode_to_bytes(&message)).is_ok() {
-            self.in_flight = Some((rung, index));
-            self.requested_at = ctx.now();
-        }
+        self.in_flight = ctx.send(self.origin, encode_to_bytes(&message)).is_ok();
     }
 
     fn write_report(&mut self, ctx: &mut Ctx<'_>) {
@@ -450,12 +329,6 @@ impl NodeBehavior for AbrClientNode {
             }
             NodeEvent::Timer { token: TOKEN_PUMP } => {
                 self.playback.advance(ctx.now().as_secs_f64());
-                // Re-request if a request was lost in a choke/drop race.
-                if self.in_flight.is_some()
-                    && ctx.now().saturating_since(self.requested_at) > SimDuration::from_secs(30)
-                {
-                    self.in_flight = None;
-                }
                 self.request_next(ctx);
                 if self.playback.state() != PlaybackState::Finished {
                     ctx.set_timer(self.pump, TOKEN_PUMP);
@@ -479,31 +352,23 @@ impl NodeBehavior for AbrClientNode {
                 started,
                 ..
             } => {
-                let (rung, index) = untag(tag);
+                let n = self.durations.len() as u64;
+                let (rung, index) = ((tag / n) as usize, tag % n);
                 let now = ctx.now();
                 self.estimator
                     .observe(bytes, now.saturating_since(started).as_secs_f64());
-                if self.in_flight == Some((rung, index)) {
-                    self.in_flight = None;
+                self.in_flight = false;
+                self.rung_counts[rung] += 1;
+                if self.last_rung.is_some_and(|last| last != rung) {
+                    self.switches += 1;
                 }
-                if rung < self.rung_counts.len() {
-                    self.rung_counts[rung] += 1;
-                    if let Some(last) = self.last_rung {
-                        if last != rung {
-                            self.switches += 1;
-                        }
-                    }
-                    self.last_rung = Some(rung);
-                }
+                self.last_rung = Some(rung);
                 self.playback.on_segment(index as usize, now.as_secs_f64());
                 self.request_next(ctx);
             }
-            NodeEvent::TransferFailed { tag, .. } => {
-                let (rung, index) = untag(tag);
-                if self.in_flight == Some((rung, index)) {
-                    self.in_flight = None;
-                    self.request_next(ctx);
-                }
+            NodeEvent::TransferFailed { .. } => {
+                self.in_flight = false;
+                self.request_next(ctx);
             }
             _ => {}
         }
@@ -555,7 +420,6 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     let star = star(&leaf_specs);
     let origin_id = star.leaves[0];
 
-    let bytes: ByteTable = Rc::new(byte_table(ladder));
     let bitrates: Vec<u64> = (0..ladder.len()).map(|r| ladder.bitrate_bps(r)).collect();
     let durations: Vec<f64> = (0..ladder.segment_count())
         .map(|s| ladder.segment_secs(s))
@@ -565,9 +429,9 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     let sink = Rc::new(RefCell::new(Vec::new()));
     let mut sim = Simulator::new(star.network, seed);
     sim.add_node(Box::new(NullBehavior)); // hub
-    sim.add_node(Box::new(OriginNode::new(
-        ladder,
-        bytes.clone(),
+    sim.add_node(Box::new(SeederNode::new(
+        all_renditions(ladder),
+        0,
         ORIGIN_UPLOAD_SLOTS,
     )));
     for index in 0..config.n_clients {
@@ -587,8 +451,7 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
             join_delay: SimDuration::from_secs_f64(setup_rng.gen_range(0.0..=JOIN_STAGGER_SECS)),
             pump: SimDuration::from_millis(500),
             streaming: false,
-            in_flight: None,
-            requested_at: SimTime::ZERO,
+            in_flight: false,
             rung_counts: vec![0; ladder.len()],
             last_rung: None,
             switches: 0,
@@ -612,6 +475,16 @@ mod tests {
     fn small_ladder() -> Ladder {
         Ladder::builder().duration_secs(24.0).build()
     }
+
+    /// The three arms of `figure abr`.
+    const ARMS: [AbrAlgorithm; 3] = [
+        AbrAlgorithm::BufferBased {
+            low_secs: 4.0,
+            high_secs: 16.0,
+        },
+        AbrAlgorithm::RateBased { safety: 0.8 },
+        AbrAlgorithm::FixedRendition(2),
+    ];
 
     fn small_config(algorithm: AbrAlgorithm) -> AbrConfig {
         AbrConfig {
@@ -718,17 +591,9 @@ mod tests {
     #[test]
     fn abr_output_digest_is_pinned() {
         let ladder = small_ladder();
-        let arms = [
-            AbrAlgorithm::BufferBased {
-                low_secs: 4.0,
-                high_secs: 16.0,
-            },
-            AbrAlgorithm::RateBased { safety: 0.8 },
-            AbrAlgorithm::FixedRendition(2),
-        ];
         let opt_bits = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
         let mut words = Vec::new();
-        for algorithm in arms {
+        for algorithm in ARMS {
             let config = AbrConfig {
                 client_bandwidth_bytes_per_sec: 160_000.0,
                 ..small_config(algorithm)
@@ -753,17 +618,33 @@ mod tests {
             digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
         }
         assert_eq!(
-            digest, 0x615b_0a50_df9f_9b47,
+            digest, 0xc67b_581d_c8c0_7216,
             "ABR run output changed; if intentional, update the pinned digest"
         );
     }
 
+    /// With more clients than the origin has slots, requests queue and are
+    /// served as slots free: every client finishes, under every algorithm,
+    /// on thin and fat links alike, without ever re-sending a request.
     #[test]
-    fn request_tags_round_trip() {
-        for (r, i) in [(0usize, 0u32), (3, 77), (255, 0x00FF_FFFF)] {
-            let req = tag_request(NodeId::from_index(1), r, i);
-            assert_eq!(untag_request(&req), (r, i));
+    fn every_client_finishes_past_the_origins_slots() {
+        let ladder = small_ladder();
+        for algorithm in ARMS {
+            for bandwidth in [96_000.0, 256_000.0] {
+                let config = AbrConfig {
+                    n_clients: 100,
+                    client_bandwidth_bytes_per_sec: bandwidth,
+                    ..small_config(algorithm)
+                };
+                assert!(config.n_clients > ORIGIN_UPLOAD_SLOTS);
+                let metrics = run_abr(&ladder, &config, 7);
+                assert_eq!(
+                    metrics.completion_rate(),
+                    1.0,
+                    "{} at {bandwidth} B/s",
+                    algorithm.name()
+                );
+            }
         }
-        assert_eq!(untag(tag_of(2, 9)), (2, 9));
     }
 }

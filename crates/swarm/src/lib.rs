@@ -96,7 +96,6 @@ pub use metrics::{
     ControlPlaneStats, DisseminationStats, MetricsSink, PeerFaultStats, PeerMemStats, PeerReport,
     SchedulerStats, SwarmMetrics,
 };
-pub use peer::{PeerView, UploadManager, UploadRequest};
 pub use policy::{
     optimal_pool_size, AdaptivePooling, BandwidthEstimator, DownloadPolicy, EstimatorKind,
     FixedPool, PolicyConfig, PolicyInput, WEstimate,
@@ -107,4 +106,3 @@ pub use swarm::{
     auto_coalesce_secs, run_swarm, run_swarm_shared, ControlPlane, DiscoveryMode,
     DisseminationMode, SchedulerMode, SwarmConfig,
 };
-pub use upload::UploadSide;

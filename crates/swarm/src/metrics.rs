@@ -380,7 +380,8 @@ impl SwarmMetrics {
     }
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
+/// The mean of `values`; 0 when there are none.
+pub(crate) fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
     for v in values {

@@ -142,16 +142,6 @@ impl UploadManager {
         }
     }
 
-    /// Number of uploads currently running.
-    pub fn active(&self) -> usize {
-        self.active
-    }
-
-    /// Number of requests waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Offers a request. Returns `true` when it can start right away (a
     /// slot was claimed and `can_serve` allowed it); otherwise it is
     /// queued. `can_serve` lets the caller veto requests that must wait
@@ -171,22 +161,9 @@ impl UploadManager {
     }
 
     /// Releases a slot after an upload ends (complete or failed) and pops
-    /// the first queued request `can_serve` allows, which immediately
-    /// occupies the slot. Skipped requests keep their queue order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no upload is active.
-    pub fn release<F>(&mut self, can_serve: F) -> Option<UploadRequest>
-    where
-        F: FnMut(&UploadRequest) -> bool,
-    {
-        self.release_preferring(can_serve, |_| false)
-    }
-
-    /// Like [`UploadManager::release`], but with a two-level preference:
-    /// the first queued request matching `primary` wins; if none matches,
-    /// the first matching `fallback` is taken instead.
+    /// a queued request, which immediately occupies the slot: the first
+    /// matching `primary`, or if none does, the first matching `fallback`.
+    /// Skipped requests keep their queue order.
     ///
     /// # Panics
     ///
@@ -243,14 +220,18 @@ mod tests {
         true
     }
 
+    fn none(_: &UploadRequest) -> bool {
+        false
+    }
+
     #[test]
     fn slots_then_queue() {
         let mut m = UploadManager::new(2);
         assert!(m.offer(req(1, 0), any));
         assert!(m.offer(req(2, 1), any));
         assert!(!m.offer(req(3, 2), any));
-        assert_eq!(m.active(), 2);
-        assert_eq!(m.queued(), 1);
+        assert_eq!(m.active, 2);
+        assert_eq!(m.queue.len(), 1);
     }
 
     #[test]
@@ -259,19 +240,19 @@ mod tests {
         assert!(m.offer(req(1, 0), any));
         assert!(!m.offer(req(2, 1), any));
         assert!(!m.offer(req(3, 2), any));
-        assert_eq!(m.release(any), Some(req(2, 1)));
-        assert_eq!(m.active(), 1, "popped request re-occupies the slot");
-        assert_eq!(m.release(any), Some(req(3, 2)));
-        assert_eq!(m.release(any), None);
-        assert_eq!(m.active(), 0);
+        assert_eq!(m.release_preferring(any, none), Some(req(2, 1)));
+        assert_eq!(m.active, 1, "popped request re-occupies the slot");
+        assert_eq!(m.release_preferring(any, none), Some(req(3, 2)));
+        assert_eq!(m.release_preferring(any, none), None);
+        assert_eq!(m.active, 0);
     }
 
     #[test]
     fn offer_veto_queues_despite_free_slot() {
         let mut m = UploadManager::new(4);
         assert!(!m.offer(req(1, 7), |_| false));
-        assert_eq!(m.active(), 0);
-        assert_eq!(m.queued(), 1);
+        assert_eq!(m.active, 0);
+        assert_eq!(m.queue.len(), 1);
     }
 
     #[test]
@@ -281,9 +262,12 @@ mod tests {
         m.offer(req(2, 5), any);
         m.offer(req(3, 6), any);
         // Veto segment 5: release should pop segment 6 and keep 5 queued.
-        assert_eq!(m.release(|r| r.segment != 5), Some(req(3, 6)));
-        assert_eq!(m.queued(), 1);
-        assert_eq!(m.release(any), Some(req(2, 5)));
+        assert_eq!(
+            m.release_preferring(|r| r.segment != 5, none),
+            Some(req(3, 6))
+        );
+        assert_eq!(m.queue.len(), 1);
+        assert_eq!(m.release_preferring(any, none), Some(req(2, 5)));
     }
 
     #[test]
@@ -291,9 +275,9 @@ mod tests {
         let mut m = UploadManager::new(1);
         assert!(m.offer(req(1, 0), any));
         m.offer(req(2, 5), any);
-        assert_eq!(m.release(|_| false), None);
-        assert_eq!(m.active(), 0);
-        assert_eq!(m.queued(), 1);
+        assert_eq!(m.release_preferring(none, none), None);
+        assert_eq!(m.active, 0);
+        assert_eq!(m.queue.len(), 1);
     }
 
     /// A re-request can queue the same `(peer, segment)` twice; one
@@ -316,10 +300,10 @@ mod tests {
         m.cancel(NodeId::from_index(2), 5);
         let left: Vec<_> = m.queue.iter().copied().collect();
         assert_eq!(left, [req(1, 5), req(2, 6), req(3, 5)]);
-        assert_eq!(m.active(), 1, "an upload in progress is left to finish");
+        assert_eq!(m.active, 1, "an upload in progress is left to finish");
         m.cancel(NodeId::from_index(2), 5); // nothing queued: a no-op
         m.cancel(NodeId::from_index(7), 0);
-        assert_eq!(m.queued(), 3);
+        assert_eq!(m.queue.len(), 3);
     }
 
     /// A reference `UploadManager`, written out: a `VecDeque` whose
@@ -410,8 +394,8 @@ mod tests {
                         real.cancel(request.peer, request.segment);
                     }
                 }
-                prop_assert_eq!(real.active(), model.active);
-                prop_assert_eq!(real.queued(), model.queue.len());
+                prop_assert_eq!(real.active, model.active);
+                prop_assert_eq!(real.queue.len(), model.queue.len());
                 prop_assert_eq!(&real.queue, &model.queue);
             }
         }
@@ -420,7 +404,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "release without an active upload")]
     fn release_when_idle_panics() {
-        UploadManager::new(1).release(any);
+        UploadManager::new(1).release_preferring(any, none);
     }
 
     #[test]

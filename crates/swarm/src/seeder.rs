@@ -29,7 +29,8 @@ pub fn info_hash_of(manifest_text: &str) -> [u8; 20] {
 
 /// The origin node: starts with every segment, answers manifest requests,
 /// handshakes, and segment requests. Also used as the CDN node in hybrid
-/// mode (a CDN is an origin with a fatter pipe).
+/// mode (a CDN is an origin with a fatter pipe) and as the origin of the
+/// adaptive-bitrate baseline ([`run_abr`](crate::run_abr)).
 #[derive(Debug)]
 pub struct SeederNode {
     segments: Arc<SegmentList>,
@@ -65,16 +66,6 @@ impl SeederNode {
             wire_buf: EncodeBuf::new(),
             members: Vec::new(),
         }
-    }
-
-    /// The swarm identifier derived from the manifest.
-    pub fn info_hash(&self) -> [u8; 20] {
-        self.info_hash
-    }
-
-    /// Total payload bytes uploaded so far.
-    pub fn bytes_uploaded(&self) -> u64 {
-        self.uploads.bytes_uploaded
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
@@ -161,6 +152,6 @@ mod tests {
         let segs = DurationSplicer::new(2.0).splice(&v);
         let seeder = SeederNode::new(segs, 99, 4);
         assert!(seeder.holdings.is_complete());
-        assert_eq!(seeder.bytes_uploaded(), 0);
+        assert_eq!(seeder.uploads.bytes_uploaded, 0);
     }
 }

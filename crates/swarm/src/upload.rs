@@ -53,16 +53,6 @@ impl UploadSide {
         }
     }
 
-    /// Uploads currently in flight.
-    pub fn active(&self) -> usize {
-        self.mgr.active()
-    }
-
-    /// Requests waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.mgr.queued()
-    }
-
     /// True when no active upload is already pushing `segment`.
     fn segment_idle(&self, segment: u32) -> bool {
         !self.active_flows.iter().any(|(_, r)| r.segment == segment)

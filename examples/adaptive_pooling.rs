@@ -36,7 +36,7 @@ fn main() {
         let avg = run_averaged(&config, &[7, 8]);
         println!(
             "  {name:18} startup {:5.1} s   stalls {:5.1}   stall time {:6.1} s",
-            avg.startup_secs.mean, avg.stalls.mean, avg.stall_secs.mean
+            avg.startup_secs, avg.stalls, avg.stall_secs
         );
     }
 }

@@ -35,12 +35,8 @@ fn main() {
         },
     );
     let result = grid.run(&[1, 2], 2);
-    let stalls = result.table(
-        "Stalls per viewer (10 peers, 60 s clip)",
-        |m| m.stalls.mean,
-        1,
-    );
-    let durations = result.table("Total stall seconds per viewer", |m| m.stall_secs.mean, 1);
+    let stalls = result.table("Stalls per viewer (10 peers, 60 s clip)", |m| m.stalls, 1);
+    let durations = result.table("Total stall seconds per viewer", |m| m.stall_secs, 1);
     println!("{stalls}");
     println!("{durations}");
     println!("expected shape: the gop column dominates, and everything");

@@ -70,8 +70,8 @@ fn fig2_gop_splicing_is_worst_at_every_bandwidth() {
             for (series, d) in ["2s", "4s", "8s"].iter().enumerate() {
                 failed.claim_less(
                     format!("gop > {d} @{kbps}"),
-                    g.at(row, series + 1).stalls.mean,
-                    g.at(row, 0).stalls.mean,
+                    g.at(row, series + 1).stalls,
+                    g.at(row, 0).stalls,
                 );
             }
         }
@@ -86,7 +86,7 @@ fn fig2_gop_splicing_is_worst_at_every_bandwidth() {
 fn fig2_two_second_splicing_converges_to_four_second() {
     for scale in [false, true] {
         let g = cells("fig2", scale);
-        let gap = |row| g.at(row, 1).stalls.mean / g.at(row, 2).stalls.mean;
+        let gap = |row| g.at(row, 1).stalls / g.at(row, 2).stalls;
         let (low_gap, high_gap) = (gap(0), gap(3));
         assert!(
             low_gap > 1.3,
@@ -107,8 +107,8 @@ fn fig3_gop_splicing_has_longest_stall_duration() {
         for row in [0, 1, 3] {
             failed.claim_less(
                 format!("gop longer than 4s @{}", KBPS[row]),
-                g.at(row, 2).stall_secs.mean,
-                g.at(row, 0).stall_secs.mean,
+                g.at(row, 2).stall_secs,
+                g.at(row, 0).stall_secs,
             );
         }
         failed.0
@@ -126,7 +126,7 @@ fn fig4_startup_orders_by_segment_size_and_bandwidth() {
     for scale in [false, true] {
         let (g, mut failed) = (cells("fig4", scale), Failed::default());
         // Rows 128 / 256 / 512 / 1024 kB/s, series 2 s / 4 s / 8 s.
-        let startup = |row, series| g.at(row, series).startup_secs.mean;
+        let startup = |row, series| g.at(row, series).startup_secs;
         for (row, kbps) in [(0, 128), (3, 1024)] {
             failed.claim_less(
                 format!("2s before 4s @{kbps}"),
@@ -159,8 +159,8 @@ fn fig5_adaptive_pooling_starts_fastest() {
             for (series, k) in [2, 4, 8].iter().enumerate() {
                 failed.claim_less(
                     format!("adaptive before pool-{k} @{}", KBPS[row]),
-                    g.at(row, 0).startup_secs.mean,
-                    g.at(row, series + 1).startup_secs.mean,
+                    g.at(row, 0).startup_secs,
+                    g.at(row, series + 1).startup_secs,
                 );
             }
         }

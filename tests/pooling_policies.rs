@@ -83,10 +83,10 @@ fn adaptive_starts_faster_than_large_fixed_pools() {
     let adaptive = swarm_with(PolicyConfig::Adaptive, 192_000.0);
     let big = swarm_with(PolicyConfig::Fixed(8), 192_000.0);
     assert!(
-        adaptive.startup_secs.mean < big.startup_secs.mean,
+        adaptive.startup_secs < big.startup_secs,
         "adaptive startup {} should beat pool-8 startup {}",
-        adaptive.startup_secs.mean,
-        big.startup_secs.mean
+        adaptive.startup_secs,
+        big.startup_secs
     );
 }
 
@@ -98,10 +98,10 @@ fn adaptive_beats_sequential_downloading_at_high_bandwidth() {
     let adaptive = swarm_with(PolicyConfig::Adaptive, 640_000.0);
     let sequential = swarm_with(PolicyConfig::Fixed(1), 640_000.0);
     assert!(
-        adaptive.stall_secs.mean <= sequential.stall_secs.mean * 1.25 + 1.0,
+        adaptive.stall_secs <= sequential.stall_secs * 1.25 + 1.0,
         "adaptive stall time {} should not materially lose to sequential {}",
-        adaptive.stall_secs.mean,
-        sequential.stall_secs.mean
+        adaptive.stall_secs,
+        sequential.stall_secs
     );
 }
 

@@ -23,16 +23,16 @@ fn gop_splicing_stalls_more_than_duration_splicing() {
     let gop = averaged(192_000.0, SplicingSpec::Gop);
     let four = averaged(192_000.0, SplicingSpec::Duration(4.0));
     assert!(
-        gop.stalls.mean > four.stalls.mean,
+        gop.stalls > four.stalls,
         "gop {} should exceed 4s {}",
-        gop.stalls.mean,
-        four.stalls.mean
+        gop.stalls,
+        four.stalls
     );
     assert!(
-        gop.stall_secs.mean > four.stall_secs.mean,
+        gop.stall_secs > four.stall_secs,
         "gop stall time {} should exceed 4s {}",
-        gop.stall_secs.mean,
-        four.stall_secs.mean
+        gop.stall_secs,
+        four.stall_secs
     );
 }
 
@@ -43,10 +43,10 @@ fn two_second_segments_underperform_four_second_at_low_bandwidth() {
     let two = averaged(160_000.0, SplicingSpec::Duration(2.0));
     let four = averaged(160_000.0, SplicingSpec::Duration(4.0));
     assert!(
-        two.stalls.mean > four.stalls.mean,
+        two.stalls > four.stalls,
         "2s {} should exceed 4s {} at 160 kB/s",
-        two.stalls.mean,
-        four.stalls.mean
+        two.stalls,
+        four.stalls
     );
 }
 
@@ -56,12 +56,12 @@ fn more_bandwidth_means_fewer_stalls() {
         let low = averaged(160_000.0, splicing);
         let high = averaged(640_000.0, splicing);
         assert!(
-            high.stalls.mean < low.stalls.mean,
+            high.stalls < low.stalls,
             "{splicing:?}: {} at 640 kB/s should beat {} at 160 kB/s",
-            high.stalls.mean,
-            low.stalls.mean
+            high.stalls,
+            low.stalls
         );
-        assert!(high.stall_secs.mean < low.stall_secs.mean);
+        assert!(high.stall_secs < low.stall_secs);
     }
 }
 
@@ -71,10 +71,10 @@ fn larger_segments_start_slower() {
     let two = averaged(256_000.0, SplicingSpec::Duration(2.0));
     let eight = averaged(256_000.0, SplicingSpec::Duration(8.0));
     assert!(
-        eight.startup_secs.mean > two.startup_secs.mean,
+        eight.startup_secs > two.startup_secs,
         "8s startup {} should exceed 2s startup {}",
-        eight.startup_secs.mean,
-        two.startup_secs.mean
+        eight.startup_secs,
+        two.startup_secs
     );
 }
 
@@ -83,10 +83,10 @@ fn startup_falls_with_bandwidth() {
     let low = averaged(128_000.0, SplicingSpec::Duration(4.0));
     let high = averaged(512_000.0, SplicingSpec::Duration(4.0));
     assert!(
-        high.startup_secs.mean < low.startup_secs.mean,
+        high.startup_secs < low.startup_secs,
         "startup {} at 512 kB/s should beat {} at 128 kB/s",
-        high.startup_secs.mean,
-        low.startup_secs.mean
+        high.startup_secs,
+        low.startup_secs
     );
 }
 
