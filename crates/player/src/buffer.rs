@@ -1,10 +1,13 @@
 //! The segment buffer: which parts of the timeline are downloaded.
 
-use splicecast_media::{MediaTicks, SegmentList};
+use std::sync::Arc;
+
+use splicecast_media::{MediaTicks, Segment, SegmentList};
 
 /// Tracks which segments of a spliced video have been fully downloaded and
 /// answers timeline questions: "can playback proceed at pts X?" and "how
-/// much is buffered ahead of X?" (the paper's `T`).
+/// much is buffered ahead of X?" (the paper's `T`). The timeline itself is
+/// the splice's shared [`SegmentList`]; the buffer adds one bit per segment.
 ///
 /// # Examples
 ///
@@ -14,7 +17,7 @@ use splicecast_media::{MediaTicks, SegmentList};
 ///
 /// let video = Video::builder().duration_secs(12.0).seed(1).build();
 /// let segments = DurationSplicer::new(4.0).splice(&video);
-/// let mut buffer = SegmentBuffer::new(&segments);
+/// let mut buffer = SegmentBuffer::new(segments);
 /// buffer.insert(0);
 /// buffer.insert(1);
 /// let t = buffer.buffered_from(MediaTicks::from_secs_f64(1.0));
@@ -22,10 +25,8 @@ use splicecast_media::{MediaTicks, SegmentList};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentBuffer {
-    starts: Vec<MediaTicks>,
-    ends: Vec<MediaTicks>,
+    segments: Arc<SegmentList>,
     have: Vec<bool>,
-    held: usize,
     /// Lowest index not held: every segment below it is held. Downloads
     /// are near-sequential, so timeline queries answer from this mark in
     /// O(1) instead of walking the contiguous run each time.
@@ -34,32 +35,24 @@ pub struct SegmentBuffer {
 
 impl SegmentBuffer {
     /// Creates an empty buffer for the given splice.
-    pub fn new(segments: &SegmentList) -> Self {
-        let starts = segments.iter().map(|s| s.start_pts).collect::<Vec<_>>();
-        let ends = segments.iter().map(|s| s.end_pts()).collect::<Vec<_>>();
-        let have = vec![false; segments.len()];
+    pub fn new(segments: impl Into<Arc<SegmentList>>) -> Self {
+        let segments = segments.into();
         SegmentBuffer {
-            starts,
-            ends,
-            have,
-            held: 0,
+            have: vec![false; segments.len()],
+            segments,
             first_missing: 0,
         }
     }
 
-    /// Number of segments in the splice.
-    pub fn segment_count(&self) -> usize {
-        self.have.len()
-    }
-
-    /// Number of segments held.
-    pub fn held_count(&self) -> usize {
-        self.held
-    }
-
     /// Whether every segment is held.
     pub fn is_complete(&self) -> bool {
-        self.held == self.have.len()
+        self.first_missing == self.have.len()
+    }
+
+    /// The lowest segment index not held (the segment count once every
+    /// segment is): everything below it is held.
+    pub fn first_missing(&self) -> usize {
+        self.first_missing
     }
 
     /// Whether segment `index` is held.
@@ -81,7 +74,6 @@ impl SegmentBuffer {
             false
         } else {
             self.have[index] = true;
-            self.held += 1;
             while self.first_missing < self.have.len() && self.have[self.first_missing] {
                 self.first_missing += 1;
             }
@@ -91,13 +83,15 @@ impl SegmentBuffer {
 
     /// End of the video timeline.
     pub fn media_end(&self) -> MediaTicks {
-        self.ends.last().copied().unwrap_or(MediaTicks::ZERO)
+        self.segments
+            .segments()
+            .last()
+            .map_or(MediaTicks::ZERO, Segment::end_pts)
     }
 
     /// The segment whose interval contains `pts`, if any.
     pub fn segment_at(&self, pts: MediaTicks) -> Option<usize> {
-        let idx = self.ends.partition_point(|&end| end <= pts);
-        (idx < self.starts.len() && self.starts[idx] <= pts).then_some(idx)
+        self.segments.segment_at(pts).map(|s| s.index as usize)
     }
 
     /// The timeline point up to which playback can run without interruption
@@ -115,12 +109,12 @@ impl SegmentBuffer {
         if idx < self.first_missing {
             // The common sequential case: the run covering `position` ends
             // exactly at the first gap.
-            return self.ends[self.first_missing - 1];
+            return self.segments[self.first_missing - 1].end_pts();
         }
         while idx + 1 < self.have.len() && self.have[idx + 1] {
             idx += 1;
         }
-        self.ends[idx]
+        self.segments[idx].end_pts()
     }
 
     /// Buffered playback time ahead of `position` — the paper's `T`.
@@ -137,7 +131,7 @@ mod tests {
     fn buffer() -> SegmentBuffer {
         // 20 s video in 4 s segments → 5 segments.
         let v = Video::builder().duration_secs(20.0).seed(2).build();
-        SegmentBuffer::new(&DurationSplicer::new(4.0).splice(&v))
+        SegmentBuffer::new(DurationSplicer::new(4.0).splice(&v))
     }
 
     fn secs(s: f64) -> MediaTicks {
@@ -147,17 +141,19 @@ mod tests {
     #[test]
     fn insert_tracks_held_count() {
         let mut b = buffer();
-        assert_eq!(b.segment_count(), 5);
-        assert_eq!(b.held_count(), 0);
         assert!(b.insert(2));
         assert!(!b.insert(2), "double insert is not new");
-        assert_eq!(b.held_count(), 1);
         assert!(b.has(2));
+        assert!(!b.has(1));
         assert!(!b.is_complete());
-        for i in [0, 1, 3, 4] {
-            b.insert(i);
-        }
+        assert_eq!(b.first_missing(), 0);
+        b.insert(0);
+        b.insert(1);
+        assert_eq!(b.first_missing(), 3, "the mark skips the held run");
+        b.insert(4);
+        b.insert(3);
         assert!(b.is_complete());
+        assert_eq!(b.first_missing(), 5);
     }
 
     #[test]

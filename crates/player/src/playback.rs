@@ -1,9 +1,11 @@
-//! The sequential play-out state machine.
+//! The sequential play-out state machine and its QoE accounting.
+
+use std::sync::Arc;
 
 use splicecast_media::{MediaTicks, SegmentList};
 
 use crate::buffer::SegmentBuffer;
-use crate::stall::{QoeMetrics, StallTracker};
+use crate::stall::{QoeMetrics, StallEvent};
 
 /// Where the player is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,13 +21,17 @@ pub enum PlaybackState {
 }
 
 /// A sequential viewer: plays the video front to back in real time,
-/// stalling whenever the play head reaches undownloaded media.
+/// stalling whenever the play head reaches undownloaded media, and
+/// accounting startup, stalls and the finish as it goes.
 ///
 /// The machine is driven by two calls: [`Playback::on_segment`] when a
 /// segment finishes downloading, and [`Playback::advance`] with the current
-/// wall-clock time (call it on any event; precision of *when* it is called
-/// does not affect accounting, because stall boundaries are computed from
-/// the timeline, not from call times).
+/// wall-clock time. While playing, the player keeps only when the current
+/// stretch began and where on the timeline; the instant the buffered run
+/// ends (the *dry instant*) follows from those and the buffer. A stall, or
+/// the finish, is recorded at that instant once the clock reaches it, so
+/// how often and at which instants `advance` is called never changes the
+/// accounting.
 ///
 /// # Examples
 ///
@@ -35,7 +41,7 @@ pub enum PlaybackState {
 ///
 /// let video = Video::builder().duration_secs(8.0).seed(1).build();
 /// let segments = DurationSplicer::new(4.0).splice(&video);
-/// let mut playback = Playback::new(&segments);
+/// let mut playback = Playback::new(segments);
 ///
 /// playback.on_segment(0, 1.0); // first segment at t=1s → playback starts
 /// playback.on_segment(1, 2.0);
@@ -46,31 +52,37 @@ pub enum PlaybackState {
 #[derive(Debug, Clone)]
 pub struct Playback {
     buffer: SegmentBuffer,
-    tracker: StallTracker,
     state: PlaybackState,
-    /// Play-head position on the media timeline.
-    position: MediaTicks,
     /// Wall time when the current `Playing` stretch began.
     playing_since_secs: f64,
-    /// Play-head position when the current `Playing` stretch began.
+    /// Play-head position when the current `Playing` stretch began; while
+    /// stalled, where the head stopped.
     position_at_since: MediaTicks,
     /// Media that must be buffered ahead before resuming from a stall.
     resume_threshold: MediaTicks,
+    startup_secs: Option<f64>,
+    finished_secs: Option<f64>,
+    stalls: Vec<StallEvent>,
+    /// Start of the stall in progress, until playback resumes or
+    /// [`Playback::finish`] closes it.
+    open_since: Option<f64>,
 }
 
 impl Playback {
     /// Creates a player for the given splice, waiting for segment 0.
     /// Stalls resume as soon as the segment under the play head arrives;
     /// see [`Playback::set_resume_threshold`] for re-buffering behaviour.
-    pub fn new(segments: &SegmentList) -> Self {
+    pub fn new(segments: impl Into<Arc<SegmentList>>) -> Self {
         Playback {
             buffer: SegmentBuffer::new(segments),
-            tracker: StallTracker::new(),
             state: PlaybackState::WaitingForStart,
-            position: MediaTicks::ZERO,
             playing_since_secs: 0.0,
             position_at_since: MediaTicks::ZERO,
             resume_threshold: MediaTicks::ZERO,
+            startup_secs: None,
+            finished_secs: None,
+            stalls: Vec::new(),
+            open_since: None,
         }
     }
 
@@ -92,11 +104,6 @@ impl Playback {
         self.state
     }
 
-    /// The play-head position on the media timeline.
-    pub fn position(&self) -> MediaTicks {
-        self.position
-    }
-
     /// The downloaded-segment buffer.
     pub fn buffer(&self) -> &SegmentBuffer {
         &self.buffer
@@ -106,10 +113,12 @@ impl Playback {
     /// Zero before startup, while stalled, and after finishing.
     pub fn buffered_ahead(&mut self, now_secs: f64) -> MediaTicks {
         self.advance(now_secs);
-        match self.state {
-            PlaybackState::Playing => self.buffer.buffered_from(self.position),
-            _ => MediaTicks::ZERO,
+        if self.state != PlaybackState::Playing {
+            return MediaTicks::ZERO;
         }
+        let elapsed = (now_secs - self.playing_since_secs).max(0.0);
+        let head = self.position_at_since + MediaTicks::from_secs_f64(elapsed);
+        self.run_end().saturating_sub(head)
     }
 
     /// Records that `index` finished downloading at `now_secs`, starting or
@@ -117,67 +126,54 @@ impl Playback {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range or `now_secs` moves backwards
-    /// while playing.
+    /// Panics if `index` is out of range.
     pub fn on_segment(&mut self, index: usize, now_secs: f64) {
         self.advance(now_secs);
         self.buffer.insert(index);
         match self.state {
             PlaybackState::WaitingForStart => {
                 if self.buffer.has(0) {
-                    self.tracker.record_startup(now_secs);
+                    self.startup_secs = Some(now_secs);
                     self.state = PlaybackState::Playing;
                     self.playing_since_secs = now_secs;
-                    self.position_at_since = MediaTicks::ZERO;
-                    self.position = MediaTicks::ZERO;
                 }
             }
             PlaybackState::Stalled => {
-                let playable = self.buffer.playable_until(self.position);
-                let goal = (self.position + self.resume_threshold).min(self.buffer.media_end());
-                if playable > self.position && playable >= goal {
-                    self.tracker.end_stall(now_secs);
+                let head = self.position_at_since;
+                let playable = self.run_end();
+                let goal = (head + self.resume_threshold).min(self.buffer.media_end());
+                if playable > head && playable >= goal {
+                    self.close_stall(now_secs);
                     self.state = PlaybackState::Playing;
                     self.playing_since_secs = now_secs;
-                    self.position_at_since = self.position;
                 }
             }
             PlaybackState::Playing | PlaybackState::Finished => {}
         }
     }
 
-    /// Moves the play head to where it would be at `now_secs`, recording a
-    /// stall if the head catches up with the buffer.
-    ///
-    /// The stall start time is computed exactly (the moment the buffered
-    /// media ran out), so calling `advance` late does not distort metrics.
+    /// Brings the player up to `now_secs`: once the clock reaches the dry
+    /// instant, the stall (or, at the end of the video, the finish) is
+    /// recorded at that instant.
     pub fn advance(&mut self, now_secs: f64) {
         if self.state != PlaybackState::Playing {
             return;
         }
-        let elapsed = now_secs - self.playing_since_secs;
-        debug_assert!(elapsed >= -1e-9, "time ran backwards");
-        let target = self.position_at_since + MediaTicks::from_secs_f64(elapsed.max(0.0));
-        let playable_until = self.buffer.playable_until(self.position_at_since);
-        if target < playable_until {
-            self.position = target;
+        debug_assert!(
+            now_secs - self.playing_since_secs >= -1e-9,
+            "time ran backwards"
+        );
+        let run_end = self.run_end();
+        let dry_at = self.playing_since_secs + (run_end - self.position_at_since).as_secs_f64();
+        if now_secs < dry_at {
             return;
         }
-        self.position = playable_until;
-        if self.position >= self.buffer.media_end() {
-            // Played the last frame. (Clamped to `now`: media-tick rounding
-            // can land the computed instant a hair past the current event.)
-            let finished_at = (self.playing_since_secs
-                + (self.buffer.media_end() - self.position_at_since).as_secs_f64())
-            .min(now_secs);
-            self.tracker.record_finished(finished_at);
+        if run_end >= self.buffer.media_end() {
+            self.finished_secs = Some(dry_at);
             self.state = PlaybackState::Finished;
         } else {
-            // Ran dry at the exact moment the buffered stretch ended.
-            let dry_at = (self.playing_since_secs
-                + (playable_until - self.position_at_since).as_secs_f64())
-            .min(now_secs);
-            self.tracker.begin_stall(dry_at);
+            self.open_since = Some(dry_at);
+            self.position_at_since = run_end;
             self.state = PlaybackState::Stalled;
         }
     }
@@ -186,17 +182,36 @@ impl Playback {
     /// closes any open stall so its duration counts.
     pub fn finish(&mut self, now_secs: f64) {
         self.advance(now_secs);
-        self.tracker.close(now_secs);
+        self.close_stall(now_secs);
     }
 
     /// The QoE summary so far.
     pub fn metrics(&self) -> QoeMetrics {
-        self.tracker.metrics()
+        QoeMetrics {
+            startup_secs: self.startup_secs,
+            stall_count: self.stalls.len(),
+            total_stall_secs: self.stalls.iter().map(StallEvent::duration_secs).sum(),
+            finished_secs: self.finished_secs,
+        }
     }
 
     /// The individual stall events recorded so far.
-    pub fn stalls(&self) -> &[crate::stall::StallEvent] {
-        self.tracker.stalls()
+    pub fn stalls(&self) -> &[StallEvent] {
+        &self.stalls
+    }
+
+    /// End of the held run under the play head's last fixed position.
+    fn run_end(&self) -> MediaTicks {
+        self.buffer.playable_until(self.position_at_since)
+    }
+
+    fn close_stall(&mut self, now_secs: f64) {
+        if let Some(start_secs) = self.open_since.take() {
+            self.stalls.push(StallEvent {
+                start_secs,
+                end_secs: now_secs,
+            });
+        }
     }
 }
 
@@ -212,7 +227,7 @@ mod tests {
             .profile(ContentProfile::Uniform { gop_secs: 1.0 })
             .seed(3)
             .build();
-        Playback::new(&DurationSplicer::new(4.0).splice(&v))
+        Playback::new(DurationSplicer::new(4.0).splice(&v))
     }
 
     #[test]
@@ -275,8 +290,47 @@ mod tests {
         p.advance(10.0); // head dry since t=8
         assert_eq!(p.state(), PlaybackState::Stalled);
         p.on_segment(2, 11.0);
-        let stalls = p.stalls();
-        assert!((stalls[0].start_secs - 8.0).abs() < 1e-6);
+        assert_eq!(p.stalls()[0].start_secs, 8.0);
+    }
+
+    #[test]
+    fn a_poll_just_before_the_dry_instant_does_not_stall() {
+        // The buffered run ends at t=8; a poll 3 µs earlier is within
+        // half a media tick of it, and still plays.
+        let mut p = playback();
+        p.on_segment(0, 0.0);
+        p.on_segment(1, 1.0);
+        p.advance(8.0 - 3e-6);
+        assert_eq!(p.state(), PlaybackState::Playing);
+        p.on_segment(2, 11.0);
+        assert_eq!(
+            p.stalls(),
+            [StallEvent {
+                start_secs: 8.0,
+                end_secs: 11.0
+            }]
+        );
+    }
+
+    #[test]
+    fn stalls_accumulate() {
+        let mut p = playback();
+        p.on_segment(0, 2.0); // plays media 0–4 s from t=2
+        assert_eq!(p.metrics().startup_secs, Some(2.0));
+        p.advance(7.0);
+        assert_eq!(p.state(), PlaybackState::Stalled, "dry since t=6");
+        p.on_segment(1, 8.5); // 2.5 s stall, then dry again at t=12.5
+        assert_eq!(p.state(), PlaybackState::Playing);
+        p.on_segment(2, 13.5); // 1 s stall
+        p.on_segment(3, 13.5);
+        p.on_segment(4, 13.5);
+        p.advance(30.0);
+        let m = p.metrics();
+        assert_eq!(m.startup_secs, Some(2.0));
+        assert_eq!(m.stall_count, 2);
+        assert_eq!(m.total_stall_secs, 3.5);
+        // 20 s of media + 3.5 s of stalls after a start at t=2.
+        assert_eq!(m.finished_secs, Some(25.5));
     }
 
     #[test]
@@ -288,9 +342,9 @@ mod tests {
         p.on_segment(4, 0.5);
         p.advance(30.0);
         assert_eq!(p.state(), PlaybackState::Stalled);
-        // Head stuck at media 4 s.
-        assert!((p.position().as_secs_f64() - 4.0).abs() < 1e-6);
         p.on_segment(1, 30.0);
+        // Head stuck at media 4 s, dry since t=4.
+        assert_eq!(p.stalls()[0].start_secs, 4.0);
         p.advance(46.0);
         assert_eq!(p.state(), PlaybackState::Finished);
         let m = p.metrics();

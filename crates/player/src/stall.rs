@@ -18,89 +18,6 @@ impl StallEvent {
     }
 }
 
-/// Accumulates startup time and stall events for one viewer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StallTracker {
-    startup_secs: Option<f64>,
-    finished_secs: Option<f64>,
-    stalls: Vec<StallEvent>,
-    open_since: Option<f64>,
-}
-
-impl StallTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        StallTracker::default()
-    }
-
-    /// Records when playback first started (first segment available).
-    ///
-    /// # Panics
-    ///
-    /// Panics if startup was already recorded.
-    pub fn record_startup(&mut self, at_secs: f64) {
-        assert!(self.startup_secs.is_none(), "startup recorded twice");
-        self.startup_secs = Some(at_secs);
-    }
-
-    /// Opens a stall at the given time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stall is already open.
-    pub fn begin_stall(&mut self, at_secs: f64) {
-        assert!(self.open_since.is_none(), "stall already open");
-        self.open_since = Some(at_secs);
-    }
-
-    /// Closes the open stall.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no stall is open or time runs backwards.
-    pub fn end_stall(&mut self, at_secs: f64) {
-        let start = self.open_since.take().expect("no stall open");
-        assert!(at_secs >= start, "stall ends before it starts");
-        self.stalls.push(StallEvent {
-            start_secs: start,
-            end_secs: at_secs,
-        });
-    }
-
-    /// True while a stall is open.
-    pub fn stalled(&self) -> bool {
-        self.open_since.is_some()
-    }
-
-    /// Records playback completion.
-    pub fn record_finished(&mut self, at_secs: f64) {
-        self.finished_secs.get_or_insert(at_secs);
-    }
-
-    /// Ends accounting at `at_secs`: an open stall is closed there so its
-    /// duration is counted.
-    pub fn close(&mut self, at_secs: f64) {
-        if self.open_since.is_some() {
-            self.end_stall(at_secs);
-        }
-    }
-
-    /// The stalls recorded so far.
-    pub fn stalls(&self) -> &[StallEvent] {
-        &self.stalls
-    }
-
-    /// Summarises into [`QoeMetrics`].
-    pub fn metrics(&self) -> QoeMetrics {
-        QoeMetrics {
-            startup_secs: self.startup_secs,
-            stall_count: self.stalls.len(),
-            total_stall_secs: self.stalls.iter().map(StallEvent::duration_secs).sum(),
-            finished_secs: self.finished_secs,
-        }
-    }
-}
-
 /// Quality-of-experience summary for one viewer — exactly the quantities
 /// the paper measures ("total number of stalls, total stall duration, and
 /// startup time", §V).
@@ -119,58 +36,48 @@ pub struct QoeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::playback::Playback;
+    use splicecast_media::{ContentProfile, DurationSplicer, Splicer, Video};
 
-    #[test]
-    fn tracker_accumulates() {
-        let mut t = StallTracker::new();
-        t.record_startup(2.0);
-        t.begin_stall(10.0);
-        assert!(t.stalled());
-        t.end_stall(12.5);
-        assert!(!t.stalled());
-        t.begin_stall(20.0);
-        t.end_stall(21.0);
-        t.record_finished(130.0);
-        let m = t.metrics();
-        assert_eq!(m.startup_secs, Some(2.0));
-        assert_eq!(m.stall_count, 2);
-        assert!((m.total_stall_secs - 3.5).abs() < 1e-9);
-        assert_eq!(m.finished_secs, Some(130.0));
+    /// A player over a 20 s video in 4 s segments; its accounting is
+    /// what [`QoeMetrics`] summarises.
+    fn playback() -> Playback {
+        let v = Video::builder()
+            .duration_secs(20.0)
+            .profile(ContentProfile::Uniform { gop_secs: 1.0 })
+            .seed(3)
+            .build();
+        Playback::new(DurationSplicer::new(4.0).splice(&v))
     }
 
     #[test]
     fn close_truncates_open_stall() {
-        let mut t = StallTracker::new();
-        t.begin_stall(5.0);
-        t.close(8.0);
-        assert_eq!(t.stalls().len(), 1);
-        assert!((t.metrics().total_stall_secs - 3.0).abs() < 1e-9);
+        let mut p = playback();
+        p.on_segment(0, 1.0); // dry at t=5
+        p.finish(8.0);
+        assert_eq!(
+            p.stalls(),
+            [StallEvent {
+                start_secs: 5.0,
+                end_secs: 8.0
+            }]
+        );
+        assert_eq!(p.metrics().total_stall_secs, 3.0);
         // Closing again is a no-op.
-        t.close(9.0);
-        assert_eq!(t.stalls().len(), 1);
+        let m = p.metrics();
+        p.finish(9.0);
+        assert_eq!(p.stalls().len(), 1);
+        assert_eq!(p.metrics(), m);
     }
 
     #[test]
     fn metrics_of_untouched_tracker() {
-        let m = StallTracker::new().metrics();
+        let m = playback().metrics();
         assert_eq!(m.startup_secs, None);
         assert_eq!(m.stall_count, 0);
         assert_eq!(m.total_stall_secs, 0.0);
         assert_eq!(m.finished_secs, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "stall already open")]
-    fn double_begin_panics() {
-        let mut t = StallTracker::new();
-        t.begin_stall(1.0);
-        t.begin_stall(2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no stall open")]
-    fn end_without_begin_panics() {
-        StallTracker::new().end_stall(1.0);
+        assert_eq!(m, QoeMetrics::default());
     }
 
     #[test]

@@ -18,7 +18,7 @@ proptest! {
     ) {
         let video = Video::builder().duration_secs(secs).seed(seed).build();
         let list = DurationSplicer::new(target).splice(&video);
-        let mut buffer = SegmentBuffer::new(&list);
+        let mut buffer = SegmentBuffer::new(list.clone());
         let mut model = vec![false; list.len()];
         for raw in inserts {
             let idx = raw as usize % list.len();
@@ -26,8 +26,11 @@ proptest! {
             prop_assert_eq!(newly, !model[idx]);
             model[idx] = true;
         }
-        prop_assert_eq!(buffer.held_count(), model.iter().filter(|&&h| h).count());
         prop_assert_eq!(buffer.is_complete(), model.iter().all(|&h| h));
+        prop_assert_eq!(
+            buffer.first_missing(),
+            model.iter().position(|&h| !h).unwrap_or(model.len())
+        );
 
         // playable_until agrees with a linear walk over the model.
         let pts = MediaTicks::from_ticks((probe * video.duration().ticks() as f64) as u64);
@@ -60,7 +63,7 @@ proptest! {
     ) {
         let video = Video::builder().duration_secs(secs).seed(content_seed).build();
         let list = DurationSplicer::new(target).splice(&video);
-        let mut playback = Playback::new(&list);
+        let mut playback = Playback::new(list.clone());
         playback.set_resume_threshold(threshold);
 
         // Segments arrive in order with random inter-arrival delays.
@@ -101,7 +104,7 @@ proptest! {
         let video = Video::builder().duration_secs(secs).seed(3).build();
         let list = DurationSplicer::new(2.0).splice(&video);
         let run = |threshold: f64| {
-            let mut playback = Playback::new(&list);
+            let mut playback = Playback::new(list.clone());
             playback.set_resume_threshold(threshold);
             let mut now = 0.0;
             for i in 0..list.len() {
@@ -112,5 +115,76 @@ proptest! {
             playback.metrics().stall_count
         };
         prop_assert!(run(4.0) <= run(0.0), "a re-buffering threshold merges stalls");
+    }
+
+    #[test]
+    fn extra_polls_never_change_the_accounting(
+        secs in 4u32..24,
+        target in 0usize..3,
+        threshold in 0usize..3,
+        // Quarter-second steps put many arrivals exactly on a dry instant.
+        steps in prop::collection::vec(0u32..12, 1..32),
+        mut order_seed in any::<u64>(),
+        random_polls in prop::collection::vec(0.0f64..1.0, 0..64),
+        early_us in prop::collection::vec(1.0f64..6.0, 1..8),
+    ) {
+        let target = [1.0, 2.0, 4.0][target];
+        let threshold = [0.0, 0.25, 2.0][threshold];
+        let video = Video::builder().duration_secs(f64::from(secs)).seed(5).build();
+        let list = DurationSplicer::new(target).splice(&video);
+        let mut order: Vec<usize> = (0..list.len()).collect();
+        for i in (1..order.len()).rev() {
+            order_seed = order_seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            order.swap(i, (order_seed % (i as u64 + 1)) as usize);
+        }
+        let mut now = 0.0;
+        let arrivals: Vec<(f64, usize)> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &index)| {
+                now += f64::from(steps[i % steps.len()]) * 0.25;
+                (now, index)
+            })
+            .collect();
+        let end = now + f64::from(secs) + threshold + 1.0;
+
+        // Polls: at random instants, and a few microseconds before each
+        // arrival. A poll sorts before an arrival at the same instant.
+        let mut polls: Vec<f64> = random_polls.iter().map(|f| f * end).collect();
+        for (i, &(at, _)) in arrivals.iter().enumerate() {
+            polls.push((at - early_us[i % early_us.len()] * 1e-6).max(0.0));
+        }
+        polls.sort_by(f64::total_cmp);
+
+        let run = |polled: bool| {
+            let mut playback = Playback::new(list.clone());
+            playback.set_resume_threshold(threshold);
+            let mut pending = polls.iter().peekable();
+            for (k, &(at, index)) in arrivals.iter().enumerate() {
+                while let Some(&&poll) = pending.peek() {
+                    if poll > at {
+                        break;
+                    }
+                    pending.next();
+                    if polled && k % 2 == 0 {
+                        playback.advance(poll);
+                    } else if polled {
+                        playback.buffered_ahead(poll);
+                    }
+                }
+                playback.on_segment(index, at);
+            }
+            if polled {
+                for &poll in pending {
+                    playback.advance(poll);
+                }
+            }
+            playback.finish(end);
+            (playback.metrics(), playback.stalls().to_vec())
+        };
+        let (quiet, quiet_stalls) = run(false);
+        let (polled, polled_stalls) = run(true);
+        prop_assert_eq!(quiet, polled);
+        prop_assert_eq!(quiet_stalls, polled_stalls);
     }
 }

@@ -12,6 +12,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -260,7 +261,8 @@ struct AbrClientNode {
 
 impl AbrClientNode {
     fn next_segment(&self) -> Option<u32> {
-        (0..self.durations.len() as u32).find(|&i| !self.playback.buffer().has(i as usize))
+        let buffer = self.playback.buffer();
+        (!buffer.is_complete()).then(|| buffer.first_missing() as u32)
     }
 
     fn request_next(&mut self, ctx: &mut Ctx<'_>) {
@@ -434,8 +436,9 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
         0,
         ORIGIN_UPLOAD_SLOTS,
     )));
+    let timeline = Arc::new(ladder.segments(0).clone());
     for index in 0..config.n_clients {
-        let mut playback = Playback::new(ladder.segments(0));
+        let mut playback = Playback::new(Arc::clone(&timeline));
         playback.set_resume_threshold(RESUME_BUFFER_SECS);
         sim.add_node(Box::new(AbrClientNode {
             index,

@@ -196,10 +196,6 @@ pub struct LeecherNode {
     uploads: UploadSide,
     /// Set once the manifest has arrived; downloads start then.
     streaming: bool,
-    /// Low-water mark for the sequential scheduler: every segment below it
-    /// is held, so scans for the next wanted segment start here instead of
-    /// re-walking the played-out prefix.
-    next_needed: u32,
     /// [`SegmentList::mean_segment_bytes`] is O(segments); the list is
     /// immutable, so the mean is computed once.
     mean_segment_bytes: u64,
@@ -239,7 +235,7 @@ impl LeecherNode {
     /// Creates a leecher. It stays idle until `join_delay` elapses.
     pub fn new(cfg: LeecherConfig) -> Self {
         let segment_count = cfg.segments.len() as u32;
-        let mut playback = Playback::new(&cfg.segments);
+        let mut playback = Playback::new(cfg.segments.clone());
         playback.set_resume_threshold(cfg.resume_buffer_secs);
         // Every node id this leecher can meet: the other leechers plus
         // seeder, CDN, hub, and itself occupy the low node indices.
@@ -274,7 +270,6 @@ impl LeecherNode {
             timeout_bans: BTreeMap::new(),
             uploads,
             streaming: false,
-            next_needed: 0,
             mean_segment_bytes: cfg.segments.mean_segment_bytes().round() as u64,
             pumps: 0,
             pending_haves: Vec::new(),
@@ -484,12 +479,10 @@ impl LeecherNode {
         })
     }
 
-    /// The first segment not held, advancing the low-water mark to it.
-    fn first_unheld(&mut self) -> u32 {
-        while self.next_needed < self.holdings.len() && self.holdings.get(self.next_needed) {
-            self.next_needed += 1;
-        }
-        self.next_needed
+    /// The first segment not held: the playback buffer's low-water mark,
+    /// which every delivery updates together with `holdings`.
+    fn first_unheld(&self) -> u32 {
+        self.playback.buffer().first_missing() as u32
     }
 
     /// Whether a source can still be picked for `index`: it is not held

@@ -603,7 +603,7 @@ pub fn run_swarm_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splicecast_media::{DurationSplicer, Splicer, Video};
+    use splicecast_media::{DurationSplicer, GopSplicer, Splicer, Video, PAPER_CONTENT_SEED};
 
     fn tiny_segments() -> SegmentList {
         let video = Video::builder().duration_secs(16.0).seed(5).build();
@@ -779,13 +779,22 @@ mod tests {
     /// on 80 half-second segments over fat links, where early viewers run
     /// far past the fold horizon of late ones: the deferred fold maintains
     /// the index lazily, but the candidate set any pick sees must still
-    /// equal a full rescan. Scheduler counters are zeroed before comparing:
+    /// equal a full rescan. The last scenario is the paper stack's Fig. 2
+    /// setting (10 leechers at 128 kB/s on the GOP-spliced paper clip),
+    /// where the two modes poll playback at different instants, some
+    /// within a media tick of a dry instant: the accounting must not see
+    /// the difference. Scheduler counters are zeroed before comparing:
     /// pass/skip tallies are *expected* to differ between the modes.
     #[test]
     fn indexed_scheduler_matches_scan_bit_for_bit() {
         let video = Video::builder().duration_secs(40.0).seed(6).build();
         let coarse = DurationSplicer::new(4.0).splice(&video);
         let fine = DurationSplicer::new(0.5).splice(&video);
+        let paper_clip = Video::builder()
+            .duration_secs(24.0)
+            .seed(PAPER_CONTENT_SEED)
+            .build();
+        let gop = GopSplicer.splice(&paper_clip);
         let churn = Some(ChurnConfig {
             volatile_fraction: 0.3,
             mean_lifetime_secs: 20.0,
@@ -806,8 +815,9 @@ mod tests {
                     discovery: DiscoveryMode::Tracker,
                     ..tiny_config()
                 },
+                11,
             ),
-            (&coarse, eventful.clone()),
+            (&coarse, eventful.clone(), 11),
             (
                 &fine,
                 SwarmConfig {
@@ -815,15 +825,24 @@ mod tests {
                     seeder_bandwidth_bytes_per_sec: 4_000_000.0,
                     ..eventful
                 },
+                11,
+            ),
+            (
+                &gop,
+                SwarmConfig {
+                    n_leechers: 10,
+                    ..SwarmConfig::default()
+                },
+                2,
             ),
         ];
-        for (i, (segments, base)) in scenarios.into_iter().enumerate() {
+        for (i, (segments, base, seed)) in scenarios.into_iter().enumerate() {
             let run = |mode| {
                 let config = SwarmConfig {
                     scheduler: mode,
                     ..base.clone()
                 };
-                let mut metrics = run_swarm(segments, &config, 11);
+                let mut metrics = run_swarm(segments, &config, seed);
                 for report in &mut metrics.reports {
                     report.sched = Default::default();
                     // Scan mode never populates the holder index, so the
@@ -1098,8 +1117,9 @@ mod tests {
     /// Eq. 1 alone bounds how far ahead a viewer requests. On the paper's
     /// own splice — GOP segments, 197 of them, variable in size — and on
     /// both stacks, a fixed pool of 100 fills: a viewer with 100 segments
-    /// in flight has requested past `next_needed + 64`, where the deferred
-    /// fold once stopped the scheduler. Everybody finishes.
+    /// in flight has requested more than 64 past its first missing
+    /// segment, where the deferred fold once stopped the scheduler.
+    /// Everybody finishes.
     #[test]
     fn gop_viewers_request_far_past_the_frontier_on_both_stacks() {
         let video = Video::builder().duration_secs(120.0).seed(2015).build();

@@ -69,7 +69,7 @@ proptest! {
         gaps in prop::collection::vec(0.0f64..6.0, 1..64),
     ) {
         let list = DurationSplicer::new(d).splice(&video);
-        let mut playback = Playback::new(&list);
+        let mut playback = Playback::new(list.clone());
         // A deterministic shuffle of arrival order.
         let mut indices: Vec<usize> = (0..list.len()).collect();
         for i in (1..indices.len()).rev() {
