@@ -209,8 +209,7 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
 }
 
 /// The `stalls:` … `peer offload:` lines of a run report, then its
-/// `peer memory:` / `holder sets:` lines (none when the run did no memory
-/// accounting).
+/// `peer memory:` line (none when the run did no memory accounting).
 fn qoe_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
     let mut out = format!(
         "  stalls:            {:.1}  (rounded: {})\n  stall time:        {:.1} s\n  startup:           {:.1} s\n  completion:        {:.0}%\n  peer offload:      {:.0}%\n",
@@ -228,18 +227,6 @@ fn qoe_lines(averaged: &AveragedMetrics, leechers_per_run: usize) -> String {
         "  peer memory:       {:.1} kB/peer\n",
         averaged.mem_bytes_per_peer(leechers_per_run) / 1e3,
     ));
-    let sched = averaged.sched;
-    // A finished leecher has purged every set by the time it reports, so
-    // on a completed run the promotion count is all there is to print.
-    if sched.sparse_sets + sched.dense_sets + sched.dense_promotions > 0 {
-        let runs = averaged.runs as f64;
-        out.push_str(&format!(
-            "  holder sets:       {:.0} sparse, {:.0} dense, {:.0} promotions (per run)\n",
-            sched.sparse_sets as f64 / runs,
-            sched.dense_sets as f64 / runs,
-            sched.dense_promotions as f64 / runs,
-        ));
-    }
     out
 }
 

@@ -19,6 +19,9 @@ const TRANSFER_BYTES: u64 = 2_000_000;
 /// How long the background load keeps restarting, seconds (bounded so runs
 /// terminate).
 const DURATION_SECS: f64 = 300.0;
+/// Transfer tag of every background transfer: an index no segment has, so
+/// a viewer drops the completion instead of booking it as video.
+const BACKGROUND_TAG: u64 = u64::MAX;
 
 /// Configuration of the background load.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,7 +81,7 @@ impl NodeBehavior for CrossTrafficNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for &target in &self.targets {
             for _ in 0..self.config.flows_per_peer {
-                let _ = ctx.start_transfer(target, TRANSFER_BYTES, target.index() as u64);
+                let _ = ctx.start_transfer(target, TRANSFER_BYTES, BACKGROUND_TAG);
             }
         }
         ctx.set_timer(SimDuration::from_secs_f64(DURATION_SECS), TOKEN_STOP);
@@ -88,7 +91,7 @@ impl NodeBehavior for CrossTrafficNode {
         match event {
             NodeEvent::Timer { token: TOKEN_STOP } => self.active = false,
             NodeEvent::UploadComplete { to, .. } if self.active && ctx.is_online(to) => {
-                let _ = ctx.start_transfer(to, TRANSFER_BYTES, to.index() as u64);
+                let _ = ctx.start_transfer(to, TRANSFER_BYTES, BACKGROUND_TAG);
             }
             // A failed upload means the viewer churned out: stop loading it.
             _ => {}

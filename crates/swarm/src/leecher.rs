@@ -90,8 +90,8 @@ pub struct LeecherConfig {
     /// How long completions may wait before a coalesced `HaveBundle`
     /// flush (eventful mode only).
     pub coalesce_window: SimDuration,
-    /// Pins every holder set to the sparse representation (differential-
-    /// testing knob; the hybrid default must be bit-identical).
+    /// Retired: read by nothing since every holder set is one bitset; see
+    /// [`SwarmConfig::sparse_holders`](crate::SwarmConfig::sparse_holders).
     pub sparse_holders: bool,
     /// Where the final [`PeerReport`] is written.
     pub sink: MetricsSink,
@@ -170,9 +170,9 @@ pub struct LeecherNode {
     playback: Playback,
     holdings: Bitfield,
     views: NodeMap<PeerView>,
-    /// Per-segment holder index: for each segment, the sorted handshaken
-    /// peers known to hold it (CDN excluded — its eligibility does not
-    /// depend on holdings). Mirrors the views' bitfields incrementally.
+    /// Per-segment holder index: for each segment, the handshaken peers
+    /// known to hold it, the origins included. Mirrors the views'
+    /// bitfields incrementally.
     holders: HolderIndex,
     /// Outcome of the last scheduling pass (dirty-flag scheduling).
     sched_state: SchedState,
@@ -243,7 +243,11 @@ impl LeecherNode {
         let mut views = NodeMap::with_slots(universe);
         views.insert(cfg.seeder, PeerView::new(segment_count));
         if let Some(cdn) = cfg.cdn {
-            views.insert(cdn, PeerView::new(segment_count));
+            // The CDN holds every segment (§IV), so it is indexed like any
+            // other holder from its handshake on.
+            let mut view = PeerView::new(segment_count);
+            view.holdings = Bitfield::full(segment_count);
+            views.insert(cdn, view);
         }
         if cfg.discovery == crate::swarm::DiscoveryMode::Full {
             for &other in &cfg.others {
@@ -255,15 +259,11 @@ impl LeecherNode {
             peer: cfg.index,
             ..PeerReport::default()
         };
-        let mut holders = HolderIndex::with_universe(segment_count, universe);
-        if cfg.sparse_holders {
-            holders = holders.sparse_only();
-        }
         LeecherNode {
             playback,
             holdings: Bitfield::new(segment_count),
             views,
-            holders,
+            holders: HolderIndex::with_universe(segment_count, universe),
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
             in_flight_mask: Bitfield::new(segment_count),
@@ -645,6 +645,26 @@ impl LeecherNode {
         picked
     }
 
+    /// Whether `peer`, known to hold the segment, may serve it now: it is
+    /// online and not `exclude`, and it is either the CDN with no download
+    /// of ours in progress (§IV: one segment at a time), or, outside
+    /// CDN-only mode, any other holder.
+    fn eligible(
+        &self,
+        ctx: &Ctx<'_>,
+        peer: NodeId,
+        exclude: Option<NodeId>,
+        cdn_busy: bool,
+    ) -> bool {
+        Some(peer) != exclude
+            && ctx.is_online(peer)
+            && if self.cfg.cdn == Some(peer) {
+                !cdn_busy
+            } else {
+                self.cfg.p2p
+            }
+    }
+
     /// Reference candidate collection: a full scan of every peer view in
     /// ascending `NodeId` order (the table iterates ascending), so the
     /// pool needs no sort for determinism.
@@ -657,17 +677,10 @@ impl LeecherNode {
         out: &mut Vec<SourceCandidate>,
     ) {
         for (peer, view) in self.views.iter() {
-            if Some(peer) == exclude || !view.handshaken() || !ctx.is_online(peer) {
-                continue;
-            }
-            let eligible = if self.cfg.cdn == Some(peer) {
-                // §IV: downloads from the CDN happen one segment at a time.
-                !cdn_busy
-            } else {
-                // CDN-only mode: neither seeder nor peers serve data.
-                self.cfg.p2p && view.holdings.get(index)
-            };
-            if eligible {
+            if view.handshaken()
+                && view.holdings.get(index)
+                && self.eligible(ctx, peer, exclude, cdn_busy)
+            {
                 out.push(SourceCandidate {
                     peer,
                     outstanding: view.outstanding,
@@ -677,11 +690,9 @@ impl LeecherNode {
     }
 
     /// Indexed candidate collection: walks the holders of one segment
-    /// instead of every view. The index already folds in handshaken-ness
-    /// and excludes the CDN; online-ness stays a live probe (a peer can go
-    /// offline before its departure is observed). The CDN candidate is
-    /// merged at its sorted `NodeId` position, so the order matches the
-    /// scan exactly.
+    /// instead of every view. The index already folds in handshaken-ness;
+    /// online-ness stays a live probe (a peer can go offline before its
+    /// departure is observed).
     fn collect_candidates_indexed(
         &self,
         ctx: &Ctx<'_>,
@@ -690,33 +701,16 @@ impl LeecherNode {
         cdn_busy: bool,
         out: &mut Vec<SourceCandidate>,
     ) {
-        let mut push = |peer: NodeId| {
+        for peer in self.holders.of(index) {
             // A holder evicted concurrently has no view; the scan skips it too.
             if let Some(view) = self.views.get(&peer) {
-                out.push(SourceCandidate {
-                    peer,
-                    outstanding: view.outstanding,
-                });
-            }
-        };
-        let mut cdn_pending = self.cfg.cdn.filter(|&cdn| {
-            !cdn_busy
-                && Some(cdn) != exclude
-                && self.views.get(&cdn).is_some_and(|v| v.handshaken())
-                && ctx.is_online(cdn)
-        });
-        if self.cfg.p2p {
-            for peer in self.holders.of(index) {
-                if let Some(cdn) = cdn_pending.take_if(|cdn| *cdn < peer) {
-                    push(cdn);
-                }
-                if Some(peer) != exclude && ctx.is_online(peer) {
-                    push(peer);
+                if self.eligible(ctx, peer, exclude, cdn_busy) {
+                    out.push(SourceCandidate {
+                        peer,
+                        outstanding: view.outstanding,
+                    });
                 }
             }
-        }
-        if let Some(cdn) = cdn_pending {
-            push(cdn);
         }
     }
 
@@ -903,7 +897,6 @@ impl LeecherNode {
             }
             for (peer, view) in self.views.iter() {
                 if view.handshaken()
-                    && Some(peer) != self.cfg.cdn
                     && view.holdings.get(segment)
                     && self.holders.insert(segment, peer)
                 {
@@ -1055,10 +1048,9 @@ impl LeecherNode {
     }
 
     /// Whether `from`'s announced bits belong in the holder index at all:
-    /// a handshaken neighbour other than the CDN (whose eligibility does
-    /// not depend on holdings).
+    /// it is a handshaken neighbour.
     fn indexable(&self, from: NodeId) -> bool {
-        Some(from) != self.cfg.cdn && self.views.get(&from).is_some_and(|v| v.handshaken())
+        self.views.get(&from).is_some_and(|v| v.handshaken())
     }
 
     /// `from` announced `indices` (`Have` is a bundle of one): set the new
@@ -1233,9 +1225,7 @@ impl LeecherNode {
             let expected: Vec<NodeId> = self
                 .views
                 .iter()
-                .filter(|&(peer, view)| {
-                    Some(peer) != self.cfg.cdn && view.handshaken() && view.holdings.get(segment)
-                })
+                .filter(|&(_, view)| view.handshaken() && view.holdings.get(segment))
                 .map(|(peer, _)| peer)
                 .collect();
             let indexed: Vec<NodeId> = self.holders.of(segment).collect();
@@ -1408,10 +1398,6 @@ impl LeecherNode {
         self.report.finished = self.playback.state() == PlaybackState::Finished;
         self.report.departed = departed;
         self.report.mem = self.mem_bytes_estimate();
-        let (sparse_sets, dense_sets) = self.holders.census();
-        self.report.sched.sparse_sets = sparse_sets;
-        self.report.sched.dense_sets = dense_sets;
-        self.report.sched.dense_promotions = self.holders.dense_promotions();
         self.cfg.sink.borrow_mut().push(self.report.clone());
     }
 }

@@ -74,12 +74,6 @@ pub struct SchedulerStats {
     pub no_source: u64,
     /// Passes that found every segment held or in flight.
     pub exhausted: u64,
-    /// Non-empty holder sets in the sparse representation at report time.
-    pub sparse_sets: u64,
-    /// Holder sets in the dense bitset representation at report time.
-    pub dense_sets: u64,
-    /// Cumulative sparse→dense holder-set promotions.
-    pub dense_promotions: u64,
 }
 
 impl SchedulerStats {
@@ -92,9 +86,6 @@ impl SchedulerStats {
         self.full_pool += other.full_pool;
         self.no_source += other.no_source;
         self.exhausted += other.exhausted;
-        self.sparse_sets += other.sparse_sets;
-        self.dense_sets += other.dense_sets;
-        self.dense_promotions += other.dense_promotions;
     }
 }
 

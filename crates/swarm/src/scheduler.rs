@@ -25,87 +25,13 @@ where
     (from..segment_count).find(|&i| !held(i) && !in_flight(i))
 }
 
-/// One segment's holder set: a hybrid representation that starts as a
-/// sorted sparse vector and promotes to a dense per-peer-slot bitset once
-/// the population crosses the index's threshold.
-///
-/// Both representations iterate holders in ascending `NodeId` order —
-/// sparse by sortedness, dense by walking words from bit 0 up (bit *i* of
-/// the bitset is the node with dense index *i*, and dense indices are
-/// assigned in ascending `NodeId` order) — so scheduling picks are
-/// bit-identical whichever representation a set happens to be in.
+/// Ascending-`NodeId` iterator over one segment's holders: a walk over
+/// the set's words from bit 0 up (bit *i* is the node with index *i*).
 #[derive(Debug, Clone)]
-enum HolderSet {
-    /// Sorted by `NodeId`, binary-searched; cheap while small.
-    Sparse(Vec<NodeId>),
-    /// One bit per node index; O(1) insert/remove and 1 bit/peer instead
-    /// of 32 once a set approaches swarm population.
-    Dense(Box<[u64]>),
-}
-
-impl Default for HolderSet {
-    fn default() -> Self {
-        HolderSet::Sparse(Vec::new())
-    }
-}
-
-impl HolderSet {
-    fn contains(&self, peer: NodeId) -> bool {
-        match self {
-            HolderSet::Sparse(v) => v.binary_search(&peer).is_ok(),
-            HolderSet::Dense(words) => {
-                let i = peer.index();
-                words
-                    .get(i / 64)
-                    .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            HolderSet::Sparse(v) => v.len(),
-            HolderSet::Dense(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
-
-    /// Heap bytes behind this set (allocator-visible capacity).
-    fn heap_bytes(&self) -> usize {
-        match self {
-            HolderSet::Sparse(v) => v.capacity() * std::mem::size_of::<NodeId>(),
-            HolderSet::Dense(words) => words.len() * std::mem::size_of::<u64>(),
-        }
-    }
-
-    /// Rebuilds the sorted sparse form (demotion after removals).
-    fn to_sparse(&self) -> Vec<NodeId> {
-        self.iter().collect()
-    }
-
-    fn iter(&self) -> HolderIter<'_> {
-        match self {
-            HolderSet::Sparse(v) => HolderIter::Sparse(v.iter()),
-            HolderSet::Dense(words) => HolderIter::Dense {
-                words,
-                word_ix: 0,
-                current: words.first().copied().unwrap_or(0),
-            },
-        }
-    }
-}
-
-/// Ascending-`NodeId` iterator over one segment's holders, independent of
-/// the set's current representation.
-#[derive(Debug, Clone)]
-pub enum HolderIter<'a> {
-    #[doc(hidden)]
-    Sparse(std::slice::Iter<'a, NodeId>),
-    #[doc(hidden)]
-    Dense {
-        words: &'a [u64],
-        word_ix: usize,
-        current: u64,
-    },
+pub struct HolderIter<'a> {
+    words: &'a [u64],
+    word_ix: usize,
+    current: u64,
 }
 
 impl Iterator for HolderIter<'_> {
@@ -113,281 +39,160 @@ impl Iterator for HolderIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        match self {
-            HolderIter::Sparse(it) => it.next().copied(),
-            HolderIter::Dense {
-                words,
-                word_ix,
-                current,
-            } => {
-                while *current == 0 {
-                    *word_ix += 1;
-                    *current = *words.get(*word_ix)?;
-                }
-                let bit = current.trailing_zeros() as usize;
-                *current &= *current - 1;
-                Some(NodeId::from_index(*word_ix * 64 + bit))
-            }
+        while self.current == 0 {
+            self.word_ix += 1;
+            self.current = *self.words.get(self.word_ix)?;
         }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(NodeId::from_index(self.word_ix * 64 + bit))
     }
 }
 
 /// An incrementally maintained per-segment holder index: for each segment,
-/// the set of handshaken peers known to hold it, as a hybrid
-/// `HolderSet`.
+/// the set of handshaken peers known to hold it, as one bitset over the
+/// node universe.
 ///
 /// This replaces the O(peers) rescan of every `PeerView` per scheduling
-/// decision with an O(holders-of-one-segment) walk. Maintenance happens at
-/// the points where knowledge changes — `Bitfield`/`Have`/`HaveBundle`
+/// decision with an O(universe/64) word walk. Maintenance happens at the
+/// points where knowledge changes — `Bitfield`/`Have`/`HaveBundle`
 /// arrival, handshake completion, and peer eviction — which are each cheap
 /// and already O(changed bits).
 ///
+/// A set costs nothing until its first holder arrives; it is then
+/// allocated at the universe's width (widened if a higher node index
+/// arrives), and [`HolderIndex::purge_segment`] frees it again.
+///
 /// Determinism contract: iterating [`HolderIndex::of`] visits candidates
-/// in ascending `NodeId` order in both representations, so picks are
-/// bit-identical to walking the `BTreeMap` of peer views (and to a
-/// sparse-only index — see the sparse-vs-hybrid differential test).
-#[derive(Debug, Clone)]
+/// in ascending `NodeId` order, so picks are bit-identical to walking the
+/// `BTreeMap` of peer views.
+#[derive(Debug, Clone, Default)]
 pub struct HolderIndex {
-    per_segment: Vec<HolderSet>,
-    /// Sparse sets promote to dense when their population exceeds this.
-    promote_at: usize,
-    /// When `true`, never promote (differential-testing reference mode).
-    sparse_only: bool,
-    /// Cumulative sparse→dense promotions.
-    dense_promotions: u64,
+    per_segment: Vec<Box<[u64]>>,
+    /// Words a set is allocated with: ⌈universe/64⌉.
+    words: usize,
 }
 
-impl Default for HolderIndex {
-    fn default() -> Self {
-        HolderIndex::new(0)
-    }
-}
-
-/// Promotion threshold for a swarm of `universe` node slots: the
-/// break-even point where a dense bitset (`universe/8` bytes) costs no
-/// more than the sparse vector it replaces (4 bytes per holder), with a
-/// floor so tiny swarms never bother promoting.
-fn promote_threshold(universe: usize) -> usize {
-    (universe / 32).max(8)
+/// The word holding `peer`'s bit, and the bit's mask within it.
+fn slot(peer: NodeId) -> (usize, u64) {
+    let i = peer.index();
+    (i / 64, 1u64 << (i % 64))
 }
 
 impl HolderIndex {
-    /// An empty index over `segment_count` segments with a minimal
-    /// promotion threshold (tests and tiny swarms).
+    /// An empty index over `segment_count` segments whose sets are sized
+    /// by their highest holder (tests and tiny swarms).
     pub fn new(segment_count: u32) -> Self {
         HolderIndex::with_universe(segment_count, 0)
     }
 
-    /// An empty index over `segment_count` segments sized for a swarm of
-    /// `universe` node slots: the sparse→dense promotion threshold is set
-    /// at the memory break-even point `max(8, universe/32)`.
+    /// An empty index over `segment_count` segments of a swarm of
+    /// `universe` node slots: each set is allocated that wide at its first
+    /// insert.
     pub fn with_universe(segment_count: u32, universe: usize) -> Self {
         HolderIndex {
-            per_segment: vec![HolderSet::default(); segment_count as usize],
-            promote_at: promote_threshold(universe),
-            sparse_only: false,
-            dense_promotions: 0,
+            per_segment: vec![Box::default(); segment_count as usize],
+            words: universe.div_ceil(64),
         }
-    }
-
-    /// Pins every set to the sparse representation forever. Reference
-    /// mode for the sparse-vs-hybrid differential test; behaviour must be
-    /// bit-identical to the hybrid default.
-    pub fn sparse_only(mut self) -> Self {
-        self.sparse_only = true;
-        self
     }
 
     /// Records `peer` as a holder of `segment`. Returns `true` when the
-    /// entry is new. Out-of-range segments are ignored. A sparse set that
-    /// crosses the promotion threshold converts to the dense form.
+    /// entry is new. Out-of-range segments are ignored.
     pub fn insert(&mut self, segment: u32, peer: NodeId) -> bool {
-        let Some(holders) = self.per_segment.get_mut(segment as usize) else {
+        let Some(set) = self.per_segment.get_mut(segment as usize) else {
             return false;
         };
-        match holders {
-            HolderSet::Sparse(v) => match v.binary_search(&peer) {
-                Ok(_) => false,
-                Err(pos) => {
-                    v.insert(pos, peer);
-                    if !self.sparse_only && v.len() > self.promote_at {
-                        let top = v.last().expect("non-empty after insert").index();
-                        let mut words = vec![0u64; top / 64 + 1].into_boxed_slice();
-                        for n in v.iter() {
-                            let i = n.index();
-                            words[i / 64] |= 1u64 << (i % 64);
-                        }
-                        *holders = HolderSet::Dense(words);
-                        self.dense_promotions += 1;
-                    }
-                    true
-                }
-            },
-            HolderSet::Dense(words) => {
-                let i = peer.index();
-                if i / 64 >= words.len() {
-                    let mut grown = vec![0u64; i / 64 + 1].into_boxed_slice();
-                    grown[..words.len()].copy_from_slice(words);
-                    *words = grown;
-                }
-                let fresh = words[i / 64] & (1u64 << (i % 64)) == 0;
-                words[i / 64] |= 1u64 << (i % 64);
-                fresh
-            }
+        let (word, bit) = slot(peer);
+        if word >= set.len() {
+            let mut wider = vec![0u64; self.words.max(word + 1)].into_boxed_slice();
+            wider[..set.len()].copy_from_slice(set);
+            *set = wider;
         }
+        let fresh = set[word] & bit == 0;
+        set[word] |= bit;
+        fresh
     }
 
     /// Removes `peer` as a holder of `segment`. Returns `true` when an
-    /// entry was removed. A dense set that drains below half the
-    /// promotion threshold demotes back to sparse (hysteresis, so a set
-    /// hovering at the threshold does not flap).
+    /// entry was removed.
     pub fn remove(&mut self, segment: u32, peer: NodeId) -> bool {
-        let Some(holders) = self.per_segment.get_mut(segment as usize) else {
-            return false;
-        };
-        let removed = match holders {
-            HolderSet::Sparse(v) => match v.binary_search(&peer) {
-                Ok(pos) => {
-                    v.remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
-            HolderSet::Dense(words) => {
-                let i = peer.index();
-                let had = words
-                    .get(i / 64)
-                    .is_some_and(|w| w & (1u64 << (i % 64)) != 0);
-                if had {
-                    words[i / 64] &= !(1u64 << (i % 64));
-                }
-                had
+        let (word, bit) = slot(peer);
+        match self
+            .per_segment
+            .get_mut(segment as usize)
+            .and_then(|set| set.get_mut(word))
+        {
+            Some(w) if *w & bit != 0 => {
+                *w &= !bit;
+                true
             }
-        };
-        if removed {
-            Self::maybe_shrink(holders, self.promote_at);
+            _ => false,
         }
-        removed
     }
 
     /// Removes `peer` from every segment's holder set (peer eviction).
     /// Returns the number of entries removed.
-    ///
-    /// Shrinks-on-evict: a sparse set whose capacity has drifted to more
-    /// than twice its population is reallocated down, and a dense set
-    /// that drained below half the promotion threshold demotes back to
-    /// sparse — so long-lived swarms with churn do not keep
-    /// peak-population storage pinned for every segment.
     pub fn remove_peer(&mut self, peer: NodeId) -> u64 {
+        let (word, bit) = slot(peer);
         let mut removed = 0;
-        for holders in &mut self.per_segment {
-            match holders {
-                HolderSet::Sparse(v) => {
-                    if let Ok(pos) = v.binary_search(&peer) {
-                        v.remove(pos);
-                        removed += 1;
-                        Self::maybe_shrink(holders, self.promote_at);
-                    }
-                }
-                HolderSet::Dense(words) => {
-                    let i = peer.index();
-                    if words
-                        .get(i / 64)
-                        .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-                    {
-                        words[i / 64] &= !(1u64 << (i % 64));
-                        removed += 1;
-                        Self::maybe_shrink(holders, self.promote_at);
-                    }
-                }
-            }
+        for w in self
+            .per_segment
+            .iter_mut()
+            .filter_map(|set| set.get_mut(word))
+        {
+            removed += u64::from(*w & bit != 0);
+            *w &= !bit;
         }
         removed
     }
 
-    /// Post-removal storage hygiene for one set: demote a drained dense
-    /// set, shrink an over-capacity sparse one.
-    fn maybe_shrink(holders: &mut HolderSet, promote_at: usize) {
-        match holders {
-            HolderSet::Sparse(v) => {
-                if v.capacity() > 8 && v.capacity() > v.len() * 2 {
-                    v.shrink_to_fit();
-                }
-            }
-            HolderSet::Dense(_) => {
-                if holders.len() < promote_at / 2 {
-                    *holders = HolderSet::Sparse(holders.to_sparse());
-                }
-            }
-        }
-    }
-
-    /// Frees one segment's holder set entirely, returning its memory to
-    /// the allocator and resetting it to the sparse representation. The
-    /// leecher calls this for segments it has acquired (and has no raced
-    /// in-flight entry left for): the scheduler can never pick them
-    /// again, so their sets would be dead weight.
+    /// Frees one segment's holder set, returning its memory to the
+    /// allocator. The leecher calls this for segments it has acquired (and
+    /// has no raced in-flight entry left for): the scheduler can never
+    /// pick them again, so their sets would be dead weight.
     pub fn purge_segment(&mut self, segment: u32) {
-        if let Some(holders) = self.per_segment.get_mut(segment as usize) {
-            *holders = HolderSet::default();
+        if let Some(set) = self.per_segment.get_mut(segment as usize) {
+            *set = Box::default();
         }
     }
 
     /// Iterates the holders of `segment` in ascending `NodeId` order.
     pub fn of(&self, segment: u32) -> HolderIter<'_> {
-        static EMPTY: [NodeId; 0] = [];
-        self.per_segment
+        let words = self
+            .per_segment
             .get(segment as usize)
-            .map(HolderSet::iter)
-            .unwrap_or(HolderIter::Sparse(EMPTY.iter()))
+            .map_or(&[][..], |set| &set[..]);
+        HolderIter {
+            words,
+            word_ix: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
     }
 
     /// Whether `peer` is indexed as a holder of `segment`.
     pub fn contains(&self, segment: u32, peer: NodeId) -> bool {
+        let (word, bit) = slot(peer);
         self.per_segment
             .get(segment as usize)
-            .is_some_and(|h| h.contains(peer))
-    }
-
-    /// Whether `segment`'s set is currently in the dense representation.
-    pub fn is_dense(&self, segment: u32) -> bool {
-        matches!(
-            self.per_segment.get(segment as usize),
-            Some(HolderSet::Dense(_))
-        )
-    }
-
-    /// Cumulative sparse→dense promotions over this index's lifetime.
-    pub fn dense_promotions(&self) -> u64 {
-        self.dense_promotions
-    }
-
-    /// Point-in-time representation census: `(non-empty sparse sets,
-    /// dense sets)`.
-    pub fn census(&self) -> (u64, u64) {
-        let mut sparse = 0;
-        let mut dense = 0;
-        for holders in &self.per_segment {
-            match holders {
-                HolderSet::Sparse(v) if !v.is_empty() => sparse += 1,
-                HolderSet::Sparse(_) => {}
-                HolderSet::Dense(_) => dense += 1,
-            }
-        }
-        (sparse, dense)
+            .and_then(|set| set.get(word))
+            .is_some_and(|w| w & bit != 0)
     }
 
     /// Bytes of heap behind this index: the per-segment spine plus every
-    /// set's *capacity* (allocator-visible cost, not just population).
+    /// allocated set's words.
     pub fn heap_bytes(&self) -> usize {
-        let spine = self.per_segment.capacity() * std::mem::size_of::<HolderSet>();
-        let sets: usize = self.per_segment.iter().map(HolderSet::heap_bytes).sum();
-        spine + sets
+        let spine = self.per_segment.capacity() * std::mem::size_of::<Box<[u64]>>();
+        let sets: usize = self.per_segment.iter().map(|set| set.len()).sum();
+        spine + sets * std::mem::size_of::<u64>()
     }
 
     /// Live entries across every segment.
     pub fn live_entries(&self) -> u64 {
-        self.per_segment.iter().map(|h| h.len() as u64).sum()
+        self.per_segment
+            .iter()
+            .flat_map(|set| set.iter())
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
     }
 }
 
@@ -421,6 +226,7 @@ pub fn pick_source(candidates: &[SourceCandidate], rng: &mut StdRng) -> Option<N
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn node(i: usize) -> NodeId {
@@ -538,109 +344,121 @@ mod tests {
         assert_eq!(idx.of(5).count(), 0);
     }
 
-    /// Crossing the promotion threshold flips a set to the dense bitset;
-    /// membership and ascending iteration order are unchanged.
+    /// A set widens when a higher node index arrives than the universe it
+    /// was allocated for.
     #[test]
-    fn holder_set_promotes_to_dense_past_threshold() {
-        // `new` uses the floor threshold of 8.
-        let mut idx = HolderIndex::new(2);
-        // Insert in a scrambled order, crossing the threshold mid-way.
-        let order = [13usize, 2, 30, 7, 21, 4, 18, 9, 26, 11, 5];
-        for (k, &i) in order.iter().enumerate() {
-            assert!(idx.insert(0, node(i)));
-            assert_eq!(idx.is_dense(0), k + 1 > 8, "after {} inserts", k + 1);
-        }
-        assert_eq!(idx.dense_promotions(), 1);
-        let mut expected: Vec<NodeId> = order.iter().map(|&i| node(i)).collect();
-        expected.sort();
-        assert_eq!(holders(&idx, 0), expected);
-        assert!(idx.contains(0, node(30)) && !idx.contains(0, node(3)));
-        assert!(!idx.insert(0, node(21)), "duplicate insert in dense form");
-        assert_eq!(idx.census(), (0, 1));
-
-        // The sparse-only reference never promotes but sees the same set.
-        let mut sparse = HolderIndex::new(2).sparse_only();
-        for &i in &order {
-            sparse.insert(0, node(i));
-        }
-        assert!(!sparse.is_dense(0));
-        assert_eq!(sparse.dense_promotions(), 0);
-        assert_eq!(holders(&sparse, 0), expected);
-        assert_eq!(sparse.census(), (1, 0));
-    }
-
-    /// Removals drain a dense set back below half the threshold and it
-    /// demotes to sparse (hysteresis: not at the threshold itself).
-    #[test]
-    fn holder_set_demotes_with_hysteresis() {
-        let mut idx = HolderIndex::new(1);
-        for i in 0..12 {
-            idx.insert(0, node(i));
-        }
-        assert!(idx.is_dense(0));
-        // Down to 4 = threshold/2: still dense.
-        for i in 0..8 {
-            assert!(idx.remove(0, node(i)));
-        }
-        assert!(idx.is_dense(0), "hysteresis holds at threshold/2");
-        // One more removal crosses the demotion floor.
-        assert!(idx.remove(0, node(8)));
-        assert!(!idx.is_dense(0));
-        assert_eq!(holders(&idx, 0), vec![node(9), node(10), node(11)]);
-
-        // `remove_peer` sweeps demote too.
-        let mut idx = HolderIndex::new(1);
-        for i in 0..12 {
-            idx.insert(0, node(i));
-        }
-        for i in 0..9 {
-            assert_eq!(idx.remove_peer(node(i)), 1);
-        }
-        assert!(!idx.is_dense(0));
-        assert_eq!(holders(&idx, 0), vec![node(9), node(10), node(11)]);
-    }
-
-    /// A dense set grows its word array when a higher node index arrives
-    /// than the set was sized for at promotion time.
-    #[test]
-    fn dense_set_grows_for_late_high_indices() {
-        let mut idx = HolderIndex::new(1);
+    fn set_widens_for_late_high_indices() {
+        let mut idx = HolderIndex::with_universe(1, 64);
         for i in 0..10 {
             idx.insert(0, node(i));
         }
-        assert!(idx.is_dense(0));
+        let word = std::mem::size_of::<u64>();
+        assert_eq!(idx.heap_bytes(), std::mem::size_of::<Box<[u64]>>() + word);
         assert!(idx.insert(0, node(700)));
         assert!(idx.contains(0, node(700)));
+        assert_eq!(
+            idx.heap_bytes(),
+            std::mem::size_of::<Box<[u64]>>() + (700 / 64 + 1) * word
+        );
         let got = holders(&idx, 0);
         assert_eq!(got.len(), 11);
         assert_eq!(*got.last().unwrap(), node(700));
     }
 
-    /// The universe hint raises the promotion threshold to the memory
-    /// break-even point.
+    /// `purge_segment` empties a set, and a later insert starts a fresh one.
     #[test]
-    fn universe_hint_sets_promotion_threshold() {
-        let mut idx = HolderIndex::with_universe(1, 2048);
-        for i in 0..64 {
-            idx.insert(0, node(i));
-        }
-        assert!(!idx.is_dense(0), "64 holders sit at the 2048/32 threshold");
-        idx.insert(0, node(64));
-        assert!(idx.is_dense(0), "65th holder crosses it");
-    }
-
-    /// `purge_segment` resets a dense set back to an empty sparse one.
-    #[test]
-    fn purge_resets_representation() {
-        let mut idx = HolderIndex::new(1);
+    fn purge_frees_the_set() {
+        let mut idx = HolderIndex::new(2);
         for i in 0..10 {
             idx.insert(0, node(i));
         }
-        assert!(idx.is_dense(0));
+        idx.insert(1, node(3));
         idx.purge_segment(0);
-        assert!(!idx.is_dense(0));
         assert_eq!(idx.of(0).count(), 0);
-        assert_eq!(idx.census(), (0, 0));
-        assert_eq!(idx.heap_bytes(), std::mem::size_of::<HolderSet>());
+        assert!(!idx.contains(0, node(3)));
+        assert_eq!(idx.live_entries(), 1);
+        assert_eq!(idx.remove_peer(node(3)), 1, "only segment 1 still has it");
+        assert!(idx.insert(0, node(5)));
+        assert_eq!(holders(&idx, 0), vec![node(5)]);
+    }
+
+    /// A segment costs its spine slot alone until its first holder, and
+    /// again once purged: the memory probe sees no words for it.
+    #[test]
+    fn heap_bytes_is_the_spine_alone_before_first_insert_and_after_purge() {
+        let spine = 3 * std::mem::size_of::<Box<[u64]>>();
+        let mut idx = HolderIndex::with_universe(3, 300);
+        assert_eq!(idx.heap_bytes(), spine);
+        idx.insert(1, node(4));
+        assert_eq!(idx.heap_bytes(), spine + 300usize.div_ceil(64) * 8);
+        idx.purge_segment(1);
+        assert_eq!(idx.heap_bytes(), spine);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u32, usize),
+        Remove(u32, usize),
+        RemovePeer(usize),
+        Purge(u32),
+    }
+
+    /// Four segments (one past the index's three, so out-of-range calls
+    /// are exercised) and node indices up to 300, past the 64-slot
+    /// universe the index is built with, so sets must widen.
+    fn op() -> impl Strategy<Value = Op> {
+        let seg = || 0u32..4;
+        let peer = || 0usize..300;
+        prop_oneof![
+            (seg(), peer()).prop_map(|(s, p)| Op::Insert(s, p)),
+            (seg(), peer()).prop_map(|(s, p)| Op::Insert(s, p)),
+            (seg(), peer()).prop_map(|(s, p)| Op::Insert(s, p)),
+            (seg(), peer()).prop_map(|(s, p)| Op::Remove(s, p)),
+            peer().prop_map(Op::RemovePeer),
+            seg().prop_map(Op::Purge),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 2048 }))]
+
+        /// The index against a `BTreeSet<(segment, NodeId)>`: every return
+        /// value, and after every step each segment's holders (ascending),
+        /// membership and the live-entry count.
+        #[test]
+        fn every_step_matches_a_btreeset_model(ops in prop::collection::vec(op(), 1..300)) {
+            const SEGMENTS: u32 = 3;
+            let mut real = HolderIndex::with_universe(SEGMENTS, 64);
+            let mut model = std::collections::BTreeSet::<(u32, NodeId)>::new();
+            for op in ops {
+                match op {
+                    Op::Insert(s, p) => {
+                        let fresh = s < SEGMENTS && model.insert((s, node(p)));
+                        prop_assert_eq!(real.insert(s, node(p)), fresh);
+                    }
+                    Op::Remove(s, p) => {
+                        prop_assert_eq!(real.remove(s, node(p)), model.remove(&(s, node(p))));
+                    }
+                    Op::RemovePeer(p) => {
+                        let before = model.len();
+                        model.retain(|&(_, n)| n != node(p));
+                        prop_assert_eq!(real.remove_peer(node(p)), (before - model.len()) as u64);
+                    }
+                    Op::Purge(s) => {
+                        model.retain(|&(seg, _)| seg != s);
+                        real.purge_segment(s);
+                    }
+                }
+                for s in 0..=SEGMENTS {
+                    let expected: Vec<NodeId> =
+                        model.range((s, node(0))..(s + 1, node(0))).map(|&(_, n)| n).collect();
+                    prop_assert_eq!(holders(&real, s), expected);
+                }
+                for &(s, n) in &model {
+                    prop_assert!(real.contains(s, n));
+                }
+                prop_assert_eq!(real.live_entries(), model.len() as u64);
+            }
+        }
     }
 }

@@ -170,9 +170,11 @@ pub struct SwarmConfig {
     /// Peer-side failure defenses (source backoff bans), if any.
     #[serde(default)]
     pub defense: Option<DefenseConfig>,
-    /// Pins every holder set to the sparse representation. A
-    /// differential-testing knob: the hybrid sparse/dense default must be
-    /// bit-identical, so production configs never set this.
+    /// Retired: read by nothing since every holder set is one bitset. It
+    /// and [`LeecherConfig::sparse_holders`](crate::LeecherConfig::sparse_holders)
+    /// stay only because
+    /// `benchmark/src/traced.rs` copies one into the other, like
+    /// [`DisseminationMode`].
     #[serde(default)]
     pub sparse_holders: bool,
     /// Hard cap on simulated time, seconds.
@@ -767,9 +769,38 @@ mod tests {
         let metrics = run_swarm(&tiny_segments(), &config, 11);
         assert_eq!(
             output_digest(&metrics),
-            0x07de_d013_193f_c997,
+            0xadcf_cd0d_846e_f9f2,
             "cross-traffic run output changed; if intentional, update the pinned digest"
         );
+    }
+
+    /// Background transfers are not video: a viewer sharing its access
+    /// link with a competing bulk download books only the segments it
+    /// fetched, so nobody downloads twice the splice.
+    #[test]
+    fn background_traffic_is_not_booked_as_video() {
+        let clip = Video::builder()
+            .duration_secs(24.0)
+            .seed(PAPER_CONTENT_SEED)
+            .build();
+        let segments = DurationSplicer::new(4.0).splice(&clip);
+        let config = SwarmConfig {
+            n_leechers: 6,
+            peer_bandwidth_bytes_per_sec: 256_000.0,
+            seeder_bandwidth_bytes_per_sec: 256_000.0,
+            cross_traffic: Some(crate::cross::CrossTrafficConfig { flows_per_peer: 1 }),
+            ..SwarmConfig::default()
+        };
+        let metrics = run_swarm(&segments, &config, 11);
+        for report in &metrics.reports {
+            assert!(
+                report.bytes_downloaded < 2 * segments.total_bytes(),
+                "viewer {} booked {} B against a {} B splice",
+                report.peer,
+                report.bytes_downloaded,
+                segments.total_bytes()
+            );
+        }
     }
 
     /// The indexed scheduler must be bit-identical to the reference scan:
@@ -779,11 +810,13 @@ mod tests {
     /// on 80 half-second segments over fat links, where early viewers run
     /// far past the fold horizon of late ones: the deferred fold maintains
     /// the index lazily, but the candidate set any pick sees must still
-    /// equal a full rescan. The last scenario is the paper stack's Fig. 2
+    /// equal a full rescan. The fourth scenario is the paper stack's Fig. 2
     /// setting (10 leechers at 128 kB/s on the GOP-spliced paper clip),
     /// where the two modes poll playback at different instants, some
     /// within a media tick of a dry instant: the accounting must not see
-    /// the difference. Scheduler counters are zeroed before comparing:
+    /// the difference. The last two are the first two with 12 leechers,
+    /// so holder sets fill and drain under churn on both control planes.
+    /// Scheduler counters are zeroed before comparing:
     /// pass/skip tallies are *expected* to differ between the modes.
     #[test]
     fn indexed_scheduler_matches_scan_bit_for_bit() {
@@ -823,7 +856,7 @@ mod tests {
                 SwarmConfig {
                     peer_bandwidth_bytes_per_sec: 4_000_000.0,
                     seeder_bandwidth_bytes_per_sec: 4_000_000.0,
-                    ..eventful
+                    ..eventful.clone()
                 },
                 11,
             ),
@@ -834,6 +867,24 @@ mod tests {
                     ..SwarmConfig::default()
                 },
                 2,
+            ),
+            (
+                &coarse,
+                SwarmConfig {
+                    n_leechers: 12,
+                    churn,
+                    discovery: DiscoveryMode::Tracker,
+                    ..tiny_config()
+                },
+                11,
+            ),
+            (
+                &coarse,
+                SwarmConfig {
+                    n_leechers: 12,
+                    ..eventful
+                },
+                11,
             ),
         ];
         for (i, (segments, base, seed)) in scenarios.into_iter().enumerate() {
@@ -1146,73 +1197,6 @@ mod tests {
             }
             let d = metrics.dissem_totals();
             assert!(d.fold_inserts > 0, "{control_plane:?}: {d:?}");
-        }
-    }
-
-    /// The hybrid sparse/dense holder index must be bit-identical to a
-    /// sparse-only index: promotion changes the representation, never the
-    /// membership or the ascending iteration order a pick sees. Exercised
-    /// on the same hostile scenarios as the scan-vs-indexed differential —
-    /// tracker discovery with churn, and the eventful+fluid stack
-    /// — with enough leechers that per-segment holder sets actually cross
-    /// the promotion threshold. Scheduler counters and the memory probe
-    /// are zeroed before comparing: the representation census and heap
-    /// bytes differ by design, everything else must not.
-    #[test]
-    fn hybrid_holder_sets_match_sparse_bit_for_bit() {
-        let video = Video::builder().duration_secs(40.0).seed(6).build();
-        let segments = DurationSplicer::new(4.0).splice(&video);
-        let scenarios = [
-            SwarmConfig {
-                n_leechers: 12,
-                churn: Some(ChurnConfig {
-                    volatile_fraction: 0.3,
-                    mean_lifetime_secs: 20.0,
-                }),
-                discovery: DiscoveryMode::Tracker,
-                ..tiny_config()
-            },
-            SwarmConfig {
-                n_leechers: 12,
-                control_plane: ControlPlane::Eventful,
-                flow_model: FlowModel::Fluid,
-                churn: Some(ChurnConfig {
-                    volatile_fraction: 0.3,
-                    mean_lifetime_secs: 20.0,
-                }),
-                ..tiny_config()
-            },
-        ];
-        for (i, base) in scenarios.into_iter().enumerate() {
-            let run = |sparse_only: bool| {
-                let config = SwarmConfig {
-                    sparse_holders: sparse_only,
-                    ..base.clone()
-                };
-                run_swarm(&segments, &config, 11)
-            };
-            let mut hybrid = run(false);
-            let mut sparse = run(true);
-            assert!(
-                hybrid.sched_totals().dense_promotions > 0,
-                "scenario {i} never crossed the promotion threshold — the \
-                 differential would be vacuous"
-            );
-            assert_eq!(
-                sparse.sched_totals().dense_promotions,
-                0,
-                "the sparse-only reference must never promote"
-            );
-            for metrics in [&mut hybrid, &mut sparse] {
-                for report in &mut metrics.reports {
-                    report.sched = Default::default();
-                    report.mem = Default::default();
-                }
-            }
-            assert_eq!(
-                sparse, hybrid,
-                "scenario {i} diverged between holder-set representations"
-            );
         }
     }
 

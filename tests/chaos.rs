@@ -453,14 +453,14 @@ fn holder_index_survives_combined_churn_on_eventful_plane() {
     );
 }
 
-/// The combined-churn schedule with a swarm large enough that per-segment
-/// holder sets cross the sparse→dense promotion threshold mid-run, under
-/// crash-stop churn and message loss. In debug builds (CI's test profile)
-/// every pump re-runs the fold-aware holder auditor against the hybrid representation — stale dense bits or broken
-/// ascending iteration fail loudly here; the Scan/Indexed comparison
+/// The combined-churn schedule on a 32-leecher swarm, under crash-stop
+/// churn and message loss: holder sets fill and drain as peers come and
+/// go. In debug builds (CI's test profile) every pump re-runs the
+/// fold-aware holder auditor against the bitsets — a stale bit or broken
+/// ascending iteration fails loudly here; the Scan/Indexed comparison
 /// catches release builds too.
 #[test]
-fn dense_promotion_survives_combined_churn() {
+fn holder_bitsets_survive_combined_churn() {
     let mut config = base().with_leechers(32);
     config.swarm.discovery = DiscoveryMode::Tracker;
     config.swarm.control_plane = ControlPlane::Eventful;
@@ -471,22 +471,11 @@ fn dense_promotion_survives_combined_churn() {
         ..FaultPlanConfig::default()
     });
 
-    let indexed = indexed_run_matching_scan(config, 55, "hybrid holder index");
+    let indexed = indexed_run_matching_scan(config, 55, "holder bitsets");
     assert_eq!(
         indexed.stuck_peers().count(),
         0,
         "persistent peers stuck:\n{}",
         indexed.stuck_report()
-    );
-    let sched = indexed.sched_totals();
-    assert!(
-        sched.dense_promotions >= 1,
-        "the schedule must actually cross the promotion threshold \
-         (promotions {})",
-        sched.dense_promotions
-    );
-    assert!(
-        sched.sparse_sets + sched.dense_sets > 0,
-        "representation census must be reported"
     );
 }
