@@ -305,8 +305,8 @@ pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The control-plane, scheduler, deferred-fold and fault counters of a
-/// `run` report, per run; a line whose counters are all zero is left out.
+/// The control-plane, scheduler and fault counters of a `run` report, per
+/// run; a line whose counters are all zero is left out.
 fn counter_lines(averaged: &AveragedMetrics) -> String {
     let runs = averaged.runs as f64;
     let control = averaged.control;
@@ -336,14 +336,6 @@ fn counter_lines(averaged: &AveragedMetrics) -> String {
             "  scheduling:        {:.0} passes, {:.0} skipped (per run)\n",
             sched.passes as f64 / runs,
             sched.skips as f64 / runs,
-        ));
-    }
-    let dissem = averaged.dissem;
-    if dissem.deferred_indices + dissem.fold_inserts > 0 {
-        out.push_str(&format!(
-            "  deferred fold:     {:.0} indices deferred, {:.0} folded (per run)\n",
-            dissem.deferred_indices as f64 / runs,
-            dissem.fold_inserts as f64 / runs,
         ));
     }
     let injected = averaged.injected;

@@ -114,18 +114,11 @@ mod tests {
         assert!(text.contains("startup"), "{text}");
     }
 
-    /// The deferred fold is what every leecher runs, not a choice: either
-    /// profile prints its line, and `--dissemination` is no option.
+    /// How a leecher learns who holds what is not a choice:
+    /// `--dissemination` is no option.
     #[test]
     fn dissemination_is_not_an_option() {
         let quick = ["run", "--peers", "3", "--clip-secs", "12", "--seeds", "1"];
-        for profile in ["paper", "scale"] {
-            let text = call(&[&quick[..], &["--profile", profile]].concat()).unwrap();
-            let fold = text.lines().find(|l| l.starts_with("  deferred fold:"));
-            let fold = fold.unwrap_or_else(|| panic!("{profile}: {text}"));
-            assert!(fold.contains(" indices deferred, "), "{fold}");
-            assert!(fold.ends_with(" folded (per run)"), "{fold}");
-        }
         for mode in ["full", "windowed"] {
             let err = call(&[&quick[..], &["--dissemination", mode]].concat()).unwrap_err();
             assert!(err.contains("unknown option --dissemination"), "{err}");
@@ -296,7 +289,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 35] = [
+        let cases: [(&[&str], &str); 36] = [
             (
                 &["--have-window", "-1"],
                 "coalesce window must be a non-negative number",
@@ -304,6 +297,8 @@ mod tests {
             (&["--peers", "0"], "a swarm needs at least one leecher"),
             (&["--bandwidth", "0"], "peer bandwidth must be positive"),
             (&["--bandwidth", "inf"], "bandwidths must be finite"),
+            // Finite in kB/s, infinite in the bits per second a link takes.
+            (&["--bandwidth", "1e305"], "bandwidths must be finite"),
             (&["--churn", "2"], "volatile fraction must be in [0,1]"),
             (&["--crash", "2"], "crash fraction must be in [0,1]"),
             (&["--msg-loss", "2"], "message loss must be in [0,1]"),

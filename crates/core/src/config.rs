@@ -139,9 +139,9 @@ impl ExperimentConfig {
 
     /// The blessed big-swarm preset: every scalability optimisation at
     /// once — the fluid flow model and the eventful control plane (the
-    /// incremental holder index and its deferred fold are what every
-    /// leecher runs anyway). This is what `--profile scale` selects on the
-    /// CLI; individual knobs can still be overridden afterwards.
+    /// skipped scheduling passes are what every leecher runs anyway). This
+    /// is what `--profile scale` selects on the CLI; individual knobs can
+    /// still be overridden afterwards.
     pub fn with_scale_profile(self) -> Self {
         self.with_flow_model(splicecast_netsim::FlowModel::Fluid)
             .with_control_plane(splicecast_swarm::ControlPlane::Eventful)

@@ -47,9 +47,6 @@ pub struct AveragedMetrics {
     /// Scheduler counters summed over every run.
     #[serde(default)]
     pub sched: splicecast_swarm::SchedulerStats,
-    /// Deferred-fold counters summed over every run.
-    #[serde(default)]
-    pub dissem: splicecast_swarm::DisseminationStats,
     /// Peer-side fault/defense counters summed over every run.
     #[serde(default)]
     pub fault: splicecast_swarm::PeerFaultStats,
@@ -76,14 +73,12 @@ impl AveragedMetrics {
         let stalls = per_run(SwarmMetrics::mean_stalls);
         let mut control = splicecast_swarm::ControlPlaneStats::default();
         let mut sched = splicecast_swarm::SchedulerStats::default();
-        let mut dissem = splicecast_swarm::DisseminationStats::default();
         let mut fault = splicecast_swarm::PeerFaultStats::default();
         let mut injected = splicecast_netsim::InjectedFaults::default();
         let mut mem = splicecast_swarm::PeerMemStats::default();
         for r in results {
             control.absorb(&r.metrics.control_totals());
             sched.absorb(&r.metrics.sched_totals());
-            dissem.absorb(&r.metrics.dissem_totals());
             fault.absorb(&r.metrics.fault_totals());
             injected.absorb(&r.metrics.injected);
             mem.absorb(&r.metrics.mem_totals());
@@ -100,7 +95,6 @@ impl AveragedMetrics {
             segment_count: results[0].segment_count,
             control,
             sched,
-            dissem,
             fault,
             injected,
             mem,

@@ -78,5 +78,5 @@ pub use splicecast_swarm::{
     run_abr, AbrAlgorithm, AbrConfig, AbrMetrics, CdnConfig, CdnOutageConfig, ChurnConfig,
     ControlPlane, ControlPlaneStats, CrashChurnConfig, DefenseConfig, DiscoveryMode,
     DisseminationStats, EstimatorKind, FaultPlanConfig, LinkFlapConfig, PeerFaultStats,
-    PeerMemStats, PolicyConfig, SchedulerMode, SchedulerStats, SwarmConfig, SwarmMetrics,
+    PeerMemStats, PolicyConfig, SchedulerStats, SwarmConfig, SwarmMetrics,
 };

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{must, rule};
+use crate::{link_rate, must, rule, MAX_KNOB_SECS};
 
 /// Configuration of the CDN node added to the star in hybrid mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,16 +28,24 @@ impl Default for CdnConfig {
 }
 
 impl CdnConfig {
-    /// Checks the configuration: non-positive bandwidth/slots or a
-    /// negative latency is an `Err` naming the rule.
+    /// Checks the configuration: a bandwidth that is not a finite positive
+    /// rate, a latency outside `[0, MAX_KNOB_SECS]` or no upload slot is an
+    /// `Err` naming the rule — the CDN link's constructors would refuse
+    /// them with a panic.
     pub fn check(&self) -> Result<(), String> {
         rule(
-            self.bandwidth_bytes_per_sec > 0.0,
-            "cdn bandwidth must be positive",
+            link_rate(self.bandwidth_bytes_per_sec),
+            format!(
+                "cdn bandwidth must be positive and finite, got {}",
+                self.bandwidth_bytes_per_sec
+            ),
         )?;
         rule(
-            self.one_way_latency_secs >= 0.0,
-            "cdn latency must be non-negative",
+            (0.0..=MAX_KNOB_SECS).contains(&self.one_way_latency_secs),
+            format!(
+                "cdn latency must be in [0,{MAX_KNOB_SECS}] s, got {}",
+                self.one_way_latency_secs
+            ),
         )?;
         rule(self.upload_slots > 0, "cdn upload slots must be positive")
     }

@@ -17,7 +17,7 @@ use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
 use crate::nodemap::NodeMap;
 use crate::peer::PeerView;
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
-use crate::scheduler::{next_wanted_from, pick_source, HolderIndex, SourceCandidate};
+use crate::scheduler::{next_wanted_from, pick_source, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
 use crate::upload::UploadSide;
 
@@ -82,15 +82,15 @@ pub struct LeecherConfig {
     pub discovery: crate::swarm::DiscoveryMode,
     /// Which control plane disseminates availability and schedules pumps.
     pub control_plane: ControlPlane,
-    /// How upload sources are found (full rescan vs. incremental index).
+    /// Retired: read by nothing since every pass reads the neighbour
+    /// views; see [`SchedulerMode`].
     pub scheduler: SchedulerMode,
-    /// Retired: read by nothing since the deferred fold became the one
-    /// indexing path; see [`DisseminationMode`].
+    /// Retired: read by nothing; see [`DisseminationMode`].
     pub dissemination: DisseminationMode,
     /// How long completions may wait before a coalesced `HaveBundle`
     /// flush (eventful mode only).
     pub coalesce_window: SimDuration,
-    /// Retired: read by nothing since every holder set is one bitset; see
+    /// Retired: read by nothing since no leecher keeps a holder index; see
     /// [`SwarmConfig::sparse_holders`](crate::SwarmConfig::sparse_holders).
     pub sparse_holders: bool,
     /// Where the final [`PeerReport`] is written.
@@ -132,10 +132,11 @@ enum SchedState {
     /// The last pass stopped at this wanted segment with no eligible
     /// source for it. The pass walks segments in order and stops at the
     /// *first* want it cannot fill, so only events that could fill exactly
-    /// that segment re-dirty the state: a new holder *of that segment*, a
-    /// fresh handshake (may fold in held bits or enable the CDN), a freed
-    /// in-flight slot, or the leecher's own holdings growing (moves the
-    /// frontier). Holder news for other segments cannot change the
+    /// that segment re-dirty the state: a handshaken neighbour newly
+    /// showing *that segment* ([`LeecherNode::on_new_bit`]), a fresh
+    /// handshake (makes bits learned before it count, or enables the
+    /// CDN), a freed in-flight slot, or the leecher's own holdings growing
+    /// (moves the frontier). News of other segments cannot change the
     /// outcome — the pass would stop at the same segment again. (Peers
     /// going offline only *shrink* the candidate set, so they need no
     /// mark. An origin coming back from an outage grows it, so no pass
@@ -169,18 +170,16 @@ pub struct LeecherNode {
     cfg: LeecherConfig,
     playback: Playback,
     holdings: Bitfield,
+    /// The neighbours, the origins included: what each holds, and whether
+    /// it has handshaken. The one record of who holds what; a pick walks it.
     views: NodeMap<PeerView>,
-    /// Per-segment holder index: for each segment, the handshaken peers
-    /// known to hold it, the origins included. Mirrors the views'
-    /// bitfields incrementally.
-    holders: HolderIndex,
     /// Outcome of the last scheduling pass (dirty-flag scheduling).
     sched_state: SchedState,
     /// The request records, at most a pool's worth: what the timeout walk
     /// iterates and a completion looks up.
     in_flight: BTreeMap<u32, InFlight>,
     /// The keys of `in_flight` as one bit per segment, so the questions
-    /// asked a million times a run — is this segment pickable, is it
+    /// asked a million times a run — is this segment in flight, is it
     /// wanted — test a bit instead of descending the tree. Written only
     /// next to the map's own two mutation sites, `request_from` and
     /// `drop_in_flight`.
@@ -212,11 +211,6 @@ pub struct LeecherNode {
     earliest_armed: SimTime,
     /// Whether peers were told we are complete (`NotInterested`).
     complete_notified: bool,
-    /// Receiver-side fold horizon: announcements for segments below it
-    /// are live-mirrored into the holder index, while everything at or
-    /// beyond it is parked in the per-peer bitfields only and folded in
-    /// lazily as the scheduler's wanted frontier reaches it.
-    fold_horizon: u32,
     report: PeerReport,
     reported: bool,
     /// Scratch buffer for outgoing frames (reused across sends).
@@ -243,8 +237,8 @@ impl LeecherNode {
         let mut views = NodeMap::with_slots(universe);
         views.insert(cfg.seeder, PeerView::new(segment_count));
         if let Some(cdn) = cfg.cdn {
-            // The CDN holds every segment (§IV), so it is indexed like any
-            // other holder from its handshake on.
+            // The CDN holds every segment (§IV), so it is a candidate like
+            // any other holder from its handshake on.
             let mut view = PeerView::new(segment_count);
             view.holdings = Bitfield::full(segment_count);
             views.insert(cdn, view);
@@ -263,7 +257,6 @@ impl LeecherNode {
             playback,
             holdings: Bitfield::new(segment_count),
             views,
-            holders: HolderIndex::with_universe(segment_count, universe),
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
             in_flight_mask: Bitfield::new(segment_count),
@@ -277,7 +270,6 @@ impl LeecherNode {
             next_announce_at: SimTime::MAX,
             earliest_armed: SimTime::MAX,
             complete_notified: false,
-            fold_horizon: 0,
             report,
             reported: false,
             wire_buf: EncodeBuf::new(),
@@ -304,19 +296,15 @@ impl LeecherNode {
     }
 
     /// Forgets a peer that left, however we learned it — a `Goodbye`, a
-    /// failed send, a failed transfer or the offline probe: its view, its
-    /// holder-index entries and its timeout bans go, and so does every
-    /// request we have in flight to it, which marks the scheduler dirty.
+    /// failed send, a failed transfer or the offline probe: its view and
+    /// its timeout bans go, and so does every request we have in flight to
+    /// it, which marks the scheduler dirty.
     /// The next scheduling pass re-requests those segments. An origin keeps
     /// its view: it is offline only during an outage, which is a pause, and
     /// the `is_online` probe in every pick skips it meanwhile.
     fn forget_peer(&mut self, peer: NodeId) {
         if !self.is_origin(peer) {
-            if let Some(view) = self.views.remove(&peer) {
-                if view.handshaken() {
-                    self.report.sched.holder_removes += self.holders.remove_peer(peer);
-                }
-            }
+            self.views.remove(&peer);
             // A one-shot ban names the peer whose request timed out on
             // that segment; it must not outlive the peer, or a later
             // redraw's `unwrap_or(banned)` fallback could point a request
@@ -485,13 +473,6 @@ impl LeecherNode {
         self.playback.buffer().first_missing() as u32
     }
 
-    /// Whether a source can still be picked for `index`: it is not held
-    /// yet, or a raced request for it is still in flight (a timeout redraw
-    /// would consult its holders).
-    fn pickable(&self, index: u32) -> bool {
-        !self.holdings.get(index) || self.in_flight_mask.get(index)
-    }
-
     /// The heart of §III: keep the download pool filled to the policy's
     /// size. The pool is a sliding window over the sequential segment
     /// order: whenever a download completes (or the policy's `k` grows
@@ -503,43 +484,30 @@ impl LeecherNode {
         if !self.streaming {
             return;
         }
-        if self.cfg.scheduler == SchedulerMode::Indexed && self.sched_state != SchedState::Dirty {
+        let now = ctx.now().as_secs_f64();
+        if self.sched_state != SchedState::Dirty {
             // Dirty-flag skip: the last pass proved no request could be
             // issued, nothing relevant changed since (see `SchedState`),
             // and a pass issuing no request touches neither the RNG nor
             // the wire — so not running it is bit-identical.
+            #[cfg(debug_assertions)]
+            self.audit_skip(ctx, now);
             self.report.sched.skips += 1;
             return;
         }
         self.report.sched.passes += 1;
-        let now = ctx.now().as_secs_f64();
         // Nothing below a want turns wanted inside a pass while requests
         // go out (holdings do not change and requests only add in-flight
         // bits), so each scan resumes where the last one stopped.
         let mut scan_from = self.first_unheld();
         loop {
-            let Some(want) = next_wanted_from(
-                scan_from,
-                self.holdings.len(),
-                |i| self.holdings.get(i),
-                |i| self.in_flight_mask.get(i),
-            ) else {
+            let Some((want, pool_full)) = self.next_request(now, scan_from) else {
                 self.sched_state = SchedState::Exhausted;
                 self.report.sched.exhausted += 1;
                 return; // everything held or requested
             };
             scan_from = want;
-            self.ensure_folded(want.saturating_add(1));
-            let w = match self.cfg.w_estimate {
-                crate::policy::WEstimate::MeanSegment => self.mean_segment_bytes,
-                crate::policy::WEstimate::NextSegment => self.cfg.segments[want as usize].bytes,
-            };
-            let input = PolicyInput {
-                bandwidth_bytes_per_sec: self.cfg.estimator.bytes_per_sec(),
-                buffered_secs: self.playback.buffered_ahead(now).as_secs_f64(),
-                next_segment_bytes: w,
-            };
-            if self.in_flight.len() >= self.cfg.policy.pool_size(&input) {
+            if pool_full {
                 self.sched_state = SchedState::PoolFull;
                 self.report.sched.full_pool += 1;
                 return;
@@ -574,40 +542,62 @@ impl LeecherNode {
         }
     }
 
+    /// The request a pass would try next, scanning from `from`: the first
+    /// segment neither held nor in flight, and whether the pool already
+    /// has the policy's size `⌊B·T/W⌋` for it. `None` when every segment
+    /// is held or requested.
+    fn next_request(&mut self, now: f64, from: u32) -> Option<(u32, bool)> {
+        let want = next_wanted_from(
+            from,
+            self.holdings.len(),
+            |i| self.holdings.get(i),
+            |i| self.in_flight_mask.get(i),
+        )?;
+        let w = match self.cfg.w_estimate {
+            crate::policy::WEstimate::MeanSegment => self.mean_segment_bytes,
+            crate::policy::WEstimate::NextSegment => self.cfg.segments[want as usize].bytes,
+        };
+        let input = PolicyInput {
+            bandwidth_bytes_per_sec: self.cfg.estimator.bytes_per_sec(),
+            buffered_secs: self.playback.buffered_ahead(now).as_secs_f64(),
+            next_segment_bytes: w,
+        };
+        let pool_full = self.in_flight.len() >= self.cfg.policy.pool_size(&input);
+        Some((want, pool_full))
+    }
+
+    /// Debug-only oracle of the dirty-flag skip: the pass it skips would
+    /// issue no request — every segment is held or requested, the pool is
+    /// full, or the first want has no candidate source. A change that
+    /// could fill the pool but marks nothing dirty fails here instead of
+    /// delaying a request until some later event. It draws no random
+    /// number and sends nothing; its playback poll is output-neutral (the
+    /// player records the instant the buffer runs dry, not the poll).
+    #[cfg(debug_assertions)]
+    fn audit_skip(&mut self, ctx: &Ctx<'_>, now: f64) {
+        let Some((want, false)) = self.next_request(now, self.first_unheld()) else {
+            return;
+        };
+        let mut candidates = Vec::new();
+        self.collect_candidates(ctx, want, None, &mut candidates);
+        assert!(
+            candidates.is_empty(),
+            "skipped a pass that would request segment {want} ({:?})",
+            self.sched_state
+        );
+    }
+
     /// Picks the least-loaded eligible source for `index`, skipping
-    /// `exclude` (the timed-out source on a re-request). Both scheduler
-    /// modes build the identical candidate list — ascending `NodeId`
-    /// order, same membership — so the RNG tie-break picks the same peer.
+    /// `exclude` (the timed-out source on a re-request).
     fn pick_source_for(
         &mut self,
         ctx: &mut Ctx<'_>,
         index: u32,
         exclude: Option<NodeId>,
     ) -> Option<NodeId> {
-        let cdn_busy = self
-            .cfg
-            .cdn
-            .is_none_or(|cdn| self.in_flight.values().any(|f| f.source == cdn));
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
-        match self.cfg.scheduler {
-            SchedulerMode::Scan => {
-                self.collect_candidates_scan(ctx, index, exclude, cdn_busy, &mut candidates);
-            }
-            SchedulerMode::Indexed => {
-                self.collect_candidates_indexed(ctx, index, exclude, cdn_busy, &mut candidates);
-                #[cfg(debug_assertions)]
-                {
-                    let mut rescan = Vec::new();
-                    self.collect_candidates_scan(ctx, index, exclude, cdn_busy, &mut rescan);
-                    debug_assert_eq!(
-                        candidates, rescan,
-                        "holder-index candidates diverged from a full rescan \
-                         for segment {index}"
-                    );
-                }
-            }
-        }
+        self.collect_candidates(ctx, index, exclude, &mut candidates);
         // Backoff bans (defense plane): skip sources inside their ban
         // window — unless every candidate is banned, because a ban must
         // degrade preference, never starve the segment.
@@ -665,51 +655,35 @@ impl LeecherNode {
             }
     }
 
-    /// Reference candidate collection: a full scan of every peer view in
-    /// ascending `NodeId` order (the table iterates ascending), so the
-    /// pool needs no sort for determinism.
-    fn collect_candidates_scan(
+    /// The handshaken neighbours whose views show `index`: one walk of the
+    /// neighbour table, in ascending `NodeId` order.
+    fn holders_of(&self, index: u32) -> impl Iterator<Item = (NodeId, &PeerView)> + '_ {
+        self.views
+            .iter()
+            .filter(move |(_, view)| view.handshaken() && view.holdings.get(index))
+    }
+
+    /// The candidate sources of `index`: each eligible holder with its
+    /// load. The holders come in ascending `NodeId` order, so the pool
+    /// needs no sort for determinism, and the degree cap of the neighbour
+    /// set bounds the walk.
+    fn collect_candidates(
         &self,
         ctx: &Ctx<'_>,
         index: u32,
         exclude: Option<NodeId>,
-        cdn_busy: bool,
         out: &mut Vec<SourceCandidate>,
     ) {
-        for (peer, view) in self.views.iter() {
-            if view.handshaken()
-                && view.holdings.get(index)
-                && self.eligible(ctx, peer, exclude, cdn_busy)
-            {
+        let cdn_busy = self
+            .cfg
+            .cdn
+            .is_none_or(|cdn| self.in_flight.values().any(|f| f.source == cdn));
+        for (peer, view) in self.holders_of(index) {
+            if self.eligible(ctx, peer, exclude, cdn_busy) {
                 out.push(SourceCandidate {
                     peer,
                     outstanding: view.outstanding,
                 });
-            }
-        }
-    }
-
-    /// Indexed candidate collection: walks the holders of one segment
-    /// instead of every view. The index already folds in handshaken-ness;
-    /// online-ness stays a live probe (a peer can go offline before its
-    /// departure is observed).
-    fn collect_candidates_indexed(
-        &self,
-        ctx: &Ctx<'_>,
-        index: u32,
-        exclude: Option<NodeId>,
-        cdn_busy: bool,
-        out: &mut Vec<SourceCandidate>,
-    ) {
-        for peer in self.holders.of(index) {
-            // A holder evicted concurrently has no view; the scan skips it too.
-            if let Some(view) = self.views.get(&peer) {
-                if self.eligible(ctx, peer, exclude, cdn_busy) {
-                    out.push(SourceCandidate {
-                        peer,
-                        outstanding: view.outstanding,
-                    });
-                }
             }
         }
     }
@@ -749,20 +723,7 @@ impl LeecherNode {
         // Freeing a segment can turn an exhausted schedule fillable again,
         // and freeing a CDN slot can give a source-less segment a source.
         self.sched_state = SchedState::Dirty;
-        // A held segment losing its last in-flight entry (a raced
-        // duplicate resolving) will never be picked again.
-        self.purge_dead_holders(index);
         Some(entry)
-    }
-
-    /// Frees the holder set of a segment the scheduler can never pick
-    /// again (see [`Self::pickable`]). Memory-only — the scheduler never
-    /// reads these sets, so the pick sequence (and every RNG draw) is
-    /// unchanged; the counters stay untouched for the same reason.
-    fn purge_dead_holders(&mut self, index: u32) {
-        if !self.pickable(index) {
-            self.holders.purge_segment(index);
-        }
     }
 
     /// Records a request timeout or failed transfer against `source`
@@ -881,32 +842,6 @@ impl LeecherNode {
         }
     }
 
-    /// The deferred fold: advances the fold horizon to `upto`, mirroring
-    /// the announcements parked in the peer bitfields into the holder index
-    /// for the newly covered segments. Segments we already hold are skipped
-    /// outright — their holders can never be picked — which is where the
-    /// bulk of an on-arrival mirror's O(peers × segments) insert volume
-    /// disappears.
-    fn ensure_folded(&mut self, upto: u32) {
-        let upto = upto.min(self.holdings.len());
-        while self.fold_horizon < upto {
-            let segment = self.fold_horizon;
-            self.fold_horizon += 1;
-            if self.holdings.get(segment) {
-                continue;
-            }
-            for (peer, view) in self.views.iter() {
-                if view.handshaken()
-                    && view.holdings.get(segment)
-                    && self.holders.insert(segment, peer)
-                {
-                    self.report.sched.holder_adds += 1;
-                    self.report.dissem.fold_inserts += 1;
-                }
-            }
-        }
-    }
-
     fn on_segment_complete(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -942,13 +877,11 @@ impl LeecherNode {
             // `drop_in_flight` above may have freed a pool slot, so the
             // scheduling pass must still run or the slot sits idle until
             // the next pump (up to 8 intervals in eventful mode).
-            self.purge_dead_holders(index);
             self.schedule(ctx);
             return;
         }
         self.holdings.set(index);
         self.timeout_bans.remove(&index); // held: the ban can never apply
-        self.purge_dead_holders(index);
         if from == self.cfg.seeder {
             self.report.segments_from_seeder += 1;
         } else if self.cfg.cdn == Some(from) {
@@ -1029,43 +962,28 @@ impl LeecherNode {
         self.broadcast_fellows(ctx, &Message::NotInterested, |view| view.handshaken());
     }
 
-    /// The mirror rule, stated once: a bit `from` just announced for
-    /// `index` enters the holder index now only when it lies below the fold
-    /// horizon and can still be picked; otherwise it stays parked in the
-    /// view until `ensure_folded` reaches it. A new holder of the exact
-    /// segment the last scheduling pass was blocked on re-dirties the
-    /// schedule — holder news for any other segment cannot change that
-    /// pass's outcome.
-    fn mirror_announced(&mut self, from: NodeId, index: u32) {
-        if index >= self.fold_horizon || !self.pickable(index) {
-            self.report.dissem.deferred_indices += 1;
-        } else if self.holders.insert(index, from) {
-            self.report.sched.holder_adds += 1;
-            if self.sched_state == SchedState::NoSource(index) {
-                self.sched_state = SchedState::Dirty;
-            }
+    /// `from`'s view newly shows `index`. If `from` is handshaken and the
+    /// last pass stopped on exactly that segment for want of a source, the
+    /// next pass must run; news of any other segment cannot change that
+    /// pass's outcome (see [`SchedState::NoSource`]).
+    fn on_new_bit(&mut self, from: NodeId, index: u32) {
+        if self.sched_state == SchedState::NoSource(index)
+            && self.views.get(&from).is_some_and(|v| v.handshaken())
+        {
+            self.sched_state = SchedState::Dirty;
         }
     }
 
-    /// Whether `from`'s announced bits belong in the holder index at all:
-    /// it is a handshaken neighbour.
-    fn indexable(&self, from: NodeId) -> bool {
-        self.views.get(&from).is_some_and(|v| v.handshaken())
-    }
-
     /// `from` announced `indices` (`Have` is a bundle of one): set the new
-    /// bits in its view and mirror them under the rule above.
+    /// bits in its view.
     fn on_haves(&mut self, ctx: &mut Ctx<'_>, from: NodeId, indices: impl Iterator<Item = u32>) {
-        let indexable = self.indexable(from);
         for index in indices {
             let Some(view) = self.views.get_mut(&from) else {
                 break;
             };
             if index < view.holdings.len() && !view.holdings.get(index) {
                 view.holdings.set(index);
-                if indexable {
-                    self.mirror_announced(from, index);
-                }
+                self.on_new_bit(from, index);
             }
         }
         self.update_interest(ctx, from);
@@ -1098,17 +1016,9 @@ impl LeecherNode {
                     fresh
                 });
                 if newly_handshaken {
-                    if self.indexable(from) {
-                        // Bits learned before the handshake (e.g. a
-                        // Bitfield that arrived first) become candidates
-                        // now.
-                        let learned: Vec<u32> = self.views[&from].holdings.iter_set().collect();
-                        for i in learned {
-                            self.mirror_announced(from, i);
-                        }
-                    }
-                    // A fresh handshake can enable candidacy — indexed
-                    // bits above, or the CDN becoming eligible.
+                    // A fresh handshake can enable candidacy: bits learned
+                    // before it (a Bitfield that arrived first) count from
+                    // now on, and the CDN becomes eligible.
                     self.sched_state = SchedState::Dirty;
                 }
                 let bitfield = Message::Bitfield(self.holdings.clone());
@@ -1116,19 +1026,14 @@ impl LeecherNode {
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
-                let indexable = self.indexable(from);
                 if let Some(view) = self.views.get_mut(&from) {
                     if bf.len() == view.holdings.len() {
                         let old = std::mem::replace(&mut view.holdings, bf);
-                        if indexable {
-                            // Diff the replacement into the holder index.
-                            for i in 0..old.len() {
-                                let (was, is) = (old.get(i), self.views[&from].holdings.get(i));
-                                if !was && is {
-                                    self.mirror_announced(from, i);
-                                } else if was && !is && self.holders.remove(i, from) {
-                                    self.report.sched.holder_removes += 1;
-                                }
+                        // Of the bits the replacement sets, only the one a
+                        // blocked pass stopped on can matter.
+                        if let SchedState::NoSource(w) = self.sched_state {
+                            if !old.get(w) && view.holdings.get(w) {
+                                self.on_new_bit(from, w);
                             }
                         }
                     }
@@ -1203,59 +1108,9 @@ impl LeecherNode {
         }
     }
 
-    /// Debug-only invariant: the incrementally maintained holder index must
-    /// equal what a full rescan of the peer views would build. Runs on
-    /// every pump in debug builds (CI's test profile), so index drift fails
-    /// the build loudly instead of skewing the schedule silently.
-    ///
-    /// The deferred fold deliberately weakens the mirror: the index must
-    /// never hold a *stale* entry (always a subset of the rescan), it must
-    /// be empty beyond the fold horizon, and it must equal the rescan
-    /// exactly for every segment the scheduler can still pick a source for
-    /// — folded and unheld, or held with a raced in-flight entry. Held
-    /// segments without one may retain a partial holder set (usually
-    /// none): it is purged on acquisition, its inserts stopped at that
-    /// moment, and nothing consults it.
-    #[cfg(debug_assertions)]
-    fn audit_holder_index(&self) {
-        if self.cfg.scheduler != SchedulerMode::Indexed {
-            return;
-        }
-        for segment in 0..self.holdings.len() {
-            let expected: Vec<NodeId> = self
-                .views
-                .iter()
-                .filter(|&(_, view)| view.handshaken() && view.holdings.get(segment))
-                .map(|(peer, _)| peer)
-                .collect();
-            let indexed: Vec<NodeId> = self.holders.of(segment).collect();
-            if segment >= self.fold_horizon {
-                assert!(
-                    indexed.is_empty(),
-                    "holder index populated beyond the fold horizon \
-                     ({} >= {}): {indexed:?}",
-                    segment,
-                    self.fold_horizon
-                );
-            } else if self.pickable(segment) {
-                assert_eq!(
-                    indexed,
-                    expected.as_slice(),
-                    "holder index drifted from the peer views at pickable segment {segment}"
-                );
-            } else {
-                assert!(
-                    indexed.iter().all(|p| expected.contains(p)),
-                    "stale holder-index entry at purged held segment \
-                     {segment}: {indexed:?} not within {expected:?}"
-                );
-            }
-        }
-    }
-
-    /// Invariant checked next to the holder index on every pump of a debug
-    /// build, and by the unit tests in any build: the in-flight mask has
-    /// exactly the bits of `in_flight`'s keys.
+    /// Invariant checked on every pump of a debug build, and by the unit
+    /// tests in any build: the in-flight mask has exactly the bits of
+    /// `in_flight`'s keys.
     #[cfg(any(test, debug_assertions))]
     fn audit_in_flight_mask(&self) {
         assert!(
@@ -1273,10 +1128,7 @@ impl LeecherNode {
     fn pump_common(&mut self, ctx: &mut Ctx<'_>) {
         self.pumps += 1;
         #[cfg(debug_assertions)]
-        {
-            self.audit_holder_index();
-            self.audit_in_flight_mask();
-        }
+        self.audit_in_flight_mask();
         self.playback.advance(ctx.now().as_secs_f64());
         self.check_timeouts(ctx);
         // An outage that ate our greeting to the CDN — its send failed (we
@@ -1368,9 +1220,9 @@ impl LeecherNode {
     }
 
     /// Samples this leecher's memory footprint: allocator-visible bytes
-    /// behind the per-peer structures (peer views, the holder index, and
-    /// the auxiliary per-peer maps). The neighbour table counts every slot
-    /// it allocated, occupied or not; the two small `BTreeMap`s (bans,
+    /// behind the per-peer structures (peer views and the auxiliary
+    /// per-peer maps). The neighbour table counts every slot it
+    /// allocated, occupied or not; the two small `BTreeMap`s (bans,
     /// health) count payloads only.
     pub fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
@@ -1380,8 +1232,6 @@ impl LeecherNode {
         PeerMemStats {
             view_bytes: (self.views.table_bytes() + bitfield_heap) as u64,
             views: self.views.len() as u64,
-            holder_bytes: self.holders.heap_bytes() as u64,
-            holder_entries: self.holders.live_entries(),
             aux_bytes: bans + health,
         }
     }
@@ -1553,12 +1403,18 @@ mod tests {
             p2p: true,
             discovery,
             control_plane: ControlPlane::Legacy,
-            scheduler: SchedulerMode::Indexed,
+            scheduler: SchedulerMode::default(),
             dissemination: DisseminationMode::default(),
             coalesce_window: SimDuration::from_secs_f64(1.0),
             sparse_holders: false,
             sink: Rc::new(RefCell::new(Vec::new())),
         }
+    }
+
+    /// The holders a pick considers for `segment`, before the live
+    /// eligibility probes.
+    fn holders(l: &LeecherNode, segment: u32) -> Vec<NodeId> {
+        l.holders_of(segment).map(|(peer, _)| peer).collect()
     }
 
     /// The neighbour table is charged for every slot it allocated — one
@@ -1579,7 +1435,7 @@ mod tests {
         assert_eq!(mem.view_bytes, universe * 32 + bitfield_heap);
         assert_eq!(mem.views, 1);
         assert_eq!(mem.aux_bytes, 0, "no bans, no health records");
-        assert_eq!(mem.total_bytes(), mem.view_bytes + mem.holder_bytes);
+        assert_eq!(mem.total_bytes(), mem.view_bytes);
 
         let mut cfg = config(ids[1], others, DiscoveryMode::Tracker);
         cfg.defense = Some(DefenseConfig);
@@ -1996,6 +1852,45 @@ mod tests {
         }
     }
 
+    /// The skip audit bites: a schedule left blocked on segment 0 while a
+    /// handshaken neighbour already shows it — a dirty mark that went
+    /// missing — panics at the next skipped pass of a debug build, here
+    /// the one behind a `Have` for another segment.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "skipped a pass that would request segment 0 (NoSource(0))")]
+    fn skip_audit_catches_a_missing_dirty_mark() {
+        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+        let net = star(&[spec; 3]);
+        let (leecher_id, s_id, a_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
+        let node = Rc::new(RefCell::new(LeecherNode::new(config(
+            s_id,
+            vec![a_id],
+            DiscoveryMode::Full,
+        ))));
+        let mut sim = Simulator::new(net.network, 5);
+        sim.add_node(Box::new(NullBehavior)); // hub
+        sim.add_node(Box::new(Shared(node.clone())));
+        sim.add_node(Box::new(NullBehavior)); // seeder stand-in
+        sim.add_node(Box::new(At {
+            after: SimDuration::from_secs_f64(1.0),
+            action: move |ctx: &mut Ctx<'_>| {
+                ctx.send(leecher_id, encode_to_bytes(&Message::Have { index: 1 }))
+                    .unwrap();
+            },
+        }));
+        sim.run_until_idle(SimTime::from_secs_f64(0.5));
+        {
+            let mut l = node.borrow_mut();
+            l.streaming = true;
+            let view = l.views.get_mut(&a_id).unwrap();
+            view.set_handshaken(true);
+            view.holdings.set(0);
+            l.sched_state = SchedState::NoSource(0);
+        }
+        sim.run_until_idle(SimTime::from_secs_f64(2.0));
+    }
+
     /// A `Goodbye` from a peer that holds our queued request (not yet
     /// serving) re-requests the segment elsewhere in the same event, on
     /// both control planes: no pump, no timeout.
@@ -2151,9 +2046,7 @@ mod tests {
         }));
         sim.run_until_idle(SimTime::from_secs_f64(5.0));
 
-        // Not streaming yet, so no scheduling pass has folded anything.
-        let mut l = node.borrow_mut();
-        l.ensure_folded(2);
+        let l = node.borrow();
         // The stranger announced a full bitfield: its freshly created view
         // is an ordinary neighbour record that happens to hold everything.
         let view = l
@@ -2168,8 +2061,8 @@ mod tests {
         );
         for segment in 0..2 {
             assert_eq!(
-                l.holders.of(segment).collect::<Vec<_>>(),
-                &[stranger_id][..],
+                holders(&l, segment),
+                [stranger_id],
                 "a full neighbour is a candidate for every segment"
             );
         }
@@ -2468,8 +2361,6 @@ mod tests {
             for index in [0, 1] {
                 put_in_flight(&mut l, index, a_id, true);
             }
-            // The scheduling pass behind a real request folds up to it.
-            l.ensure_folded(2);
             l.views.get_mut(&a_id).unwrap().set_handshaken(true);
             l.views.get_mut(&a_id).unwrap().outstanding = 2;
         }
@@ -2531,9 +2422,10 @@ mod tests {
 
     /// A neighbour that handshook with a full bitfield is an ordinary
     /// view: a delayed, non-full `Bitfield` overtaken on the wire replaces
-    /// it like any other, so the cleared bits leave the view *and* the
-    /// holder index, the scheduler stops picking the peer for them, and a
-    /// later `Have` restores them.
+    /// it like any other, so the cleared bit drops the peer from that
+    /// segment's candidates and the scheduler stops picking it there. A
+    /// later `Bitfield` that sets the bit the schedule is blocked on
+    /// re-dirties it, and the segment is requested in the same event.
     #[test]
     fn stale_bitfield_after_full_handshake_unindexes_cleared_bits() {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
@@ -2553,6 +2445,7 @@ mod tests {
         };
         let mut stale = Bitfield::new(2);
         stale.set(0);
+        let full = || encode_to_bytes(&Message::Bitfield(Bitfield::full(2)));
         let mut sim = Simulator::new(net.network, 5);
         sim.add_node(Box::new(NullBehavior)); // hub
         sim.add_node(Box::new(Shared(node.clone())));
@@ -2562,19 +2455,13 @@ mod tests {
             stages: vec![
                 (
                     SimDuration::from_secs_f64(0.3),
-                    vec![
-                        encode_to_bytes(&hs),
-                        encode_to_bytes(&Message::Bitfield(Bitfield::full(2))),
-                    ],
+                    vec![encode_to_bytes(&hs), full()],
                 ),
                 (
                     SimDuration::from_secs_f64(0.5),
                     vec![encode_to_bytes(&Message::Bitfield(stale))],
                 ),
-                (
-                    SimDuration::from_secs_f64(0.5),
-                    vec![encode_to_bytes(&Message::Have { index: 1 })],
-                ),
+                (SimDuration::from_secs_f64(0.5), vec![full()]),
             ],
             next: 0,
             heard: Rc::new(RefCell::new(Vec::new())),
@@ -2584,15 +2471,9 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             assert!(l.views[&a_id].holdings.is_complete());
-            // Not streaming yet, so no scheduling pass has folded anything.
-            l.ensure_folded(2);
-            assert_eq!(l.holders.of(1).collect::<Vec<_>>(), &[a_id][..]);
-            assert_eq!(
-                (l.report.sched.holder_adds, l.report.sched.holder_removes),
-                (2, 0)
-            );
+            assert_eq!(holders(&l, 1), [a_id]);
             // Downloads may start: the stale bitfield's scheduling pass
-            // must pick from what the index holds after the diff.
+            // must pick from the views as it leaves them.
             l.streaming = true;
         }
 
@@ -2600,9 +2481,8 @@ mod tests {
         {
             let l = node.borrow();
             assert!(l.views[&a_id].holdings.get(0) && !l.views[&a_id].holdings.get(1));
-            assert_eq!(l.holders.of(0).collect::<Vec<_>>(), &[a_id][..]);
-            assert_eq!(l.holders.of(1).count(), 0, "the cleared bit is unindexed");
-            assert_eq!(l.report.sched.holder_removes, 1);
+            assert_eq!(holders(&l, 0), [a_id]);
+            assert!(holders(&l, 1).is_empty(), "the cleared bit drops the peer");
             assert_eq!(l.in_flight.get(&0).map(|f| f.source), Some(a_id));
             assert!(
                 !l.in_flight.contains_key(&1),
@@ -2614,8 +2494,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
         let l = node.borrow();
         assert!(l.views[&a_id].holdings.is_complete());
-        assert_eq!(l.holders.of(1).collect::<Vec<_>>(), &[a_id][..]);
-        assert_eq!(l.report.sched.holder_adds, 3);
+        assert_eq!(holders(&l, 1), [a_id]);
         assert_eq!(
             l.in_flight.get(&1).map(|f| f.source),
             Some(a_id),
@@ -2627,65 +2506,6 @@ mod tests {
         let mut cfg = config(seeder, others, DiscoveryMode::Full);
         cfg.control_plane = ControlPlane::Eventful;
         cfg
-    }
-
-    /// Announcements beyond the fold horizon are parked in the per-peer
-    /// view only; `ensure_folded` mirrors them into the
-    /// holder index once the scheduling frontier actually reaches them.
-    #[test]
-    fn haves_defer_then_fold_on_demand() {
-        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
-        let net = star(&[spec; 3]);
-        let (leecher_id, s_id, a_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
-
-        let node = Rc::new(RefCell::new(LeecherNode::new(eventful_config(
-            s_id,
-            vec![a_id],
-        ))));
-
-        let mut sim = Simulator::new(net.network, 5);
-        sim.add_node(Box::new(NullBehavior)); // hub
-        sim.add_node(Box::new(Shared(node.clone())));
-        sim.add_node(Box::new(NullBehavior)); // seeder stand-in
-        sim.add_node(Box::new(At {
-            after: SimDuration::from_secs_f64(0.3),
-            action: move |ctx: &mut Ctx<'_>| {
-                let hs = Message::Handshake {
-                    peer_id: 9,
-                    info_hash: crate::seeder::info_hash_of(""),
-                    version: PROTOCOL_VERSION,
-                };
-                ctx.send(leecher_id, encode_to_bytes(&hs)).unwrap();
-                ctx.send(leecher_id, encode_to_bytes(&Message::Have { index: 1 }))
-                    .unwrap();
-            },
-        }));
-        sim.run_until_idle(SimTime::from_secs_f64(1.0));
-
-        {
-            let l = node.borrow();
-            assert!(
-                l.views[&a_id].holdings.get(1),
-                "the announcement must land in the view"
-            );
-            assert_eq!(
-                l.holders.of(1).count(),
-                0,
-                "beyond the fold horizon: no holder-index insert"
-            );
-            assert_eq!(l.report.dissem.deferred_indices, 1);
-            assert_eq!(l.report.sched.holder_adds, 0);
-        }
-
-        let mut l = node.borrow_mut();
-        l.ensure_folded(2);
-        assert_eq!(
-            l.holders.of(1).collect::<Vec<_>>(),
-            &[a_id][..],
-            "the fold must mirror the parked announcement"
-        );
-        assert_eq!(l.report.dissem.fold_inserts, 1);
-        assert_eq!(l.report.sched.holder_adds, 1);
     }
 
     /// Wire type 16 carried the retired interest-window announcement. A
@@ -2733,12 +2553,7 @@ mod tests {
             let l = node.borrow();
             assert!(l.views[&b_id].holdings.is_complete(), "B's greeting landed");
             let said = heard.borrow().clone();
-            (
-                l.report.clone(),
-                l.holders.of(1).count(),
-                l.sched_state,
-                said,
-            )
+            (l.report.clone(), holders(&l, 1), l.sched_state, said)
         };
         assert_eq!(run(true), run(false));
     }

@@ -76,6 +76,14 @@ fn positive_secs(what: &str, secs: f64) -> Result<(), String> {
     )
 }
 
+/// Whether `bytes_per_sec` is a rate netsim can build a link for:
+/// positive, and finite in bits per second (the unit links take), which
+/// is false for NaN, the infinities and the last factor of 8 below
+/// `f64::MAX`.
+fn link_rate(bytes_per_sec: f64) -> bool {
+    bytes_per_sec > 0.0 && (bytes_per_sec * 8.0).is_finite()
+}
+
 /// The body of every `validate()`: panics with `check()`'s message.
 #[track_caller]
 fn must(checked: Result<(), String>) {

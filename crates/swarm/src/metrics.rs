@@ -54,8 +54,8 @@ impl ControlPlaneStats {
 }
 
 /// Scheduler-efficiency counters for one leecher: how often the download
-/// scheduler actually ran versus proved itself unnecessary, and how much
-/// churn the per-segment holder index absorbed.
+/// scheduler actually ran versus proved itself unnecessary, and where the
+/// passes that ran stopped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Scheduling passes that ran (walked the wanted segments).
@@ -63,10 +63,11 @@ pub struct SchedulerStats {
     /// Scheduling passes skipped because nothing changed since a previous
     /// pass proved no request could be issued (dirty-flag scheduling).
     pub skips: u64,
-    /// Entries added to the per-segment holder index.
+    /// Always 0: no leecher keeps a per-segment holder index any more.
+    /// Kept only because the benchmark's `swarm.sched.holder_adds_n`
+    /// reads it.
     pub holder_adds: u64,
-    /// Entries removed from the per-segment holder index (evictions and
-    /// bitfield replacements).
+    /// Always 0, kept for the benchmark's `swarm.sched.holder_removes_n`.
     pub holder_removes: u64,
     /// Passes that stopped at the pool-size cap.
     pub full_pool: u64,
@@ -89,8 +90,8 @@ impl SchedulerStats {
     }
 }
 
-/// Deferred-fold counters for one leecher: what it parked in the peer
-/// bitfields and what it folded into the holder index later.
+/// Retired availability-dissemination counters: every field is always 0
+/// and stays only because `benchmark/src/counters.rs` reads it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisseminationStats {
     /// Always 0: the sender-side window protocol is gone. Kept because
@@ -100,18 +101,14 @@ pub struct DisseminationStats {
     pub catchup_bundles: u64,
     /// Always 0, kept for the same reader.
     pub window_suppressed: u64,
-    /// Announced indices parked in the per-peer bitfield without a holder-
-    /// index insert (beyond the fold horizon or already held).
-    pub deferred_indices: u64,
-    /// Holder-index inserts performed lazily when the fold horizon
-    /// advanced over parked indices.
+    /// Always 0: no leecher folds announcements into a holder index any
+    /// more. Kept for the benchmark's `swarm.dissem.folds_n`.
     pub fold_inserts: u64,
 }
 
 impl DisseminationStats {
     /// Accumulates `other` into `self`.
     pub fn absorb(&mut self, other: &DisseminationStats) {
-        self.deferred_indices += other.deferred_indices;
         self.fold_inserts += other.fold_inserts;
     }
 }
@@ -127,11 +124,6 @@ pub struct PeerMemStats {
     pub view_bytes: u64,
     /// Live peer views at sample time.
     pub views: u64,
-    /// Bytes behind the per-segment holder index: spine plus every set's
-    /// capacity (after purge-on-acquire and shrink-on-evict).
-    pub holder_bytes: u64,
-    /// Live holder-index entries at sample time.
-    pub holder_entries: u64,
     /// Bytes behind auxiliary per-peer state that is empty in the common
     /// case: timeout bans, source-health tracking.
     pub aux_bytes: u64,
@@ -142,14 +134,12 @@ impl PeerMemStats {
     pub fn absorb(&mut self, other: &PeerMemStats) {
         self.view_bytes += other.view_bytes;
         self.views += other.views;
-        self.holder_bytes += other.holder_bytes;
-        self.holder_entries += other.holder_entries;
         self.aux_bytes += other.aux_bytes;
     }
 
-    /// Total measured bytes (views + holder index + auxiliary state).
+    /// Total measured bytes (views + auxiliary state).
     pub fn total_bytes(&self) -> u64 {
-        self.view_bytes + self.holder_bytes + self.aux_bytes
+        self.view_bytes + self.aux_bytes
     }
 }
 
@@ -298,7 +288,7 @@ impl SwarmMetrics {
         total
     }
 
-    /// Summed deferred-fold counters over every report.
+    /// Summed retired dissemination counters over every report: all 0.
     pub fn dissem_totals(&self) -> DisseminationStats {
         let mut total = DisseminationStats::default();
         for report in &self.reports {
@@ -476,10 +466,8 @@ mod tests {
         let mut a = report(0, 0, 0.0, false);
         a.sched.passes = 10;
         a.sched.skips = 90;
-        a.sched.holder_adds = 7;
         let mut b = report(1, 0, 0.0, true);
         b.sched.passes = 5;
-        b.sched.holder_removes = 2;
         let m = SwarmMetrics {
             reports: vec![a, b],
             sim_end_secs: 1.0,
@@ -489,8 +477,6 @@ mod tests {
         let total = m.sched_totals();
         assert_eq!(total.passes, 15);
         assert_eq!(total.skips, 90);
-        assert_eq!(total.holder_adds, 7);
-        assert_eq!(total.holder_removes, 2);
     }
 
     #[test]
@@ -498,11 +484,9 @@ mod tests {
         let mut a = report(0, 0, 0.0, false);
         a.mem.view_bytes = 400;
         a.mem.views = 10;
-        a.mem.holder_bytes = 100;
         let mut b = report(1, 0, 0.0, true); // churners count too
         b.mem.view_bytes = 200;
         b.mem.aux_bytes = 50;
-        b.mem.holder_entries = 7;
         let m = SwarmMetrics {
             reports: vec![a, b],
             sim_end_secs: 1.0,
@@ -512,19 +496,15 @@ mod tests {
         let total = m.mem_totals();
         assert_eq!(total.view_bytes, 600);
         assert_eq!(total.views, 10);
-        assert_eq!(total.holder_bytes, 100);
-        assert_eq!(total.holder_entries, 7);
         assert_eq!(total.aux_bytes, 50);
-        assert_eq!(total.total_bytes(), 750);
+        assert_eq!(total.total_bytes(), 650);
     }
 
     #[test]
     fn dissem_totals_sum_over_all_reports() {
         let mut a = report(0, 0, 0.0, false);
-        a.dissem.deferred_indices = 10;
         a.dissem.fold_inserts = 3;
         let mut b = report(1, 0, 0.0, true); // churners count too
-        b.dissem.deferred_indices = 2;
         b.dissem.fold_inserts = 9;
         let m = SwarmMetrics {
             reports: vec![a, b],
@@ -533,7 +513,6 @@ mod tests {
             injected: Default::default(),
         };
         let total = m.dissem_totals();
-        assert_eq!(total.deferred_indices, 12);
         assert_eq!(total.fold_inserts, 12);
     }
 

@@ -25,8 +25,9 @@ where
     (from..segment_count).find(|&i| !held(i) && !in_flight(i))
 }
 
-/// Ascending-`NodeId` iterator over one segment's holders: a walk over
-/// the set's words from bit 0 up (bit *i* is the node with index *i*).
+/// Ascending-`NodeId` iterator over one segment's holders in the retired
+/// [`HolderIndex`]: a walk over the set's words from bit 0 up (bit *i* is
+/// the node with index *i*).
 #[derive(Debug, Clone)]
 pub struct HolderIter<'a> {
     words: &'a [u64],
@@ -49,23 +50,16 @@ impl Iterator for HolderIter<'_> {
     }
 }
 
-/// An incrementally maintained per-segment holder index: for each segment,
-/// the set of handshaken peers known to hold it, as one bitset over the
-/// node universe.
-///
-/// This replaces the O(peers) rescan of every `PeerView` per scheduling
-/// decision with an O(universe/64) word walk. Maintenance happens at the
-/// points where knowledge changes — `Bitfield`/`Have`/`HaveBundle`
-/// arrival, handshake completion, and peer eviction — which are each cheap
-/// and already O(changed bits).
+/// Retired: a per-segment holder index, one bitset over the node universe
+/// per segment. No leecher keeps one any more (a pick walks the
+/// neighbour views); it stays only for the microbenchmarks in
+/// `benchmark/src/drivers.rs`, which time exactly this surface
+/// (ROADMAP 5(d)).
 ///
 /// A set costs nothing until its first holder arrives; it is then
 /// allocated at the universe's width (widened if a higher node index
-/// arrives), and [`HolderIndex::purge_segment`] frees it again.
-///
-/// Determinism contract: iterating [`HolderIndex::of`] visits candidates
-/// in ascending `NodeId` order, so picks are bit-identical to walking the
-/// `BTreeMap` of peer views.
+/// arrives). [`HolderIndex::of`] visits holders in ascending `NodeId`
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct HolderIndex {
     per_segment: Vec<Box<[u64]>>,
@@ -80,12 +74,6 @@ fn slot(peer: NodeId) -> (usize, u64) {
 }
 
 impl HolderIndex {
-    /// An empty index over `segment_count` segments whose sets are sized
-    /// by their highest holder (tests and tiny swarms).
-    pub fn new(segment_count: u32) -> Self {
-        HolderIndex::with_universe(segment_count, 0)
-    }
-
     /// An empty index over `segment_count` segments of a swarm of
     /// `universe` node slots: each set is allocated that wide at its first
     /// insert.
@@ -113,25 +101,8 @@ impl HolderIndex {
         fresh
     }
 
-    /// Removes `peer` as a holder of `segment`. Returns `true` when an
-    /// entry was removed.
-    pub fn remove(&mut self, segment: u32, peer: NodeId) -> bool {
-        let (word, bit) = slot(peer);
-        match self
-            .per_segment
-            .get_mut(segment as usize)
-            .and_then(|set| set.get_mut(word))
-        {
-            Some(w) if *w & bit != 0 => {
-                *w &= !bit;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Removes `peer` from every segment's holder set (peer eviction).
-    /// Returns the number of entries removed.
+    /// Removes `peer` from every segment's holder set. Returns the number
+    /// of entries removed.
     pub fn remove_peer(&mut self, peer: NodeId) -> u64 {
         let (word, bit) = slot(peer);
         let mut removed = 0;
@@ -146,16 +117,6 @@ impl HolderIndex {
         removed
     }
 
-    /// Frees one segment's holder set, returning its memory to the
-    /// allocator. The leecher calls this for segments it has acquired (and
-    /// has no raced in-flight entry left for): the scheduler can never
-    /// pick them again, so their sets would be dead weight.
-    pub fn purge_segment(&mut self, segment: u32) {
-        if let Some(set) = self.per_segment.get_mut(segment as usize) {
-            *set = Box::default();
-        }
-    }
-
     /// Iterates the holders of `segment` in ascending `NodeId` order.
     pub fn of(&self, segment: u32) -> HolderIter<'_> {
         let words = self
@@ -167,32 +128,6 @@ impl HolderIndex {
             word_ix: 0,
             current: words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// Whether `peer` is indexed as a holder of `segment`.
-    pub fn contains(&self, segment: u32, peer: NodeId) -> bool {
-        let (word, bit) = slot(peer);
-        self.per_segment
-            .get(segment as usize)
-            .and_then(|set| set.get(word))
-            .is_some_and(|w| w & bit != 0)
-    }
-
-    /// Bytes of heap behind this index: the per-segment spine plus every
-    /// allocated set's words.
-    pub fn heap_bytes(&self) -> usize {
-        let spine = self.per_segment.capacity() * std::mem::size_of::<Box<[u64]>>();
-        let sets: usize = self.per_segment.iter().map(|set| set.len()).sum();
-        spine + sets * std::mem::size_of::<u64>()
-    }
-
-    /// Live entries across every segment.
-    pub fn live_entries(&self) -> u64 {
-        self.per_segment
-            .iter()
-            .flat_map(|set| set.iter())
-            .map(|w| u64::from(w.count_ones()))
-            .sum()
     }
 }
 
@@ -305,7 +240,7 @@ mod tests {
 
     #[test]
     fn holder_index_insert_is_sorted_and_deduplicated() {
-        let mut idx = HolderIndex::new(3);
+        let mut idx = HolderIndex::with_universe(3, 64);
         assert!(idx.insert(0, node(5)));
         assert!(idx.insert(0, node(2)));
         assert!(idx.insert(0, node(9)));
@@ -315,18 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn holder_index_remove() {
-        let mut idx = HolderIndex::new(2);
-        idx.insert(1, node(3));
-        idx.insert(1, node(4));
-        assert!(idx.remove(1, node(3)));
-        assert!(!idx.remove(1, node(3)), "double remove is a no-op");
-        assert_eq!(holders(&idx, 1), vec![node(4)]);
-    }
-
-    #[test]
     fn holder_index_remove_peer_sweeps_all_segments() {
-        let mut idx = HolderIndex::new(4);
+        let mut idx = HolderIndex::with_universe(4, 64);
         for seg in 0..4 {
             idx.insert(seg, node(7));
         }
@@ -338,9 +263,8 @@ mod tests {
 
     #[test]
     fn holder_index_out_of_range_is_ignored() {
-        let mut idx = HolderIndex::new(1);
+        let mut idx = HolderIndex::with_universe(1, 64);
         assert!(!idx.insert(5, node(1)));
-        assert!(!idx.remove(5, node(1)));
         assert_eq!(idx.of(5).count(), 0);
     }
 
@@ -352,55 +276,19 @@ mod tests {
         for i in 0..10 {
             idx.insert(0, node(i));
         }
-        let word = std::mem::size_of::<u64>();
-        assert_eq!(idx.heap_bytes(), std::mem::size_of::<Box<[u64]>>() + word);
         assert!(idx.insert(0, node(700)));
-        assert!(idx.contains(0, node(700)));
-        assert_eq!(
-            idx.heap_bytes(),
-            std::mem::size_of::<Box<[u64]>>() + (700 / 64 + 1) * word
-        );
+        assert!(!idx.insert(0, node(700)));
         let got = holders(&idx, 0);
         assert_eq!(got.len(), 11);
         assert_eq!(*got.last().unwrap(), node(700));
-    }
-
-    /// `purge_segment` empties a set, and a later insert starts a fresh one.
-    #[test]
-    fn purge_frees_the_set() {
-        let mut idx = HolderIndex::new(2);
-        for i in 0..10 {
-            idx.insert(0, node(i));
-        }
-        idx.insert(1, node(3));
-        idx.purge_segment(0);
-        assert_eq!(idx.of(0).count(), 0);
-        assert!(!idx.contains(0, node(3)));
-        assert_eq!(idx.live_entries(), 1);
-        assert_eq!(idx.remove_peer(node(3)), 1, "only segment 1 still has it");
-        assert!(idx.insert(0, node(5)));
-        assert_eq!(holders(&idx, 0), vec![node(5)]);
-    }
-
-    /// A segment costs its spine slot alone until its first holder, and
-    /// again once purged: the memory probe sees no words for it.
-    #[test]
-    fn heap_bytes_is_the_spine_alone_before_first_insert_and_after_purge() {
-        let spine = 3 * std::mem::size_of::<Box<[u64]>>();
-        let mut idx = HolderIndex::with_universe(3, 300);
-        assert_eq!(idx.heap_bytes(), spine);
-        idx.insert(1, node(4));
-        assert_eq!(idx.heap_bytes(), spine + 300usize.div_ceil(64) * 8);
-        idx.purge_segment(1);
-        assert_eq!(idx.heap_bytes(), spine);
+        assert_eq!(idx.remove_peer(node(700)), 1);
+        assert_eq!(holders(&idx, 0).len(), 10);
     }
 
     #[derive(Debug, Clone)]
     enum Op {
         Insert(u32, usize),
-        Remove(u32, usize),
         RemovePeer(usize),
-        Purge(u32),
     }
 
     /// Four segments (one past the index's three, so out-of-range calls
@@ -413,9 +301,7 @@ mod tests {
             (seg(), peer()).prop_map(|(s, p)| Op::Insert(s, p)),
             (seg(), peer()).prop_map(|(s, p)| Op::Insert(s, p)),
             (seg(), peer()).prop_map(|(s, p)| Op::Insert(s, p)),
-            (seg(), peer()).prop_map(|(s, p)| Op::Remove(s, p)),
             peer().prop_map(Op::RemovePeer),
-            seg().prop_map(Op::Purge),
         ]
     }
 
@@ -423,8 +309,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 2048 }))]
 
         /// The index against a `BTreeSet<(segment, NodeId)>`: every return
-        /// value, and after every step each segment's holders (ascending),
-        /// membership and the live-entry count.
+        /// value, and after every step each segment's holders (ascending).
         #[test]
         fn every_step_matches_a_btreeset_model(ops in prop::collection::vec(op(), 1..300)) {
             const SEGMENTS: u32 = 3;
@@ -436,17 +321,10 @@ mod tests {
                         let fresh = s < SEGMENTS && model.insert((s, node(p)));
                         prop_assert_eq!(real.insert(s, node(p)), fresh);
                     }
-                    Op::Remove(s, p) => {
-                        prop_assert_eq!(real.remove(s, node(p)), model.remove(&(s, node(p))));
-                    }
                     Op::RemovePeer(p) => {
                         let before = model.len();
                         model.retain(|&(_, n)| n != node(p));
                         prop_assert_eq!(real.remove_peer(node(p)), (before - model.len()) as u64);
-                    }
-                    Op::Purge(s) => {
-                        model.retain(|&(seg, _)| seg != s);
-                        real.purge_segment(s);
                     }
                 }
                 for s in 0..=SEGMENTS {
@@ -454,10 +332,6 @@ mod tests {
                         model.range((s, node(0))..(s + 1, node(0))).map(|&(_, n)| n).collect();
                     prop_assert_eq!(holders(&real, s), expected);
                 }
-                for &(s, n) in &model {
-                    prop_assert!(real.contains(s, n));
-                }
-                prop_assert_eq!(real.live_entries(), model.len() as u64);
             }
         }
     }

@@ -20,7 +20,7 @@ use crate::leecher::{LeecherConfig, LeecherNode};
 use crate::metrics::SwarmMetrics;
 use crate::policy::{BandwidthEstimator, EstimatorKind, PolicyConfig};
 use crate::seeder::SeederNode;
-use crate::{must, rule};
+use crate::{link_rate, must, rule};
 
 /// How leechers learn the addresses of their peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,30 +61,31 @@ impl std::str::FromStr for ControlPlane {
     }
 }
 
-/// How the leecher finds upload sources for a wanted segment.
+/// Retired. Every leecher finds a segment's sources the same way — one walk
+/// of its neighbour views, with a pass that provably cannot issue a
+/// request skipped — and nothing reads this type any more: it and the two
+/// config fields of its type stay only because `benchmark/src/traced.rs`
+/// copies one field into the other (ROADMAP 5(d)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerMode {
-    /// Rescan every `PeerView` per scheduling decision: O(peers) per pass.
-    /// Kept as the reference implementation (and differential-test oracle).
+    /// Was: rescan every neighbour view on every pass, no skip.
     Scan,
-    /// Walk an incrementally maintained per-segment holder index and skip
-    /// scheduling passes that provably cannot issue a request. Bit-identical
-    /// to `Scan` by construction (same candidate order, same RNG draws).
+    /// Was: walk a per-segment holder index, skipping passes.
     #[default]
     Indexed,
 }
 
-/// Retired. Every leecher indexes announced availability the same way — the
-/// deferred fold, see `LeecherNode::ensure_folded` — and nothing reads this
-/// type any more: it and the two config fields of its type stay only
-/// because `benchmark/src/traced.rs` copies one field into the other
-/// (ROADMAP 4(d)).
+/// Retired. Every leecher reads announced availability the same way, and
+/// nothing reads this type any more: it and the two config fields of its
+/// type stay only because `benchmark/src/traced.rs` copies one field into
+/// the other (ROADMAP 5(d)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DisseminationMode {
     /// Was: index every announcement on arrival.
     #[default]
     Full,
-    /// Was: the deferred fold plus a 64-segment request lookahead.
+    /// Was: a deferred holder-index fold plus a 64-segment request
+    /// lookahead.
     Windowed,
 }
 
@@ -151,7 +152,7 @@ pub struct SwarmConfig {
     /// Which control plane disseminates availability and schedules pumps.
     #[serde(default)]
     pub control_plane: ControlPlane,
-    /// How upload sources are found (full rescan vs. incremental index).
+    /// Retired: read by nothing, see [`SchedulerMode`].
     #[serde(default)]
     pub scheduler: SchedulerMode,
     /// Retired: read by nothing, see [`DisseminationMode`].
@@ -170,11 +171,10 @@ pub struct SwarmConfig {
     /// Peer-side failure defenses (source backoff bans), if any.
     #[serde(default)]
     pub defense: Option<DefenseConfig>,
-    /// Retired: read by nothing since every holder set is one bitset. It
+    /// Retired: read by nothing since no leecher keeps a holder index. It
     /// and [`LeecherConfig::sparse_holders`](crate::LeecherConfig::sparse_holders)
-    /// stay only because
-    /// `benchmark/src/traced.rs` copies one into the other, like
-    /// [`DisseminationMode`].
+    /// stay only because `benchmark/src/traced.rs` copies one into the
+    /// other, like [`SchedulerMode`].
     #[serde(default)]
     pub sparse_holders: bool,
     /// Hard cap on simulated time, seconds.
@@ -244,8 +244,8 @@ impl SwarmConfig {
             "seeder latency cannot be below half the peer-to-peer latency in a star",
         )?;
         rule(
-            self.peer_bandwidth_bytes_per_sec.is_finite()
-                && self.seeder_bandwidth_bytes_per_sec.is_finite(),
+            link_rate(self.peer_bandwidth_bytes_per_sec)
+                && link_rate(self.seeder_bandwidth_bytes_per_sec),
             "bandwidths must be finite",
         )?;
         rule(
@@ -306,7 +306,7 @@ impl SwarmConfig {
         for &(at_secs, bytes_per_sec) in &self.bandwidth_schedule {
             rule(non_negative(at_secs), "schedule times must be non-negative")?;
             rule(
-                positive(bytes_per_sec),
+                link_rate(bytes_per_sec),
                 "scheduled bandwidth must be positive",
             )?;
         }
@@ -716,7 +716,7 @@ mod tests {
     }
 
     /// Pins the scale stack's exact output the way the legacy pin guards
-    /// the paper stack: eventful plane, fluid flows, the deferred fold,
+    /// the paper stack: eventful plane, fluid flows, the skipped passes,
     /// tracker discovery, graceful and crash churn, lossy control
     /// messages and the defenses, over a 120-segment splice. A leecher
     /// refactor that is meant to keep behaviour must leave this digest
@@ -745,11 +745,6 @@ mod tests {
             ..tiny_config()
         };
         let metrics = run_swarm(&segments, &config, 11);
-        let dissem = metrics.dissem_totals();
-        assert!(
-            dissem.fold_inserts > 0,
-            "the scenario must make the fold defer: {dissem:?}"
-        );
         assert_eq!(
             output_digest(&metrics),
             0xcde3_a90f_8fe4_5610,
@@ -803,23 +798,18 @@ mod tests {
         }
     }
 
-    /// The indexed scheduler must be bit-identical to the reference scan:
-    /// same candidate order, same RNG draws, same messages — on both
-    /// control planes, under churn, and with tracker discovery (late
-    /// joins, evictions, bundles all exercise the index maintenance), and
-    /// on 80 half-second segments over fat links, where early viewers run
-    /// far past the fold horizon of late ones: the deferred fold maintains
-    /// the index lazily, but the candidate set any pick sees must still
-    /// equal a full rescan. The fourth scenario is the paper stack's Fig. 2
-    /// setting (10 leechers at 128 kB/s on the GOP-spliced paper clip),
-    /// where the two modes poll playback at different instants, some
-    /// within a media tick of a dry instant: the accounting must not see
-    /// the difference. The last two are the first two with 12 leechers,
-    /// so holder sets fill and drain under churn on both control planes.
-    /// Scheduler counters are zeroed before comparing:
-    /// pass/skip tallies are *expected* to differ between the modes.
+    /// Every skipped scheduling pass is checked, in debug builds, to be
+    /// one that would have issued no request (`LeecherNode::audit_skip`).
+    /// These scenarios give that oracle work: both control planes, under
+    /// churn, and with tracker discovery (late joins, evictions, bundles);
+    /// 80 half-second segments over fat links, where early viewers run far
+    /// ahead of late ones; the paper stack's Fig. 2 setting (10 leechers
+    /// at 128 kB/s on the GOP-spliced paper clip); and the first two with
+    /// 12 leechers, so neighbours come and go under churn on both control
+    /// planes. Every scenario must skip passes, and nobody persistent may
+    /// be left stuck.
     #[test]
-    fn indexed_scheduler_matches_scan_bit_for_bit() {
+    fn skipped_passes_would_issue_no_request() {
         let video = Video::builder().duration_secs(40.0).seed(6).build();
         let coarse = DurationSplicer::new(4.0).splice(&video);
         let fine = DurationSplicer::new(0.5).splice(&video);
@@ -887,24 +877,16 @@ mod tests {
                 11,
             ),
         ];
-        for (i, (segments, base, seed)) in scenarios.into_iter().enumerate() {
-            let run = |mode| {
-                let config = SwarmConfig {
-                    scheduler: mode,
-                    ..base.clone()
-                };
-                let mut metrics = run_swarm(segments, &config, seed);
-                for report in &mut metrics.reports {
-                    report.sched = Default::default();
-                    // Scan mode never populates the holder index, so the
-                    // memory probe legitimately differs between modes.
-                    report.mem = Default::default();
-                }
-                metrics
-            };
-            let scan = run(SchedulerMode::Scan);
-            let indexed = run(SchedulerMode::Indexed);
-            assert_eq!(scan, indexed, "scenario {i} diverged between modes");
+        for (i, (segments, config, seed)) in scenarios.into_iter().enumerate() {
+            let metrics = run_swarm(segments, &config, seed);
+            let sched = metrics.sched_totals();
+            assert!(sched.skips > 0, "scenario {i} skipped no pass: {sched:?}");
+            assert_eq!(
+                metrics.stuck_peers().count(),
+                0,
+                "scenario {i}:\n{}",
+                metrics.stuck_report()
+            );
         }
     }
 
@@ -929,7 +911,6 @@ mod tests {
             sched.passes,
             sched.skips
         );
-        assert!(sched.holder_adds > 0);
     }
 
     #[test]
@@ -1132,33 +1113,6 @@ mod tests {
         );
     }
 
-    /// The deferred fold on a 96-segment stream and fat links: the stream
-    /// completes, announcements are parked, and more of them are parked
-    /// than are ever folded — the holder-index inserts an on-arrival
-    /// mirror would have made and the fold never does.
-    #[test]
-    fn deferred_fold_parks_more_than_it_folds_and_completes() {
-        let video = Video::builder().duration_secs(48.0).seed(6).build();
-        let segments = DurationSplicer::new(0.5).splice(&video);
-        let config = SwarmConfig {
-            n_leechers: 8,
-            peer_bandwidth_bytes_per_sec: 16_000_000.0,
-            seeder_bandwidth_bytes_per_sec: 16_000_000.0,
-            flow_model: FlowModel::Fluid,
-            have_coalesce_secs: Some(2.0),
-            control_plane: ControlPlane::Eventful,
-            ..tiny_config()
-        };
-        let metrics = run_swarm(&segments, &config, 5);
-        assert_eq!(metrics.completion_rate(), 1.0);
-        let d = metrics.dissem_totals();
-        assert!(d.fold_inserts > 0, "parked announcements must be folded");
-        assert!(
-            d.deferred_indices > d.fold_inserts,
-            "the fold must skip inserts an on-arrival mirror makes: {d:?}"
-        );
-    }
-
     /// The paper stack's network and control plane, then the scale stack's.
     const STACKS: [(FlowModel, ControlPlane); 2] = [
         (FlowModel::Rounds, ControlPlane::Legacy),
@@ -1169,7 +1123,8 @@ mod tests {
     /// own splice — GOP segments, 197 of them, variable in size — and on
     /// both stacks, a fixed pool of 100 fills: a viewer with 100 segments
     /// in flight has requested more than 64 past its first missing
-    /// segment, where the deferred fold once stopped the scheduler.
+    /// segment, where a deferred holder-index fold once stopped the
+    /// scheduler.
     /// Everybody finishes.
     #[test]
     fn gop_viewers_request_far_past_the_frontier_on_both_stacks() {
@@ -1195,8 +1150,6 @@ mod tests {
                     report.peer
                 );
             }
-            let d = metrics.dissem_totals();
-            assert!(d.fold_inserts > 0, "{control_plane:?}: {d:?}");
         }
     }
 
@@ -1423,6 +1376,28 @@ mod tests {
                     ..tiny_config()
                 },
                 "cdn upload slots must be positive",
+            ),
+            // A CDN link the simulator cannot build: refused by the rule,
+            // not by a panic in the link constructor.
+            (
+                SwarmConfig {
+                    cdn: Some(CdnConfig {
+                        bandwidth_bytes_per_sec: f64::INFINITY,
+                        ..CdnConfig::default()
+                    }),
+                    ..tiny_config()
+                },
+                "cdn bandwidth must be positive and finite, got inf",
+            ),
+            (
+                SwarmConfig {
+                    cdn: Some(CdnConfig {
+                        one_way_latency_secs: f64::INFINITY,
+                        ..CdnConfig::default()
+                    }),
+                    ..tiny_config()
+                },
+                "cdn latency must be in [0,86400] s, got inf",
             ),
             (
                 SwarmConfig {

@@ -21,8 +21,8 @@
 use splicecast_core::swarm::PeerReport;
 use splicecast_core::{
     run_once, CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, CrashChurnConfig,
-    DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, LinkFlapConfig, SchedulerMode,
-    SplicingSpec, SwarmMetrics, VideoSpec,
+    DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, LinkFlapConfig, SplicingSpec,
+    SwarmMetrics, VideoSpec,
 };
 
 /// splitmix64: derives independent fault knobs from one chaos seed without
@@ -111,31 +111,6 @@ fn conserving_run(config: &ExperimentConfig, seed: u64) -> SwarmMetrics {
         "seed {seed}: {stranded} B stranded by {unfetched_flows} flows of at most {largest} B"
     );
     metrics
-}
-
-/// Runs `config` under the indexed scheduler and under the reference scan
-/// and asserts the two agree on everything but the per-mode probes
-/// (pass/skip tallies and holder-index memory differ by design). Returns
-/// the indexed run.
-fn indexed_run_matching_scan(mut config: ExperimentConfig, seed: u64, what: &str) -> SwarmMetrics {
-    let mut run = |mode| {
-        config.swarm.scheduler = mode;
-        conserving_run(&config, seed)
-    };
-    let indexed = run(SchedulerMode::Indexed);
-    let neutral = |mut metrics: SwarmMetrics| {
-        for report in &mut metrics.reports {
-            report.sched = Default::default();
-            report.mem = Default::default();
-        }
-        metrics
-    };
-    assert_eq!(
-        neutral(indexed.clone()),
-        neutral(run(SchedulerMode::Scan)),
-        "{what} diverged from the reference rescan"
-    );
-    indexed
 }
 
 /// A full random schedule: every fault class armed, knobs drawn from the
@@ -383,17 +358,26 @@ fn defended_scale_swarm(leechers: usize, discovery: DiscoveryMode) -> Experiment
 /// A fault-free swarm evicts nobody. Nobody crashes or leaves, so every
 /// neighbour stays a neighbour: a viewer that finished playback falls
 /// quiet but is still a complete seed, and dropping it for its silence
-/// starves the viewers still downloading.
+/// starves the viewers still downloading. No flow fails (a failed flow is
+/// how a neighbour gets forgotten), and under full discovery every viewer
+/// ends with a view of every node it started with: the seeder and its
+/// fellows.
 #[test]
 fn fault_free_defended_swarm_evicts_nobody() {
+    const LEECHERS: usize = 40;
     for discovery in [DiscoveryMode::Tracker, DiscoveryMode::Full] {
-        let metrics = conserving_run(&defended_scale_swarm(40, discovery), 5);
+        let metrics = conserving_run(&defended_scale_swarm(LEECHERS, discovery), 5);
         assert_eq!(metrics.fault_totals().silent_evictions, 0, "{discovery:?}");
-        assert_eq!(
-            metrics.sched_totals().holder_removes,
-            0,
-            "{discovery:?}: a live neighbour was dropped"
-        );
+        assert_eq!(metrics.net.flows_failed, 0, "{discovery:?}: a flow failed");
+        if discovery == DiscoveryMode::Full {
+            for report in &metrics.reports {
+                assert_eq!(
+                    report.mem.views, LEECHERS as u64,
+                    "viewer {}: a live neighbour was dropped",
+                    report.peer
+                );
+            }
+        }
         assert_eq!(
             metrics.stuck_peers().count(),
             0,
@@ -418,13 +402,12 @@ fn defended_tracker_swarm_of_600_completes() {
 
 /// Combined churn (graceful departures + crash-stop) under the eventful
 /// control plane with tracker discovery: lost announcements, crashed
-/// neighbours and churn-evicted holders must never strand the deferred
-/// fold. In debug builds the candidate auditor checks the lazy holder
-/// index against a full rescan (exact below the fold horizon, empty above)
-/// on every pass, so this doubles as the index-eviction audit; the
-/// explicit Scan/Indexed comparison below catches release builds too.
+/// neighbours and churn-evicted sources must never strand a viewer. In
+/// debug builds every skipped scheduling pass is checked to be one that
+/// would have issued no request, so a change that could unblock a viewer
+/// but marks nothing dirty fails here.
 #[test]
-fn holder_index_survives_combined_churn_on_eventful_plane() {
+fn combined_churn_on_eventful_plane_strands_nobody() {
     let mut config = base();
     config.swarm.discovery = DiscoveryMode::Tracker;
     config.swarm.control_plane = ControlPlane::Eventful;
@@ -435,32 +418,25 @@ fn holder_index_survives_combined_churn_on_eventful_plane() {
         ..FaultPlanConfig::default()
     });
 
-    let indexed = indexed_run_matching_scan(config, 55, "holder index under churn");
+    let metrics = conserving_run(&config, 55);
     assert_eq!(
-        indexed.stuck_peers().count(),
+        metrics.stuck_peers().count(),
         0,
         "persistent peers stuck:\n{}",
-        indexed.stuck_report()
+        metrics.stuck_report()
     );
-    let departed = indexed.reports.iter().filter(|r| r.departed).count();
+    let departed = metrics.reports.iter().filter(|r| r.departed).count();
     assert!(
         departed >= 1,
         "this schedule is meant to churn somebody out"
     );
-    assert!(
-        indexed.dissem_totals().deferred_indices > 0,
-        "the schedule must exercise the deferred fold"
-    );
 }
 
 /// The combined-churn schedule on a 32-leecher swarm, under crash-stop
-/// churn and message loss: holder sets fill and drain as peers come and
-/// go. In debug builds (CI's test profile) every pump re-runs the
-/// fold-aware holder auditor against the bitsets — a stale bit or broken
-/// ascending iteration fails loudly here; the Scan/Indexed comparison
-/// catches release builds too.
+/// churn and message loss: neighbour sets fill and drain as peers come
+/// and go, and the debug skip audit watches every skipped pass.
 #[test]
-fn holder_bitsets_survive_combined_churn() {
+fn combined_churn_on_32_leechers_strands_nobody() {
     let mut config = base().with_leechers(32);
     config.swarm.discovery = DiscoveryMode::Tracker;
     config.swarm.control_plane = ControlPlane::Eventful;
@@ -471,11 +447,11 @@ fn holder_bitsets_survive_combined_churn() {
         ..FaultPlanConfig::default()
     });
 
-    let indexed = indexed_run_matching_scan(config, 55, "holder bitsets");
+    let metrics = conserving_run(&config, 55);
     assert_eq!(
-        indexed.stuck_peers().count(),
+        metrics.stuck_peers().count(),
         0,
         "persistent peers stuck:\n{}",
-        indexed.stuck_report()
+        metrics.stuck_report()
     );
 }
