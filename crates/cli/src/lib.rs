@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(text.matches(" segments (").count(), 20, "{text}");
         assert_eq!(text.matches("\n  … and 2 more\n").count(), 2, "{text}");
         // The csv block stays the tail of the report.
-        assert!(text.ends_with(",0.000,0.816\n"), "{text}");
+        assert!(text.ends_with(",0.000,0.818\n"), "{text}");
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Deterministic random sampling helpers.
 //!
-//! The simulator owns a single seeded [`rand::rngs::StdRng`]; everything
-//! random in a run is derived from it, which is what makes runs
-//! reproducible. The helpers here implement the distributions the simulator
-//! needs without pulling in extra dependencies.
+//! The simulator owns one seeded [`rand::rngs::StdRng`], which is what
+//! makes runs reproducible. Two kinds of code read it, in event order: the
+//! round model's per-round loss draws, and node behaviours through
+//! `Ctx::rng` (a leecher's random pick among equal sources). A control
+//! message draws nothing: it pays its expected retransmission delay. The
+//! fault plane and swarm setup seed streams of their own. The helpers here
+//! implement the distributions the simulator needs without pulling in
+//! extra dependencies.
 
 use rand::Rng;
 
@@ -90,26 +94,6 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Draws from a geometric distribution: the number of failures before the
-/// first success when each trial succeeds with probability `1 - p`.
-///
-/// Used to model how many times a reliable control message must be
-/// retransmitted when the path loses packets with probability `p`.
-pub fn geometric_failures<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    if p <= 0.0 {
-        return 0;
-    }
-    let p = p.min(0.999_999);
-    let mut failures = 0;
-    while rng.gen::<f64>() < p {
-        failures += 1;
-        if failures >= 64 {
-            break; // pathological loss rates: cap so the sim always advances
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,29 +154,5 @@ mod tests {
     fn exponential_zero_rate_is_infinite() {
         let mut r = rng();
         assert!(exponential(&mut r, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn geometric_zero_loss_never_retransmits() {
-        let mut r = rng();
-        assert_eq!(geometric_failures(&mut r, 0.0), 0);
-    }
-
-    #[test]
-    fn geometric_mean_is_close() {
-        let mut r = rng();
-        let trials = 20_000;
-        let total: u64 = (0..trials).map(|_| geometric_failures(&mut r, 0.2)).sum();
-        let mean = total as f64 / trials as f64;
-        // E[failures] = p / (1 - p) = 0.25
-        assert!((mean - 0.25).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_caps_at_64() {
-        let mut r = rng();
-        for _ in 0..100 {
-            assert!(geometric_failures(&mut r, 1.0) <= 64);
-        }
     }
 }

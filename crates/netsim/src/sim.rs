@@ -10,7 +10,6 @@ use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
 use crate::fluid::{FluidSolver, FluidSolverStats};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::node::{NodeBehavior, NodeEvent};
-use crate::rng::geometric_failures;
 use crate::tcp::{
     Flow, FlowModel, FlowTable, LinkUsage, RoundOutcome, TcpConfig, HANDSHAKE_RTTS, INITIAL_CWND,
     INITIAL_SSTHRESH, LOSS_UTILIZATION_FLOOR, MAX_CWND, MIN_CWND, MSS, OVERLOAD_LOSS_COEFF,
@@ -26,6 +25,20 @@ const MESSAGE_OVERHEAD_BYTES: u64 = 66;
 
 /// Loopback delay for a node messaging itself.
 const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(1);
+
+/// Cap on a control message's expected retransmission count, so a
+/// pathological path still delivers.
+const MAX_RETRANSMISSIONS: f64 = 64.0;
+
+/// The retransmissions a reliable control message expects on a path that
+/// loses a packet with probability `loss`: the mean `p / (1 - p)` of the
+/// geometric number of failed tries, capped at [`MAX_RETRANSMISSIONS`].
+fn expected_retransmissions(loss: f64) -> f64 {
+    if loss <= 0.0 {
+        return 0.0;
+    }
+    (loss / (1.0 - loss)).min(MAX_RETRANSMISSIONS)
+}
 
 /// Aggregate counters of everything the simulator moved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -524,7 +537,9 @@ impl Ctx<'_> {
     }
 
     /// The simulator's seeded random source. All randomness in a behaviour
-    /// should come from here to keep runs reproducible.
+    /// should come from here to keep runs reproducible. It is the stream
+    /// the round model's loss draws come from too; sending a message draws
+    /// nothing from it.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.world.rng
     }
@@ -533,8 +548,11 @@ impl Ctx<'_> {
     ///
     /// Delivery is reliable (loss is modelled as retransmission delay) and
     /// per-destination FIFO, like messages on a persistent TCP connection.
-    /// The delay is path latency plus serialisation plus a geometric
-    /// retransmission penalty drawn from the path loss rate.
+    /// The delay is path latency plus serialisation plus the expected
+    /// retransmission penalty: one round trip per expected retransmission,
+    /// `2 · latency · min(p / (1 - p), 64)` at path loss rate `p`. Nothing
+    /// is drawn from the random stream, so adding or removing a message
+    /// leaves every other draw of the run where it was.
     ///
     /// # Errors
     ///
@@ -548,8 +566,9 @@ impl Ctx<'_> {
     /// Like [`Ctx::send`], but subject to the injected message-fault plane
     /// (see [`Simulator::set_message_faults`]): the message may be silently
     /// dropped (the sender still sees `Ok`, modelling loss the application
-    /// cannot observe) or delivered with extra delay. With no plane
-    /// installed this is exactly `send` — same code path, same RNG draws.
+    /// cannot observe) or delivered with extra delay. The plane rolls on
+    /// its own stream, never the simulator's. With no plane installed this
+    /// is exactly `send`: same code path, same delay, no draw.
     ///
     /// Applications route their *droppable* traffic classes (periodic
     /// announcements a later one supersedes) through here and keep the
@@ -596,9 +615,7 @@ impl Ctx<'_> {
             let props = w.net.path_properties(&w.scratch_route);
             let wire_bytes = payload.len() as u64 + MESSAGE_OVERHEAD_BYTES;
             let tx = SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / props.min_capacity_bps);
-            // Each retransmission costs a full round trip (timeout + resend).
-            let retx = geometric_failures(&mut w.rng, props.loss);
-            props.latency + tx + (props.latency * 2) * retx
+            props.latency + tx + (props.latency * 2).mul_f64(expected_retransmissions(props.loss))
         };
         // Injected extra delay lands before the FIFO clamp: a delayed
         // message still cannot overtake or be overtaken on its connection.
@@ -2176,5 +2193,91 @@ mod tests {
         );
         // FIFO per connection survives the injected jitter.
         assert!(delayed.windows(2).all(|w| w[0] <= w[1]), "{delayed:?}");
+    }
+
+    /// A control message draws nothing from the simulator's stream. A
+    /// thousand extra messages leave every round-model transfer and every
+    /// `Ctx::rng` draw where it was, and a lone message pays exactly its
+    /// expected retransmission delay.
+    #[test]
+    fn a_message_draws_nothing() {
+        use rand::Rng;
+
+        /// Starts two round-model transfers over lossy links and draws from
+        /// `Ctx::rng` at each completion; sends `chatter` messages, one per
+        /// 5 ms, while the transfers run.
+        struct Mixed {
+            to: NodeId,
+            chatter: u32,
+            log: Rc<RefCell<Vec<(u64, SimTime, u64)>>>,
+        }
+        impl NodeBehavior for Mixed {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.start_transfer(self.to, 300_000, 1).unwrap();
+                ctx.start_transfer(self.to, 200_000, 2).unwrap();
+                if self.chatter > 0 {
+                    ctx.set_timer(SimDuration::from_millis(5), 0);
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                match event {
+                    NodeEvent::UploadComplete { tag, .. } => {
+                        let draw = ctx.rng().gen::<u64>();
+                        self.log.borrow_mut().push((tag, ctx.now(), draw));
+                    }
+                    NodeEvent::Timer { .. } => {
+                        ctx.send(self.to, Bytes::from_static(b"chatter")).unwrap();
+                        self.chatter -= 1;
+                        if self.chatter > 0 {
+                            ctx.set_timer(SimDuration::from_millis(5), 0);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let run = |chatter: u32| {
+            let s = two_leaf_star(0.05);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulator::new(s.network, 9);
+            sim.add_node(Box::new(crate::node::NullBehavior));
+            sim.add_node(Box::new(Mixed {
+                to: s.leaves[1],
+                chatter,
+                log: log.clone(),
+            }));
+            sim.add_node(Box::new(crate::node::NullBehavior));
+            sim.run_until_idle(SimTime::from_secs_f64(120.0));
+            assert_eq!(sim.stats().messages_sent, u64::from(chatter));
+            let log = log.borrow().clone();
+            log
+        };
+        let quiet = run(0);
+        assert_eq!(quiet.len(), 2, "both transfers complete");
+        assert_eq!(run(1_000), quiet);
+
+        let lone = |losses: [f64; 2]| {
+            let specs = losses
+                .map(|l| LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), l));
+            let s = star(&specs);
+            let at = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulator::new(s.network, 1);
+            sim.add_node(Box::new(crate::node::NullBehavior));
+            sim.add_node(Box::new(Client {
+                log: Log::default(),
+                peer: s.leaves[1],
+            }));
+            sim.add_node(Box::new(Arrivals { at: at.clone() }));
+            sim.run_until_idle(SimTime::from_secs_f64(60.0));
+            let at = at.borrow().clone();
+            at
+        };
+        // 50 ms of latency over two hops, 568 us to serialise the 5-byte
+        // payload and its 66 framing bytes at 1 Mbit/s, and p / (1 - p) =
+        // 0.25 expected retransmissions of a 100 ms round trip at p = 0.2.
+        let at = |micros| [SimTime::from_micros(micros).as_secs_f64()];
+        assert_eq!(lone([0.2, 0.0]), at(50_000 + 568 + 25_000));
+        // Two 0.99-loss hops lose 99.99 % of tries: the 64 cap binds.
+        assert_eq!(lone([0.99, 0.99]), at(50_000 + 568 + 6_400_000));
     }
 }

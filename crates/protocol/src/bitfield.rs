@@ -238,6 +238,9 @@ impl Bitfield {
     /// form of [`Bitfield::missing_from`], O(bytes) with early exit and no
     /// allocation.
     ///
+    /// No program path calls it; it stays because the benchmark times it
+    /// (`protocol.bitfield.has_any_not_in_ns`), and goes with that metric.
+    ///
     /// # Panics
     ///
     /// Panics when the lengths differ.

@@ -32,10 +32,7 @@ pub fn encode(msg: &Message, dst: &mut BytesMut) {
     dst.put_u32(1 + body_len as u32);
     dst.put_u8(msg.wire_type());
     match msg {
-        Message::Choke
-        | Message::Unchoke
-        | Message::Interested
-        | Message::NotInterested
+        Message::NotInterested
         | Message::ManifestRequest
         | Message::PeerListRequest
         | Message::Goodbye => {}
@@ -122,10 +119,7 @@ impl EncodeBuf {
 
 fn body_len(msg: &Message) -> usize {
     match msg {
-        Message::Choke
-        | Message::Unchoke
-        | Message::Interested
-        | Message::NotInterested
+        Message::NotInterested
         | Message::ManifestRequest
         | Message::PeerListRequest
         | Message::Goodbye => 0,
@@ -253,18 +247,6 @@ fn decode_body_slice(kind: u8, mut body: &[u8]) -> Result<Message, ProtocolError
         }
     };
     let msg = match kind {
-        0 => {
-            fixed(body, 0)?;
-            Message::Choke
-        }
-        1 => {
-            fixed(body, 0)?;
-            Message::Unchoke
-        }
-        2 => {
-            fixed(body, 0)?;
-            Message::Interested
-        }
         3 => {
             fixed(body, 0)?;
             Message::NotInterested
@@ -360,9 +342,6 @@ mod tests {
                 info_hash: [7; 20],
                 version: 1,
             },
-            Message::Choke,
-            Message::Unchoke,
-            Message::Interested,
             Message::NotInterested,
             Message::Have { index: 42 },
             Message::HaveBundle {
@@ -438,6 +417,27 @@ mod tests {
         );
     }
 
+    /// Wire types 0, 1 and 2 carried BitTorrent's choke, unchoke and
+    /// interested signals, which no handler read; they are unassigned
+    /// again, and no encoder emits one.
+    #[test]
+    fn retired_wire_types_are_unknown_types() {
+        for kind in [0u8, 1, 2] {
+            let frame = [0, 0, 0, 1, kind];
+            assert_eq!(
+                decode_single(&frame).unwrap_err(),
+                ProtocolError::UnknownType(kind)
+            );
+            assert!(have_bundle_indices(&frame).is_none());
+        }
+        for message in all_messages() {
+            let wire = encode_to_bytes(&message);
+            for kind in [0, 1, 2] {
+                assert_ne!(wire.get(4), Some(&kind), "{}", message.name());
+            }
+        }
+    }
+
     /// Wire type 16 carried the retired interest-window announcement; it
     /// is unassigned again, whatever body follows it.
     #[test]
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn decode_single_rejects_trailing_bytes() {
-        let mut wire = encode_to_bytes(&Message::Choke).to_vec();
+        let mut wire = encode_to_bytes(&Message::NotInterested).to_vec();
         wire.push(0);
         assert!(decode_single(&wire).is_err());
     }

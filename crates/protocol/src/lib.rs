@@ -4,9 +4,12 @@
 //! application speaks ("we implemented our own BitTorrent like messaging
 //! protocol", §V), adapted for segment streaming:
 //!
-//! - [`Message`]: handshake, choke/interest signalling, [`Bitfield`]
-//!   availability maps, `Have` announcements, whole-segment `Request`s, a
-//!   `SegmentHeader` announcing each bulk transfer, and manifest exchange.
+//! - [`Message`]: handshake, [`Bitfield`] availability maps, `Have`
+//!   announcements and the `NotInterested` that unsubscribes from them,
+//!   whole-segment `Request`s, a `SegmentHeader` announcing each bulk
+//!   transfer, and manifest exchange. BitTorrent's choke and interest
+//!   signals are not on the wire: a request queues at a busy uploader
+//!   instead of being choked.
 //! - [`encode`] / [`decode_single`]: a length-prefixed binary codec with
 //!   strict validation and a frame-size cap, one whole frame at a time (the
 //!   simulator delivers every message as one frame).

@@ -27,12 +27,6 @@ pub enum Message {
         /// Protocol version of the sender.
         version: u8,
     },
-    /// The sender will not service requests for now.
-    Choke,
-    /// The sender will service requests again.
-    Unchoke,
-    /// The sender wants segments the receiver holds.
-    Interested,
     /// The sender no longer wants anything from the receiver.
     NotInterested,
     /// The sender has finished downloading a segment.
@@ -88,9 +82,6 @@ impl Message {
     /// The wire type byte for this message.
     pub fn wire_type(&self) -> u8 {
         match self {
-            Message::Choke => 0,
-            Message::Unchoke => 1,
-            Message::Interested => 2,
             Message::NotInterested => 3,
             Message::Have { .. } => 4,
             Message::Bitfield(_) => 5,
@@ -111,9 +102,6 @@ impl Message {
     pub fn name(&self) -> &'static str {
         match self {
             Message::Handshake { .. } => "handshake",
-            Message::Choke => "choke",
-            Message::Unchoke => "unchoke",
-            Message::Interested => "interested",
             Message::NotInterested => "not-interested",
             Message::Have { .. } => "have",
             Message::HaveBundle { .. } => "have-bundle",
@@ -137,9 +125,6 @@ mod tests {
     #[test]
     fn wire_types_are_distinct() {
         let msgs = [
-            Message::Choke,
-            Message::Unchoke,
-            Message::Interested,
             Message::NotInterested,
             Message::Have { index: 0 },
             Message::HaveBundle { indices: vec![0] },

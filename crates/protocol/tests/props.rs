@@ -6,9 +6,6 @@ use splicecast_protocol::*;
 
 fn arbitrary_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        Just(Message::Choke),
-        Just(Message::Unchoke),
-        Just(Message::Interested),
         Just(Message::NotInterested),
         Just(Message::ManifestRequest),
         Just(Message::Goodbye),

@@ -827,21 +827,6 @@ impl LeecherNode {
         self.scratch_stale = stale;
     }
 
-    fn update_interest(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        let Some(view) = self.views.get(&peer) else {
-            return;
-        };
-        if view.interested_sent() || self.is_origin(peer) {
-            return;
-        }
-        let wants_something = view.holdings.has_any_not_in(&self.holdings);
-        if wants_something && self.say(ctx, peer, &Message::Interested) {
-            if let Some(view) = self.views.get_mut(&peer) {
-                view.set_interested_sent(true);
-            }
-        }
-    }
-
     fn on_segment_complete(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -986,7 +971,6 @@ impl LeecherNode {
                 self.on_new_bit(from, index);
             }
         }
-        self.update_interest(ctx, from);
         self.schedule(ctx);
     }
 
@@ -1038,16 +1022,10 @@ impl LeecherNode {
                         }
                     }
                 }
-                self.update_interest(ctx, from);
                 self.schedule(ctx);
             }
             Message::Have { index } => self.on_haves(ctx, from, std::iter::once(index)),
             Message::HaveBundle { indices } => self.on_haves(ctx, from, indices.into_iter()),
-            Message::Interested => {
-                if let Some(view) = self.views.get_mut(&from) {
-                    view.set_peer_interested(true);
-                }
-            }
             Message::NotInterested => {
                 if let Some(view) = self.views.get_mut(&from) {
                     view.set_peer_interested(false);
@@ -1103,7 +1081,7 @@ impl LeecherNode {
                     self.greet(ctx, peer);
                 }
             }
-            // Choke/Unchoke: purely informational in this client.
+            // Manifest and peer-list requests are the seeder's to answer.
             _ => {}
         }
     }
@@ -2054,11 +2032,8 @@ mod tests {
             .get(&stranger_id)
             .expect("the unknown greeter must get a view");
         assert!(view.handshaken());
+        assert!(view.greeted(), "the leecher answers with its own handshake");
         assert!(view.holdings.is_complete());
-        assert!(
-            view.interested_sent(),
-            "holding segments we lack makes it interesting"
-        );
         for segment in 0..2 {
             assert_eq!(
                 holders(&l, segment),
@@ -2066,14 +2041,15 @@ mod tests {
                 "a full neighbour is a candidate for every segment"
             );
         }
+        // The reply is the leecher's handshake, then its bitfield.
         let heard = heard.borrow();
         assert!(
-            heard.iter().any(|m| matches!(m, Message::Handshake { .. })),
-            "the handshake must become mutual"
-        );
-        assert!(
-            heard.iter().any(|m| matches!(m, Message::Interested)),
-            "interest must reach the stranger"
+            matches!(
+                heard[..],
+                [Message::Handshake { peer_id: 1, .. }, Message::Bitfield(ref bf)]
+                    if bf.len() == 2
+            ),
+            "the handshake must become mutual: {heard:?}"
         );
     }
 

@@ -8,9 +8,9 @@ use splicecast_protocol::Bitfield;
 /// What this node knows about one remote peer.
 ///
 /// Swarms keep one view per (node, peer) pair — O(peers²) instances — so
-/// the struct is packed for the 10k-peer regime: three of the four
+/// the struct is packed for the 10k-peer regime: two of the three
 /// lifecycle booleans share a flags byte behind accessor methods (the
-/// fourth is a plain `bool`, whose invalid bit patterns let the neighbour
+/// third is a plain `bool`, whose invalid bit patterns let the neighbour
 /// table's `Option<PeerView>` stay the size of a view), and the field
 /// order leaves no interior padding: 32 bytes.
 #[derive(Debug, Clone)]
@@ -27,12 +27,10 @@ pub struct PeerView {
 
 /// We have sent them our handshake.
 const FLAG_GREETED: u8 = 1 << 0;
-/// We have told them we are interested.
-const FLAG_INTERESTED_SENT: u8 = 1 << 1;
 /// The peer wants our availability announcements. Set by default; a
-/// `NotInterested` from them (the eventful control plane's unsubscribe)
-/// clears it, an `Interested` restores it.
-const FLAG_PEER_INTERESTED: u8 = 1 << 2;
+/// `NotInterested` from them (the eventful control plane's unsubscribe,
+/// sent once they hold the whole video) clears it for good.
+const FLAG_PEER_INTERESTED: u8 = 1 << 1;
 
 impl PeerView {
     /// A fresh view with nothing known.
@@ -81,18 +79,6 @@ impl PeerView {
     #[inline]
     pub fn set_handshaken(&mut self, value: bool) {
         self.handshaken = value;
-    }
-
-    /// Whether we have told them we are interested.
-    #[inline]
-    pub fn interested_sent(&self) -> bool {
-        self.flag(FLAG_INTERESTED_SENT)
-    }
-
-    /// Records whether we have told them we are interested.
-    #[inline]
-    pub fn set_interested_sent(&mut self, value: bool) {
-        self.set_flag(FLAG_INTERESTED_SENT, value);
     }
 
     /// Whether the peer wants our availability announcements.
@@ -412,7 +398,6 @@ mod tests {
         let v = PeerView::new(10);
         assert!(!v.greeted());
         assert!(!v.handshaken());
-        assert!(!v.interested_sent());
         assert!(
             v.peer_interested(),
             "peers are subscribed until they opt out"
@@ -426,16 +411,17 @@ mod tests {
         let mut v = PeerView::new(4);
         v.set_greeted(true);
         v.set_handshaken(true);
-        v.set_interested_sent(true);
         v.set_peer_interested(false);
-        assert!(v.greeted() && v.handshaken() && v.interested_sent());
+        assert!(v.greeted() && v.handshaken());
         assert!(!v.peer_interested());
         v.set_handshaken(false);
         assert!(!v.handshaken());
         assert!(
-            v.greeted() && v.interested_sent(),
+            v.greeted() && !v.peer_interested(),
             "clearing one flag must not disturb the others"
         );
+        v.set_greeted(false);
+        assert!(!v.greeted() && !v.peer_interested());
     }
 
     /// The packed struct must stay at 32 bytes (24-byte bitfield +

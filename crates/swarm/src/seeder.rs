@@ -107,8 +107,8 @@ impl SeederNode {
                     .on_request(ctx, from, index, &self.segments, true);
             }
             Message::Cancel { index } => self.uploads.on_cancel(from, index),
-            // Interest/choke signalling needs no reaction from an origin
-            // that always serves, and neither does a `Goodbye`: the tracker
+            // A `NotInterested` needs no reaction from an origin that
+            // announces nothing, and neither does a `Goodbye`: the tracker
             // answers with online members only, and a request queued by a
             // peer that left is skipped when its turn comes.
             _ => {}

@@ -710,7 +710,7 @@ mod tests {
         let metrics = run_swarm(&tiny_segments(), &tiny_config(), 11);
         assert_eq!(
             output_digest(&metrics),
-            0x8624_dba0_747e_5ada,
+            0xccf7_8d61_42ee_67fe,
             "legacy run output changed; if intentional, update the pinned digest"
         );
     }
@@ -747,7 +747,7 @@ mod tests {
         let metrics = run_swarm(&segments, &config, 11);
         assert_eq!(
             output_digest(&metrics),
-            0xcde3_a90f_8fe4_5610,
+            0x25f8_56b5_fbd2_4616,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }
@@ -764,7 +764,7 @@ mod tests {
         let metrics = run_swarm(&tiny_segments(), &config, 11);
         assert_eq!(
             output_digest(&metrics),
-            0xadcf_cd0d_846e_f9f2,
+            0x751b_ef8b_12be_67f4,
             "cross-traffic run output changed; if intentional, update the pinned digest"
         );
     }

@@ -1,9 +1,8 @@
 //! The upload side shared by seeders, leechers, and CDN nodes.
 
-use bytes::Bytes;
 use splicecast_media::SegmentList;
 use splicecast_netsim::{Ctx, FlowId, NodeId};
-use splicecast_protocol::{encode_to_bytes, EncodeBuf, Message};
+use splicecast_protocol::{EncodeBuf, Message};
 
 use crate::peer::{UploadManager, UploadRequest};
 
@@ -14,10 +13,10 @@ const DUP_UTILIZATION_MAX: f64 = 0.6;
 
 /// Serves segment requests over bounded upload slots.
 ///
-/// On `Request`, a free slot means immediate service (`Unchoke` +
-/// `SegmentHeader` + bulk transfer); otherwise the request queues and the
-/// requester is told `Choke`. Slots are released on upload completion or
-/// failure, immediately serving the next queued request.
+/// On `Request`, a free slot means immediate service (`SegmentHeader` +
+/// bulk transfer); otherwise the request queues, and the requester is told
+/// nothing. Slots are released on upload completion or failure,
+/// immediately serving the next queued request.
 #[derive(Debug)]
 pub struct UploadSide {
     mgr: UploadManager,
@@ -33,10 +32,6 @@ pub struct UploadSide {
     pub bytes_uploaded: u64,
     /// Scratch buffer for per-request frames (`SegmentHeader`).
     wire_buf: EncodeBuf,
-    /// `Choke`/`Unchoke` never change: encoded once, cloned per send
-    /// (a `Bytes` clone is a reference-count bump).
-    choke_wire: Bytes,
-    unchoke_wire: Bytes,
 }
 
 impl UploadSide {
@@ -48,8 +43,6 @@ impl UploadSide {
             warm_peers: Vec::new(),
             bytes_uploaded: 0,
             wire_buf: EncodeBuf::new(),
-            choke_wire: encode_to_bytes(&Message::Choke),
-            unchoke_wire: encode_to_bytes(&Message::Unchoke),
         }
     }
 
@@ -108,8 +101,6 @@ impl UploadSide {
             self.segment_idle(index) || ctx.path_utilization(from) < DUP_UTILIZATION_MAX;
         if self.mgr.offer(request, |_| admissible) {
             self.serve(ctx, request, segments);
-        } else {
-            let _ = ctx.send(from, self.choke_wire.clone());
         }
     }
 
@@ -177,9 +168,7 @@ impl UploadSide {
                 index: req.segment,
                 bytes,
             };
-            let reachable = ctx.send(req.peer, self.unchoke_wire.clone()).is_ok()
-                && ctx.send(req.peer, self.wire_buf.wire(&header)).is_ok();
-            if reachable {
+            if ctx.send(req.peer, self.wire_buf.wire(&header)).is_ok() {
                 let started = if self.is_warm(req.peer) {
                     ctx.start_transfer_warm(req.peer, bytes, u64::from(req.segment))
                 } else {
