@@ -48,8 +48,6 @@ COMMON OPTIONS (run / sweep / figure; a figure overwrites what it varies):
     --profile P           knob preset: paper | scale            [paper]
                           (scale = fluid + eventful;
                            explicit flags still override)
-    --have-window SECS    eventful Have-coalescing window  [auto: scales with
-                          segment duration, clamped to 1-4 pump intervals]
     --workers N           worker threads for run / sweep / figure  [all cores]
     --channels C          run C independent channel swarms (sharded)  [off]
     --metric M            sweep metric: stalls|stallsecs|startup  [stalls]
@@ -142,12 +140,6 @@ pub(crate) fn base_config(args: &Args) -> Result<ExperimentConfig, String> {
     }
     if let Some(raw) = args.value("control-plane")? {
         config = config.with_control_plane(raw.parse()?);
-    }
-    if let Some(raw) = args.value("have-window")? {
-        let secs: f64 = raw
-            .parse()
-            .map_err(|_| format!("bad --have-window `{raw}`"))?;
-        config.swarm.have_coalesce_secs = Some(secs);
     }
     // Zero means off. Any other value — negative or NaN included — builds
     // the config, so that `check()` below is what judges it.

@@ -289,11 +289,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 36] = [
-            (
-                &["--have-window", "-1"],
-                "coalesce window must be a non-negative number",
-            ),
+        let cases: [(&[&str], &str); 35] = [
             (&["--peers", "0"], "a swarm needs at least one leecher"),
             (&["--bandwidth", "0"], "peer bandwidth must be positive"),
             (&["--bandwidth", "inf"], "bandwidths must be finite"),

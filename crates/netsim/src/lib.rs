@@ -49,7 +49,6 @@ mod time;
 mod topology;
 
 pub mod rng;
-pub mod trace;
 
 pub use error::NetError;
 pub use fault::{InjectedFaults, MessageFaults};
@@ -61,4 +60,3 @@ pub use sim::{Ctx, SimStats, Simulator};
 pub use tcp::{FlowModel, TcpConfig};
 pub use time::{SimDuration, SimTime};
 pub use topology::{star, Network, PathProperties, Star};
-pub use trace::{Trace, TraceRecord, TraceSummary};

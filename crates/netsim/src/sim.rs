@@ -17,7 +17,6 @@ use crate::tcp::{
 };
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Network;
-use crate::trace::{Trace, TraceRecord};
 
 /// Per-message framing overhead added to control messages (Ethernet + IP +
 /// TCP headers).
@@ -40,16 +39,20 @@ fn expected_retransmissions(loss: f64) -> f64 {
     (loss / (1.0 - loss)).min(MAX_RETRANSMISSIONS)
 }
 
-/// Aggregate counters of everything the simulator moved.
+/// Aggregate counters of everything the simulator moved: the simulator's
+/// one report. A flow is booked where its receiver gets it, so a run
+/// that drains its queue has `flows_started == flows_completed +
+/// flows_failed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimStats {
     /// Control-plane messages sent.
     pub messages_sent: u64,
     /// Bulk transfers started.
     pub flows_started: u64,
-    /// Bulk transfers that delivered all bytes.
+    /// Bulk transfers whose receiver got all bytes.
     pub flows_completed: u64,
-    /// Bulk transfers that failed or were cancelled.
+    /// Bulk transfers that failed or were cancelled, or whose receiver
+    /// left before their last data arrived.
     pub flows_failed: u64,
     /// Payload bytes delivered to receivers (completed flows only).
     pub payload_bytes_delivered: u64,
@@ -67,7 +70,6 @@ pub(crate) struct World {
     rng: StdRng,
     online: Vec<bool>,
     tcp: TcpConfig,
-    trace: Option<Trace>,
     stats: SimStats,
     /// Last scheduled delivery per (src, dst), to keep the control channel
     /// in order like a TCP connection would: one row per source, indexed
@@ -147,13 +149,6 @@ impl World {
             self.fluid_rebalance();
         }
         self.stats.flows_failed += 1;
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceRecord::FlowFailed {
-                at: self.now,
-                flow: id,
-                delivered: flow.delivered,
-            });
-        }
         let notice_at = self.now + flow.rtt;
         for &node in notify {
             let peer = if node == flow.src { flow.dst } else { flow.src };
@@ -186,9 +181,6 @@ impl World {
             return;
         }
         self.online[node.index()] = false;
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceRecord::NodeOffline { at: self.now, node });
-        }
         // fail_flow removes each flow from the per-node index, so taking
         // the first id each time walks the list in insertion order.
         while let Some(&id) = self.flows.flows_touching(node).first() {
@@ -305,25 +297,18 @@ impl World {
         }
     }
 
-    /// A flow delivered its last byte at the sender: it leaves the table,
-    /// is counted, and both ends hear of it — the receiver sees the last
-    /// data half an RTT after the sender finishes, the sender the final ack
-    /// a full RTT after.
+    /// A flow delivered its last byte at the sender: it leaves the table
+    /// and both ends hear of it — the receiver sees the last data half an
+    /// RTT after the sender finishes, the sender the final ack a full RTT
+    /// after. It is counted when the receiver's notice is dispatched, not
+    /// here.
     fn complete_flow(&mut self, id: FlowId) -> Flow {
         let flow = self
             .flows
             .remove(id)
             .expect("completing flow is in the table");
-        self.stats.flows_completed += 1;
-        self.stats.payload_bytes_delivered += flow.total;
         let recv_at = self.now + flow.rtt / 2;
         let ack_at = self.now + flow.rtt;
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceRecord::FlowCompleted {
-                at: recv_at,
-                flow: id,
-            });
-        }
         self.queue.push(
             recv_at,
             Scheduled::Node {
@@ -526,11 +511,6 @@ impl Ctx<'_> {
         self.me
     }
 
-    /// Total number of nodes in the network.
-    pub fn node_count(&self) -> usize {
-        self.world.online.len()
-    }
-
     /// Whether a node is currently online.
     pub fn is_online(&self, node: NodeId) -> bool {
         node.index() < self.world.online.len() && self.world.online[node.index()]
@@ -631,15 +611,6 @@ impl Ctx<'_> {
         }
         *slot = deliver_at;
         w.stats.messages_sent += 1;
-        if let Some(trace) = &mut w.trace {
-            trace.push(TraceRecord::MessageSent {
-                at: w.now,
-                from: self.me,
-                to,
-                len: payload.len(),
-                deliver_at,
-            });
-        }
         w.queue.push(
             deliver_at,
             Scheduled::Node {
@@ -734,15 +705,6 @@ impl Ctx<'_> {
         }
         let id = w.flows.insert(flow);
         w.stats.flows_started += 1;
-        if let Some(trace) = &mut w.trace {
-            trace.push(TraceRecord::FlowStarted {
-                at: w.now,
-                flow: id,
-                src: self.me,
-                dst: to,
-                bytes,
-            });
-        }
         // First data round: after the three-way handshake for a fresh
         // connection, after half an RTT (send → first data back) when the
         // connection is kept alive.
@@ -796,27 +758,6 @@ impl Ctx<'_> {
             Ok(()) => w.path_utilization(&w.scratch_route),
             Err(_) => 0.0,
         }
-    }
-
-    /// Bytes already delivered for an in-flight transfer, if it is still
-    /// active. Useful for progress-aware policies.
-    pub fn transfer_progress(&self, flow: FlowId) -> Option<(u64, u64)> {
-        self.world.flows.get(flow).map(|f| {
-            if f.fluid.active && f.fluid.rate_bps > 0.0 {
-                // Fluid flows advance analytically between rebalances;
-                // integrate virtually without mutating the flow.
-                let dt = self
-                    .world
-                    .now
-                    .saturating_since(f.fluid.rate_since)
-                    .as_secs_f64();
-                let delivered =
-                    (f.fluid.delivered + f.fluid.rate_bps * dt / 8.0).min(f.total as f64);
-                (delivered as u64, f.total)
-            } else {
-                (f.delivered, f.total)
-            }
-        })
     }
 }
 
@@ -879,7 +820,6 @@ impl Simulator {
                 rng: StdRng::seed_from_u64(seed),
                 online: vec![true; node_count],
                 tcp: TcpConfig::default(),
-                trace: None,
                 stats: SimStats::default(),
                 msg_order: vec![Vec::new(); node_count],
                 scratch_route: Vec::new(),
@@ -897,19 +837,6 @@ impl Simulator {
     /// Selects the flow model. Must be called before `run`.
     pub fn set_tcp_config(&mut self, cfg: TcpConfig) {
         self.world.tcp = cfg;
-    }
-
-    /// Starts recording a [`Trace`] of notable events.
-    pub fn enable_trace(&mut self) {
-        self.world.trace = Some(Trace::new());
-    }
-
-    /// Takes the recorded trace, leaving tracing enabled with a fresh log.
-    pub fn take_trace(&mut self) -> Trace {
-        match &mut self.world.trace {
-            Some(t) => std::mem::take(t),
-            None => Trace::new(),
-        }
     }
 
     /// Registers the behaviour for the next node id: the hub first, then
@@ -1015,7 +942,20 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, target: NodeId, event: NodeEvent) {
-        if !self.world.online[target.index()] {
+        let online = self.world.online[target.index()];
+        if let NodeEvent::TransferComplete { bytes, .. } = event {
+            // A flow is booked where its receiver gets it: completed, with
+            // its payload, when the receiver is online to take the last
+            // data; failed when it left while that data was in flight.
+            let stats = &mut self.world.stats;
+            if online {
+                stats.flows_completed += 1;
+                stats.payload_bytes_delivered += bytes;
+            } else {
+                stats.flows_failed += 1;
+            }
+        }
+        if !online {
             return;
         }
         let mut node = self.nodes[target.index()].take().expect("node missing");
@@ -1360,20 +1300,51 @@ mod tests {
         assert!(sim.world.msg_order[s.hub.index()].is_empty());
     }
 
+    /// What a [`Recorder`] saw: (node, event kind, time, bytes).
+    type EventLog = Rc<RefCell<Vec<(NodeId, &'static str, SimTime, u64)>>>;
+
+    /// Logs every event it is handed; with `send` set, it first sends a
+    /// message there and starts a transfer of `bytes`.
+    struct Recorder {
+        send: Option<(NodeId, u64)>,
+        log: EventLog,
+    }
+    impl NodeBehavior for Recorder {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some((to, bytes)) = self.send {
+                ctx.send(to, Bytes::from_static(b"hello")).unwrap();
+                ctx.start_transfer(to, bytes, 0).unwrap();
+            }
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            let (kind, bytes) = match event {
+                NodeEvent::Message { payload, .. } => ("message", payload.len() as u64),
+                NodeEvent::TransferComplete { bytes, .. } => ("received", bytes),
+                NodeEvent::UploadComplete { .. } => ("acked", 0),
+                NodeEvent::TransferFailed { delivered, .. } => ("failed", delivered),
+                NodeEvent::Timer { token } => ("timer", token),
+            };
+            self.log
+                .borrow_mut()
+                .push((ctx.me(), kind, ctx.now(), bytes));
+        }
+    }
+
     #[test]
     fn identical_seeds_produce_identical_traces() {
-        fn run(seed: u64) -> Trace {
+        fn run(seed: u64) -> Vec<(NodeId, &'static str, SimTime, u64)> {
             let s = two_leaf_star(0.05);
+            let log = EventLog::default();
             let mut sim = Simulator::new(s.network, seed);
-            sim.enable_trace();
             sim.add_node(Box::new(crate::node::NullBehavior));
-            sim.add_node(Box::new(Sender {
-                to: s.leaves[1],
-                bytes: 300_000,
-            }));
-            sim.add_node(Box::new(Receiver::default()));
+            for send in [Some((s.leaves[1], 300_000)), None] {
+                let log = log.clone();
+                sim.add_node(Box::new(Recorder { send, log }));
+            }
             sim.run_until_idle(SimTime::from_secs_f64(120.0));
-            sim.take_trace()
+            let log = log.borrow().clone();
+            assert_eq!(log.len(), 3, "{log:?}");
+            log
         }
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seeds should diverge");
@@ -1610,7 +1581,6 @@ mod tests {
             let log = Rc::new(RefCell::new(Vec::new()));
             let mut sim = Simulator::new(s.network, 3);
             sim.set_tcp_config(TcpConfig { flow_model: model });
-            sim.enable_trace();
             sim.add_node(Box::new(crate::node::NullBehavior));
             for send in [Some(s.leaves[1]), None] {
                 let log = log.clone();
@@ -1629,21 +1599,63 @@ mod tests {
                 let rounds = finished.as_micros() - rtt.mul_f64(1.5).as_micros();
                 assert_eq!(rounds % rtt.as_micros(), 0, "{finished:?}");
             }
-            let traced = sim.take_trace();
-            let completions: Vec<_> = traced
-                .records()
-                .iter()
-                .filter_map(|r| match r {
-                    TraceRecord::FlowCompleted { at, .. } => Some(*at),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(completions, [received], "{model:?}");
             let stats = sim.stats();
             assert_eq!(stats.flows_completed, 1, "{model:?}");
             assert_eq!(stats.payload_bytes_delivered, 300_000, "{model:?}");
             assert_eq!(sim.active_flow_count(), 0, "{model:?}");
         }
+    }
+
+    /// A flow is booked where its receiver gets it: a receiver that leaves
+    /// after the sender's last byte went out, but before that byte
+    /// arrives, fails the flow and is delivered nothing. The sender still
+    /// hears its final ack.
+    #[test]
+    fn a_receiver_gone_before_the_last_data_arrives_fails_the_flow() {
+        struct LeaveAt(SimDuration);
+        impl NodeBehavior for LeaveAt {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(self.0, 0);
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::Timer { .. } = event {
+                    ctx.go_offline();
+                }
+            }
+        }
+        let run = |leave: Option<SimDuration>| {
+            let s = two_leaf_star(0.0);
+            let log = EventLog::default();
+            let mut sim = Simulator::new(s.network, 3);
+            sim.add_node(Box::new(crate::node::NullBehavior));
+            sim.add_node(Box::new(Recorder {
+                send: Some((s.leaves[1], 300_000)),
+                log: log.clone(),
+            }));
+            sim.add_node(match leave {
+                Some(at) => Box::new(LeaveAt(at)),
+                None => Box::new(Recorder {
+                    send: None,
+                    log: log.clone(),
+                }),
+            });
+            sim.run_until_idle(SimTime::from_secs_f64(60.0));
+            let log = log.borrow().clone();
+            (log, sim.stats())
+        };
+        let (log, stats) = run(None);
+        let received = log.iter().find(|e| e.1 == "received").expect("delivered").2;
+        assert_eq!((stats.flows_completed, stats.flows_failed), (1, 0));
+        // The last data is half an RTT (50 ms) in flight: leave 10 ms
+        // before it lands.
+        let leave = received.saturating_since(SimTime::ZERO) - SimDuration::from_millis(10);
+        let (log, stats) = run(Some(leave));
+        let acked = received + SimDuration::from_millis(50);
+        assert_eq!(log, [(NodeId::from_index(1), "acked", acked, 0)]);
+        assert_eq!(stats.flows_started, 1);
+        assert_eq!(stats.flows_failed, 1);
+        assert_eq!(stats.flows_completed, 0);
+        assert_eq!(stats.payload_bytes_delivered, 0);
     }
 
     #[test]
@@ -1913,39 +1925,24 @@ mod tests {
 
     #[test]
     fn fluid_progress_tracks_between_rebalances() {
-        struct ProgressProbe {
-            to: NodeId,
-            seen: Rc<RefCell<Vec<u64>>>,
-        }
-        impl NodeBehavior for ProgressProbe {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let flow = ctx.start_transfer(self.to, 500_000, 0).unwrap();
-                for i in 1..=3u64 {
-                    ctx.set_timer(SimDuration::from_secs(i), flow.raw());
-                }
-            }
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-                if let NodeEvent::Timer { token } = event {
-                    if let Some((done, _)) = ctx.transfer_progress(FlowId(token)) {
-                        self.seen.borrow_mut().push(done);
-                    }
-                }
-            }
-        }
         let s = two_leaf_star(0.0);
-        let seen = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulator::new(s.network, 1);
         sim.set_tcp_config(fluid_tcp());
         sim.add_node(Box::new(crate::node::NullBehavior));
-        sim.add_node(Box::new(ProgressProbe {
+        sim.add_node(Box::new(Sender {
             to: s.leaves[1],
-            seen: seen.clone(),
+            bytes: 500_000,
         }));
         sim.add_node(Box::new(crate::node::NullBehavior));
-        sim.run_until_idle(SimTime::from_secs_f64(60.0));
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), 3, "{seen:?}");
-        // Progress advances between probes even with no rebalance events.
+        let seen: Vec<u64> = (1..=3)
+            .map(|secs| {
+                sim.run_until_idle(SimTime::from_secs_f64(secs as f64));
+                let flow = sim.world.flows.iter_mut().next().expect("still running");
+                flow.delivered
+            })
+            .collect();
+        assert_eq!(sim.fluid_stats().rebalances, 1);
+        // Progress advances between deadlines even with no rebalance events.
         assert!(
             seen[0] > 0 && seen[0] < seen[1] && seen[1] < seen[2],
             "{seen:?}"

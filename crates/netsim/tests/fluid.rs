@@ -4,6 +4,9 @@
 //! bytes, the locality of a single activation, and the bound on
 //! completion events per flow.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,11 +19,13 @@ fn fluid() -> TcpConfig {
 }
 
 /// On every tick: starts a transfer to a random leaf, cancels one of its
-/// own, or (rarely) leaves for good.
+/// own, or (rarely) leaves for good. Adds the bytes of every transfer it
+/// receives to `received`.
 struct Chaos {
     leaves: Vec<NodeId>,
     ticks: u32,
     mine: Vec<FlowId>,
+    received: Rc<Cell<u64>>,
 }
 
 impl NodeBehavior for Chaos {
@@ -54,6 +59,9 @@ impl NodeBehavior for Chaos {
                     ctx.set_timer(SimDuration::from_millis(after), 0);
                 }
             }
+            NodeEvent::TransferComplete { bytes, .. } => {
+                self.received.set(self.received.get() + bytes);
+            }
             NodeEvent::UploadComplete { flow, .. } | NodeEvent::TransferFailed { flow, .. } => {
                 self.mine.retain(|&f| f != flow);
             }
@@ -79,7 +87,6 @@ proptest! {
         let s = star(&specs);
         let mut sim = Simulator::new(s.network, seed);
         sim.set_tcp_config(fluid());
-        sim.enable_trace();
         for _ in 0..60 {
             let link = s.links[rng.gen_range(0..s.links.len())];
             sim.schedule_capacity(
@@ -93,11 +100,13 @@ proptest! {
             );
         }
         sim.add_node(Box::new(NullBehavior)); // the hub
+        let received = Rc::new(Cell::new(0));
         for _ in 0..40 {
             sim.add_node(Box::new(Chaos {
                 leaves: s.leaves.clone(),
                 ticks: 60,
                 mine: Vec::new(),
+                received: received.clone(),
             }));
         }
         sim.run_until_idle(SimTime::from_secs_f64(3_600.0));
@@ -106,21 +115,11 @@ proptest! {
         prop_assert_eq!(sim.active_flow_count(), 0);
         prop_assert!(stats.flows_completed > 100 && stats.flows_failed > 50, "{:?}", stats);
         prop_assert_eq!(stats.flows_started, stats.flows_completed + stats.flows_failed);
-        // Payload delivered = Σ sizes of the flows that completed.
-        let trace = sim.take_trace();
-        let mut size = std::collections::HashMap::new();
-        let mut completed_bytes = 0;
-        for record in trace.records() {
-            match record {
-                TraceRecord::FlowStarted { flow, bytes, .. } => {
-                    size.insert(*flow, *bytes);
-                }
-                TraceRecord::FlowCompleted { flow, .. } => completed_bytes += size[flow],
-                _ => {}
-            }
-        }
-        prop_assert_eq!(stats.payload_bytes_delivered, completed_bytes);
-        prop_assert!(stats.wire_bytes_sent >= completed_bytes);
+        // Payload delivered = Σ sizes of the transfers receivers got: a
+        // leaf that left while a flow's last data was in flight got
+        // nothing, and that flow is booked failed.
+        prop_assert_eq!(stats.payload_bytes_delivered, received.get());
+        prop_assert!(stats.wire_bytes_sent >= received.get());
         let solver = sim.fluid_stats();
         prop_assert!(solver.components_filled > 0, "some link must saturate: {:?}", solver);
         prop_assert!(solver.flows_rescheduled >= stats.flows_completed);

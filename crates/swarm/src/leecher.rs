@@ -29,12 +29,11 @@ const TOKEN_CRASH: u64 = 4;
 /// Fallback-heartbeat cadence of the eventful control plane, in pump
 /// intervals: with nothing armed, a pump still fires this often to keep
 /// playback accounting alive and catch sources that vanished silently.
+/// The legacy plane's heartbeat is one interval: its fixed 2 Hz tick.
 const HEARTBEAT_PUMPS: f64 = 8.0;
 
-/// Tracker re-announce cadence, in pump intervals. The legacy pump
-/// re-announces on every fire that is a multiple of it; the eventful plane
-/// schedules the same cadence on absolute time so it is independent of
-/// pump activity.
+/// Tracker re-announce cadence, in pump intervals, on absolute time so it
+/// is independent of pump activity.
 const ANNOUNCE_PUMPS: u64 = 10;
 
 /// Everything a leecher needs to operate.
@@ -198,12 +197,12 @@ pub struct LeecherNode {
     /// [`SegmentList::mean_segment_bytes`] is O(segments); the list is
     /// immutable, so the mean is computed once.
     mean_segment_bytes: u64,
-    pumps: u64,
-    /// Completions awaiting a coalesced flush (eventful mode).
+    /// Completions awaiting a flush: at once on the legacy plane, after
+    /// the coalescing window on the eventful one.
     pending_haves: Vec<u32>,
     /// Deadline of the pending flush, if one is open.
     flush_at: Option<SimTime>,
-    /// Absolute time of the next tracker re-announce (eventful mode).
+    /// Absolute time of the next tracker re-announce.
     next_announce_at: SimTime,
     /// Earliest deadline a pump timer is already set for. Timers cannot be
     /// cancelled, so arming only sets a timer when it beats this mark;
@@ -264,7 +263,6 @@ impl LeecherNode {
             uploads,
             streaming: false,
             mean_segment_bytes: cfg.segments.mean_segment_bytes().round() as u64,
-            pumps: 0,
             pending_haves: Vec::new(),
             flush_at: None,
             next_announce_at: SimTime::MAX,
@@ -396,14 +394,9 @@ impl LeecherNode {
         if let Some(crash) = self.cfg.crash_after {
             ctx.set_timer(crash, TOKEN_CRASH);
         }
-        match self.cfg.control_plane {
-            ControlPlane::Legacy => ctx.set_timer(self.cfg.pump_interval, TOKEN_PUMP),
-            ControlPlane::Eventful => {
-                self.next_announce_at = ctx.now() + self.cfg.pump_interval * ANNOUNCE_PUMPS;
-                let first = ctx.now() + self.cfg.pump_interval;
-                self.arm_pump(ctx, first);
-            }
-        }
+        self.next_announce_at = ctx.now() + self.cfg.pump_interval * ANNOUNCE_PUMPS;
+        let first = ctx.now() + self.cfg.pump_interval;
+        self.arm_pump(ctx, first);
     }
 
     /// Sets a pump timer for `at` unless one at least as early is already
@@ -778,8 +771,8 @@ impl LeecherNode {
     /// forgotten. For a timed-out one, when a fresh pick lands on a source
     /// other than it, the request is cancelled there and re-issued by the
     /// next scheduling pass; otherwise its timer is extended and nothing is
-    /// re-sent.
-    fn check_timeouts(&mut self, ctx: &mut Ctx<'_>) {
+    /// re-sent. Returns whether any entry was overdue.
+    fn check_timeouts(&mut self, ctx: &mut Ctx<'_>) -> bool {
         let now = ctx.now();
         let mut stale = std::mem::take(&mut self.scratch_stale);
         stale.clear();
@@ -824,7 +817,9 @@ impl LeecherNode {
                 }
             }
         }
+        let any = !stale.is_empty();
         self.scratch_stale = stale;
+        any
     }
 
     fn on_segment_complete(
@@ -876,23 +871,10 @@ impl LeecherNode {
         }
         self.playback.on_segment(index as usize, now.as_secs_f64());
         if self.cfg.p2p {
+            self.pending_haves.push(index);
             match self.cfg.control_plane {
-                ControlPlane::Legacy => {
-                    let mut suppressed = 0u64;
-                    let sent = self.broadcast_fellows(ctx, &Message::Have { index }, |view| {
-                        // A peer that already shows the segment, or that
-                        // never completed a handshake (its view of us is
-                        // seeded by the bitfield we send then), learns
-                        // nothing from this Have.
-                        let learns = view.handshaken() && !view.holdings.get(index);
-                        suppressed += u64::from(!learns);
-                        learns
-                    });
-                    self.report.control.haves_sent += sent;
-                    self.report.control.haves_suppressed += suppressed;
-                }
+                ControlPlane::Legacy => self.flush_haves(ctx),
                 ControlPlane::Eventful => {
-                    self.pending_haves.push(index);
                     if self.flush_at.is_none() {
                         let at = now + self.cfg.coalesce_window;
                         self.flush_at = Some(at);
@@ -905,8 +887,11 @@ impl LeecherNode {
         self.schedule(ctx);
     }
 
-    /// Flushes the pending completions as one `HaveBundle`, skipping peers
-    /// that already hold every index, unsubscribed, or never handshook.
+    /// Flushes the pending completions: the legacy plane's one completion
+    /// as a `Have`, the eventful plane's as one `HaveBundle`. A peer that
+    /// already holds every index, or never completed a handshake (its view
+    /// of us is seeded by the bitfield we send then), learns nothing and is
+    /// skipped; so, on the eventful plane, is one that unsubscribed.
     fn flush_haves(&mut self, ctx: &mut Ctx<'_>) {
         self.flush_at = None;
         if self.pending_haves.is_empty() {
@@ -916,21 +901,37 @@ impl LeecherNode {
         indices.sort_unstable();
         indices.dedup();
         let n = indices.len() as u64;
-        let message = Message::HaveBundle { indices };
-        let Message::HaveBundle { indices } = &message else {
-            unreachable!()
+        let eventful = self.cfg.control_plane == ControlPlane::Eventful;
+        // The legacy plane flushes each completion at once: one index.
+        let message = if eventful {
+            Message::HaveBundle {
+                indices: std::mem::take(&mut indices),
+            }
+        } else {
+            Message::Have { index: indices[0] }
+        };
+        let shown = match &message {
+            Message::HaveBundle { indices } => indices,
+            _ => &indices,
         };
         let mut suppressed = 0u64;
         let sent = self.broadcast_fellows(ctx, &message, |view| {
             let learns = view.handshaken()
-                && view.peer_interested()
-                && !indices.iter().all(|&i| view.holdings.get(i));
+                && (!eventful || view.peer_interested())
+                && !shown.iter().all(|&i| view.holdings.get(i));
             suppressed += u64::from(!learns) * n;
             learns
         });
-        self.report.control.have_bundles_sent += sent;
-        self.report.control.haves_coalesced += sent * n;
+        if let Message::HaveBundle { indices: flushed } = message {
+            self.report.control.have_bundles_sent += sent;
+            self.report.control.haves_coalesced += sent * n;
+            indices = flushed;
+        } else {
+            self.report.control.haves_sent += sent;
+        }
         self.report.control.haves_suppressed += suppressed;
+        indices.clear();
+        self.pending_haves = indices;
     }
 
     /// Once complete, tells every handshaken peer we no longer want
@@ -1101,14 +1102,30 @@ impl LeecherNode {
         );
     }
 
-    /// What a pump does first on either plane: audit, bring playback up to
-    /// now, re-point overdue requests, greet a returned CDN.
-    fn pump_common(&mut self, ctx: &mut Ctx<'_>) {
-        self.pumps += 1;
+    /// The maintenance pump: runs when a deadline is due (bundle flush,
+    /// request timeout, tracker re-announce) or as the plane's heartbeat,
+    /// then re-arms for the earliest outstanding deadline (see
+    /// [`Self::rearm_pump`]).
+    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        if now < self.earliest_armed {
+            // A stale timer: the pump it was set for was superseded by an
+            // earlier-armed fire that already ran and re-armed. Dropping
+            // it (no pump, no re-arm) is what retires surplus timers.
+            return;
+        }
+        self.earliest_armed = SimTime::MAX;
+        let due_flush = self.flush_at.is_some_and(|t| t <= now);
+        let due_announce = self.announces() && self.next_announce_at <= now;
         #[cfg(debug_assertions)]
         self.audit_in_flight_mask();
-        self.playback.advance(ctx.now().as_secs_f64());
-        self.check_timeouts(ctx);
+        self.playback.advance(now.as_secs_f64());
+        let due_timeout = self.check_timeouts(ctx);
+        if due_flush || due_timeout || due_announce {
+            self.report.control.pumps_armed += 1;
+        } else {
+            self.report.control.pumps_heartbeat += 1;
+        }
         // An outage that ate our greeting to the CDN — its send failed (we
         // joined during the outage) or it was in flight when the outage
         // began — is followed by a fresh one once the CDN is back.
@@ -1119,47 +1136,12 @@ impl LeecherNode {
                 view.set_greeted(false);
             }
         }
-    }
-
-    /// The legacy maintenance pump: fixed cadence, polls everything.
-    fn legacy_pump(&mut self, ctx: &mut Ctx<'_>) {
-        self.pump_common(ctx);
-        self.schedule(ctx);
-        // Under tracker discovery, re-announce periodically so late
-        // joiners become visible.
-        if self.announces() && self.pumps.is_multiple_of(ANNOUNCE_PUMPS) {
-            self.say(ctx, self.cfg.seeder, &Message::PeerListRequest);
-        }
-        if self.playback.state() != PlaybackState::Finished {
-            ctx.set_timer(self.cfg.pump_interval, TOKEN_PUMP);
-        }
-    }
-
-    /// The eventful pump: runs only when a deadline is due (bundle flush,
-    /// request timeout, tracker re-announce) or as a low-rate heartbeat,
-    /// then re-arms for the earliest outstanding deadline.
-    fn eventful_pump(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        if now < self.earliest_armed {
-            // A stale timer: the pump it was set for was superseded by an
-            // earlier-armed fire that already ran and re-armed. Dropping
-            // it (no pump, no re-arm) is what retires surplus timers.
-            return;
-        }
-        self.earliest_armed = SimTime::MAX;
-        let due_flush = self.flush_at.is_some_and(|t| t <= now);
-        let due_timeout = self.in_flight.values().any(|f| self.overdue(ctx, f));
-        let due_announce = self.announces() && self.next_announce_at <= now;
-        if due_flush || due_timeout || due_announce {
-            self.report.control.pumps_armed += 1;
-        } else {
-            self.report.control.pumps_heartbeat += 1;
-        }
-        self.pump_common(ctx);
         if due_flush {
             self.flush_haves(ctx);
         }
         if due_announce {
+            // Under tracker discovery, re-announce periodically so late
+            // joiners become visible.
             self.say(ctx, self.cfg.seeder, &Message::PeerListRequest);
             self.next_announce_at = now + self.cfg.pump_interval * ANNOUNCE_PUMPS;
         }
@@ -1170,16 +1152,25 @@ impl LeecherNode {
     /// Arms the next pump at the earliest outstanding deadline, falling
     /// back to the heartbeat while playback is unfinished. With playback
     /// done and nothing pending, no timer is set and the simulation may
-    /// drain.
+    /// drain. The plane sets two constants: the heartbeat (one interval,
+    /// the 2 Hz tick, on legacy; [`HEARTBEAT_PUMPS`] on eventful) and
+    /// whether an unserved request's timeout is a deadline (eventful only;
+    /// the legacy tick polls it).
     fn rearm_pump(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        let (heartbeat, request_deadlines) = match self.cfg.control_plane {
+            ControlPlane::Legacy => (1.0, false),
+            ControlPlane::Eventful => (HEARTBEAT_PUMPS, true),
+        };
         let mut next = SimTime::MAX;
         if let Some(at) = self.flush_at {
             next = next.min(at);
         }
-        for f in self.in_flight.values() {
-            if !f.serving {
-                next = next.min(f.requested_at + self.cfg.request_timeout);
+        if request_deadlines {
+            for f in self.in_flight.values() {
+                if !f.serving {
+                    next = next.min(f.requested_at + self.cfg.request_timeout);
+                }
             }
         }
         if self.announces() {
@@ -1188,7 +1179,7 @@ impl LeecherNode {
         if self.playback.state() != PlaybackState::Finished {
             // The heartbeat keeps stall/finish accounting moving and is
             // the safety net for anything no deadline covers.
-            next = next.min(now + self.cfg.pump_interval.mul_f64(HEARTBEAT_PUMPS));
+            next = next.min(now + self.cfg.pump_interval.mul_f64(heartbeat));
         }
         if next == SimTime::MAX {
             return;
@@ -1239,10 +1230,7 @@ impl NodeBehavior for LeecherNode {
         match event {
             NodeEvent::Message { from, payload } => self.on_message(ctx, from, &payload),
             NodeEvent::Timer { token: TOKEN_BOOT } => self.boot(ctx),
-            NodeEvent::Timer { token: TOKEN_PUMP } => match self.cfg.control_plane {
-                ControlPlane::Legacy => self.legacy_pump(ctx),
-                ControlPlane::Eventful => self.eventful_pump(ctx),
-            },
+            NodeEvent::Timer { token: TOKEN_PUMP } => self.pump(ctx),
             NodeEvent::Timer {
                 token: TOKEN_DEPART,
             } => {

@@ -33,12 +33,13 @@ pub enum DiscoveryMode {
     Tracker,
 }
 
-/// Which control-plane implementation drives availability dissemination
-/// and the maintenance pump.
+/// Which control plane drives availability dissemination and the
+/// maintenance pump. Both run one pump; the plane sets its heartbeat and
+/// whether request timeouts arm it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControlPlane {
-    /// Every completion broadcasts an immediate `Have` and a fixed-cadence
-    /// pump timer polls for work: O(peers²) messages per run.
+    /// Every completion broadcasts an immediate `Have` and the pump's
+    /// one-interval heartbeat polls for work: O(peers²) messages per run.
     #[default]
     Legacy,
     /// Completions coalesce into `HaveBundle`s flushed on a short window,
@@ -710,7 +711,7 @@ mod tests {
         let metrics = run_swarm(&tiny_segments(), &tiny_config(), 11);
         assert_eq!(
             output_digest(&metrics),
-            0xccf7_8d61_42ee_67fe,
+            0xe0aa_6958_d49d_2938,
             "legacy run output changed; if intentional, update the pinned digest"
         );
     }
@@ -747,7 +748,7 @@ mod tests {
         let metrics = run_swarm(&segments, &config, 11);
         assert_eq!(
             output_digest(&metrics),
-            0x25f8_56b5_fbd2_4616,
+            0x1ec5_3d05_5cac_1029,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }
@@ -764,7 +765,7 @@ mod tests {
         let metrics = run_swarm(&tiny_segments(), &config, 11);
         assert_eq!(
             output_digest(&metrics),
-            0x751b_ef8b_12be_67f4,
+            0x2df0_3735_7cef_c3b2,
             "cross-traffic run output changed; if intentional, update the pinned digest"
         );
     }

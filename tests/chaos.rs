@@ -58,13 +58,10 @@ fn base() -> ExperimentConfig {
 /// - a finished viewer holds every segment, one booked fetch each, so it
 ///   downloaded at least the sum of all segment sizes (more when a raced
 ///   re-request delivered a duplicate);
-/// - swarm-wide, the payload the network delivered is the payload the
-///   leechers booked, completed flow by completed flow. The network books
-///   a flow when the sender finishes and the receiver half a round trip
-///   later, so a receiver that crashes or leaves in between strands whole
-///   segments: with nobody departed the two sides are equal, otherwise the
-///   network is ahead by at most the completed flows no fetch accounts
-///   for, each at most the largest segment.
+/// - swarm-wide, the payload the network delivered is exactly the payload
+///   the leechers booked: the network books a flow when its receiver gets
+///   it, so a receiver that crashed or left while the last data was in
+///   flight is delivered nothing and books nothing.
 fn conserving_run(config: &ExperimentConfig, seed: u64) -> SwarmMetrics {
     let result = run_once(config, seed);
     let metrics = result.metrics;
@@ -85,30 +82,10 @@ fn conserving_run(config: &ExperimentConfig, seed: u64) -> SwarmMetrics {
             result.total_transfer_bytes
         );
     }
-    let delivered = metrics.net.payload_bytes_delivered;
-    let booked = metrics.total_bytes_downloaded();
-    let stranded = delivered
-        .checked_sub(booked)
-        .unwrap_or_else(|| panic!("seed {seed}: {booked} B booked, only {delivered} B delivered"));
-    if metrics.reports.iter().all(|r| !r.departed) {
-        assert_eq!(
-            stranded, 0,
-            "seed {seed}: nobody left, yet bytes went missing"
-        );
-    }
-    let fetches: u64 = metrics.reports.iter().map(|r| fetched(r) as u64).sum();
-    let unfetched_flows = metrics
-        .net
-        .flows_completed
-        .checked_sub(fetches)
-        .unwrap_or_else(|| panic!("seed {seed}: more fetches than completed flows"));
-    let largest = config
-        .splicing
-        .splice(&config.video.build())
-        .max_segment_bytes();
-    assert!(
-        stranded <= unfetched_flows * largest,
-        "seed {seed}: {stranded} B stranded by {unfetched_flows} flows of at most {largest} B"
+    assert_eq!(
+        metrics.net.payload_bytes_delivered,
+        metrics.total_bytes_downloaded(),
+        "seed {seed}: the network delivered other bytes than the leechers booked"
     );
     metrics
 }

@@ -59,34 +59,55 @@ fn averaging_is_order_independent_and_stable() {
 fn netsim_traces_are_reproducible() {
     use bytes::Bytes;
     use splicecast_netsim::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
+    type Log = Rc<RefCell<Vec<(NodeId, &'static str, SimTime, u64)>>>;
+
+    /// Messages and starts a transfer to each of `peers`, and logs every
+    /// event it is handed as (node, kind, time, bytes).
     struct Chatter {
         peers: Vec<NodeId>,
+        log: Log,
     }
     impl NodeBehavior for Chatter {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            for (i, &peer) in self.peers.clone().iter().enumerate() {
+            for (i, &peer) in self.peers.iter().enumerate() {
                 let _ = ctx.send(peer, Bytes::from(vec![i as u8; 100]));
                 let _ = ctx.start_transfer(peer, 50_000, i as u64);
             }
         }
-        fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: NodeEvent) {}
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            let (kind, bytes) = match event {
+                NodeEvent::Message { payload, .. } => ("message", payload.len() as u64),
+                NodeEvent::TransferComplete { bytes, .. } => ("received", bytes),
+                NodeEvent::UploadComplete { .. } => ("acked", 0),
+                NodeEvent::TransferFailed { delivered, .. } => ("failed", delivered),
+                _ => ("other", 0),
+            };
+            self.log
+                .borrow_mut()
+                .push((ctx.me(), kind, ctx.now(), bytes));
+        }
     }
 
-    fn run(seed: u64) -> Trace {
+    fn run(seed: u64) -> Vec<(NodeId, &'static str, SimTime, u64)> {
         let spec = LinkSpec::from_bytes_per_sec(100_000.0, SimDuration::from_millis(20), 0.05);
         let star = star(&[spec; 4]);
+        let log = Log::default();
         let mut sim = Simulator::new(star.network, seed);
-        sim.enable_trace();
         sim.add_node(Box::new(NullBehavior));
-        sim.add_node(Box::new(Chatter {
-            peers: star.leaves[1..].to_vec(),
-        }));
-        for _ in 1..4 {
-            sim.add_node(Box::new(NullBehavior));
+        let mut peers = star.leaves[1..].to_vec();
+        for _ in &star.leaves {
+            let log = log.clone();
+            sim.add_node(Box::new(Chatter { peers, log }));
+            peers = Vec::new();
         }
         sim.run_until_idle(SimTime::from_secs_f64(120.0));
-        sim.take_trace()
+        let log = log.borrow().clone();
+        // Three messages and three transfers, each heard at both ends.
+        assert_eq!(log.len(), 9, "{log:?}");
+        log
     }
 
     assert_eq!(run(5), run(5));
