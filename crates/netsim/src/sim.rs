@@ -9,6 +9,7 @@ use crate::event::{EventQueue, Scheduled};
 use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
 use crate::fluid::{FluidSolver, FluidSolverStats};
 use crate::id::{DirLinkId, FlowId, NodeId};
+use crate::link::LinkSpec;
 use crate::node::{NodeBehavior, NodeEvent};
 use crate::tcp::{
     Flow, FlowModel, FlowTable, LinkUsage, RoundOutcome, TcpConfig, HANDSHAKE_RTTS, INITIAL_CWND,
@@ -78,6 +79,9 @@ pub(crate) struct World {
     /// Scratch for the route of the message being sent (or the path being
     /// probed), so looking at a route allocates nothing.
     scratch_route: Vec<DirLinkId>,
+    /// Scratch for the receivers of a multicast that share one delivery
+    /// instant.
+    scratch_run: Vec<NodeId>,
     /// Scratch for `step_flow`: per-link decayed rates, computed once per
     /// round and reused for both the utilization read and the usage update.
     scratch_rates: Vec<f64>,
@@ -540,7 +544,7 @@ impl Ctx<'_> {
     /// (models a connection reset) and [`NetError::UnknownNode`] for an
     /// out-of-range id.
     pub fn send(&mut self, to: NodeId, payload: Bytes) -> Result<(), NetError> {
-        self.send_inner(to, payload, false)
+        self.send_one(to, payload, false)
     }
 
     /// Like [`Ctx::send`], but subject to the injected message-fault plane
@@ -559,10 +563,85 @@ impl Ctx<'_> {
     /// Same as [`Ctx::send`]; destination validation happens before the
     /// fault roll, so an offline destination is still reported.
     pub fn send_faulty(&mut self, to: NodeId, payload: Bytes) -> Result<(), NetError> {
-        self.send_inner(to, payload, true)
+        self.send_one(to, payload, true)
     }
 
-    fn send_inner(&mut self, to: NodeId, payload: Bytes, faulty: bool) -> Result<(), NetError> {
+    /// Sends `payload` to each of `targets` in order, exactly as one
+    /// [`Ctx::send`] per target would (or [`Ctx::send_faulty`] when
+    /// `faulty`): the same checks, fault rolls, delays, per-pair FIFO order
+    /// and counters, so a run is bit-identical either way. It is cheaper:
+    /// the path delay is computed once per distinct receiver-link spec,
+    /// and receivers that share a delivery instant share one queue entry.
+    ///
+    /// Appends each target whose send would have returned an error to
+    /// `failed`, in order, and returns how many sends succeeded (a message
+    /// the fault plane dropped counts, as `send_faulty` returns `Ok` for
+    /// it).
+    pub fn multicast(
+        &mut self,
+        targets: &[NodeId],
+        payload: &Bytes,
+        faulty: bool,
+        failed: &mut Vec<NodeId>,
+    ) -> u64 {
+        // The receivers booked so far at `run_at`: their keys would be
+        // consecutive, so they go out as one entry. A receiver whose
+        // instant differs (the FIFO clamp or an injected delay moved it,
+        // or its link is another) closes the run and opens the next.
+        let mut run = std::mem::take(&mut self.world.scratch_run);
+        let mut run_at = SimTime::ZERO;
+        let mut memo = None;
+        let mut sent = 0;
+        for &to in targets {
+            let Ok(booked) = self.book_message(to, payload.len(), faulty, &mut memo) else {
+                failed.push(to);
+                continue;
+            };
+            sent += 1;
+            let Some(at) = booked else { continue };
+            if at != run_at && !run.is_empty() {
+                self.world
+                    .queue
+                    .push_message(run_at, self.me, payload, &run);
+                run.clear();
+            }
+            run_at = at;
+            run.push(to);
+        }
+        if !run.is_empty() {
+            self.world
+                .queue
+                .push_message(run_at, self.me, payload, &run);
+            run.clear();
+        }
+        self.world.scratch_run = run;
+        sent
+    }
+
+    /// [`Ctx::send`] and [`Ctx::send_faulty`]: a multicast of one.
+    fn send_one(&mut self, to: NodeId, payload: Bytes, faulty: bool) -> Result<(), NetError> {
+        if let Some(at) = self.book_message(to, payload.len(), faulty, &mut None)? {
+            let from = self.me;
+            let event = NodeEvent::Message { from, payload };
+            self.world
+                .queue
+                .push(at, Scheduled::Node { target: to, event });
+        }
+        Ok(())
+    }
+
+    /// The one per-receiver path of every control message: books a
+    /// message of `len` payload bytes to `to` and returns its delivery
+    /// instant, or `None` when the fault plane dropped it. `memo` keeps the
+    /// last path delay across one multicast's receivers: from one sender,
+    /// receivers whose down links have equal specs have equal paths.
+    fn book_message(
+        &mut self,
+        to: NodeId,
+        len: usize,
+        faulty: bool,
+        memo: &mut Option<(Option<LinkSpec>, SimDuration)>,
+    ) -> Result<Option<SimTime>, NetError> {
         let w = &mut *self.world;
         if to.index() >= w.online.len() {
             return Err(NetError::UnknownNode);
@@ -579,7 +658,7 @@ impl Ctx<'_> {
                         // The wire ate it; the sender never knows.
                         w.stats.messages_sent += 1;
                         w.fault_stats.messages_dropped += 1;
-                        return Ok(());
+                        return Ok(None);
                     }
                     MessageFate::Delay(d) => {
                         w.fault_stats.messages_delayed += 1;
@@ -591,11 +670,23 @@ impl Ctx<'_> {
         let delay = if to == self.me {
             LOOPBACK_DELAY
         } else {
-            w.net.route(self.me, to, &mut w.scratch_route)?;
-            let props = w.net.path_properties(&w.scratch_route);
-            let wire_bytes = payload.len() as u64 + MESSAGE_OVERHEAD_BYTES;
-            let tx = SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / props.min_capacity_bps);
-            props.latency + tx + (props.latency * 2).mul_f64(expected_retransmissions(props.loss))
+            let down = w.net.down_spec(to).copied();
+            match *memo {
+                Some((spec, delay)) if spec == down => delay,
+                _ => {
+                    w.net.route(self.me, to, &mut w.scratch_route)?;
+                    let props = w.net.path_properties(&w.scratch_route);
+                    let wire_bytes = len as u64 + MESSAGE_OVERHEAD_BYTES;
+                    let tx = SimDuration::from_secs_f64(
+                        wire_bytes as f64 * 8.0 / props.min_capacity_bps,
+                    );
+                    let delay = props.latency
+                        + tx
+                        + (props.latency * 2).mul_f64(expected_retransmissions(props.loss));
+                    *memo = Some((down, delay));
+                    delay
+                }
+            }
         };
         // Injected extra delay lands before the FIFO clamp: a delayed
         // message still cannot overtake or be overtaken on its connection.
@@ -611,17 +702,7 @@ impl Ctx<'_> {
         }
         *slot = deliver_at;
         w.stats.messages_sent += 1;
-        w.queue.push(
-            deliver_at,
-            Scheduled::Node {
-                target: to,
-                event: NodeEvent::Message {
-                    from: self.me,
-                    payload,
-                },
-            },
-        );
-        Ok(())
+        Ok(Some(deliver_at))
     }
 
     /// Starts a bulk TCP transfer of `bytes` payload bytes from this node to
@@ -823,6 +904,7 @@ impl Simulator {
                 stats: SimStats::default(),
                 msg_order: vec![Vec::new(); node_count],
                 scratch_route: Vec::new(),
+                scratch_run: Vec::new(),
                 scratch_rates: Vec::new(),
                 fluid,
                 faults: None,
@@ -984,6 +1066,18 @@ impl Simulator {
             self.world.now = time;
             match what {
                 Scheduled::Node { target, event } => self.dispatch(target, event),
+                Scheduled::Multicast {
+                    from,
+                    payload,
+                    members,
+                } => {
+                    let list = self.world.queue.take_members(members);
+                    for &target in &list {
+                        let payload = payload.clone();
+                        self.dispatch(target, NodeEvent::Message { from, payload });
+                    }
+                    self.world.queue.recycle_members(members, list);
+                }
                 Scheduled::FlowRound { flow } => self.world.step_flow(flow),
                 Scheduled::FlowDone { flow } => self.world.fluid_done(flow),
                 Scheduled::Capacity { dir, capacity_bps } => {
@@ -1037,7 +1131,6 @@ impl std::fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
     use crate::topology::star;
     use std::cell::RefCell;
     use std::rc::Rc;

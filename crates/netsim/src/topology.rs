@@ -111,6 +111,17 @@ impl Network {
         Ok(())
     }
 
+    /// The spec of the link direction down to `node`, the last hop of every
+    /// route to it; `None` for the hub, which has no access link.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range id.
+    pub(crate) fn down_spec(&self, node: NodeId) -> Option<&LinkSpec> {
+        assert!(node.index() < self.node_count(), "unknown node {node:?}");
+        access_link(node).map(|link| self.dir_spec(DirLinkId::new_backward(link)))
+    }
+
     /// Aggregate latency/loss/capacity along a path.
     ///
     /// # Panics

@@ -137,3 +137,217 @@ proptest! {
         prop_assert_eq!(&*seen.borrow(), &expected);
     }
 }
+
+/// One round of the multicast oracle: a message of `size` bytes to each
+/// of `targets`, through the fault plane when `faulty`. A target is drawn
+/// wide and folded onto the node ids plus one past the end (an unknown
+/// node), so repeats are common.
+#[derive(Debug, Clone)]
+struct Round {
+    targets: Vec<usize>,
+    size: usize,
+    faulty: bool,
+}
+
+fn round() -> impl Strategy<Value = Round> {
+    (
+        prop::collection::vec(0usize..64, 1..24),
+        1usize..3_000,
+        any::<bool>(),
+    )
+        .prop_map(|(targets, size, faulty)| Round {
+            targets,
+            size,
+            faulty,
+        })
+}
+
+mod oracle {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Every delivery in dispatch order: `(now, receiver, from, payload)`.
+    pub type Log = Rc<RefCell<Vec<(SimTime, NodeId, NodeId, Bytes)>>>;
+
+    /// What the sender saw: per round, the sends that succeeded and the
+    /// targets whose send failed.
+    pub type Outcomes = Rc<RefCell<Vec<(u64, Vec<NodeId>)>>>;
+
+    /// Logs every message; goes offline at start when `leaves`. The
+    /// sender also sends `bulk` (large messages, so later ones on the
+    /// same pairs hit the FIFO clamp) and then one round per millisecond,
+    /// as one multicast each or one send per target.
+    pub struct Node {
+        pub log: Log,
+        pub leaves: bool,
+        pub bulk: Vec<(NodeId, usize)>,
+        pub rounds: Vec<(Vec<NodeId>, usize, bool)>,
+        pub multicast: bool,
+        pub outcomes: Outcomes,
+    }
+
+    impl NodeBehavior for Node {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.leaves {
+                ctx.go_offline();
+                return;
+            }
+            for &(to, size) in &self.bulk {
+                ctx.send(to, Bytes::from(vec![0xb0; size])).unwrap();
+            }
+            for k in 0..self.rounds.len() {
+                ctx.set_timer(SimDuration::from_millis(k as u64), k as u64);
+            }
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            match event {
+                NodeEvent::Message { from, payload } => {
+                    self.log
+                        .borrow_mut()
+                        .push((ctx.now(), ctx.me(), from, payload));
+                }
+                NodeEvent::Timer { token } => {
+                    let (targets, size, faulty) = &self.rounds[token as usize];
+                    let payload = Bytes::from(vec![token as u8; *size]);
+                    let mut failed = Vec::new();
+                    let sent = if self.multicast {
+                        ctx.multicast(targets, &payload, *faulty, &mut failed)
+                    } else {
+                        let mut sent = 0;
+                        for &to in targets {
+                            let result = if *faulty {
+                                ctx.send_faulty(to, payload.clone())
+                            } else {
+                                ctx.send(to, payload.clone())
+                            };
+                            match result {
+                                Ok(()) => sent += 1,
+                                Err(_) => failed.push(to),
+                            }
+                        }
+                        sent
+                    };
+                    self.outcomes.borrow_mut().push((sent, failed));
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// The multicast oracle's network: the hub, the sender, and `receivers`
+/// leaves; receiver `r` sits on the thin link spec when `thin[r]`, and
+/// is offline from the start when `offline[r]`.
+struct OracleCase<'a> {
+    receivers: usize,
+    thin: &'a [bool],
+    offline: &'a [u32],
+    bulk: &'a [(usize, usize)],
+    rounds: &'a [Round],
+    faults: MessageFaults,
+    seed: u64,
+}
+
+/// Everything one run of the multicast oracle reports.
+type OracleRun = (
+    Vec<(SimTime, NodeId, NodeId, Bytes)>,
+    Vec<(u64, Vec<NodeId>)>,
+    SimStats,
+    InjectedFaults,
+);
+
+fn run_oracle(case: &OracleCase<'_>, multicast: bool) -> OracleRun {
+    let fast = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(20), 0.05);
+    let thin = LinkSpec::from_bytes_per_sec(40_000.0, SimDuration::from_millis(35), 0.0);
+    // Leaf 0 is the sender; the rest receive on one of the two specs.
+    let specs: Vec<LinkSpec> = std::iter::once(fast)
+        .chain((0..case.receivers).map(|r| if case.thin[r] { thin } else { fast }))
+        .collect();
+    let star = star(&specs);
+    let nodes = star.network.node_count();
+    // Folds a drawn index onto the ids 0..=nodes, the last one unknown.
+    let id = |i: usize| NodeId::from_index(i % (nodes + 1));
+    let outcomes = oracle::Outcomes::default();
+    let log = oracle::Log::default();
+    let mut sim = Simulator::new(star.network, case.seed);
+    sim.set_message_faults(case.faults);
+    for i in 0..nodes {
+        let sender = i == 1;
+        let mut node = oracle::Node {
+            log: log.clone(),
+            leaves: i >= 2 && case.offline[i - 2] == 0,
+            bulk: Vec::new(),
+            rounds: Vec::new(),
+            multicast,
+            outcomes: outcomes.clone(),
+        };
+        if sender {
+            // Bulk messages go to known nodes only: their sends unwrap.
+            node.bulk = case
+                .bulk
+                .iter()
+                .map(|&(to, size)| (NodeId::from_index(to % nodes), size))
+                .collect();
+            node.rounds = case
+                .rounds
+                .iter()
+                .map(|r| (r.targets.iter().map(|&t| id(t)).collect(), r.size, r.faulty))
+                .collect();
+        }
+        sim.add_node(Box::new(node));
+    }
+    sim.run_until_idle(SimTime::from_secs_f64(3_600.0));
+    let log = log.borrow().clone();
+    let outcomes = outcomes.borrow().clone();
+    (log, outcomes, sim.stats(), sim.fault_stats())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 4_096 }))]
+
+    /// `Ctx::multicast` is exactly one `send` / `send_faulty` per target:
+    /// every node receives the same messages at the same instants, in the
+    /// same order across nodes too, the counters and fault counters agree, and `failed` holds exactly the
+    /// targets whose send returned an error. The targets repeat and
+    /// include offline and unknown nodes, the hub and the sender itself;
+    /// the receivers sit on two link specs; large messages queued first
+    /// make the FIFO clamp move later ones; and the fault plane drops and
+    /// delays.
+    #[test]
+    fn multicast_equals_one_send_per_target(
+        receivers in 2usize..9,
+        thin in prop::collection::vec(any::<bool>(), 8..9),
+        // One receiver in five is offline.
+        offline in prop::collection::vec(0u32..5, 8..9),
+        bulk in prop::collection::vec((0usize..64, 1_000usize..40_000), 0..4),
+        rounds in prop::collection::vec(round(), 1..6),
+        loss in prop_oneof![Just(0.0), 0.0f64..0.5],
+        delay_prob in prop_oneof![Just(0.0), 0.0f64..0.5],
+        delay_ms in 1u64..400,
+        seed in any::<u64>(),
+    ) {
+        let case = OracleCase {
+            receivers,
+            thin: &thin,
+            offline: &offline,
+            bulk: &bulk,
+            rounds: &rounds,
+            faults: MessageFaults {
+                seed: seed ^ 0x5eed,
+                loss,
+                delay_prob,
+                delay_max: SimDuration::from_millis(delay_ms),
+            },
+            seed,
+        };
+        let one_by_one = run_oracle(&case, false);
+        let multicast = run_oracle(&case, true);
+        prop_assert_eq!(&multicast.0, &one_by_one.0, "deliveries");
+        prop_assert_eq!(&multicast.1, &one_by_one.1, "sent counts and failed targets");
+        prop_assert_eq!(multicast.2, one_by_one.2, "SimStats");
+        prop_assert_eq!(multicast.3, one_by_one.3, "fault_stats()");
+        prop_assert_eq!(one_by_one.1.len(), rounds.len());
+    }
+}

@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use splicecast_media::{Manifest, SegmentList};
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration, SimTime};
 use splicecast_player::{Playback, PlaybackState};
@@ -218,6 +217,7 @@ pub struct LeecherNode {
     /// request/deliver cycle allocates nothing per event.
     scratch_candidates: Vec<SourceCandidate>,
     scratch_peers: Vec<NodeId>,
+    scratch_failed: Vec<NodeId>,
     scratch_stale: Vec<(u32, InFlight)>,
     /// Per-source failure scores with backoff bans (defense plane only;
     /// empty when defenses are off).
@@ -273,6 +273,7 @@ impl LeecherNode {
             wire_buf: EncodeBuf::new(),
             scratch_candidates: Vec::new(),
             scratch_peers: Vec::new(),
+            scratch_failed: Vec::new(),
             scratch_stale: Vec::new(),
             health: BTreeMap::new(),
             cfg,
@@ -330,39 +331,56 @@ impl LeecherNode {
         )
     }
 
-    /// The one send path: puts an encoded frame on the wire to `to` —
-    /// through the fault plane when `faulty` — or forgets a peer that
-    /// turned out unreachable. That failed send is how a crash is detected,
-    /// as a TCP sender learns of a dead peer from a connection reset.
-    fn send_wire(&mut self, ctx: &mut Ctx<'_>, to: NodeId, wire: Bytes, faulty: bool) -> bool {
-        let result = if faulty {
-            ctx.send_faulty(to, wire)
-        } else {
-            ctx.send(to, wire)
-        };
-        if result.is_err() {
-            self.forget_peer(to);
+    /// The one send path: encodes `message` once and puts it on the wire
+    /// to each of `peers` in order as one multicast — through the fault
+    /// plane when it is droppable — then forgets the peers that turned out
+    /// unreachable, in the same order (forgetting sends nothing, so it may
+    /// wait until every send is out). That failed send is how a crash is
+    /// detected, as a TCP sender learns of a dead peer from a connection
+    /// reset. Returns the number of successful sends; the failed peers are
+    /// left in `scratch_failed`.
+    fn multicast(&mut self, ctx: &mut Ctx<'_>, peers: &[NodeId], message: &Message) -> u64 {
+        let wire = self.wire_buf.wire(message);
+        let mut failed = std::mem::take(&mut self.scratch_failed);
+        failed.clear();
+        let sent = ctx.multicast(peers, &wire, Self::droppable(message), &mut failed);
+        for &peer in &failed {
+            self.forget_peer(peer);
         }
-        result.is_ok()
+        self.scratch_failed = failed;
+        sent
     }
 
     fn say(&mut self, ctx: &mut Ctx<'_>, to: NodeId, message: &Message) -> bool {
-        let wire = self.wire_buf.wire(message);
-        self.send_wire(ctx, to, wire, Self::droppable(message))
+        self.multicast(ctx, &[to], message) == 1
+    }
+
+    fn is_greeted(&self, peer: NodeId) -> bool {
+        self.views.get(&peer).is_some_and(|v| v.greeted())
     }
 
     fn greet(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        if self.views.get(&peer).is_some_and(|v| v.greeted()) {
-            return;
+        if !self.is_greeted(peer) {
+            self.greet_all(ctx, &[peer]);
         }
+    }
+
+    /// Handshakes each of `peers`, none of them greeted yet, with one
+    /// multicast, and marks greeted those the handshake reached.
+    fn greet_all(&mut self, ctx: &mut Ctx<'_>, peers: &[NodeId]) {
         let hs = Message::Handshake {
             peer_id: self.cfg.index as u64 + 1,
             info_hash: crate::seeder::info_hash_of(""),
             version: PROTOCOL_VERSION,
         };
-        if self.say(ctx, peer, &hs) {
-            if let Some(view) = self.views.get_mut(&peer) {
-                view.set_greeted(true);
+        self.multicast(ctx, peers, &hs);
+        // The failed peers are an in-order subsequence of `peers`.
+        let mut failed = self.scratch_failed.iter().peekable();
+        for peer in peers {
+            if failed.next_if_eq(&peer).is_none() {
+                if let Some(view) = self.views.get_mut(peer) {
+                    view.set_greeted(true);
+                }
             }
         }
     }
@@ -378,9 +396,12 @@ impl LeecherNode {
         if self.cfg.p2p {
             match self.cfg.discovery {
                 crate::swarm::DiscoveryMode::Full => {
-                    for other in self.cfg.others.clone() {
-                        self.greet(ctx, other);
-                    }
+                    let mut peers = std::mem::take(&mut self.scratch_peers);
+                    peers.clear();
+                    let others = self.cfg.others.iter().copied();
+                    peers.extend(others.filter(|&other| !self.is_greeted(other)));
+                    self.greet_all(ctx, &peers);
+                    self.scratch_peers = peers;
                 }
                 crate::swarm::DiscoveryMode::Tracker => {
                     self.say(ctx, self.cfg.seeder, &Message::PeerListRequest);
@@ -434,14 +455,7 @@ impl LeecherNode {
                 .filter(|&(peer, view)| include(self, peer, view))
                 .map(|(peer, _)| peer),
         );
-        // One encode for the whole broadcast: a `Bytes` clone is a
-        // reference-count bump, not a copy.
-        let wire = self.wire_buf.wire(message);
-        let faulty = Self::droppable(message);
-        let mut sent = 0;
-        for &peer in &peers {
-            sent += u64::from(self.send_wire(ctx, peer, wire.clone(), faulty));
-        }
+        let sent = self.multicast(ctx, &peers, message);
         self.scratch_peers = peers;
         sent
     }
@@ -1070,6 +1084,8 @@ impl LeecherNode {
                     return;
                 }
                 let me = ctx.me();
+                let mut fresh = std::mem::take(&mut self.scratch_peers);
+                fresh.clear();
                 for raw in peers {
                     let peer = NodeId::from_index(raw as usize);
                     if peer == me || self.is_origin(peer) || self.views.contains_key(&peer) {
@@ -1079,8 +1095,10 @@ impl LeecherNode {
                         continue;
                     }
                     self.views.insert(peer, PeerView::new(self.holdings.len()));
-                    self.greet(ctx, peer);
+                    fresh.push(peer);
                 }
+                self.greet_all(ctx, &fresh);
+                self.scratch_peers = fresh;
             }
             // Manifest and peer-list requests are the seeder's to answer.
             _ => {}
@@ -1284,6 +1302,7 @@ impl NodeBehavior for LeecherNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use std::cell::RefCell;
     use std::rc::Rc;
 
