@@ -6,11 +6,14 @@ use crate::id::{FlowId, NodeId};
 use crate::sim::Ctx;
 use crate::time::SimTime;
 
-/// Events delivered to a [`NodeBehavior`].
+/// Events delivered to a [`NodeBehavior`] through
+/// [`NodeBehavior::on_event`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum NodeEvent {
-    /// A control-plane message arrived.
+    /// A control-plane message arrived. The simulator lends each message
+    /// to [`NodeBehavior::on_message`]; this owned form is what that
+    /// method's default forwards to [`NodeBehavior::on_event`].
     Message {
         /// Sender of the message.
         from: NodeId,
@@ -61,24 +64,28 @@ pub enum NodeEvent {
 /// The behaviour of one simulated host.
 ///
 /// Implementations are single-threaded state machines: the simulator calls
-/// [`NodeBehavior::on_event`] with each event in simulated-time order, and
-/// the behaviour reacts through the [`Ctx`] handle (sending messages,
-/// starting transfers, setting timers).
+/// [`NodeBehavior::on_message`] with each control message and
+/// [`NodeBehavior::on_event`] with every other event, in simulated-time
+/// order, and the behaviour reacts through the [`Ctx`] handle (sending
+/// messages, starting transfers, setting timers). A behaviour that
+/// implements only `on_event` still sees every message, as a
+/// [`NodeEvent::Message`]; one that overrides `on_message` reads the
+/// payload in place, with no clone per receiver.
 ///
 /// # Examples
 ///
 /// ```
-/// use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent};
+/// use bytes::Bytes;
+/// use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId};
 ///
 /// /// Counts how many messages it receives.
 /// struct Counter(u64);
 ///
 /// impl NodeBehavior for Counter {
-///     fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
-///         if let NodeEvent::Message { .. } = event {
-///             self.0 += 1;
-///         }
+///     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
+///         self.0 += 1;
 ///     }
+///     fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: NodeEvent) {}
 /// }
 /// ```
 pub trait NodeBehavior {
@@ -87,8 +94,19 @@ pub trait NodeBehavior {
         let _ = ctx;
     }
 
-    /// Called for every event addressed to this node while it is online.
+    /// Called for every event addressed to this node while it is online,
+    /// messages included unless [`Self::on_message`] is overridden.
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent);
+
+    /// Called for every control message addressed to this node while it
+    /// is online. The payload is lent: one multicast's receivers all read
+    /// the same bytes. The default forwards an owned
+    /// [`NodeEvent::Message`] to [`Self::on_event`]; cloning a [`Bytes`]
+    /// copies a refcount, not the payload.
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        let payload = payload.clone();
+        self.on_event(ctx, NodeEvent::Message { from, payload });
+    }
 
     /// Called once when the simulation run ends (deadline reached or queue
     /// drained), for final accounting.

@@ -878,7 +878,7 @@ impl Ctx<'_> {
 /// ```
 pub struct Simulator {
     world: World,
-    nodes: Vec<Option<Box<dyn NodeBehavior>>>,
+    nodes: Vec<Box<dyn NodeBehavior>>,
     started: bool,
 }
 
@@ -933,7 +933,7 @@ impl Simulator {
             "more behaviors than network nodes"
         );
         let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Some(behavior));
+        self.nodes.push(behavior);
         id
     }
 
@@ -1012,14 +1012,11 @@ impl Simulator {
             "every network node needs a behavior before running"
         );
         self.started = true;
-        for index in 0..self.nodes.len() {
-            let target = NodeId::from_index(index);
-            let mut node = self.nodes[index].take().expect("node missing");
+        for (index, node) in self.nodes.iter_mut().enumerate() {
             node.on_start(&mut Ctx {
                 world: &mut self.world,
-                me: target,
+                me: NodeId::from_index(index),
             });
-            self.nodes[index] = Some(node);
         }
     }
 
@@ -1040,15 +1037,29 @@ impl Simulator {
         if !online {
             return;
         }
-        let mut node = self.nodes[target.index()].take().expect("node missing");
-        node.on_event(
+        self.nodes[target.index()].on_event(
             &mut Ctx {
                 world: &mut self.world,
                 me: target,
             },
             event,
         );
-        self.nodes[target.index()] = Some(node);
+    }
+
+    /// Lends the control message `payload` from `from` to `target`, if it
+    /// is online.
+    fn deliver(&mut self, target: NodeId, from: NodeId, payload: &Bytes) {
+        if !self.world.online[target.index()] {
+            return;
+        }
+        self.nodes[target.index()].on_message(
+            &mut Ctx {
+                world: &mut self.world,
+                me: target,
+            },
+            from,
+            payload,
+        );
     }
 
     /// Runs the simulation until the event queue drains or the next event
@@ -1065,6 +1076,10 @@ impl Simulator {
             debug_assert!(time >= self.world.now, "time ran backwards");
             self.world.now = time;
             match what {
+                Scheduled::Node {
+                    target,
+                    event: NodeEvent::Message { from, payload },
+                } => self.deliver(target, from, &payload),
                 Scheduled::Node { target, event } => self.dispatch(target, event),
                 Scheduled::Multicast {
                     from,
@@ -1073,8 +1088,7 @@ impl Simulator {
                 } => {
                     let list = self.world.queue.take_members(members);
                     for &target in &list {
-                        let payload = payload.clone();
-                        self.dispatch(target, NodeEvent::Message { from, payload });
+                        self.deliver(target, from, &payload);
                     }
                     self.world.queue.recycle_members(members, list);
                 }
@@ -1102,17 +1116,14 @@ impl Simulator {
     }
 
     fn finish(&mut self) {
-        for index in 0..self.nodes.len() {
-            let target = NodeId::from_index(index);
+        for (index, node) in self.nodes.iter_mut().enumerate() {
             if !self.world.online[index] {
                 continue;
             }
-            let mut node = self.nodes[index].take().expect("node missing");
             node.on_sim_end(&mut Ctx {
                 world: &mut self.world,
-                me: target,
+                me: NodeId::from_index(index),
             });
-            self.nodes[index] = Some(node);
         }
     }
 }
@@ -2369,5 +2380,44 @@ mod tests {
         assert_eq!(lone([0.2, 0.0]), at(50_000 + 568 + 25_000));
         // Two 0.99-loss hops lose 99.99 % of tries: the 64 cap binds.
         assert_eq!(lone([0.99, 0.99]), at(50_000 + 568 + 6_400_000));
+    }
+
+    /// The default `on_message` is the contract a forwarding wrapper that
+    /// implements only `on_event` relies on: it hands `on_event` one owned
+    /// `NodeEvent::Message` with the sender and the very bytes lent.
+    #[test]
+    fn default_on_message_forwards_an_equal_owned_message() {
+        #[derive(Default)]
+        struct OwnedOnly(Vec<NodeEvent>);
+        impl NodeBehavior for OwnedOnly {
+            fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
+                self.0.push(event);
+            }
+        }
+
+        let s = two_leaf_star(0.0);
+        let mut sim = Simulator::new(s.network, 1);
+        let (me, from) = (s.leaves[1], s.leaves[0]);
+        let payload = Bytes::from(b"have 17".to_vec());
+        let mut node = OwnedOnly::default();
+        node.on_message(
+            &mut Ctx {
+                world: &mut sim.world,
+                me,
+            },
+            from,
+            &payload,
+        );
+        let [NodeEvent::Message {
+            from: got_from,
+            payload: got,
+        }] = &node.0[..]
+        else {
+            panic!("expected one message event, got {:?}", node.0);
+        };
+        assert_eq!(*got_from, from);
+        assert_eq!(got, &payload);
+        // A refcount was copied, not the payload.
+        assert_eq!(got.as_ptr(), payload.as_ptr());
     }
 }

@@ -174,24 +174,44 @@ mod oracle {
     /// targets whose send failed.
     pub type Outcomes = Rc<RefCell<Vec<(u64, Vec<NodeId>)>>>;
 
-    /// Logs every message; goes offline at start when `leaves`. The
-    /// sender also sends `bulk` (large messages, so later ones on the
-    /// same pairs hit the FIFO clamp) and then one round per millisecond,
-    /// as one multicast each or one send per target.
+    /// Every departure: `(log length when it left, node)`.
+    pub type Departures = Rc<RefCell<Vec<(usize, NodeId)>>>;
+
+    /// The first byte of an echo, which is never echoed.
+    const ECHO: u8 = 0xec;
+
+    /// The quit timer's token (round timers count up from zero).
+    const QUIT: u64 = u64::MAX;
+
+    /// Logs every message; goes offline at start when `leaves`, at
+    /// `quit_at` by a timer, and inside the handler of its `quit_after`-th
+    /// message. Answers each round message with one multicast to `echo`
+    /// (when not empty): pooled entries pushed while the entry being
+    /// delivered has its members out. The sender also sends `bulk` (large
+    /// messages, so later ones on the same pairs hit the FIFO clamp) and
+    /// then one round per millisecond, as one multicast or one send per
+    /// target as `multicast` says for that round.
     pub struct Node {
         pub log: Log,
         pub leaves: bool,
+        pub quit_at: Option<SimDuration>,
+        pub quit_after: Option<usize>,
+        pub echo: Vec<NodeId>,
         pub bulk: Vec<(NodeId, usize)>,
         pub rounds: Vec<(Vec<NodeId>, usize, bool)>,
-        pub multicast: bool,
+        pub multicast: Vec<bool>,
         pub outcomes: Outcomes,
+        pub departures: Departures,
     }
 
-    impl NodeBehavior for Node {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+    impl Node {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
             if self.leaves {
-                ctx.go_offline();
+                self.leave(ctx);
                 return;
+            }
+            if let Some(at) = self.quit_at {
+                ctx.set_timer(at, QUIT);
             }
             for &(to, size) in &self.bulk {
                 ctx.send(to, Bytes::from(vec![0xb0; size])).unwrap();
@@ -201,18 +221,39 @@ mod oracle {
             }
         }
 
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-            match event {
-                NodeEvent::Message { from, payload } => {
-                    self.log
-                        .borrow_mut()
-                        .push((ctx.now(), ctx.me(), from, payload));
+        fn leave(&mut self, ctx: &mut Ctx<'_>) {
+            let logged = self.log.borrow().len();
+            self.departures.borrow_mut().push((logged, ctx.me()));
+            ctx.go_offline();
+        }
+
+        fn message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+            let echo = !self.echo.is_empty() && payload[0] < ECHO;
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), ctx.me(), from, payload));
+            if echo {
+                let mut failed = Vec::new();
+                ctx.multicast(&self.echo, &Bytes::from_static(&[ECHO]), false, &mut failed);
+            }
+            if let Some(left) = &mut self.quit_after {
+                *left -= 1;
+                if *left == 0 {
+                    self.leave(ctx);
                 }
+            }
+        }
+
+        fn event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            match event {
+                NodeEvent::Message { from, payload } => self.message(ctx, from, payload),
+                NodeEvent::Timer { token: QUIT } => self.leave(ctx),
                 NodeEvent::Timer { token } => {
-                    let (targets, size, faulty) = &self.rounds[token as usize];
+                    let k = token as usize;
+                    let (targets, size, faulty) = &self.rounds[k];
                     let payload = Bytes::from(vec![token as u8; *size]);
                     let mut failed = Vec::new();
-                    let sent = if self.multicast {
+                    let sent = if self.multicast[k] {
                         ctx.multicast(targets, &payload, *faulty, &mut failed)
                     } else {
                         let mut sent = 0;
@@ -235,30 +276,76 @@ mod oracle {
             }
         }
     }
+
+    /// Implements only `on_event`: every message comes through the default
+    /// `on_message`, as an owned `NodeEvent::Message`.
+    pub struct Owned(pub Node);
+
+    impl NodeBehavior for Owned {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.start(ctx);
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            self.0.event(ctx, event);
+        }
+    }
+
+    /// Overrides `on_message`: every message is lent, and `on_event` never
+    /// sees one.
+    pub struct Lent(pub Node);
+
+    impl NodeBehavior for Lent {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.start(ctx);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+            self.0.message(ctx, from, payload.clone());
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            assert!(
+                !matches!(event, NodeEvent::Message { .. }),
+                "a message reached on_event past an overridden on_message"
+            );
+            self.0.event(ctx, event);
+        }
+    }
 }
 
 /// The multicast oracle's network: the hub, the sender, and `receivers`
-/// leaves; receiver `r` sits on the thin link spec when `thin[r]`, and
-/// is offline from the start when `offline[r]`.
+/// leaves; receiver `r` sits on the thin link spec when `thin[r]`, is
+/// offline from the start when `offline[r]` is zero, goes offline at
+/// `quit_at[r]` milliseconds and inside the handler of its
+/// `quit_after[r]`-th message, and echoes to every other leaf when
+/// `echo[r]`. Round `k` is one multicast when `multicast[k]`, else one
+/// send per target.
 struct OracleCase<'a> {
     receivers: usize,
     thin: &'a [bool],
     offline: &'a [u32],
+    quit_at: &'a [Option<u64>],
+    quit_after: &'a [Option<usize>],
+    echo: &'a [bool],
     bulk: &'a [(usize, usize)],
     rounds: &'a [Round],
+    multicast: &'a [bool],
     faults: MessageFaults,
     seed: u64,
 }
 
 /// Everything one run of the multicast oracle reports.
-type OracleRun = (
-    Vec<(SimTime, NodeId, NodeId, Bytes)>,
-    Vec<(u64, Vec<NodeId>)>,
-    SimStats,
-    InjectedFaults,
-);
+struct OracleRun {
+    log: Vec<(SimTime, NodeId, NodeId, Bytes)>,
+    departures: Vec<(usize, NodeId)>,
+    outcomes: Vec<(u64, Vec<NodeId>)>,
+    stats: SimStats,
+    faults: InjectedFaults,
+}
 
-fn run_oracle(case: &OracleCase<'_>, multicast: bool) -> OracleRun {
+/// Runs `case` with every node taking its messages lent (`lent`) or owned.
+fn run_oracle(case: &OracleCase<'_>, lent: bool) -> OracleRun {
     let fast = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(20), 0.05);
     let thin = LinkSpec::from_bytes_per_sec(40_000.0, SimDuration::from_millis(35), 0.0);
     // Leaf 0 is the sender; the rest receive on one of the two specs.
@@ -271,17 +358,31 @@ fn run_oracle(case: &OracleCase<'_>, multicast: bool) -> OracleRun {
     let id = |i: usize| NodeId::from_index(i % (nodes + 1));
     let outcomes = oracle::Outcomes::default();
     let log = oracle::Log::default();
+    let departures = oracle::Departures::default();
     let mut sim = Simulator::new(star.network, case.seed);
     sim.set_message_faults(case.faults);
     for i in 0..nodes {
         let sender = i == 1;
+        let receiver = i.checked_sub(2);
         let mut node = oracle::Node {
             log: log.clone(),
-            leaves: i >= 2 && case.offline[i - 2] == 0,
+            leaves: receiver.is_some_and(|r| case.offline[r] == 0),
+            quit_at: receiver
+                .and_then(|r| case.quit_at[r])
+                .map(SimDuration::from_millis),
+            quit_after: receiver.and_then(|r| case.quit_after[r]),
+            echo: match receiver {
+                Some(r) if case.echo[r] => (1..nodes)
+                    .filter(|&j| j != i)
+                    .map(NodeId::from_index)
+                    .collect(),
+                _ => Vec::new(),
+            },
             bulk: Vec::new(),
             rounds: Vec::new(),
-            multicast,
+            multicast: case.multicast.to_vec(),
             outcomes: outcomes.clone(),
+            departures: departures.clone(),
         };
         if sender {
             // Bulk messages go to known nodes only: their sends unwrap.
@@ -296,12 +397,23 @@ fn run_oracle(case: &OracleCase<'_>, multicast: bool) -> OracleRun {
                 .map(|r| (r.targets.iter().map(|&t| id(t)).collect(), r.size, r.faulty))
                 .collect();
         }
-        sim.add_node(Box::new(node));
+        if lent {
+            sim.add_node(Box::new(oracle::Lent(node)));
+        } else {
+            sim.add_node(Box::new(oracle::Owned(node)));
+        }
     }
     sim.run_until_idle(SimTime::from_secs_f64(3_600.0));
     let log = log.borrow().clone();
+    let departures = departures.borrow().clone();
     let outcomes = outcomes.borrow().clone();
-    (log, outcomes, sim.stats(), sim.fault_stats())
+    OracleRun {
+        log,
+        departures,
+        outcomes,
+        stats: sim.stats(),
+        faults: sim.fault_stats(),
+    }
 }
 
 proptest! {
@@ -328,12 +440,18 @@ proptest! {
         delay_ms in 1u64..400,
         seed in any::<u64>(),
     ) {
-        let case = OracleCase {
+        let sends = vec![false; rounds.len()];
+        let multicasts = vec![true; rounds.len()];
+        let mut case = OracleCase {
             receivers,
             thin: &thin,
             offline: &offline,
+            quit_at: &[None; 8],
+            quit_after: &[None; 8],
+            echo: &[false; 8],
             bulk: &bulk,
             rounds: &rounds,
+            multicast: &sends,
             faults: MessageFaults {
                 seed: seed ^ 0x5eed,
                 loss,
@@ -343,11 +461,122 @@ proptest! {
             seed,
         };
         let one_by_one = run_oracle(&case, false);
-        let multicast = run_oracle(&case, true);
-        prop_assert_eq!(&multicast.0, &one_by_one.0, "deliveries");
-        prop_assert_eq!(&multicast.1, &one_by_one.1, "sent counts and failed targets");
-        prop_assert_eq!(multicast.2, one_by_one.2, "SimStats");
-        prop_assert_eq!(multicast.3, one_by_one.3, "fault_stats()");
-        prop_assert_eq!(one_by_one.1.len(), rounds.len());
+        case.multicast = &multicasts;
+        let multicast = run_oracle(&case, false);
+        prop_assert_eq!(&multicast.log, &one_by_one.log, "deliveries");
+        prop_assert_eq!(&multicast.outcomes, &one_by_one.outcomes, "sent counts and failed targets");
+        prop_assert_eq!(multicast.stats, one_by_one.stats, "SimStats");
+        prop_assert_eq!(multicast.faults, one_by_one.faults, "fault_stats()");
+        prop_assert_eq!(one_by_one.outcomes.len(), rounds.len());
+    }
+
+    /// A message lent to `on_message` is the message an `on_event`-only
+    /// behaviour gets owned: one schedule of sends and multicasts, run
+    /// once with every node overriding `on_message` and once with none
+    /// doing so, delivers the same messages at the same instants in the
+    /// same order, and the senders see the same outcomes. Receivers go
+    /// offline by timer, often between a multicast's push and its pop, and
+    /// inside their own handler while later members of the same entry are
+    /// still to be delivered; echoes push new multicasts while an entry's
+    /// members are out.
+    #[test]
+    fn lent_and_owned_deliveries_agree(
+        receivers in 2usize..9,
+        thin in prop::collection::vec(any::<bool>(), 8..9),
+        offline in prop::collection::vec(0u32..5, 8..9),
+        // Half the receivers quit by timer, at 0-119 ms: rounds go out at
+        // 0-4 ms and arrive 40 ms or more later.
+        quit_at in prop::collection::vec(0u64..240, 8..9),
+        // Half quit inside the handler of their first to third message.
+        quit_after in prop::collection::vec(0usize..6, 8..9),
+        echo in prop::collection::vec(any::<bool>(), 8..9),
+        bulk in prop::collection::vec((0usize..64, 1_000usize..40_000), 0..4),
+        rounds in prop::collection::vec(round(), 1..6),
+        multicast in prop::collection::vec(any::<bool>(), 5..6),
+        loss in prop_oneof![Just(0.0), 0.0f64..0.5],
+        delay_prob in prop_oneof![Just(0.0), 0.0f64..0.5],
+        delay_ms in 1u64..400,
+        seed in any::<u64>(),
+    ) {
+        let quit_at: Vec<Option<u64>> = quit_at.iter().map(|&ms| (ms < 120).then_some(ms)).collect();
+        let quit_after: Vec<Option<usize>> =
+            quit_after.iter().map(|&n| (1..4).contains(&n).then_some(n)).collect();
+        let case = OracleCase {
+            receivers,
+            thin: &thin,
+            offline: &offline,
+            quit_at: &quit_at,
+            quit_after: &quit_after,
+            echo: &echo,
+            bulk: &bulk,
+            rounds: &rounds,
+            multicast: &multicast,
+            faults: MessageFaults {
+                seed: seed ^ 0x5eed,
+                loss,
+                delay_prob,
+                delay_max: SimDuration::from_millis(delay_ms),
+            },
+            seed,
+        };
+        let owned = run_oracle(&case, false);
+        let lent = run_oracle(&case, true);
+        prop_assert_eq!(&lent.log, &owned.log, "deliveries");
+        prop_assert_eq!(&lent.departures, &owned.departures, "departures");
+        prop_assert_eq!(&lent.outcomes, &owned.outcomes, "sent counts and failed targets");
+        prop_assert_eq!(lent.stats, owned.stats, "SimStats");
+        prop_assert_eq!(lent.faults, owned.faults, "fault_stats()");
+        prop_assert_eq!(owned.outcomes.len(), rounds.len());
+        // Both runs share the delivery path, so pin it to a model too:
+        // nothing reaches a node once it has left.
+        for &(logged, node) in &owned.departures {
+            prop_assert!(owned.log[logged..].iter().all(|d| d.1 != node), "delivered to {node} after it left");
+        }
+    }
+}
+
+/// The two departures `lent_and_owned_deliveries_agree` draws, pinned: a
+/// receiver that leaves between a multicast's push and its pop gets
+/// none of it, and one that leaves inside its first handler misses its
+/// repeat while the later members of its entry still get theirs. (A
+/// repeated target is clamped one microsecond later, into a second
+/// entry.)
+#[test]
+fn lent_deliveries_stop_at_a_departure() {
+    let rounds = [Round {
+        // Leaves 1..=4 are nodes 2..=5: the receivers 0..=3.
+        targets: vec![2, 3, 4, 3, 5, 4],
+        size: 100,
+        faulty: false,
+    }];
+    for lent in [false, true] {
+        let case = OracleCase {
+            receivers: 4,
+            thin: &[false; 4],
+            offline: &[1; 4],
+            quit_at: &[Some(10), None, None, None],
+            quit_after: &[None, Some(1), None, None],
+            echo: &[false; 4],
+            bulk: &[],
+            rounds: &rounds,
+            multicast: &[true],
+            faults: MessageFaults {
+                seed: 7,
+                loss: 0.0,
+                delay_prob: 0.0,
+                delay_max: SimDuration::ZERO,
+            },
+            seed: 7,
+        };
+        let OracleRun { log, outcomes, .. } = run_oracle(&case, lent);
+        // Every send was booked while all receivers were online.
+        assert_eq!(outcomes, vec![(6, vec![])]);
+        let got: Vec<usize> = log.iter().map(|&(_, to, ..)| to.index()).collect();
+        assert_eq!(got, [3, 4, 5, 4], "lent: {lent}");
+        let at = log[0].0;
+        assert!(at > SimTime::from_micros(10_000), "arrives after the quit");
+        let times: Vec<SimTime> = log.iter().map(|&(t, ..)| t).collect();
+        let next = at + SimDuration::from_micros(1);
+        assert_eq!(times, [at, at, at, next], "two entries");
     }
 }

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use splicecast_media::{Manifest, SegmentList};
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration, SimTime};
 use splicecast_player::{Playback, PlaybackState};
@@ -989,7 +990,7 @@ impl LeecherNode {
         self.schedule(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn handle_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
         // Three messages in four are a `HaveBundle`: read in place, no `Vec`.
         if let Some(indices) = have_bundle_indices(payload) {
             return self.on_haves(ctx, from, indices);
@@ -1244,9 +1245,16 @@ impl NodeBehavior for LeecherNode {
         ctx.set_timer(self.cfg.join_delay, TOKEN_BOOT);
     }
 
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        self.handle_message(ctx, from, payload);
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
         match event {
-            NodeEvent::Message { from, payload } => self.on_message(ctx, from, &payload),
+            // What a wrapper that forwards `on_event` alone (the traced
+            // benchmark harness, the tests' probes) gets from the default
+            // `on_message`.
+            NodeEvent::Message { from, payload } => self.handle_message(ctx, from, &payload),
             NodeEvent::Timer { token: TOKEN_BOOT } => self.boot(ctx),
             NodeEvent::Timer { token: TOKEN_PUMP } => self.pump(ctx),
             NodeEvent::Timer {
@@ -1302,7 +1310,6 @@ impl NodeBehavior for LeecherNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1320,6 +1327,9 @@ mod tests {
     impl NodeBehavior for Shared {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             self.0.borrow_mut().on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+            self.0.borrow_mut().on_message(ctx, from, payload);
         }
         fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
             self.0.borrow_mut().on_event(ctx, event);

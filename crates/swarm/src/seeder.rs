@@ -68,7 +68,7 @@ impl SeederNode {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn handle_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
         let Ok(message) = decode_single(payload) else {
             return; // a malformed peer is ignored, not crashed on
         };
@@ -117,9 +117,13 @@ impl SeederNode {
 }
 
 impl NodeBehavior for SeederNode {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        self.handle_message(ctx, from, payload);
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
         match event {
-            NodeEvent::Message { from, payload } => self.on_message(ctx, from, &payload),
+            NodeEvent::Message { from, payload } => self.handle_message(ctx, from, &payload),
             NodeEvent::UploadComplete { flow, .. } => {
                 self.uploads.on_upload_complete(ctx, flow, &self.segments);
             }
