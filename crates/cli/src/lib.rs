@@ -250,6 +250,26 @@ mod tests {
         assert!(!one.contains("stuck viewers"), "{one}");
     }
 
+    /// `figure abr` runs its ABR arms on the worker pool too; the tables
+    /// never depend on the count.
+    #[test]
+    fn figure_abr_is_identical_across_worker_counts() {
+        let quick = [
+            "figure",
+            "abr",
+            "--peers",
+            "3",
+            "--clip-secs",
+            "12",
+            "--seeds",
+            "1,2",
+        ];
+        assert_eq!(
+            call(&[&quick[..], &["--workers", "1"]].concat()).unwrap(),
+            call(&[&quick[..], &["--workers", "3"]].concat()).unwrap()
+        );
+    }
+
     /// A run that leaves viewers unfinished says which, per seed: ten lines
     /// of each run's `stuck_report()`, then a count of the rest.
     #[test]

@@ -1,7 +1,5 @@
 //! Experiment configuration: video, splicing, and swarm in one bundle.
 
-use serde::{Deserialize, Serialize};
-
 use splicecast_media::{Video, PAPER_CONTENT_SEED};
 use splicecast_swarm::SwarmConfig;
 
@@ -13,7 +11,7 @@ use crate::splicing::SplicingSpec;
 /// The content seed is [`PAPER_CONTENT_SEED`], so every run streams the
 /// *same* video, as in the paper (run-to-run randomness comes from the swarm
 /// seed instead).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoSpec {
     /// Clip length in seconds.
     pub duration_secs: f64,
@@ -60,7 +58,7 @@ impl VideoSpec {
 
 /// One complete experiment: what video, how it is spliced, and what swarm
 /// streams it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// The test video.
     pub video: VideoSpec,
@@ -232,14 +230,13 @@ mod tests {
     #[test]
     fn config_serializes() {
         let cfg = ExperimentConfig::default();
-        let json = serde_json_like(&cfg);
-        assert!(json.contains("Duration"));
+        let text = debug_form(&cfg);
+        assert!(text.contains("Duration"));
     }
 
-    // serde_json is not a dependency; use the debug form as a stand-in for
-    // "it derives Serialize without blowing up" (compile-time check) and
-    // check Debug formatting here.
-    fn serde_json_like(cfg: &ExperimentConfig) -> String {
+    // Nothing is serialised; the test checks that the config's `Debug` form
+    // names its splicing choice.
+    fn debug_form(cfg: &ExperimentConfig) -> String {
         format!("{cfg:?}")
     }
 }

@@ -8,7 +8,6 @@
 //! channels the same one on derived seeds — and
 //! [`AveragedMetrics::from_runs`] the only fold.
 
-use serde::{Deserialize, Serialize};
 use splicecast_swarm::SwarmMetrics;
 
 use crate::config::ExperimentConfig;
@@ -20,7 +19,7 @@ use crate::stats::{mean, rounded_mean};
 pub const DEFAULT_SEEDS: [u64; 3] = [101, 202, 303];
 
 /// Averages over seeded runs of one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AveragedMetrics {
     /// Number of runs.
     pub runs: usize,
@@ -42,20 +41,15 @@ pub struct AveragedMetrics {
     pub segment_count: usize,
     /// Control-plane counters summed over every run (divide by `runs` for
     /// a per-run view).
-    #[serde(default)]
     pub control: splicecast_swarm::ControlPlaneStats,
     /// Scheduler counters summed over every run.
-    #[serde(default)]
     pub sched: splicecast_swarm::SchedulerStats,
     /// Peer-side fault/defense counters summed over every run.
-    #[serde(default)]
     pub fault: splicecast_swarm::PeerFaultStats,
     /// Netsim-level injected-fault counters summed over every run.
-    #[serde(default)]
     pub injected: splicecast_netsim::InjectedFaults,
     /// Peer memory accounting summed over every run (divide by `runs` ×
     /// leechers for bytes per peer).
-    #[serde(default)]
     pub mem: splicecast_swarm::PeerMemStats,
 }
 
@@ -163,7 +157,7 @@ pub fn run_all(
 /// # Panics
 ///
 /// Panics when `workers` is zero or any job panics.
-fn run_ordered<T: Send>(
+pub(crate) fn run_ordered<T: Send>(
     n: usize,
     workers: usize,
     label_of: impl Fn(usize) -> String + Sync,

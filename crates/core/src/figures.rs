@@ -17,7 +17,7 @@ use splicecast_swarm::{
 };
 
 use crate::config::ExperimentConfig;
-use crate::experiment::{run_all, AveragedMetrics};
+use crate::experiment::{run_all, run_ordered, AveragedMetrics};
 use crate::formula::max_cdn_segment_secs;
 use crate::report::Table;
 use crate::runner::PreparedExperiment;
@@ -141,7 +141,7 @@ pub struct Figure {
     /// What the figure shows.
     pub caption: &'static str,
     grid: fn(&ExperimentConfig) -> Grid,
-    tables: fn(&GridResult, &ExperimentConfig, &[u64]) -> Vec<Table>,
+    tables: fn(&GridResult, &ExperimentConfig, &[u64], usize) -> Vec<Table>,
 }
 
 impl Figure {
@@ -158,7 +158,7 @@ impl Figure {
     ///
     /// Panics where [`Grid::run`] does.
     pub fn run(&self, base: &ExperimentConfig, seeds: &[u64], workers: usize) -> Vec<Table> {
-        (self.tables)(&self.grid(base).run(seeds, workers), base, seeds)
+        (self.tables)(&self.grid(base).run(seeds, workers), base, seeds, workers)
     }
 }
 
@@ -180,7 +180,7 @@ pub static FIGURES: [Figure; 10] = [
         name: "fig2",
         caption: "Figure 2: total number of stalls for different bandwidths",
         grid: fig2_grid,
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let title = "Total number of stalls (rounded mean per viewer)";
             vec![r.table(title, ROUNDED_STALLS, 0)]
         },
@@ -189,7 +189,7 @@ pub static FIGURES: [Figure; 10] = [
         name: "fig3",
         caption: "Figure 3: total stall duration for different bandwidths",
         grid: fig2_grid,
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let title = "Total stall duration, seconds (mean per viewer)";
             vec![r.table(title, STALL_SECS, 1)]
         },
@@ -207,7 +207,7 @@ pub static FIGURES: [Figure; 10] = [
                 base.clone().with_bandwidth(bw).with_splicing(s)
             })
         },
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let title = "Startup time, seconds (mean per viewer)";
             vec![r.table(title, STARTUP_SECS, 1)]
         },
@@ -229,7 +229,7 @@ pub static FIGURES: [Figure; 10] = [
         },
         // Big pools pay up front: the supplementary tables show the
         // overload the raw stall count partly hides (EXPERIMENTS.md).
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let stalls = "Total number of stalls (rounded mean per viewer)";
             let delay = "Total delay = startup + stall duration, seconds (supplementary)";
             vec![
@@ -254,7 +254,7 @@ pub static FIGURES: [Figure; 10] = [
                     .with_splicing(SplicingSpec::Duration(d))
             })
         },
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let title = "Total number of stalls, CDN-only delivery (mean per viewer)";
             vec![r.table(title, STALLS, 1)]
         },
@@ -276,7 +276,7 @@ pub static FIGURES: [Figure; 10] = [
                 config
             })
         },
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let stalls = "Total number of stalls among staying viewers (mean)";
             vec![
                 r.table(stalls, STALLS, 1),
@@ -309,7 +309,7 @@ pub static FIGURES: [Figure; 10] = [
                 config
             })
         },
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             let secs = "Total stall duration, seconds (mean per viewer)";
             vec![
                 r.table("Total number of stalls (mean per viewer)", STALLS, 1),
@@ -332,7 +332,7 @@ pub static FIGURES: [Figure; 10] = [
                 base.clone().with_bandwidth(bw).with_splicing(s)
             })
         },
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             vec![
                 r.table("Startup time, seconds", STARTUP_SECS, 1),
                 r.table("Stalls per viewer", STALLS, 1),
@@ -357,7 +357,7 @@ pub static FIGURES: [Figure; 10] = [
                 config
             })
         },
-        tables: |r, _, _| {
+        tables: |r, _, _, _| {
             vec![
                 r.table("Stalls per viewer under background load", STALLS, 1),
                 r.table("Total stall duration, seconds", STALL_SECS, 1),
@@ -442,7 +442,14 @@ fn cdn_only(base: &ExperimentConfig, one_way_latency_secs: f64) -> ExperimentCon
 /// degraded quality on thin links; or pinned to the top rung, which stalls
 /// instead) beside the grid's duration-adaptive column, which holds full
 /// quality and pays in stall time only when the link cannot carry it.
-fn abr_tables(dur_adapt: &GridResult, base: &ExperimentConfig, seeds: &[u64]) -> Vec<Table> {
+/// The arms run on the worker pool, one job per (bandwidth, arm, seed); each
+/// arm's sums fold in seed order, so no value depends on `workers`.
+fn abr_tables(
+    dur_adapt: &GridResult,
+    base: &ExperimentConfig,
+    seeds: &[u64],
+    workers: usize,
+) -> Vec<Table> {
     let ladder = Ladder::builder()
         .duration_secs(base.video.duration_secs)
         .build();
@@ -463,33 +470,47 @@ fn abr_tables(dur_adapt: &GridResult, base: &ExperimentConfig, seeds: &[u64]) ->
         table.precision(precision);
         table
     });
-    for (row, (label, bandwidth)) in ABR_BANDWIDTHS.iter().enumerate() {
-        // Per series, one value for each table: stalls, stall seconds, Mbps.
-        let mut columns: Vec<[f64; 3]> = Vec::new();
-        for algorithm in arms {
+    // Job `j` is (row, arm, seed), seeds innermost.
+    let (k, n_arms) = (seeds.len(), arms.len());
+    let job = |j: usize| (j / k / n_arms, arms[j / k % n_arms], seeds[j % k]);
+    let runs = run_ordered(
+        ABR_BANDWIDTHS.len() * n_arms * k,
+        workers,
+        |j| {
+            let (row, algorithm, seed) = job(j);
+            format!("seed {seed} of {algorithm:?} at {}", ABR_BANDWIDTHS[row].0)
+        },
+        |j| {
+            let (row, algorithm, seed) = job(j);
             let config = AbrConfig {
                 n_clients: base.swarm.n_leechers,
-                client_bandwidth_bytes_per_sec: *bandwidth,
+                client_bandwidth_bytes_per_sec: ABR_BANDWIDTHS[row].1,
                 algorithm,
                 ..AbrConfig::default()
             };
+            let m = run_abr(&ladder, &config, seed);
+            [m.mean_stalls(), m.mean_stall_secs(), m.mean_bitrate_bps()]
+        },
+    );
+    for (row, row_runs) in runs.chunks(n_arms * k).enumerate() {
+        // Per series, one value for each table: stalls, stall seconds, Mbps.
+        let mut columns: Vec<[f64; 3]> = Vec::new();
+        for arm_runs in row_runs.chunks(k) {
             let mut sums = [0.0; 3];
-            for &seed in seeds {
-                let m = run_abr(&ladder, &config, seed);
-                let run = [m.mean_stalls(), m.mean_stall_secs(), m.mean_bitrate_bps()];
+            for run in arm_runs {
                 for (sum, value) in sums.iter_mut().zip(run) {
                     *sum += value;
                 }
             }
-            let [stalls, stall_secs, bps] = sums.map(|sum| sum / seeds.len() as f64);
+            let [stalls, stall_secs, bps] = sums.map(|sum| sum / k as f64);
             columns.push([stalls, stall_secs, bps / 1e6]);
         }
         let cell = dur_adapt.at(row, 0);
         let full_quality = PAPER_BITRATE_BPS as f64 / 1e6;
         columns.push([cell.stalls, cell.stall_secs, full_quality]);
-        for (k, table) in tables.iter_mut().enumerate() {
-            let values: Vec<f64> = columns.iter().map(|column| column[k]).collect();
-            table.push_row(label, &values);
+        for (i, table) in tables.iter_mut().enumerate() {
+            let values: Vec<f64> = columns.iter().map(|column| column[i]).collect();
+            table.push_row(ABR_BANDWIDTHS[row].0, &values);
         }
     }
     tables.into()

@@ -1,59 +1,9 @@
-//! The paper's closed-form contributions, standalone.
+//! The §IV segment-duration bound, standalone.
 //!
-//! Both formulas are also wired into the swarm (the adaptive policy and the
-//! CDN mode); they are re-exposed here so downstream users can apply them
-//! without running a simulation.
-
-/// Eq. 1 (§III): the number of segments a peer should download
-/// simultaneously.
-///
-/// With per-peer bandwidth `B` (bytes/s), `T` seconds of playback already
-/// buffered, and `W`-byte segments:
-///
-/// ```text
-/// k = max( ⌊B·T / W⌋, 1 )
-/// ```
-///
-/// All `k` in-flight segments must finish within `T` seconds (their order
-/// of completion is unknowable, so each must be assumed last); the pipe
-/// moves `B·T` bytes in that window, hence at most `B·T/W` segments. At
-/// stream start, right after a stall, or with a drained buffer (`T = 0`)
-/// the peer downloads exactly one segment.
-///
-/// # Examples
-///
-/// ```
-/// use splicecast_core::optimal_pool_size;
-///
-/// // 128 kB/s, 8 s buffered, 256 kB segments → 4 parallel downloads.
-/// assert_eq!(optimal_pool_size(128_000.0, 8.0, 256_000), 4);
-/// // Nothing buffered → sequential.
-/// assert_eq!(optimal_pool_size(128_000.0, 0.0, 256_000), 1);
-/// ```
-pub fn optimal_pool_size(
-    bandwidth_bytes_per_sec: f64,
-    buffered_secs: f64,
-    segment_bytes: u64,
-) -> usize {
-    splicecast_swarm::optimal_pool_size(bandwidth_bytes_per_sec, buffered_secs, segment_bytes)
-}
-
-/// §IV: the largest segment a CDN-served peer can afford.
-///
-/// When a CDN serves the stream, peers fetch one segment at a time; the
-/// next segment must arrive within the `T` seconds of buffered playback,
-/// so its size is bounded by `B·T` bytes.
-///
-/// # Examples
-///
-/// ```
-/// use splicecast_core::max_cdn_segment_bytes;
-///
-/// assert_eq!(max_cdn_segment_bytes(128_000.0, 4.0), 512_000);
-/// ```
-pub fn max_cdn_segment_bytes(bandwidth_bytes_per_sec: f64, buffered_secs: f64) -> u64 {
-    splicecast_swarm::max_cdn_segment_bytes(bandwidth_bytes_per_sec, buffered_secs)
-}
+//! Eq. 1 ([`crate::optimal_pool_size`]) and the §IV byte bound
+//! ([`crate::max_cdn_segment_bytes`]) live in the swarm, which applies them
+//! in its adaptive policy and CDN mode; the crate root re-exports them so
+//! downstream users can apply them without running a simulation.
 
 /// Inverts §IV for planning: the largest segment *duration* (seconds) that
 /// stays under the `B·T` byte bound for a video of the given bitrate,
@@ -79,20 +29,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_size_matches_swarm_impl() {
-        for (b, t, w) in [
-            (128_000.0, 8.0, 256_000u64),
-            (64_000.0, 2.0, 512_000),
-            (1e6, 30.0, 100),
-        ] {
-            assert_eq!(
-                optimal_pool_size(b, t, w),
-                splicecast_swarm::optimal_pool_size(b, t, w)
-            );
-        }
-    }
-
-    #[test]
     fn cdn_duration_bound() {
         // 1 Mbps video, 128 kB/s link, 4 s buffered → ≈ 4.1 s segments max.
         let d = max_cdn_segment_secs(128_000.0, 4.0, 1_000_000.0);
@@ -104,7 +40,7 @@ mod tests {
     fn cdn_byte_bound_consistency() {
         // The byte bound at (B, T) divided by the byte-rate of the video
         // equals the duration bound.
-        let bytes = max_cdn_segment_bytes(128_000.0, 4.0) as f64;
+        let bytes = crate::max_cdn_segment_bytes(128_000.0, 4.0) as f64;
         let secs = max_cdn_segment_secs(128_000.0, 4.0, 1_000_000.0);
         assert!((bytes / 125_000.0 - secs).abs() < 1e-3);
     }

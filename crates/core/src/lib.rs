@@ -60,7 +60,7 @@ fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
 pub use config::{ExperimentConfig, VideoSpec};
 pub use experiment::{run_all, run_averaged, AveragedMetrics, DEFAULT_SEEDS};
 pub use figures::{Grid, GridResult};
-pub use formula::{max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size};
+pub use formula::max_cdn_segment_secs;
 pub use report::Table;
 pub use runner::{run_once, PreparedExperiment, RunResult};
 pub use splicing::SplicingSpec;
@@ -75,8 +75,9 @@ pub use splicecast_swarm as swarm;
 // Commonly-used types, re-exported flat for convenience.
 pub use splicecast_media::{ContentProfile, Ladder, SegmentList, Video};
 pub use splicecast_swarm::{
-    run_abr, AbrAlgorithm, AbrConfig, AbrMetrics, CdnConfig, CdnOutageConfig, ChurnConfig,
-    ControlPlane, ControlPlaneStats, CrashChurnConfig, DefenseConfig, DiscoveryMode,
-    DisseminationStats, EstimatorKind, FaultPlanConfig, LinkFlapConfig, PeerFaultStats,
-    PeerMemStats, PolicyConfig, SchedulerStats, SwarmConfig, SwarmMetrics,
+    max_cdn_segment_bytes, optimal_pool_size, run_abr, AbrAlgorithm, AbrConfig, AbrMetrics,
+    CdnConfig, CdnOutageConfig, ChurnConfig, ControlPlane, ControlPlaneStats, CrashChurnConfig,
+    DefenseConfig, DiscoveryMode, DisseminationStats, EstimatorKind, FaultPlanConfig,
+    LinkFlapConfig, PeerFaultStats, PeerMemStats, PolicyConfig, SchedulerStats, SwarmConfig,
+    SwarmMetrics,
 };

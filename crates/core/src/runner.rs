@@ -2,15 +2,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use splicecast_media::SegmentList;
 use splicecast_swarm::{run_swarm_shared, SwarmMetrics};
 
 use crate::config::ExperimentConfig;
 
 /// Result of one seeded run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// The seed the swarm ran with.
     pub seed: u64,

@@ -1,6 +1,4 @@
-//! Serializable splicing selector.
-
-use serde::{Deserialize, Serialize};
+//! Splicing selector: which strategy an experiment cuts its clip with.
 
 use splicecast_media::{
     ByteSplicer, DurationSplicer, GopSplicer, MediaTicks, RampSplicer, SegmentList, Splicer, Video,
@@ -9,7 +7,7 @@ use splicecast_media::{
 use crate::rule;
 
 /// Which splicing strategy an experiment uses (§II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SplicingSpec {
     /// One segment per closed GOP (§II-A).
     Gop,

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A generative model for GOP durations.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let total: f64 = durations.iter().sum();
 /// assert!((total - 120.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ContentProfile {
     /// Every GOP has the same duration (an encoder with a forced keyframe
@@ -48,7 +47,7 @@ pub enum ContentProfile {
 /// encoder emits a **run** of GOPs for it. Action footage means long runs
 /// of very short GOPs (a scene cut every beat forces a keyframe); static
 /// footage means one long GOP per scene.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneClass {
     /// Probability of drawing this class for the next scene.
     pub probability: f64,

@@ -8,7 +8,6 @@
 //! bitrate (a constant-bitrate encode).
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::frame::{Frame, FrameType, MediaTicks, TICKS_PER_SEC};
 
@@ -30,7 +29,7 @@ const SIZE_JITTER_SIGMA: f64 = 0.15;
 /// Tunables of the synthetic encoder: frame rate and target bitrate. The
 /// I:P:B weights 12:3:1, two B-frames per reference and a log-normal size
 /// jitter of σ = 0.15 are constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderConfig {
     /// Frames per second. Must divide 90 000 for exact timestamps.
     pub fps: u32,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Ticks of the MPEG system clock: 90 000 per second.
 pub const TICKS_PER_SEC: u64 = 90_000;
 
@@ -21,9 +19,7 @@ pub const TICKS_PER_SEC: u64 = 90_000;
 /// let one_frame = MediaTicks::from_secs_f64(1.0 / 30.0);
 /// assert_eq!(one_frame.ticks(), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MediaTicks(u64);
 
 impl MediaTicks {
@@ -100,7 +96,7 @@ impl fmt::Display for MediaTicks {
 }
 
 /// The coding type of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Intra-coded: decodable on its own. Starts every closed GOP and is by
     /// far the largest frame type.
@@ -130,7 +126,7 @@ impl fmt::Display for FrameType {
 
 /// One coded video frame: its type, its coded size, and its place on the
 /// media timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Coding type.
     pub kind: FrameType,

@@ -9,15 +9,13 @@
 //! the *same* segment boundaries, so a client can switch rendition at any
 //! segment edge.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MediaError;
 use crate::segment::SegmentList;
 use crate::splicer::{DurationSplicer, Splicer};
 use crate::video::{Video, PAPER_CONTENT_SEED};
 
 /// One rung of a [`Ladder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rendition {
     /// Target bitrate of this rendition, bits per second.
     pub bitrate_bps: u64,
@@ -41,7 +39,7 @@ pub struct Rendition {
 /// // Higher rungs cost more bytes for the same timeline.
 /// assert!(ladder.segment_bytes(2, 0) > ladder.segment_bytes(0, 0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
     renditions: Vec<Rendition>,
 }
@@ -144,7 +142,7 @@ const SEGMENT_SECS: f64 = 4.0;
 /// Builder for [`Ladder`]s: the paper's content (profile, seed, frame rate)
 /// at [`Ladder::BITRATES_BPS`], cut every 4 s. Only the clip length is
 /// settable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LadderBuilder {
     duration_secs: f64,
 }

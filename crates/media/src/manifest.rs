@@ -5,13 +5,11 @@
 //! size. A small emitter/parser pair is provided so manifests can travel as
 //! plain text.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MediaError;
 use crate::segment::SegmentList;
 
 /// One entry of a [`Manifest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManifestEntry {
     /// Segment file name (informational).
     pub uri: String,
@@ -35,7 +33,7 @@ pub struct ManifestEntry {
 /// let parsed = Manifest::parse_m3u8(&text).unwrap();
 /// assert_eq!(parsed, manifest);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Playlist format version.
     pub version: u32,

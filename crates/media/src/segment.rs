@@ -2,14 +2,12 @@
 
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MediaError;
 use crate::frame::MediaTicks;
 use crate::video::Video;
 
 /// One spliced segment of a video.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Position in the segment list.
     pub index: u32,
@@ -54,7 +52,7 @@ impl Segment {
 /// assert_eq!(segments.len(), 5);
 /// segments.validate(&video).unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentList {
     segments: Vec<Segment>,
 }

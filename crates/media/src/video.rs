@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::content::ContentProfile;
 use crate::encoder::{encode, EncoderConfig};
@@ -24,7 +23,7 @@ use crate::gop::GopView;
 /// assert!((video.duration().as_secs_f64() - 10.0).abs() < 0.2);
 /// assert!(video.gop_count() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Video {
     fps: u32,
     frames: Vec<Frame>,
@@ -173,7 +172,7 @@ pub const PAPER_CONTENT_SEED: u64 = 2015;
 ///
 /// Defaults match the paper's test clip: 2 minutes of 1 Mbps, 30 fps
 /// MPEG-4 with mixed content.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoBuilder {
     duration_secs: f64,
     profile: ContentProfile,

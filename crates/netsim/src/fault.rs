@@ -37,7 +37,7 @@ impl MessageFaults {
 }
 
 /// Counters of faults the simulator actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectedFaults {
     /// Droppable messages silently discarded.
     pub messages_dropped: u64,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a node (host) in the simulated network.
 ///
 /// Node ids are dense indices assigned by [`crate::star`] (the hub is 0,
 /// the leaves follow in order), so they can be used to index per-node
 /// tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -34,7 +32,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies an undirected link: the access link of one leaf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub(crate) u32);
 
 impl LinkId {
@@ -51,7 +49,7 @@ impl fmt::Display for LinkId {
 }
 
 /// Identifies one direction of a link (the unit of capacity sharing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DirLinkId(pub(crate) u32);
 
 impl DirLinkId {
@@ -97,7 +95,7 @@ impl fmt::Display for DirLinkId {
 }
 
 /// Identifies a bulk TCP transfer (flow). Unique over a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub(crate) u64);
 
 impl FlowId {

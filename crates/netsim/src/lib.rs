@@ -59,4 +59,4 @@ pub use node::{NodeBehavior, NodeEvent, NullBehavior};
 pub use sim::{Ctx, SimStats, Simulator};
 pub use tcp::{FlowModel, TcpConfig};
 pub use time::{SimDuration, SimTime};
-pub use topology::{star, Network, PathProperties, Star};
+pub use topology::{star, Network, PathProperties, Route, Star};

@@ -1,7 +1,5 @@
 //! Links: the capacity, latency, and loss model of the simulated network.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Static properties of one direction of a link.
@@ -15,7 +13,7 @@ use crate::time::SimDuration;
 /// let spec = LinkSpec::new(128_000.0 * 8.0, SimDuration::from_millis(25), 0.025);
 /// assert_eq!(spec.capacity_bytes_per_sec(), 128_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Capacity in bits per second.
     pub capacity_bps: f64,

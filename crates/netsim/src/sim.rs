@@ -44,7 +44,7 @@ fn expected_retransmissions(loss: f64) -> f64 {
 /// one report. A flow is booked where its receiver gets it, so a run
 /// that drains its queue has `flows_started == flows_completed +
 /// flows_failed`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Control-plane messages sent.
     pub messages_sent: u64,
@@ -76,15 +76,9 @@ pub(crate) struct World {
     /// in order like a TCP connection would: one row per source, indexed
     /// by destination, empty until that source first sends.
     msg_order: Vec<Vec<SimTime>>,
-    /// Scratch for the route of the message being sent (or the path being
-    /// probed), so looking at a route allocates nothing.
-    scratch_route: Vec<DirLinkId>,
     /// Scratch for the receivers of a multicast that share one delivery
     /// instant.
     scratch_run: Vec<NodeId>,
-    /// Scratch for `step_flow`: per-link decayed rates, computed once per
-    /// round and reused for both the utilization read and the usage update.
-    scratch_rates: Vec<f64>,
     /// Fluid model: the rate solver and the per-link, per-flow state it
     /// keeps between rebalances. Its pass-2 link rates double as the
     /// utilization source for [`Ctx::path_utilization`].
@@ -149,7 +143,7 @@ impl World {
             return;
         };
         if fluid {
-            self.fluid.remove_flow(id, &flow.path);
+            self.fluid.remove_flow(id, &flow.route());
             self.fluid_rebalance();
         }
         self.stats.flows_failed += 1;
@@ -185,13 +179,9 @@ impl World {
             return;
         }
         self.online[node.index()] = false;
-        // fail_flow removes each flow from the per-node index, so taking
-        // the first id each time walks the list in insertion order.
-        while let Some(&id) = self.flows.flows_touching(node).first() {
-            let Some(f) = self.flows.get(id) else {
-                debug_assert!(false, "per-node flow index held a stale id");
-                break;
-            };
+        // Failing one flow removes no other, so every listed id is live.
+        for id in self.flows.flows_touching(node) {
+            let f = self.flows.get(id).expect("a touching flow is live");
             let both = [if f.src == node { f.dst } else { f.src }, node];
             self.fail_flow(id, if returns { &both } else { &both[..1] });
         }
@@ -261,19 +251,20 @@ impl World {
         //   [`LOSS_UTILIZATION_FLOOR`]).
         // - Overload pressure, see [`link_pressure`].
         //
-        // The decayed per-link rates are kept so the usage update after the
-        // round reuses them instead of re-evaluating the decay.
+        // The decayed per-link rates (one per hop, at most two) are kept so
+        // the usage update after the round reuses them instead of
+        // re-evaluating the decay.
+        let route = flow.route();
         let mut share_bps = f64::INFINITY;
         let mut utilization: f64 = 0.0;
         let mut pressure: f64 = 0.0;
-        let mut rates = std::mem::take(&mut self.scratch_rates);
-        rates.clear();
-        for dir in &flow.path {
+        let mut rates = [0.0; 2];
+        for (dir, slot) in route.iter().zip(&mut rates) {
             let cap = self.net.dir_spec(*dir).capacity_bps;
             let load = self.flows.load(*dir);
             share_bps = share_bps.min(cap / load.max(1) as f64);
             let rate = self.usage[dir.index()].rate_bps_at(now, UTILIZATION_TAU_SECS);
-            rates.push(rate);
+            *slot = rate;
             utilization = utilization.max(rate / cap);
             pressure = pressure.max(link_pressure(cap, load, rtt_secs));
         }
@@ -283,13 +274,10 @@ impl World {
         let rtt = flow.rtt;
         let (outcome, sent_bytes) = flow.advance_round(share_bps, effective_loss, &mut self.rng);
         self.stats.wire_bytes_sent += sent_bytes;
-        // `flow` borrows only the flow table; usage is a disjoint field, so
-        // the path needs no defensive clone.
         let added_bps = sent_bytes as f64 * 8.0 / UTILIZATION_TAU_SECS;
-        for (dir, &rate) in flow.path.iter().zip(&rates) {
+        for (dir, &rate) in route.iter().zip(&rates) {
             self.usage[dir.index()].set_rate(now, rate + added_bps);
         }
-        self.scratch_rates = rates;
         match outcome {
             RoundOutcome::InProgress => {
                 self.queue
@@ -352,7 +340,7 @@ impl World {
         f.fluid.active = true;
         f.fluid.rate_since = now;
         f.fluid.armed_at = SimTime::MAX;
-        self.fluid.add_flow(id, &f.path);
+        self.fluid.add_flow(id, &f.route());
         self.fluid_rebalance();
     }
 
@@ -394,7 +382,7 @@ impl World {
         f.fluid.delivered = f.total as f64;
         self.fluid_fold(id);
         let flow = self.complete_flow(id);
-        self.fluid.remove_flow(id, &flow.path);
+        self.fluid.remove_flow(id, &flow.route());
         self.fluid_rebalance();
     }
 
@@ -420,7 +408,7 @@ impl World {
             let f = flows.get(id).expect("rated flow is in the table");
             let rtt_secs = f.rtt.as_secs_f64();
             let mut pressure = 0.0_f64;
-            for dir in &f.path {
+            for dir in f.route().iter() {
                 let cap = net.dir_spec(*dir).capacity_bps;
                 pressure = pressure.max(link_pressure(cap, flows.load(*dir), rtt_secs));
             }
@@ -674,8 +662,8 @@ impl Ctx<'_> {
             match *memo {
                 Some((spec, delay)) if spec == down => delay,
                 _ => {
-                    w.net.route(self.me, to, &mut w.scratch_route)?;
-                    let props = w.net.path_properties(&w.scratch_route);
+                    let route = w.net.route(self.me, to)?;
+                    let props = w.net.path_properties(&route);
                     let wire_bytes = len as u64 + MESSAGE_OVERHEAD_BYTES;
                     let tx = SimDuration::from_secs_f64(
                         wire_bytes as f64 * 8.0 / props.min_capacity_bps,
@@ -762,14 +750,14 @@ impl Ctx<'_> {
                 dst: to,
             });
         }
-        let path = w.net.path(self.me, to)?;
-        let props = w.net.path_properties(&path);
+        let route = w.net.route(self.me, to)?;
+        let props = w.net.path_properties(&route);
         let rtt = props.latency * 2;
         let flow = Flow {
             id: FlowId(0), // assigned by the table
+            stamp: 0,      // likewise
             src: self.me,
             dst: to,
-            path,
             rtt,
             loss: props.loss,
             total: bytes,
@@ -782,7 +770,7 @@ impl Ctx<'_> {
         };
         if w.tcp.flow_model == FlowModel::Fluid {
             // The pressure term of the flows on these links reads the load.
-            w.fluid.touch(&flow.path);
+            w.fluid.touch(&route);
         }
         let id = w.flows.insert(flow);
         w.stats.flows_started += 1;
@@ -833,10 +821,9 @@ impl Ctx<'_> {
     /// 0 for this node itself (an empty route) and for an unknown one. Lets
     /// applications make load-aware choices (e.g. only push a duplicate
     /// upload when the uplink has spare capacity).
-    pub fn path_utilization(&mut self, to: NodeId) -> f64 {
-        let w = &mut *self.world;
-        match w.net.route(self.me, to, &mut w.scratch_route) {
-            Ok(()) => w.path_utilization(&w.scratch_route),
+    pub fn path_utilization(&self, to: NodeId) -> f64 {
+        match self.world.net.route(self.me, to) {
+            Ok(route) => self.world.path_utilization(&route),
             Err(_) => 0.0,
         }
     }
@@ -903,9 +890,7 @@ impl Simulator {
                 tcp: TcpConfig::default(),
                 stats: SimStats::default(),
                 msg_order: vec![Vec::new(); node_count],
-                scratch_route: Vec::new(),
                 scratch_run: Vec::new(),
-                scratch_rates: Vec::new(),
                 fluid,
                 faults: None,
                 fault_stats: InjectedFaults::default(),
@@ -1459,7 +1444,7 @@ mod tests {
         fn completion_time(modulate: bool) -> f64 {
             let s = two_leaf_star(0.0);
             let done = Rc::new(RefCell::new(None));
-            let dir = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
+            let dir = s.network.route(s.leaves[0], s.leaves[1]).unwrap();
             let mut sim = Simulator::new(s.network, 3);
             if modulate {
                 // Throttle the second hop to 1/10 capacity after 1 second.
@@ -1894,7 +1879,7 @@ mod tests {
     fn fluid_done_pop_rearms_is_ignored_or_completes() {
         let s = two_leaf_star(0.0);
         let done = Rc::new(RefCell::new(None));
-        let hop = s.network.path(s.leaves[0], s.leaves[1]).unwrap()[1];
+        let hop = s.network.route(s.leaves[0], s.leaves[1]).unwrap()[1];
         let mut sim = Simulator::new(s.network, 3);
         sim.set_tcp_config(fluid_tcp());
         let full = 1_000_000.0;

@@ -20,13 +20,12 @@
 //! capped by the narrowest link of its path divided by the number of flows
 //! currently crossing that link (max–min fairness at round granularity).
 
-use serde::{Deserialize, Serialize};
-
 use rand::rngs::StdRng;
 
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::rng::binomial;
 use crate::time::{SimDuration, SimTime};
+use crate::topology::Route;
 
 /// Which bulk-transfer model the simulator advances flows with.
 ///
@@ -40,7 +39,7 @@ use crate::time::{SimDuration, SimTime};
 ///   100×-larger swarms tractable. Loss and
 ///   window limits are folded in as a Mathis-style rate ceiling so
 ///   aggregate metrics stay close to the round model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowModel {
     /// Per-RTT window rounds (the default; bit-identical to historic runs).
     #[default]
@@ -103,10 +102,9 @@ pub(crate) const OVERLOAD_LOSS_MAX: f64 = 0.85;
 
 /// The TCP model's one setting: which flow model advances transfers. Every
 /// other parameter of the model is a constant of this module.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TcpConfig {
     /// How bulk transfers are advanced (per-RTT rounds or fluid rates).
-    #[serde(default)]
     pub flow_model: FlowModel,
 }
 
@@ -114,12 +112,12 @@ pub struct TcpConfig {
 #[derive(Debug)]
 pub(crate) struct Flow {
     pub id: FlowId,
+    /// Insertion stamp, assigned by the table: later flows have larger ones.
+    pub stamp: u64,
     /// Sending endpoint.
     pub src: NodeId,
     /// Receiving endpoint.
     pub dst: NodeId,
-    /// Directed links crossed, in order.
-    pub path: Vec<DirLinkId>,
     /// Round-trip time of the path (2 × one-way latency).
     pub rtt: SimDuration,
     /// Per-packet loss probability along the path.
@@ -180,6 +178,11 @@ pub(crate) enum RoundOutcome {
 }
 
 impl Flow {
+    /// Directed links crossed, in order.
+    pub fn route(&self) -> Route {
+        Route::between(self.src, self.dst)
+    }
+
     /// Advances one RTT round given this round's fair-share rate and the
     /// effective per-packet loss (base path loss scaled by utilization).
     /// Returns the outcome and the wire bytes put on the path this round.
@@ -261,9 +264,9 @@ struct Slot {
 /// Flows live in a generational slab: a [`FlowId`] packs `generation << 32 |
 /// slot`, so lookups are two array indexes instead of a hash, freed slots
 /// are reused LIFO, and stale ids (from already-delivered round events) miss
-/// on the generation check. A per-node index keeps the flows touching each
-/// endpoint in insertion order, making [`FlowTable::flows_touching`] O(1)
-/// instead of a scan-and-sort over every active flow.
+/// on the generation check. Each flow carries an insertion stamp, so
+/// [`FlowTable::flows_touching`] lists a node's flows in insertion order
+/// even where a later flow reused an older slot.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
     slots: Vec<Slot>,
@@ -272,8 +275,8 @@ pub(crate) struct FlowTable {
     active: usize,
     /// Number of active flows crossing each directed link.
     link_load: Vec<u32>,
-    /// Flows touching each node (as src or dst), in insertion order.
-    by_node: Vec<Vec<FlowId>>,
+    /// Flows inserted so far: the next flow's stamp.
+    inserted: u64,
 }
 
 impl FlowTable {
@@ -283,7 +286,7 @@ impl FlowTable {
             free: Vec::new(),
             active: 0,
             link_load: vec![0; dir_link_count],
-            by_node: Vec::new(),
+            inserted: 0,
         }
     }
 
@@ -305,22 +308,14 @@ impl FlowTable {
         };
         let id = Self::pack(slot, self.slots[slot as usize].gen);
         flow.id = id;
-        for dir in &flow.path {
+        flow.stamp = self.inserted;
+        self.inserted += 1;
+        for dir in flow.route().iter() {
             self.link_load[dir.index()] += 1;
         }
-        self.note_endpoint(flow.src, id);
-        self.note_endpoint(flow.dst, id);
         self.slots[slot as usize].flow = Some(flow);
         self.active += 1;
         id
-    }
-
-    fn note_endpoint(&mut self, node: NodeId, id: FlowId) {
-        let idx = node.index();
-        if idx >= self.by_node.len() {
-            self.by_node.resize_with(idx + 1, Vec::new);
-        }
-        self.by_node[idx].push(id);
     }
 
     pub fn get_mut(&mut self, id: FlowId) -> Option<&mut Flow> {
@@ -351,12 +346,10 @@ impl FlowTable {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(idx as u32);
         self.active -= 1;
-        for dir in &flow.path {
+        for dir in flow.route().iter() {
             debug_assert!(self.link_load[dir.index()] > 0);
             self.link_load[dir.index()] -= 1;
         }
-        self.by_node[flow.src.index()].retain(|&f| f != id);
-        self.by_node[flow.dst.index()].retain(|&f| f != id);
         Some(flow)
     }
 
@@ -370,12 +363,13 @@ impl FlowTable {
         self.slots.iter_mut().filter_map(|slot| slot.flow.as_mut())
     }
 
-    /// Ids of all flows that have `node` as an endpoint, in insertion order.
-    pub fn flows_touching(&self, node: NodeId) -> &[FlowId] {
-        self.by_node
-            .get(node.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Ids of all flows that have `node` as an endpoint, in insertion
+    /// order. A scan of the table, made once per departure or outage.
+    pub fn flows_touching(&self, node: NodeId) -> Vec<FlowId> {
+        let live = self.slots.iter().filter_map(|slot| slot.flow.as_ref());
+        let mut touching: Vec<&Flow> = live.filter(|f| f.src == node || f.dst == node).collect();
+        touching.sort_unstable_by_key(|f| f.stamp);
+        touching.iter().map(|f| f.id).collect()
     }
 
     pub fn active_count(&self) -> usize {
@@ -392,9 +386,9 @@ mod tests {
     fn test_flow(total: u64, loss: f64) -> Flow {
         Flow {
             id: FlowId(0),
+            stamp: 0,
             src: NodeId::from_index(0),
             dst: NodeId::from_index(1),
-            path: vec![DirLinkId::new(LinkId(0), true)],
             rtt: SimDuration::from_millis(100),
             loss,
             total,
@@ -465,7 +459,8 @@ mod tests {
         let mut table = FlowTable::new(4);
         let f1 = table.insert(test_flow(100, 0.0));
         let f2 = table.insert(test_flow(100, 0.0));
-        let dir = DirLinkId::new(LinkId(0), true);
+        // The hub-to-node-1 flows cross link 0 downwards only.
+        let dir = DirLinkId::new(LinkId(0), false);
         assert_eq!(table.load(dir), 2);
         assert_eq!(table.active_count(), 2);
         table.remove(f1).unwrap();
@@ -492,6 +487,13 @@ mod tests {
         assert_eq!(table.flows_touching(NodeId::from_index(0)), vec![f]);
         assert_eq!(table.flows_touching(NodeId::from_index(1)), vec![f]);
         assert!(table.flows_touching(NodeId::from_index(2)).is_empty());
+        // `c`, inserted after `b`, reuses `f`'s older, lower slot and must
+        // still list after `b`.
+        let b = table.insert(test_flow(1, 0.0));
+        table.remove(f).unwrap();
+        let c = table.insert(test_flow(1, 0.0));
+        assert!(c.slot() < b.slot());
+        assert_eq!(table.flows_touching(NodeId::from_index(1)), vec![b, c]);
     }
 
     #[test]

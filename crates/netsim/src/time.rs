@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant on the simulated clock, in microseconds since the
 /// start of the simulation.
 ///
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -36,9 +32,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(250) * 4;
 /// assert_eq!(d, SimDuration::from_secs(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 const MICROS_PER_SEC: u64 = 1_000_000;

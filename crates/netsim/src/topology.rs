@@ -1,6 +1,8 @@
 //! The network: the paper's star of access links around one hub, and the
 //! two-hop routes over it.
 
+use std::ops::Deref;
+
 use crate::error::NetError;
 use crate::id::{DirLinkId, LinkId, NodeId};
 use crate::link::{Link, LinkSpec};
@@ -22,8 +24,8 @@ use crate::time::SimDuration;
 /// use splicecast_netsim::{star, DirLinkId, LinkSpec, SimDuration};
 ///
 /// let s = star(&[LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(10), 0.0); 2]);
-/// let path = s.network.path(s.leaves[0], s.leaves[1]).unwrap();
-/// assert_eq!(path, [DirLinkId::new_forward(s.links[0]), DirLinkId::new_backward(s.links[1])]);
+/// let route = s.network.route(s.leaves[0], s.leaves[1]).unwrap();
+/// assert_eq!(*route, [DirLinkId::new_forward(s.links[0]), DirLinkId::new_backward(s.links[1])]);
 /// ```
 #[derive(Debug)]
 pub struct Network {
@@ -75,40 +77,17 @@ impl Network {
             .capacity_bps = capacity_bps;
     }
 
-    /// The route from `src` to `dst` as a sequence of directed links.
+    /// The route from `src` to `dst` (empty when `src == dst`).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::UnknownNode`] for out-of-range ids.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Result<Vec<DirLinkId>, NetError> {
-        let mut path = Vec::new();
-        self.route(src, dst, &mut path)?;
-        Ok(path)
-    }
-
-    /// [`Network::path`] into a buffer the caller reuses, for hot paths
-    /// that only *look at* the route: `out` is cleared and, on success,
-    /// holds the route (nothing when `src == dst`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::path`].
-    pub fn route(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        out: &mut Vec<DirLinkId>,
-    ) -> Result<(), NetError> {
-        out.clear();
+    pub fn route(&self, src: NodeId, dst: NodeId) -> Result<Route, NetError> {
         let n = self.node_count();
         if src.index() >= n || dst.index() >= n {
             return Err(NetError::UnknownNode);
         }
-        if src != dst {
-            out.extend(access_link(src).map(DirLinkId::new_forward));
-            out.extend(access_link(dst).map(DirLinkId::new_backward));
-        }
-        Ok(())
+        Ok(Route::between(src, dst))
     }
 
     /// The spec of the link direction down to `node`, the last hop of every
@@ -143,6 +122,39 @@ impl Network {
             loss: 1.0 - pass,
             min_capacity_bps: min_cap,
         }
+    }
+}
+
+/// The directed links from one node of the star to another: up the
+/// source's access link, then down the destination's, with no hop at a hub
+/// end and none to the node itself. Computed from its two ends, it
+/// dereferences to its hops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// The hops in order; the unused tail stays at `DirLinkId(0)`.
+    hops: [DirLinkId; 2],
+    len: usize,
+}
+
+impl Route {
+    /// The route from `src` to `dst`; the ids are not range-checked.
+    pub(crate) fn between(src: NodeId, dst: NodeId) -> Route {
+        let up = access_link(src).map(DirLinkId::new_forward);
+        let down = access_link(dst).map(DirLinkId::new_backward);
+        let (mut hops, mut len) = ([DirLinkId(0); 2], 0);
+        for hop in [up, down].into_iter().flatten().filter(|_| src != dst) {
+            hops[len] = hop;
+            len += 1;
+        }
+        Route { hops, len }
+    }
+}
+
+impl Deref for Route {
+    type Target = [DirLinkId];
+
+    fn deref(&self) -> &[DirLinkId] {
+        &self.hops[..self.len]
     }
 }
 
@@ -224,27 +236,31 @@ mod tests {
     fn star_routes_through_hub() {
         let s = star(&[spec(1000.0, 25, 0.0); 3]);
         let net = s.network;
-        let path = net.path(s.leaves[0], s.leaves[2]).unwrap();
-        assert_eq!(path.len(), 2);
-        let props = net.path_properties(&path);
+        let route = net.route(s.leaves[0], s.leaves[2]).unwrap();
+        assert_eq!(route.len(), 2);
+        let props = net.path_properties(&route);
         assert_eq!(props.latency, SimDuration::from_millis(50));
     }
 
     #[test]
     fn path_to_self_is_empty() {
         let s = star(&[spec(1000.0, 25, 0.0); 2]);
-        assert!(s.network.path(s.leaves[0], s.leaves[0]).unwrap().is_empty());
+        assert!(s
+            .network
+            .route(s.leaves[0], s.leaves[0])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn unknown_node_is_an_error() {
         let s = star(&[spec(1000.0, 25, 0.0); 2]);
         assert_eq!(
-            s.network.path(s.leaves[0], NodeId::from_index(3)),
+            s.network.route(s.leaves[0], NodeId::from_index(3)),
             Err(NetError::UnknownNode)
         );
         assert_eq!(
-            s.network.path(NodeId::from_index(9), s.hub),
+            s.network.route(NodeId::from_index(9), s.hub),
             Err(NetError::UnknownNode)
         );
     }
@@ -253,8 +269,8 @@ mod tests {
     fn loss_compounds_along_path() {
         let s = star(&[spec(1000.0, 0, 0.1); 2]);
         let net = s.network;
-        let path = net.path(s.leaves[0], s.leaves[1]).unwrap();
-        let props = net.path_properties(&path);
+        let route = net.route(s.leaves[0], s.leaves[1]).unwrap();
+        let props = net.path_properties(&route);
         assert!((props.loss - (1.0 - 0.9 * 0.9)).abs() < 1e-12);
     }
 
@@ -262,33 +278,22 @@ mod tests {
     fn min_capacity_is_bottleneck() {
         let s = star(&asymmetric_specs());
         let net = s.network;
-        let path = net.path(s.leaves[2], s.leaves[1]).unwrap();
-        assert_eq!(net.path_properties(&path).min_capacity_bps, 2000.0);
-        let path = net.path(s.leaves[0], s.leaves[2]).unwrap();
-        assert_eq!(net.path_properties(&path).min_capacity_bps, 8000.0);
+        let route = net.route(s.leaves[2], s.leaves[1]).unwrap();
+        assert_eq!(net.path_properties(&route).min_capacity_bps, 2000.0);
+        let route = net.route(s.leaves[0], s.leaves[2]).unwrap();
+        assert_eq!(net.path_properties(&route).min_capacity_bps, 8000.0);
     }
 
     #[test]
     fn capacity_can_be_modulated() {
         let s = star(&[spec(1000.0, 25, 0.0); 2]);
         let mut net = s.network;
-        let path = net.path(s.leaves[0], s.leaves[1]).unwrap();
-        net.set_capacity(path[0], 400.0);
-        assert_eq!(net.dir_spec(path[0]).capacity_bps, 400.0);
+        let route = net.route(s.leaves[0], s.leaves[1]).unwrap();
+        net.set_capacity(route[0], 400.0);
+        assert_eq!(net.dir_spec(route[0]).capacity_bps, 400.0);
         // The reverse direction is untouched.
-        let rev = net.path(s.leaves[1], s.leaves[0]).unwrap();
+        let rev = net.route(s.leaves[1], s.leaves[0]).unwrap();
         assert_eq!(net.dir_spec(rev[1]).capacity_bps, 8000.0);
-    }
-
-    #[test]
-    fn routes_are_deterministic() {
-        let s = star(&asymmetric_specs());
-        let path = s.network.path(s.leaves[0], s.leaves[2]).unwrap();
-        let mut reused = vec![DirLinkId(99)];
-        s.network
-            .route(s.leaves[0], s.leaves[2], &mut reused)
-            .unwrap();
-        assert_eq!(path, reused);
     }
 
     /// Every ordered pair, the hub included, against the closed form: up
@@ -302,10 +307,9 @@ mod tests {
         let net = &s.network;
         // The hub has no access link; leaf `k` has `specs[k - 1]` on `links[k - 1]`.
         let access = |node: NodeId| node.index().checked_sub(1).map(|k| (s.links[k], specs[k]));
-        let mut route = Vec::new();
         for src in (0..net.node_count()).map(NodeId::from_index) {
             for dst in (0..net.node_count()).map(NodeId::from_index) {
-                net.route(src, dst, &mut route).unwrap();
+                let route = net.route(src, dst).unwrap();
                 if src == dst {
                     assert!(route.is_empty());
                     continue;
@@ -316,7 +320,7 @@ mod tests {
                     .into_iter()
                     .chain(down.map(|(l, _)| DirLinkId::new_backward(l)))
                     .collect();
-                assert_eq!(route, want, "{src} -> {dst}");
+                assert_eq!(*route, want, "{src} -> {dst}");
                 let props = net.path_properties(&route);
                 let (latency, loss, capacity) = match (up, down) {
                     (Some((_, u)), Some((_, d))) => (
@@ -334,15 +338,8 @@ mod tests {
                 assert_eq!(props.min_capacity_bps, capacity, "{src} -> {dst}");
             }
             let stranger = NodeId::from_index(net.node_count());
-            assert_eq!(
-                net.route(src, stranger, &mut route),
-                Err(NetError::UnknownNode)
-            );
-            assert_eq!(
-                net.route(stranger, src, &mut route),
-                Err(NetError::UnknownNode)
-            );
-            assert!(route.is_empty());
+            assert_eq!(net.route(src, stranger), Err(NetError::UnknownNode));
+            assert_eq!(net.route(stranger, src), Err(NetError::UnknownNode));
         }
     }
 }

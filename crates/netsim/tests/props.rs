@@ -43,18 +43,18 @@ proptest! {
         // Every pair routes; path properties are sane.
         for &a in &nodes {
             for &b in &nodes {
-                let path = net.path(a, b).unwrap();
+                let route = net.route(a, b).unwrap();
                 if a == b {
-                    prop_assert!(path.is_empty());
+                    prop_assert!(route.is_empty());
                     continue;
                 }
                 let hub_ends = usize::from(a == s.hub) + usize::from(b == s.hub);
-                prop_assert_eq!(path.len(), 2 - hub_ends);
-                let props = net.path_properties(&path);
+                prop_assert_eq!(route.len(), 2 - hub_ends);
+                let props = net.path_properties(&route);
                 prop_assert!(props.loss < 1.0);
                 prop_assert!(props.min_capacity_bps > 0.0);
                 // Reverse route has the same hop count.
-                prop_assert_eq!(net.path(b, a).unwrap().len(), path.len());
+                prop_assert_eq!(net.route(b, a).unwrap().len(), route.len());
             }
         }
     }

@@ -1,9 +1,7 @@
 //! Stall events and quality-of-experience metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// One playback interruption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallEvent {
     /// Wall-clock second the play-out ran dry.
     pub start_secs: f64,
@@ -21,7 +19,7 @@ impl StallEvent {
 /// Quality-of-experience summary for one viewer — exactly the quantities
 /// the paper measures ("total number of stalls, total stall duration, and
 /// startup time", §V).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QoeMetrics {
     /// Seconds from join to first frame, if playback started.
     pub startup_secs: Option<f64>,

@@ -1,7 +1,5 @@
 //! Piece-availability bitsets exchanged between peers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 
 /// A fixed-width bitset tracking which segments a peer holds.
@@ -24,7 +22,7 @@ use crate::error::ProtocolError;
 /// `Have` touches the cache line the view is already on. Wider fields use
 /// a boxed slice rather than a `Vec` (a bitfield never grows, so no
 /// capacity word).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bitfield {
     len: u32,
     bits: Store,

@@ -14,8 +14,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use rand::{Rng, SeedableRng};
 use splicecast_media::{Ladder, Segment, SegmentList};
 use splicecast_netsim::{
@@ -34,7 +32,7 @@ const TOKEN_BOOT: u64 = 1;
 const TOKEN_PUMP: u64 = 2;
 
 /// How a client picks the next segment's rendition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AbrAlgorithm {
     /// Always fetch the given rung (clamped to the ladder) — the
     /// non-adaptive control arm, e.g. "always 1 Mbps".
@@ -115,7 +113,7 @@ const RESUME_BUFFER_SECS: f64 = 0.25;
 
 /// Configuration of an ABR (CDN-served) streaming run. The origin and the
 /// path to it are the paper's: a fat edge cache 50 ms away over 5 % loss.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbrConfig {
     /// Number of clients.
     pub n_clients: usize,
@@ -160,7 +158,7 @@ impl AbrConfig {
 }
 
 /// Final accounting for one ABR client.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AbrReport {
     /// Client index.
     pub client: usize,
@@ -179,7 +177,7 @@ pub struct AbrReport {
 }
 
 /// Results of one ABR run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AbrMetrics {
     /// Per-client reports, ordered by client index.
     pub reports: Vec<AbrReport>,

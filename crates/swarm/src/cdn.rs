@@ -1,12 +1,10 @@
 //! Hybrid-CDN support (§IV): an origin with a fat pipe that serves
 //! segments one at a time per peer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{link_rate, must, rule, MAX_KNOB_SECS};
 
 /// Configuration of the CDN node added to the star in hybrid mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdnConfig {
     /// Access-link capacity of the CDN node, bytes per second.
     pub bandwidth_bytes_per_sec: f64,
@@ -60,9 +58,19 @@ impl CdnConfig {
     }
 }
 
-/// The §IV bound: when a CDN serves the video one segment at a time, a
-/// segment must be at most `B·T` bytes or fetching it will outlast the
-/// buffer.
+/// §IV: the largest segment a CDN-served peer can afford.
+///
+/// When a CDN serves the stream, peers fetch one segment at a time; the
+/// next segment must arrive within the `T` seconds of buffered playback,
+/// so its size is bounded by `B·T` bytes.
+///
+/// # Examples
+///
+/// ```
+/// use splicecast_swarm::max_cdn_segment_bytes;
+///
+/// assert_eq!(max_cdn_segment_bytes(128_000.0, 4.0), 512_000);
+/// ```
 pub fn max_cdn_segment_bytes(bandwidth_bytes_per_sec: f64, buffered_secs: f64) -> u64 {
     // NaN inputs fall into the guard like non-positive ones.
     if bandwidth_bytes_per_sec.is_nan()

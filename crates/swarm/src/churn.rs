@@ -3,12 +3,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{must, positive_secs, rule};
 
 /// Configures which peers leave and when.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Fraction of leechers that will depart before finishing.
     pub volatile_fraction: f64,

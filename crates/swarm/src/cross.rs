@@ -7,8 +7,6 @@
 //! long-lived transfers running *toward every viewer*, so the stream has
 //! to share each access link with unrelated traffic.
 
-use serde::{Deserialize, Serialize};
-
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration};
 
 use crate::{must, rule};
@@ -24,7 +22,7 @@ const DURATION_SECS: f64 = 300.0;
 const BACKGROUND_TAG: u64 = u64::MAX;
 
 /// Configuration of the background load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossTrafficConfig {
     /// Concurrent competing downloads per viewer.
     pub flows_per_peer: usize,

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::churn::sample_lifetimes;
 use crate::{must, positive_secs, rule, MAX_KNOB_SECS};
@@ -34,7 +33,7 @@ fn window_count(what: &str, count: usize) -> Result<(), String> {
 /// Crash-stop churn: a fraction of leechers vanish *without* a Goodbye,
 /// leaving every other peer's view of them stale until a send, a transfer
 /// or an online probe finds them gone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashChurnConfig {
     /// Fraction of leechers that will crash-stop before finishing.
     pub crash_fraction: f64,
@@ -81,7 +80,7 @@ impl CrashChurnConfig {
 
 /// Flapping access links: windows during which a random leecher's access
 /// link runs at a degraded rate before recovering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFlapConfig {
     /// Number of degradation windows to schedule.
     pub count: usize,
@@ -130,7 +129,7 @@ impl LinkFlapConfig {
 
 /// CDN outage intervals: windows during which the CDN node is offline
 /// (flows fail, requests to it error out).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdnOutageConfig {
     /// Number of outage windows to schedule.
     pub count: usize,
@@ -169,26 +168,20 @@ impl CdnOutageConfig {
 /// A deterministic fault-injection plan for one scenario. All sampling
 /// derives from the run's setup RNG (and the message-fault plane's own
 /// seeded stream), so the same seed replays the same fault schedule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultPlanConfig {
     /// Crash-stop departures (no Goodbye), if any.
-    #[serde(default)]
     pub crash: Option<CrashChurnConfig>,
     /// Probability that a droppable control message (Have/HaveBundle/
     /// Bitfield) silently vanishes.
-    #[serde(default)]
     pub message_loss: f64,
     /// Probability that a surviving droppable message gets extra delay.
-    #[serde(default)]
     pub message_delay_prob: f64,
     /// Upper bound of the injected extra delay, seconds.
-    #[serde(default)]
     pub message_delay_max_secs: f64,
     /// Flapping access-link windows, if any.
-    #[serde(default)]
     pub link_flaps: Option<LinkFlapConfig>,
     /// CDN outage windows, if any (requires a CDN in the scenario).
-    #[serde(default)]
     pub cdn_outages: Option<CdnOutageConfig>,
 }
 
@@ -251,7 +244,7 @@ pub(crate) const BACKOFF_MAX_SECS: f64 = 60.0;
 /// Peer-side failure defenses: exponential backoff bans on failing
 /// sources, `BACKOFF_BASE_SECS` doubling up to `BACKOFF_MAX_SECS`. Off
 /// unless this config is present on the swarm.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefenseConfig;
 
 #[cfg(test)]

@@ -3,12 +3,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
 use splicecast_player::{QoeMetrics, StallEvent};
 
 /// Control-plane traffic counters for one leecher: how segment
 /// availability was disseminated and how often the maintenance pump ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlPlaneStats {
     /// Individual `Have` messages sent (legacy dissemination).
     pub haves_sent: u64,
@@ -56,7 +55,7 @@ impl ControlPlaneStats {
 /// Scheduler-efficiency counters for one leecher: how often the download
 /// scheduler actually ran versus proved itself unnecessary, and where the
 /// passes that ran stopped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Scheduling passes that ran (walked the wanted segments).
     pub passes: u64,
@@ -92,7 +91,7 @@ impl SchedulerStats {
 
 /// Retired availability-dissemination counters: every field is always 0
 /// and stays only because `benchmark/src/counters.rs` reads it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DisseminationStats {
     /// Always 0: the sender-side window protocol is gone. Kept because
     /// `benchmark/src/counters.rs` reads the field.
@@ -117,7 +116,7 @@ impl DisseminationStats {
 /// written: allocator-visible bytes behind the peer's swarm state.
 /// Deterministic for a given (segments, config, seed) — capacities follow
 /// the deterministic insert/remove sequence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerMemStats {
     /// Bytes behind the peer-view table: every slot it allocated (one
     /// per node id, occupied or not) plus the live views' bitfield heap.
@@ -146,7 +145,7 @@ impl PeerMemStats {
 /// Fault and defense counters for one leecher: what the fault plane did to
 /// it and what its defenses did about it. All counters so totals sum
 /// naturally across peers and runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerFaultStats {
     /// 1 when this peer crash-stopped (vanished without a Goodbye).
     pub crashes: u64,
@@ -168,7 +167,7 @@ impl PeerFaultStats {
 }
 
 /// Final accounting for one leecher.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeerReport {
     /// Leecher index (0-based, excluding the seeder).
     pub peer: usize,
@@ -191,19 +190,14 @@ pub struct PeerReport {
     /// Whether the peer churned out before finishing.
     pub departed: bool,
     /// Control-plane traffic this peer generated.
-    #[serde(default)]
     pub control: ControlPlaneStats,
     /// Scheduler-efficiency counters for this peer.
-    #[serde(default)]
     pub sched: SchedulerStats,
     /// Fault and defense counters for this peer.
-    #[serde(default)]
     pub fault: PeerFaultStats,
     /// Deferred-fold counters for this peer.
-    #[serde(default)]
     pub dissem: DisseminationStats,
     /// Memory-footprint accounting for this peer.
-    #[serde(default)]
     pub mem: PeerMemStats,
 }
 
@@ -213,7 +207,7 @@ pub struct PeerReport {
 pub type MetricsSink = Rc<RefCell<Vec<PeerReport>>>;
 
 /// Results of one swarm run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SwarmMetrics {
     /// Per-leecher reports, ordered by peer index.
     pub reports: Vec<PeerReport>,
@@ -223,7 +217,6 @@ pub struct SwarmMetrics {
     pub net: splicecast_netsim::SimStats,
     /// Counters of faults the simulator injected (message drops/delays,
     /// outage windows). All zero when no fault plan is configured.
-    #[serde(default)]
     pub injected: splicecast_netsim::InjectedFaults,
 }
 

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs to a download policy decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyInput {
@@ -50,7 +48,7 @@ pub trait DownloadPolicy: fmt::Debug {
 /// });
 /// assert_eq!(k, 4); // ⌊128k · 8 / 256k⌋
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptivePooling;
 
 impl AdaptivePooling {
@@ -60,11 +58,32 @@ impl AdaptivePooling {
     }
 }
 
-/// Evaluates Eq. 1 directly.
+/// Eq. 1 (§III): the number of segments a peer should download
+/// simultaneously.
 ///
-/// At the start of streaming, after a stall, or with a drained buffer
-/// (`buffered_secs <= 0`) the result is 1; likewise whenever
-/// `B·T < W`.
+/// With per-peer bandwidth `B` (bytes/s), `T` seconds of playback already
+/// buffered, and `W`-byte segments:
+///
+/// ```text
+/// k = max( ⌊B·T / W⌋, 1 )
+/// ```
+///
+/// All `k` in-flight segments must finish within `T` seconds (their order
+/// of completion is unknowable, so each must be assumed last); the pipe
+/// moves `B·T` bytes in that window, hence at most `B·T/W` segments. At
+/// stream start, right after a stall, or with a drained buffer (`T <= 0`)
+/// the peer downloads exactly one segment; likewise whenever `B·T < W`.
+///
+/// # Examples
+///
+/// ```
+/// use splicecast_swarm::optimal_pool_size;
+///
+/// // 128 kB/s, 8 s buffered, 256 kB segments → 4 parallel downloads.
+/// assert_eq!(optimal_pool_size(128_000.0, 8.0, 256_000), 4);
+/// // Nothing buffered → sequential.
+/// assert_eq!(optimal_pool_size(128_000.0, 0.0, 256_000), 1);
+/// ```
 pub fn optimal_pool_size(
     bandwidth_bytes_per_sec: f64,
     buffered_secs: f64,
@@ -105,7 +124,7 @@ impl DownloadPolicy for AdaptivePooling {
 
 /// The baseline: always keep a fixed number of downloads in flight
 /// (the paper's "fixed size pooling", §VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedPool(pub usize);
 
 impl DownloadPolicy for FixedPool {
@@ -126,7 +145,7 @@ impl DownloadPolicy for FixedPool {
 /// mean. [`WEstimate::NextSegment`] is the smarter variant that reads the
 /// actual size of the next wanted segment from the manifest (an ablation
 /// of the paper's design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WEstimate {
     /// `W` = total transfer bytes / segment count (the paper's model).
     MeanSegment,
@@ -134,8 +153,8 @@ pub enum WEstimate {
     NextSegment,
 }
 
-/// Serializable policy selector for experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Policy selector for experiment configs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyConfig {
     /// Eq. 1 adaptive pooling.
     Adaptive,
@@ -163,7 +182,7 @@ impl PolicyConfig {
 }
 
 /// How the `B` of Eq. 1 is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorKind {
     /// Use the configured bandwidth directly (the paper "simulated the
     /// bandwidth on GENI" and plugged the known value in).
@@ -177,7 +196,7 @@ pub enum EstimatorKind {
 }
 
 /// Estimates per-peer available bandwidth from completed transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthEstimator {
     kind: EstimatorKind,
     current_bytes_per_sec: f64,

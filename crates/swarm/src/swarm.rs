@@ -6,7 +6,6 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use splicecast_media::SegmentList;
 use splicecast_netsim::{
@@ -23,7 +22,7 @@ use crate::seeder::SeederNode;
 use crate::{link_rate, must, rule};
 
 /// How leechers learn the addresses of their peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscoveryMode {
     /// Every leecher knows the full membership up front (a configured
     /// experiment, like the paper's RSpec-provisioned hosts).
@@ -36,7 +35,7 @@ pub enum DiscoveryMode {
 /// Which control plane drives availability dissemination and the
 /// maintenance pump. Both run one pump; the plane sets its heartbeat and
 /// whether request timeouts arm it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ControlPlane {
     /// Every completion broadcasts an immediate `Have` and the pump's
     /// one-interval heartbeat polls for work: O(peers²) messages per run.
@@ -67,7 +66,7 @@ impl std::str::FromStr for ControlPlane {
 /// request skipped — and nothing reads this type any more: it and the two
 /// config fields of its type stay only because `benchmark/src/traced.rs`
 /// copies one field into the other (ROADMAP 5(d)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// Was: rescan every neighbour view on every pass, no skip.
     Scan,
@@ -80,7 +79,7 @@ pub enum SchedulerMode {
 /// nothing reads this type any more: it and the two config fields of its
 /// type stay only because `benchmark/src/traced.rs` copies one field into
 /// the other (ROADMAP 5(d)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DisseminationMode {
     /// Was: index every announcement on arrival.
     #[default]
@@ -93,7 +92,7 @@ pub enum DisseminationMode {
 /// Configuration of one swarm run. The defaults are the paper's GENI
 /// setup: 20 nodes (one seeder + 19 peers) in a star, 50 ms latency and
 /// 5 % loss between peers, 500 ms latency to the seeder, 128 kB/s links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwarmConfig {
     /// Number of leechers (viewers).
     pub n_leechers: usize,
@@ -148,35 +147,27 @@ pub struct SwarmConfig {
     /// Which network model drives the transfers: per-RTT rounds (the
     /// default, full window dynamics) or the event-driven fluid rate model
     /// (scales to hundreds of leechers).
-    #[serde(default)]
     pub flow_model: FlowModel,
     /// Which control plane disseminates availability and schedules pumps.
-    #[serde(default)]
     pub control_plane: ControlPlane,
     /// Retired: read by nothing, see [`SchedulerMode`].
-    #[serde(default)]
     pub scheduler: SchedulerMode,
     /// Retired: read by nothing, see [`DisseminationMode`].
-    #[serde(default)]
     pub dissemination: DisseminationMode,
     /// Coalescing window of the eventful control plane, seconds: how long
     /// completions may wait before a `HaveBundle` flush. When unset the
     /// window is auto-tuned to the mean segment duration, clamped to
     /// one-to-four pump intervals (see [`auto_coalesce_secs`]).
-    #[serde(default)]
     pub have_coalesce_secs: Option<f64>,
     /// Deterministic fault injection (crash-stop churn, control-message
     /// loss/delay, link flaps, CDN outages), if any.
-    #[serde(default)]
     pub faults: Option<FaultPlanConfig>,
     /// Peer-side failure defenses (source backoff bans), if any.
-    #[serde(default)]
     pub defense: Option<DefenseConfig>,
     /// Retired: read by nothing since no leecher keeps a holder index. It
     /// and [`LeecherConfig::sparse_holders`](crate::LeecherConfig::sparse_holders)
     /// stay only because `benchmark/src/traced.rs` copies one into the
     /// other, like [`SchedulerMode`].
-    #[serde(default)]
     pub sparse_holders: bool,
     /// Hard cap on simulated time, seconds.
     pub max_sim_secs: f64,
@@ -221,8 +212,8 @@ impl Default for SwarmConfig {
 
 impl SwarmConfig {
     /// Checks the configuration: the first inconsistent setting (no
-    /// peers, non-positive rates, CDN-only mode without a CDN, a seeder
-    /// closer than half the peer-to-peer latency, a time or rate the
+    /// peers, non-positive rates, CDN-only mode without a CDN, a seeder or
+    /// CDN closer than half the peer-to-peer latency, a time or rate the
     /// simulator's constructors would refuse, ...) is an `Err` naming
     /// the rule. The one place the rules live: the CLI reports the message,
     /// [`Self::validate`] panics with it.
@@ -264,6 +255,10 @@ impl SwarmConfig {
         }
         if let Some(cdn) = &self.cdn {
             cdn.check()?;
+            rule(
+                cdn.one_way_latency_secs >= self.peer_one_way_latency_secs / 2.0,
+                "CDN latency cannot be below half the peer-to-peer latency in a star",
+            )?;
         }
         if let Some(cross) = &self.cross_traffic {
             cross.check()?;
@@ -411,7 +406,7 @@ pub fn run_swarm_shared(
     ));
     if let Some(cdn) = &config.cdn {
         let cdn_link_latency = SimDuration::from_secs_f64(
-            (cdn.one_way_latency_secs - config.peer_one_way_latency_secs / 2.0).max(0.0),
+            cdn.one_way_latency_secs - config.peer_one_way_latency_secs / 2.0,
         );
         leaf_specs.push(LinkSpec::from_bytes_per_sec(
             cdn.bandwidth_bytes_per_sec,
@@ -1399,6 +1394,19 @@ mod tests {
                     ..tiny_config()
                 },
                 "cdn latency must be in [0,86400] s, got inf",
+            ),
+            // A CDN nearer than half the peer-to-peer latency would need a
+            // link of negative latency.
+            (
+                SwarmConfig {
+                    peer_one_way_latency_secs: 0.05,
+                    cdn: Some(CdnConfig {
+                        one_way_latency_secs: 0.01,
+                        ..CdnConfig::default()
+                    }),
+                    ..tiny_config()
+                },
+                "CDN latency cannot be below half the peer-to-peer latency in a star",
             ),
             (
                 SwarmConfig {
