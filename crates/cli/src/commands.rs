@@ -3,10 +3,11 @@
 use splicecast_core::figures::{figure, FIGURES};
 use splicecast_core::media::PAPER_BITRATE_BPS;
 use splicecast_core::{
-    max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr, run_all, AbrAlgorithm,
-    AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig, ChurnConfig, CrashChurnConfig,
-    DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, Grid, Ladder, LinkFlapConfig,
-    PolicyConfig, PreparedExperiment, RunResult, SplicingSpec, Table, VideoSpec,
+    max_cdn_segment_bytes, max_cdn_segment_secs, optimal_pool_size, run_abr_all, run_all,
+    AbrAlgorithm, AbrConfig, AveragedMetrics, CdnConfig, CdnOutageConfig, ChurnConfig,
+    CrashChurnConfig, DefenseConfig, DiscoveryMode, ExperimentConfig, FaultPlanConfig, Grid,
+    Ladder, LinkFlapConfig, PolicyConfig, PreparedExperiment, RunResult, SplicingSpec, Table,
+    VideoSpec,
 };
 
 use crate::args::Args;
@@ -64,11 +65,17 @@ FAULT / DEFENSE OPTIONS (run / sweep / figure):
     --cdn-outages N       CDN outage windows (needs --cdn)     [0]
     --defend              source backoff bans
 
+OVERHEAD OPTIONS:
+    --durations A,B,...   duration splicings beside gop        [1,2,4,8,16]
+    --clip-secs S         video length                         [120]
+    --csv                 also print machine-readable rows
+
 FORMULA OPTIONS:
-    --bandwidth KB --buffered SECS --segment-kb KB
+    --bandwidth KB --buffered SECS --segment-kb KB --bitrate-mbps M
 
 ABR OPTIONS:
     --clients N --bandwidth KB --algorithm buffer|rate|fixed:<rung>
+    --clip-secs S --seeds A,B,...
 "
     .replace("{figures}", &figure_names())
 }
@@ -230,13 +237,17 @@ fn seeds(args: &Args) -> Result<Vec<u64>, String> {
     Ok(list)
 }
 
-/// `--workers N`, defaulting to the machine's parallelism. Results never
-/// depend on the count — only wall-clock time does.
-fn workers(args: &Args) -> Result<usize, String> {
-    let default = std::thread::available_parallelism()
+/// The machine's parallelism: the worker count when none is given.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4);
-    let n: usize = args.num("workers", default)?;
+        .unwrap_or(4)
+}
+
+/// `--workers N`, defaulting to [`default_workers`]. Results never depend
+/// on the count — only wall-clock time does.
+fn workers(args: &Args) -> Result<usize, String> {
+    let n: usize = args.num("workers", default_workers())?;
     if n == 0 {
         return Err("--workers needs at least 1".to_owned());
     }
@@ -584,15 +595,9 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
     let seeds = seeds(args)?;
     args.reject_unread()?;
     config.check()?;
-    let (mut stalls, mut stall_secs, mut startup, mut quality) = (0.0, 0.0, 0.0, 0.0);
-    for &seed in &seeds {
-        let metrics = run_abr(&ladder, &config, seed);
-        stalls += metrics.mean_stalls();
-        stall_secs += metrics.mean_stall_secs();
-        startup += metrics.mean_startup_secs();
-        quality += metrics.mean_bitrate_bps();
-    }
-    let n = seeds.len() as f64;
+    let workers = default_workers();
+    let [stalls, stall_secs, startup, bps] =
+        run_abr_all(&ladder, std::slice::from_ref(&config), &seeds, workers)[0];
     Ok(format!(
         "ABR ({}) with {} clients at {:.0} kB/s, ladder 0.25/0.5/1.0 Mbps:\n\
          \x20 stalls:     {:.1}\n\
@@ -602,9 +607,9 @@ pub fn abr_command(args: &Args) -> Result<String, String> {
         algorithm.name(),
         config.n_clients,
         config.client_bandwidth_bytes_per_sec / 1e3,
-        stalls / n,
-        stall_secs / n,
-        startup / n,
-        quality / n / 1e6,
+        stalls,
+        stall_secs,
+        startup,
+        bps / 1e6,
     ))
 }

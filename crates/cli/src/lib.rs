@@ -68,6 +68,32 @@ mod tests {
         }
     }
 
+    /// Each command's section of `help` names every option it reads.
+    #[test]
+    fn help_names_every_option_of_overhead_formula_and_abr() {
+        let text = commands::help();
+        let section = |title: &str| {
+            let start = text.find(title).unwrap_or_else(|| panic!("no {title}"));
+            text[start..].split("\n\n").next().unwrap().to_owned()
+        };
+        for (title, options) in [
+            ("OVERHEAD OPTIONS", "--durations --clip-secs --csv"),
+            (
+                "FORMULA OPTIONS",
+                "--bandwidth --buffered --segment-kb --bitrate-mbps",
+            ),
+            (
+                "ABR OPTIONS",
+                "--clients --bandwidth --algorithm --clip-secs --seeds",
+            ),
+        ] {
+            let listed = section(title);
+            for option in options.split_whitespace() {
+                assert!(listed.contains(option), "{title} lacks {option}:\n{listed}");
+            }
+        }
+    }
+
     #[test]
     fn unknown_command_errors() {
         assert!(call(&["dance"]).unwrap_err().contains("unknown command"));

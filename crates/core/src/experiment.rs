@@ -6,9 +6,11 @@
 //! over threads — a [`Grid`](crate::figures::Grid) hands it an experiment
 //! per cell, [`run_averaged`] a single one, a caller that wants independent
 //! channels the same one on derived seeds — and
-//! [`AveragedMetrics::from_runs`] the only fold.
+//! [`AveragedMetrics::from_runs`] the only fold. The adaptive-bitrate
+//! baseline's runs go through [`run_abr_all`], on the same pool.
 
-use splicecast_swarm::SwarmMetrics;
+use splicecast_media::Ladder;
+use splicecast_swarm::{run_abr, AbrConfig, SwarmMetrics};
 
 use crate::config::ExperimentConfig;
 use crate::runner::{PreparedExperiment, RunResult};
@@ -146,6 +148,59 @@ pub fn run_all(
     prepared
         .iter()
         .map(|_| runs.by_ref().take(k).collect())
+        .collect()
+}
+
+/// Runs every ABR configuration once per seed on up to `workers` threads,
+/// job `j` being `configs[j / k]` on `seeds[j % k]` as in [`run_all`], and
+/// returns each configuration's seed means of `[stalls, stall seconds,
+/// startup seconds, delivered bits per second]`. The sums fold in seed
+/// order, so no value depends on `workers`.
+///
+/// # Panics
+///
+/// Panics when `seeds` is empty, `workers` is zero, or a run panics, with
+/// `"seed <s> of <algorithm> at <bandwidth> panicked: <message>"`.
+pub fn run_abr_all(
+    ladder: &Ladder,
+    configs: &[AbrConfig],
+    seeds: &[u64],
+    workers: usize,
+) -> Vec<[f64; 4]> {
+    assert!(!seeds.is_empty(), "need at least one seed");
+    let k = seeds.len();
+    let runs = run_ordered(
+        configs.len() * k,
+        workers,
+        |j| {
+            let config = &configs[j / k];
+            let kbps = config.client_bandwidth_bytes_per_sec / 1e3;
+            format!(
+                "seed {} of {:?} at {kbps:.0} kB/s",
+                seeds[j % k],
+                config.algorithm
+            )
+        },
+        |j| {
+            let m = run_abr(ladder, &configs[j / k], seeds[j % k]);
+            [
+                m.mean_stalls(),
+                m.mean_stall_secs(),
+                m.mean_startup_secs(),
+                m.mean_bitrate_bps(),
+            ]
+        },
+    );
+    runs.chunks(k)
+        .map(|config_runs| {
+            let mut sums = [0.0; 4];
+            for run in config_runs {
+                for (sum, value) in sums.iter_mut().zip(run) {
+                    *sum += value;
+                }
+            }
+            sums.map(|sum| sum / k as f64)
+        })
         .collect()
 }
 

@@ -13,11 +13,11 @@
 
 use splicecast_media::{Ladder, PAPER_BITRATE_BPS};
 use splicecast_swarm::{
-    run_abr, AbrAlgorithm, AbrConfig, CdnConfig, ChurnConfig, CrossTrafficConfig, PolicyConfig,
+    AbrAlgorithm, AbrConfig, CdnConfig, ChurnConfig, CrossTrafficConfig, PolicyConfig,
 };
 
 use crate::config::ExperimentConfig;
-use crate::experiment::{run_all, run_ordered, AveragedMetrics};
+use crate::experiment::{run_abr_all, run_all, AveragedMetrics};
 use crate::formula::max_cdn_segment_secs;
 use crate::report::Table;
 use crate::runner::PreparedExperiment;
@@ -442,8 +442,8 @@ fn cdn_only(base: &ExperimentConfig, one_way_latency_secs: f64) -> ExperimentCon
 /// degraded quality on thin links; or pinned to the top rung, which stalls
 /// instead) beside the grid's duration-adaptive column, which holds full
 /// quality and pays in stall time only when the link cannot carry it.
-/// The arms run on the worker pool, one job per (bandwidth, arm, seed); each
-/// arm's sums fold in seed order, so no value depends on `workers`.
+/// The arms run on the worker pool ([`run_abr_all`]), one job per
+/// (bandwidth, arm, seed).
 fn abr_tables(
     dur_adapt: &GridResult,
     base: &ExperimentConfig,
@@ -470,41 +470,25 @@ fn abr_tables(
         table.precision(precision);
         table
     });
-    // Job `j` is (row, arm, seed), seeds innermost.
-    let (k, n_arms) = (seeds.len(), arms.len());
-    let job = |j: usize| (j / k / n_arms, arms[j / k % n_arms], seeds[j % k]);
-    let runs = run_ordered(
-        ABR_BANDWIDTHS.len() * n_arms * k,
-        workers,
-        |j| {
-            let (row, algorithm, seed) = job(j);
-            format!("seed {seed} of {algorithm:?} at {}", ABR_BANDWIDTHS[row].0)
-        },
-        |j| {
-            let (row, algorithm, seed) = job(j);
-            let config = AbrConfig {
+    // Rows outermost, arms within a row.
+    let configs: Vec<AbrConfig> = ABR_BANDWIDTHS
+        .iter()
+        .flat_map(|&(_, bandwidth)| {
+            arms.map(|algorithm| AbrConfig {
                 n_clients: base.swarm.n_leechers,
-                client_bandwidth_bytes_per_sec: ABR_BANDWIDTHS[row].1,
+                client_bandwidth_bytes_per_sec: bandwidth,
                 algorithm,
                 ..AbrConfig::default()
-            };
-            let m = run_abr(&ladder, &config, seed);
-            [m.mean_stalls(), m.mean_stall_secs(), m.mean_bitrate_bps()]
-        },
-    );
-    for (row, row_runs) in runs.chunks(n_arms * k).enumerate() {
+            })
+        })
+        .collect();
+    let means = run_abr_all(&ladder, &configs, seeds, workers);
+    for (row, row_means) in means.chunks(arms.len()).enumerate() {
         // Per series, one value for each table: stalls, stall seconds, Mbps.
-        let mut columns: Vec<[f64; 3]> = Vec::new();
-        for arm_runs in row_runs.chunks(k) {
-            let mut sums = [0.0; 3];
-            for run in arm_runs {
-                for (sum, value) in sums.iter_mut().zip(run) {
-                    *sum += value;
-                }
-            }
-            let [stalls, stall_secs, bps] = sums.map(|sum| sum / k as f64);
-            columns.push([stalls, stall_secs, bps / 1e6]);
-        }
+        let mut columns: Vec<[f64; 3]> = row_means
+            .iter()
+            .map(|&[stalls, stall_secs, _, bps]| [stalls, stall_secs, bps / 1e6])
+            .collect();
         let cell = dur_adapt.at(row, 0);
         let full_quality = PAPER_BITRATE_BPS as f64 / 1e6;
         columns.push([cell.stalls, cell.stall_secs, full_quality]);

@@ -58,7 +58,7 @@ fn rule(ok: bool, message: impl Into<String>) -> Result<(), String> {
 }
 
 pub use config::{ExperimentConfig, VideoSpec};
-pub use experiment::{run_all, run_averaged, AveragedMetrics, DEFAULT_SEEDS};
+pub use experiment::{run_abr_all, run_all, run_averaged, AveragedMetrics, DEFAULT_SEEDS};
 pub use figures::{Grid, GridResult};
 pub use formula::max_cdn_segment_secs;
 pub use report::Table;

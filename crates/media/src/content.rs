@@ -130,20 +130,6 @@ impl ContentProfile {
         }
     }
 
-    /// All-action content: uniformly short GOPs.
-    pub fn action() -> Self {
-        ContentProfile::Mixture {
-            classes: vec![SceneClass::new(1.0, 0.3, 1.5)],
-        }
-    }
-
-    /// Talking-head content: long, stable GOPs.
-    pub fn talking_head() -> Self {
-        ContentProfile::Mixture {
-            classes: vec![SceneClass::new(1.0, 5.0, 15.0)],
-        }
-    }
-
     /// Samples GOP durations until `total_secs` is covered. The last GOP is
     /// truncated so the durations sum to exactly `total_secs`.
     ///
@@ -256,11 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn presets_sample_within_their_ranges() {
-        for d in ContentProfile::action().sample_gop_durations(&mut rng(), 60.0) {
+    fn single_class_mixtures_sample_within_their_range() {
+        let single = |min_secs, max_secs| ContentProfile::Mixture {
+            classes: vec![SceneClass::new(1.0, min_secs, max_secs)],
+        };
+        for d in single(0.3, 1.5).sample_gop_durations(&mut rng(), 60.0) {
             assert!(d <= 1.5 + 1e-9);
         }
-        let talking = ContentProfile::talking_head().sample_gop_durations(&mut rng(), 60.0);
+        let talking = single(5.0, 15.0).sample_gop_durations(&mut rng(), 60.0);
         // GOPs never exceed the class maximum, and the bulk are full-size
         // (only scene/video truncation produces shorter ones).
         assert!(talking.iter().all(|&d| d <= 15.0 + 1e-9));

@@ -26,11 +26,13 @@ const B_FRAMES: usize = 2;
 /// Log-normal σ of per-frame size jitter.
 const SIZE_JITTER_SIGMA: f64 = 0.15;
 
-/// Tunables of the synthetic encoder: frame rate and target bitrate. The
-/// I:P:B weights 12:3:1, two B-frames per reference and a log-normal size
-/// jitter of σ = 0.15 are constants.
+/// Tunables of the synthetic encoder: frame rate and target bitrate. Only
+/// the bitrate is settable from outside the crate
+/// ([`VideoBuilder::bitrate_bps`](crate::VideoBuilder::bitrate_bps)); the
+/// frame rate is 30 fps. The I:P:B weights 12:3:1, two B-frames per
+/// reference and a log-normal size jitter of σ = 0.15 are constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EncoderConfig {
+pub(crate) struct EncoderConfig {
     /// Frames per second. Must divide 90 000 for exact timestamps.
     pub fps: u32,
     /// Target bitrate in bits per second (constant-bitrate scaling).
@@ -98,7 +100,7 @@ fn weight(kind: FrameType) -> f64 {
 /// # Panics
 ///
 /// Panics if `gop_durations` is empty or the config is invalid.
-pub fn encode(
+pub(crate) fn encode(
     cfg: &EncoderConfig,
     gop_durations: &[f64],
     rng: &mut StdRng,

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors surfaced by video construction, validation, and manifest parsing.
+/// Errors surfaced by video construction and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MediaError {
@@ -34,8 +34,6 @@ pub enum MediaError {
         /// Index of the offending segment.
         segment: usize,
     },
-    /// A manifest could not be parsed.
-    ParseManifest(String),
 }
 
 impl fmt::Display for MediaError {
@@ -60,7 +58,6 @@ impl fmt::Display for MediaError {
             MediaError::SegmentBytes { segment } => {
                 write!(f, "segment {segment} byte count disagrees with its frames")
             }
-            MediaError::ParseManifest(msg) => write!(f, "invalid manifest: {msg}"),
         }
     }
 }
@@ -80,10 +77,6 @@ mod tests {
         assert_eq!(
             MediaError::GopMissingIFrame { gop: 3 }.to_string(),
             "gop 3 does not begin with an I-frame"
-        );
-        assert_eq!(
-            MediaError::ParseManifest("bad header".into()).to_string(),
-            "invalid manifest: bad header"
         );
     }
 

@@ -10,12 +10,13 @@
 //! - [`Frame`]s with type-dependent sizes (I ≫ P > B) on a 90 kHz clock;
 //! - closed GOPs whose durations follow a [`ContentProfile`] (scene
 //!   changes → short GOPs, static scenes → very long GOPs);
-//! - a constant-bitrate synthetic encoder ([`EncoderConfig`]) assembled by
-//!   [`Video::builder`];
+//! - a constant-bitrate synthetic encoder at 30 fps, driven by
+//!   [`Video::builder`], whose one tunable is the bitrate;
 //! - the paper's splicing strategies: [`GopSplicer`] (§II-A, zero overhead,
 //!   wild size variance) and [`DurationSplicer`] (§II-B, equal durations,
 //!   I-frame conversion overhead), plus a PPLive-style [`ByteSplicer`];
-//! - an HLS-style [`Manifest`] for shipping the segment index to peers.
+//! - the HLS-style playlist text ([`SegmentList::to_m3u8`]) the seeder
+//!   serves to joining peers.
 //!
 //! ## Example
 //!
@@ -42,18 +43,16 @@ mod error;
 mod frame;
 mod gop;
 mod ladder;
-mod manifest;
 mod segment;
 mod splicer;
 mod video;
 
 pub use content::{ContentProfile, SceneClass};
-pub use encoder::{encode, EncoderConfig, PAPER_BITRATE_BPS};
+pub use encoder::PAPER_BITRATE_BPS;
 pub use error::MediaError;
 pub use frame::{Frame, FrameType, MediaTicks, TICKS_PER_SEC};
 pub use gop::GopView;
 pub use ladder::{Ladder, LadderBuilder, Rendition};
-pub use manifest::{Manifest, ManifestEntry};
 pub use segment::{Segment, SegmentList};
 pub use splicer::{ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, Splicer};
 pub use video::{Video, VideoBuilder, PAPER_CONTENT_SEED};

@@ -172,6 +172,27 @@ impl SegmentList {
         }
         Ok(())
     }
+
+    /// The playlist the seeder serves joining peers, as `m3u8` text (like
+    /// the `.m3u8` an HLS origin serves): every segment's duration and
+    /// transfer size, the size in a `#EXT-X-SPLICECAST-BYTES` application
+    /// tag, each segment named `{name}-{index:05}.m4s`.
+    pub fn to_m3u8(&self, name: &str) -> String {
+        let target = self
+            .segments
+            .iter()
+            .map(|s| s.duration.as_secs_f64().ceil() as u64)
+            .max()
+            .unwrap_or(0);
+        let mut out = format!("#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-TARGETDURATION:{target}\n");
+        for seg in &self.segments {
+            let (bytes, secs, index) = (seg.bytes, seg.duration.as_secs_f64(), seg.index);
+            out += &format!(
+                "#EXT-X-SPLICECAST-BYTES:{bytes}\n#EXTINF:{secs:.6},\n{name}-{index:05}.m4s\n"
+            );
+        }
+        out + "#EXT-X-ENDLIST\n"
+    }
 }
 
 impl Index<usize> for SegmentList {
@@ -221,6 +242,30 @@ mod tests {
             assert_eq!(list.segment_at(seg.start_pts).unwrap().index, seg.index);
         }
         assert!(list.segment_at(v.duration()).is_none());
+    }
+
+    #[test]
+    fn m3u8_lists_every_segment() {
+        let list = crate::splicer::DurationSplicer::new(4.0).splice(&video());
+        let text = list.to_m3u8("clip");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4 + 3 * list.len());
+        assert_eq!(
+            lines[..3],
+            ["#EXTM3U", "#EXT-X-VERSION:3", "#EXT-X-TARGETDURATION:4"]
+        );
+        let first = format!("#EXT-X-SPLICECAST-BYTES:{}", list[0].bytes);
+        assert_eq!(lines[3..6], [&first, "#EXTINF:4.000000,", "clip-00000.m4s"]);
+        assert_eq!(lines.last(), Some(&"#EXT-X-ENDLIST"));
+    }
+
+    #[test]
+    fn empty_list_renders_an_empty_playlist() {
+        let empty = SegmentList::new(Vec::new()).to_m3u8("clip");
+        assert_eq!(
+            empty,
+            "#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-TARGETDURATION:0\n#EXT-X-ENDLIST\n"
+        );
     }
 
     #[test]

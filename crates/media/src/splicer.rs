@@ -96,11 +96,6 @@ impl DurationSplicer {
         assert_whole_tick(target_secs);
         DurationSplicer { target_secs }
     }
-
-    /// The target segment duration in seconds.
-    pub fn target_secs(&self) -> f64 {
-        self.target_secs
-    }
 }
 
 impl Splicer for DurationSplicer {
@@ -146,11 +141,6 @@ impl ByteSplicer {
     pub fn new(target_bytes: u64) -> Self {
         assert!(target_bytes > 0, "segment size must be positive");
         ByteSplicer { target_bytes }
-    }
-
-    /// The target segment size in bytes.
-    pub fn target_bytes(&self) -> u64 {
-        self.target_bytes
     }
 }
 
@@ -226,16 +216,6 @@ impl RampSplicer {
             max_secs,
             growth,
         }
-    }
-
-    /// The first segment's target duration.
-    pub fn initial_secs(&self) -> f64 {
-        self.initial_secs
-    }
-
-    /// The steady-state target duration.
-    pub fn max_secs(&self) -> f64 {
-        self.max_secs
     }
 }
 

@@ -204,21 +204,9 @@ impl VideoBuilder {
         self
     }
 
-    /// Sets the full encoder configuration.
-    pub fn encoder(&mut self, encoder: EncoderConfig) -> &mut Self {
-        self.encoder = encoder;
-        self
-    }
-
     /// Sets the target bitrate in bits per second.
     pub fn bitrate_bps(&mut self, bps: u64) -> &mut Self {
         self.encoder.bitrate_bps = bps;
-        self
-    }
-
-    /// Sets the frame rate.
-    pub fn fps(&mut self, fps: u32) -> &mut Self {
-        self.encoder.fps = fps;
         self
     }
 
@@ -232,8 +220,8 @@ impl VideoBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (non-positive duration or
-    /// bitrate, fps that does not divide 90 000, ...).
+    /// Panics if the configuration is invalid (a non-positive duration or
+    /// bitrate).
     pub fn build(&self) -> Video {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let durations = self

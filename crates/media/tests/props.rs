@@ -9,8 +9,13 @@ fn arbitrary_profile() -> impl Strategy<Value = ContentProfile> {
     prop_oneof![
         (0.2f64..10.0).prop_map(|gop_secs| ContentProfile::Uniform { gop_secs }),
         Just(ContentProfile::paper_default()),
-        Just(ContentProfile::action()),
-        Just(ContentProfile::talking_head()),
+        // All action (short GOPs) and a talking head (long, stable ones).
+        Just(ContentProfile::Mixture {
+            classes: vec![SceneClass::new(1.0, 0.3, 1.5)],
+        }),
+        Just(ContentProfile::Mixture {
+            classes: vec![SceneClass::new(1.0, 5.0, 15.0)],
+        }),
         ((0.1f64..0.9), (0.2f64..2.0), (2.0f64..20.0)).prop_map(|(p, short, long)| {
             ContentProfile::Mixture {
                 classes: vec![
@@ -115,24 +120,6 @@ proptest! {
         // Every segment except the last reaches the target.
         for seg in &list.segments()[..list.len() - 1] {
             prop_assert!(seg.media_bytes() >= target.min(video.total_bytes()));
-        }
-    }
-
-    #[test]
-    fn manifests_round_trip(secs in 2.0f64..30.0, seed in any::<u64>(), d in 0.5f64..8.0) {
-        let video = Video::builder().duration_secs(secs).seed(seed).build();
-        for list in [GopSplicer.splice(&video), DurationSplicer::new(d).splice(&video)] {
-            let manifest = Manifest::from_segments("v", &list);
-            let parsed = Manifest::parse_m3u8(&manifest.to_m3u8()).unwrap();
-            prop_assert_eq!(parsed.version, manifest.version);
-            prop_assert_eq!(parsed.target_duration_secs, manifest.target_duration_secs);
-            prop_assert_eq!(parsed.len(), manifest.len());
-            for (a, b) in parsed.entries.iter().zip(&manifest.entries) {
-                prop_assert_eq!(&a.uri, &b.uri);
-                prop_assert_eq!(a.bytes, b.bytes);
-                // EXTINF carries 6 decimals, so durations round-trip to µs.
-                prop_assert!((a.duration_secs - b.duration_secs).abs() < 1e-6);
-            }
         }
     }
 }

@@ -11,9 +11,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::time::SimDuration;
 
-/// Injected control-message fault knobs, applied only to messages sent via
-/// [`crate::Ctx::send_faulty`] (applications choose which traffic classes are
-/// droppable; e.g. handshakes and goodbyes stay reliable).
+/// Injected control-message fault knobs, applied only to messages sent by a
+/// faulty [`crate::Ctx::multicast`] (applications choose which traffic
+/// classes are droppable; e.g. handshakes and goodbyes stay reliable).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageFaults {
     /// Seed of the fault plane's dedicated RNG stream.

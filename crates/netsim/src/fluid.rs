@@ -3,7 +3,7 @@
 //! Instead of stepping every flow once per RTT ([`crate::tcp`]'s round
 //! model), the fluid model treats each active flow as a constant-rate pipe
 //! and recomputes rates only when the flow set changes (start, completion,
-//! cancellation, churn, capacity change). Rates are the max–min fair
+//! failure, churn, capacity change). Rates are the max–min fair
 //! allocation over the directed links of the network under a per-flow rate
 //! ceiling that folds loss and window limits in (Mathis-style), solved
 //! twice: pass 1 shapes loss as if every link were saturated, pass 2
@@ -253,7 +253,7 @@ impl FluidSolver {
         self.touch(path);
     }
 
-    /// A flow left the table (done, failed, cancelled, endpoint offline).
+    /// A flow left the table (done, failed, endpoint offline).
     /// Handles flows that never joined (still handshaking) too: their
     /// departure changes the load all the same.
     pub fn remove_flow(&mut self, id: FlowId, path: &[DirLinkId]) {

@@ -42,8 +42,8 @@ pub enum NodeEvent {
         /// Application tag supplied when the transfer was started.
         tag: u64,
     },
-    /// A bulk transfer involving this node failed (peer went offline or the
-    /// transfer was cancelled).
+    /// A bulk transfer involving this node failed (an endpoint went
+    /// offline).
     TransferFailed {
         /// The failed flow.
         flow: FlowId,

@@ -68,25 +68,6 @@ fn binomial_inversion<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     k
 }
 
-/// Draws from an exponential distribution with the given rate (events per
-/// unit). Returns `f64::INFINITY` when `rate <= 0`.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let dt = splicecast_netsim::rng::exponential(&mut rng, 2.0);
-/// assert!(dt >= 0.0);
-/// ```
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    if rate <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate
-}
-
 /// Draws a standard normal variate via the Box–Muller transform.
 fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -139,20 +120,5 @@ mod tests {
             let k = binomial(&mut r, 1_000, 0.999);
             assert!(k <= 1_000);
         }
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut r = rng();
-        let trials = 20_000;
-        let total: f64 = (0..trials).map(|_| exponential(&mut r, 4.0)).sum();
-        let mean = total / trials as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_zero_rate_is_infinite() {
-        let mut r = rng();
-        assert!(exponential(&mut r, 0.0).is_infinite());
     }
 }

@@ -52,8 +52,8 @@ pub struct SimStats {
     pub flows_started: u64,
     /// Bulk transfers whose receiver got all bytes.
     pub flows_completed: u64,
-    /// Bulk transfers that failed or were cancelled, or whose receiver
-    /// left before their last data arrived.
+    /// Bulk transfers that failed: an endpoint went offline mid-flow, or
+    /// the receiver left before the last data arrived.
     pub flows_failed: u64,
     /// Payload bytes delivered to receivers (completed flows only).
     pub payload_bytes_delivered: u64,
@@ -83,8 +83,8 @@ pub(crate) struct World {
     /// keeps between rebalances. Its pass-2 link rates double as the
     /// utilization source for [`Ctx::path_utilization`].
     fluid: FluidSolver,
-    /// Injected message-fault plane, if any; `None` means `send_faulty`
-    /// degenerates to `send` with no extra RNG draws.
+    /// Injected message-fault plane, if any; `None` means a faulty
+    /// multicast is delivered exactly as `send` would, with no extra draw.
     faults: Option<FaultPlane>,
     /// Counters of injected faults (drops, delays, outage windows).
     fault_stats: InjectedFaults,
@@ -235,7 +235,7 @@ impl World {
             return;
         }
         let id = FlowId(raw);
-        // A stale round event for a flow that was cancelled or failed.
+        // A stale round event for a flow that failed.
         let Some(flow) = self.flows.get(id) else {
             return;
         };
@@ -332,7 +332,7 @@ impl World {
     fn fluid_activate(&mut self, raw: u64) {
         let id = FlowId(raw);
         let now = self.now;
-        // The flow may have been cancelled before the handshake completed.
+        // The flow may have failed before the handshake completed.
         let Some(f) = self.flows.get_mut(id) else {
             return;
         };
@@ -532,39 +532,37 @@ impl Ctx<'_> {
     /// (models a connection reset) and [`NetError::UnknownNode`] for an
     /// out-of-range id.
     pub fn send(&mut self, to: NodeId, payload: Bytes) -> Result<(), NetError> {
-        self.send_one(to, payload, false)
-    }
-
-    /// Like [`Ctx::send`], but subject to the injected message-fault plane
-    /// (see [`Simulator::set_message_faults`]): the message may be silently
-    /// dropped (the sender still sees `Ok`, modelling loss the application
-    /// cannot observe) or delivered with extra delay. The plane rolls on
-    /// its own stream, never the simulator's. With no plane installed this
-    /// is exactly `send`: same code path, same delay, no draw.
-    ///
-    /// Applications route their *droppable* traffic classes (periodic
-    /// announcements a later one supersedes) through here and keep the
-    /// rest (handshakes, requests, goodbyes) on `send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ctx::send`]; destination validation happens before the
-    /// fault roll, so an offline destination is still reported.
-    pub fn send_faulty(&mut self, to: NodeId, payload: Bytes) -> Result<(), NetError> {
-        self.send_one(to, payload, true)
+        if let Some(at) = self.book_message(to, payload.len(), false, &mut None)? {
+            let from = self.me;
+            let event = NodeEvent::Message { from, payload };
+            self.world
+                .queue
+                .push(at, Scheduled::Node { target: to, event });
+        }
+        Ok(())
     }
 
     /// Sends `payload` to each of `targets` in order, exactly as one
-    /// [`Ctx::send`] per target would (or [`Ctx::send_faulty`] when
-    /// `faulty`): the same checks, fault rolls, delays, per-pair FIFO order
-    /// and counters, so a run is bit-identical either way. It is cheaper:
-    /// the path delay is computed once per distinct receiver-link spec,
-    /// and receivers that share a delivery instant share one queue entry.
+    /// [`Ctx::send`] per target would: the same checks, delays, per-pair
+    /// FIFO order and counters, so a run is bit-identical either way. It
+    /// is cheaper: the path delay is computed once per distinct
+    /// receiver-link spec, and receivers that share a delivery instant
+    /// share one queue entry.
+    ///
+    /// When `faulty`, each message is subject to the injected message-fault
+    /// plane (see [`Simulator::set_message_faults`]): it may be silently
+    /// dropped (modelling loss the application cannot observe) or delivered
+    /// with extra delay. The plane rolls on its own stream, never the
+    /// simulator's, and only after the destination checks, so an offline
+    /// destination is still reported. With no plane installed a faulty
+    /// multicast is exactly a plain one: same delay, no draw. Applications
+    /// send their *droppable* traffic classes (periodic announcements a
+    /// later one supersedes) this way and keep the rest (handshakes,
+    /// requests, goodbyes) reliable.
     ///
     /// Appends each target whose send would have returned an error to
     /// `failed`, in order, and returns how many sends succeeded (a message
-    /// the fault plane dropped counts, as `send_faulty` returns `Ok` for
-    /// it).
+    /// the fault plane dropped counts: its sender cannot tell).
     pub fn multicast(
         &mut self,
         targets: &[NodeId],
@@ -604,18 +602,6 @@ impl Ctx<'_> {
         }
         self.world.scratch_run = run;
         sent
-    }
-
-    /// [`Ctx::send`] and [`Ctx::send_faulty`]: a multicast of one.
-    fn send_one(&mut self, to: NodeId, payload: Bytes, faulty: bool) -> Result<(), NetError> {
-        if let Some(at) = self.book_message(to, payload.len(), faulty, &mut None)? {
-            let from = self.me;
-            let event = NodeEvent::Message { from, payload };
-            self.world
-                .queue
-                .push(at, Scheduled::Node { target: to, event });
-        }
-        Ok(())
     }
 
     /// The one per-receiver path of every control message: books a
@@ -784,17 +770,6 @@ impl Ctx<'_> {
         Ok(id)
     }
 
-    /// Cancels an in-flight transfer. The *other* endpoint is notified with
-    /// [`NodeEvent::TransferFailed`]; the caller is not. Cancelling an
-    /// already-finished flow is a no-op.
-    pub fn cancel_transfer(&mut self, flow: FlowId) {
-        let Some(f) = self.world.flows.get(flow) else {
-            return;
-        };
-        let counterpart = if f.src == self.me { f.dst } else { f.src };
-        self.world.fail_flow(flow, &[counterpart]);
-    }
-
     /// Arranges for [`NodeEvent::Timer`] with `token` to be delivered to this
     /// node after `after`.
     pub fn set_timer(&mut self, after: SimDuration, token: u64) {
@@ -930,7 +905,7 @@ impl Simulator {
             .push(at, Scheduled::Capacity { dir, capacity_bps });
     }
 
-    /// Installs the injected message-fault plane (see [`Ctx::send_faulty`]).
+    /// Installs the injected message-fault plane (see [`Ctx::multicast`]).
     /// A config with every knob at zero installs nothing, so zero-fault runs
     /// stay bit-identical to fault-free ones. Must be called before `run`.
     pub fn set_message_faults(&mut self, cfg: MessageFaults) {
@@ -1337,7 +1312,13 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 for i in 0..PER_PAIR {
                     for &to in &self.peers {
-                        ctx.send_faulty(to, Bytes::copy_from_slice(&[i])).unwrap();
+                        let sent = ctx.multicast(
+                            &[to],
+                            &Bytes::copy_from_slice(&[i]),
+                            true,
+                            &mut Vec::new(),
+                        );
+                        assert_eq!(sent, 1);
                     }
                 }
             }
@@ -1815,61 +1796,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fluid_cancel_invalidates_scheduled_completion() {
-        // Cancel a fluid transfer before its FlowDone fires: the stale
-        // event must be ignored and the receiver must see a failure, not a
-        // completion.
-        struct CancellingSender {
-            to: NodeId,
-        }
-        impl NodeBehavior for CancellingSender {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let flow = ctx.start_transfer(self.to, 1_000_000, 0).unwrap();
-                ctx.set_timer(SimDuration::from_secs(2), flow.raw());
-            }
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-                if let NodeEvent::Timer { token } = event {
-                    ctx.cancel_transfer(FlowId(token));
-                }
-            }
-        }
-        #[derive(Default)]
-        struct FailWatcher {
-            failed: Rc<RefCell<bool>>,
-            completed: Rc<RefCell<bool>>,
-        }
-        impl NodeBehavior for FailWatcher {
-            fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: NodeEvent) {
-                match event {
-                    NodeEvent::TransferFailed { .. } => *self.failed.borrow_mut() = true,
-                    NodeEvent::TransferComplete { .. } => *self.completed.borrow_mut() = true,
-                    _ => {}
-                }
-            }
-        }
-        let s = two_leaf_star(0.0);
-        let failed = Rc::new(RefCell::new(false));
-        let completed = Rc::new(RefCell::new(false));
-        let mut sim = Simulator::new(s.network, 1);
-        sim.set_tcp_config(fluid_tcp());
-        sim.add_node(Box::new(crate::node::NullBehavior));
-        sim.add_node(Box::new(CancellingSender { to: s.leaves[1] }));
-        sim.add_node(Box::new(FailWatcher {
-            failed: failed.clone(),
-            completed: completed.clone(),
-        }));
-        sim.run_until_idle(SimTime::from_secs_f64(60.0));
-        assert!(*failed.borrow(), "receiver should see the failure");
-        assert!(!*completed.borrow(), "stale FlowDone must not complete");
-        assert_eq!(sim.active_flow_count(), 0);
-        // Partial progress still hit the wire.
-        let stats = sim.stats();
-        assert_eq!(stats.flows_failed, 1);
-        assert!(stats.wire_bytes_sent > 0, "{stats:?}");
-        assert!(stats.wire_bytes_sent < 1_000_000, "{stats:?}");
-    }
-
     /// The three things a popped `FlowDone` can be, on one 2 MB flow whose
     /// second hop is throttled and restored twice: live but early (the
     /// rate dropped since it was pushed) — re-armed once, at `done_at`;
@@ -2066,7 +1992,8 @@ mod tests {
         );
     }
 
-    /// Sends one tagged message per timer tick (1 Hz), recording send errors.
+    /// Sends one tagged message per timer tick (1 Hz), recording send errors:
+    /// by `send`, or when `faulty` by a one-target faulty multicast.
     struct Ticker {
         to: NodeId,
         faulty: bool,
@@ -2079,12 +2006,13 @@ mod tests {
         }
         fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
             if let NodeEvent::Timer { .. } = event {
-                let result = if self.faulty {
-                    ctx.send_faulty(self.to, Bytes::from_static(b"tick"))
+                let tick = Bytes::from_static(b"tick");
+                let sent = if self.faulty {
+                    ctx.multicast(&[self.to], &tick, true, &mut Vec::new()) == 1
                 } else {
-                    ctx.send(self.to, Bytes::from_static(b"tick"))
+                    ctx.send(self.to, tick).is_ok()
                 };
-                if result.is_err() {
+                if !sent {
                     self.errors.borrow_mut().push(ctx.now().as_secs_f64());
                 }
                 self.ticks -= 1;

@@ -18,13 +18,11 @@ fn fluid() -> TcpConfig {
     }
 }
 
-/// On every tick: starts a transfer to a random leaf, cancels one of its
-/// own, or (rarely) leaves for good. Adds the bytes of every transfer it
-/// receives to `received`.
+/// On every tick: starts a transfer to a random leaf or (rarely) leaves for
+/// good. Adds the bytes of every transfer it receives to `received`.
 struct Chaos {
     leaves: Vec<NodeId>,
     ticks: u32,
-    mine: Vec<FlowId>,
     received: Rc<Cell<u64>>,
 }
 
@@ -42,13 +40,7 @@ impl NodeBehavior for Chaos {
                         let to = self.leaves[ctx.rng().gen_range(0..self.leaves.len())];
                         let bytes = ctx.rng().gen_range(20_000..400_000u64);
                         // Fails when `to` is this node or has left.
-                        if let Ok(flow) = ctx.start_transfer(to, bytes, 0) {
-                            self.mine.push(flow);
-                        }
-                    }
-                    60..=84 if !self.mine.is_empty() => {
-                        let at = ctx.rng().gen_range(0..self.mine.len());
-                        ctx.cancel_transfer(self.mine.swap_remove(at));
+                        let _ = ctx.start_transfer(to, bytes, 0);
                     }
                     85..=86 => return ctx.go_offline(),
                     _ => {}
@@ -61,9 +53,6 @@ impl NodeBehavior for Chaos {
             }
             NodeEvent::TransferComplete { bytes, .. } => {
                 self.received.set(self.received.get() + bytes);
-            }
-            NodeEvent::UploadComplete { flow, .. } | NodeEvent::TransferFailed { flow, .. } => {
-                self.mine.retain(|&f| f != flow);
             }
             _ => {}
         }
@@ -105,7 +94,6 @@ proptest! {
             sim.add_node(Box::new(Chaos {
                 leaves: s.leaves.clone(),
                 ticks: 60,
-                mine: Vec::new(),
                 received: received.clone(),
             }));
         }

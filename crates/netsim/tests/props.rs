@@ -258,14 +258,15 @@ mod oracle {
                     } else {
                         let mut sent = 0;
                         for &to in targets {
-                            let result = if *faulty {
-                                ctx.send_faulty(to, payload.clone())
+                            let ok = if *faulty {
+                                ctx.multicast(&[to], &payload, true, &mut Vec::new()) == 1
                             } else {
-                                ctx.send(to, payload.clone())
+                                ctx.send(to, payload.clone()).is_ok()
                             };
-                            match result {
-                                Ok(()) => sent += 1,
-                                Err(_) => failed.push(to),
+                            if ok {
+                                sent += 1;
+                            } else {
+                                failed.push(to);
                             }
                         }
                         sent
@@ -419,7 +420,8 @@ fn run_oracle(case: &OracleCase<'_>, lent: bool) -> OracleRun {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 4_096 }))]
 
-    /// `Ctx::multicast` is exactly one `send` / `send_faulty` per target:
+    /// `Ctx::multicast` is exactly one `send` per target (a faulty one,
+    /// one faulty multicast of one per target):
     /// every node receives the same messages at the same instants, in the
     /// same order across nodes too, the counters and fault counters agree, and `failed` holds exactly the
     /// targets whose send returned an error. The targets repeat and

@@ -209,32 +209,8 @@ impl Bitfield {
             })
     }
 
-    /// Indices set in `self` but not in `other` — what we could offer them.
-    ///
-    /// Diffs byte-at-a-time (`self & !other`), so runs where the two fields
-    /// agree cost one comparison per byte, not one per bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn missing_from(&self, other: &Bitfield) -> Vec<u32> {
-        assert_eq!(self.len, other.len, "bitfield lengths differ");
-        let mut out = Vec::new();
-        for (byte, (&s, &o)) in self.bytes().iter().zip(other.bytes()).enumerate() {
-            let diff = s & !o;
-            if diff != 0 {
-                out.extend(SetBits {
-                    byte: byte as u32,
-                    bits: diff,
-                });
-            }
-        }
-        out
-    }
-
-    /// True when any bit set in `self` is clear in `other` — the boolean
-    /// form of [`Bitfield::missing_from`], O(bytes) with early exit and no
-    /// allocation.
+    /// True when any bit set in `self` is clear in `other`: something
+    /// `self` could offer. O(bytes) with early exit and no allocation.
     ///
     /// No program path calls it; it stays because the benchmark times it
     /// (`protocol.bitfield.has_any_not_in_ns`), and goes with that metric.
@@ -324,16 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_from_diffs() {
-        let mut seeder = Bitfield::full(5);
-        seeder.clear(4);
-        let mut leecher = Bitfield::new(5);
-        leecher.set(0);
-        assert_eq!(seeder.missing_from(&leecher), vec![1, 2, 3]);
-        assert_eq!(leecher.missing_from(&seeder), Vec::<u32>::new());
-    }
-
-    #[test]
     fn empty_bitfield() {
         let bf = Bitfield::new(0);
         assert!(bf.is_empty());
@@ -347,12 +313,6 @@ mod tests {
     fn out_of_range_get_panics() {
         let bf = Bitfield::new(4);
         let _ = bf.get(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "lengths differ")]
-    fn mismatched_diff_panics() {
-        let _ = Bitfield::new(4).missing_from(&Bitfield::new(5));
     }
 
     #[test]
@@ -393,9 +353,8 @@ mod tests {
                 let naive_set: Vec<u32> = (0..len).filter(|&i| a.get(i)).collect();
                 assert_eq!(a.iter_set().collect::<Vec<_>>(), naive_set);
 
-                let naive_missing: Vec<u32> = (0..len).filter(|&i| a.get(i) && !b.get(i)).collect();
-                assert_eq!(a.missing_from(&b), naive_missing);
-                assert_eq!(a.has_any_not_in(&b), !naive_missing.is_empty());
+                let naive_any = (0..len).any(|i| a.get(i) && !b.get(i));
+                assert_eq!(a.has_any_not_in(&b), naive_any);
 
                 let naive_complete = (0..len).all(|i| a.get(i));
                 assert_eq!(a.is_complete(), naive_complete);
@@ -426,13 +385,8 @@ mod tests {
         }
         assert_eq!(bf.as_bytes(), wire);
         assert_eq!(bf.heap_bytes(), if len <= 64 { 0 } else { wire.len() });
-        let missing: Vec<u32> = set
-            .iter()
-            .copied()
-            .filter(|&i| !other_model[i as usize])
-            .collect();
-        assert_eq!(bf.missing_from(other), missing);
-        assert_eq!(bf.has_any_not_in(other), !missing.is_empty());
+        let any_missing = set.iter().any(|&i| !other_model[i as usize]);
+        assert_eq!(bf.has_any_not_in(other), any_missing);
         // The wire form round-trips to an equal field that hashes alike.
         let back = Bitfield::from_wire(len, wire).unwrap();
         assert_eq!(&back, bf);

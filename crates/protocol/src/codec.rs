@@ -372,7 +372,7 @@ mod tests {
     fn encode_decode_round_trips_every_message() {
         for msg in all_messages() {
             let wire = encode_to_bytes(&msg);
-            let back = decode_single(&wire).unwrap_or_else(|e| panic!("{}: {e}", msg.name()));
+            let back = decode_single(&wire).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
             assert_eq!(back, msg);
         }
     }
@@ -396,7 +396,7 @@ mod tests {
         assert_eq!(decode_single(&frame).unwrap_err(), UNTYPED_FRAME);
         assert!(have_bundle_indices(&frame).is_none());
         for message in all_messages() {
-            assert!(encode_to_bytes(&message).len() > 4, "{}", message.name());
+            assert!(encode_to_bytes(&message).len() > 4, "{message:?}");
         }
     }
 
@@ -433,7 +433,7 @@ mod tests {
         for message in all_messages() {
             let wire = encode_to_bytes(&message);
             for kind in [0, 1, 2] {
-                assert_ne!(wire.get(4), Some(&kind), "{}", message.name());
+                assert_ne!(wire.get(4), Some(&kind), "{message:?}");
             }
         }
     }
@@ -463,7 +463,7 @@ mod tests {
         }
         for message in all_messages() {
             let wire = encode_to_bytes(&message);
-            assert_ne!(wire.get(4), Some(&12), "{}", message.name());
+            assert_ne!(wire.get(4), Some(&12), "{message:?}");
         }
     }
 
@@ -471,7 +471,7 @@ mod tests {
     fn no_encoder_emits_wire_type_16() {
         for message in all_messages() {
             let wire = encode_to_bytes(&message);
-            assert_ne!(wire.get(4), Some(&16), "{}", message.name());
+            assert_ne!(wire.get(4), Some(&16), "{message:?}");
         }
     }
 

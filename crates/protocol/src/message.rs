@@ -97,25 +97,6 @@ impl Message {
             Message::Handshake { .. } => 20,
         }
     }
-
-    /// A short name for logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Message::Handshake { .. } => "handshake",
-            Message::NotInterested => "not-interested",
-            Message::Have { .. } => "have",
-            Message::HaveBundle { .. } => "have-bundle",
-            Message::Bitfield(_) => "bitfield",
-            Message::Request { .. } => "request",
-            Message::Cancel { .. } => "cancel",
-            Message::SegmentHeader { .. } => "segment-header",
-            Message::ManifestRequest => "manifest-request",
-            Message::ManifestData { .. } => "manifest-data",
-            Message::Goodbye => "goodbye",
-            Message::PeerListRequest => "peer-list-request",
-            Message::PeerList { .. } => "peer-list",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,12 +129,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for m in &msgs {
             let t = m.wire_type();
-            assert!(seen.insert(t), "duplicate wire type {t} for {}", m.name());
+            assert!(seen.insert(t), "duplicate wire type {t} for {m:?}");
         }
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Message::Request { index: 3 }.name(), "request");
     }
 }

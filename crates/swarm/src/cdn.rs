@@ -1,7 +1,7 @@
 //! Hybrid-CDN support (§IV): an origin with a fat pipe that serves
 //! segments one at a time per peer.
 
-use crate::{link_rate, must, rule, MAX_KNOB_SECS};
+use crate::{link_rate, rule, MAX_KNOB_SECS};
 
 /// Configuration of the CDN node added to the star in hybrid mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,15 +47,6 @@ impl CdnConfig {
         )?;
         rule(self.upload_slots > 0, "cdn upload slots must be positive")
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`Self::check`]'s message when it fails.
-    pub fn validate(&self) {
-        must(self.check());
-    }
 }
 
 /// §IV: the largest segment a CDN-served peer can afford.
@@ -89,7 +80,7 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        CdnConfig::default().validate();
+        assert_eq!(CdnConfig::default().check(), Ok(()));
     }
 
     #[test]
@@ -103,9 +94,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_panics() {
-        CdnConfig {
-            bandwidth_bytes_per_sec: 0.0,
-            ..CdnConfig::default()
+        crate::SwarmConfig {
+            cdn: Some(CdnConfig {
+                bandwidth_bytes_per_sec: 0.0,
+                ..CdnConfig::default()
+            }),
+            ..crate::SwarmConfig::default()
         }
         .validate();
     }

@@ -42,15 +42,6 @@ impl CrossTrafficConfig {
             "cross traffic needs at least one flow per peer",
         )
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`Self::check`]'s message when it fails.
-    pub fn validate(&self) {
-        must(self.check());
-    }
 }
 
 const TOKEN_STOP: u64 = 1;
@@ -66,7 +57,7 @@ pub struct CrossTrafficNode {
 impl CrossTrafficNode {
     /// Creates a server that loads every node in `targets`.
     pub fn new(targets: Vec<NodeId>, config: CrossTrafficConfig) -> Self {
-        config.validate();
+        must(config.check());
         CrossTrafficNode {
             targets,
             config,
@@ -103,12 +94,12 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        CrossTrafficConfig::default().validate();
+        assert_eq!(CrossTrafficConfig::default().check(), Ok(()));
     }
 
     #[test]
     #[should_panic(expected = "at least one flow")]
     fn zero_flows_panics() {
-        CrossTrafficConfig { flows_per_peer: 0 }.validate();
+        CrossTrafficNode::new(Vec::new(), CrossTrafficConfig { flows_per_peer: 0 });
     }
 }

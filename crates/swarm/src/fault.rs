@@ -106,15 +106,6 @@ impl LinkFlapConfig {
         positive_secs("flap window", self.window_secs)
     }
 
-    /// Validates the knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`Self::check`]'s message when it fails.
-    pub fn validate(&self) {
-        must(self.check());
-    }
-
     /// Samples `(leecher index, start_secs)` for each scheduled flap.
     pub fn sample_flaps(&self, n_leechers: usize, rng: &mut StdRng) -> Vec<(usize, f64)> {
         (0..self.count)
@@ -146,15 +137,6 @@ impl CdnOutageConfig {
         window_count("outage", self.count)?;
         positive_secs("outage duration", self.duration_secs)?;
         positive_secs("outage window", self.window_secs)
-    }
-
-    /// Validates the knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`Self::check`]'s message when it fails.
-    pub fn validate(&self) {
-        must(self.check());
     }
 
     /// Samples the start time of each scheduled outage.
@@ -224,15 +206,6 @@ impl FaultPlanConfig {
         }
         Ok(())
     }
-
-    /// Validates the plan against the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`Self::check`]'s message when it fails.
-    pub fn validate(&self, has_cdn: bool) {
-        must(self.check(has_cdn));
-    }
 }
 
 /// First backoff-ban window after a source failure, seconds; doubles per
@@ -279,7 +252,7 @@ mod tests {
             duration_secs: 5.0,
             window_secs: 100.0,
         };
-        flaps.validate();
+        assert_eq!(flaps.check(), Ok(()));
         for (leecher, start) in flaps.sample_flaps(7, &mut rng) {
             assert!(leecher < 7);
             assert!((0.0..100.0).contains(&start));
@@ -289,7 +262,7 @@ mod tests {
             duration_secs: 10.0,
             window_secs: 60.0,
         };
-        outages.validate();
+        assert_eq!(outages.check(), Ok(()));
         for start in outages.sample_outages(&mut rng) {
             assert!((0.0..60.0).contains(&start));
         }
@@ -306,7 +279,11 @@ mod tests {
             }),
             ..FaultPlanConfig::default()
         };
-        plan.validate(false);
+        crate::SwarmConfig {
+            faults: Some(plan),
+            ..crate::SwarmConfig::default()
+        }
+        .validate();
     }
 
     /// Every time in a plan is finite and at most a day, every window
@@ -430,7 +407,7 @@ mod tests {
     #[test]
     fn zeroed_plan_validates_and_is_default() {
         let plan = FaultPlanConfig::default();
-        plan.validate(false);
+        assert_eq!(plan.check(false), Ok(()));
         assert_eq!(plan.message_loss, 0.0);
         assert!(plan.crash.is_none());
     }

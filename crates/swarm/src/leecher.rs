@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use splicecast_media::{Manifest, SegmentList};
+use splicecast_media::SegmentList;
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId, SimDuration, SimTime};
 use splicecast_player::{Playback, PlaybackState};
 use splicecast_protocol::{
@@ -1047,21 +1047,12 @@ impl LeecherNode {
                     view.set_peer_interested(false);
                 }
             }
-            Message::ManifestData { payload } => {
-                if self.streaming {
-                    return;
-                }
-                let text = std::str::from_utf8(&payload).unwrap_or("");
-                match Manifest::parse_m3u8(text) {
-                    Ok(manifest) if manifest.len() == self.cfg.segments.len() => {
-                        self.streaming = true;
-                        self.schedule(ctx);
-                    }
-                    _ => {
-                        // Corrupt manifest: ask again.
-                        self.say(ctx, self.cfg.seeder, &Message::ManifestRequest);
-                    }
-                }
+            // The seeder renders the playlist from the segment list this
+            // leecher already holds and sends it reliably: its arrival is
+            // all streaming waits for.
+            Message::ManifestData { .. } if !self.streaming => {
+                self.streaming = true;
+                self.schedule(ctx);
             }
             Message::SegmentHeader { index, .. } => {
                 if let Some(entry) = self.in_flight.get_mut(&index) {

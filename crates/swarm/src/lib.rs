@@ -108,7 +108,7 @@ pub use policy::{
     optimal_pool_size, AdaptivePooling, BandwidthEstimator, DownloadPolicy, EstimatorKind,
     FixedPool, PolicyConfig, PolicyInput, WEstimate,
 };
-pub use scheduler::{next_wanted, pick_source, HolderIndex, SourceCandidate};
+pub use scheduler::{pick_source, HolderIndex, SourceCandidate};
 pub use seeder::{info_hash_of, SeederNode};
 pub use swarm::{
     auto_coalesce_secs, run_swarm, run_swarm_shared, ControlPlane, DiscoveryMode,

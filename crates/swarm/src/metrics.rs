@@ -247,11 +247,6 @@ impl SwarmMetrics {
         mean(self.watching().map(|r| if r.finished { 1.0 } else { 0.0 }))
     }
 
-    /// Total bytes downloaded across all peers.
-    pub fn total_bytes_downloaded(&self) -> u64 {
-        self.reports.iter().map(|r| r.bytes_downloaded).sum()
-    }
-
     /// Wire bytes per payload byte delivered — protocol-plus-loss expense
     /// of moving the stream (1.0 would be a perfect lossless unicast).
     pub fn wire_expansion(&self) -> f64 {
@@ -427,7 +422,6 @@ mod tests {
         assert_eq!(m.mean_startup_secs(), 0.0);
         assert_eq!(m.peer_offload_ratio(), 0.0);
         assert_eq!(m.completion_rate(), 0.0);
-        assert_eq!(m.total_bytes_downloaded(), 0);
         assert_eq!(m.wire_expansion(), 0.0);
     }
 

@@ -28,9 +28,6 @@ pub struct PolicyInput {
 pub trait DownloadPolicy: fmt::Debug {
     /// Maximum number of simultaneous segment downloads right now.
     fn pool_size(&self, input: &PolicyInput) -> usize;
-
-    /// Short name for reports.
-    fn name(&self) -> String;
 }
 
 /// The paper's adaptive pooling (Eq. 1).
@@ -116,10 +113,6 @@ impl DownloadPolicy for AdaptivePooling {
             input.next_segment_bytes,
         )
     }
-
-    fn name(&self) -> String {
-        "adaptive".to_owned()
-    }
 }
 
 /// The baseline: always keep a fixed number of downloads in flight
@@ -130,10 +123,6 @@ pub struct FixedPool(pub usize);
 impl DownloadPolicy for FixedPool {
     fn pool_size(&self, _input: &PolicyInput) -> usize {
         self.0.max(1)
-    }
-
-    fn name(&self) -> String {
-        format!("pool-{}", self.0)
     }
 }
 
@@ -285,7 +274,6 @@ mod tests {
         let p = FixedPool(4);
         assert_eq!(p.pool_size(&input(1.0, 0.0, 1)), 4);
         assert_eq!(p.pool_size(&input(1e9, 1e9, 1)), 4);
-        assert_eq!(p.name(), "pool-4");
         assert_eq!(
             FixedPool(0).pool_size(&input(1.0, 1.0, 1)),
             1,
@@ -295,8 +283,9 @@ mod tests {
 
     #[test]
     fn policy_config_builds() {
-        assert_eq!(PolicyConfig::Adaptive.build().name(), "adaptive");
-        assert_eq!(PolicyConfig::Fixed(8).build().name(), "pool-8");
+        let eq1 = input(128_000.0, 8.0, 256_000);
+        assert_eq!(PolicyConfig::Adaptive.build().pool_size(&eq1), 4);
+        assert_eq!(PolicyConfig::Fixed(8).build().pool_size(&eq1), 8);
     }
 
     #[test]

@@ -5,18 +5,10 @@ use rand::Rng;
 use splicecast_netsim::NodeId;
 
 /// Picks the next segment to request: streaming is sequential, so it is the
-/// lowest-indexed segment that is neither held nor already in flight.
-pub fn next_wanted<H, F>(segment_count: u32, held: H, in_flight: F) -> Option<u32>
-where
-    H: Fn(u32) -> bool,
-    F: Fn(u32) -> bool,
-{
-    next_wanted_from(0, segment_count, held, in_flight)
-}
-
-/// Like [`next_wanted`], but starts scanning at `from`. Callers that track a
-/// low-water mark (segments below it are all held) avoid re-walking the
-/// played-out prefix on every scheduling pass.
+/// lowest-indexed segment at or after `from` that is neither held nor
+/// already in flight. Callers that track a low-water mark (segments below
+/// it are all held) avoid re-walking the played-out prefix on every
+/// scheduling pass.
 pub fn next_wanted_from<H, F>(from: u32, segment_count: u32, held: H, in_flight: F) -> Option<u32>
 where
     H: Fn(u32) -> bool,
@@ -172,15 +164,16 @@ mod tests {
     fn next_wanted_is_sequential() {
         let held = [true, true, false, false, true];
         let in_flight = [false, false, true, false, false];
-        let next = next_wanted(5, |i| held[i as usize], |i| in_flight[i as usize]);
+        let next = next_wanted_from(0, 5, |i| held[i as usize], |i| in_flight[i as usize]);
         assert_eq!(next, Some(3));
     }
 
     #[test]
     fn next_wanted_exhausted() {
-        assert_eq!(next_wanted(3, |_| true, |_| false), None);
-        assert_eq!(next_wanted(3, |_| false, |_| true), None);
-        assert_eq!(next_wanted(0, |_| false, |_| false), None);
+        assert_eq!(next_wanted_from(0, 3, |_| true, |_| false), None);
+        assert_eq!(next_wanted_from(0, 3, |_| false, |_| true), None);
+        assert_eq!(next_wanted_from(0, 0, |_| false, |_| false), None);
+        assert_eq!(next_wanted_from(3, 3, |_| false, |_| false), None);
     }
 
     #[test]

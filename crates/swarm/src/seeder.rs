@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use splicecast_media::{Manifest, SegmentList};
+use splicecast_media::SegmentList;
 use splicecast_netsim::{Ctx, NodeBehavior, NodeEvent, NodeId};
 use splicecast_protocol::{decode_single, Bitfield, EncodeBuf, Message, PROTOCOL_VERSION};
 
@@ -52,8 +52,7 @@ impl SeederNode {
     /// [`SegmentList`] or a pre-shared `Arc<SegmentList>`.
     pub fn new(segments: impl Into<Arc<SegmentList>>, peer_id: u64, upload_slots: usize) -> Self {
         let segments = segments.into();
-        let manifest = Manifest::from_segments("video", &segments);
-        let text = manifest.to_m3u8();
+        let text = segments.to_m3u8("video");
         let info_hash = info_hash_of(&text);
         let holdings = Bitfield::full(segments.len() as u32);
         SeederNode {

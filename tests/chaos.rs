@@ -84,7 +84,11 @@ fn conserving_run(config: &ExperimentConfig, seed: u64) -> SwarmMetrics {
     }
     assert_eq!(
         metrics.net.payload_bytes_delivered,
-        metrics.total_bytes_downloaded(),
+        metrics
+            .reports
+            .iter()
+            .map(|r| r.bytes_downloaded)
+            .sum::<u64>(),
         "seed {seed}: the network delivered other bytes than the leechers booked"
     );
     metrics

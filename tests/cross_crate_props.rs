@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use splicecast_core::optimal_pool_size;
 use splicecast_media::{
-    ByteSplicer, ContentProfile, DurationSplicer, GopSplicer, Manifest, SceneClass, Splicer, Video,
+    ByteSplicer, ContentProfile, DurationSplicer, GopSplicer, SceneClass, Splicer, Video,
 };
 use splicecast_player::Playback;
 use splicecast_protocol::{decode_single, encode_to_bytes, Bitfield, Message};
@@ -50,15 +50,6 @@ proptest! {
         }
         // GOP splicing specifically is overhead-free.
         prop_assert_eq!(GopSplicer.splice(&video).total_bytes(), video.total_bytes());
-    }
-
-    #[test]
-    fn manifests_round_trip_for_arbitrary_splices(video in arbitrary_video(), d in 0.5f64..12.0) {
-        let list = DurationSplicer::new(d).splice(&video);
-        let manifest = Manifest::from_segments("clip", &list);
-        let parsed = Manifest::parse_m3u8(&manifest.to_m3u8()).unwrap();
-        prop_assert_eq!(parsed.len(), list.len());
-        prop_assert_eq!(parsed.total_bytes(), list.total_bytes());
     }
 
     #[test]

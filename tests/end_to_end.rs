@@ -1,8 +1,8 @@
-//! End-to-end pipeline: synthesize video → splice → manifest → swarm →
+//! End-to-end pipeline: synthesize video → splice → playlist → swarm →
 //! playback metrics, checking cross-crate invariants on the way.
 
 use splicecast_core::{run_once, ExperimentConfig, SplicingSpec, VideoSpec};
-use splicecast_media::{Manifest, Splicer};
+use splicecast_media::Splicer;
 
 fn small_config(splicing: SplicingSpec) -> ExperimentConfig {
     let mut config = ExperimentConfig::paper_baseline()
@@ -86,15 +86,31 @@ fn full_pipeline_streams_and_accounts() {
     }
 }
 
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The seeder's playlist text, byte for byte: `ManifestData`'s wire length
+/// sets its delivery delay, and the text seeds the swarm's info hash, so a
+/// renderer that drifts by one byte moves every run.
 #[test]
-fn manifest_round_trips_through_the_wire_format() {
-    let config = small_config(SplicingSpec::Duration(2.0));
-    let video = config.video.build();
-    let segments = config.splicing.splice(&video);
-    let manifest = Manifest::from_segments("clip", &segments);
-    let parsed = Manifest::parse_m3u8(&manifest.to_m3u8()).unwrap();
-    assert_eq!(parsed.len(), segments.len());
-    assert_eq!(parsed.total_bytes(), segments.total_bytes());
+fn seeder_playlist_text_is_pinned() {
+    let video = VideoSpec::default().build();
+    let pins = [
+        (SplicingSpec::Gop, 12_703, 0x3a41_cc9e_2c46_3c43),
+        (SplicingSpec::Duration(2.0), 3_964, 0xd5c3_909d_fcff_00b7),
+        (SplicingSpec::Duration(4.0), 2_014, 0x8ee0_4267_0601_0ca1),
+        (SplicingSpec::Duration(8.0), 1_047, 0xf397_2854_e78a_879a),
+    ];
+    for (splicing, len, digest) in pins {
+        let segments = splicing.splice(&video);
+        let text = segments.to_m3u8("video");
+        assert_eq!(text.len(), len, "{splicing:?}");
+        assert_eq!(fnv1a(text.as_bytes()), digest, "{splicing:?}");
+    }
 }
 
 #[test]
