@@ -69,7 +69,7 @@ impl SplicingSpec {
             SplicingSpec::Gop => Box::new(GopSplicer),
             SplicingSpec::Duration(secs) => Box::new(DurationSplicer::new(*secs)),
             SplicingSpec::Bytes(bytes) => Box::new(ByteSplicer::new(*bytes)),
-            SplicingSpec::Ramp { initial, max } => Box::new(RampSplicer::new(*initial, *max, 1.5)),
+            SplicingSpec::Ramp { initial, max } => Box::new(RampSplicer::new(*initial, *max)),
         }
     }
 

@@ -5,11 +5,15 @@
 //! sizes follow the structural facts of MPEG-4 coding: I-frames are several
 //! times larger than P-frames, which are larger than B-frames; per-frame
 //! sizes jitter; and the whole stream is scaled to hit an exact target
-//! bitrate (a constant-bitrate encode).
+//! bitrate (a constant-bitrate encode). The frame rate is [`FPS`]; the
+//! bitrate is the one knob
+//! ([`VideoBuilder::bitrate_bps`](crate::VideoBuilder::bitrate_bps)). The
+//! I:P:B weights 12:3:1, two B-frames per reference and a log-normal size
+//! jitter of σ = 0.15 are constants.
 
 use rand::rngs::StdRng;
 
-use crate::frame::{Frame, FrameType, MediaTicks, TICKS_PER_SEC};
+use crate::frame::{Frame, FrameType, FPS};
 
 /// The paper's test clip bitrate: 1 Mbps.
 pub const PAPER_BITRATE_BPS: u64 = 1_000_000;
@@ -26,60 +30,16 @@ const B_FRAMES: usize = 2;
 /// Log-normal σ of per-frame size jitter.
 const SIZE_JITTER_SIGMA: f64 = 0.15;
 
-/// Tunables of the synthetic encoder: frame rate and target bitrate. Only
-/// the bitrate is settable from outside the crate
-/// ([`VideoBuilder::bitrate_bps`](crate::VideoBuilder::bitrate_bps)); the
-/// frame rate is 30 fps. The I:P:B weights 12:3:1, two B-frames per
-/// reference and a log-normal size jitter of σ = 0.15 are constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct EncoderConfig {
-    /// Frames per second. Must divide 90 000 for exact timestamps.
-    pub fps: u32,
-    /// Target bitrate in bits per second (constant-bitrate scaling).
-    pub bitrate_bps: u64,
-}
-
-impl Default for EncoderConfig {
-    fn default() -> Self {
-        EncoderConfig {
-            fps: 30,
-            bitrate_bps: PAPER_BITRATE_BPS,
-        }
+/// The frame type at position `idx` within a GOP (0 is always `I`).
+fn frame_type_at(idx: usize) -> FrameType {
+    if idx == 0 {
+        return FrameType::I;
     }
-}
-
-impl EncoderConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive bitrate or an fps that does not divide the
-    /// 90 kHz clock.
-    pub fn validate(&self) {
-        assert!(
-            self.fps > 0 && TICKS_PER_SEC.is_multiple_of(u64::from(self.fps)),
-            "fps {} must divide 90000",
-            self.fps
-        );
-        assert!(self.bitrate_bps > 0, "bitrate must be positive");
-    }
-
-    /// Duration of one frame.
-    pub fn frame_duration(&self) -> MediaTicks {
-        MediaTicks::from_ticks(TICKS_PER_SEC / u64::from(self.fps))
-    }
-
-    /// The frame type at position `idx` within a GOP (0 is always `I`).
-    pub fn frame_type_at(&self, idx: usize) -> FrameType {
-        if idx == 0 {
-            return FrameType::I;
-        }
-        // Groups of `B_FRAMES` B-frames, each closed by a P reference.
-        if idx.is_multiple_of(B_FRAMES + 1) {
-            FrameType::P
-        } else {
-            FrameType::B
-        }
+    // Groups of `B_FRAMES` B-frames, each closed by a P reference.
+    if idx.is_multiple_of(B_FRAMES + 1) {
+        FrameType::P
+    } else {
+        FrameType::B
     }
 }
 
@@ -92,26 +52,25 @@ fn weight(kind: FrameType) -> f64 {
 }
 
 /// Encodes a video: one GOP per entry of `gop_durations` (seconds), frames
-/// timed back-to-back, sizes scaled so total bytes equal
-/// `bitrate × total_duration / 8`.
+/// back-to-back at [`FPS`], sizes scaled so total bytes equal
+/// `bitrate_bps × total_duration / 8`.
 ///
 /// Returns the frames plus the index of each GOP's first frame.
 ///
 /// # Panics
 ///
-/// Panics if `gop_durations` is empty or the config is invalid.
+/// Panics if `gop_durations` is empty or the bitrate is zero.
 pub(crate) fn encode(
-    cfg: &EncoderConfig,
+    bitrate_bps: u64,
     gop_durations: &[f64],
     rng: &mut StdRng,
 ) -> (Vec<Frame>, Vec<u32>) {
-    cfg.validate();
+    assert!(bitrate_bps > 0, "bitrate must be positive");
     assert!(
         !gop_durations.is_empty(),
         "cannot encode a video with no GOPs"
     );
 
-    let frame_dur = cfg.frame_duration();
     let mut frames: Vec<Frame> = Vec::new();
     let mut gop_starts: Vec<u32> = Vec::new();
     let mut raw_sizes: Vec<f64> = Vec::new();
@@ -124,7 +83,7 @@ pub(crate) fn encode(
     for &gop_secs in gop_durations {
         assert!(gop_secs > 0.0, "GOP durations must be positive");
         cum_secs += gop_secs;
-        let target_frames = (cum_secs * f64::from(cfg.fps)).round() as usize;
+        let target_frames = (cum_secs * f64::from(FPS)).round() as usize;
         let mut n = target_frames.saturating_sub(cum_frames);
         if n == 0 {
             if frames.is_empty() {
@@ -136,22 +95,16 @@ pub(crate) fn encode(
         cum_frames += n;
         gop_starts.push(frames.len() as u32);
         for idx in 0..n {
-            let kind = cfg.frame_type_at(idx);
+            let kind = frame_type_at(idx);
             raw_sizes.push(weight(kind) * size_jitter(rng));
-            let pts = MediaTicks::from_ticks(frame_dur.ticks() * frames.len() as u64);
-            frames.push(Frame {
-                kind,
-                bytes: 0,
-                pts,
-                duration: frame_dur,
-            });
+            frames.push(Frame { kind, bytes: 0 });
         }
     }
 
     // Constant-bitrate scaling: total bytes must match the target exactly
     // (up to per-frame rounding).
-    let total_secs = frames.len() as f64 / f64::from(cfg.fps);
-    let target_bytes = cfg.bitrate_bps as f64 * total_secs / 8.0;
+    let total_secs = frames.len() as f64 / f64::from(FPS);
+    let target_bytes = bitrate_bps as f64 * total_secs / 8.0;
     let raw_total: f64 = raw_sizes.iter().sum();
     let scale = target_bytes / raw_total;
     for (frame, raw) in frames.iter_mut().zip(&raw_sizes) {
@@ -175,22 +128,22 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    use crate::PAPER_BITRATE_BPS;
+
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)
     }
 
     #[test]
     fn pattern_is_ibbp() {
-        let cfg = EncoderConfig::default();
-        let kinds: Vec<FrameType> = (0..7).map(|i| cfg.frame_type_at(i)).collect();
+        let kinds: Vec<FrameType> = (0..7).map(frame_type_at).collect();
         use FrameType::*;
         assert_eq!(kinds, vec![I, B, B, P, B, B, P]);
     }
 
     #[test]
     fn encode_hits_target_bitrate() {
-        let cfg = EncoderConfig::default();
-        let (frames, _) = encode(&cfg, &[2.0, 3.0, 1.0], &mut rng());
+        let (frames, _) = encode(PAPER_BITRATE_BPS, &[2.0, 3.0, 1.0], &mut rng());
         let total: u64 = frames.iter().map(|f| u64::from(f.bytes)).sum();
         let expected = 1_000_000.0 * 6.0 / 8.0;
         let err = (total as f64 - expected).abs() / expected;
@@ -199,27 +152,27 @@ mod tests {
 
     #[test]
     fn encode_counts_frames_per_gop() {
-        let cfg = EncoderConfig::default();
-        let (frames, starts) = encode(&cfg, &[2.0, 1.0], &mut rng());
+        let (frames, starts) = encode(PAPER_BITRATE_BPS, &[2.0, 1.0], &mut rng());
         assert_eq!(frames.len(), 90);
         assert_eq!(starts, vec![0, 60]);
         assert!(frames[0].kind.is_intra());
         assert!(frames[60].kind.is_intra());
     }
 
+    /// GOP lengths round at their cumulative boundaries, so the frames
+    /// tile the timeline without drift: three 0.52 s GOPs (15.6 frames
+    /// each) are 16 + 15 + 16 = 47 frames (1.56 s × 30 = 46.8), where
+    /// rounding each GOP alone would give 48.
     #[test]
     fn timestamps_are_contiguous() {
-        let cfg = EncoderConfig::default();
-        let (frames, _) = encode(&cfg, &[1.0, 1.0], &mut rng());
-        for pair in frames.windows(2) {
-            assert_eq!(pair[0].end_pts(), pair[1].pts);
-        }
+        let (frames, starts) = encode(PAPER_BITRATE_BPS, &[0.52; 3], &mut rng());
+        assert_eq!(starts, vec![0, 16, 31]);
+        assert_eq!(frames.len(), 47);
     }
 
     #[test]
     fn i_frames_dominate_sizes_on_average() {
-        let cfg = EncoderConfig::default();
-        let (frames, _) = encode(&cfg, &[4.0; 50], &mut rng());
+        let (frames, _) = encode(PAPER_BITRATE_BPS, &[4.0; 50], &mut rng());
         let mean = |kind| {
             let sizes: Vec<f64> = frames
                 .iter()
@@ -235,8 +188,7 @@ mod tests {
 
     #[test]
     fn tiny_gop_still_has_a_frame() {
-        let cfg = EncoderConfig::default();
-        let (frames, starts) = encode(&cfg, &[0.001], &mut rng());
+        let (frames, starts) = encode(PAPER_BITRATE_BPS, &[0.001], &mut rng());
         assert_eq!(frames.len(), 1);
         assert_eq!(starts, vec![0]);
         assert!(frames[0].kind.is_intra());
@@ -245,16 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no GOPs")]
     fn empty_input_panics() {
-        let _ = encode(&EncoderConfig::default(), &[], &mut rng());
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide 90000")]
-    fn bad_fps_panics() {
-        let cfg = EncoderConfig {
-            fps: 29,
-            ..EncoderConfig::default()
-        };
-        cfg.validate();
+        let _ = encode(PAPER_BITRATE_BPS, &[], &mut rng());
     }
 }

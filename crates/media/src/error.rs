@@ -9,11 +9,6 @@ use std::fmt;
 pub enum MediaError {
     /// A video must contain at least one frame.
     EmptyVideo,
-    /// Frame presentation timestamps must be strictly increasing.
-    NonMonotonicPts {
-        /// Index of the offending frame.
-        frame: usize,
-    },
     /// A (closed) GOP must begin with an I-frame.
     GopMissingIFrame {
         /// Index of the offending GOP.
@@ -40,12 +35,6 @@ impl fmt::Display for MediaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MediaError::EmptyVideo => write!(f, "video contains no frames"),
-            MediaError::NonMonotonicPts { frame } => {
-                write!(
-                    f,
-                    "frame {frame} does not advance the presentation timestamp"
-                )
-            }
             MediaError::GopMissingIFrame { gop } => {
                 write!(f, "gop {gop} does not begin with an I-frame")
             }

@@ -1,10 +1,20 @@
 //! Frames and the MPEG 90 kHz media clock.
+//!
+//! Every video runs at a constant [`FPS`], so a frame's time is its
+//! index: frame `i` starts at `i ×` [`FRAME_TICKS`] and lasts one
+//! [`FRAME_TICKS`]. Nothing stores a timestamp.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Ticks of the MPEG system clock: 90 000 per second.
 pub const TICKS_PER_SEC: u64 = 90_000;
+
+/// Frames per second of every video: the paper's clip is 30 fps.
+pub const FPS: u32 = 30;
+
+/// Display duration of one frame, in ticks: 3 000 at 30 fps.
+pub const FRAME_TICKS: u64 = TICKS_PER_SEC / FPS as u64;
 
 /// A point on (or span of) the media timeline, in 90 kHz ticks.
 ///
@@ -42,6 +52,12 @@ impl MediaTicks {
             "invalid media time: {secs}"
         );
         MediaTicks((secs * TICKS_PER_SEC as f64).round() as u64)
+    }
+
+    /// The span of `frames` frames, which is also where frame number
+    /// `frames` starts.
+    pub(crate) const fn of_frames(frames: u64) -> Self {
+        MediaTicks(frames * FRAME_TICKS)
     }
 
     /// Raw tick count.
@@ -124,25 +140,14 @@ impl fmt::Display for FrameType {
     }
 }
 
-/// One coded video frame: its type, its coded size, and its place on the
-/// media timeline.
+/// One coded video frame: its type and its coded size. Its place on the
+/// media timeline is its index in the video.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Coding type.
     pub kind: FrameType,
     /// Coded size in bytes.
     pub bytes: u32,
-    /// Presentation timestamp.
-    pub pts: MediaTicks,
-    /// Display duration (1/fps for constant-rate video).
-    pub duration: MediaTicks,
-}
-
-impl Frame {
-    /// The timestamp just after this frame finishes displaying.
-    pub fn end_pts(&self) -> MediaTicks {
-        self.pts + self.duration
-    }
 }
 
 #[cfg(test)]
@@ -162,6 +167,8 @@ mod tests {
         for fps in [24u64, 25, 30, 60] {
             assert_eq!(TICKS_PER_SEC % fps, 0, "{fps} fps is not exact at 90kHz");
         }
+        assert_eq!(FRAME_TICKS * u64::from(FPS), TICKS_PER_SEC);
+        assert_eq!(MediaTicks::of_frames(u64::from(FPS)).as_secs_f64(), 1.0);
     }
 
     #[test]
@@ -179,16 +186,12 @@ mod tests {
         let _ = MediaTicks::from_ticks(1) - MediaTicks::from_ticks(2);
     }
 
+    /// Frame 1 starts at tick 3 000 and ends where frame 2 starts.
     #[test]
     fn frame_end_pts() {
-        let f = Frame {
-            kind: FrameType::P,
-            bytes: 1000,
-            pts: MediaTicks::from_ticks(3000),
-            duration: MediaTicks::from_ticks(3000),
-        };
-        assert_eq!(f.end_pts(), MediaTicks::from_ticks(6000));
-        assert!(!f.kind.is_intra());
+        assert_eq!(MediaTicks::of_frames(1), MediaTicks::from_ticks(3000));
+        assert_eq!(MediaTicks::of_frames(2), MediaTicks::from_ticks(6000));
+        assert!(!FrameType::P.is_intra());
         assert!(FrameType::I.is_intra());
     }
 

@@ -86,7 +86,7 @@ impl Ladder {
     /// Display duration of a segment in seconds (identical across
     /// renditions).
     pub fn segment_secs(&self, segment: usize) -> f64 {
-        self.renditions[0].segments[segment].duration.as_secs_f64()
+        self.segments(0)[segment].duration().as_secs_f64()
     }
 
     /// The segment list of one rendition.
@@ -99,8 +99,8 @@ impl Ladder {
         self.renditions[rendition].bitrate_bps
     }
 
-    /// Validates cross-rendition alignment: same segment count, same
-    /// per-segment durations, strictly increasing bitrates.
+    /// Validates every rendition's tiling and their alignment: the same
+    /// segment count, each segment spanning the same frames.
     ///
     /// # Errors
     ///
@@ -118,23 +118,22 @@ impl Ladder {
                 return Err(MediaError::SegmentCoverage { frame: 0 });
             }
             for (a, b) in rendition.segments.iter().zip(reference.segments.iter()) {
-                if a.duration != b.duration || a.start_pts != b.start_pts {
+                if (a.first_frame, a.frame_count) != (b.first_frame, b.frame_count) {
                     return Err(MediaError::SegmentCoverage {
                         frame: a.first_frame as usize,
                     });
                 }
             }
         }
-        if !self
-            .renditions
-            .windows(2)
-            .all(|w| w[0].bitrate_bps < w[1].bitrate_bps)
-        {
-            return Err(MediaError::SegmentCoverage { frame: 0 });
-        }
         Ok(())
     }
 }
+
+const _: () = assert!(
+    Ladder::BITRATES_BPS[0] < Ladder::BITRATES_BPS[1]
+        && Ladder::BITRATES_BPS[1] < Ladder::BITRATES_BPS[2],
+    "the ladder's bitrates must ascend"
+);
 
 /// The common segment duration of every rendition, seconds.
 const SEGMENT_SECS: f64 = 4.0;

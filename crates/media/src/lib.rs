@@ -7,14 +7,19 @@
 //! *byte layout over time* of the coded video. This crate models exactly
 //! that:
 //!
-//! - [`Frame`]s with type-dependent sizes (I ≫ P > B) on a 90 kHz clock;
+//! - [`Frame`]s with type-dependent sizes (I ≫ P > B) at a constant
+//!   [`FPS`] on a 90 kHz clock: a frame's time is its index (frame `i`
+//!   starts at `i ×` [`FRAME_TICKS`]), so a frame is its kind and size;
 //! - closed GOPs whose durations follow a [`ContentProfile`] (scene
-//!   changes → short GOPs, static scenes → very long GOPs);
-//! - a constant-bitrate synthetic encoder at 30 fps, driven by
-//!   [`Video::builder`], whose one tunable is the bitrate;
-//! - the paper's splicing strategies: [`GopSplicer`] (§II-A, zero overhead,
-//!   wild size variance) and [`DurationSplicer`] (§II-B, equal durations,
-//!   I-frame conversion overhead), plus a PPLive-style [`ByteSplicer`];
+//!   changes → short GOPs, static scenes → very long GOPs), indexed by
+//!   [`Video::gop_starts`];
+//! - a constant-bitrate synthetic encoder, driven by [`Video::builder`],
+//!   whose one tunable is the bitrate;
+//! - the paper's splicing strategies, each a list of cut frame indices:
+//!   [`GopSplicer`] (§II-A, cuts at GOP starts: zero overhead, wild size
+//!   variance) and [`DurationSplicer`] (§II-B, equal durations, I-frame
+//!   conversion overhead), plus a PPLive-style [`ByteSplicer`] and the
+//!   ramped [`RampSplicer`];
 //! - the HLS-style playlist text ([`SegmentList::to_m3u8`]) the seeder
 //!   serves to joining peers.
 //!
@@ -41,7 +46,6 @@ mod content;
 mod encoder;
 mod error;
 mod frame;
-mod gop;
 mod ladder;
 mod segment;
 mod splicer;
@@ -50,8 +54,7 @@ mod video;
 pub use content::{ContentProfile, SceneClass};
 pub use encoder::PAPER_BITRATE_BPS;
 pub use error::MediaError;
-pub use frame::{Frame, FrameType, MediaTicks, TICKS_PER_SEC};
-pub use gop::GopView;
+pub use frame::{Frame, FrameType, MediaTicks, FPS, FRAME_TICKS, TICKS_PER_SEC};
 pub use ladder::{Ladder, LadderBuilder, Rendition};
 pub use segment::{Segment, SegmentList};
 pub use splicer::{ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, Splicer};

@@ -3,7 +3,7 @@
 use std::ops::Index;
 
 use crate::error::MediaError;
-use crate::frame::MediaTicks;
+use crate::frame::{MediaTicks, FRAME_TICKS};
 use crate::video::Video;
 
 /// One spliced segment of a video.
@@ -15,10 +15,6 @@ pub struct Segment {
     pub first_frame: u32,
     /// Number of frames carried.
     pub frame_count: u32,
-    /// Presentation timestamp of the first frame.
-    pub start_pts: MediaTicks,
-    /// Total display duration.
-    pub duration: MediaTicks,
     /// Bytes that must be transferred for this segment, **including**
     /// splicing overhead.
     pub bytes: u64,
@@ -28,9 +24,19 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// Presentation timestamp of the first frame.
+    pub fn start_pts(&self) -> MediaTicks {
+        MediaTicks::of_frames(u64::from(self.first_frame))
+    }
+
+    /// Total display duration.
+    pub fn duration(&self) -> MediaTicks {
+        MediaTicks::of_frames(u64::from(self.frame_count))
+    }
+
     /// The timestamp just after this segment's last frame.
     pub fn end_pts(&self) -> MediaTicks {
-        self.start_pts + self.duration
+        MediaTicks::of_frames(u64::from(self.first_frame) + u64::from(self.frame_count))
     }
 
     /// Bytes of original media (excluding splicing overhead).
@@ -112,7 +118,7 @@ impl SegmentList {
     /// Total display duration.
     pub fn total_duration(&self) -> MediaTicks {
         match (self.segments.first(), self.segments.last()) {
-            (Some(first), Some(last)) => last.end_pts() - first.start_pts,
+            (Some(first), Some(last)) => last.end_pts() - first.start_pts(),
             _ => MediaTicks::ZERO,
         }
     }
@@ -133,8 +139,14 @@ impl SegmentList {
 
     /// The segment whose playback interval contains `pts`.
     pub fn segment_at(&self, pts: MediaTicks) -> Option<&Segment> {
-        let idx = self.segments.partition_point(|s| s.end_pts() <= pts);
-        self.segments.get(idx).filter(|s| s.start_pts <= pts)
+        // The search runs on frame indices: the player asks on every tick.
+        let frame = pts.ticks() / FRAME_TICKS;
+        let idx = self
+            .segments
+            .partition_point(|s| u64::from(s.first_frame + s.frame_count) <= frame);
+        self.segments
+            .get(idx)
+            .filter(|s| u64::from(s.first_frame) <= frame)
     }
 
     /// Checks that the segments exactly tile `video` and that their byte
@@ -158,11 +170,6 @@ impl SegmentList {
             if seg.bytes != media + seg.overhead_bytes {
                 return Err(MediaError::SegmentBytes { segment: i });
             }
-            if seg.start_pts != span[0].pts {
-                return Err(MediaError::SegmentCoverage {
-                    frame: seg.first_frame as usize,
-                });
-            }
             next_frame += seg.frame_count;
         }
         if next_frame as usize != frames.len() {
@@ -181,12 +188,12 @@ impl SegmentList {
         let target = self
             .segments
             .iter()
-            .map(|s| s.duration.as_secs_f64().ceil() as u64)
+            .map(|s| s.duration().as_secs_f64().ceil() as u64)
             .max()
             .unwrap_or(0);
         let mut out = format!("#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-TARGETDURATION:{target}\n");
         for seg in &self.segments {
-            let (bytes, secs, index) = (seg.bytes, seg.duration.as_secs_f64(), seg.index);
+            let (bytes, secs, index) = (seg.bytes, seg.duration().as_secs_f64(), seg.index);
             out += &format!(
                 "#EXT-X-SPLICECAST-BYTES:{bytes}\n#EXTINF:{secs:.6},\n{name}-{index:05}.m4s\n"
             );
@@ -237,9 +244,9 @@ mod tests {
         let v = video();
         let list = GopSplicer.splice(&v);
         for seg in &list {
-            let mid = MediaTicks::from_ticks((seg.start_pts.ticks() + seg.end_pts().ticks()) / 2);
+            let mid = MediaTicks::from_ticks((seg.start_pts().ticks() + seg.end_pts().ticks()) / 2);
             assert_eq!(list.segment_at(mid).unwrap().index, seg.index);
-            assert_eq!(list.segment_at(seg.start_pts).unwrap().index, seg.index);
+            assert_eq!(list.segment_at(seg.start_pts()).unwrap().index, seg.index);
         }
         assert!(list.segment_at(v.duration()).is_none());
     }

@@ -1,6 +1,11 @@
 //! Splicers: the paper's §II, cutting a video into transferable segments.
+//!
+//! A splicer only chooses where to cut: each one lists the frame indices
+//! at which segments start, and one builder turns that list into
+//! segments, charging the I-frame conversion of every cut that lands
+//! mid-GOP.
 
-use crate::frame::{FrameType, MediaTicks};
+use crate::frame::{MediaTicks, FRAME_TICKS};
 use crate::segment::{Segment, SegmentList};
 use crate::video::Video;
 
@@ -37,19 +42,9 @@ pub struct GopSplicer;
 
 impl Splicer for GopSplicer {
     fn splice(&self, video: &Video) -> SegmentList {
-        let segments = video
-            .gops()
-            .map(|gop| Segment {
-                index: gop.index as u32,
-                first_frame: gop.first_frame as u32,
-                frame_count: gop.frame_count() as u32,
-                start_pts: gop.start_pts(),
-                duration: gop.duration(),
-                bytes: gop.bytes(),
-                overhead_bytes: 0,
-            })
-            .collect();
-        SegmentList::new(segments)
+        let starts = video.gop_starts().iter().map(|&s| s as usize);
+        let cuts: Vec<usize> = starts.chain([video.frames().len()]).collect();
+        build_segments(video, &cuts)
     }
 
     fn name(&self) -> String {
@@ -100,21 +95,8 @@ impl DurationSplicer {
 
 impl Splicer for DurationSplicer {
     fn splice(&self, video: &Video) -> SegmentList {
-        let frames = video.frames();
-        let target = MediaTicks::from_secs_f64(self.target_secs);
-        let base_pts = frames[0].pts;
-        let mut cuts: Vec<usize> = vec![0];
-        let mut boundary = base_pts + target;
-        for (i, frame) in frames.iter().enumerate().skip(1) {
-            if frame.pts >= boundary {
-                cuts.push(i);
-                while frame.pts >= boundary {
-                    boundary += target;
-                }
-            }
-        }
-        cuts.push(frames.len());
-        SegmentList::new(build_segments(video, &cuts))
+        let cuts = timed_cuts(video.frames().len(), self.target_secs, self.target_secs);
+        build_segments(video, &cuts)
     }
 
     fn name(&self) -> String {
@@ -157,7 +139,7 @@ impl Splicer for ByteSplicer {
             acc += u64::from(frame.bytes);
         }
         cuts.push(frames.len());
-        SegmentList::new(build_segments(video, &cuts))
+        build_segments(video, &cuts)
     }
 
     fn name(&self) -> String {
@@ -165,7 +147,7 @@ impl Splicer for ByteSplicer {
     }
 }
 
-/// Ramped splicing: segment durations grow geometrically from
+/// Ramped splicing: segment durations grow 1.5× per segment from
 /// `initial_secs` up to `max_secs`.
 ///
 /// This implements the "adaptive splicing technique" the paper leaves as
@@ -181,62 +163,41 @@ impl Splicer for ByteSplicer {
 /// use splicecast_media::{RampSplicer, Splicer, Video};
 ///
 /// let video = Video::builder().duration_secs(60.0).seed(1).build();
-/// let ramp = RampSplicer::new(1.0, 8.0, 1.5).splice(&video);
+/// let ramp = RampSplicer::new(1.0, 8.0).splice(&video);
 /// // First segment is short, later segments reach the cap.
-/// assert!(ramp[0].duration.as_secs_f64() <= 1.1);
-/// assert!(ramp.segments().iter().any(|s| s.duration.as_secs_f64() > 7.0));
+/// assert!(ramp[0].duration().as_secs_f64() <= 1.1);
+/// assert!(ramp.segments().iter().any(|s| s.duration().as_secs_f64() > 7.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampSplicer {
     initial_secs: f64,
     max_secs: f64,
-    growth: f64,
 }
 
 impl RampSplicer {
-    /// Creates a ramp from `initial_secs` to `max_secs`, multiplying the
-    /// target duration by `growth` per segment.
+    /// Creates a ramp from `initial_secs` to `max_secs`.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < initial_secs <= max_secs`, `initial_secs` is at
-    /// least one media tick and `growth >= 1`.
-    pub fn new(initial_secs: f64, max_secs: f64, growth: f64) -> Self {
+    /// Panics unless `0 < initial_secs <= max_secs` and `initial_secs` is
+    /// at least one media tick.
+    pub fn new(initial_secs: f64, max_secs: f64) -> Self {
         assert!(
             initial_secs.is_finite() && initial_secs > 0.0 && initial_secs <= max_secs,
             "bad ramp range [{initial_secs}, {max_secs}]"
         );
         assert_whole_tick(initial_secs);
-        assert!(
-            growth.is_finite() && growth >= 1.0,
-            "growth must be at least 1, got {growth}"
-        );
         RampSplicer {
             initial_secs,
             max_secs,
-            growth,
         }
     }
 }
 
 impl Splicer for RampSplicer {
     fn splice(&self, video: &Video) -> SegmentList {
-        let frames = video.frames();
-        let base_pts = frames[0].pts;
-        let mut cuts: Vec<usize> = vec![0];
-        let mut target = self.initial_secs;
-        let mut boundary = base_pts + MediaTicks::from_secs_f64(target);
-        for (i, frame) in frames.iter().enumerate().skip(1) {
-            if frame.pts >= boundary {
-                cuts.push(i);
-                target = (target * self.growth).min(self.max_secs);
-                while frame.pts >= boundary {
-                    boundary += MediaTicks::from_secs_f64(target);
-                }
-            }
-        }
-        cuts.push(frames.len());
-        SegmentList::new(build_segments(video, &cuts))
+        let cuts = timed_cuts(video.frames().len(), self.initial_secs, self.max_secs);
+        build_segments(video, &cuts)
     }
 
     fn name(&self) -> String {
@@ -249,7 +210,7 @@ impl Splicer for RampSplicer {
 }
 
 /// A cut interval that rounds to zero ticks would never advance the
-/// boundary walk in `splice`.
+/// boundary walk of [`timed_cuts`].
 fn assert_whole_tick(secs: f64) {
     assert!(
         !MediaTicks::from_secs_f64(secs).is_zero(),
@@ -265,39 +226,61 @@ fn format_secs_bare(secs: f64) -> String {
     }
 }
 
+/// A [`RampSplicer`]'s growth: each segment's target duration is 1.5×
+/// its predecessor's, up to the cap.
+const RAMP_GROWTH: f64 = 1.5;
+
+/// The cut points of the timed splicers: a cut at the first frame that
+/// starts at or after each boundary, boundaries `initial_secs` apart at
+/// first and 1.5× further apart after each cut, up to `max_secs`
+/// (`initial_secs == max_secs` cuts every `max_secs`).
+fn timed_cuts(frame_count: usize, initial_secs: f64, max_secs: f64) -> Vec<usize> {
+    let mut cuts = vec![0];
+    let mut step_secs = initial_secs;
+    let mut boundary = MediaTicks::from_secs_f64(step_secs).ticks();
+    loop {
+        let cut = boundary.div_ceil(FRAME_TICKS);
+        if cut >= frame_count as u64 {
+            break;
+        }
+        cuts.push(cut as usize);
+        step_secs = (step_secs * RAMP_GROWTH).min(max_secs);
+        let step = MediaTicks::from_secs_f64(step_secs).ticks();
+        // Whole steps on, to the first boundary after the cut's start.
+        boundary += step * ((cut * FRAME_TICKS - boundary) / step + 1);
+    }
+    cuts.push(frame_count);
+    cuts
+}
+
 /// Builds segments from cut points (`cuts[0] == 0`,
 /// `cuts.last() == frames.len()`), charging I-frame conversion overhead
 /// for every segment that starts mid-GOP.
-fn build_segments(video: &Video, cuts: &[usize]) -> Vec<Segment> {
+fn build_segments(video: &Video, cuts: &[usize]) -> SegmentList {
     let frames = video.frames();
     let gop_starts = video.gop_starts();
-    let mut segments = Vec::with_capacity(cuts.len() - 1);
-    for (index, window) in cuts.windows(2).enumerate() {
+    let segments = cuts.windows(2).enumerate().map(|(index, window)| {
         let (start, end) = (window[0], window[1]);
-        let span = &frames[start..end];
-        let media: u64 = span.iter().map(|f| u64::from(f.bytes)).sum();
-        let first = &span[0];
-        let overhead = if first.kind == FrameType::I {
+        let media: u64 = frames[start..end].iter().map(|f| u64::from(f.bytes)).sum();
+        let first = frames[start];
+        let overhead = if first.kind.is_intra() {
             0
         } else {
             // The cut landed mid-GOP: the first frame is re-coded as an
             // I-frame sized like the containing GOP's own I-frame.
-            let gop_idx = gop_starts.partition_point(|&s| (s as usize) <= start) - 1;
-            let gop = video.gop(gop_idx);
-            u64::from(gop.i_frame_bytes().saturating_sub(first.bytes))
+            let gop = gop_starts.partition_point(|&s| (s as usize) <= start) - 1;
+            let i_frame = frames[gop_starts[gop] as usize];
+            u64::from(i_frame.bytes.saturating_sub(first.bytes))
         };
-        let last = span.last().expect("non-empty segment span");
-        segments.push(Segment {
+        Segment {
             index: index as u32,
             first_frame: start as u32,
             frame_count: (end - start) as u32,
-            start_pts: first.pts,
-            duration: last.end_pts() - first.pts,
             bytes: media + overhead,
             overhead_bytes: overhead,
-        });
-    }
-    segments
+        }
+    });
+    SegmentList::new(segments.collect())
 }
 
 fn format_secs(secs: f64) -> String {
@@ -312,6 +295,7 @@ fn format_secs(secs: f64) -> String {
 mod tests {
     use super::*;
     use crate::content::ContentProfile;
+    use crate::frame::{FrameType, FPS};
 
     fn video() -> Video {
         Video::builder().duration_secs(60.0).seed(21).build()
@@ -334,9 +318,9 @@ mod tests {
             let list = DurationSplicer::new(target).splice(&v);
             list.validate(&v).unwrap();
             // All but the last segment are within a frame of the target.
-            let frame = 1.0 / f64::from(v.fps());
+            let frame = 1.0 / f64::from(FPS);
             for seg in &list.segments()[..list.len() - 1] {
-                let d = seg.duration.as_secs_f64();
+                let d = seg.duration().as_secs_f64();
                 assert!(
                     (d - target).abs() <= frame + 1e-9,
                     "target {target}: segment {} lasts {d}",
@@ -435,36 +419,30 @@ mod tests {
     #[test]
     fn ramp_splicer_tiles_and_ramps() {
         let v = video();
-        let ramp = RampSplicer::new(1.0, 8.0, 1.5);
+        let ramp = RampSplicer::new(1.0, 8.0);
         let list = ramp.splice(&v);
         list.validate(&v).unwrap();
         assert_eq!(ramp.name(), "ramp(1→8s)");
-        let frame = 1.0 / f64::from(v.fps());
+        let frame = 1.0 / f64::from(FPS);
         // Durations are non-decreasing (within a frame) and bounded.
         let durs: Vec<f64> = list.segments()[..list.len() - 1]
             .iter()
-            .map(|s| s.duration.as_secs_f64())
+            .map(|s| s.duration().as_secs_f64())
             .collect();
         for pair in durs.windows(2) {
             assert!(pair[1] >= pair[0] - frame - 1e-9, "{durs:?}");
         }
         assert!(durs[0] <= 1.0 + frame + 1e-9);
         assert!(durs.iter().all(|&d| d <= 8.0 + frame + 1e-9));
-        // Growth of exactly 1 degenerates to duration splicing.
-        let flat = RampSplicer::new(4.0, 4.0, 1.0).splice(&v);
+        // A ramp that starts at its cap is duration splicing.
+        let flat = RampSplicer::new(4.0, 4.0).splice(&v);
         assert_eq!(flat, DurationSplicer::new(4.0).splice(&v));
-    }
-
-    #[test]
-    #[should_panic(expected = "growth must be at least 1")]
-    fn shrinking_ramp_panics() {
-        let _ = RampSplicer::new(2.0, 8.0, 0.5);
     }
 
     #[test]
     #[should_panic(expected = "bad ramp range")]
     fn inverted_ramp_panics() {
-        let _ = RampSplicer::new(8.0, 2.0, 1.5);
+        let _ = RampSplicer::new(8.0, 2.0);
     }
 
     #[test]
@@ -479,7 +457,7 @@ mod tests {
     fn sub_tick_durations_panic_and_one_tick_splices_per_frame() {
         let refused: [fn() -> String; 2] = [
             || DurationSplicer::new(1e-6).name(),
-            || RampSplicer::new(1e-6, 1.0, 1.5).name(),
+            || RampSplicer::new(1e-6, 1.0).name(),
         ];
         for build in refused {
             let payload = std::panic::catch_unwind(build).expect_err("must refuse");

@@ -4,12 +4,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::content::ContentProfile;
-use crate::encoder::{encode, EncoderConfig};
+use crate::encoder::{encode, PAPER_BITRATE_BPS};
 use crate::error::MediaError;
 use crate::frame::{Frame, MediaTicks};
-use crate::gop::GopView;
 
-/// A coded video: a validated sequence of closed GOPs.
+/// A coded video: a validated sequence of closed GOPs at [`FPS`] frames
+/// per second, frame `i` starting at `i ×` [`FRAME_TICKS`].
+///
+/// [`FPS`]: crate::FPS
+/// [`FRAME_TICKS`]: crate::FRAME_TICKS
 ///
 /// Construct one with [`Video::builder`] (synthetic encode) or
 /// [`Video::from_parts`] (hand-assembled, e.g. in tests).
@@ -25,7 +28,6 @@ use crate::gop::GopView;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Video {
-    fps: u32,
     frames: Vec<Frame>,
     gop_starts: Vec<u32>,
 }
@@ -40,26 +42,12 @@ impl Video {
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant: frames non-empty, strictly
-    /// increasing timestamps, every GOP starting with an I-frame and
-    /// containing no other I-frames.
-    pub fn from_parts(
-        fps: u32,
-        frames: Vec<Frame>,
-        gop_starts: Vec<u32>,
-    ) -> Result<Self, MediaError> {
-        let video = Video {
-            fps,
-            frames,
-            gop_starts,
-        };
+    /// Returns the first violated invariant: frames non-empty, every GOP
+    /// starting with an I-frame and containing no other I-frames.
+    pub fn from_parts(frames: Vec<Frame>, gop_starts: Vec<u32>) -> Result<Self, MediaError> {
+        let video = Video { frames, gop_starts };
         video.validate()?;
         Ok(video)
-    }
-
-    /// Frames per second.
-    pub fn fps(&self) -> u32 {
-        self.fps
     }
 
     /// All frames, in presentation order.
@@ -77,32 +65,9 @@ impl Video {
         self.gop_starts.len()
     }
 
-    /// A view of the `index`-th GOP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.gop_count()`.
-    pub fn gop(&self, index: usize) -> GopView<'_> {
-        let start = self.gop_starts[index] as usize;
-        let end = self
-            .gop_starts
-            .get(index + 1)
-            .map(|&s| s as usize)
-            .unwrap_or(self.frames.len());
-        GopView::new(index, start, &self.frames[start..end])
-    }
-
-    /// Iterates over all GOPs.
-    pub fn gops(&self) -> impl Iterator<Item = GopView<'_>> + '_ {
-        (0..self.gop_count()).map(|i| self.gop(i))
-    }
-
     /// Total display duration.
     pub fn duration(&self) -> MediaTicks {
-        match self.frames.last() {
-            Some(last) => last.end_pts() - self.frames[0].pts,
-            None => MediaTicks::ZERO,
-        }
+        MediaTicks::of_frames(self.frames.len() as u64)
     }
 
     /// Total coded bytes.
@@ -131,11 +96,6 @@ impl Video {
         }
         if self.gop_starts.first() != Some(&0) {
             return Err(MediaError::GopMissingIFrame { gop: 0 });
-        }
-        for (i, pair) in self.frames.windows(2).enumerate() {
-            if pair[1].pts <= pair[0].pts {
-                return Err(MediaError::NonMonotonicPts { frame: i + 1 });
-            }
         }
         let starts: std::collections::HashSet<u32> = self.gop_starts.iter().copied().collect();
         for (g, &start) in self.gop_starts.iter().enumerate() {
@@ -176,7 +136,7 @@ pub const PAPER_CONTENT_SEED: u64 = 2015;
 pub struct VideoBuilder {
     duration_secs: f64,
     profile: ContentProfile,
-    encoder: EncoderConfig,
+    bitrate_bps: u64,
     seed: u64,
 }
 
@@ -185,7 +145,7 @@ impl Default for VideoBuilder {
         VideoBuilder {
             duration_secs: 120.0,
             profile: ContentProfile::paper_default(),
-            encoder: EncoderConfig::default(),
+            bitrate_bps: PAPER_BITRATE_BPS,
             seed: 0,
         }
     }
@@ -206,7 +166,7 @@ impl VideoBuilder {
 
     /// Sets the target bitrate in bits per second.
     pub fn bitrate_bps(&mut self, bps: u64) -> &mut Self {
-        self.encoder.bitrate_bps = bps;
+        self.bitrate_bps = bps;
         self
     }
 
@@ -227,12 +187,8 @@ impl VideoBuilder {
         let durations = self
             .profile
             .sample_gop_durations(&mut rng, self.duration_secs);
-        let (frames, gop_starts) = encode(&self.encoder, &durations, &mut rng);
-        let video = Video {
-            fps: self.encoder.fps,
-            frames,
-            gop_starts,
-        };
+        let (frames, gop_starts) = encode(self.bitrate_bps, &durations, &mut rng);
+        let video = Video { frames, gop_starts };
         debug_assert!(video.validate().is_ok());
         video
     }
@@ -241,10 +197,19 @@ impl VideoBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameType;
+    use crate::frame::{FrameType, FPS};
+    use crate::splicer::{GopSplicer, Splicer};
 
     fn paper_video() -> Video {
         Video::builder().seed(42).build()
+    }
+
+    /// Each GOP's frame count, read off `gop_starts`.
+    fn gop_frame_counts(v: &Video) -> Vec<usize> {
+        let ends = v.gop_starts()[1..].iter().map(|&s| s as usize);
+        let ends = ends.chain([v.frames().len()]);
+        let starts = v.gop_starts().iter().map(|&s| s as usize);
+        starts.zip(ends).map(|(start, end)| end - start).collect()
     }
 
     #[test]
@@ -261,15 +226,38 @@ mod tests {
     #[test]
     fn gop_views_tile_the_video() {
         let v = paper_video();
-        let total_frames: usize = v.gops().map(|g| g.frame_count()).sum();
-        assert_eq!(total_frames, v.frames().len());
-        let total_bytes: u64 = v.gops().map(|g| g.bytes()).sum();
-        assert_eq!(total_bytes, v.total_bytes());
-        let mut expected_first = 0;
-        for gop in v.gops() {
-            assert_eq!(gop.first_frame, expected_first);
-            expected_first += gop.frame_count();
-        }
+        let counts = gop_frame_counts(&v);
+        assert_eq!(counts.len(), v.gop_count());
+        assert!(counts.iter().all(|&n| n > 0));
+        assert_eq!(counts.iter().sum::<usize>(), v.frames().len());
+        assert_eq!(v.gop_starts()[0], 0);
+    }
+
+    /// A GOP is the frames from one `gop_starts` entry to the next: its
+    /// I-frame is `frames[gop_starts[g]]`, and the GOP splicer cuts one
+    /// segment per GOP with its first frame, length, bytes and times.
+    #[test]
+    fn gop_accessors() {
+        let f = |kind, bytes| Frame { kind, bytes };
+        let frames = vec![
+            f(FrameType::I, 400),
+            f(FrameType::P, 20),
+            f(FrameType::I, 1000),
+            f(FrameType::B, 50),
+            f(FrameType::P, 200),
+        ];
+        let v = Video::from_parts(frames, vec![0, 2]).unwrap();
+        assert_eq!(v.gop_count(), 2);
+        assert_eq!(gop_frame_counts(&v), [2, 3]);
+        assert_eq!(v.frames()[v.gop_starts()[1] as usize].bytes, 1000);
+        let gop = GopSplicer.splice(&v)[1];
+        assert_eq!(gop.index, 1);
+        assert_eq!(gop.first_frame, 2);
+        assert_eq!(gop.frame_count, 3);
+        assert_eq!(gop.bytes, 1250);
+        assert_eq!(gop.start_pts(), MediaTicks::from_ticks(6000));
+        assert_eq!(gop.duration(), MediaTicks::from_ticks(9000));
+        assert_eq!(v.duration(), MediaTicks::from_ticks(15_000));
     }
 
     #[test]
@@ -281,54 +269,34 @@ mod tests {
 
     #[test]
     fn from_parts_validates() {
-        let f = |kind, pts| Frame {
-            kind,
-            bytes: 10,
-            pts: MediaTicks::from_ticks(pts),
-            duration: MediaTicks::from_ticks(3000),
-        };
+        let f = |kind| Frame { kind, bytes: 10 };
         // Valid: two GOPs.
         let ok = Video::from_parts(
-            30,
-            vec![
-                f(FrameType::I, 0),
-                f(FrameType::P, 3000),
-                f(FrameType::I, 6000),
-            ],
+            vec![f(FrameType::I), f(FrameType::P), f(FrameType::I)],
             vec![0, 2],
         );
         assert!(ok.is_ok());
         // Invalid: second GOP starts on a P-frame.
-        let bad = Video::from_parts(
-            30,
-            vec![f(FrameType::I, 0), f(FrameType::P, 3000)],
-            vec![0, 1],
-        );
+        let bad = Video::from_parts(vec![f(FrameType::I), f(FrameType::P)], vec![0, 1]);
         assert_eq!(bad.unwrap_err(), MediaError::GopMissingIFrame { gop: 1 });
         // Invalid: stray mid-GOP I-frame.
-        let stray = Video::from_parts(30, vec![f(FrameType::I, 0), f(FrameType::I, 3000)], vec![0]);
+        let stray = Video::from_parts(vec![f(FrameType::I), f(FrameType::I)], vec![0]);
         assert_eq!(stray.unwrap_err(), MediaError::StrayIFrame { frame: 1 });
-        // Invalid: non-monotonic pts.
-        let order = Video::from_parts(
-            30,
-            vec![f(FrameType::I, 100), f(FrameType::P, 100)],
-            vec![0],
-        );
-        assert_eq!(order.unwrap_err(), MediaError::NonMonotonicPts { frame: 1 });
         // Invalid: empty.
         assert_eq!(
-            Video::from_parts(30, vec![], vec![]).unwrap_err(),
+            Video::from_parts(vec![], vec![]).unwrap_err(),
             MediaError::EmptyVideo
         );
     }
 
     #[test]
     fn gop_durations_vary_with_content() {
-        let v = paper_video();
-        let durs: Vec<f64> = v.gops().map(|g| g.duration().as_secs_f64()).collect();
-        let min = durs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = durs.iter().cloned().fold(0.0, f64::max);
-        assert!(max / min > 3.0, "expected variable GOPs, got {min}..{max}");
+        let counts = gop_frame_counts(&paper_video());
+        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+        assert!(
+            *max as f64 / *min as f64 > 3.0,
+            "expected variable GOPs, got {min}..{max} frames"
+        );
     }
 
     #[test]
@@ -338,8 +306,6 @@ mod tests {
             .profile(ContentProfile::Uniform { gop_secs: 2.0 })
             .build();
         assert_eq!(v.gop_count(), 5);
-        for gop in v.gops() {
-            assert!((gop.duration().as_secs_f64() - 2.0).abs() < 1e-9);
-        }
+        assert_eq!(gop_frame_counts(&v), [2 * FPS as usize; 5]);
     }
 }

@@ -63,9 +63,12 @@ proptest! {
         prop_assert!(err < 0.02, "bitrate off by {err}");
         // Duration matches the request to within one frame per GOP.
         prop_assert!((video.duration().as_secs_f64() - secs).abs() < 0.5 + video.gop_count() as f64 / 30.0);
-        // GOP index invariants.
-        let frames: usize = video.gops().map(|g| g.frame_count()).sum();
-        prop_assert_eq!(frames, video.frames().len());
+        // GOP index invariants: every GOP starts after its predecessor
+        // and inside the video.
+        let starts = video.gop_starts();
+        prop_assert_eq!(starts[0], 0);
+        prop_assert!(starts.windows(2).all(|w| w[0] < w[1]));
+        prop_assert!((starts[starts.len() - 1] as usize) < video.frames().len());
     }
 
     #[test]
@@ -77,13 +80,13 @@ proptest! {
         let video = Video::builder().duration_secs(secs).seed(seed).build();
         let list = DurationSplicer::new(target).splice(&video);
         list.validate(&video).unwrap();
-        let frame = 1.0 / f64::from(video.fps());
+        let frame = 1.0 / f64::from(FPS);
         for seg in list.segments() {
             prop_assert!(
-                seg.duration.as_secs_f64() <= target + frame + 1e-9,
+                seg.duration().as_secs_f64() <= target + frame + 1e-9,
                 "segment {} lasts {}",
                 seg.index,
-                seg.duration
+                seg.duration()
             );
         }
     }
@@ -103,7 +106,7 @@ proptest! {
         let fast = list.segment_at(pts).map(|s| s.index);
         let slow = list
             .iter()
-            .find(|s| s.start_pts <= pts && pts < s.end_pts())
+            .find(|s| s.start_pts() <= pts && pts < s.end_pts())
             .map(|s| s.index);
         prop_assert_eq!(fast, slow);
     }

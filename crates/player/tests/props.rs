@@ -35,7 +35,7 @@ proptest! {
         // playable_until agrees with a linear walk over the model.
         let pts = MediaTicks::from_ticks((probe * video.duration().ticks() as f64) as u64);
         let reference = {
-            match list.iter().position(|s| s.start_pts <= pts && pts < s.end_pts()) {
+            match list.iter().position(|s| s.start_pts() <= pts && pts < s.end_pts()) {
                 None => buffer.media_end().max(pts),
                 Some(mut i) => {
                     if !model[i] {

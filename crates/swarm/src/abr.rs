@@ -166,8 +166,8 @@ pub struct AbrReport {
     pub qoe: QoeMetrics,
     /// The individual stall events.
     pub stalls: Vec<StallEvent>,
-    /// Duration-weighted mean bitrate of the segments actually played,
-    /// bits per second — the "video quality" the paper says bitrate
+    /// Duration-weighted mean bitrate of the fetched segments, bits per
+    /// second — the "video quality" the paper says bitrate
     /// adaptation sacrifices.
     pub mean_bitrate_bps: f64,
     /// Number of rendition switches.
@@ -251,6 +251,10 @@ struct AbrClientNode {
     /// client waits for its transfer and never re-sends.
     in_flight: bool,
     rung_counts: Vec<usize>,
+    /// Σ bitrate × duration over the fetched segments, bit.
+    fetched_bits: f64,
+    /// Σ duration over the fetched segments, seconds.
+    fetched_secs: f64,
     last_rung: Option<usize>,
     switches: usize,
     reported: bool,
@@ -287,29 +291,16 @@ impl AbrClientNode {
         }
         self.reported = true;
         self.playback.finish(ctx.now().as_secs_f64());
-        // Duration-weighted mean bitrate over fetched segments.
-        let mut weighted = 0.0;
-        let mut covered = 0.0;
-        for (seg, &dur) in self.durations.iter().enumerate() {
-            if self.playback.buffer().has(seg) {
-                covered += dur;
-            }
-        }
-        // rung_counts tracks how many segments came at each rung; segments
-        // share (approximately) equal durations, so weight by count.
-        let fetched: usize = self.rung_counts.iter().sum();
-        if fetched > 0 && covered > 0.0 {
-            let per = covered / fetched as f64;
-            for (rung, &count) in self.rung_counts.iter().enumerate() {
-                weighted += self.bitrates[rung] as f64 * count as f64 * per;
-            }
-            weighted /= covered;
-        }
+        let mean_bitrate_bps = if self.fetched_secs > 0.0 {
+            self.fetched_bits / self.fetched_secs
+        } else {
+            0.0
+        };
         self.sink.borrow_mut().push(AbrReport {
             client: self.index,
             qoe: self.playback.metrics(),
             stalls: self.playback.stalls().to_vec(),
-            mean_bitrate_bps: weighted,
+            mean_bitrate_bps,
             switches: self.switches,
             rung_counts: self.rung_counts.clone(),
         });
@@ -359,6 +350,9 @@ impl NodeBehavior for AbrClientNode {
                     .observe(bytes, now.saturating_since(started).as_secs_f64());
                 self.in_flight = false;
                 self.rung_counts[rung] += 1;
+                let secs = self.durations[index as usize];
+                self.fetched_bits += self.bitrates[rung] as f64 * secs;
+                self.fetched_secs += secs;
                 if self.last_rung.is_some_and(|last| last != rung) {
                     self.switches += 1;
                 }
@@ -454,6 +448,8 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
             streaming: false,
             in_flight: false,
             rung_counts: vec![0; ladder.len()],
+            fetched_bits: 0.0,
+            fetched_secs: 0.0,
             last_rung: None,
             switches: 0,
             reported: false,
@@ -583,6 +579,35 @@ mod tests {
         let config = small_config(AbrAlgorithm::RateBased { safety: 0.8 });
         assert_eq!(run_abr(&ladder, &config, 5), run_abr(&ladder, &config, 5));
         assert_ne!(run_abr(&ladder, &config, 5), run_abr(&ladder, &config, 6));
+    }
+
+    /// Segments of unequal length weigh by their duration: on a 10 s clip
+    /// cut 4 / 4 / 2 s, a client that fetches the first segment at
+    /// 250 kb/s and the other two at 1 Mb/s plays
+    /// (0.25·4 + 1·4 + 1·2) / 10 = 0.7 Mb/s, not the 0.75 Mb/s mean of
+    /// its three fetches.
+    #[test]
+    fn mean_bitrate_weighs_fetched_segments_by_duration() {
+        let ladder = Ladder::builder().duration_secs(10.0).build();
+        let secs: Vec<f64> = (0..ladder.segment_count())
+            .map(|s| ladder.segment_secs(s))
+            .collect();
+        assert_eq!(secs, [4.0, 4.0, 2.0]);
+        let config = AbrConfig {
+            n_clients: 2,
+            client_bandwidth_bytes_per_sec: 1_000_000.0,
+            algorithm: AbrAlgorithm::BufferBased {
+                low_secs: 1.0,
+                high_secs: 1.5,
+            },
+            max_sim_secs: 600.0,
+        };
+        let metrics = run_abr(&ladder, &config, 7);
+        assert_eq!(metrics.reports.len(), 2);
+        for report in &metrics.reports {
+            assert_eq!(report.rung_counts, [1, 0, 2]);
+            assert_eq!(report.mean_bitrate_bps, 700_000.0);
+        }
     }
 
     /// Pins the ABR baseline's exact output on the ABR ladder, all three

@@ -2,7 +2,7 @@
 //! playback metrics, checking cross-crate invariants on the way.
 
 use splicecast_core::{run_once, ExperimentConfig, SplicingSpec, VideoSpec};
-use splicecast_media::Splicer;
+use splicecast_media::{Ladder, SegmentList, Splicer};
 
 fn small_config(splicing: SplicingSpec) -> ExperimentConfig {
     let mut config = ExperimentConfig::paper_baseline()
@@ -104,12 +104,89 @@ fn seeder_playlist_text_is_pinned() {
         (SplicingSpec::Duration(2.0), 3_964, 0xd5c3_909d_fcff_00b7),
         (SplicingSpec::Duration(4.0), 2_014, 0x8ee0_4267_0601_0ca1),
         (SplicingSpec::Duration(8.0), 1_047, 0xf397_2854_e78a_879a),
+        (RAMP, 1_306, 0xbb7c_dfa0_d0e8_ec01),
+        (SplicingSpec::Bytes(200_000), 4_874, 0x1203_0233_3eb1_1815),
     ];
     for (splicing, len, digest) in pins {
         let segments = splicing.splice(&video);
         let text = segments.to_m3u8("video");
         assert_eq!(text.len(), len, "{splicing:?}");
         assert_eq!(fnv1a(text.as_bytes()), digest, "{splicing:?}");
+    }
+}
+
+const RAMP: SplicingSpec = SplicingSpec::Ramp {
+    initial: 1.0,
+    max: 8.0,
+};
+
+/// FNV-1a over little-endian `u64` words.
+fn fnv1a_words(words: &[u64]) -> u64 {
+    fnv1a(
+        &words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// Every field of every segment, in order.
+fn segment_words(list: &SegmentList) -> Vec<u64> {
+    list.iter()
+        .flat_map(|s| {
+            [
+                u64::from(s.index),
+                u64::from(s.first_frame),
+                u64::from(s.frame_count),
+                s.start_pts().ticks(),
+                s.duration().ticks(),
+                s.bytes,
+                s.overhead_bytes,
+            ]
+        })
+        .collect()
+}
+
+/// The paper clip's frame table and every segment list the experiments
+/// cut, word for word: each frame's kind, bytes and start tick (frame `i`
+/// starts at `3 000 · i` on the 90 kHz clock), and each segment's fields
+/// under every splicing and on every rung of the ABR ladder. The media
+/// model's representation may change; none of these numbers may.
+#[test]
+fn frame_table_and_segment_lists_are_pinned() {
+    let video = VideoSpec::default().build();
+    let frames: Vec<u64> = (0u64..)
+        .zip(video.frames())
+        .flat_map(|(i, f)| [f.kind as u64, u64::from(f.bytes), 3_000 * i])
+        .collect();
+    assert_eq!(frames.len(), 3 * 3_600);
+    assert_eq!(fnv1a_words(&frames), 0x013d_dd30_d8df_1815);
+
+    let spliced = [
+        (SplicingSpec::Gop, 197, 0xc218_ca98_8361_9194),
+        (SplicingSpec::Duration(2.0), 60, 0x657a_af75_ada3_5b8c),
+        (SplicingSpec::Duration(4.0), 30, 0xcf22_76eb_4f5a_bec4),
+        (SplicingSpec::Duration(8.0), 15, 0x66dc_f895_4425_f938),
+        (RAMP, 19, 0x00e2_7d89_6a3d_9005),
+        (SplicingSpec::Bytes(200_000), 74, 0x6f29_d923_c7a0_7453),
+    ];
+    for (splicing, len, digest) in spliced {
+        let list = splicing.splice(&video);
+        assert_eq!(list.len(), len, "{splicing:?}");
+        assert_eq!(fnv1a_words(&segment_words(&list)), digest, "{splicing:?}");
+    }
+
+    let ladder = Ladder::builder().build();
+    let rungs = [
+        0xb71d_c49a_b680_7033,
+        0xd95d_50f8_9c67_a22a,
+        0xcf22_76eb_4f5a_bec4,
+    ];
+    assert_eq!(ladder.len(), rungs.len());
+    for (rung, digest) in rungs.into_iter().enumerate() {
+        let list = ladder.segments(rung);
+        assert_eq!(list.len(), 30, "rung {rung}");
+        assert_eq!(fnv1a_words(&segment_words(list)), digest, "rung {rung}");
     }
 }
 
