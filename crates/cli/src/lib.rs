@@ -440,6 +440,10 @@ mod tests {
                 "client bandwidth must be positive",
             ),
             (
+                &["abr", "--bandwidth", "1e305"],
+                "bandwidths must be finite",
+            ),
+            (
                 &["overhead", "--durations", "0"],
                 "segment duration must be positive",
             ),

@@ -55,16 +55,13 @@ fn weight(kind: FrameType) -> f64 {
 /// back-to-back at [`FPS`], sizes scaled so total bytes equal
 /// `bitrate_bps × total_duration / 8`.
 ///
-/// Returns the frames plus the index of each GOP's first frame.
+/// Every GOP opens with its I-frame, so the frames alone say where the
+/// GOPs start.
 ///
 /// # Panics
 ///
 /// Panics if `gop_durations` is empty or the bitrate is zero.
-pub(crate) fn encode(
-    bitrate_bps: u64,
-    gop_durations: &[f64],
-    rng: &mut StdRng,
-) -> (Vec<Frame>, Vec<u32>) {
+pub(crate) fn encode(bitrate_bps: u64, gop_durations: &[f64], rng: &mut StdRng) -> Vec<Frame> {
     assert!(bitrate_bps > 0, "bitrate must be positive");
     assert!(
         !gop_durations.is_empty(),
@@ -72,7 +69,6 @@ pub(crate) fn encode(
     );
 
     let mut frames: Vec<Frame> = Vec::new();
-    let mut gop_starts: Vec<u32> = Vec::new();
     let mut raw_sizes: Vec<f64> = Vec::new();
 
     // Frame counts come from rounding *cumulative* boundaries so the total
@@ -93,7 +89,6 @@ pub(crate) fn encode(
             }
         }
         cum_frames += n;
-        gop_starts.push(frames.len() as u32);
         for idx in 0..n {
             let kind = frame_type_at(idx);
             raw_sizes.push(weight(kind) * size_jitter(rng));
@@ -111,7 +106,7 @@ pub(crate) fn encode(
         frame.bytes = ((raw * scale).round() as u32).max(1);
     }
 
-    (frames, gop_starts)
+    frames
 }
 
 /// A log-normal size factor with σ = [`SIZE_JITTER_SIGMA`] (Box–Muller).
@@ -134,6 +129,15 @@ mod tests {
         StdRng::seed_from_u64(5)
     }
 
+    /// The frame indices of the I-frames: where the GOPs start.
+    fn intra_at(frames: &[Frame]) -> Vec<usize> {
+        let intra = frames.iter().map(|f| f.kind.is_intra());
+        intra
+            .enumerate()
+            .filter_map(|(i, intra)| intra.then_some(i))
+            .collect()
+    }
+
     #[test]
     fn pattern_is_ibbp() {
         let kinds: Vec<FrameType> = (0..7).map(frame_type_at).collect();
@@ -143,7 +147,7 @@ mod tests {
 
     #[test]
     fn encode_hits_target_bitrate() {
-        let (frames, _) = encode(PAPER_BITRATE_BPS, &[2.0, 3.0, 1.0], &mut rng());
+        let frames = encode(PAPER_BITRATE_BPS, &[2.0, 3.0, 1.0], &mut rng());
         let total: u64 = frames.iter().map(|f| u64::from(f.bytes)).sum();
         let expected = 1_000_000.0 * 6.0 / 8.0;
         let err = (total as f64 - expected).abs() / expected;
@@ -152,11 +156,9 @@ mod tests {
 
     #[test]
     fn encode_counts_frames_per_gop() {
-        let (frames, starts) = encode(PAPER_BITRATE_BPS, &[2.0, 1.0], &mut rng());
+        let frames = encode(PAPER_BITRATE_BPS, &[2.0, 1.0], &mut rng());
         assert_eq!(frames.len(), 90);
-        assert_eq!(starts, vec![0, 60]);
-        assert!(frames[0].kind.is_intra());
-        assert!(frames[60].kind.is_intra());
+        assert_eq!(intra_at(&frames), [0, 60]);
     }
 
     /// GOP lengths round at their cumulative boundaries, so the frames
@@ -165,14 +167,14 @@ mod tests {
     /// rounding each GOP alone would give 48.
     #[test]
     fn timestamps_are_contiguous() {
-        let (frames, starts) = encode(PAPER_BITRATE_BPS, &[0.52; 3], &mut rng());
-        assert_eq!(starts, vec![0, 16, 31]);
+        let frames = encode(PAPER_BITRATE_BPS, &[0.52; 3], &mut rng());
+        assert_eq!(intra_at(&frames), [0, 16, 31]);
         assert_eq!(frames.len(), 47);
     }
 
     #[test]
     fn i_frames_dominate_sizes_on_average() {
-        let (frames, _) = encode(PAPER_BITRATE_BPS, &[4.0; 50], &mut rng());
+        let frames = encode(PAPER_BITRATE_BPS, &[4.0; 50], &mut rng());
         let mean = |kind| {
             let sizes: Vec<f64> = frames
                 .iter()
@@ -188,10 +190,9 @@ mod tests {
 
     #[test]
     fn tiny_gop_still_has_a_frame() {
-        let (frames, starts) = encode(PAPER_BITRATE_BPS, &[0.001], &mut rng());
+        let frames = encode(PAPER_BITRATE_BPS, &[0.001], &mut rng());
+        assert_eq!(intra_at(&frames), [0]);
         assert_eq!(frames.len(), 1);
-        assert_eq!(starts, vec![0]);
-        assert!(frames[0].kind.is_intra());
     }
 
     #[test]

@@ -14,11 +14,6 @@ pub enum MediaError {
         /// Index of the offending GOP.
         gop: usize,
     },
-    /// An I-frame appeared in the middle of a GOP.
-    StrayIFrame {
-        /// Index of the offending frame.
-        frame: usize,
-    },
     /// Segments must partition the video's frames without gaps or overlap.
     SegmentCoverage {
         /// First frame index not covered correctly.
@@ -37,9 +32,6 @@ impl fmt::Display for MediaError {
             MediaError::EmptyVideo => write!(f, "video contains no frames"),
             MediaError::GopMissingIFrame { gop } => {
                 write!(f, "gop {gop} does not begin with an I-frame")
-            }
-            MediaError::StrayIFrame { frame } => {
-                write!(f, "frame {frame} is an I-frame in the middle of a gop")
             }
             MediaError::SegmentCoverage { frame } => {
                 write!(f, "segments do not cover frame {frame} exactly once")

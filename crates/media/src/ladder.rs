@@ -9,24 +9,13 @@
 //! the *same* segment boundaries, so a client can switch rendition at any
 //! segment edge.
 
-use crate::error::MediaError;
 use crate::segment::SegmentList;
 use crate::splicer::{DurationSplicer, Splicer};
 use crate::video::{Video, PAPER_CONTENT_SEED};
 
-/// One rung of a [`Ladder`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rendition {
-    /// Target bitrate of this rendition, bits per second.
-    pub bitrate_bps: u64,
-    /// The coded video.
-    pub video: Video,
-    /// The video cut at the ladder's common segment boundaries.
-    pub segments: SegmentList,
-}
-
-/// An aligned set of renditions: same content, same GOP structure, same
-/// segment boundaries — only the bytes differ.
+/// An aligned set of renditions, one per rung of [`Ladder::BITRATES_BPS`]:
+/// same content, same GOP structure, same segment boundaries — only the
+/// bytes differ.
 ///
 /// # Examples
 ///
@@ -41,7 +30,8 @@ pub struct Rendition {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
-    renditions: Vec<Rendition>,
+    /// Each rung's segment list, in the order of `BITRATES_BPS`.
+    rungs: Vec<SegmentList>,
 }
 
 impl Ladder {
@@ -54,24 +44,19 @@ impl Ladder {
         LadderBuilder::default()
     }
 
-    /// The renditions, ascending by bitrate.
-    pub fn renditions(&self) -> &[Rendition] {
-        &self.renditions
-    }
-
     /// Number of renditions.
     pub fn len(&self) -> usize {
-        self.renditions.len()
+        self.rungs.len()
     }
 
     /// True when the ladder has no renditions (never after `build`).
     pub fn is_empty(&self) -> bool {
-        self.renditions.is_empty()
+        self.rungs.is_empty()
     }
 
     /// Number of segments (identical across renditions).
     pub fn segment_count(&self) -> usize {
-        self.renditions[0].segments.len()
+        self.rungs[0].len()
     }
 
     /// Transfer size of one segment of one rendition.
@@ -80,7 +65,7 @@ impl Ladder {
     ///
     /// Panics when either index is out of range.
     pub fn segment_bytes(&self, rendition: usize, segment: usize) -> u64 {
-        self.renditions[rendition].segments[segment].bytes
+        self.rungs[rendition][segment].bytes
     }
 
     /// Display duration of a segment in seconds (identical across
@@ -91,41 +76,12 @@ impl Ladder {
 
     /// The segment list of one rendition.
     pub fn segments(&self, rendition: usize) -> &SegmentList {
-        &self.renditions[rendition].segments
+        &self.rungs[rendition]
     }
 
     /// Bitrate of a rendition, bits per second.
     pub fn bitrate_bps(&self, rendition: usize) -> u64 {
-        self.renditions[rendition].bitrate_bps
-    }
-
-    /// Validates every rendition's tiling and their alignment: the same
-    /// segment count, each segment spanning the same frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MediaError::SegmentCoverage`] flavoured error when
-    /// alignment is broken.
-    pub fn validate(&self) -> Result<(), MediaError> {
-        if self.renditions.is_empty() {
-            return Err(MediaError::EmptyVideo);
-        }
-        let reference = &self.renditions[0];
-        reference.segments.validate(&reference.video)?;
-        for rendition in &self.renditions[1..] {
-            rendition.segments.validate(&rendition.video)?;
-            if rendition.segments.len() != reference.segments.len() {
-                return Err(MediaError::SegmentCoverage { frame: 0 });
-            }
-            for (a, b) in rendition.segments.iter().zip(reference.segments.iter()) {
-                if (a.first_frame, a.frame_count) != (b.first_frame, b.frame_count) {
-                    return Err(MediaError::SegmentCoverage {
-                        frame: a.first_frame as usize,
-                    });
-                }
-            }
-        }
-        Ok(())
+        Self::BITRATES_BPS[rendition]
     }
 }
 
@@ -161,15 +117,15 @@ impl LadderBuilder {
         self
     }
 
-    /// Encodes every rendition from the same content realisation and cuts
-    /// them at the same boundaries.
+    /// Encodes every rendition from the same content realisation, cuts
+    /// them at the same boundaries and keeps only the cuts.
     ///
     /// # Panics
     ///
     /// Panics when the clip length is invalid.
     pub fn build(&self) -> Ladder {
         let splicer = DurationSplicer::new(SEGMENT_SECS);
-        let renditions = Ladder::BITRATES_BPS
+        let rungs: Vec<SegmentList> = Ladder::BITRATES_BPS
             .into_iter()
             .map(|bitrate_bps| {
                 // Same profile + same seed ⇒ identical GOP structure and
@@ -180,17 +136,27 @@ impl LadderBuilder {
                     .seed(PAPER_CONTENT_SEED)
                     .build();
                 let segments = splicer.splice(&video);
-                Rendition {
-                    bitrate_bps,
-                    video,
-                    segments,
-                }
+                segments.validate(&video).expect("a splice tiles its video");
+                segments
             })
             .collect();
-        let ladder = Ladder { renditions };
-        debug_assert!(ladder.validate().is_ok());
-        ladder
+        assert!(
+            aligned(&rungs),
+            "every rung must share the segment boundaries"
+        );
+        Ladder { rungs }
     }
+}
+
+/// Whether every list cuts at the first one's frames: the same segment
+/// count, each segment spanning the same frames.
+fn aligned(rungs: &[SegmentList]) -> bool {
+    let spans = |list: &SegmentList| -> Vec<(u32, u32)> {
+        list.iter()
+            .map(|s| (s.first_frame, s.frame_count))
+            .collect()
+    };
+    rungs.iter().all(|list| spans(list) == spans(&rungs[0]))
 }
 
 #[cfg(test)]
@@ -204,7 +170,7 @@ mod tests {
     #[test]
     fn renditions_are_aligned() {
         let l = ladder();
-        l.validate().unwrap();
+        assert!(aligned(&l.rungs));
         assert_eq!(l.len(), 3);
         assert_eq!(l.segment_count(), 6);
         for seg in 0..l.segment_count() {
@@ -234,11 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_catches_misalignment() {
-        let mut l = ladder();
-        // Cut the top rendition differently.
-        let video = l.renditions[2].video.clone();
-        l.renditions[2].segments = DurationSplicer::new(2.0).splice(&video);
-        assert!(l.validate().is_err());
+    fn alignment_catches_a_rung_cut_differently() {
+        let video = Video::builder().duration_secs(24.0).build();
+        let by_4s = DurationSplicer::new(4.0).splice(&video);
+        let by_2s = DurationSplicer::new(2.0).splice(&video);
+        assert!(aligned(&[by_4s.clone(), by_4s.clone()]));
+        assert!(!aligned(&[by_4s, by_2s]));
     }
 }

@@ -11,8 +11,8 @@
 //!   [`FPS`] on a 90 kHz clock: a frame's time is its index (frame `i`
 //!   starts at `i ×` [`FRAME_TICKS`]), so a frame is its kind and size;
 //! - closed GOPs whose durations follow a [`ContentProfile`] (scene
-//!   changes → short GOPs, static scenes → very long GOPs), indexed by
-//!   [`Video::gop_starts`];
+//!   changes → short GOPs, static scenes → very long GOPs), each starting
+//!   at its I-frame ([`Video::gop_starts`] reads them off the frames);
 //! - a constant-bitrate synthetic encoder, driven by [`Video::builder`],
 //!   whose one tunable is the bitrate;
 //! - the paper's splicing strategies, each a list of cut frame indices:
@@ -55,7 +55,7 @@ pub use content::{ContentProfile, SceneClass};
 pub use encoder::PAPER_BITRATE_BPS;
 pub use error::MediaError;
 pub use frame::{Frame, FrameType, MediaTicks, FPS, FRAME_TICKS, TICKS_PER_SEC};
-pub use ladder::{Ladder, LadderBuilder, Rendition};
+pub use ladder::{Ladder, LadderBuilder};
 pub use segment::{Segment, SegmentList};
 pub use splicer::{ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, Splicer};
 pub use video::{Video, VideoBuilder, PAPER_CONTENT_SEED};

@@ -6,11 +6,10 @@ use crate::error::MediaError;
 use crate::frame::{MediaTicks, FRAME_TICKS};
 use crate::video::Video;
 
-/// One spliced segment of a video.
+/// One spliced segment of a video. A segment is named by its position
+/// in its [`SegmentList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
-    /// Position in the segment list.
-    pub index: u32,
     /// Index of the first frame this segment carries.
     pub first_frame: u32,
     /// Number of frames carried.
@@ -137,16 +136,15 @@ impl SegmentList {
         }
     }
 
-    /// The segment whose playback interval contains `pts`.
-    pub fn segment_at(&self, pts: MediaTicks) -> Option<&Segment> {
+    /// The position of the segment whose playback interval contains `pts`.
+    pub fn segment_at(&self, pts: MediaTicks) -> Option<usize> {
         // The search runs on frame indices: the player asks on every tick.
         let frame = pts.ticks() / FRAME_TICKS;
         let idx = self
             .segments
             .partition_point(|s| u64::from(s.first_frame + s.frame_count) <= frame);
-        self.segments
-            .get(idx)
-            .filter(|s| u64::from(s.first_frame) <= frame)
+        let seg = self.segments.get(idx)?;
+        (u64::from(seg.first_frame) <= frame).then_some(idx)
     }
 
     /// Checks that the segments exactly tile `video` and that their byte
@@ -159,7 +157,7 @@ impl SegmentList {
         let frames = video.frames();
         let mut next_frame = 0u32;
         for (i, seg) in self.segments.iter().enumerate() {
-            if seg.index != i as u32 || seg.first_frame != next_frame || seg.frame_count == 0 {
+            if seg.first_frame != next_frame || seg.frame_count == 0 {
                 return Err(MediaError::SegmentCoverage {
                     frame: next_frame as usize,
                 });
@@ -183,7 +181,7 @@ impl SegmentList {
     /// The playlist the seeder serves joining peers, as `m3u8` text (like
     /// the `.m3u8` an HLS origin serves): every segment's duration and
     /// transfer size, the size in a `#EXT-X-SPLICECAST-BYTES` application
-    /// tag, each segment named `{name}-{index:05}.m4s`.
+    /// tag, each segment named `{name}-{position:05}.m4s`.
     pub fn to_m3u8(&self, name: &str) -> String {
         let target = self
             .segments
@@ -192,8 +190,8 @@ impl SegmentList {
             .max()
             .unwrap_or(0);
         let mut out = format!("#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-TARGETDURATION:{target}\n");
-        for seg in &self.segments {
-            let (bytes, secs, index) = (seg.bytes, seg.duration().as_secs_f64(), seg.index);
+        for (index, seg) in self.segments.iter().enumerate() {
+            let (bytes, secs) = (seg.bytes, seg.duration().as_secs_f64());
             out += &format!(
                 "#EXT-X-SPLICECAST-BYTES:{bytes}\n#EXTINF:{secs:.6},\n{name}-{index:05}.m4s\n"
             );
@@ -243,10 +241,10 @@ mod tests {
     fn segment_at_finds_the_right_segment() {
         let v = video();
         let list = GopSplicer.splice(&v);
-        for seg in &list {
+        for (i, seg) in list.iter().enumerate() {
             let mid = MediaTicks::from_ticks((seg.start_pts().ticks() + seg.end_pts().ticks()) / 2);
-            assert_eq!(list.segment_at(mid).unwrap().index, seg.index);
-            assert_eq!(list.segment_at(seg.start_pts()).unwrap().index, seg.index);
+            assert_eq!(list.segment_at(mid), Some(i));
+            assert_eq!(list.segment_at(seg.start_pts()), Some(i));
         }
         assert!(list.segment_at(v.duration()).is_none());
     }
@@ -306,7 +304,7 @@ mod tests {
     fn indexing_and_iteration() {
         let v = video();
         let list = GopSplicer.splice(&v);
-        assert_eq!(list[0].index, 0);
+        assert_eq!(list[0], *list.get(0).unwrap());
         let count = list.iter().count();
         assert_eq!(count, list.len());
     }

@@ -42,8 +42,7 @@ pub struct GopSplicer;
 
 impl Splicer for GopSplicer {
     fn splice(&self, video: &Video) -> SegmentList {
-        let starts = video.gop_starts().iter().map(|&s| s as usize);
-        let cuts: Vec<usize> = starts.chain([video.frames().len()]).collect();
+        let cuts: Vec<usize> = video.gop_starts().chain([video.frames().len()]).collect();
         build_segments(video, &cuts)
     }
 
@@ -258,22 +257,27 @@ fn timed_cuts(frame_count: usize, initial_secs: f64, max_secs: f64) -> Vec<usize
 /// for every segment that starts mid-GOP.
 fn build_segments(video: &Video, cuts: &[usize]) -> SegmentList {
     let frames = video.frames();
-    let gop_starts = video.gop_starts();
-    let segments = cuts.windows(2).enumerate().map(|(index, window)| {
+    // Bytes of the last I-frame passed: the cuts walk the frames in order,
+    // and frame 0 is intra.
+    let mut i_frame_bytes = frames[0].bytes;
+    let segments = cuts.windows(2).map(|window| {
         let (start, end) = (window[0], window[1]);
-        let media: u64 = frames[start..end].iter().map(|f| u64::from(f.bytes)).sum();
         let first = frames[start];
+        // A cut that lands mid-GOP re-codes its first frame as an I-frame
+        // sized like the containing GOP's own I-frame.
         let overhead = if first.kind.is_intra() {
             0
         } else {
-            // The cut landed mid-GOP: the first frame is re-coded as an
-            // I-frame sized like the containing GOP's own I-frame.
-            let gop = gop_starts.partition_point(|&s| (s as usize) <= start) - 1;
-            let i_frame = frames[gop_starts[gop] as usize];
-            u64::from(i_frame.bytes.saturating_sub(first.bytes))
+            u64::from(i_frame_bytes.saturating_sub(first.bytes))
         };
+        let mut media = 0;
+        for frame in &frames[start..end] {
+            if frame.kind.is_intra() {
+                i_frame_bytes = frame.bytes;
+            }
+            media += u64::from(frame.bytes);
+        }
         Segment {
-            index: index as u32,
             first_frame: start as u32,
             frame_count: (end - start) as u32,
             bytes: media + overhead,
@@ -319,12 +323,11 @@ mod tests {
             list.validate(&v).unwrap();
             // All but the last segment are within a frame of the target.
             let frame = 1.0 / f64::from(FPS);
-            for seg in &list.segments()[..list.len() - 1] {
+            for (i, seg) in list.segments()[..list.len() - 1].iter().enumerate() {
                 let d = seg.duration().as_secs_f64();
                 assert!(
                     (d - target).abs() <= frame + 1e-9,
-                    "target {target}: segment {} lasts {d}",
-                    seg.index
+                    "target {target}: segment {i} lasts {d}"
                 );
             }
         }
@@ -348,10 +351,10 @@ mod tests {
             "mixed content should force conversions"
         );
         // Overhead only on segments that do not start with an I-frame.
-        for seg in &list {
+        for (i, seg) in list.iter().enumerate() {
             let first = &v.frames()[seg.first_frame as usize];
             if first.kind == FrameType::I {
-                assert_eq!(seg.overhead_bytes, 0, "segment {}", seg.index);
+                assert_eq!(seg.overhead_bytes, 0, "segment {i}");
             }
         }
     }
@@ -406,13 +409,8 @@ mod tests {
         assert_eq!(ByteSplicer::new(target).name(), "100000B");
         // Segments exceed the target by at most one frame plus conversion
         // overhead; sanity-bound at 2x.
-        for seg in &list.segments()[..list.len() - 1] {
-            assert!(
-                seg.bytes < 2 * target,
-                "segment {} is {} bytes",
-                seg.index,
-                seg.bytes
-            );
+        for (i, seg) in list.segments()[..list.len() - 1].iter().enumerate() {
+            assert!(seg.bytes < 2 * target, "segment {i} is {} bytes", seg.bytes);
         }
     }
 

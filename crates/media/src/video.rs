@@ -1,4 +1,4 @@
-//! The video container: frames, GOP index, and the builder.
+//! The video container: the frame table and the builder.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,7 +9,8 @@ use crate::error::MediaError;
 use crate::frame::{Frame, MediaTicks};
 
 /// A coded video: a validated sequence of closed GOPs at [`FPS`] frames
-/// per second, frame `i` starting at `i ×` [`FRAME_TICKS`].
+/// per second, frame `i` starting at `i ×` [`FRAME_TICKS`]. A GOP starts
+/// at each I-frame and runs to the next.
 ///
 /// [`FPS`]: crate::FPS
 /// [`FRAME_TICKS`]: crate::FRAME_TICKS
@@ -29,7 +30,6 @@ use crate::frame::{Frame, MediaTicks};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Video {
     frames: Vec<Frame>,
-    gop_starts: Vec<u32>,
 }
 
 impl Video {
@@ -38,16 +38,19 @@ impl Video {
         VideoBuilder::default()
     }
 
-    /// Assembles a video from parts, validating the closed-GOP invariants.
+    /// Assembles a video from its frames.
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant: frames non-empty, every GOP
-    /// starting with an I-frame and containing no other I-frames.
-    pub fn from_parts(frames: Vec<Frame>, gop_starts: Vec<u32>) -> Result<Self, MediaError> {
-        let video = Video { frames, gop_starts };
-        video.validate()?;
-        Ok(video)
+    /// [`MediaError::EmptyVideo`] without frames, and
+    /// [`MediaError::GopMissingIFrame`] when the first frame is not intra
+    /// (every later I-frame starts a GOP).
+    pub fn from_parts(frames: Vec<Frame>) -> Result<Self, MediaError> {
+        match frames.first() {
+            None => Err(MediaError::EmptyVideo),
+            Some(first) if !first.kind.is_intra() => Err(MediaError::GopMissingIFrame { gop: 0 }),
+            Some(_) => Ok(Video { frames }),
+        }
     }
 
     /// All frames, in presentation order.
@@ -55,14 +58,17 @@ impl Video {
         &self.frames
     }
 
-    /// Frame indices where each GOP starts.
-    pub fn gop_starts(&self) -> &[u32] {
-        &self.gop_starts
+    /// Frame indices where each GOP starts: its I-frames, ascending.
+    pub fn gop_starts(&self) -> impl Iterator<Item = usize> + '_ {
+        let kinds = self.frames.iter().map(|f| f.kind.is_intra());
+        kinds
+            .enumerate()
+            .filter_map(|(i, intra)| intra.then_some(i))
     }
 
     /// Number of GOPs.
     pub fn gop_count(&self) -> usize {
-        self.gop_starts.len()
+        self.gop_starts().count()
     }
 
     /// Total display duration.
@@ -83,43 +89,6 @@ impl Video {
         } else {
             self.total_bytes() as f64 * 8.0 / secs
         }
-    }
-
-    /// Checks every container invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), MediaError> {
-        if self.frames.is_empty() {
-            return Err(MediaError::EmptyVideo);
-        }
-        if self.gop_starts.first() != Some(&0) {
-            return Err(MediaError::GopMissingIFrame { gop: 0 });
-        }
-        let starts: std::collections::HashSet<u32> = self.gop_starts.iter().copied().collect();
-        for (g, &start) in self.gop_starts.iter().enumerate() {
-            match self.frames.get(start as usize) {
-                Some(f) if f.kind.is_intra() => {}
-                _ => return Err(MediaError::GopMissingIFrame { gop: g }),
-            }
-        }
-        for (i, frame) in self.frames.iter().enumerate() {
-            if frame.kind.is_intra() != starts.contains(&(i as u32)) {
-                return if frame.kind.is_intra() {
-                    Err(MediaError::StrayIFrame { frame: i })
-                } else {
-                    Err(MediaError::GopMissingIFrame {
-                        gop: self
-                            .gop_starts
-                            .iter()
-                            .position(|&s| s == i as u32)
-                            .unwrap_or(0),
-                    })
-                };
-            }
-        }
-        Ok(())
     }
 }
 
@@ -187,10 +156,9 @@ impl VideoBuilder {
         let durations = self
             .profile
             .sample_gop_durations(&mut rng, self.duration_secs);
-        let (frames, gop_starts) = encode(self.bitrate_bps, &durations, &mut rng);
-        let video = Video { frames, gop_starts };
-        debug_assert!(video.validate().is_ok());
-        video
+        Video {
+            frames: encode(self.bitrate_bps, &durations, &mut rng),
+        }
     }
 }
 
@@ -206,10 +174,13 @@ mod tests {
 
     /// Each GOP's frame count, read off `gop_starts`.
     fn gop_frame_counts(v: &Video) -> Vec<usize> {
-        let ends = v.gop_starts()[1..].iter().map(|&s| s as usize);
-        let ends = ends.chain([v.frames().len()]);
-        let starts = v.gop_starts().iter().map(|&s| s as usize);
-        starts.zip(ends).map(|(start, end)| end - start).collect()
+        let starts: Vec<usize> = v.gop_starts().collect();
+        let ends = starts[1..].iter().copied().chain([v.frames().len()]);
+        starts
+            .iter()
+            .zip(ends)
+            .map(|(start, end)| end - start)
+            .collect()
     }
 
     #[test]
@@ -220,7 +191,7 @@ mod tests {
         let mb = v.total_bytes() as f64 / 1e6;
         assert!((mb - 15.0).abs() < 0.2, "total {mb} MB");
         assert!((v.bitrate_bps() - 1_000_000.0).abs() < 20_000.0);
-        assert!(v.validate().is_ok());
+        assert!(v.frames()[0].kind.is_intra());
     }
 
     #[test]
@@ -230,12 +201,12 @@ mod tests {
         assert_eq!(counts.len(), v.gop_count());
         assert!(counts.iter().all(|&n| n > 0));
         assert_eq!(counts.iter().sum::<usize>(), v.frames().len());
-        assert_eq!(v.gop_starts()[0], 0);
+        assert_eq!(v.gop_starts().next(), Some(0));
     }
 
-    /// A GOP is the frames from one `gop_starts` entry to the next: its
-    /// I-frame is `frames[gop_starts[g]]`, and the GOP splicer cuts one
-    /// segment per GOP with its first frame, length, bytes and times.
+    /// A GOP is the frames from one I-frame to the next, and the GOP
+    /// splicer cuts one segment per GOP with its first frame, length,
+    /// bytes and times.
     #[test]
     fn gop_accessors() {
         let f = |kind, bytes| Frame { kind, bytes };
@@ -246,12 +217,11 @@ mod tests {
             f(FrameType::B, 50),
             f(FrameType::P, 200),
         ];
-        let v = Video::from_parts(frames, vec![0, 2]).unwrap();
+        let v = Video::from_parts(frames).unwrap();
         assert_eq!(v.gop_count(), 2);
+        assert_eq!(v.gop_starts().collect::<Vec<_>>(), [0, 2]);
         assert_eq!(gop_frame_counts(&v), [2, 3]);
-        assert_eq!(v.frames()[v.gop_starts()[1] as usize].bytes, 1000);
         let gop = GopSplicer.splice(&v)[1];
-        assert_eq!(gop.index, 1);
         assert_eq!(gop.first_frame, 2);
         assert_eq!(gop.frame_count, 3);
         assert_eq!(gop.bytes, 1250);
@@ -271,20 +241,14 @@ mod tests {
     fn from_parts_validates() {
         let f = |kind| Frame { kind, bytes: 10 };
         // Valid: two GOPs.
-        let ok = Video::from_parts(
-            vec![f(FrameType::I), f(FrameType::P), f(FrameType::I)],
-            vec![0, 2],
-        );
-        assert!(ok.is_ok());
-        // Invalid: second GOP starts on a P-frame.
-        let bad = Video::from_parts(vec![f(FrameType::I), f(FrameType::P)], vec![0, 1]);
-        assert_eq!(bad.unwrap_err(), MediaError::GopMissingIFrame { gop: 1 });
-        // Invalid: stray mid-GOP I-frame.
-        let stray = Video::from_parts(vec![f(FrameType::I), f(FrameType::I)], vec![0]);
-        assert_eq!(stray.unwrap_err(), MediaError::StrayIFrame { frame: 1 });
+        let ok = Video::from_parts(vec![f(FrameType::I), f(FrameType::P), f(FrameType::I)]);
+        assert_eq!(ok.unwrap().gop_count(), 2);
+        // Invalid: the first GOP starts on a P-frame.
+        let bad = Video::from_parts(vec![f(FrameType::P), f(FrameType::I)]);
+        assert_eq!(bad.unwrap_err(), MediaError::GopMissingIFrame { gop: 0 });
         // Invalid: empty.
         assert_eq!(
-            Video::from_parts(vec![], vec![]).unwrap_err(),
+            Video::from_parts(vec![]).unwrap_err(),
             MediaError::EmptyVideo
         );
     }

@@ -57,18 +57,18 @@ proptest! {
             .bitrate_bps(bitrate)
             .seed(seed)
             .build();
-        prop_assert!(video.validate().is_ok());
+        prop_assert_eq!(Video::from_parts(video.frames().to_vec()), Ok(video.clone()));
         // CBR scaling: actual bitrate within 2% of the target.
         let err = (video.bitrate_bps() - bitrate as f64).abs() / bitrate as f64;
         prop_assert!(err < 0.02, "bitrate off by {err}");
         // Duration matches the request to within one frame per GOP.
         prop_assert!((video.duration().as_secs_f64() - secs).abs() < 0.5 + video.gop_count() as f64 / 30.0);
-        // GOP index invariants: every GOP starts after its predecessor
-        // and inside the video.
-        let starts = video.gop_starts();
+        // GOP invariants: every GOP starts after its predecessor and
+        // inside the video.
+        let starts: Vec<usize> = video.gop_starts().collect();
         prop_assert_eq!(starts[0], 0);
         prop_assert!(starts.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!((starts[starts.len() - 1] as usize) < video.frames().len());
+        prop_assert!(starts[starts.len() - 1] < video.frames().len());
     }
 
     #[test]
@@ -81,11 +81,11 @@ proptest! {
         let list = DurationSplicer::new(target).splice(&video);
         list.validate(&video).unwrap();
         let frame = 1.0 / f64::from(FPS);
-        for seg in list.segments() {
+        for (i, seg) in list.iter().enumerate() {
             prop_assert!(
                 seg.duration().as_secs_f64() <= target + frame + 1e-9,
                 "segment {} lasts {}",
-                seg.index,
+                i,
                 seg.duration()
             );
         }
@@ -103,12 +103,55 @@ proptest! {
         let pts = MediaTicks::from_ticks(
             (probe * video.duration().ticks() as f64) as u64,
         );
-        let fast = list.segment_at(pts).map(|s| s.index);
+        let fast = list.segment_at(pts);
         let slow = list
             .iter()
-            .find(|s| s.start_pts() <= pts && pts < s.end_pts())
-            .map(|s| s.index);
+            .position(|s| s.start_pts() <= pts && pts < s.end_pts());
         prop_assert_eq!(fast, slow);
+    }
+
+    /// The splicers' I-frame lookup against a naive backward scan: a
+    /// segment that opens on an I-frame pays nothing, any other pays the
+    /// last I-frame at or before its first frame minus that frame's own
+    /// bytes, and a GOP segment holds exactly one I-frame, its first.
+    #[test]
+    fn overhead_is_the_last_i_frame_before_the_cut(
+        profile in arbitrary_profile(),
+        secs in 2.0f64..60.0,
+        seed in any::<u64>(),
+        d in 0.5f64..8.0,
+        b in 20_000u64..1_000_000,
+    ) {
+        let video = Video::builder().duration_secs(secs).profile(profile).seed(seed).build();
+        let frames = video.frames();
+        let gop = GopSplicer.splice(&video);
+        for seg in &gop {
+            let span = &frames[seg.first_frame as usize..][..seg.frame_count as usize];
+            let intra: Vec<usize> = (0..span.len()).filter(|&i| span[i].kind.is_intra()).collect();
+            prop_assert_eq!(intra, vec![0]);
+        }
+        let lists = [
+            gop,
+            DurationSplicer::new(d).splice(&video),
+            RampSplicer::new(d, 2.0 * d).splice(&video),
+            ByteSplicer::new(b).splice(&video),
+        ];
+        for list in &lists {
+            for seg in list {
+                let first = frames[seg.first_frame as usize];
+                let expected = if first.kind.is_intra() {
+                    0
+                } else {
+                    let i_frame = frames[..=seg.first_frame as usize]
+                        .iter()
+                        .rev()
+                        .find(|f| f.kind.is_intra())
+                        .expect("frame 0 is intra");
+                    u64::from(i_frame.bytes.saturating_sub(first.bytes))
+                };
+                prop_assert_eq!(seg.overhead_bytes, expected);
+            }
+        }
     }
 
     #[test]
@@ -125,4 +168,11 @@ proptest! {
             prop_assert!(seg.media_bytes() >= target.min(video.total_bytes()));
         }
     }
+}
+
+/// A segment is its first frame, frame count, bytes and overhead: its
+/// position in the list names it.
+#[test]
+fn a_segment_is_24_bytes() {
+    assert_eq!(std::mem::size_of::<Segment>(), 24);
 }

@@ -91,7 +91,7 @@ impl SegmentBuffer {
 
     /// The segment whose interval contains `pts`, if any.
     pub fn segment_at(&self, pts: MediaTicks) -> Option<usize> {
-        self.segments.segment_at(pts).map(|s| s.index as usize)
+        self.segments.segment_at(pts)
     }
 
     /// The timeline point up to which playback can run without interruption

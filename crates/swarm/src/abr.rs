@@ -14,8 +14,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use rand::{Rng, SeedableRng};
-use splicecast_media::{Ladder, Segment, SegmentList};
+use splicecast_media::{Ladder, SegmentList};
 use splicecast_netsim::{
     star, Ctx, LinkSpec, NodeBehavior, NodeEvent, NodeId, NullBehavior, SimDuration, SimTime,
     Simulator,
@@ -26,7 +27,7 @@ use splicecast_protocol::{decode_single, encode_to_bytes, Message};
 use crate::metrics::mean;
 use crate::policy::{BandwidthEstimator, EstimatorKind};
 use crate::seeder::SeederNode;
-use crate::{must, rule};
+use crate::{link_rate, must, rule};
 
 const TOKEN_BOOT: u64 = 1;
 const TOKEN_PUMP: u64 = 2;
@@ -150,10 +151,13 @@ impl AbrConfig {
             "client bandwidth must be positive",
         )?;
         rule(
-            self.client_bandwidth_bytes_per_sec.is_finite(),
+            link_rate(self.client_bandwidth_bytes_per_sec),
             "bandwidths must be finite",
         )?;
-        rule(self.max_sim_secs > 0.0, "sim cap must be positive")
+        rule(
+            self.max_sim_secs > 0.0 && self.max_sim_secs.is_finite(),
+            "sim cap must be positive and finite",
+        )
     }
 }
 
@@ -219,19 +223,10 @@ impl AbrMetrics {
 }
 
 /// Every rung's segments in one list for the origin to serve: rung `r`'s
-/// segment `i` is entry `r·n + i` (`n` = the ladder's segment count), and
-/// each entry's index is renumbered to its position so the manifest's URIs
-/// stay unique.
+/// segment `i` is entry `r·n + i` (`n` = the ladder's segment count).
 fn all_renditions(ladder: &Ladder) -> SegmentList {
-    let segments = (0..ladder.len())
-        .flat_map(|r| ladder.segments(r).iter())
-        .enumerate()
-        .map(|(at, segment)| Segment {
-            index: at as u32,
-            ..*segment
-        })
-        .collect();
-    SegmentList::new(segments)
+    let segments = (0..ladder.len()).flat_map(|r| ladder.segments(r).iter().copied());
+    SegmentList::new(segments.collect())
 }
 
 /// A sequential HLS-style client: fetch, measure, adapt, repeat.
@@ -312,6 +307,15 @@ impl NodeBehavior for AbrClientNode {
         ctx.set_timer(self.join_delay, TOKEN_BOOT);
     }
 
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, payload: &Bytes) {
+        if let Ok(Message::ManifestData { .. }) = decode_single(payload) {
+            if !self.streaming {
+                self.streaming = true;
+                self.request_next(ctx);
+            }
+        }
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
         match event {
             NodeEvent::Timer { token: TOKEN_BOOT } => {
@@ -326,17 +330,6 @@ impl NodeBehavior for AbrClientNode {
                 }
             }
             NodeEvent::Timer { .. } => {}
-            NodeEvent::Message { payload, .. } => {
-                let Ok(message) = decode_single(&payload) else {
-                    return;
-                };
-                if let Message::ManifestData { .. } = message {
-                    if !self.streaming {
-                        self.streaming = true;
-                        self.request_next(ctx);
-                    }
-                }
-            }
             NodeEvent::TransferComplete {
                 tag,
                 bytes,
@@ -379,7 +372,7 @@ impl NodeBehavior for AbrClientNode {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration or an inconsistent ladder.
+/// Panics on an invalid configuration.
 ///
 /// # Examples
 ///
@@ -394,7 +387,6 @@ impl NodeBehavior for AbrClientNode {
 /// ```
 pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     must(config.check());
-    ladder.validate().expect("consistent ladder");
 
     let per_link_loss = 1.0 - (1.0 - END_TO_END_LOSS).sqrt();
     let link_latency = SimDuration::from_secs_f64(ONE_WAY_LATENCY_SECS / 2.0);
@@ -489,6 +481,42 @@ mod tests {
             client_bandwidth_bytes_per_sec: 200_000.0,
             algorithm,
             max_sim_secs: 600.0,
+        }
+    }
+
+    /// `check` holds the rules `SwarmConfig::check` holds for the same
+    /// two knobs, so `run_abr` fails with the rule instead of panicking
+    /// inside netsim: a rate that is infinite in bits per second, and a
+    /// sim cap `SimTime` cannot represent.
+    #[test]
+    fn check_refuses_what_netsim_would_panic_on() {
+        let config = small_config(AbrAlgorithm::FixedRendition(0));
+        assert_eq!(config.check(), Ok(()));
+        let cases = [
+            (
+                AbrConfig {
+                    max_sim_secs: f64::INFINITY,
+                    ..config.clone()
+                },
+                "sim cap must be positive and finite",
+            ),
+            (
+                AbrConfig {
+                    client_bandwidth_bytes_per_sec: f64::MAX,
+                    ..config.clone()
+                },
+                "bandwidths must be finite",
+            ),
+        ];
+        let ladder = small_ladder();
+        for (config, message) in cases {
+            assert_eq!(config.check(), Err(message.to_owned()));
+            let payload = std::panic::catch_unwind(|| run_abr(&ladder, &config, 1))
+                .expect_err("run_abr must panic where check() fails");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(message)
+            );
         }
     }
 

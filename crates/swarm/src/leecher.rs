@@ -167,8 +167,8 @@ struct SourceHealth {
 #[derive(Debug)]
 pub struct LeecherNode {
     cfg: LeecherConfig,
+    /// The one record of what this leecher holds: its playback buffer.
     playback: Playback,
-    holdings: Bitfield,
     /// The neighbours, the origins included: what each holds, and whether
     /// it has handshaken. The one record of who holds what; a pick walks it.
     views: NodeMap<PeerView>,
@@ -255,7 +255,6 @@ impl LeecherNode {
         };
         LeecherNode {
             playback,
-            holdings: Bitfield::new(segment_count),
             views,
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
@@ -436,7 +435,7 @@ impl LeecherNode {
     fn announces(&self) -> bool {
         self.cfg.p2p
             && self.cfg.discovery == crate::swarm::DiscoveryMode::Tracker
-            && !self.holdings.is_complete()
+            && !self.playback.buffer().is_complete()
     }
 
     /// Encodes `message` once and sends it to every view `include` admits,
@@ -475,8 +474,17 @@ impl LeecherNode {
         })
     }
 
-    /// The first segment not held: the playback buffer's low-water mark,
-    /// which every delivery updates together with `holdings`.
+    /// The number of segments in the video.
+    fn segment_count(&self) -> u32 {
+        self.cfg.segments.len() as u32
+    }
+
+    /// Whether segment `index` is held.
+    fn holds(&self, index: u32) -> bool {
+        self.playback.buffer().has(index as usize)
+    }
+
+    /// The first segment not held: the playback buffer's low-water mark.
     fn first_unheld(&self) -> u32 {
         self.playback.buffer().first_missing() as u32
     }
@@ -557,8 +565,8 @@ impl LeecherNode {
     fn next_request(&mut self, now: f64, from: u32) -> Option<(u32, bool)> {
         let want = next_wanted_from(
             from,
-            self.holdings.len(),
-            |i| self.holdings.get(i),
+            self.segment_count(),
+            |i| self.holds(i),
             |i| self.in_flight_mask.get(i),
         )?;
         let w = match self.cfg.w_estimate {
@@ -845,7 +853,7 @@ impl LeecherNode {
         bytes: u64,
         started: SimTime,
     ) {
-        if index >= self.holdings.len() {
+        if index >= self.segment_count() {
             // Not a segment of ours: bulk data from outside the swarm
             // (e.g. another application sharing the access link).
             return;
@@ -867,7 +875,7 @@ impl LeecherNode {
         if self.in_flight.get(&index).is_some_and(|f| f.source == from) {
             self.drop_in_flight(index);
         }
-        if self.holdings.get(index) {
+        if self.holds(index) {
             // Duplicate delivery from a raced re-request — but the
             // `drop_in_flight` above may have freed a pool slot, so the
             // scheduling pass must still run or the slot sits idle until
@@ -875,7 +883,6 @@ impl LeecherNode {
             self.schedule(ctx);
             return;
         }
-        self.holdings.set(index);
         self.timeout_bans.remove(&index); // held: the ban can never apply
         if from == self.cfg.seeder {
             self.report.segments_from_seeder += 1;
@@ -955,7 +962,7 @@ impl LeecherNode {
         if self.complete_notified
             || self.cfg.control_plane != ControlPlane::Eventful
             || !self.cfg.p2p
-            || !self.holdings.is_complete()
+            || !self.playback.buffer().is_complete()
         {
             return;
         }
@@ -1005,7 +1012,7 @@ impl LeecherNode {
                 // handshake becomes mutual and its segments enter our
                 // source pool instead of being silently dropped.
                 if self.cfg.p2p && !self.is_origin(from) {
-                    let segment_count = self.holdings.len();
+                    let segment_count = self.segment_count();
                     self.views
                         .get_or_insert_with(from, || PeerView::new(segment_count));
                 }
@@ -1021,7 +1028,11 @@ impl LeecherNode {
                     // now on, and the CDN becomes eligible.
                     self.sched_state = SchedState::Dirty;
                 }
-                let bitfield = Message::Bitfield(self.holdings.clone());
+                let mut held = Bitfield::new(self.segment_count());
+                for i in (0..held.len()).filter(|&i| self.holds(i)) {
+                    held.set(i);
+                }
+                let bitfield = Message::Bitfield(held);
                 self.say(ctx, from, &bitfield);
                 self.schedule(ctx);
             }
@@ -1062,7 +1073,7 @@ impl LeecherNode {
                 }
             }
             Message::Request { index } => {
-                let have = index < self.holdings.len() && self.holdings.get(index);
+                let have = index < self.segment_count() && self.holds(index);
                 self.uploads
                     .on_request(ctx, from, index, &self.cfg.segments, have);
             }
@@ -1086,7 +1097,7 @@ impl LeecherNode {
                     if !ctx.is_online(peer) {
                         continue;
                     }
-                    self.views.insert(peer, PeerView::new(self.holdings.len()));
+                    self.views.insert(peer, PeerView::new(self.segment_count()));
                     fresh.push(peer);
                 }
                 self.greet_all(ctx, &fresh);
@@ -1502,7 +1513,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(10.0));
 
         let l = node.borrow();
-        assert!(l.holdings.get(0), "the seeder's delivery arrived");
+        assert!(l.holds(0), "the seeder's delivery arrived");
         let mut heard = log.take();
         heard.retain(|(_, m)| matches!(m, Message::Have { .. } | Message::HaveBundle { .. }));
         (fellows, heard, l.report.control)
@@ -1585,10 +1596,7 @@ mod tests {
         {
             let l = node.borrow();
             l.audit_in_flight_mask();
-            assert!(
-                l.holdings.get(0),
-                "the stale delivery still yields the segment"
-            );
+            assert!(l.holds(0), "the stale delivery still yields the segment");
             assert_eq!(l.report.segments_from_seeder, 1);
             let entry = l
                 .in_flight
@@ -1730,7 +1738,7 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             l.streaming = true;
-            l.holdings.set(0);
+            l.playback.on_segment(0, 0.5);
             put_in_flight(&mut l, 0, a_id, true);
             l.views.get_mut(&a_id).unwrap().outstanding = 1;
         }
@@ -2226,7 +2234,7 @@ mod tests {
 
         sim.run_until_idle(SimTime::from_secs_f64(42.0));
         let l = node.borrow();
-        assert!(l.holdings.get(1), "the seeder's delivery arrived");
+        assert!(l.holds(1), "the seeder's delivery arrived");
         assert!(
             !l.views.contains_key(&crashed_id),
             "the failed `Have` send drops the crashed peer"
@@ -2341,7 +2349,7 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             l.streaming = true;
-            l.holdings.set(1);
+            l.playback.on_segment(1, 0.5);
             for index in [0, 1] {
                 put_in_flight(&mut l, index, a_id, true);
             }

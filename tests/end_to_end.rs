@@ -132,10 +132,11 @@ fn fnv1a_words(words: &[u64]) -> u64 {
 
 /// Every field of every segment, in order.
 fn segment_words(list: &SegmentList) -> Vec<u64> {
-    list.iter()
-        .flat_map(|s| {
+    (0u64..)
+        .zip(list)
+        .flat_map(|(i, s)| {
             [
-                u64::from(s.index),
+                i,
                 u64::from(s.first_frame),
                 u64::from(s.frame_count),
                 s.start_pts().ticks(),
