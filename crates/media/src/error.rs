@@ -9,11 +9,8 @@ use std::fmt;
 pub enum MediaError {
     /// A video must contain at least one frame.
     EmptyVideo,
-    /// A (closed) GOP must begin with an I-frame.
-    GopMissingIFrame {
-        /// Index of the offending GOP.
-        gop: usize,
-    },
+    /// A video must begin with an I-frame: its first (closed) GOP's.
+    GopMissingIFrame,
     /// Segments must partition the video's frames without gaps or overlap.
     SegmentCoverage {
         /// First frame index not covered correctly.
@@ -30,9 +27,7 @@ impl fmt::Display for MediaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MediaError::EmptyVideo => write!(f, "video contains no frames"),
-            MediaError::GopMissingIFrame { gop } => {
-                write!(f, "gop {gop} does not begin with an I-frame")
-            }
+            MediaError::GopMissingIFrame => write!(f, "video does not begin with an I-frame"),
             MediaError::SegmentCoverage { frame } => {
                 write!(f, "segments do not cover frame {frame} exactly once")
             }
@@ -56,8 +51,8 @@ mod tests {
             "video contains no frames"
         );
         assert_eq!(
-            MediaError::GopMissingIFrame { gop: 3 }.to_string(),
-            "gop 3 does not begin with an I-frame"
+            MediaError::GopMissingIFrame.to_string(),
+            "video does not begin with an I-frame"
         );
     }
 

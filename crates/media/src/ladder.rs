@@ -23,7 +23,7 @@ use crate::video::{Video, PAPER_CONTENT_SEED};
 /// use splicecast_media::Ladder;
 ///
 /// let ladder = Ladder::builder().duration_secs(20.0).build();
-/// assert_eq!(ladder.len(), 3);
+/// assert_eq!(Ladder::BITRATES_BPS.len(), 3);
 /// assert_eq!(ladder.segment_count(), 5);
 /// // Higher rungs cost more bytes for the same timeline.
 /// assert!(ladder.segment_bytes(2, 0) > ladder.segment_bytes(0, 0));
@@ -42,16 +42,6 @@ impl Ladder {
     /// Starts building a ladder.
     pub fn builder() -> LadderBuilder {
         LadderBuilder::default()
-    }
-
-    /// Number of renditions.
-    pub fn len(&self) -> usize {
-        self.rungs.len()
-    }
-
-    /// True when the ladder has no renditions (never after `build`).
-    pub fn is_empty(&self) -> bool {
-        self.rungs.is_empty()
     }
 
     /// Number of segments (identical across renditions).
@@ -171,7 +161,7 @@ mod tests {
     fn renditions_are_aligned() {
         let l = ladder();
         assert!(aligned(&l.rungs));
-        assert_eq!(l.len(), 3);
+        assert_eq!(l.rungs.len(), Ladder::BITRATES_BPS.len());
         assert_eq!(l.segment_count(), 6);
         for seg in 0..l.segment_count() {
             let d = l.segment_secs(seg);
@@ -187,8 +177,10 @@ mod tests {
     #[test]
     fn rungs_are_the_abr_ladder_ascending() {
         let l = Ladder::builder().duration_secs(8.0).build();
-        assert_eq!(l.len(), 3);
-        let bitrates: Vec<u64> = (0..l.len()).map(|r| l.bitrate_bps(r)).collect();
+        assert_eq!(l.rungs.len(), Ladder::BITRATES_BPS.len());
+        let bitrates: Vec<u64> = (0..Ladder::BITRATES_BPS.len())
+            .map(|r| l.bitrate_bps(r))
+            .collect();
         assert_eq!(bitrates, Ladder::BITRATES_BPS);
     }
 

@@ -48,7 +48,7 @@ impl Video {
     pub fn from_parts(frames: Vec<Frame>) -> Result<Self, MediaError> {
         match frames.first() {
             None => Err(MediaError::EmptyVideo),
-            Some(first) if !first.kind.is_intra() => Err(MediaError::GopMissingIFrame { gop: 0 }),
+            Some(first) if !first.kind.is_intra() => Err(MediaError::GopMissingIFrame),
             Some(_) => Ok(Video { frames }),
         }
     }
@@ -245,7 +245,7 @@ mod tests {
         assert_eq!(ok.unwrap().gop_count(), 2);
         // Invalid: the first GOP starts on a P-frame.
         let bad = Video::from_parts(vec![f(FrameType::P), f(FrameType::I)]);
-        assert_eq!(bad.unwrap_err(), MediaError::GopMissingIFrame { gop: 0 });
+        assert_eq!(bad.unwrap_err(), MediaError::GopMissingIFrame);
         // Invalid: empty.
         assert_eq!(
             Video::from_parts(vec![]).unwrap_err(),

@@ -18,7 +18,15 @@
 //!    runs at its ceiling.
 //! 2. Flows connected through the remaining *tight* links form components
 //!    that are filled independently by progressive filling (uniform water
-//!    level, freeze at a ceiling or behind a saturated link).
+//!    level, freeze at a ceiling or behind a saturated link). No step walks
+//!    an unfrozen flow's path: the flows at their ceiling turn up in the
+//!    scan of the unfrozen ceilings that also yields the next step's
+//!    `delta`, and the flows behind a saturated link on the flow lists of
+//!    the links that still count unfrozen flows and entered the saturation
+//!    band. Within a fill a link's `remaining` only falls, so a saturated
+//!    link stays saturated and, once its flows froze, counts none. Each
+//!    flow's path is stored inline, beside the RTT and loss its ceiling
+//!    reads.
 //! 3. Per-link flow lists, ceiling sums and rate sums persist between
 //!    solves. Each flow event marks the links it touches dirty, and a solve
 //!    recomputes only what is reachable from them: ceilings of the flows on
@@ -104,20 +112,46 @@ struct LinkState {
     mark: u64,
 }
 
+/// The most hops a solver flow's path may have: a [`crate::Route`] has at
+/// most two, and the tests bridge two stars with a third.
+const MAX_HOPS: usize = 3;
+
+/// A rated flow as its ceiling sees it, fixed at [`FluidSolver::add_flow`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SolverFlow {
+    pub id: FlowId,
+    /// Round-trip time, seconds.
+    pub rtt_secs: f64,
+    /// Loss of the path.
+    pub loss: f64,
+    /// Directed-link indices of the path, inline: the first `hops` count.
+    links: [u32; MAX_HOPS],
+    hops: u8,
+}
+
+impl SolverFlow {
+    /// Directed-link indices of the path.
+    pub fn path(&self) -> &[u32] {
+        &self.links[..usize::from(self.hops)]
+    }
+}
+
+/// [`FlowState::at`] of a flow the current fill has frozen.
+const FROZEN: u32 = u32::MAX;
+
 /// Persistent per-flow state, indexed by the flow table's slot.
 #[derive(Debug, Clone)]
 struct FlowState {
-    id: FlowId,
+    input: SolverFlow,
     active: bool,
-    /// Directed-link indices of the path (allocation reused by the slot's
-    /// next occupant).
-    path: Vec<u32>,
     ceil: [f64; 2],
     rate: [f64; 2],
     /// Effective loss behind the pass-2 ceiling.
     eff: f64,
     /// Per-solve dedupe stamp of the reseed counter.
     seeded: u64,
+    /// Fill scratch: the flow's index in the unfrozen list, or [`FROZEN`].
+    at: u32,
 }
 
 impl FlowState {
@@ -126,13 +160,19 @@ impl FlowState {
     /// reports it as changed.
     fn vacant() -> Self {
         FlowState {
-            id: FlowId(0),
+            input: SolverFlow {
+                id: FlowId(0),
+                rtt_secs: f64::NAN,
+                loss: f64::NAN,
+                links: [0; MAX_HOPS],
+                hops: 0,
+            },
             active: false,
-            path: Vec::new(),
             ceil: [f64::NAN; 2],
             rate: [f64::NAN; 2],
             eff: f64::NAN,
             seeded: 0,
+            at: FROZEN,
         }
     }
 }
@@ -179,7 +219,7 @@ fn collect_resum(
     resum: &mut Vec<u32>,
 ) {
     resum.clear();
-    let crossed = slots.iter().flat_map(|&s| &flows[s as usize].path);
+    let crossed = slots.iter().flat_map(|&s| flows[s as usize].input.path());
     for &l in dirty.iter().chain(crossed) {
         let link = &mut links[l as usize];
         if link.mark != tick {
@@ -229,8 +269,12 @@ impl FluidSolver {
     }
 
     /// A flow finished its handshake: it joins the solver, unrated until the
-    /// next solve.
-    pub fn add_flow(&mut self, id: FlowId, path: &[DirLinkId]) {
+    /// next solve. `rtt_secs` and `loss` are what its ceiling reads of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a path of more than three hops.
+    pub fn add_flow(&mut self, id: FlowId, path: &[DirLinkId], rtt_secs: f64, loss: f64) {
         let slot = id.slot();
         if slot >= self.flows.len() {
             self.flows.resize_with(slot + 1, FlowState::vacant);
@@ -238,13 +282,20 @@ impl FluidSolver {
         }
         let flow = &mut self.flows[slot];
         debug_assert!(!flow.active, "slot added twice");
-        let mut links = std::mem::take(&mut flow.path);
-        links.clear();
-        links.extend(path.iter().map(|d| d.index() as u32));
+        assert!(path.len() <= MAX_HOPS, "a path of {} hops", path.len());
+        let mut links = [0; MAX_HOPS];
+        for (to, dir) in links.iter_mut().zip(path) {
+            *to = dir.index() as u32;
+        }
         *flow = FlowState {
-            id,
+            input: SolverFlow {
+                id,
+                rtt_secs,
+                loss,
+                links,
+                hops: path.len() as u8,
+            },
             active: true,
-            path: links,
             ..FlowState::vacant()
         };
         for dir in path {
@@ -260,7 +311,7 @@ impl FluidSolver {
         self.touch(path);
         let slot = id.slot();
         match self.flows.get_mut(slot) {
-            Some(flow) if flow.active && flow.id == id => flow.active = false,
+            Some(flow) if flow.active && flow.input.id == id => flow.active = false,
             _ => return,
         }
         for dir in path {
@@ -282,7 +333,7 @@ impl FluidSolver {
     /// `(id, rate_bps, eff_loss)` of a solved flow, by slot.
     pub fn solved(&self, slot: u32) -> (FlowId, f64, f64) {
         let flow = &self.flows[slot as usize];
-        (flow.id, flow.rate[1], flow.eff)
+        (flow.input.id, flow.rate[1], flow.eff)
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -295,7 +346,7 @@ impl FluidSolver {
     /// utilization)` returns the flow's `(rate ceiling, effective loss)`
     /// given the highest utilization along its path; it must be a pure
     /// function of state that only changes together with a dirty mark.
-    pub fn solve(&mut self, ceiling: &impl Fn(FlowId, f64) -> (f64, f64)) {
+    pub fn solve(&mut self, ceiling: &impl Fn(&SolverFlow, f64) -> (f64, f64)) {
         self.stats.rebalances += 1;
         self.stats.dirty_links += self.dirty.len() as u64;
         self.changed.clear();
@@ -316,7 +367,7 @@ impl FluidSolver {
         &mut self,
         pass: usize,
         solve_tick: u64,
-        ceiling: &impl Fn(FlowId, f64) -> (f64, f64),
+        ceiling: &impl Fn(&SolverFlow, f64) -> (f64, f64),
     ) {
         // Seeds: the flows on every link whose membership, load or capacity
         // changed, and in pass 2 on every link whose pass-1 rate changed.
@@ -350,13 +401,13 @@ impl FluidSolver {
                 1.0
             } else {
                 let mut utilization = 0.0_f64;
-                for &l in &flow.path {
+                for &l in flow.input.path() {
                     let link = &self.links[l as usize];
                     utilization = utilization.max(link.rate[0] / link.capacity);
                 }
                 utilization.min(1.0)
             };
-            let (ceil, eff) = ceiling(flow.id, utilization);
+            let (ceil, eff) = ceiling(&flow.input, utilization);
             let flow = &mut self.flows[s as usize];
             if pass == 1 && differs(eff, flow.eff) {
                 flow.eff = eff;
@@ -422,7 +473,7 @@ impl FluidSolver {
             while head < self.comp_flows.len() {
                 let s = self.comp_flows[head] as usize;
                 head += 1;
-                for &l in &self.flows[s].path {
+                for &l in self.flows[s].input.path() {
                     let link = &mut self.links[l as usize];
                     if link.tight[pass] && link.mark != tick {
                         link.mark = tick;
@@ -440,7 +491,10 @@ impl FluidSolver {
                 let ceil = self.flows[seed as usize].ceil[pass];
                 self.set_rate(pass, seed, ceil);
             } else {
+                #[cfg(not(test))]
                 self.fill(pass);
+                #[cfg(test)]
+                self.fill_checked(pass);
             }
         }
 
@@ -480,11 +534,17 @@ impl FluidSolver {
     }
 
     /// Progressive filling of the component in `comp_flows` / `comp_links`
-    /// (consumes `comp_flows`).
+    /// (consumes `comp_flows`, prunes `comp_links`).
     ///
     /// The water level rises uniformly across all unfrozen flows; a flow
     /// freezes when it hits its own ceiling or when a tight link on its
-    /// path saturates. Each step freezes at least one flow.
+    /// path saturates. Each step freezes at least one flow, and finds them
+    /// without walking any unfrozen flow's path: the flows at their ceiling
+    /// in the scan of the unfrozen ceilings that also yields the next
+    /// step's `delta`, and the flows behind a saturated link in the flow
+    /// lists of the links still counting unfrozen flows. Within a fill
+    /// `remaining` only falls, so a saturated link stays saturated, and
+    /// once its flows are frozen it counts none.
     fn fill(&mut self, pass: usize) {
         self.stats.components_filled += 1;
         for &l in &self.comp_links {
@@ -492,28 +552,33 @@ impl FluidSolver {
             link.remaining = link.capacity;
             link.count = 0;
         }
-        for &s in &self.comp_flows {
-            for &l in &self.flows[s as usize].path {
+        let mut unfrozen = std::mem::take(&mut self.comp_flows);
+        let mut level = 0.0_f64;
+        // The smallest `ceiling - level` among the unfrozen flows.
+        let mut flow_delta = f64::INFINITY;
+        for (at, &s) in unfrozen.iter().enumerate() {
+            let flow = &mut self.flows[s as usize];
+            flow.at = at as u32;
+            flow_delta = flow_delta.min((flow.ceil[pass] - level).max(0.0));
+            for &l in flow.input.path() {
                 let link = &mut self.links[l as usize];
                 link.count += u32::from(link.tight[pass]);
             }
         }
-        let mut unfrozen = std::mem::take(&mut self.comp_flows);
-        let mut level = 0.0_f64;
         while !unfrozen.is_empty() {
             self.stats.fill_iterations += 1;
             // The next event: a link's fair share exhausts, or a flow's
-            // ceiling is reached, whichever is nearer.
-            let mut delta = f64::INFINITY;
-            for &l in &self.comp_links {
-                let link = &self.links[l as usize];
+            // ceiling is reached, whichever is nearer. A link that counts
+            // no unfrozen flow leaves the list for the rest of the fill.
+            let mut delta = flow_delta;
+            let links = &self.links;
+            self.comp_links.retain(|&l| {
+                let link = &links[l as usize];
                 if link.count > 0 {
                     delta = delta.min(link.remaining.max(0.0) / link.count as f64);
                 }
-            }
-            for &s in &unfrozen {
-                delta = delta.min((self.flows[s as usize].ceil[pass] - level).max(0.0));
-            }
+                link.count > 0
+            });
             if !delta.is_finite() {
                 // Infinite ceilings on links no unfrozen flow is counted on
                 // (cannot happen for well-formed paths): bail, do not spin.
@@ -522,29 +587,34 @@ impl FluidSolver {
             level += delta;
             for &l in &self.comp_links {
                 let link = &mut self.links[l as usize];
-                if link.count > 0 {
-                    link.remaining -= delta * link.count as f64;
+                link.remaining -= delta * link.count as f64;
+            }
+            // Freeze the flows behind a link that saturated in this step.
+            let before = unfrozen.len();
+            for i in 0..self.comp_links.len() {
+                let l = self.comp_links[i] as usize;
+                let link = &self.links[l];
+                if link.count == 0 || link.remaining > link.capacity.max(1.0) * REL_EPS {
+                    continue;
+                }
+                for j in 0..link.flows.len() {
+                    let s = self.links[l].flows[j];
+                    if self.flows[s as usize].at != FROZEN {
+                        self.freeze(pass, &mut unfrozen, s, level);
+                    }
                 }
             }
-            // Freeze flows at their ceiling or behind a saturated link.
-            let before = unfrozen.len();
+            // Freeze the flows at their ceiling; the others set the next
+            // step's flow share.
+            flow_delta = f64::INFINITY;
             let mut i = 0;
             while i < unfrozen.len() {
                 let s = unfrozen[i];
-                let flow = &self.flows[s as usize];
-                let capped = level >= flow.ceil[pass] * (1.0 - REL_EPS);
-                let blocked = flow.path.iter().any(|&l| {
-                    let link = &self.links[l as usize];
-                    link.tight[pass] && link.remaining <= link.capacity.max(1.0) * REL_EPS
-                });
-                if capped || blocked {
-                    for &l in &flow.path {
-                        let link = &mut self.links[l as usize];
-                        link.count -= u32::from(link.tight[pass]);
-                    }
-                    unfrozen.swap_remove(i);
-                    self.set_rate(pass, s, level);
+                let ceil = self.flows[s as usize].ceil[pass];
+                if level >= ceil * (1.0 - REL_EPS) {
+                    self.freeze(pass, &mut unfrozen, s, level);
                 } else {
+                    flow_delta = flow_delta.min((ceil - level).max(0.0));
                     i += 1;
                 }
             }
@@ -557,6 +627,23 @@ impl FluidSolver {
             }
         }
         self.comp_flows = unfrozen;
+    }
+
+    /// Fill: freezes the unfrozen flow in `slot` at `level`, taking it off
+    /// its tight links' counts and out of `unfrozen`.
+    fn freeze(&mut self, pass: usize, unfrozen: &mut Vec<u32>, slot: u32, level: f64) {
+        let flow = &mut self.flows[slot as usize];
+        let at = flow.at as usize;
+        flow.at = FROZEN;
+        for &l in flow.input.path() {
+            let link = &mut self.links[l as usize];
+            link.count -= u32::from(link.tight[pass]);
+        }
+        unfrozen.swap_remove(at);
+        if let Some(&moved) = unfrozen.get(at) {
+            self.flows[moved as usize].at = at as u32;
+        }
+        self.set_rate(pass, slot, level);
     }
 
     /// Forgets every solved value, so that the next [`FluidSolver::solve`]
@@ -580,7 +667,7 @@ impl FluidSolver {
     /// demands the bits of every per-flow `(c1, r1, c2, r2, eff)` and every
     /// per-link sum to equal what the incremental solves left behind.
     #[cfg(any(test, debug_assertions))]
-    pub fn assert_matches_full_solve(&self, ceiling: &impl Fn(FlowId, f64) -> (f64, f64)) {
+    pub fn assert_matches_full_solve(&self, ceiling: &impl Fn(&SolverFlow, f64) -> (f64, f64)) {
         let mut full = self.clone();
         full.invalidate_all();
         full.solve(ceiling);
@@ -682,6 +769,110 @@ mod tests {
         rates
     }
 
+    impl FluidSolver {
+        /// The fill [`FluidSolver::fill`] replaced, kept as its reference:
+        /// each step walks every unfrozen flow's path for a saturated link.
+        fn fill_by_scan(&mut self, pass: usize) {
+            self.stats.components_filled += 1;
+            for &l in &self.comp_links {
+                let link = &mut self.links[l as usize];
+                link.remaining = link.capacity;
+                link.count = 0;
+            }
+            for &s in &self.comp_flows {
+                for &l in self.flows[s as usize].input.path() {
+                    let link = &mut self.links[l as usize];
+                    link.count += u32::from(link.tight[pass]);
+                }
+            }
+            let mut unfrozen = std::mem::take(&mut self.comp_flows);
+            let mut level = 0.0_f64;
+            while !unfrozen.is_empty() {
+                self.stats.fill_iterations += 1;
+                // The next event: a link's fair share exhausts, or a flow's
+                // ceiling is reached, whichever is nearer.
+                let mut delta = f64::INFINITY;
+                for &l in &self.comp_links {
+                    let link = &self.links[l as usize];
+                    if link.count > 0 {
+                        delta = delta.min(link.remaining.max(0.0) / link.count as f64);
+                    }
+                }
+                for &s in &unfrozen {
+                    delta = delta.min((self.flows[s as usize].ceil[pass] - level).max(0.0));
+                }
+                if !delta.is_finite() {
+                    // Infinite ceilings on links no unfrozen flow is counted on
+                    // (cannot happen for well-formed paths): bail, do not spin.
+                    delta = 0.0;
+                }
+                level += delta;
+                for &l in &self.comp_links {
+                    let link = &mut self.links[l as usize];
+                    if link.count > 0 {
+                        link.remaining -= delta * link.count as f64;
+                    }
+                }
+                // Freeze flows at their ceiling or behind a saturated link.
+                let before = unfrozen.len();
+                let mut i = 0;
+                while i < unfrozen.len() {
+                    let s = unfrozen[i];
+                    let flow = &self.flows[s as usize];
+                    let capped = level >= flow.ceil[pass] * (1.0 - REL_EPS);
+                    let blocked = flow.input.path().iter().any(|&l| {
+                        let link = &self.links[l as usize];
+                        link.tight[pass] && link.remaining <= link.capacity.max(1.0) * REL_EPS
+                    });
+                    if capped || blocked {
+                        for &l in flow.input.path() {
+                            let link = &mut self.links[l as usize];
+                            link.count -= u32::from(link.tight[pass]);
+                        }
+                        unfrozen.swap_remove(i);
+                        self.set_rate(pass, s, level);
+                    } else {
+                        i += 1;
+                    }
+                }
+                if unfrozen.len() == before {
+                    // Numerical stall (all deltas rounded to zero without a
+                    // freeze): freeze everything at the current level.
+                    for s in unfrozen.drain(..) {
+                        self.set_rate(pass, s, level);
+                    }
+                }
+            }
+            self.comp_flows = unfrozen;
+        }
+
+        /// Every fill of a test build runs both ways, [`FluidSolver::fill`]
+        /// here and [`FluidSolver::fill_by_scan`] on a copy, and must give
+        /// every flow the same rate bits, change the rates of the same
+        /// slots and take the same number of steps.
+        pub(super) fn fill_checked(&mut self, pass: usize) {
+            let mut by_scan = self.clone();
+            by_scan.fill_by_scan(pass);
+            let from = self.rate_changed.len();
+            self.fill(pass);
+            let rates = |solver: &FluidSolver| -> Vec<u64> {
+                solver
+                    .flows
+                    .iter()
+                    .map(|f| f.rate[pass].to_bits())
+                    .collect()
+            };
+            let moved = |solver: &FluidSolver| {
+                let mut slots = solver.rate_changed[from..].to_vec();
+                slots.sort_unstable();
+                slots
+            };
+            assert_eq!(rates(self), rates(&by_scan), "rate bits, pass {pass}");
+            assert_eq!(moved(self), moved(&by_scan), "changed slots, pass {pass}");
+            assert_eq!(self.stats, by_scan.stats, "fill steps, pass {pass}");
+        }
+    }
+
     fn dirs(path: &[u32]) -> Vec<DirLinkId> {
         path.iter().map(|&l| DirLinkId(l)).collect()
     }
@@ -691,9 +882,9 @@ mod tests {
     fn local_fill(capacity: &[f64], flows: &[TestFlow]) -> (Vec<f64>, FluidSolver) {
         let mut solver = FluidSolver::new(capacity.iter().copied());
         for (slot, (path, _)) in flows.iter().enumerate() {
-            solver.add_flow(FlowId(slot as u64), &dirs(path));
+            solver.add_flow(FlowId(slot as u64), &dirs(path), 0.0, 0.0);
         }
-        let ceiling = |id: FlowId, _utilization: f64| (flows[id.slot()].1, 0.0);
+        let ceiling = |flow: &SolverFlow, _utilization: f64| (flows[flow.id.slot()].1, 0.0);
         solver.solve(&ceiling);
         solver.assert_matches_full_solve(&ceiling);
         let rates = (0..flows.len() as u32)
@@ -794,7 +985,7 @@ mod tests {
         // Two saturated links with three flows each, nothing in common.
         let flows: Vec<TestFlow> = (0..6).map(|i| (vec![i / 3], INF)).collect();
         let (_, mut solver) = local_fill(&[900_000.0, 600_000.0], &flows);
-        let ceiling = |_: FlowId, _: f64| (INF, 0.0);
+        let ceiling = |_: &SolverFlow, _: f64| (INF, 0.0);
         solver.stats = FluidSolverStats::default();
         solver.remove_flow(FlowId(0), &dirs(&[0]));
         solver.solve(&ceiling);
@@ -928,7 +1119,7 @@ mod tests {
                         gen += 1;
                         let id = FlowId(gen << 32 | slot as u64);
                         let path = dirs(&[2 * a, 2 * b + 1]);
-                        solver.add_flow(id, &path);
+                        solver.add_flow(id, &path, 0.0, 0.0);
                         live.push((id, path));
                     }
                     4 | 5 if !live.is_empty() => {
@@ -940,8 +1131,8 @@ mod tests {
                     // A load change only: a handshaking flow came or went.
                     _ => solver.touch(&dirs(&[x % (2 * leaves)])),
                 }
-                let ceiling = |id: FlowId, utilization: f64| {
-                    (base[id.slot()] / (0.25 + 0.75 * utilization), utilization)
+                let ceiling = |flow: &SolverFlow, utilization: f64| {
+                    (base[flow.id.slot()] / (0.25 + 0.75 * utilization), utilization)
                 };
                 solver.solve(&ceiling);
                 solver.assert_matches_full_solve(&ceiling);
@@ -950,6 +1141,54 @@ mod tests {
                     prop_assert!(link.rate[1] <= link.capacity * (1.0 + 1e-9));
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 4_096 }))]
+
+        /// Every fill of a test build is checked against
+        /// [`FluidSolver::fill_by_scan`] (see [`FluidSolver::fill_checked`]):
+        /// the same rate bits, the same changed slots, the same steps. This
+        /// drives fills through links that saturate inside them, with fixed
+        /// ceilings and with ceilings that depend on the utilization, then
+        /// refills after departures, where some rates keep their bits.
+        #[test]
+        fn fill_by_links_matches_fill_by_scan_bit_for_bit(
+            leaves in 2u32..10,
+            bridged in any::<bool>(),
+            shaped in any::<bool>(),
+            pairs in prop::collection::vec(
+                (any::<u32>(), any::<u32>(), 0u32..6, 1e3f64..1e7), 1..48),
+            links in prop::collection::vec((0u32..4, 1e3f64..3e7, -1e-5f64..1e-5), 1..24),
+            departures in prop::collection::vec(any::<u32>(), 0..8),
+        ) {
+            let (capacity, flows) = build_problem(leaves, bridged, &pairs, &links);
+            let mut solver = FluidSolver::new(capacity.iter().copied());
+            for (slot, (path, _)) in flows.iter().enumerate() {
+                solver.add_flow(FlowId(slot as u64), &dirs(path), 0.0, 0.0);
+            }
+            // Pass 1 reads utilization 1, so its ceilings are the ones
+            // `build_problem` summed into the capacities.
+            let ceiling = |flow: &SolverFlow, utilization: f64| {
+                let ceil = flows[flow.id.slot()].1;
+                if shaped {
+                    (ceil / (0.25 + 0.75 * utilization), utilization)
+                } else {
+                    (ceil, 0.0)
+                }
+            };
+            solver.solve(&ceiling);
+            let mut live: Vec<usize> = (0..flows.len()).collect();
+            for x in departures {
+                if live.is_empty() {
+                    break;
+                }
+                let slot = live.swap_remove(x as usize % live.len());
+                solver.remove_flow(FlowId(slot as u64), &dirs(&flows[slot].0));
+                solver.solve(&ceiling);
+            }
+            solver.assert_matches_full_solve(&ceiling);
         }
     }
 }

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use crate::error::NetError;
 use crate::event::{EventQueue, Scheduled};
 use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
-use crate::fluid::{FluidSolver, FluidSolverStats};
+use crate::fluid::{FluidSolver, FluidSolverStats, SolverFlow};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::link::LinkSpec;
 use crate::node::{NodeBehavior, NodeEvent};
@@ -340,7 +340,8 @@ impl World {
         f.fluid.active = true;
         f.fluid.rate_since = now;
         f.fluid.armed_at = SimTime::MAX;
-        self.fluid.add_flow(id, &f.route());
+        self.fluid
+            .add_flow(id, &f.route(), f.rtt.as_secs_f64(), f.loss);
         self.fluid_rebalance();
     }
 
@@ -404,15 +405,14 @@ impl World {
     fn fluid_rebalance(&mut self) {
         let now = self.now;
         let (flows, net) = (&self.flows, &self.net);
-        let ceiling = |id: FlowId, utilization: f64| {
-            let f = flows.get(id).expect("rated flow is in the table");
-            let rtt_secs = f.rtt.as_secs_f64();
+        let ceiling = |flow: &SolverFlow, utilization: f64| {
             let mut pressure = 0.0_f64;
-            for dir in f.route().iter() {
-                let cap = net.dir_spec(*dir).capacity_bps;
-                pressure = pressure.max(link_pressure(cap, flows.load(*dir), rtt_secs));
+            for &l in flow.path() {
+                let dir = DirLinkId(l);
+                let cap = net.dir_spec(dir).capacity_bps;
+                pressure = pressure.max(link_pressure(cap, flows.load(dir), flow.rtt_secs));
             }
-            fluid_ceiling(rtt_secs, f.loss, utilization, pressure)
+            fluid_ceiling(flow.rtt_secs, flow.loss, utilization, pressure)
         };
         self.fluid.solve(&ceiling);
         #[cfg(debug_assertions)]

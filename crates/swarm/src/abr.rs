@@ -63,7 +63,7 @@ impl AbrAlgorithm {
         buffered_secs: f64,
         estimated_bytes_per_sec: f64,
     ) -> usize {
-        let top = ladder.len() - 1;
+        let top = Ladder::BITRATES_BPS.len() - 1;
         match *self {
             AbrAlgorithm::FixedRendition(r) => r.min(top),
             AbrAlgorithm::RateBased { safety } => {
@@ -225,7 +225,7 @@ impl AbrMetrics {
 /// Every rung's segments in one list for the origin to serve: rung `r`'s
 /// segment `i` is entry `r·n + i` (`n` = the ladder's segment count).
 fn all_renditions(ladder: &Ladder) -> SegmentList {
-    let segments = (0..ladder.len()).flat_map(|r| ladder.segments(r).iter().copied());
+    let segments = (0..Ladder::BITRATES_BPS.len()).flat_map(|r| ladder.segments(r).iter().copied());
     SegmentList::new(segments.collect())
 }
 
@@ -406,7 +406,9 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     let star = star(&leaf_specs);
     let origin_id = star.leaves[0];
 
-    let bitrates: Vec<u64> = (0..ladder.len()).map(|r| ladder.bitrate_bps(r)).collect();
+    let bitrates: Vec<u64> = (0..Ladder::BITRATES_BPS.len())
+        .map(|r| ladder.bitrate_bps(r))
+        .collect();
     let durations: Vec<f64> = (0..ladder.segment_count())
         .map(|s| ladder.segment_secs(s))
         .collect();
@@ -439,7 +441,7 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
             pump: SimDuration::from_millis(500),
             streaming: false,
             in_flight: false,
-            rung_counts: vec![0; ladder.len()],
+            rung_counts: vec![0; Ladder::BITRATES_BPS.len()],
             fetched_bits: 0.0,
             fetched_secs: 0.0,
             last_rung: None,

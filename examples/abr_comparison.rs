@@ -11,7 +11,7 @@ fn main() {
     let ladder = Ladder::builder().duration_secs(60.0).build();
     println!(
         "ladder: {} renditions × {} segments of ~4 s\n",
-        ladder.len(),
+        Ladder::BITRATES_BPS.len(),
         ladder.segment_count()
     );
 

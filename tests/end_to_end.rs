@@ -183,7 +183,7 @@ fn frame_table_and_segment_lists_are_pinned() {
         0xd95d_50f8_9c67_a22a,
         0xcf22_76eb_4f5a_bec4,
     ];
-    assert_eq!(ladder.len(), rungs.len());
+    assert_eq!(Ladder::BITRATES_BPS.len(), rungs.len());
     for (rung, digest) in rungs.into_iter().enumerate() {
         let list = ladder.segments(rung);
         assert_eq!(list.len(), 30, "rung {rung}");
