@@ -68,11 +68,6 @@ impl Ladder {
     pub fn segments(&self, rendition: usize) -> &SegmentList {
         &self.rungs[rendition]
     }
-
-    /// Bitrate of a rendition, bits per second.
-    pub fn bitrate_bps(&self, rendition: usize) -> u64 {
-        Self::BITRATES_BPS[rendition]
-    }
 }
 
 const _: () = assert!(
@@ -178,10 +173,6 @@ mod tests {
     fn rungs_are_the_abr_ladder_ascending() {
         let l = Ladder::builder().duration_secs(8.0).build();
         assert_eq!(l.rungs.len(), Ladder::BITRATES_BPS.len());
-        let bitrates: Vec<u64> = (0..Ladder::BITRATES_BPS.len())
-            .map(|r| l.bitrate_bps(r))
-            .collect();
-        assert_eq!(bitrates, Ladder::BITRATES_BPS);
     }
 
     /// A ladder over an empty clip has nothing to encode.

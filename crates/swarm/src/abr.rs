@@ -234,7 +234,6 @@ fn all_renditions(ladder: &Ladder) -> SegmentList {
 struct AbrClientNode {
     index: usize,
     origin: NodeId,
-    bitrates: Vec<u64>,
     durations: Vec<f64>,
     algorithm: AbrAlgorithm,
     estimator: BandwidthEstimator,
@@ -271,9 +270,11 @@ impl AbrClientNode {
         };
         let now = ctx.now().as_secs_f64();
         let buffered = self.playback.buffered_ahead(now).as_secs_f64();
-        let rung = self
-            .algorithm
-            .choose(&self.bitrates, buffered, self.estimator.bytes_per_sec());
+        let rung = self.algorithm.choose(
+            &Ladder::BITRATES_BPS,
+            buffered,
+            self.estimator.bytes_per_sec(),
+        );
         let message = Message::Request {
             index: rung as u32 * self.durations.len() as u32 + index,
         };
@@ -344,7 +345,7 @@ impl NodeBehavior for AbrClientNode {
                 self.in_flight = false;
                 self.rung_counts[rung] += 1;
                 let secs = self.durations[index as usize];
-                self.fetched_bits += self.bitrates[rung] as f64 * secs;
+                self.fetched_bits += Ladder::BITRATES_BPS[rung] as f64 * secs;
                 self.fetched_secs += secs;
                 if self.last_rung.is_some_and(|last| last != rung) {
                     self.switches += 1;
@@ -406,9 +407,6 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
     let star = star(&leaf_specs);
     let origin_id = star.leaves[0];
 
-    let bitrates: Vec<u64> = (0..Ladder::BITRATES_BPS.len())
-        .map(|r| ladder.bitrate_bps(r))
-        .collect();
     let durations: Vec<f64> = (0..ladder.segment_count())
         .map(|s| ladder.segment_secs(s))
         .collect();
@@ -429,7 +427,6 @@ pub fn run_abr(ladder: &Ladder, config: &AbrConfig, seed: u64) -> AbrMetrics {
         sim.add_node(Box::new(AbrClientNode {
             index,
             origin: origin_id,
-            bitrates: bitrates.clone(),
             durations: durations.clone(),
             algorithm: config.algorithm,
             estimator: BandwidthEstimator::new(

@@ -14,12 +14,11 @@ use splicecast_protocol::{
 
 use crate::fault::{DefenseConfig, BACKOFF_BASE_SECS, BACKOFF_MAX_SECS};
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
-use crate::nodemap::NodeMap;
-use crate::peer::PeerView;
 use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
 use crate::scheduler::{next_wanted_from, pick_source, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
 use crate::upload::UploadSide;
+use crate::views::Views;
 
 const TOKEN_BOOT: u64 = 1;
 const TOKEN_PUMP: u64 = 2;
@@ -171,7 +170,7 @@ pub struct LeecherNode {
     playback: Playback,
     /// The neighbours, the origins included: what each holds, and whether
     /// it has handshaken. The one record of who holds what; a pick walks it.
-    views: NodeMap<PeerView>,
+    views: Views,
     /// Outcome of the last scheduling pass (dirty-flag scheduling).
     sched_state: SchedState,
     /// The request records, at most a pool's worth: what the timeout walk
@@ -234,18 +233,17 @@ impl LeecherNode {
         // Every node id this leecher can meet: the other leechers plus
         // seeder, CDN, hub, and itself occupy the low node indices.
         let universe = cfg.others.len() + 4;
-        let mut views = NodeMap::with_slots(universe);
-        views.insert(cfg.seeder, PeerView::new(segment_count));
+        let mut views = Views::with_slots(universe, segment_count);
+        views.insert(cfg.seeder);
         if let Some(cdn) = cfg.cdn {
             // The CDN holds every segment (§IV), so it is a candidate like
             // any other holder from its handshake on.
-            let mut view = PeerView::new(segment_count);
-            view.holdings = Bitfield::full(segment_count);
-            views.insert(cdn, view);
+            views.insert(cdn);
+            views.fill(cdn);
         }
         if cfg.discovery == crate::swarm::DiscoveryMode::Full {
             for &other in &cfg.others {
-                views.insert(other, PeerView::new(segment_count));
+                views.insert(other);
             }
         }
         let uploads = UploadSide::new(cfg.upload_slots);
@@ -303,7 +301,7 @@ impl LeecherNode {
     /// the `is_online` probe in every pick skips it meanwhile.
     fn forget_peer(&mut self, peer: NodeId) {
         if !self.is_origin(peer) {
-            self.views.remove(&peer);
+            self.views.remove(peer);
             // A one-shot ban names the peer whose request timed out on
             // that segment; it must not outlive the peer, or a later
             // redraw's `unwrap_or(banned)` fallback could point a request
@@ -355,12 +353,8 @@ impl LeecherNode {
         self.multicast(ctx, &[to], message) == 1
     }
 
-    fn is_greeted(&self, peer: NodeId) -> bool {
-        self.views.get(&peer).is_some_and(|v| v.greeted())
-    }
-
     fn greet(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        if !self.is_greeted(peer) {
+        if !self.views.greeted(peer) {
             self.greet_all(ctx, &[peer]);
         }
     }
@@ -378,9 +372,7 @@ impl LeecherNode {
         let mut failed = self.scratch_failed.iter().peekable();
         for peer in peers {
             if failed.next_if_eq(&peer).is_none() {
-                if let Some(view) = self.views.get_mut(peer) {
-                    view.set_greeted(true);
-                }
+                self.views.set_greeted(*peer, true);
             }
         }
     }
@@ -399,7 +391,7 @@ impl LeecherNode {
                     let mut peers = std::mem::take(&mut self.scratch_peers);
                     peers.clear();
                     let others = self.cfg.others.iter().copied();
-                    peers.extend(others.filter(|&other| !self.is_greeted(other)));
+                    peers.extend(others.filter(|&other| !self.views.greeted(other)));
                     self.greet_all(ctx, &peers);
                     self.scratch_peers = peers;
                 }
@@ -438,23 +430,18 @@ impl LeecherNode {
             && !self.playback.buffer().is_complete()
     }
 
-    /// Encodes `message` once and sends it to every view `include` admits,
-    /// in ascending order, evicting peers that became unreachable. Returns
-    /// the number of successful sends.
+    /// Encodes `message` once and sends it to every neighbour `include`
+    /// admits, in ascending order, evicting peers that became unreachable.
+    /// Returns the number of successful sends.
     fn broadcast(
         &mut self,
         ctx: &mut Ctx<'_>,
         message: &Message,
-        mut include: impl FnMut(&Self, NodeId, &PeerView) -> bool,
+        mut include: impl FnMut(&Self, NodeId) -> bool,
     ) -> u64 {
         let mut peers = std::mem::take(&mut self.scratch_peers);
         peers.clear();
-        peers.extend(
-            self.views
-                .iter()
-                .filter(|&(peer, view)| include(self, peer, view))
-                .map(|(peer, _)| peer),
-        );
+        peers.extend(self.views.iter().filter(|&peer| include(self, peer)));
         let sent = self.multicast(ctx, &peers, message);
         self.scratch_peers = peers;
         sent
@@ -467,10 +454,10 @@ impl LeecherNode {
         &mut self,
         ctx: &mut Ctx<'_>,
         message: &Message,
-        mut include: impl FnMut(&PeerView) -> bool,
+        mut include: impl FnMut(&Views, NodeId) -> bool,
     ) -> u64 {
-        self.broadcast(ctx, message, |me, peer, view| {
-            !me.is_origin(peer) && include(view)
+        self.broadcast(ctx, message, |me, peer| {
+            !me.is_origin(peer) && include(&me.views, peer)
         })
     }
 
@@ -671,14 +658,6 @@ impl LeecherNode {
             }
     }
 
-    /// The handshaken neighbours whose views show `index`: one walk of the
-    /// neighbour table, in ascending `NodeId` order.
-    fn holders_of(&self, index: u32) -> impl Iterator<Item = (NodeId, &PeerView)> + '_ {
-        self.views
-            .iter()
-            .filter(move |(_, view)| view.handshaken() && view.holdings.get(index))
-    }
-
     /// The candidate sources of `index`: each eligible holder with its
     /// load. The holders come in ascending `NodeId` order, so the pool
     /// needs no sort for determinism, and the degree cap of the neighbour
@@ -694,11 +673,11 @@ impl LeecherNode {
             .cfg
             .cdn
             .is_none_or(|cdn| self.in_flight.values().any(|f| f.source == cdn));
-        for (peer, view) in self.holders_of(index) {
+        for peer in self.views.holders(index) {
             if self.eligible(ctx, peer, exclude, cdn_busy) {
                 out.push(SourceCandidate {
                     peer,
-                    outstanding: view.outstanding,
+                    outstanding: self.views.outstanding(peer),
                 });
             }
         }
@@ -719,9 +698,7 @@ impl LeecherNode {
             },
         );
         self.in_flight_mask.set(index);
-        if let Some(view) = self.views.get_mut(&source) {
-            view.outstanding += 1;
-        }
+        self.views.add_outstanding(source);
         if self.cfg.control_plane == ControlPlane::Eventful {
             // A pump must run when this request's timeout expires.
             let deadline = ctx.now() + self.cfg.request_timeout;
@@ -733,9 +710,7 @@ impl LeecherNode {
     fn drop_in_flight(&mut self, index: u32) -> Option<InFlight> {
         let entry = self.in_flight.remove(&index)?;
         self.in_flight_mask.clear(index);
-        if let Some(view) = self.views.get_mut(&entry.source) {
-            view.outstanding = view.outstanding.saturating_sub(1);
-        }
+        self.views.sub_outstanding(entry.source);
         // Freeing a segment can turn an exhausted schedule fillable again,
         // and freeing a CDN slot can give a source-less segment a source.
         self.sched_state = SchedState::Dirty;
@@ -937,10 +912,10 @@ impl LeecherNode {
             _ => &indices,
         };
         let mut suppressed = 0u64;
-        let sent = self.broadcast_fellows(ctx, &message, |view| {
-            let learns = view.handshaken()
-                && (!eventful || view.peer_interested())
-                && !shown.iter().all(|&i| view.holdings.get(i));
+        let sent = self.broadcast_fellows(ctx, &message, |views, peer| {
+            let learns = views.handshaken(peer)
+                && (!eventful || views.interested(peer))
+                && !shown.iter().all(|&i| views.holds(peer, i));
             suppressed += u64::from(!learns) * n;
             learns
         });
@@ -967,7 +942,9 @@ impl LeecherNode {
             return;
         }
         self.complete_notified = true;
-        self.broadcast_fellows(ctx, &Message::NotInterested, |view| view.handshaken());
+        self.broadcast_fellows(ctx, &Message::NotInterested, |views, peer| {
+            views.handshaken(peer)
+        });
     }
 
     /// `from`'s view newly shows `index`. If `from` is handshaken and the
@@ -975,9 +952,7 @@ impl LeecherNode {
     /// next pass must run; news of any other segment cannot change that
     /// pass's outcome (see [`SchedState::NoSource`]).
     fn on_new_bit(&mut self, from: NodeId, index: u32) {
-        if self.sched_state == SchedState::NoSource(index)
-            && self.views.get(&from).is_some_and(|v| v.handshaken())
-        {
+        if self.sched_state == SchedState::NoSource(index) && self.views.handshaken(from) {
             self.sched_state = SchedState::Dirty;
         }
     }
@@ -986,11 +961,7 @@ impl LeecherNode {
     /// bits in its view.
     fn on_haves(&mut self, ctx: &mut Ctx<'_>, from: NodeId, indices: impl Iterator<Item = u32>) {
         for index in indices {
-            let Some(view) = self.views.get_mut(&from) else {
-                break;
-            };
-            if index < view.holdings.len() && !view.holdings.get(index) {
-                view.holdings.set(index);
+            if self.views.learn(from, index) {
                 self.on_new_bit(from, index);
             }
         }
@@ -1012,16 +983,11 @@ impl LeecherNode {
                 // handshake becomes mutual and its segments enter our
                 // source pool instead of being silently dropped.
                 if self.cfg.p2p && !self.is_origin(from) {
-                    let segment_count = self.segment_count();
-                    self.views
-                        .get_or_insert_with(from, || PeerView::new(segment_count));
+                    self.views.get_or_insert(from);
                 }
                 self.greet(ctx, from);
-                let newly_handshaken = self.views.get_mut(&from).is_some_and(|view| {
-                    let fresh = !view.handshaken();
-                    view.set_handshaken(true);
-                    fresh
-                });
+                let newly_handshaken = self.views.contains(from) && !self.views.handshaken(from);
+                self.views.set_handshaken(from, true);
                 if newly_handshaken {
                     // A fresh handshake can enable candidacy: bits learned
                     // before it (a Bitfield that arrived first) count from
@@ -1037,27 +1003,21 @@ impl LeecherNode {
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
-                if let Some(view) = self.views.get_mut(&from) {
-                    if bf.len() == view.holdings.len() {
-                        let old = std::mem::replace(&mut view.holdings, bf);
-                        // Of the bits the replacement sets, only the one a
-                        // blocked pass stopped on can matter.
-                        if let SchedState::NoSource(w) = self.sched_state {
-                            if !old.get(w) && view.holdings.get(w) {
-                                self.on_new_bit(from, w);
-                            }
-                        }
-                    }
+                // Of the bits the replacement sets, only the one a blocked
+                // pass stopped on can matter.
+                let blocked = match self.sched_state {
+                    SchedState::NoSource(w) if !self.views.holds(from, w) => Some(w),
+                    _ => None,
+                };
+                self.views.replace_holdings(from, &bf);
+                if let Some(w) = blocked.filter(|&w| self.views.holds(from, w)) {
+                    self.on_new_bit(from, w);
                 }
                 self.schedule(ctx);
             }
             Message::Have { index } => self.on_haves(ctx, from, std::iter::once(index)),
             Message::HaveBundle { indices } => self.on_haves(ctx, from, indices.into_iter()),
-            Message::NotInterested => {
-                if let Some(view) = self.views.get_mut(&from) {
-                    view.set_peer_interested(false);
-                }
-            }
+            Message::NotInterested => self.views.set_interested(from, false),
             // The seeder renders the playlist from the segment list this
             // leecher already holds and sends it reliably: its arrival is
             // all streaming waits for.
@@ -1091,13 +1051,13 @@ impl LeecherNode {
                 fresh.clear();
                 for raw in peers {
                     let peer = NodeId::from_index(raw as usize);
-                    if peer == me || self.is_origin(peer) || self.views.contains_key(&peer) {
+                    if peer == me || self.is_origin(peer) || self.views.contains(peer) {
                         continue;
                     }
                     if !ctx.is_online(peer) {
                         continue;
                     }
-                    self.views.insert(peer, PeerView::new(self.segment_count()));
+                    self.views.insert(peer);
                     fresh.push(peer);
                 }
                 self.greet_all(ctx, &fresh);
@@ -1150,11 +1110,11 @@ impl LeecherNode {
         // An outage that ate our greeting to the CDN — its send failed (we
         // joined during the outage) or it was in flight when the outage
         // began — is followed by a fresh one once the CDN is back.
-        if let Some(cdn) = self.cfg.cdn.filter(|cdn| !self.views[cdn].handshaken()) {
+        if let Some(cdn) = self.cfg.cdn.filter(|&cdn| !self.views.handshaken(cdn)) {
             if ctx.is_online(cdn) {
                 self.greet(ctx, cdn);
-            } else if let Some(view) = self.views.get_mut(&cdn) {
-                view.set_greeted(false);
+            } else {
+                self.views.set_greeted(cdn, false);
             }
         }
         if due_flush {
@@ -1210,17 +1170,16 @@ impl LeecherNode {
     }
 
     /// Samples this leecher's memory footprint: allocator-visible bytes
-    /// behind the per-peer structures (peer views and the auxiliary
-    /// per-peer maps). The neighbour table counts every slot it
+    /// behind the per-peer structures (the neighbour views and the
+    /// auxiliary per-peer maps). The view columns count every slot they
     /// allocated, occupied or not; the two small `BTreeMap`s (bans,
     /// health) count payloads only.
     pub fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
-        let bitfield_heap: usize = self.views.values().map(|v| v.holdings.heap_bytes()).sum();
         let bans = (self.timeout_bans.len() * (size_of::<u32>() + size_of::<NodeId>())) as u64;
         let health = (self.health.len() * (size_of::<NodeId>() + size_of::<SourceHealth>())) as u64;
         PeerMemStats {
-            view_bytes: (self.views.table_bytes() + bitfield_heap) as u64,
+            view_bytes: self.views.table_bytes() as u64,
             views: self.views.len() as u64,
             aux_bytes: bans + health,
         }
@@ -1263,7 +1222,7 @@ impl NodeBehavior for LeecherNode {
                 token: TOKEN_DEPART,
             } => {
                 self.write_report(ctx, true);
-                self.broadcast(ctx, &Message::Goodbye, |_, _, _| true);
+                self.broadcast(ctx, &Message::Goodbye, |_, _| true);
                 ctx.go_offline();
             }
             NodeEvent::Timer { token: TOKEN_CRASH } => {
@@ -1411,25 +1370,32 @@ mod tests {
     /// The holders a pick considers for `segment`, before the live
     /// eligibility probes.
     fn holders(l: &LeecherNode, segment: u32) -> Vec<NodeId> {
-        l.holders_of(segment).map(|(peer, _)| peer).collect()
+        l.views.holders(segment).collect()
     }
 
-    /// The neighbour table is charged for every slot it allocated — one
-    /// per node id of the universe — not for its live entries, so
+    /// The segments `peer`'s view shows.
+    fn shown(l: &LeecherNode, peer: NodeId) -> Vec<u32> {
+        (0..l.segment_count())
+            .filter(|&s| l.views.holds(peer, s))
+            .collect()
+    }
+
+    /// The view columns are charged for every slot they allocated — one
+    /// per node id of the universe — not for their live views, so
     /// `swarm.mem.bytes_per_peer` stays a measurement of what the
     /// allocator handed out. Defenses add no per-neighbour table.
     #[test]
     fn mem_estimate_counts_the_tables_at_capacity() {
-        use std::mem::size_of;
         let ids: Vec<NodeId> = (0..6).map(NodeId::from_index).collect();
         let others = vec![ids[3], ids[4], ids[5]];
         let universe = (others.len() + 4) as u64;
         let plain = LeecherNode::new(config(ids[1], others.clone(), DiscoveryMode::Tracker));
         assert_eq!(plain.views.len(), 1, "tracker discovery: only the seeder");
         let mem = plain.mem_bytes_estimate();
-        let bitfield_heap = plain.views[&ids[1]].holdings.heap_bytes() as u64;
-        assert_eq!(size_of::<Option<PeerView>>(), 32);
-        assert_eq!(mem.view_bytes, universe * 32 + bitfield_heap);
+        // Two segments: four one-word flag bitsets for the 7 ids, a `u32`
+        // and a one-word holdings row per id.
+        assert_eq!(plain.segment_count(), 2);
+        assert_eq!(mem.view_bytes, 4 * 8 + universe * (4 + 8));
         assert_eq!(mem.views, 1);
         assert_eq!(mem.aux_bytes, 0, "no bans, no health records");
         assert_eq!(mem.total_bytes(), mem.view_bytes);
@@ -1493,11 +1459,10 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             for peer in [seeder, cdn, lacks, shows, unsubscribed] {
-                l.views.get_mut(&peer).unwrap().set_handshaken(true);
+                l.views.set_handshaken(peer, true);
             }
-            l.views.get_mut(&shows).unwrap().holdings.set(0);
-            let view = l.views.get_mut(&unsubscribed).unwrap();
-            view.set_peer_interested(false);
+            assert!(l.views.learn(shows, 0));
+            l.views.set_interested(unsubscribed, false);
         }
 
         let log = Rc::new(RefCell::new(Vec::new()));
@@ -1566,10 +1531,9 @@ mod tests {
             // The timeout path already moved segment 0 from A to B.
             let mut l = node.borrow_mut();
             put_in_flight(&mut l, 0, b_id, true);
-            l.views.get_mut(&a_id).unwrap().set_handshaken(true);
-            let view_b = l.views.get_mut(&b_id).unwrap();
-            view_b.set_handshaken(true);
-            view_b.outstanding = 1;
+            l.views.set_handshaken(a_id, true);
+            l.views.set_handshaken(b_id, true);
+            l.views.add_outstanding(b_id);
         }
 
         let mut sim = Simulator::new(net.network, 42);
@@ -1607,7 +1571,8 @@ mod tests {
                 "only the recorded source may clear the entry"
             );
             assert_eq!(
-                l.views[&b_id].outstanding, 1,
+                l.views.outstanding(b_id),
+                1,
                 "B is still serving; its outstanding counter must not drop"
             );
         }
@@ -1619,7 +1584,7 @@ mod tests {
             let l = node.borrow();
             l.audit_in_flight_mask();
             assert!(l.in_flight.is_empty());
-            assert_eq!(l.views[&b_id].outstanding, 0);
+            assert_eq!(l.views.outstanding(b_id), 0);
             let counted = l.report.segments_from_seeder
                 + l.report.segments_from_peers
                 + l.report.segments_from_cdn;
@@ -1672,7 +1637,7 @@ mod tests {
             let mut l = node.borrow_mut();
             l.streaming = true;
             put_in_flight(&mut l, 0, a_id, false);
-            l.views.get_mut(&a_id).unwrap().outstanding = 1;
+            l.views.add_outstanding(a_id);
         }
         sim.run_until_idle(SimTime::from_secs_f64(6.0));
 
@@ -1686,8 +1651,8 @@ mod tests {
             entry.source, b_id,
             "re-requesting must move off the timed-out source"
         );
-        assert_eq!(l.views[&a_id].outstanding, 0);
-        assert_eq!(l.views[&b_id].outstanding, 1);
+        assert_eq!(l.views.outstanding(a_id), 0);
+        assert_eq!(l.views.outstanding(b_id), 1);
     }
 
     /// Regression test: a duplicate delivery from a raced re-request frees
@@ -1740,13 +1705,13 @@ mod tests {
             l.streaming = true;
             l.playback.on_segment(0, 0.5);
             put_in_flight(&mut l, 0, a_id, true);
-            l.views.get_mut(&a_id).unwrap().outstanding = 1;
+            l.views.add_outstanding(a_id);
         }
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
 
         let l = node.borrow();
         l.audit_in_flight_mask();
-        assert_eq!(l.views[&a_id].outstanding, 0, "the duplicate clears A");
+        assert_eq!(l.views.outstanding(a_id), 0, "the duplicate clears A");
         let entry = l.in_flight.get(&1).expect(
             "the slot freed by the duplicate delivery must be refilled \
              by the same event, not left idle until the next pump",
@@ -1817,7 +1782,7 @@ mod tests {
             l.streaming = true;
             for (index, source) in [(0, a_id), (1, b_id)] {
                 put_in_flight(&mut l, index, source, true);
-                l.views.get_mut(&source).unwrap().outstanding = 1;
+                l.views.add_outstanding(source);
             }
         }
 
@@ -1829,7 +1794,7 @@ mod tests {
             l.audit_in_flight_mask();
             assert!(!l.in_flight.contains_key(&0), "the dead download is gone");
             assert!(l.in_flight.contains_key(&1));
-            assert!(!l.views.contains_key(&a_id), "the churned source is gone");
+            assert!(!l.views.contains(a_id), "the churned source is gone");
             assert_eq!(l.sched_state, SchedState::NoSource(0));
         }
 
@@ -1877,9 +1842,8 @@ mod tests {
         {
             let mut l = node.borrow_mut();
             l.streaming = true;
-            let view = l.views.get_mut(&a_id).unwrap();
-            view.set_handshaken(true);
-            view.holdings.set(0);
+            l.views.set_handshaken(a_id, true);
+            assert!(l.views.learn(a_id, 0));
             l.sched_state = SchedState::NoSource(0);
         }
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
@@ -1965,7 +1929,7 @@ mod tests {
                 let mut l = node.borrow_mut();
                 l.streaming = true;
                 put_in_flight(&mut l, 0, a_id, false);
-                l.views.get_mut(&a_id).unwrap().outstanding = 1;
+                l.views.add_outstanding(a_id);
             }
             sim.run_until_idle(SimTime::from_secs_f64(2.0));
 
@@ -1976,8 +1940,8 @@ mod tests {
             );
             let l = node.borrow();
             l.audit_in_flight_mask();
-            assert!(!l.views.contains_key(&a_id), "{plane:?}: A is forgotten");
-            assert_eq!(l.views[&b_id].outstanding, 1);
+            assert!(!l.views.contains(a_id), "{plane:?}: A is forgotten");
+            assert_eq!(l.views.outstanding(b_id), 1);
         }
     }
 
@@ -1997,7 +1961,7 @@ mod tests {
             vec![stranger_id],
             DiscoveryMode::Tracker,
         ))));
-        assert!(!node.borrow().views.contains_key(&stranger_id));
+        assert!(!node.borrow().views.contains(stranger_id));
 
         let heard: Rc<RefCell<Vec<Message>>> = Rc::new(RefCell::new(Vec::new()));
         struct Stranger {
@@ -2043,13 +2007,16 @@ mod tests {
         let l = node.borrow();
         // The stranger announced a full bitfield: its freshly created view
         // is an ordinary neighbour record that happens to hold everything.
-        let view = l
-            .views
-            .get(&stranger_id)
-            .expect("the unknown greeter must get a view");
-        assert!(view.handshaken());
-        assert!(view.greeted(), "the leecher answers with its own handshake");
-        assert!(view.holdings.is_complete());
+        assert!(
+            l.views.contains(stranger_id),
+            "the unknown greeter must get a view"
+        );
+        assert!(l.views.handshaken(stranger_id));
+        assert!(
+            l.views.greeted(stranger_id),
+            "the leecher answers with its own handshake"
+        );
+        assert_eq!(shown(&l, stranger_id), [0, 1]);
         for segment in 0..2 {
             assert_eq!(
                 holders(&l, segment),
@@ -2218,11 +2185,11 @@ mod tests {
         {
             let l = node.borrow();
             assert!(
-                l.views.contains_key(&quiet_id),
+                l.views.contains(quiet_id),
                 "a peer quiet for 39 s is still a neighbour"
             );
             assert!(
-                l.views.contains_key(&crashed_id),
+                l.views.contains(crashed_id),
                 "nothing was sent to the crashed peer yet"
             );
             assert!(
@@ -2236,11 +2203,11 @@ mod tests {
         let l = node.borrow();
         assert!(l.holds(1), "the seeder's delivery arrived");
         assert!(
-            !l.views.contains_key(&crashed_id),
+            !l.views.contains(crashed_id),
             "the failed `Have` send drops the crashed peer"
         );
-        assert!(l.views.contains_key(&quiet_id));
-        assert!(l.views.contains_key(&s_id));
+        assert!(l.views.contains(quiet_id));
+        assert!(l.views.contains(s_id));
         assert!(l.in_flight.is_empty());
         assert_eq!(l.report.fault.silent_evictions, 0);
     }
@@ -2353,15 +2320,16 @@ mod tests {
             for index in [0, 1] {
                 put_in_flight(&mut l, index, a_id, true);
             }
-            l.views.get_mut(&a_id).unwrap().set_handshaken(true);
-            l.views.get_mut(&a_id).unwrap().outstanding = 2;
+            l.views.set_handshaken(a_id, true);
+            l.views.add_outstanding(a_id);
+            l.views.add_outstanding(a_id);
         }
 
         // A crashes at t = 2: both transfers fail back-to-back.
         sim.run_until_idle(SimTime::from_secs_f64(3.0));
         let l = node.borrow();
         l.audit_in_flight_mask();
-        assert!(!l.views.contains_key(&a_id), "the crashed uploader is gone");
+        assert!(!l.views.contains(a_id), "the crashed uploader is gone");
         let seg0 = l
             .in_flight
             .get(&0)
@@ -2462,7 +2430,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(0.6));
         {
             let mut l = node.borrow_mut();
-            assert!(l.views[&a_id].holdings.is_complete());
+            assert_eq!(shown(&l, a_id), [0, 1]);
             assert_eq!(holders(&l, 1), [a_id]);
             // Downloads may start: the stale bitfield's scheduling pass
             // must pick from the views as it leaves them.
@@ -2472,7 +2440,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(1.1));
         {
             let l = node.borrow();
-            assert!(l.views[&a_id].holdings.get(0) && !l.views[&a_id].holdings.get(1));
+            assert_eq!(shown(&l, a_id), [0]);
             assert_eq!(holders(&l, 0), [a_id]);
             assert!(holders(&l, 1).is_empty(), "the cleared bit drops the peer");
             assert_eq!(l.in_flight.get(&0).map(|f| f.source), Some(a_id));
@@ -2485,7 +2453,7 @@ mod tests {
 
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
         let l = node.borrow();
-        assert!(l.views[&a_id].holdings.is_complete());
+        assert_eq!(shown(&l, a_id), [0, 1]);
         assert_eq!(holders(&l, 1), [a_id]);
         assert_eq!(
             l.in_flight.get(&1).map(|f| f.source),
@@ -2543,7 +2511,7 @@ mod tests {
             }));
             sim.run_until_idle(SimTime::from_secs_f64(3.0));
             let l = node.borrow();
-            assert!(l.views[&b_id].holdings.is_complete(), "B's greeting landed");
+            assert_eq!(shown(&l, b_id), [0, 1], "B's greeting landed");
             let said = heard.borrow().clone();
             (l.report.clone(), holders(&l, 1), l.sched_state, said)
         };

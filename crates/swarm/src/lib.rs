@@ -43,13 +43,13 @@ mod cross;
 mod fault;
 mod leecher;
 mod metrics;
-mod nodemap;
 mod peer;
 mod policy;
 mod scheduler;
 mod seeder;
 mod swarm;
 mod upload;
+mod views;
 
 /// One configuration rule: `Err(message)` unless `ok`. Every config's
 /// `check()` chains these with `?`, and its `validate()` panics with the

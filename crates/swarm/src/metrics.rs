@@ -118,8 +118,9 @@ impl DisseminationStats {
 /// the deterministic insert/remove sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerMemStats {
-    /// Bytes behind the peer-view table: every slot it allocated (one
-    /// per node id, occupied or not) plus the live views' bitfield heap.
+    /// Bytes behind the neighbour-view columns: every slot they
+    /// allocated (one per node id, occupied or not) of the four flag
+    /// bitsets, the `outstanding` column and the holdings rows.
     pub view_bytes: u64,
     /// Live peer views at sample time.
     pub views: u64,

@@ -1,98 +1,9 @@
-//! Per-peer bookkeeping shared by seeders and leechers.
+//! A node's upload queue: bounded concurrent uploads and the requests
+//! waiting for a slot.
 
 use std::collections::VecDeque;
 
 use splicecast_netsim::NodeId;
-use splicecast_protocol::Bitfield;
-
-/// What this node knows about one remote peer.
-///
-/// Swarms keep one view per (node, peer) pair — O(peers²) instances — so
-/// the struct is packed for the 10k-peer regime: two of the three
-/// lifecycle booleans share a flags byte behind accessor methods (the
-/// third is a plain `bool`, whose invalid bit patterns let the neighbour
-/// table's `Option<PeerView>` stay the size of a view), and the field
-/// order leaves no interior padding: 32 bytes.
-#[derive(Debug, Clone)]
-pub struct PeerView {
-    /// Last availability map the peer sent, updated by `Have`s.
-    pub holdings: Bitfield,
-    /// Requests we have sent them that have not completed or failed.
-    pub outstanding: u32,
-    /// The packed lifecycle booleans; see the `FLAG_*` constants.
-    flags: u8,
-    /// They have sent us their handshake.
-    handshaken: bool,
-}
-
-/// We have sent them our handshake.
-const FLAG_GREETED: u8 = 1 << 0;
-/// The peer wants our availability announcements. Set by default; a
-/// `NotInterested` from them (the eventful control plane's unsubscribe,
-/// sent once they hold the whole video) clears it for good.
-const FLAG_PEER_INTERESTED: u8 = 1 << 1;
-
-impl PeerView {
-    /// A fresh view with nothing known.
-    pub fn new(segment_count: u32) -> Self {
-        PeerView {
-            holdings: Bitfield::new(segment_count),
-            outstanding: 0,
-            flags: FLAG_PEER_INTERESTED,
-            handshaken: false,
-        }
-    }
-
-    #[inline]
-    fn flag(&self, mask: u8) -> bool {
-        self.flags & mask != 0
-    }
-
-    #[inline]
-    fn set_flag(&mut self, mask: u8, value: bool) {
-        if value {
-            self.flags |= mask;
-        } else {
-            self.flags &= !mask;
-        }
-    }
-
-    /// Whether we have sent them our handshake.
-    #[inline]
-    pub fn greeted(&self) -> bool {
-        self.flag(FLAG_GREETED)
-    }
-
-    /// Records whether we have sent them our handshake.
-    #[inline]
-    pub fn set_greeted(&mut self, value: bool) {
-        self.set_flag(FLAG_GREETED, value);
-    }
-
-    /// Whether they have sent us their handshake.
-    #[inline]
-    pub fn handshaken(&self) -> bool {
-        self.handshaken
-    }
-
-    /// Records whether they have sent us their handshake.
-    #[inline]
-    pub fn set_handshaken(&mut self, value: bool) {
-        self.handshaken = value;
-    }
-
-    /// Whether the peer wants our availability announcements.
-    #[inline]
-    pub fn peer_interested(&self) -> bool {
-        self.flag(FLAG_PEER_INTERESTED)
-    }
-
-    /// Records whether the peer wants our availability announcements.
-    #[inline]
-    pub fn set_peer_interested(&mut self, value: bool) {
-        self.set_flag(FLAG_PEER_INTERESTED, value);
-    }
-}
 
 /// An accepted upload: who asked for which segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,51 +302,5 @@ mod tests {
     #[should_panic(expected = "release without an active upload")]
     fn release_when_idle_panics() {
         UploadManager::new(1).release_preferring(any, none);
-    }
-
-    #[test]
-    fn peer_view_defaults() {
-        let v = PeerView::new(10);
-        assert!(!v.greeted());
-        assert!(!v.handshaken());
-        assert!(
-            v.peer_interested(),
-            "peers are subscribed until they opt out"
-        );
-        assert_eq!(v.outstanding, 0);
-        assert_eq!(v.holdings.count_ones(), 0);
-    }
-
-    #[test]
-    fn peer_view_flags_are_independent() {
-        let mut v = PeerView::new(4);
-        v.set_greeted(true);
-        v.set_handshaken(true);
-        v.set_peer_interested(false);
-        assert!(v.greeted() && v.handshaken());
-        assert!(!v.peer_interested());
-        v.set_handshaken(false);
-        assert!(!v.handshaken());
-        assert!(
-            v.greeted() && !v.peer_interested(),
-            "clearing one flag must not disturb the others"
-        );
-        v.set_greeted(false);
-        assert!(!v.greeted() && !v.peer_interested());
-    }
-
-    /// The packed struct must stay at 32 bytes (24-byte bitfield +
-    /// outstanding + flags byte + `handshaken` + padding).
-    #[test]
-    fn peer_view_is_packed() {
-        assert_eq!(std::mem::size_of::<PeerView>(), 32);
-        // The neighbour table stores `Option<PeerView>`. The bitfield's
-        // inline/boxed store uses up the pointer's niche, so the empty
-        // slot is encoded in `handshaken` and stays the size of a view.
-        assert_eq!(std::mem::size_of::<Option<PeerView>>(), 32);
-        let v = PeerView::new(80);
-        assert_eq!(v.holdings.heap_bytes(), 10, "80 bits of heap");
-        let v = PeerView::new(60);
-        assert_eq!(v.holdings.heap_bytes(), 0, "60 bits sit in the view");
     }
 }
