@@ -39,6 +39,7 @@
 mod error;
 mod event;
 mod fault;
+mod fifo;
 mod fluid;
 mod id;
 mod link;

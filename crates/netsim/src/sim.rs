@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use crate::error::NetError;
 use crate::event::{EventQueue, Scheduled};
 use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
+use crate::fifo::FifoRow;
 use crate::fluid::{FluidSolver, FluidSolverStats, SolverFlow};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::link::LinkSpec;
@@ -75,7 +76,7 @@ pub(crate) struct World {
     /// Last scheduled delivery per (src, dst), to keep the control channel
     /// in order like a TCP connection would: one row per source, indexed
     /// by destination, empty until that source first sends.
-    msg_order: Vec<Vec<SimTime>>,
+    msg_order: Vec<FifoRow>,
     /// Scratch for the receivers of a multicast that share one delivery
     /// instant.
     scratch_run: Vec<NodeId>,
@@ -664,17 +665,12 @@ impl Ctx<'_> {
         };
         // Injected extra delay lands before the FIFO clamp: a delayed
         // message still cannot overtake or be overtaken on its connection.
-        let mut deliver_at = w.now + delay + extra;
-        // FIFO per (src, dst) pair, like an ordered byte stream.
-        let row = &mut w.msg_order[self.me.index()];
-        if row.is_empty() {
-            row.resize(w.online.len(), SimTime::ZERO);
-        }
-        let slot = &mut row[to.index()];
-        if deliver_at <= *slot {
-            deliver_at = *slot + SimDuration::from_micros(1);
-        }
-        *slot = deliver_at;
+        let deliver_at = w.msg_order[self.me.index()].book(
+            w.now,
+            w.online.len(),
+            to.index(),
+            w.now + delay + extra,
+        );
         w.stats.messages_sent += 1;
         Ok(Some(deliver_at))
     }
@@ -864,7 +860,7 @@ impl Simulator {
                 online: vec![true; node_count],
                 tcp: TcpConfig::default(),
                 stats: SimStats::default(),
-                msg_order: vec![Vec::new(); node_count],
+                msg_order: (0..node_count).map(|_| FifoRow::default()).collect(),
                 scratch_run: Vec::new(),
                 fluid,
                 faults: None,
@@ -1368,6 +1364,98 @@ mod tests {
         }
         assert!(sim.world.msg_order[silent.index()].is_empty());
         assert!(sim.world.msg_order[s.hub.index()].is_empty());
+    }
+
+    /// The FIFO clamp across its row's `u32` offset rebase at 2³² µs
+    /// (4 295 s): bursts of different lengths from one sender to two
+    /// receivers, sent before, across and after that instant, arrive in
+    /// order at exactly the instants of a `u64` reference per connection,
+    /// `max(sent + delay, last + 1 µs)`. A burst to one receiver crosses
+    /// 2³² µs and rebases the row while a clamped chain to the other is in
+    /// flight, and the other's next burst must queue behind that chain.
+    #[test]
+    fn fifo_clamp_holds_across_the_offset_rebase() {
+        const WRAP: u64 = 1 << 32;
+        /// (send instant in µs, burst length, receiver); the first burst
+        /// measures the path delay (the same to both) on an idle
+        /// connection.
+        const BURSTS: [(u64, u32, usize); 9] = [
+            (1_000_000, 1, 0),
+            (WRAP - 60_000, 9_000, 1),
+            (WRAP - 55_000, 6_000, 0),
+            (WRAP - 54_000, 5, 1),
+            (WRAP - 45_000, 2, 0),
+            (WRAP - 40_000, 300, 1),
+            (WRAP - 1, 7, 0),
+            (WRAP + 100_000, 1, 1),
+            (WRAP + 100_010, 5_000, 0),
+        ];
+        struct Burster {
+            to: [NodeId; 2],
+            next: u32,
+        }
+        impl NodeBehavior for Burster {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for (token, &(at, ..)) in BURSTS.iter().enumerate() {
+                    ctx.set_timer(SimDuration::from_micros(at), token as u64);
+                }
+            }
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::Timer { token } = event {
+                    let (_, len, to) = BURSTS[token as usize];
+                    for _ in 0..len {
+                        let seq = Bytes::copy_from_slice(&self.next.to_le_bytes());
+                        ctx.send(self.to[to], seq).unwrap();
+                        self.next += 1;
+                    }
+                }
+            }
+        }
+        type Log = Rc<RefCell<Vec<(u32, u64)>>>;
+        struct Arrivals(Log);
+        impl NodeBehavior for Arrivals {
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+                if let NodeEvent::Message { payload, .. } = event {
+                    let seq = u32::from_le_bytes(payload[..].try_into().unwrap());
+                    self.0.borrow_mut().push((seq, ctx.now().as_micros()));
+                }
+            }
+        }
+        let arrivals: [Log; 2] = Default::default();
+        let spec = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), 0.0);
+        let s = star(&[spec; 3]);
+        let mut sim = Simulator::new(s.network, 3);
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Burster {
+            to: [s.leaves[1], s.leaves[2]],
+            next: 0,
+        }));
+        for log in &arrivals {
+            sim.add_node(Box::new(Arrivals(log.clone())));
+        }
+        sim.run_until_idle(SimTime::from_micros(2 * WRAP));
+        let delay = arrivals[0].borrow()[0].1 - BURSTS[0].0;
+        let mut last = [0; 2];
+        let mut expected: [Vec<(u32, u64)>; 2] = Default::default();
+        let mut seq = 0;
+        for (sent, len, to) in BURSTS {
+            for _ in 0..len {
+                last[to] = (sent + delay).max(last[to] + 1);
+                expected[to].push((seq, last[to]));
+                seq += 1;
+            }
+        }
+        assert_eq!(*arrivals[0].borrow(), expected[0]);
+        assert_eq!(*arrivals[1].borrow(), expected[1]);
+        // The first receiver's second burst crosses 2³² µs while the chain
+        // to the second is in flight, and the second's next burst is
+        // clamped behind that chain.
+        let crossing = &expected[0][1..6_001];
+        assert!(crossing[0].1 < WRAP && crossing[5_999].1 > WRAP);
+        let chain_end = expected[1][8_999].1;
+        assert!(chain_end > BURSTS[2].0 && chain_end < WRAP);
+        assert_eq!(expected[1][9_000].1, chain_end + 1);
+        assert!(expected[1][9_000].1 > BURSTS[3].0 + delay);
     }
 
     /// What a [`Recorder`] saw: (node, event kind, time, bytes).

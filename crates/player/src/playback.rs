@@ -200,6 +200,13 @@ impl Playback {
         &self.stalls
     }
 
+    /// Moves the stall log out, leaving it empty: how a finished session
+    /// hands its one copy to a report. Read [`Self::metrics`] first, which
+    /// counts the stalls still held.
+    pub fn take_stalls(&mut self) -> Vec<StallEvent> {
+        std::mem::take(&mut self.stalls)
+    }
+
     /// End of the held run under the play head's last fixed position.
     fn run_end(&self) -> MediaTicks {
         self.buffer.playable_until(self.position_at_since)
@@ -331,6 +338,20 @@ mod tests {
         assert_eq!(m.total_stall_secs, 3.5);
         // 20 s of media + 3.5 s of stalls after a start at t=2.
         assert_eq!(m.finished_secs, Some(25.5));
+    }
+
+    /// `take_stalls` hands the log over whole and keeps no copy.
+    #[test]
+    fn take_stalls_moves_the_log() {
+        let mut p = playback();
+        p.on_segment(0, 2.0);
+        p.on_segment(1, 8.5); // a 2.5 s stall from t=6
+        p.finish(20.0); // and one from t=10.5 to the end
+        let logged = p.stalls().to_vec();
+        assert_eq!(logged.len(), 2);
+        assert_eq!(p.take_stalls(), logged);
+        assert!(p.stalls().is_empty());
+        assert!(p.take_stalls().is_empty());
     }
 
     #[test]

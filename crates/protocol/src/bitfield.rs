@@ -2,7 +2,14 @@
 
 use crate::error::ProtocolError;
 
-/// A fixed-width bitset tracking which segments a peer holds.
+/// A fixed-width bitset of segments: the wire form of what a peer holds
+/// ([`Message::Bitfield`](crate::Message::Bitfield)) and a leecher's mask
+/// of the segments it has in flight.
+///
+/// A field of at most 64 bits — 60 two-second segments, the common case —
+/// owns no heap at all: its bytes sit in the 24-byte struct. Wider fields
+/// use a boxed slice rather than a `Vec` (a bitfield never grows, so no
+/// capacity word).
 ///
 /// # Examples
 ///
@@ -16,12 +23,6 @@ use crate::error::ProtocolError;
 /// assert!(held.get(3) && !held.get(4));
 /// assert_eq!(held.iter_set().collect::<Vec<_>>(), vec![3, 7]);
 /// ```
-/// Swarms hold one of these per (peer, view) pair, so the struct is 24
-/// bytes and a field of at most 64 bits — 60 two-second segments, the
-/// common case — owns no heap at all: its bytes sit in the struct, and a
-/// `Have` touches the cache line the view is already on. Wider fields use
-/// a boxed slice rather than a `Vec` (a bitfield never grows, so no
-/// capacity word).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bitfield {
     len: u32,
@@ -90,17 +91,6 @@ impl Bitfield {
             Store::Heap(bytes.into_boxed_slice())
         };
         Ok(Bitfield { len, bits })
-    }
-
-    /// Bytes of heap this bitfield owns: none up to 64 bits, exactly
-    /// `len.div_ceil(8)` above (a boxed slice has no spare capacity).
-    /// Input to the swarm's per-peer memory accounting.
-    #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        match &self.bits {
-            Store::Inline(_) => 0,
-            Store::Heap(bytes) => bytes.len(),
-        }
     }
 
     /// Number of bits.
@@ -384,7 +374,6 @@ mod tests {
             wire[i as usize / 8] |= 0x80 >> (i % 8);
         }
         assert_eq!(bf.as_bytes(), wire);
-        assert_eq!(bf.heap_bytes(), if len <= 64 { 0 } else { wire.len() });
         let any_missing = set.iter().any(|&i| !other_model[i as usize]);
         assert_eq!(bf.has_any_not_in(other), any_missing);
         // The wire form round-trips to an equal field that hashes alike.

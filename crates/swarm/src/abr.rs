@@ -292,10 +292,11 @@ impl AbrClientNode {
         } else {
             0.0
         };
+        let qoe = self.playback.metrics();
         self.sink.borrow_mut().push(AbrReport {
             client: self.index,
-            qoe: self.playback.metrics(),
-            stalls: self.playback.stalls().to_vec(),
+            qoe,
+            stalls: self.playback.take_stalls(),
             mean_bitrate_bps,
             switches: self.switches,
             rung_counts: self.rung_counts.clone(),
