@@ -26,7 +26,7 @@ use crate::video::{Video, PAPER_CONTENT_SEED};
 /// assert_eq!(Ladder::BITRATES_BPS.len(), 3);
 /// assert_eq!(ladder.segment_count(), 5);
 /// // Higher rungs cost more bytes for the same timeline.
-/// assert!(ladder.segment_bytes(2, 0) > ladder.segment_bytes(0, 0));
+/// assert!(ladder.segments(2)[0].bytes > ladder.segments(0)[0].bytes);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
@@ -47,15 +47,6 @@ impl Ladder {
     /// Number of segments (identical across renditions).
     pub fn segment_count(&self) -> usize {
         self.rungs[0].len()
-    }
-
-    /// Transfer size of one segment of one rendition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either index is out of range.
-    pub fn segment_bytes(&self, rendition: usize, segment: usize) -> u64 {
-        self.rungs[rendition][segment].bytes
     }
 
     /// Display duration of a segment in seconds (identical across
@@ -162,8 +153,8 @@ mod tests {
             let d = l.segment_secs(seg);
             assert!(d > 0.0);
             // Bytes scale roughly with bitrate on every segment.
-            let low = l.segment_bytes(0, seg) as f64;
-            let high = l.segment_bytes(2, seg) as f64;
+            let low = l.segments(0)[seg].bytes as f64;
+            let high = l.segments(2)[seg].bytes as f64;
             let ratio = high / low;
             assert!((3.0..5.3).contains(&ratio), "segment {seg} ratio {ratio}");
         }

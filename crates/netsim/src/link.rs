@@ -11,7 +11,7 @@ use crate::time::SimDuration;
 ///
 /// // A 128 kB/s access link with 25 ms one-way latency and ~2.5% loss.
 /// let spec = LinkSpec::new(128_000.0 * 8.0, SimDuration::from_millis(25), 0.025);
-/// assert_eq!(spec.capacity_bytes_per_sec(), 128_000.0);
+/// assert_eq!(spec.capacity_bps / 8.0, 128_000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
@@ -49,11 +49,6 @@ impl LinkSpec {
     /// Convenience constructor taking capacity in bytes per second.
     pub fn from_bytes_per_sec(bytes_per_sec: f64, latency: SimDuration, loss: f64) -> Self {
         Self::new(bytes_per_sec * 8.0, latency, loss)
-    }
-
-    /// Capacity expressed in bytes per second.
-    pub fn capacity_bytes_per_sec(&self) -> f64 {
-        self.capacity_bps / 8.0
     }
 }
 
@@ -95,7 +90,7 @@ mod tests {
     fn spec_conversions() {
         let s = LinkSpec::from_bytes_per_sec(1_000.0, SimDuration::from_millis(10), 0.0);
         assert_eq!(s.capacity_bps, 8_000.0);
-        assert_eq!(s.capacity_bytes_per_sec(), 1_000.0);
+        assert_eq!(s.capacity_bps / 8.0, 1_000.0);
     }
 
     #[test]

@@ -32,10 +32,7 @@ pub fn encode(msg: &Message, dst: &mut BytesMut) {
     dst.put_u32(1 + body_len as u32);
     dst.put_u8(msg.wire_type());
     match msg {
-        Message::NotInterested
-        | Message::ManifestRequest
-        | Message::PeerListRequest
-        | Message::Goodbye => {}
+        Message::ManifestRequest | Message::PeerListRequest | Message::Goodbye => {}
         Message::Have { index } | Message::Request { index } | Message::Cancel { index } => {
             dst.put_u32(*index);
         }
@@ -119,10 +116,7 @@ impl EncodeBuf {
 
 fn body_len(msg: &Message) -> usize {
     match msg {
-        Message::NotInterested
-        | Message::ManifestRequest
-        | Message::PeerListRequest
-        | Message::Goodbye => 0,
+        Message::ManifestRequest | Message::PeerListRequest | Message::Goodbye => 0,
         Message::Have { .. } | Message::Request { .. } | Message::Cancel { .. } => 4,
         Message::PeerList { peers } => 4 + 4 * peers.len(),
         Message::HaveBundle { indices } => 4 + 4 * indices.len(),
@@ -247,10 +241,6 @@ fn decode_body_slice(kind: u8, mut body: &[u8]) -> Result<Message, ProtocolError
         }
     };
     let msg = match kind {
-        3 => {
-            fixed(body, 0)?;
-            Message::NotInterested
-        }
         4 => {
             fixed(body, 4)?;
             Message::Have {
@@ -342,7 +332,6 @@ mod tests {
                 info_hash: [7; 20],
                 version: 1,
             },
-            Message::NotInterested,
             Message::Have { index: 42 },
             Message::HaveBundle {
                 indices: vec![0, 7, 42, u32::MAX],
@@ -418,11 +407,13 @@ mod tests {
     }
 
     /// Wire types 0, 1 and 2 carried BitTorrent's choke, unchoke and
-    /// interested signals, which no handler read; they are unassigned
-    /// again, and no encoder emits one.
+    /// interested signals, which no handler read, and type 3 the eventful
+    /// control plane's not-interested unsubscribe, which cost more
+    /// messages than it saved; they are unassigned again, and no encoder
+    /// emits one.
     #[test]
     fn retired_wire_types_are_unknown_types() {
-        for kind in [0u8, 1, 2] {
+        for kind in [0u8, 1, 2, 3] {
             let frame = [0, 0, 0, 1, kind];
             assert_eq!(
                 decode_single(&frame).unwrap_err(),
@@ -432,7 +423,7 @@ mod tests {
         }
         for message in all_messages() {
             let wire = encode_to_bytes(&message);
-            for kind in [0, 1, 2] {
+            for kind in [0, 1, 2, 3] {
                 assert_ne!(wire.get(4), Some(&kind), "{message:?}");
             }
         }
@@ -503,7 +494,7 @@ mod tests {
 
     #[test]
     fn decode_single_rejects_trailing_bytes() {
-        let mut wire = encode_to_bytes(&Message::NotInterested).to_vec();
+        let mut wire = encode_to_bytes(&Message::Goodbye).to_vec();
         wire.push(0);
         assert!(decode_single(&wire).is_err());
     }

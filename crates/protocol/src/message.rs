@@ -27,8 +27,6 @@ pub enum Message {
         /// Protocol version of the sender.
         version: u8,
     },
-    /// The sender no longer wants anything from the receiver.
-    NotInterested,
     /// The sender has finished downloading a segment.
     Have {
         /// Segment index.
@@ -82,7 +80,6 @@ impl Message {
     /// The wire type byte for this message.
     pub fn wire_type(&self) -> u8 {
         match self {
-            Message::NotInterested => 3,
             Message::Have { .. } => 4,
             Message::Bitfield(_) => 5,
             Message::Request { .. } => 6,
@@ -106,7 +103,6 @@ mod tests {
     #[test]
     fn wire_types_are_distinct() {
         let msgs = [
-            Message::NotInterested,
             Message::Have { index: 0 },
             Message::HaveBundle { indices: vec![0] },
             Message::Bitfield(crate::Bitfield::new(1)),

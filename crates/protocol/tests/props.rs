@@ -6,7 +6,6 @@ use splicecast_protocol::*;
 
 fn arbitrary_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        Just(Message::NotInterested),
         Just(Message::ManifestRequest),
         Just(Message::Goodbye),
         any::<u32>().prop_map(|index| Message::Have { index }),

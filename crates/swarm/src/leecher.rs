@@ -234,8 +234,6 @@ pub struct LeecherNode {
     /// cancelled, so arming only sets a timer when it beats this mark;
     /// stale fires are harmless no-op pumps.
     earliest_armed: SimTime,
-    /// Whether peers were told we are complete (`NotInterested`).
-    complete_notified: bool,
     report: PeerReport,
     reported: bool,
     /// Scratch buffer for outgoing frames (reused across sends).
@@ -294,7 +292,6 @@ impl LeecherNode {
             flush_at: None,
             next_announce_at: SimTime::MAX,
             earliest_armed: SimTime::MAX,
-            complete_notified: false,
             report,
             reported: false,
             wire_buf: EncodeBuf::new(),
@@ -481,20 +478,6 @@ impl LeecherNode {
         with_scratch(&SCRATCH_PEERS, |peers| {
             peers.extend(self.views.iter().filter(|&peer| include(self, peer)));
             self.multicast(ctx, peers, message)
-        })
-    }
-
-    /// [`Self::broadcast`] to fellow leechers only: the seeder and the CDN
-    /// hold everything and want nothing, so no availability or interest
-    /// announcement is ever for them (nor counted as suppressed).
-    fn broadcast_fellows(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        message: &Message,
-        mut include: impl FnMut(&Views, NodeId) -> bool,
-    ) -> u64 {
-        self.broadcast(ctx, message, |me, peer| {
-            !me.is_origin(peer) && include(&me.views, peer)
         })
     }
 
@@ -923,7 +906,6 @@ impl LeecherNode {
                         self.flush_at = Some(at);
                         self.arm_pump(ctx, at);
                     }
-                    self.maybe_announce_complete(ctx);
                 }
             }
         }
@@ -931,10 +913,14 @@ impl LeecherNode {
     }
 
     /// Flushes the pending completions: the legacy plane's one completion
-    /// as a `Have`, the eventful plane's as one `HaveBundle`. A peer that
-    /// already holds every index, or never completed a handshake (its view
-    /// of us is seeded by the bitfield we send then), learns nothing and is
-    /// skipped; so, on the eventful plane, is one that unsubscribed.
+    /// as a `Have`, the eventful plane's as one `HaveBundle`. Both planes
+    /// announce to the same fellows. The seeder and the CDN hold
+    /// everything, so no announcement is for them (nor counted as
+    /// suppressed); a fellow whose view already shows every index, or
+    /// that never completed a handshake (its view of us is seeded by the
+    /// bitfield we send then), learns nothing and is skipped. A fellow
+    /// that holds the whole video is not skipped: it only updates its
+    /// view of us and skips its scheduling pass.
     fn flush_haves(&mut self, ctx: &mut Ctx<'_>) {
         self.flush_at = None;
         if self.pending_haves.is_empty() {
@@ -944,9 +930,8 @@ impl LeecherNode {
         indices.sort_unstable();
         indices.dedup();
         let n = indices.len() as u64;
-        let eventful = self.cfg.control_plane == ControlPlane::Eventful;
         // The legacy plane flushes each completion at once: one index.
-        let message = if eventful {
+        let message = if self.cfg.control_plane == ControlPlane::Eventful {
             Message::HaveBundle {
                 indices: std::mem::take(&mut indices),
             }
@@ -958,10 +943,12 @@ impl LeecherNode {
             _ => &indices,
         };
         let mut suppressed = 0u64;
-        let sent = self.broadcast_fellows(ctx, &message, |views, peer| {
-            let learns = views.handshaken(peer)
-                && (!eventful || views.interested(peer))
-                && !shown.iter().all(|&i| views.holds(peer, i));
+        let sent = self.broadcast(ctx, &message, |me, peer| {
+            if me.is_origin(peer) {
+                return false;
+            }
+            let views = &me.views;
+            let learns = views.handshaken(peer) && !shown.iter().all(|&i| views.holds(peer, i));
             suppressed += u64::from(!learns) * n;
             learns
         });
@@ -975,22 +962,6 @@ impl LeecherNode {
         self.report.control.haves_suppressed += suppressed;
         indices.clear();
         self.pending_haves = indices;
-    }
-
-    /// Once complete, tells every handshaken peer we no longer want
-    /// availability announcements (eventful mode's unsubscribe).
-    fn maybe_announce_complete(&mut self, ctx: &mut Ctx<'_>) {
-        if self.complete_notified
-            || self.cfg.control_plane != ControlPlane::Eventful
-            || !self.cfg.p2p
-            || !self.playback.buffer().is_complete()
-        {
-            return;
-        }
-        self.complete_notified = true;
-        self.broadcast_fellows(ctx, &Message::NotInterested, |views, peer| {
-            views.handshaken(peer)
-        });
     }
 
     /// `from`'s view newly shows `index`. If `from` is handshaken and the
@@ -1063,7 +1034,6 @@ impl LeecherNode {
             }
             Message::Have { index } => self.on_haves(ctx, from, std::iter::once(index)),
             Message::HaveBundle { indices } => self.on_haves(ctx, from, indices.into_iter()),
-            Message::NotInterested => self.views.set_interested(from, false),
             // The seeder renders the playlist from the segment list this
             // leecher already holds and sends it reliably: its arrival is
             // all streaming waits for.
@@ -1219,7 +1189,7 @@ impl LeecherNode {
     /// auxiliary per-peer maps). The view columns count every slot they
     /// allocated, occupied or not; the two small `BTreeMap`s (bans,
     /// health) count payloads only.
-    pub fn mem_bytes_estimate(&self) -> PeerMemStats {
+    fn mem_bytes_estimate(&self) -> PeerMemStats {
         use std::mem::size_of;
         let bans = (self.timeout_bans.len() * (size_of::<u32>() + size_of::<NodeId>())) as u64;
         let health = (self.health.len() * (size_of::<NodeId>() + size_of::<SourceHealth>())) as u64;
@@ -1451,10 +1421,10 @@ mod tests {
         let plain = LeecherNode::new(config(ids[1], others.clone(), DiscoveryMode::Tracker));
         assert_eq!(plain.views.len(), 1, "tracker discovery: only the seeder");
         let mem = plain.mem_bytes_estimate();
-        // Two segments: four one-word flag bitsets for the 7 ids, a `u32`
+        // Two segments: three one-word flag bitsets for the 7 ids, a `u32`
         // and a one-word holdings row per id.
         assert_eq!(plain.segment_count(), 2);
-        assert_eq!(mem.view_bytes, 4 * 8 + universe * (4 + 8));
+        assert_eq!(mem.view_bytes, 3 * 8 + universe * (4 + 8));
         assert_eq!(mem.views, 1);
         assert_eq!(mem.aux_bytes, 0, "no bans, no health records");
         assert_eq!(mem.total_bytes(), mem.view_bytes);
@@ -1495,8 +1465,8 @@ mod tests {
     /// One delivery of segment 0 from the seeder to a leecher on `plane`
     /// whose fellows are: `lacks` (handshaken, lacks the segment),
     /// `stranger` (never handshook), `shows` (already shows the bit) and
-    /// `unsubscribed` (handshaken, said `NotInterested`). Returns those
-    /// four ids, every availability message anyone heard, and the
+    /// `rest` (handshaken, shows every segment but this one). Returns
+    /// those four ids, every availability message anyone heard, and the
     /// leecher's control counters.
     fn announce_to_fellows(
         plane: ControlPlane,
@@ -1507,10 +1477,10 @@ mod tests {
     ) {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
         let net = star(&[spec; 7]);
-        let [me, seeder, cdn, lacks, stranger, shows, unsubscribed] = net.leaves[..] else {
+        let [me, seeder, cdn, lacks, stranger, shows, rest] = net.leaves[..] else {
             unreachable!()
         };
-        let fellows = [lacks, stranger, shows, unsubscribed];
+        let fellows = [lacks, stranger, shows, rest];
         let mut cfg = config(seeder, fellows.to_vec(), DiscoveryMode::Full);
         cfg.cdn = Some(cdn);
         cfg.control_plane = plane;
@@ -1518,18 +1488,18 @@ mod tests {
         let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
         {
             let mut l = node.borrow_mut();
-            for peer in [seeder, cdn, lacks, shows, unsubscribed] {
+            for peer in [seeder, cdn, lacks, shows, rest] {
                 l.views.set_handshaken(peer, true);
             }
             assert!(l.views.learn(shows, 0));
-            l.views.set_interested(unsubscribed, false);
+            assert!(l.views.learn(rest, 1));
         }
 
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulator::new(net.network, 42);
         sim.add_node(Box::new(NullBehavior)); // hub
         sim.add_node(Box::new(Shared(node.clone())));
-        for peer in [seeder, cdn, lacks, stranger, shows, unsubscribed] {
+        for peer in [seeder, cdn, lacks, stranger, shows, rest] {
             sim.add_node(Box::new(Inbox {
                 log: log.clone(),
                 deliver_to: (peer == seeder).then_some(me),
@@ -1544,31 +1514,30 @@ mod tests {
         (fellows, heard, written(&sink).control)
     }
 
-    /// The legacy plane's `Have` goes to fellow leechers only: a
-    /// handshaken fellow that lacks the segment hears it (the eventful
-    /// plane's unsubscribe means nothing here); one that never handshook
-    /// and one that already shows the bit are counted as suppressed; the
-    /// seeder and the CDN are neither sent to nor counted.
+    /// The legacy plane's `Have` goes to fellow leechers only: every
+    /// handshaken fellow whose view lacks the segment hears it, whatever
+    /// else it shows; one that never handshook and one that already shows
+    /// the bit are counted as suppressed; the seeder and the CDN are
+    /// neither sent to nor counted.
     #[test]
     fn legacy_have_reaches_fellows_and_counts_only_them() {
-        let ([lacks, _, _, unsubscribed], heard, control) =
-            announce_to_fellows(ControlPlane::Legacy);
+        let ([lacks, _, _, rest], heard, control) = announce_to_fellows(ControlPlane::Legacy);
         let have = Message::Have { index: 0 };
-        assert_eq!(heard, [(lacks, have.clone()), (unsubscribed, have)]);
+        assert_eq!(heard, [(lacks, have.clone()), (rest, have)]);
         assert_eq!(control.haves_sent, 2);
         assert_eq!(control.haves_suppressed, 2);
     }
 
-    /// The eventful plane's flushed `HaveBundle` follows the same rule,
-    /// plus the unsubscribe: a fellow that said `NotInterested` is
-    /// suppressed too — and that is every reason there is.
+    /// The eventful plane's flushed `HaveBundle` follows the same rule to
+    /// the same fellows: only the message and its counter differ.
     #[test]
-    fn eventful_bundle_reaches_subscribed_fellows_and_counts_only_them() {
-        let ([lacks, ..], heard, control) = announce_to_fellows(ControlPlane::Eventful);
+    fn eventful_bundle_reaches_the_same_fellows_and_counts_only_them() {
+        let ([lacks, _, _, rest], heard, control) = announce_to_fellows(ControlPlane::Eventful);
         let bundle = Message::HaveBundle { indices: vec![0] };
-        assert_eq!(heard, [(lacks, bundle)]);
-        assert_eq!(control.have_bundles_sent, 1);
-        assert_eq!(control.haves_suppressed, 3);
+        assert_eq!(heard, [(lacks, bundle.clone()), (rest, bundle)]);
+        assert_eq!(control.have_bundles_sent, 2);
+        assert_eq!(control.haves_coalesced, 2);
+        assert_eq!(control.haves_suppressed, 2);
     }
 
     /// Regression test: a timed-out request was re-pointed at peer B, but
@@ -2656,5 +2625,85 @@ mod tests {
             (report, holders(&l, 1), l.sched_state, said)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// A fellow that holds every segment still hears announcements, and a
+    /// `HaveBundle` costs it nothing but the view update: against a run
+    /// without the bundle it sends nothing more, leaves the next
+    /// `Ctx::rng` draw where it was, and counts one skipped scheduling
+    /// pass and no pass that ran.
+    #[test]
+    fn a_complete_leecher_takes_a_bundle_as_a_skip() {
+        use rand::Rng;
+
+        let run = |with_bundle: bool| {
+            let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+            let net = star(&[spec; 4]);
+            let (leecher_id, s_id, b_id) = (net.leaves[0], net.leaves[1], net.leaves[2]);
+            let cfg = eventful_config(s_id, vec![b_id]);
+            let sink = cfg.sink.clone();
+            let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
+            {
+                let mut l = node.borrow_mut();
+                l.streaming = true;
+                for index in 0..l.segment_count() {
+                    l.playback.on_segment(index as usize, 0.0);
+                }
+            }
+            let hs = Message::Handshake {
+                peer_id: 9,
+                info_hash: crate::seeder::info_hash_of(""),
+                version: PROTOCOL_VERSION,
+            };
+            let greeting = [hs, Message::Bitfield(Bitfield::new(2))];
+            let mut stages = vec![(
+                SimDuration::from_secs_f64(0.3),
+                greeting.iter().map(encode_to_bytes).collect(),
+            )];
+            if with_bundle {
+                let bundle = Message::HaveBundle {
+                    indices: vec![0, 1],
+                };
+                stages.push((
+                    SimDuration::from_secs_f64(0.2),
+                    vec![encode_to_bytes(&bundle)],
+                ));
+            }
+            let heard: Rc<RefCell<Vec<Message>>> = Rc::new(RefCell::new(Vec::new()));
+            let draw = Rc::new(RefCell::new(None));
+            let mut sim = Simulator::new(net.network, 5);
+            sim.add_node(Box::new(NullBehavior)); // hub
+            sim.add_node(Box::new(Shared(node.clone())));
+            sim.add_node(Box::new(NullBehavior)); // seeder stand-in
+            sim.add_node(Box::new(ScriptedPeer {
+                to: leecher_id,
+                stages,
+                next: 0,
+                heard: heard.clone(),
+            }));
+            let drawn = draw.clone();
+            sim.add_node(Box::new(At {
+                after: SimDuration::from_secs_f64(1.0),
+                action: move |ctx: &mut Ctx<'_>| *drawn.borrow_mut() = Some(ctx.rng().gen::<u64>()),
+            }));
+            sim.run_until_idle(SimTime::from_secs_f64(3.0));
+            let shown = shown(&node.borrow(), b_id);
+            let sched = written(&sink).sched;
+            let said = heard.borrow().clone();
+            let next_draw = draw.borrow().expect("the draw ran");
+            (shown, sched, said, next_draw, sim.stats().messages_sent)
+        };
+        let (shown, sched, said, draw, sent) = run(true);
+        let (quiet_shown, quiet_sched, quiet_said, quiet_draw, quiet_sent) = run(false);
+        assert_eq!(
+            (shown, quiet_shown),
+            (vec![0, 1], vec![]),
+            "the bundle landed"
+        );
+        assert_eq!(said, quiet_said, "no reply");
+        assert_eq!(sent, quiet_sent + 1, "the bundle is the only extra message");
+        assert_eq!(draw, quiet_draw, "no draw from the stream");
+        assert_eq!(sched.passes, quiet_sched.passes);
+        assert_eq!(sched.skips, quiet_sched.skips + 1);
     }
 }

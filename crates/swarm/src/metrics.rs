@@ -11,9 +11,9 @@ use splicecast_player::{QoeMetrics, StallEvent};
 pub struct ControlPlaneStats {
     /// Individual `Have` messages sent (legacy dissemination).
     pub haves_sent: u64,
-    /// Per-peer availability announcements skipped because the peer
-    /// already held the segment, never completed a handshake, or
-    /// unsubscribed with `NotInterested`.
+    /// Per-peer availability announcements skipped because the peer's
+    /// view already showed every announced segment or the peer never
+    /// completed a handshake.
     pub haves_suppressed: u64,
     /// `HaveBundle` messages sent (eventful dissemination).
     pub have_bundles_sent: u64,
@@ -119,7 +119,7 @@ impl DisseminationStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerMemStats {
     /// Bytes behind the neighbour-view columns: every slot they
-    /// allocated (one per node id, occupied or not) of the four flag
+    /// allocated (one per node id, occupied or not) of the three flag
     /// bitsets, the `outstanding` column and the holdings rows.
     pub view_bytes: u64,
     /// Live peer views at sample time.

@@ -106,10 +106,9 @@ impl SeederNode {
                     .on_request(ctx, from, index, &self.segments, true);
             }
             Message::Cancel { index } => self.uploads.on_cancel(from, index),
-            // A `NotInterested` needs no reaction from an origin that
-            // announces nothing, and neither does a `Goodbye`: the tracker
-            // answers with online members only, and a request queued by a
-            // peer that left is skipped when its turn comes.
+            // A `Goodbye` needs no reaction: the tracker answers with
+            // online members only, and a request queued by a peer that
+            // left is skipped when its turn comes.
             _ => {}
         }
     }

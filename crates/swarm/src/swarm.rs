@@ -42,8 +42,9 @@ pub enum ControlPlane {
     #[default]
     Legacy,
     /// Completions coalesce into `HaveBundle`s flushed on a short window,
-    /// pumps fire on armed deadlines with a low-rate fallback heartbeat,
-    /// and completed peers unsubscribe from announcements.
+    /// and pumps fire on armed deadlines (a request timeout arms one)
+    /// with an eight-interval fallback heartbeat. Bundles go to the
+    /// fellows a legacy `Have` would reach.
     Eventful,
 }
 
@@ -743,7 +744,7 @@ mod tests {
         let metrics = run_swarm(&segments, &config, 11);
         assert_eq!(
             output_digest(&metrics),
-            0x1ec5_3d05_5cac_1029,
+            0x9fc7_225e_6ece_18db,
             "scale-stack run output changed; if intentional, update the pinned digest"
         );
     }

@@ -2,12 +2,12 @@
 //!
 //! Each neighbour's view is what the leecher knows of it (§III's
 //! per-neighbour availability map): whether it is known at all (`live`),
-//! whether we greeted it, whether it greeted us (`handshaken`), whether it
-//! still wants our announcements (`interested`), how many of our requests
-//! it holds (`outstanding`) and which segments it showed us (its holdings
-//! row). Node ids are small dense integers, so a view is one slot of each
-//! column: a bit in each of four bitsets, a `u32`, and `⌈segments/64⌉`
-//! words of one row-major holdings table, bit *i* being segment *i*.
+//! whether we greeted it, whether it greeted us (`handshaken`), how many of
+//! our requests it holds (`outstanding`) and which segments it showed us
+//! (its holdings row). Node ids are small dense integers, so a view is one
+//! slot of each column: a bit in each of three bitsets, a `u32`, and
+//! `⌈segments/64⌉` words of one row-major holdings table, bit *i* being
+//! segment *i*.
 //! Walks go in ascending id order — the order every ordering-sensitive
 //! walk in the leecher relies on — and skip absent slots 64 at a time.
 //! The price is one slot per node id up to the largest one seen, occupied
@@ -25,10 +25,6 @@ pub(crate) struct Views {
     greeted: Vec<u64>,
     /// They have sent us their handshake.
     handshaken: Vec<u64>,
-    /// They want our availability announcements. Set for a fresh view; a
-    /// `NotInterested` from them (the eventful control plane's
-    /// unsubscribe, sent once they hold the whole video) clears it.
-    interested: Vec<u64>,
     /// Requests we have sent them that have not completed or failed.
     outstanding: Vec<u32>,
     /// Row `i` is node `i`'s holdings; no bit at or above `segments` is
@@ -85,8 +81,7 @@ impl Views {
             segments,
             live: set.clone(),
             greeted: set.clone(),
-            handshaken: set.clone(),
-            interested: set,
+            handshaken: set,
             outstanding: vec![0; slots],
             holdings: vec![0; slots * (segments as usize).div_ceil(64)],
         }
@@ -111,12 +106,7 @@ impl Views {
         let index = node.index();
         if index >= self.outstanding.len() {
             let slots = index + 1;
-            for set in [
-                &mut self.live,
-                &mut self.greeted,
-                &mut self.handshaken,
-                &mut self.interested,
-            ] {
+            for set in [&mut self.live, &mut self.greeted, &mut self.handshaken] {
                 set.resize(slots.div_ceil(64), 0);
             }
             self.outstanding.resize(slots, 0);
@@ -125,7 +115,6 @@ impl Views {
         put(&mut self.live, index, true);
         put(&mut self.greeted, index, false);
         put(&mut self.handshaken, index, false);
-        put(&mut self.interested, index, true);
         self.outstanding[index] = 0;
         self.row_mut(index).fill(0);
     }
@@ -162,15 +151,6 @@ impl Views {
 
     pub fn set_handshaken(&mut self, node: NodeId, value: bool) {
         put_if_live(&self.live, &mut self.handshaken, node, value);
-    }
-
-    /// Whether `node` wants our availability announcements.
-    pub fn interested(&self, node: NodeId) -> bool {
-        self.flag(&self.interested, node)
-    }
-
-    pub fn set_interested(&mut self, node: NodeId, value: bool) {
-        put_if_live(&self.live, &mut self.interested, node, value);
     }
 
     /// Requests outstanding at `node`; 0 when it has no view.
@@ -285,10 +265,7 @@ impl Views {
     /// Bytes the columns occupy: every allocated slot, occupied or not.
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
-        let sets = self.live.capacity()
-            + self.greeted.capacity()
-            + self.handshaken.capacity()
-            + self.interested.capacity();
+        let sets = self.live.capacity() + self.greeted.capacity() + self.handshaken.capacity();
         (sets + self.holdings.capacity()) * size_of::<u64>()
             + self.outstanding.capacity() * size_of::<u32>()
     }
@@ -302,13 +279,11 @@ mod tests {
 
     use super::*;
 
-    /// One view, written out: greeted, handshaken, interested, holdings,
-    /// outstanding.
+    /// One view, written out: greeted, handshaken, holdings, outstanding.
     #[derive(Debug, Clone, PartialEq)]
     struct Model {
         greeted: bool,
         handshaken: bool,
-        interested: bool,
         holdings: Bitfield,
         outstanding: u32,
     }
@@ -318,7 +293,6 @@ mod tests {
             Model {
                 greeted: false,
                 handshaken: false,
-                interested: true,
                 holdings: Bitfield::new(segments),
                 outstanding: 0,
             }
@@ -330,7 +304,7 @@ mod tests {
         Insert(usize),
         GetOrInsert(usize),
         Remove(usize),
-        /// Column 0, 1 or 2: greeted, handshaken, interested.
+        /// Column 0 or 1: greeted, handshaken.
         Flag(usize, u8, bool),
         /// A segment index, taken modulo two past the video's length.
         Learn(usize, u32),
@@ -351,8 +325,8 @@ mod tests {
             node().prop_map(Op::Insert),
             node().prop_map(Op::GetOrInsert),
             node().prop_map(Op::Remove),
-            (node(), 0u8..3, any::<bool>()).prop_map(|(n, c, v)| Op::Flag(n, c, v)),
-            (node(), 0u8..3, any::<bool>()).prop_map(|(n, c, v)| Op::Flag(n, c, v)),
+            (node(), 0u8..2, any::<bool>()).prop_map(|(n, c, v)| Op::Flag(n, c, v)),
+            (node(), 0u8..2, any::<bool>()).prop_map(|(n, c, v)| Op::Flag(n, c, v)),
             (node(), any::<u32>()).prop_map(|(n, s)| Op::Learn(n, s)),
             (node(), any::<u32>()).prop_map(|(n, s)| Op::Learn(n, s)),
             (
@@ -376,20 +350,13 @@ mod tests {
         let view = Model {
             greeted: views.greeted(node),
             handshaken: views.handshaken(node),
-            interested: views.interested(node),
             holdings,
             outstanding: views.outstanding(node),
         };
         if views.contains(node) {
             Some(view)
         } else {
-            assert_eq!(
-                view,
-                Model {
-                    interested: false,
-                    ..Model::fresh(views.segments)
-                }
-            );
+            assert_eq!(view, Model::fresh(views.segments));
             None
         }
     }
@@ -447,8 +414,7 @@ mod tests {
                         type Field = fn(&mut Model) -> &mut bool;
                         let (set, field): (fn(&mut Views, NodeId, bool), Field) = match column {
                             0 => (Views::set_greeted, |m| &mut m.greeted),
-                            1 => (Views::set_handshaken, |m| &mut m.handshaken),
-                            _ => (Views::set_interested, |m| &mut m.interested),
+                            _ => (Views::set_handshaken, |m| &mut m.handshaken),
                         };
                         set(&mut views, node, value);
                         if let Some(m) = model.get_mut(&node) {
@@ -534,10 +500,6 @@ mod tests {
         views.insert(node);
         assert!(!views.greeted(node));
         assert!(!views.handshaken(node));
-        assert!(
-            views.interested(node),
-            "peers are subscribed until they opt out"
-        );
         assert_eq!(views.outstanding(node), 0);
         assert!(!(0..10).any(|s| views.holds(node, s)));
     }
@@ -550,41 +512,39 @@ mod tests {
         views.insert(other);
         views.set_greeted(v, true);
         views.set_handshaken(v, true);
-        views.set_interested(v, false);
         assert!(views.greeted(v) && views.handshaken(v));
-        assert!(!views.interested(v));
         views.set_handshaken(v, false);
         assert!(!views.handshaken(v));
         assert!(
-            views.greeted(v) && !views.interested(v),
+            views.greeted(v) && views.contains(v),
             "clearing one flag must not disturb the others"
         );
         views.set_greeted(v, false);
-        assert!(!views.greeted(v) && !views.interested(v));
+        assert!(!views.greeted(v) && views.contains(v));
         assert!(
-            !views.greeted(other) && !views.handshaken(other) && views.interested(other),
+            !views.greeted(other) && !views.handshaken(other) && views.contains(other),
             "nor another node's"
         );
     }
 
-    /// A slot is half a byte of flags, a `u32` and `⌈segments/64⌉` row
-    /// words: 12.5 bytes at 60 two-second segments, 36.5 at 197 GOP
+    /// A slot is three bits of flags, a `u32` and `⌈segments/64⌉` row
+    /// words: 12.375 bytes at 60 two-second segments, 36.375 at 197 GOP
     /// segments.
     #[test]
     fn slot_bytes_follow_the_columns() {
-        assert_eq!(Views::with_slots(64, 60).table_bytes(), 64 * 25 / 2);
-        assert_eq!(Views::with_slots(64, 197).table_bytes(), 64 * 73 / 2);
+        assert_eq!(Views::with_slots(64, 60).table_bytes(), 64 * 99 / 8);
+        assert_eq!(Views::with_slots(64, 197).table_bytes(), 64 * 291 / 8);
     }
 
     /// Empty slots cost as much as occupied ones, and a view adds nothing.
     #[test]
     fn table_bytes_counts_every_slot() {
         let mut views = Views::with_slots(64, 60);
-        assert_eq!(views.table_bytes(), 800, "empty slots cost as much");
+        assert_eq!(views.table_bytes(), 792, "empty slots cost as much");
         let node = NodeId::from_index(5);
         views.insert(node);
         views.fill(node);
-        assert_eq!(views.table_bytes(), 800, "a view costs nothing extra");
+        assert_eq!(views.table_bytes(), 792, "a view costs nothing extra");
         assert!(views.holds(node, 59));
         assert_eq!(Views::with_slots(0, 60).table_bytes(), 0);
     }

@@ -110,8 +110,8 @@ fn heap_peak_per_ordered_pair_is_the_views_and_the_fifo_clamp() {
     let per_pair =
         (peaks[1] - peaks[0]) as f64 / (ordered_pairs(sizes[1]) - ordered_pairs(sizes[0])) as f64;
     eprintln!("heap peaks {peaks:?} B at {sizes:?} leechers: {per_pair:.2} B per ordered pair");
-    // 29.9 B (28.2–30.7 B over seeds 5 to 10): the views (12.5 B at up
-    // to 64 segments) and the FIFO clamp (4 B), plus the messages in
+    // 29.7 B (28.0–30.5 B over seeds 5 to 10): the views (12.375 B at
+    // up to 64 segments) and the FIFO clamp (4 B), plus the messages in
     // flight at the peak and their receiver lists, which also grow with
     // the square of a full mesh. Per-leecher member and scratch lists
     // sized by the swarm and 8-byte clamp entries made it 42.0 B; the
