@@ -157,23 +157,6 @@ impl Bitfield {
         0xFFu8 << spare
     }
 
-    /// True when every bit is set. Compares whole 64-bit words against
-    /// `u64::MAX` and short-circuits on the first one with a hole, so a
-    /// wide field costs len/64 comparisons, not a per-bit (or per-byte)
-    /// scan; only the sub-word tail is checked byte-wise.
-    pub fn is_complete(&self) -> bool {
-        let Some((&last, body)) = self.bytes().split_last() else {
-            return true;
-        };
-        let mut words = body.chunks_exact(8);
-        for word in words.by_ref() {
-            if u64::from_ne_bytes(word.try_into().expect("8-byte chunk")) != u64::MAX {
-                return false;
-            }
-        }
-        words.remainder().iter().all(|&b| b == 0xFF) && last == self.last_byte_mask()
-    }
-
     /// A bitfield of `len` bits, all set.
     pub fn full(len: u32) -> Self {
         let mut bf = Bitfield::new(len);
@@ -258,11 +241,11 @@ mod tests {
     #[test]
     fn completeness() {
         let mut bf = Bitfield::new(3);
-        assert!(!bf.is_complete());
+        assert_ne!(bf, Bitfield::full(3));
         bf.set(0);
         bf.set(1);
         bf.set(2);
-        assert!(bf.is_complete());
+        assert_eq!(bf.count_ones(), bf.len());
         assert_eq!(bf, Bitfield::full(3));
     }
 
@@ -293,7 +276,6 @@ mod tests {
     fn empty_bitfield() {
         let bf = Bitfield::new(0);
         assert!(bf.is_empty());
-        assert!(bf.is_complete());
         assert_eq!(bf.iter_set().count(), 0);
         assert!(Bitfield::from_wire(0, vec![]).is_ok());
     }
@@ -345,9 +327,6 @@ mod tests {
 
                 let naive_any = (0..len).any(|i| a.get(i) && !b.get(i));
                 assert_eq!(a.has_any_not_in(&b), naive_any);
-
-                let naive_complete = (0..len).all(|i| a.get(i));
-                assert_eq!(a.is_complete(), naive_complete);
             }
         }
     }
@@ -367,7 +346,6 @@ mod tests {
         assert_eq!((bf.len(), bf.is_empty()), (len, len == 0));
         assert!((0..len).all(|i| bf.get(i) == model[i as usize]));
         assert_eq!(bf.count_ones() as usize, set.len());
-        assert_eq!(bf.is_complete(), set.len() == model.len());
         assert_eq!(bf.iter_set().collect::<Vec<_>>(), set);
         let mut wire = vec![0u8; model.len().div_ceil(8)];
         for &i in &set {
@@ -448,7 +426,7 @@ mod tests {
             }
             let fast = Bitfield::full(len);
             assert_eq!(fast, naive, "len {len}");
-            assert!(fast.is_complete());
+            assert_eq!(fast.count_ones(), len);
             // Spare bits stay clear, so the wire form stays canonical.
             assert!(Bitfield::from_wire(len, fast.as_bytes().to_vec()).is_ok());
         }

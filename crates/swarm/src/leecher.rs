@@ -205,10 +205,15 @@ pub struct LeecherNode {
     in_flight: BTreeMap<u32, InFlight>,
     /// The keys of `in_flight` as one bit per segment, so the questions
     /// asked a million times a run — is this segment in flight, is it
-    /// wanted — test a bit instead of descending the tree. Written only
-    /// next to the map's own two mutation sites, `request_from` and
-    /// `drop_in_flight`.
+    /// wanted — test a bit instead of descending the tree.
     in_flight_mask: Bitfield,
+    /// How many of `in_flight`'s records name each source, ascending by
+    /// source, no zero count: at most a pool's worth of entries. A pick
+    /// reads a candidate's load here, in one walk merged with the
+    /// ascending holder walk. It and the mask are written only next to
+    /// the map's own two mutation sites, `record_in_flight` and
+    /// `drop_in_flight`.
+    loads: Vec<(NodeId, u32)>,
     /// One-shot re-pick bans: segment → the source whose request just
     /// timed out there. Consulted (and consumed) by the next successful
     /// pick of that segment, so a re-request "moves to a *different*
@@ -238,6 +243,13 @@ pub struct LeecherNode {
     reported: bool,
     /// Scratch buffer for outgoing frames (reused across sends).
     wire_buf: EncodeBuf,
+    /// Our `Handshake` frame: it never changes during a run, so every
+    /// greeting sends this one.
+    handshake_wire: Bytes,
+    /// Our `Bitfield` frame, encoded by the first greeting reply after our
+    /// holdings last grew (a delivery drops it), so the replies in between
+    /// share one frame.
+    bitfield_wire: Option<Bytes>,
     /// Scratch storage for the timeout walk, at most a pool's worth, so
     /// the request/deliver cycle allocates nothing per event. The scratch
     /// lists that can grow to the swarm size are per thread instead
@@ -278,12 +290,19 @@ impl LeecherNode {
             peer: cfg.index,
             ..PeerReport::default()
         };
+        let mut wire_buf = EncodeBuf::new();
+        let handshake_wire = wire_buf.wire(&Message::Handshake {
+            peer_id: cfg.index as u64 + 1,
+            info_hash: crate::seeder::info_hash_of(""),
+            version: PROTOCOL_VERSION,
+        });
         LeecherNode {
             playback,
             views,
             sched_state: SchedState::Dirty,
             in_flight: BTreeMap::new(),
             in_flight_mask: Bitfield::new(segment_count),
+            loads: Vec::new(),
             timeout_bans: BTreeMap::new(),
             uploads,
             streaming: false,
@@ -294,7 +313,9 @@ impl LeecherNode {
             earliest_armed: SimTime::MAX,
             report,
             reported: false,
-            wire_buf: EncodeBuf::new(),
+            wire_buf,
+            handshake_wire,
+            bitfield_wire: None,
             scratch_stale: Vec::new(),
             health: BTreeMap::new(),
             cfg,
@@ -347,29 +368,33 @@ impl LeecherNode {
         )
     }
 
-    /// The one send path: encodes `message` once and puts it on the wire
-    /// to each of `peers` in order as one multicast — through the fault
-    /// plane when it is droppable — then forgets the peers that turned out
-    /// unreachable, in the same order (forgetting sends nothing, so it may
-    /// wait until every send is out). That failed send is how a crash is
-    /// detected, as a TCP sender learns of a dead peer from a connection
-    /// reset. Returns the number of successful sends.
+    /// Encodes `message` once and sends it to each of `peers` in order
+    /// (see [`Self::multicast_frame`]). Returns the number of successful
+    /// sends.
     fn multicast(&mut self, ctx: &mut Ctx<'_>, peers: &[NodeId], message: &Message) -> u64 {
+        let wire = self.wire_buf.wire(message);
         with_scratch(&SCRATCH_FAILED, |failed| {
-            self.multicast_into(ctx, peers, message, failed)
+            self.multicast_frame(ctx, peers, &wire, Self::droppable(message), failed)
         })
     }
 
-    /// [`Self::multicast`], leaving the failed peers in `failed`.
-    fn multicast_into(
+    /// The one send path: puts the encoded frame `wire` on the wire to
+    /// each of `peers` in order as one multicast — through the fault plane
+    /// when it is `droppable` — then forgets the peers that turned out
+    /// unreachable, in the same order (forgetting sends nothing, so it may
+    /// wait until every send is out), leaving them in `failed`. That
+    /// failed send is how a crash is detected, as a TCP sender learns of a
+    /// dead peer from a connection reset. Returns the number of successful
+    /// sends.
+    fn multicast_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
         peers: &[NodeId],
-        message: &Message,
+        wire: &Bytes,
+        droppable: bool,
         failed: &mut Vec<NodeId>,
     ) -> u64 {
-        let wire = self.wire_buf.wire(message);
-        let sent = ctx.multicast(peers, &wire, Self::droppable(message), failed);
+        let sent = ctx.multicast(peers, wire, droppable, failed);
         for &peer in failed.iter() {
             self.forget_peer(peer);
         }
@@ -387,15 +412,12 @@ impl LeecherNode {
     }
 
     /// Handshakes each of `peers`, none of them greeted yet, with one
-    /// multicast, and marks greeted those the handshake reached.
+    /// multicast of our one handshake frame (reliable: see
+    /// [`Self::droppable`]), and marks greeted those it reached.
     fn greet_all(&mut self, ctx: &mut Ctx<'_>, peers: &[NodeId]) {
-        let hs = Message::Handshake {
-            peer_id: self.cfg.index as u64 + 1,
-            info_hash: crate::seeder::info_hash_of(""),
-            version: PROTOCOL_VERSION,
-        };
+        let hs = self.handshake_wire.clone();
         with_scratch(&SCRATCH_FAILED, |failed| {
-            self.multicast_into(ctx, peers, &hs, failed);
+            self.multicast_frame(ctx, peers, &hs, false, failed);
             // The failed peers are an in-order subsequence of `peers`.
             let mut failed = failed.iter().peekable();
             for peer in peers {
@@ -494,6 +516,21 @@ impl LeecherNode {
     /// The first segment not held: the playback buffer's low-water mark.
     fn first_unheld(&self) -> u32 {
         self.playback.buffer().first_missing() as u32
+    }
+
+    /// Our `Bitfield` frame: the cached one, or one encoded from the
+    /// playback buffer and cached until our holdings grow.
+    fn bitfield_frame(&mut self) -> Bytes {
+        if let Some(frame) = &self.bitfield_wire {
+            return frame.clone();
+        }
+        let mut held = Bitfield::new(self.segment_count());
+        for i in (0..held.len()).filter(|&i| self.holds(i)) {
+            held.set(i);
+        }
+        let frame = self.wire_buf.wire(&Message::Bitfield(held));
+        self.bitfield_wire = Some(frame.clone());
+        frame
     }
 
     /// The heart of §III: keep the download pool filled to the policy's
@@ -690,7 +727,8 @@ impl LeecherNode {
     /// The candidate sources of `index`: each eligible holder with its
     /// load. The holders come in ascending `NodeId` order, so the pool
     /// needs no sort for determinism, and the degree cap of the neighbour
-    /// set bounds the walk.
+    /// set bounds the walk. `loads` ascends too: one merged walk reads each
+    /// candidate's load.
     fn collect_candidates(
         &self,
         ctx: &Ctx<'_>,
@@ -698,18 +736,25 @@ impl LeecherNode {
         exclude: Option<NodeId>,
         out: &mut Vec<SourceCandidate>,
     ) {
-        let cdn_busy = self
-            .cfg
-            .cdn
-            .is_none_or(|cdn| self.in_flight.values().any(|f| f.source == cdn));
+        let cdn_busy = self.cfg.cdn.is_none_or(|cdn| self.load(cdn) > 0);
+        let mut loads = self.loads.iter().peekable();
         for peer in self.views.holders(index) {
             if self.eligible(ctx, peer, exclude, cdn_busy) {
-                out.push(SourceCandidate {
-                    peer,
-                    outstanding: self.views.outstanding(peer),
-                });
+                while loads.next_if(|&&(p, _)| p < peer).is_some() {}
+                let outstanding = loads
+                    .peek()
+                    .filter(|&&&(p, _)| p == peer)
+                    .map_or(0, |&&(_, n)| n);
+                out.push(SourceCandidate { peer, outstanding });
             }
         }
+    }
+
+    /// Our requests in flight to `peer`.
+    fn load(&self, peer: NodeId) -> u32 {
+        self.loads
+            .binary_search_by_key(&peer, |&(p, _)| p)
+            .map_or(0, |at| self.loads[at].1)
     }
 
     /// Sends a `Request` for `index` to `source` and records it in flight;
@@ -718,7 +763,7 @@ impl LeecherNode {
         if !self.say(ctx, source, &Message::Request { index }) {
             return false;
         }
-        self.in_flight.insert(
+        self.record_in_flight(
             index,
             InFlight {
                 source,
@@ -726,8 +771,6 @@ impl LeecherNode {
                 serving: false,
             },
         );
-        self.in_flight_mask.set(index);
-        self.views.add_outstanding(source);
         if self.cfg.control_plane == ControlPlane::Eventful {
             // A pump must run when this request's timeout expires.
             let deadline = ctx.now() + self.cfg.request_timeout;
@@ -736,10 +779,28 @@ impl LeecherNode {
         true
     }
 
+    /// Records `entry`, a request for `index`: its record, its mask bit
+    /// and its source's load.
+    fn record_in_flight(&mut self, index: u32, entry: InFlight) {
+        self.in_flight.insert(index, entry);
+        self.in_flight_mask.set(index);
+        match self.loads.binary_search_by_key(&entry.source, |&(p, _)| p) {
+            Ok(at) => self.loads[at].1 += 1,
+            Err(at) => self.loads.insert(at, (entry.source, 1)),
+        }
+    }
+
     fn drop_in_flight(&mut self, index: u32) -> Option<InFlight> {
         let entry = self.in_flight.remove(&index)?;
         self.in_flight_mask.clear(index);
-        self.views.sub_outstanding(entry.source);
+        let at = self
+            .loads
+            .binary_search_by_key(&entry.source, |&(p, _)| p)
+            .expect("a request's source has a load");
+        self.loads[at].1 -= 1;
+        if self.loads[at].1 == 0 {
+            self.loads.remove(at);
+        }
         // Freeing a segment can turn an exhausted schedule fillable again,
         // and freeing a CDN slot can give a source-less segment a source.
         self.sched_state = SchedState::Dirty;
@@ -874,8 +935,8 @@ impl LeecherNode {
         self.sched_state = SchedState::Dirty;
         // A raced re-request can deliver from the *old* source after the
         // in-flight entry was re-pointed at a new one; only the recorded
-        // source may clear the entry, or the new source's outstanding
-        // counter is decremented for a transfer that is still running.
+        // source may clear the entry, or the new source's load drops for a
+        // transfer that is still running.
         if self.in_flight.get(&index).is_some_and(|f| f.source == from) {
             self.drop_in_flight(index);
         }
@@ -896,6 +957,7 @@ impl LeecherNode {
             self.report.segments_from_peers += 1;
         }
         self.playback.on_segment(index as usize, now.as_secs_f64());
+        self.bitfield_wire = None;
         if self.cfg.p2p {
             self.pending_haves.push(index);
             match self.cfg.control_plane {
@@ -1011,12 +1073,11 @@ impl LeecherNode {
                     // now on, and the CDN becomes eligible.
                     self.sched_state = SchedState::Dirty;
                 }
-                let mut held = Bitfield::new(self.segment_count());
-                for i in (0..held.len()).filter(|&i| self.holds(i)) {
-                    held.set(i);
-                }
-                let bitfield = Message::Bitfield(held);
-                self.say(ctx, from, &bitfield);
+                // A bitfield is droppable (see `droppable`).
+                let bitfield = self.bitfield_frame();
+                with_scratch(&SCRATCH_FAILED, |failed| {
+                    self.multicast_frame(ctx, &[from], &bitfield, true, failed)
+                });
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
@@ -1085,9 +1146,9 @@ impl LeecherNode {
 
     /// Invariant checked on every pump of a debug build, and by the unit
     /// tests in any build: the in-flight mask has exactly the bits of
-    /// `in_flight`'s keys.
+    /// `in_flight`'s keys, and `loads` counts its records per source.
     #[cfg(any(test, debug_assertions))]
-    fn audit_in_flight_mask(&self) {
+    fn audit_in_flight(&self) {
         assert!(
             self.in_flight_mask
                 .iter_set()
@@ -1095,6 +1156,16 @@ impl LeecherNode {
             "in-flight mask {:?} drifted from the in-flight records {:?}",
             self.in_flight_mask.iter_set().collect::<Vec<_>>(),
             self.in_flight.keys().collect::<Vec<_>>()
+        );
+        let mut counted = BTreeMap::<NodeId, u32>::new();
+        for f in self.in_flight.values() {
+            *counted.entry(f.source).or_default() += 1;
+        }
+        assert_eq!(
+            self.loads,
+            counted.into_iter().collect::<Vec<_>>(),
+            "loads drifted from the in-flight records {:?}",
+            self.in_flight
         );
     }
 
@@ -1114,7 +1185,7 @@ impl LeecherNode {
         let due_flush = self.flush_at.is_some_and(|t| t <= now);
         let due_announce = self.announces() && self.next_announce_at <= now;
         #[cfg(debug_assertions)]
-        self.audit_in_flight_mask();
+        self.audit_in_flight();
         self.playback.advance(now.as_secs_f64());
         let due_timeout = self.check_timeouts(ctx);
         if due_flush || due_timeout || due_announce {
@@ -1347,9 +1418,10 @@ mod tests {
     }
 
     /// Puts a request for `index` to `source` in flight as of time zero,
-    /// the way `request_from` records one: the entry and its mask bit.
+    /// the way `request_from` records one: the entry, its mask bit and
+    /// its source's load.
     fn put_in_flight(l: &mut LeecherNode, index: u32, source: NodeId, serving: bool) {
-        l.in_flight.insert(
+        l.record_in_flight(
             index,
             InFlight {
                 source,
@@ -1357,7 +1429,6 @@ mod tests {
                 serving,
             },
         );
-        l.in_flight_mask.set(index);
     }
 
     fn two_segments() -> Arc<SegmentList> {
@@ -1421,10 +1492,10 @@ mod tests {
         let plain = LeecherNode::new(config(ids[1], others.clone(), DiscoveryMode::Tracker));
         assert_eq!(plain.views.len(), 1, "tracker discovery: only the seeder");
         let mem = plain.mem_bytes_estimate();
-        // Two segments: three one-word flag bitsets for the 7 ids, a `u32`
-        // and a one-word holdings row per id.
+        // Two segments: three one-word flag bitsets for the 7 ids and a
+        // one-word holdings row per id.
         assert_eq!(plain.segment_count(), 2);
-        assert_eq!(mem.view_bytes, 3 * 8 + universe * (4 + 8));
+        assert_eq!(mem.view_bytes, 3 * 8 + universe * 8);
         assert_eq!(mem.views, 1);
         assert_eq!(mem.aux_bytes, 0, "no bans, no health records");
         assert_eq!(mem.total_bytes(), mem.view_bytes);
@@ -1542,9 +1613,9 @@ mod tests {
 
     /// Regression test: a timed-out request was re-pointed at peer B, but
     /// the old source A delivers anyway (its cancel raced with the data).
-    /// The stale delivery must not clear B's in-flight entry or decrement
-    /// B's outstanding counter while B is still serving, and B's later
-    /// delivery must not double-count the segment.
+    /// The stale delivery must not clear B's in-flight entry or drop B's
+    /// load while B is still serving, and B's later delivery must not
+    /// double-count the segment.
     #[test]
     fn raced_rerequest_keeps_new_source_accounting() {
         let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
@@ -1560,7 +1631,6 @@ mod tests {
             put_in_flight(&mut l, 0, b_id, true);
             l.views.set_handshaken(a_id, true);
             l.views.set_handshaken(b_id, true);
-            l.views.add_outstanding(b_id);
         }
 
         let mut sim = Simulator::new(net.network, 42);
@@ -1586,7 +1656,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
         {
             let l = node.borrow();
-            l.audit_in_flight_mask();
+            l.audit_in_flight();
             assert!(l.holds(0), "the stale delivery still yields the segment");
             // The stage's end wrote the report.
             assert_eq!(written(&sink).segments_from_seeder, 1);
@@ -1599,9 +1669,9 @@ mod tests {
                 "only the recorded source may clear the entry"
             );
             assert_eq!(
-                l.views.outstanding(b_id),
+                l.load(b_id),
                 1,
-                "B is still serving; its outstanding counter must not drop"
+                "B is still serving; its load must not drop"
             );
         }
 
@@ -1610,9 +1680,9 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(10.0));
         {
             let l = node.borrow();
-            l.audit_in_flight_mask();
+            l.audit_in_flight();
             assert!(l.in_flight.is_empty());
-            assert_eq!(l.views.outstanding(b_id), 0);
+            assert_eq!(l.load(b_id), 0);
             // What came after the written report counts in a fresh one.
             let counted = |r: &PeerReport| {
                 r.segments_from_seeder + r.segments_from_peers + r.segments_from_cdn
@@ -1670,12 +1740,11 @@ mod tests {
             let mut l = node.borrow_mut();
             l.streaming = true;
             put_in_flight(&mut l, 0, a_id, false);
-            l.views.add_outstanding(a_id);
         }
         sim.run_until_idle(SimTime::from_secs_f64(6.0));
 
         let l = node.borrow();
-        l.audit_in_flight_mask();
+        l.audit_in_flight();
         let entry = l
             .in_flight
             .get(&0)
@@ -1684,8 +1753,8 @@ mod tests {
             entry.source, b_id,
             "re-requesting must move off the timed-out source"
         );
-        assert_eq!(l.views.outstanding(a_id), 0);
-        assert_eq!(l.views.outstanding(b_id), 1);
+        assert_eq!(l.load(a_id), 0);
+        assert_eq!(l.load(b_id), 1);
     }
 
     /// Regression test: a duplicate delivery from a raced re-request frees
@@ -1738,13 +1807,12 @@ mod tests {
             l.streaming = true;
             l.playback.on_segment(0, 0.5);
             put_in_flight(&mut l, 0, a_id, true);
-            l.views.add_outstanding(a_id);
         }
         sim.run_until_idle(SimTime::from_secs_f64(2.0));
 
         let l = node.borrow();
-        l.audit_in_flight_mask();
-        assert_eq!(l.views.outstanding(a_id), 0, "the duplicate clears A");
+        l.audit_in_flight();
+        assert_eq!(l.load(a_id), 0, "the duplicate clears A");
         let entry = l.in_flight.get(&1).expect(
             "the slot freed by the duplicate delivery must be refilled \
              by the same event, not left idle until the next pump",
@@ -1815,7 +1883,6 @@ mod tests {
             l.streaming = true;
             for (index, source) in [(0, a_id), (1, b_id)] {
                 put_in_flight(&mut l, index, source, true);
-                l.views.add_outstanding(source);
             }
         }
 
@@ -1824,7 +1891,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(2.5));
         {
             let l = node.borrow();
-            l.audit_in_flight_mask();
+            l.audit_in_flight();
             assert!(!l.in_flight.contains_key(&0), "the dead download is gone");
             assert!(l.in_flight.contains_key(&1));
             assert!(!l.views.contains(a_id), "the churned source is gone");
@@ -1835,7 +1902,7 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs_f64(5.0));
         {
             let l = node.borrow();
-            l.audit_in_flight_mask();
+            l.audit_in_flight();
             let entry = l
                 .in_flight
                 .get(&0)
@@ -1962,7 +2029,6 @@ mod tests {
                 let mut l = node.borrow_mut();
                 l.streaming = true;
                 put_in_flight(&mut l, 0, a_id, false);
-                l.views.add_outstanding(a_id);
             }
             sim.run_until_idle(SimTime::from_secs_f64(2.0));
 
@@ -1972,9 +2038,9 @@ mod tests {
                 "{plane:?}: the Goodbye's own event must move segment 0 to B"
             );
             let l = node.borrow();
-            l.audit_in_flight_mask();
+            l.audit_in_flight();
             assert!(!l.views.contains(a_id), "{plane:?}: A is forgotten");
-            assert_eq!(l.views.outstanding(b_id), 1);
+            assert_eq!(l.load(b_id), 1);
         }
     }
 
@@ -2429,14 +2495,12 @@ mod tests {
                 put_in_flight(&mut l, index, a_id, true);
             }
             l.views.set_handshaken(a_id, true);
-            l.views.add_outstanding(a_id);
-            l.views.add_outstanding(a_id);
         }
 
         // A crashes at t = 2: both transfers fail back-to-back.
         sim.run_until_idle(SimTime::from_secs_f64(3.0));
         let l = node.borrow();
-        l.audit_in_flight_mask();
+        l.audit_in_flight();
         assert!(!l.views.contains(a_id), "the crashed uploader is gone");
         let seg0 = l
             .in_flight
@@ -2705,5 +2769,82 @@ mod tests {
         assert_eq!(draw, quiet_draw, "no draw from the stream");
         assert_eq!(sched.passes, quiet_sched.passes);
         assert_eq!(sched.skips, quiet_sched.skips + 1);
+    }
+
+    /// A greeting reply sends the cached frames: the handshake encoded in
+    /// `new`, and the encoding of the holdings as of the reply. Replies
+    /// before segment 0 lands share one empty bitfield frame; the delivery
+    /// drops it, and the next reply encodes one that shows the segment.
+    #[test]
+    fn greeting_frames_encode_the_handshake_and_the_current_holdings() {
+        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+        let net = star(&[spec; 4]);
+        let (leecher_id, s_id, a_id, b_id) =
+            (net.leaves[0], net.leaves[1], net.leaves[2], net.leaves[3]);
+        let node = Rc::new(RefCell::new(LeecherNode::new(config(
+            s_id,
+            vec![a_id, b_id],
+            DiscoveryMode::Full,
+        ))));
+        let hs = |peer_id| Message::Handshake {
+            peer_id,
+            info_hash: crate::seeder::info_hash_of(""),
+            version: PROTOCOL_VERSION,
+        };
+        assert_eq!(node.borrow().handshake_wire, encode_to_bytes(&hs(1)));
+        let empty = Bitfield::new(2);
+        let mut first = Bitfield::new(2);
+        first.set(0);
+
+        // A greets at 0.3 s and again at 2.3 s, B at 0.4 s; the seeder
+        // delivers segment 0 at 1 s.
+        let greeter = |stages: Vec<f64>, heard: &Rc<RefCell<Vec<Message>>>| ScriptedPeer {
+            to: leecher_id,
+            stages: stages
+                .into_iter()
+                .map(|after| {
+                    (
+                        SimDuration::from_secs_f64(after),
+                        vec![encode_to_bytes(&hs(9))],
+                    )
+                })
+                .collect(),
+            next: 0,
+            heard: heard.clone(),
+        };
+        let (heard_a, heard_b) = (Rc::default(), Rc::default());
+        let mut sim = Simulator::new(net.network, 42);
+        sim.add_node(Box::new(NullBehavior)); // hub
+        sim.add_node(Box::new(Shared(node.clone())));
+        sim.add_node(Box::new(At {
+            after: SimDuration::from_secs_f64(1.0),
+            action: move |ctx| {
+                ctx.start_transfer(leecher_id, 10_000, 0).unwrap();
+            },
+        }));
+        sim.add_node(Box::new(greeter(vec![0.3, 2.0], &heard_a)));
+        sim.add_node(Box::new(greeter(vec![0.4], &heard_b)));
+
+        sim.run_until_idle(SimTime::from_secs_f64(0.8));
+        let empty_frame = encode_to_bytes(&Message::Bitfield(empty.clone()));
+        assert_eq!(node.borrow().bitfield_wire, Some(empty_frame.clone()));
+        sim.run_until_idle(SimTime::from_secs_f64(1.5));
+        {
+            let l = node.borrow();
+            assert!(l.holds(0), "the seeder's delivery arrived");
+            assert_eq!(l.bitfield_wire, None, "the delivery drops the frame");
+        }
+        sim.run_until_idle(SimTime::from_secs_f64(10.0));
+        let first_frame = encode_to_bytes(&Message::Bitfield(first.clone()));
+        assert_eq!(node.borrow().bitfield_wire, Some(first_frame));
+
+        let have = Message::Have { index: 0 };
+        let greeting = |bits: &Bitfield| [hs(1), Message::Bitfield(bits.clone())];
+        let mut want_a = greeting(&empty).to_vec();
+        want_a.extend([have.clone(), Message::Bitfield(first)]);
+        assert_eq!(*heard_a.borrow(), want_a, "A is greeted once");
+        let mut want_b = greeting(&empty).to_vec();
+        want_b.push(have);
+        assert_eq!(*heard_b.borrow(), want_b);
     }
 }

@@ -120,7 +120,7 @@ impl DisseminationStats {
 pub struct PeerMemStats {
     /// Bytes behind the neighbour-view columns: every slot they
     /// allocated (one per node id, occupied or not) of the three flag
-    /// bitsets, the `outstanding` column and the holdings rows.
+    /// bitsets and the holdings rows.
     pub view_bytes: u64,
     /// Live peer views at sample time.
     pub views: u64,

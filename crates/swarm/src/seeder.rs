@@ -35,9 +35,11 @@ pub fn info_hash_of(manifest_text: &str) -> [u8; 20] {
 pub struct SeederNode {
     segments: Arc<SegmentList>,
     manifest_wire: Bytes,
-    info_hash: [u8; 20],
-    peer_id: u64,
-    holdings: Bitfield,
+    /// The greeting reply, `Handshake` then the full `Bitfield`: neither
+    /// changes during a run, so each is encoded once and every reply
+    /// sends the same two frames.
+    handshake_wire: Bytes,
+    bitfield_wire: Bytes,
     uploads: UploadSide,
     /// Scratch buffer for outgoing frames (reused across sends).
     wire_buf: EncodeBuf,
@@ -53,16 +55,21 @@ impl SeederNode {
     pub fn new(segments: impl Into<Arc<SegmentList>>, peer_id: u64, upload_slots: usize) -> Self {
         let segments = segments.into();
         let text = segments.to_m3u8("video");
-        let info_hash = info_hash_of(&text);
-        let holdings = Bitfield::full(segments.len() as u32);
+        let mut wire_buf = EncodeBuf::new();
+        let handshake_wire = wire_buf.wire(&Message::Handshake {
+            peer_id,
+            info_hash: info_hash_of(&text),
+            version: PROTOCOL_VERSION,
+        });
+        let bitfield_wire =
+            wire_buf.wire(&Message::Bitfield(Bitfield::full(segments.len() as u32)));
         SeederNode {
             segments,
             manifest_wire: Bytes::from(text.into_bytes()),
-            info_hash,
-            peer_id,
-            holdings,
+            handshake_wire,
+            bitfield_wire,
             uploads: UploadSide::new(upload_slots),
-            wire_buf: EncodeBuf::new(),
+            wire_buf,
             members: Vec::new(),
         }
     }
@@ -82,14 +89,8 @@ impl SeederNode {
                 if !self.members.contains(&from) {
                     self.members.push(from);
                 }
-                let hs = Message::Handshake {
-                    peer_id: self.peer_id,
-                    info_hash: self.info_hash,
-                    version: PROTOCOL_VERSION,
-                };
-                let _ = ctx.send(from, self.wire_buf.wire(&hs));
-                let bitfield = Message::Bitfield(self.holdings.clone());
-                let _ = ctx.send(from, self.wire_buf.wire(&bitfield));
+                let _ = ctx.send(from, self.handshake_wire.clone());
+                let _ = ctx.send(from, self.bitfield_wire.clone());
             }
             Message::PeerListRequest => {
                 let peers: Vec<u32> = self
@@ -137,6 +138,7 @@ impl NodeBehavior for SeederNode {
 mod tests {
     use super::*;
     use splicecast_media::{DurationSplicer, Splicer, Video};
+    use splicecast_protocol::encode_to_bytes;
 
     #[test]
     fn info_hash_is_stable_and_content_sensitive() {
@@ -148,12 +150,29 @@ mod tests {
         assert_ne!(a, [0u8; 20]);
     }
 
+    /// The greeting frames are the encodings of the `Handshake` and of a
+    /// `Bitfield` with every segment set.
     #[test]
     fn seeder_holds_everything() {
         let v = Video::builder().duration_secs(8.0).seed(1).build();
         let segs = DurationSplicer::new(2.0).splice(&v);
+        let segments = segs.len() as u32;
+        let hs = Message::Handshake {
+            peer_id: 99,
+            info_hash: info_hash_of(&segs.to_m3u8("video")),
+            version: PROTOCOL_VERSION,
+        };
         let seeder = SeederNode::new(segs, 99, 4);
-        assert!(seeder.holdings.is_complete());
+        assert_eq!(seeder.handshake_wire, encode_to_bytes(&hs));
+        let Ok(Message::Bitfield(holdings)) = decode_single(&seeder.bitfield_wire) else {
+            panic!("the greeting's second frame is a bitfield");
+        };
+        assert_eq!(holdings.len(), segments);
+        assert_eq!(holdings.count_ones(), holdings.len());
+        assert_eq!(
+            seeder.bitfield_wire,
+            encode_to_bytes(&Message::Bitfield(holdings))
+        );
         assert_eq!(seeder.uploads.bytes_uploaded, 0);
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Each neighbour's view is what the leecher knows of it (§III's
 //! per-neighbour availability map): whether it is known at all (`live`),
-//! whether we greeted it, whether it greeted us (`handshaken`), how many of
-//! our requests it holds (`outstanding`) and which segments it showed us
-//! (its holdings row). Node ids are small dense integers, so a view is one
-//! slot of each column: a bit in each of three bitsets, a `u32`, and
-//! `⌈segments/64⌉` words of one row-major holdings table, bit *i* being
-//! segment *i*.
+//! whether we greeted it, whether it greeted us (`handshaken`) and which
+//! segments it showed us (its holdings row). Node ids are small dense
+//! integers, so a view is one slot of each of four columns: a bit in each
+//! of three bitsets and `⌈segments/64⌉` words of one row-major holdings
+//! table, bit *i* being segment *i*. How many of our requests a neighbour
+//! holds is no column: the leecher counts it from its in-flight records.
 //! Walks go in ascending id order — the order every ordering-sensitive
 //! walk in the leecher relies on — and skip absent slots 64 at a time.
 //! The price is one slot per node id up to the largest one seen, occupied
@@ -25,8 +25,6 @@ pub(crate) struct Views {
     greeted: Vec<u64>,
     /// They have sent us their handshake.
     handshaken: Vec<u64>,
-    /// Requests we have sent them that have not completed or failed.
-    outstanding: Vec<u32>,
     /// Row `i` is node `i`'s holdings; no bit at or above `segments` is
     /// ever set.
     holdings: Vec<u64>,
@@ -82,7 +80,6 @@ impl Views {
             live: set.clone(),
             greeted: set.clone(),
             handshaken: set,
-            outstanding: vec![0; slots],
             holdings: vec![0; slots * (segments as usize).div_ceil(64)],
         }
     }
@@ -104,18 +101,19 @@ impl Views {
     /// A fresh view of `node` with nothing known, replacing any.
     pub fn insert(&mut self, node: NodeId) {
         let index = node.index();
-        if index >= self.outstanding.len() {
-            let slots = index + 1;
+        let slots = index + 1;
+        if self.live.len() * 64 < slots {
             for set in [&mut self.live, &mut self.greeted, &mut self.handshaken] {
                 set.resize(slots.div_ceil(64), 0);
             }
-            self.outstanding.resize(slots, 0);
-            self.holdings.resize(slots * self.row_words(), 0);
+        }
+        let row_end = slots * self.row_words();
+        if self.holdings.len() < row_end {
+            self.holdings.resize(row_end, 0);
         }
         put(&mut self.live, index, true);
         put(&mut self.greeted, index, false);
         put(&mut self.handshaken, index, false);
-        self.outstanding[index] = 0;
         self.row_mut(index).fill(0);
     }
 
@@ -151,31 +149,6 @@ impl Views {
 
     pub fn set_handshaken(&mut self, node: NodeId, value: bool) {
         put_if_live(&self.live, &mut self.handshaken, node, value);
-    }
-
-    /// Requests outstanding at `node`; 0 when it has no view.
-    pub fn outstanding(&self, node: NodeId) -> u32 {
-        if self.contains(node) {
-            self.outstanding[node.index()]
-        } else {
-            0
-        }
-    }
-
-    /// One more request outstanding at `node`, if it has a view.
-    pub fn add_outstanding(&mut self, node: NodeId) {
-        if self.contains(node) {
-            self.outstanding[node.index()] += 1;
-        }
-    }
-
-    /// One request fewer outstanding at `node` (never below zero), if it
-    /// has a view.
-    pub fn sub_outstanding(&mut self, node: NodeId) {
-        if self.contains(node) {
-            let count = &mut self.outstanding[node.index()];
-            *count = count.saturating_sub(1);
-        }
     }
 
     /// Words per holdings row.
@@ -267,7 +240,6 @@ impl Views {
         use std::mem::size_of;
         let sets = self.live.capacity() + self.greeted.capacity() + self.handshaken.capacity();
         (sets + self.holdings.capacity()) * size_of::<u64>()
-            + self.outstanding.capacity() * size_of::<u32>()
     }
 }
 
@@ -279,13 +251,12 @@ mod tests {
 
     use super::*;
 
-    /// One view, written out: greeted, handshaken, holdings, outstanding.
+    /// One view, written out: greeted, handshaken, holdings.
     #[derive(Debug, Clone, PartialEq)]
     struct Model {
         greeted: bool,
         handshaken: bool,
         holdings: Bitfield,
-        outstanding: u32,
     }
 
     impl Model {
@@ -294,7 +265,6 @@ mod tests {
                 greeted: false,
                 handshaken: false,
                 holdings: Bitfield::new(segments),
-                outstanding: 0,
             }
         }
     }
@@ -312,8 +282,6 @@ mod tests {
         /// bit longer than the video, which the table must ignore.
         Replace(usize, Vec<u32>, bool),
         Fill(usize),
-        Up(usize),
-        Down(usize),
     }
 
     /// Mostly a few ids, so one view sees many operations (an arm drawn
@@ -336,8 +304,6 @@ mod tests {
             )
                 .prop_map(|(n, bits, coin)| Op::Replace(n, bits, coin == 0)),
             node().prop_map(Op::Fill),
-            node().prop_map(Op::Up),
-            node().prop_map(Op::Down),
         ]
     }
 
@@ -351,7 +317,6 @@ mod tests {
             greeted: views.greeted(node),
             handshaken: views.handshaken(node),
             holdings,
-            outstanding: views.outstanding(node),
         };
         if views.contains(node) {
             Some(view)
@@ -456,22 +421,6 @@ mod tests {
                         }
                         node
                     }
-                    Op::Up(n) => {
-                        let node = NodeId::from_index(n);
-                        views.add_outstanding(node);
-                        if let Some(m) = model.get_mut(&node) {
-                            m.outstanding += 1;
-                        }
-                        node
-                    }
-                    Op::Down(n) => {
-                        let node = NodeId::from_index(n);
-                        views.sub_outstanding(node);
-                        if let Some(m) = model.get_mut(&node) {
-                            m.outstanding = m.outstanding.saturating_sub(1);
-                        }
-                        node
-                    }
                 };
                 prop_assert_eq!(read(&views, node), model.get(&node).cloned());
                 prop_assert_eq!(views.len(), model.len());
@@ -500,7 +449,6 @@ mod tests {
         views.insert(node);
         assert!(!views.greeted(node));
         assert!(!views.handshaken(node));
-        assert_eq!(views.outstanding(node), 0);
         assert!(!(0..10).any(|s| views.holds(node, s)));
     }
 
@@ -527,24 +475,23 @@ mod tests {
         );
     }
 
-    /// A slot is three bits of flags, a `u32` and `⌈segments/64⌉` row
-    /// words: 12.375 bytes at 60 two-second segments, 36.375 at 197 GOP
-    /// segments.
+    /// A slot is three bits of flags and `⌈segments/64⌉` row words:
+    /// 8.375 bytes at 60 two-second segments, 32.375 at 197 GOP segments.
     #[test]
     fn slot_bytes_follow_the_columns() {
-        assert_eq!(Views::with_slots(64, 60).table_bytes(), 64 * 99 / 8);
-        assert_eq!(Views::with_slots(64, 197).table_bytes(), 64 * 291 / 8);
+        assert_eq!(Views::with_slots(64, 60).table_bytes(), 64 * 67 / 8);
+        assert_eq!(Views::with_slots(64, 197).table_bytes(), 64 * 259 / 8);
     }
 
     /// Empty slots cost as much as occupied ones, and a view adds nothing.
     #[test]
     fn table_bytes_counts_every_slot() {
         let mut views = Views::with_slots(64, 60);
-        assert_eq!(views.table_bytes(), 792, "empty slots cost as much");
+        assert_eq!(views.table_bytes(), 536, "empty slots cost as much");
         let node = NodeId::from_index(5);
         views.insert(node);
         views.fill(node);
-        assert_eq!(views.table_bytes(), 792, "a view costs nothing extra");
+        assert_eq!(views.table_bytes(), 536, "a view costs nothing extra");
         assert!(views.holds(node, 59));
         assert_eq!(Views::with_slots(0, 60).table_bytes(), 0);
     }
