@@ -80,6 +80,8 @@ pub(crate) struct World {
     /// Scratch for the receivers of a multicast that share one delivery
     /// instant.
     scratch_run: Vec<NodeId>,
+    /// The targets the last multicast failed to reach, in send order.
+    failed: Vec<NodeId>,
     /// Fluid model: the rate solver and the per-link, per-flow state it
     /// keeps between rebalances. Its pass-2 link rates double as the
     /// utilization source for [`Ctx::path_utilization`].
@@ -561,25 +563,28 @@ impl Ctx<'_> {
     /// later one supersedes) this way and keep the rest (handshakes,
     /// requests, goodbyes) reliable.
     ///
-    /// Appends each target whose send would have returned an error to
-    /// `failed`, in order, and returns how many sends succeeded (a message
-    /// the fault plane dropped counts: its sender cannot tell).
+    /// Returns how many sends succeeded (a message the fault plane dropped
+    /// counts: its sender cannot tell) and, in order, the targets whose
+    /// send would have returned an error. `targets` is walked once, as the
+    /// messages go out; the failed list is the simulator's, reused by the
+    /// next multicast.
     pub fn multicast(
         &mut self,
-        targets: &[NodeId],
+        targets: impl IntoIterator<Item = NodeId>,
         payload: &Bytes,
         faulty: bool,
-        failed: &mut Vec<NodeId>,
-    ) -> u64 {
+    ) -> (u64, &[NodeId]) {
         // The receivers booked so far at `run_at`: their keys would be
         // consecutive, so they go out as one entry. A receiver whose
         // instant differs (the FIFO clamp or an injected delay moved it,
         // or its link is another) closes the run and opens the next.
         let mut run = std::mem::take(&mut self.world.scratch_run);
+        let mut failed = std::mem::take(&mut self.world.failed);
+        failed.clear();
         let mut run_at = SimTime::ZERO;
         let mut memo = None;
         let mut sent = 0;
-        for &to in targets {
+        for to in targets {
             let Ok(booked) = self.book_message(to, payload.len(), faulty, &mut memo) else {
                 failed.push(to);
                 continue;
@@ -602,7 +607,8 @@ impl Ctx<'_> {
             run.clear();
         }
         self.world.scratch_run = run;
-        sent
+        self.world.failed = failed;
+        (sent, &self.world.failed)
     }
 
     /// The one per-receiver path of every control message: books a
@@ -862,6 +868,7 @@ impl Simulator {
                 stats: SimStats::default(),
                 msg_order: (0..node_count).map(|_| FifoRow::default()).collect(),
                 scratch_run: Vec::new(),
+                failed: Vec::new(),
                 fluid,
                 faults: None,
                 fault_stats: InjectedFaults::default(),
@@ -1308,12 +1315,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 for i in 0..PER_PAIR {
                     for &to in &self.peers {
-                        let sent = ctx.multicast(
-                            &[to],
-                            &Bytes::copy_from_slice(&[i]),
-                            true,
-                            &mut Vec::new(),
-                        );
+                        let (sent, _) = ctx.multicast([to], &Bytes::copy_from_slice(&[i]), true);
                         assert_eq!(sent, 1);
                     }
                 }
@@ -2096,7 +2098,7 @@ mod tests {
             if let NodeEvent::Timer { .. } = event {
                 let tick = Bytes::from_static(b"tick");
                 let sent = if self.faulty {
-                    ctx.multicast(&[self.to], &tick, true, &mut Vec::new()) == 1
+                    ctx.multicast([self.to], &tick, true).0 == 1
                 } else {
                     ctx.send(self.to, tick).is_ok()
                 };

@@ -233,8 +233,11 @@ mod oracle {
                 .borrow_mut()
                 .push((ctx.now(), ctx.me(), from, payload));
             if echo {
-                let mut failed = Vec::new();
-                ctx.multicast(&self.echo, &Bytes::from_static(&[ECHO]), false, &mut failed);
+                ctx.multicast(
+                    self.echo.iter().copied(),
+                    &Bytes::from_static(&[ECHO]),
+                    false,
+                );
             }
             if let Some(left) = &mut self.quit_after {
                 *left -= 1;
@@ -254,12 +257,15 @@ mod oracle {
                     let payload = Bytes::from(vec![token as u8; *size]);
                     let mut failed = Vec::new();
                     let sent = if self.multicast[k] {
-                        ctx.multicast(targets, &payload, *faulty, &mut failed)
+                        let (sent, missed) =
+                            ctx.multicast(targets.iter().copied(), &payload, *faulty);
+                        failed.extend_from_slice(missed);
+                        sent
                     } else {
                         let mut sent = 0;
                         for &to in targets {
                             let ok = if *faulty {
-                                ctx.multicast(&[to], &payload, true, &mut Vec::new()) == 1
+                                ctx.multicast([to], &payload, true).0 == 1
                             } else {
                                 ctx.send(to, payload.clone()).is_ok()
                             };

@@ -6,10 +6,8 @@ use crate::error::ProtocolError;
 /// ([`Message::Bitfield`](crate::Message::Bitfield)) and a leecher's mask
 /// of the segments it has in flight.
 ///
-/// A field of at most 64 bits — 60 two-second segments, the common case —
-/// owns no heap at all: its bytes sit in the 24-byte struct. Wider fields
-/// use a boxed slice rather than a `Vec` (a bitfield never grows, so no
-/// capacity word).
+/// The bytes are a boxed slice rather than a `Vec`: a bitfield never
+/// grows, so it needs no capacity word.
 ///
 /// # Examples
 ///
@@ -26,43 +24,17 @@ use crate::error::ProtocolError;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bitfield {
     len: u32,
-    bits: Store,
-}
-
-/// Where the bytes live. `len` alone decides the variant and the unused
-/// tail of an inline array stays zero, so the derived `Eq` and `Hash`
-/// compare content.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Store {
-    /// `len <= 64`: the first `len.div_ceil(8)` bytes are the field.
-    Inline([u8; 8]),
-    Heap(Box<[u8]>),
+    /// `len.div_ceil(8)` bytes; the spare bits of the last stay zero, so
+    /// the derived `Eq` and `Hash` compare content.
+    bytes: Box<[u8]>,
 }
 
 impl Bitfield {
     /// Creates an all-zero bitfield of `len` bits.
     pub fn new(len: u32) -> Self {
-        let bits = if len <= 64 {
-            Store::Inline([0; 8])
-        } else {
-            Store::Heap(vec![0; (len as usize).div_ceil(8)].into_boxed_slice())
-        };
-        Bitfield { len, bits }
-    }
-
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match &self.bits {
-            Store::Inline(bytes) => &bytes[..(self.len as usize).div_ceil(8)],
-            Store::Heap(bytes) => bytes,
-        }
-    }
-
-    #[inline]
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        match &mut self.bits {
-            Store::Inline(bytes) => &mut bytes[..(self.len as usize).div_ceil(8)],
-            Store::Heap(bytes) => bytes,
+        Bitfield {
+            len,
+            bytes: vec![0; (len as usize).div_ceil(8)].into_boxed_slice(),
         }
     }
 
@@ -83,14 +55,10 @@ impl Bitfield {
                 return Err(ProtocolError::MalformedBitfield);
             }
         }
-        let bits = if len <= 64 {
-            let mut inline = [0; 8];
-            inline[..bytes.len()].copy_from_slice(&bytes);
-            Store::Inline(inline)
-        } else {
-            Store::Heap(bytes.into_boxed_slice())
-        };
-        Ok(Bitfield { len, bits })
+        Ok(Bitfield {
+            len,
+            bytes: bytes.into_boxed_slice(),
+        })
     }
 
     /// Number of bits.
@@ -108,7 +76,7 @@ impl Bitfield {
     /// The raw bytes, most significant bit first (BitTorrent convention).
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        self.bytes()
+        &self.bytes
     }
 
     /// Whether bit `index` is set.
@@ -119,7 +87,7 @@ impl Bitfield {
     #[inline]
     pub fn get(&self, index: u32) -> bool {
         assert!(index < self.len, "bit {index} out of range {}", self.len);
-        self.bytes()[(index / 8) as usize] & (0x80 >> (index % 8)) != 0
+        self.bytes[(index / 8) as usize] & (0x80 >> (index % 8)) != 0
     }
 
     /// Sets bit `index`.
@@ -130,7 +98,7 @@ impl Bitfield {
     #[inline]
     pub fn set(&mut self, index: u32) {
         assert!(index < self.len, "bit {index} out of range {}", self.len);
-        self.bytes_mut()[(index / 8) as usize] |= 0x80 >> (index % 8);
+        self.bytes[(index / 8) as usize] |= 0x80 >> (index % 8);
     }
 
     /// Clears bit `index`.
@@ -141,19 +109,19 @@ impl Bitfield {
     #[inline]
     pub fn clear(&mut self, index: u32) {
         assert!(index < self.len, "bit {index} out of range {}", self.len);
-        self.bytes_mut()[(index / 8) as usize] &= !(0x80 >> (index % 8));
+        self.bytes[(index / 8) as usize] &= !(0x80 >> (index % 8));
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
-        self.bytes().iter().map(|b| b.count_ones()).sum()
+        self.bytes.iter().map(|b| b.count_ones()).sum()
     }
 
     /// The expected value of the trailing byte when every bit is set:
     /// all ones except the spare (past-`len`) bits, which stay clear.
     #[inline]
     fn last_byte_mask(&self) -> u8 {
-        let spare = self.bytes().len() * 8 - self.len as usize;
+        let spare = self.bytes.len() * 8 - self.len as usize;
         0xFFu8 << spare
     }
 
@@ -161,8 +129,8 @@ impl Bitfield {
     pub fn full(len: u32) -> Self {
         let mut bf = Bitfield::new(len);
         let mask = bf.last_byte_mask();
-        bf.bytes_mut().fill(0xFF);
-        if let Some(last) = bf.bytes_mut().last_mut() {
+        bf.bytes.fill(0xFF);
+        if let Some(last) = bf.bytes.last_mut() {
             *last = mask;
         }
         bf
@@ -172,7 +140,7 @@ impl Bitfield {
     /// wholesale and walks set bits of a nonzero byte via leading-zeros
     /// (bits are MSB-first on the wire).
     pub fn iter_set(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bytes()
+        self.bytes
             .iter()
             .enumerate()
             .filter(|(_, &b)| b != 0)
@@ -193,9 +161,9 @@ impl Bitfield {
     /// Panics when the lengths differ.
     pub fn has_any_not_in(&self, other: &Bitfield) -> bool {
         assert_eq!(self.len, other.len, "bitfield lengths differ");
-        self.bytes()
+        self.bytes
             .iter()
-            .zip(other.bytes())
+            .zip(&other.bytes)
             .any(|(&s, &o)| s & !o != 0)
     }
 }
@@ -410,8 +378,8 @@ mod tests {
         }
     }
 
-    /// 24 bytes either way: the inline bytes overlay the boxed slice's
-    /// length word, and the variant tag is the pointer's null niche.
+    /// 24 bytes: the length and the boxed slice's pointer and length
+    /// words.
     #[test]
     fn bitfield_is_three_words() {
         assert_eq!(std::mem::size_of::<Bitfield>(), 24);

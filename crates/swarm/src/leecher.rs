@@ -4,7 +4,6 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread::LocalKey;
 
 use bytes::Bytes;
 use splicecast_media::SegmentList;
@@ -16,7 +15,7 @@ use splicecast_protocol::{
 
 use crate::fault::{DefenseConfig, BACKOFF_BASE_SECS, BACKOFF_MAX_SECS};
 use crate::metrics::{MetricsSink, PeerMemStats, PeerReport};
-use crate::policy::{BandwidthEstimator, DownloadPolicy, PolicyInput};
+use crate::policy::{BandwidthEstimator, PolicyConfig};
 use crate::scheduler::{next_wanted_from, pick_source, SourceCandidate};
 use crate::swarm::{ControlPlane, DisseminationMode, SchedulerMode};
 use crate::upload::UploadSide;
@@ -38,26 +37,12 @@ const HEARTBEAT_PUMPS: f64 = 8.0;
 const ANNOUNCE_PUMPS: u64 = 10;
 
 thread_local! {
-    /// The scratch lists whose length can reach the swarm size: the peers
-    /// of one multicast, the peers a multicast failed to reach, and the
-    /// candidate sources of one pick. A simulation runs on one thread and
-    /// its leechers' handlers never overlap, so one list per thread serves
-    /// them all, where one per leecher would cost a few bytes per ordered
-    /// pair of nodes.
-    static SCRATCH_PEERS: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
-    static SCRATCH_FAILED: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
+    /// The candidate sources of one pick, a list whose length can reach
+    /// the swarm size. A simulation runs on one thread and its leechers'
+    /// handlers never overlap, so one list per thread serves them all,
+    /// where one per leecher would cost a few bytes per ordered pair of
+    /// nodes.
     static SCRATCH_CANDIDATES: Cell<Vec<SourceCandidate>> = const { Cell::new(Vec::new()) };
-}
-
-/// Runs `f` on this thread's scratch list behind `key`, emptied, and keeps
-/// its capacity for the next call. A nested call on the same key gets a
-/// fresh list instead of the one in use.
-fn with_scratch<T, R>(key: &'static LocalKey<Cell<Vec<T>>>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-    let mut scratch = key.take();
-    scratch.clear();
-    let result = f(&mut scratch);
-    key.set(scratch);
-    result
 }
 
 /// Everything a leecher needs to operate.
@@ -76,7 +61,7 @@ pub struct LeecherConfig {
     /// metadata is immutable, so every node holds the same `Arc`).
     pub segments: Arc<SegmentList>,
     /// Pool-size policy (§III).
-    pub policy: Box<dyn DownloadPolicy>,
+    pub policy: PolicyConfig,
     /// Bandwidth estimator feeding the policy's `B`.
     pub estimator: BandwidthEstimator,
     /// Concurrent uploads served to other peers.
@@ -251,9 +236,10 @@ pub struct LeecherNode {
     /// share one frame.
     bitfield_wire: Option<Bytes>,
     /// Scratch storage for the timeout walk, at most a pool's worth, so
-    /// the request/deliver cycle allocates nothing per event. The scratch
-    /// lists that can grow to the swarm size are per thread instead
-    /// (`SCRATCH_PEERS` and the two beside it).
+    /// the request/deliver cycle allocates nothing per event. The
+    /// candidate list, which can grow to the swarm size, is per thread
+    /// instead (`SCRATCH_CANDIDATES`), and a multicast's failed peers are
+    /// the simulator's.
     scratch_stale: Vec<(u32, InFlight)>,
     /// Per-source failure scores with backoff bans (defense plane only;
     /// empty when defenses are off).
@@ -368,41 +354,28 @@ impl LeecherNode {
         )
     }
 
-    /// Encodes `message` once and sends it to each of `peers` in order
-    /// (see [`Self::multicast_frame`]). Returns the number of successful
-    /// sends.
-    fn multicast(&mut self, ctx: &mut Ctx<'_>, peers: &[NodeId], message: &Message) -> u64 {
-        let wire = self.wire_buf.wire(message);
-        with_scratch(&SCRATCH_FAILED, |failed| {
-            self.multicast_frame(ctx, peers, &wire, Self::droppable(message), failed)
-        })
-    }
-
-    /// The one send path: puts the encoded frame `wire` on the wire to
-    /// each of `peers` in order as one multicast — through the fault plane
-    /// when it is `droppable` — then forgets the peers that turned out
-    /// unreachable, in the same order (forgetting sends nothing, so it may
-    /// wait until every send is out), leaving them in `failed`. That
-    /// failed send is how a crash is detected, as a TCP sender learns of a
-    /// dead peer from a connection reset. Returns the number of successful
-    /// sends.
-    fn multicast_frame(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        peers: &[NodeId],
-        wire: &Bytes,
-        droppable: bool,
-        failed: &mut Vec<NodeId>,
-    ) -> u64 {
-        let sent = ctx.multicast(peers, wire, droppable, failed);
-        for &peer in failed.iter() {
+    /// Forgets the peers a multicast failed to reach, in send order
+    /// (forgetting sends nothing, so it may wait until every send is out).
+    /// That failed send is how a crash is detected, as a TCP sender learns
+    /// of a dead peer from a connection reset.
+    fn forget_failed(&mut self, failed: &[NodeId]) {
+        for &peer in failed {
             self.forget_peer(peer);
         }
-        sent
+    }
+
+    /// Puts the encoded frame `wire` on the wire to `to` — through the
+    /// fault plane when it is `droppable` — and forgets `to` if it turned
+    /// out unreachable. Returns whether the send succeeded.
+    fn send_wire(&mut self, ctx: &mut Ctx<'_>, to: NodeId, wire: &Bytes, droppable: bool) -> bool {
+        let (_, failed) = ctx.multicast([to], wire, droppable);
+        self.forget_failed(failed);
+        failed.is_empty()
     }
 
     fn say(&mut self, ctx: &mut Ctx<'_>, to: NodeId, message: &Message) -> bool {
-        self.multicast(ctx, &[to], message) == 1
+        let wire = self.wire_buf.wire(message);
+        self.send_wire(ctx, to, &wire, Self::droppable(message))
     }
 
     fn greet(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
@@ -415,17 +388,15 @@ impl LeecherNode {
     /// multicast of our one handshake frame (reliable: see
     /// [`Self::droppable`]), and marks greeted those it reached.
     fn greet_all(&mut self, ctx: &mut Ctx<'_>, peers: &[NodeId]) {
-        let hs = self.handshake_wire.clone();
-        with_scratch(&SCRATCH_FAILED, |failed| {
-            self.multicast_frame(ctx, peers, &hs, false, failed);
-            // The failed peers are an in-order subsequence of `peers`.
-            let mut failed = failed.iter().peekable();
-            for peer in peers {
-                if failed.next_if_eq(&peer).is_none() {
-                    self.views.set_greeted(*peer, true);
-                }
+        let (_, failed) = ctx.multicast(peers.iter().copied(), &self.handshake_wire, false);
+        self.forget_failed(failed);
+        // The failed peers are an in-order subsequence of `peers`.
+        let mut failed = failed.iter().peekable();
+        for peer in peers {
+            if failed.next_if_eq(&peer).is_none() {
+                self.views.set_greeted(*peer, true);
             }
-        });
+        }
     }
 
     fn boot(&mut self, ctx: &mut Ctx<'_>) {
@@ -444,14 +415,13 @@ impl LeecherNode {
                     // peer leaves the views only by going offline for
                     // good, so greeting it would be a failed send, which
                     // draws and counts nothing.
-                    with_scratch(&SCRATCH_PEERS, |peers| {
-                        peers.extend(
-                            self.views
-                                .iter()
-                                .filter(|&peer| !self.is_origin(peer) && !self.views.greeted(peer)),
-                        );
-                        self.greet_all(ctx, peers);
-                    });
+                    let mut peers = Vec::with_capacity(self.views.len());
+                    peers.extend(
+                        self.views
+                            .iter()
+                            .filter(|&peer| !self.is_origin(peer) && !self.views.greeted(peer)),
+                    );
+                    self.greet_all(ctx, &peers);
                 }
                 crate::swarm::DiscoveryMode::Tracker => {
                     self.say(ctx, self.cfg.seeder, &Message::PeerListRequest);
@@ -488,19 +458,22 @@ impl LeecherNode {
             && !self.playback.buffer().is_complete()
     }
 
-    /// Encodes `message` once and sends it to every neighbour `include`
-    /// admits, in ascending order, evicting peers that became unreachable.
-    /// Returns the number of successful sends.
+    /// Encodes `message` once and sends it as one multicast to every
+    /// neighbour `include` admits, in ascending order, evicting peers that
+    /// became unreachable. `include` reads the views while the messages
+    /// go out, which no send changes. Returns the number of successful
+    /// sends.
     fn broadcast(
         &mut self,
         ctx: &mut Ctx<'_>,
         message: &Message,
         mut include: impl FnMut(&Self, NodeId) -> bool,
     ) -> u64 {
-        with_scratch(&SCRATCH_PEERS, |peers| {
-            peers.extend(self.views.iter().filter(|&peer| include(self, peer)));
-            self.multicast(ctx, peers, message)
-        })
+        let wire = self.wire_buf.wire(message);
+        let peers = self.views.iter().filter(|&peer| include(self, peer));
+        let (sent, failed) = ctx.multicast(peers, &wire, Self::droppable(message));
+        self.forget_failed(failed);
+        sent
     }
 
     /// The number of segments in the video.
@@ -617,12 +590,12 @@ impl LeecherNode {
             crate::policy::WEstimate::MeanSegment => self.mean_segment_bytes,
             crate::policy::WEstimate::NextSegment => self.cfg.segments[want as usize].bytes,
         };
-        let input = PolicyInput {
-            bandwidth_bytes_per_sec: self.cfg.estimator.bytes_per_sec(),
-            buffered_secs: self.playback.buffered_ahead(now).as_secs_f64(),
-            next_segment_bytes: w,
-        };
-        let pool_full = self.in_flight.len() >= self.cfg.policy.pool_size(&input);
+        let pool = self.cfg.policy.pool_size(
+            self.cfg.estimator.bytes_per_sec(),
+            self.playback.buffered_ahead(now).as_secs_f64(),
+            w,
+        );
+        let pool_full = self.in_flight.len() >= pool;
         Some((want, pool_full))
     }
 
@@ -655,9 +628,11 @@ impl LeecherNode {
         index: u32,
         exclude: Option<NodeId>,
     ) -> Option<NodeId> {
-        with_scratch(&SCRATCH_CANDIDATES, |candidates| {
-            self.pick_from(ctx, index, exclude, candidates)
-        })
+        let mut candidates = SCRATCH_CANDIDATES.take();
+        candidates.clear();
+        let picked = self.pick_from(ctx, index, exclude, &mut candidates);
+        SCRATCH_CANDIDATES.set(candidates);
+        picked
     }
 
     /// [`Self::pick_source_for`] over the empty list `candidates`.
@@ -1075,9 +1050,7 @@ impl LeecherNode {
                 }
                 // A bitfield is droppable (see `droppable`).
                 let bitfield = self.bitfield_frame();
-                with_scratch(&SCRATCH_FAILED, |failed| {
-                    self.multicast_frame(ctx, &[from], &bitfield, true, failed)
-                });
+                self.send_wire(ctx, from, &bitfield, true);
                 self.schedule(ctx);
             }
             Message::Bitfield(bf) => {
@@ -1124,20 +1097,21 @@ impl LeecherNode {
                     return;
                 }
                 let me = ctx.me();
-                with_scratch(&SCRATCH_PEERS, |fresh| {
-                    for raw in peers {
-                        let peer = NodeId::from_index(raw as usize);
-                        if peer == me || self.is_origin(peer) || self.views.contains(peer) {
-                            continue;
+                let fresh: Vec<NodeId> = peers
+                    .into_iter()
+                    .map(|raw| NodeId::from_index(raw as usize))
+                    .filter(|&peer| {
+                        let fresh = peer != me
+                            && !self.is_origin(peer)
+                            && !self.views.contains(peer)
+                            && ctx.is_online(peer);
+                        if fresh {
+                            self.views.insert(peer);
                         }
-                        if !ctx.is_online(peer) {
-                            continue;
-                        }
-                        self.views.insert(peer);
-                        fresh.push(peer);
-                    }
-                    self.greet_all(ctx, fresh);
-                });
+                        fresh
+                    })
+                    .collect();
+                self.greet_all(ctx, &fresh);
             }
             // Manifest and peer-list requests are the seeder's to answer.
             _ => {}
@@ -1443,7 +1417,7 @@ mod tests {
             cdn: None,
             others,
             segments: two_segments(),
-            policy: PolicyConfig::Fixed(2).build(),
+            policy: PolicyConfig::Fixed(2),
             estimator: BandwidthEstimator::new(EstimatorKind::Oracle, 400_000.0),
             upload_slots: 1,
             // Larger than any deadline below: the tests drive events
@@ -2287,6 +2261,105 @@ mod tests {
         let l = node.borrow();
         assert!(!l.views.contains(b), "b said goodbye");
         assert!([seeder, a, c].iter().all(|&peer| l.views.greeted(peer)));
+    }
+
+    /// A CDN that is offline at boot does not count as greeted: its
+    /// handshake never went out, so the first pump after its outage
+    /// greets it. The outage ends before that pump, so nothing but the
+    /// failed send can keep the CDN ungreeted until then.
+    #[test]
+    fn cdn_offline_at_boot_is_greeted_by_the_first_pump_after_it_returns() {
+        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+        let net = star(&[spec; 3]);
+        let [_, seeder, cdn] = net.leaves[..] else {
+            unreachable!()
+        };
+        let mut cfg = config(seeder, Vec::new(), DiscoveryMode::Full);
+        cfg.cdn = Some(cdn);
+        // Boot at 0.5 s inside the outage; the first pump fires at 1.5 s.
+        cfg.join_delay = SimDuration::from_secs_f64(0.5);
+        let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(net.network, 5);
+        sim.add_node(Box::new(NullBehavior)); // hub
+        sim.add_node(Box::new(Shared(node.clone())));
+        for _ in [seeder, cdn] {
+            sim.add_node(Box::new(Inbox {
+                log: log.clone(),
+                deliver_to: None,
+            }));
+        }
+        sim.schedule_offline_window(
+            cdn,
+            SimTime::from_secs_f64(0.1),
+            SimTime::from_secs_f64(1.0),
+        );
+        let cdn_handshakes = |log: &[(NodeId, Message)]| {
+            log.iter()
+                .filter(|(to, m)| *to == cdn && matches!(m, Message::Handshake { .. }))
+                .count()
+        };
+
+        sim.run_until_idle(SimTime::from_secs_f64(1.2));
+        assert!(!node.borrow().views.greeted(cdn), "its handshake failed");
+        assert_eq!(cdn_handshakes(&log.borrow()), 0);
+
+        sim.run_until_idle(SimTime::from_secs_f64(2.0));
+        assert!(node.borrow().views.greeted(cdn));
+        assert_eq!(cdn_handshakes(&log.borrow()), 1, "the pump greeted it");
+    }
+
+    /// A tracker's `PeerList` greets, once each and in one multicast, the
+    /// listed peers that are fresh: not this leecher, not an origin, not
+    /// already a view, and online. Each gets a view marked greeted.
+    #[test]
+    fn peer_list_greets_only_its_fresh_online_peers() {
+        let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
+        let net = star(&[spec; 6]);
+        let [me, seeder, known, b, c, gone] = net.leaves[..] else {
+            unreachable!()
+        };
+        let cfg = config(seeder, vec![known, b, c, gone], DiscoveryMode::Tracker);
+        let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
+        node.borrow_mut().views.insert(known);
+        let listed = [me, seeder, known, b, gone, c, b].map(|p| p.index() as u32);
+        let list = encode_to_bytes(&Message::PeerList {
+            peers: listed.to_vec(),
+        });
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(net.network, 5);
+        sim.add_node(Box::new(NullBehavior)); // hub
+        sim.add_node(Box::new(Shared(node.clone())));
+        sim.add_node(Box::new(ScriptedPeer {
+            to: me,
+            stages: vec![(SimDuration::from_secs_f64(0.3), vec![list])],
+            next: 0,
+            heard: Rc::new(RefCell::new(Vec::new())),
+        }));
+        for _ in [known, b, c, gone] {
+            sim.add_node(Box::new(Inbox {
+                log: log.clone(),
+                deliver_to: None,
+            }));
+        }
+        sim.schedule_offline_window(
+            gone,
+            SimTime::from_secs_f64(0.1),
+            SimTime::from_secs_f64(100.0),
+        );
+        sim.run_until_idle(SimTime::from_secs_f64(2.0));
+
+        let greeted: Vec<NodeId> = log
+            .borrow()
+            .iter()
+            .filter(|(_, m)| matches!(m, Message::Handshake { .. }))
+            .map(|&(to, _)| to)
+            .collect();
+        assert_eq!(greeted, [b, c]);
+        let l = node.borrow();
+        assert!(l.views.greeted(b) && l.views.greeted(c));
+        assert!(!l.views.greeted(known), "a known view is not re-greeted");
+        assert!(!l.views.contains(gone), "an offline peer gets no view");
     }
 
     /// Silence is not a crash. With defenses on, a neighbour that

@@ -7,8 +7,9 @@
 //!
 //! - [`SeederNode`] / [`LeecherNode`]: the node behaviours (manifest
 //!   exchange, handshakes, bitfields, requests, bulk transfers, playback);
-//! - [`AdaptivePooling`] / [`FixedPool`]: the §III download policies, with
-//!   [`optimal_pool_size`] implementing Eq. 1 directly;
+//! - [`PolicyConfig`]: the §III download policies (Eq. 1 adaptive
+//!   pooling or a fixed pool), with [`optimal_pool_size`] implementing
+//!   Eq. 1 directly;
 //! - [`ChurnConfig`]: peers leaving mid-stream; [`CdnConfig`]: the §IV
 //!   hybrid-CDN mode with the [`max_cdn_segment_bytes`] sizing bound;
 //! - [`FaultPlanConfig`] / [`DefenseConfig`]: deterministic fault injection
@@ -43,7 +44,6 @@ mod cross;
 mod fault;
 mod leecher;
 mod metrics;
-mod peer;
 mod policy;
 mod scheduler;
 mod seeder;
@@ -104,10 +104,7 @@ pub use metrics::{
     ControlPlaneStats, DisseminationStats, MetricsSink, PeerFaultStats, PeerMemStats, PeerReport,
     SchedulerStats, SwarmMetrics,
 };
-pub use policy::{
-    optimal_pool_size, AdaptivePooling, BandwidthEstimator, DownloadPolicy, EstimatorKind,
-    FixedPool, PolicyConfig, PolicyInput, WEstimate,
-};
+pub use policy::{optimal_pool_size, BandwidthEstimator, EstimatorKind, PolicyConfig, WEstimate};
 pub use scheduler::{pick_source, HolderIndex, SourceCandidate};
 pub use seeder::{info_hash_of, SeederNode};
 pub use swarm::{

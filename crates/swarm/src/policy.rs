@@ -11,50 +11,6 @@
 //! downloads in flight: all `k` must land within `T` seconds or the play-out
 //! runs dry, and `B·T` bytes is all the pipe can move in that window.
 
-use std::fmt;
-
-/// Inputs to a download policy decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyInput {
-    /// Estimated per-peer available bandwidth, bytes per second (the `B`).
-    pub bandwidth_bytes_per_sec: f64,
-    /// Seconds of playback buffered ahead of the play head (the `T`).
-    pub buffered_secs: f64,
-    /// Size of the next segment to fetch, bytes (the `W`).
-    pub next_segment_bytes: u64,
-}
-
-/// A rule deciding the download-pool size.
-pub trait DownloadPolicy: fmt::Debug {
-    /// Maximum number of simultaneous segment downloads right now.
-    fn pool_size(&self, input: &PolicyInput) -> usize;
-}
-
-/// The paper's adaptive pooling (Eq. 1).
-///
-/// # Examples
-///
-/// ```
-/// use splicecast_swarm::{AdaptivePooling, DownloadPolicy, PolicyInput};
-///
-/// let policy = AdaptivePooling::new();
-/// let k = policy.pool_size(&PolicyInput {
-///     bandwidth_bytes_per_sec: 128_000.0,
-///     buffered_secs: 8.0,
-///     next_segment_bytes: 256_000,
-/// });
-/// assert_eq!(k, 4); // ⌊128k · 8 / 256k⌋
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptivePooling;
-
-impl AdaptivePooling {
-    /// The paper's uncapped policy.
-    pub fn new() -> Self {
-        AdaptivePooling
-    }
-}
-
 /// Eq. 1 (§III): the number of segments a peer should download
 /// simultaneously.
 ///
@@ -105,27 +61,6 @@ pub fn optimal_pool_size(
     }
 }
 
-impl DownloadPolicy for AdaptivePooling {
-    fn pool_size(&self, input: &PolicyInput) -> usize {
-        optimal_pool_size(
-            input.bandwidth_bytes_per_sec,
-            input.buffered_secs,
-            input.next_segment_bytes,
-        )
-    }
-}
-
-/// The baseline: always keep a fixed number of downloads in flight
-/// (the paper's "fixed size pooling", §VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedPool(pub usize);
-
-impl DownloadPolicy for FixedPool {
-    fn pool_size(&self, _input: &PolicyInput) -> usize {
-        self.0.max(1)
-    }
-}
-
 /// How the policy's `W` (segment size) is obtained.
 ///
 /// Eq. 1 assumes "the size of each segment is W bytes" — i.e. uniform
@@ -161,12 +96,39 @@ impl PolicyConfig {
         )
     }
 
-    /// Instantiates the policy.
-    pub fn build(&self) -> Box<dyn DownloadPolicy> {
-        match self {
-            PolicyConfig::Adaptive => Box::new(AdaptivePooling::new()),
-            PolicyConfig::Fixed(k) => Box::new(FixedPool(*k)),
+    /// The pool size this selector allows with `B` =
+    /// `bandwidth_bytes_per_sec`, `T` = `buffered_secs` and `W` =
+    /// `next_segment_bytes`: Eq. 1 ([`optimal_pool_size`]) when adaptive,
+    /// the fixed size (at least one) otherwise.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use splicecast_swarm::PolicyConfig;
+    ///
+    /// assert_eq!(PolicyConfig::Adaptive.pool_size(128_000.0, 8.0, 256_000), 4); // ⌊128k · 8 / 256k⌋
+    /// assert_eq!(PolicyConfig::Fixed(8).pool_size(128_000.0, 8.0, 256_000), 8);
+    /// ```
+    pub fn pool_size(
+        &self,
+        bandwidth_bytes_per_sec: f64,
+        buffered_secs: f64,
+        next_segment_bytes: u64,
+    ) -> usize {
+        match *self {
+            PolicyConfig::Adaptive => {
+                optimal_pool_size(bandwidth_bytes_per_sec, buffered_secs, next_segment_bytes)
+            }
+            PolicyConfig::Fixed(k) => k.max(1),
         }
+    }
+
+    /// Retired: the selector is the policy, so this returns it unchanged.
+    /// It stays only because `benchmark/src/traced.rs` calls it to fill
+    /// [`LeecherConfig::policy`](crate::LeecherConfig::policy)
+    /// (ROADMAP 5(a)).
+    pub fn build(&self) -> PolicyConfig {
+        *self
     }
 }
 
@@ -233,14 +195,6 @@ impl BandwidthEstimator {
 mod tests {
     use super::*;
 
-    fn input(b: f64, t: f64, w: u64) -> PolicyInput {
-        PolicyInput {
-            bandwidth_bytes_per_sec: b,
-            buffered_secs: t,
-            next_segment_bytes: w,
-        }
-    }
-
     #[test]
     fn eq1_matches_the_paper_edge_cases() {
         // T = 0 (start of streaming / just stalled) → always 1.
@@ -271,11 +225,11 @@ mod tests {
 
     #[test]
     fn fixed_pool_ignores_inputs() {
-        let p = FixedPool(4);
-        assert_eq!(p.pool_size(&input(1.0, 0.0, 1)), 4);
-        assert_eq!(p.pool_size(&input(1e9, 1e9, 1)), 4);
+        let p = PolicyConfig::Fixed(4);
+        assert_eq!(p.pool_size(1.0, 0.0, 1), 4);
+        assert_eq!(p.pool_size(1e9, 1e9, 1), 4);
         assert_eq!(
-            FixedPool(0).pool_size(&input(1.0, 1.0, 1)),
+            PolicyConfig::Fixed(0).pool_size(1.0, 1.0, 1),
             1,
             "clamped to 1"
         );
@@ -283,9 +237,11 @@ mod tests {
 
     #[test]
     fn policy_config_builds() {
-        let eq1 = input(128_000.0, 8.0, 256_000);
-        assert_eq!(PolicyConfig::Adaptive.build().pool_size(&eq1), 4);
-        assert_eq!(PolicyConfig::Fixed(8).build().pool_size(&eq1), 8);
+        for policy in [PolicyConfig::Adaptive, PolicyConfig::Fixed(8)] {
+            assert_eq!(policy.build(), policy, "retired: the identity");
+        }
+        assert_eq!(PolicyConfig::Adaptive.pool_size(128_000.0, 8.0, 256_000), 4);
+        assert_eq!(PolicyConfig::Fixed(8).pool_size(128_000.0, 8.0, 256_000), 8);
     }
 
     #[test]

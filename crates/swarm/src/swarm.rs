@@ -9,7 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use splicecast_media::SegmentList;
 use splicecast_netsim::{
-    star, FlowModel, LinkSpec, NullBehavior, SimDuration, SimTime, Simulator, TcpConfig,
+    star, DirLinkId, FlowModel, LinkId, LinkSpec, NullBehavior, SimDuration, SimTime, Simulator,
+    TcpConfig,
 };
 
 use crate::cdn::CdnConfig;
@@ -284,7 +285,7 @@ impl SwarmConfig {
             faults.check(self.cdn.is_some())?;
         }
         // The rest is what a constructor further down refuses with a panic:
-        // `UploadManager`, `BandwidthEstimator`, `gen_range`, `SimTime`.
+        // `UploadSide`, `BandwidthEstimator`, `gen_range`, `SimTime`.
         rule(
             self.peer_upload_slots >= 1 && self.seeder_upload_slots >= 1,
             "peer and seeder upload slots must be positive",
@@ -370,6 +371,14 @@ pub fn auto_coalesce_secs(mean_segment_secs: f64, pump_interval_secs: f64) -> f6
         return pump_interval_secs;
     }
     mean_segment_secs.clamp(pump_interval_secs, 4.0 * pump_interval_secs)
+}
+
+/// Schedules both directions of the access link `link` to run at
+/// `bytes_per_sec` from `at_secs` on, the forward direction first.
+fn set_link_rate(sim: &mut Simulator, link: LinkId, at_secs: f64, bytes_per_sec: f64) {
+    let at = SimTime::from_secs_f64(at_secs);
+    sim.schedule_capacity(at, DirLinkId::new_forward(link), bytes_per_sec * 8.0);
+    sim.schedule_capacity(at, DirLinkId::new_backward(link), bytes_per_sec * 8.0);
 }
 
 /// Like [`run_swarm`], but the caller supplies the segment list already
@@ -476,7 +485,7 @@ pub fn run_swarm_shared(
             cdn: cdn_id,
             others,
             segments: segments.clone(),
-            policy: config.policy.build(),
+            policy: config.policy,
             estimator: BandwidthEstimator::new(
                 config.estimator,
                 config.peer_bandwidth_bytes_per_sec,
@@ -537,24 +546,13 @@ pub fn run_swarm_shared(
         if let Some(flap) = plan.link_flaps {
             for &(leecher, start_secs) in &flaps {
                 let link = peer_links[leecher];
-                for (at_secs, bytes_per_sec) in [
-                    (start_secs, flap.degraded_bytes_per_sec),
-                    (
-                        start_secs + flap.duration_secs,
-                        config.peer_bandwidth_bytes_per_sec,
-                    ),
-                ] {
-                    sim.schedule_capacity(
-                        SimTime::from_secs_f64(at_secs),
-                        splicecast_netsim::DirLinkId::new_forward(link),
-                        bytes_per_sec * 8.0,
-                    );
-                    sim.schedule_capacity(
-                        SimTime::from_secs_f64(at_secs),
-                        splicecast_netsim::DirLinkId::new_backward(link),
-                        bytes_per_sec * 8.0,
-                    );
-                }
+                set_link_rate(&mut sim, link, start_secs, flap.degraded_bytes_per_sec);
+                set_link_rate(
+                    &mut sim,
+                    link,
+                    start_secs + flap.duration_secs,
+                    config.peer_bandwidth_bytes_per_sec,
+                );
             }
         }
         if let Some(windows) = plan.cdn_outages {
@@ -570,18 +568,8 @@ pub fn run_swarm_shared(
     }
 
     for &(at_secs, bytes_per_sec) in &config.bandwidth_schedule {
-        assert!(bytes_per_sec > 0.0, "scheduled bandwidth must be positive");
         for &link in &peer_links {
-            sim.schedule_capacity(
-                SimTime::from_secs_f64(at_secs),
-                splicecast_netsim::DirLinkId::new_forward(link),
-                bytes_per_sec * 8.0,
-            );
-            sim.schedule_capacity(
-                SimTime::from_secs_f64(at_secs),
-                splicecast_netsim::DirLinkId::new_backward(link),
-                bytes_per_sec * 8.0,
-            );
+            set_link_rate(&mut sim, link, at_secs, bytes_per_sec);
         }
     }
 

@@ -2,7 +2,7 @@
 //! adaptive vs fixed pools in a live swarm.
 
 use splicecast_core::{optimal_pool_size, run_averaged, ExperimentConfig, VideoSpec};
-use splicecast_swarm::{AdaptivePooling, DownloadPolicy, FixedPool, PolicyConfig, PolicyInput};
+use splicecast_swarm::PolicyConfig;
 
 #[test]
 fn eq1_reference_values() {
@@ -42,26 +42,17 @@ fn eq1_monotonicity_grid() {
 
 #[test]
 fn policy_objects_agree_with_the_free_function() {
-    let adaptive = AdaptivePooling::new();
     for (b, t, w) in [
         (128_000.0, 6.0, 256_000u64),
         (1e6, 30.0, 100_000),
         (5.0, 0.1, 10),
     ] {
-        let input = PolicyInput {
-            bandwidth_bytes_per_sec: b,
-            buffered_secs: t,
-            next_segment_bytes: w,
-        };
-        assert_eq!(adaptive.pool_size(&input), optimal_pool_size(b, t, w));
+        assert_eq!(
+            PolicyConfig::Adaptive.pool_size(b, t, w),
+            optimal_pool_size(b, t, w)
+        );
     }
-    let fixed = FixedPool(6);
-    let input = PolicyInput {
-        bandwidth_bytes_per_sec: 1.0,
-        buffered_secs: 0.0,
-        next_segment_bytes: 1,
-    };
-    assert_eq!(fixed.pool_size(&input), 6);
+    assert_eq!(PolicyConfig::Fixed(6).pool_size(1.0, 0.0, 1), 6);
 }
 
 fn swarm_with(policy: PolicyConfig, bandwidth: f64) -> splicecast_core::AveragedMetrics {
