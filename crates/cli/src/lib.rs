@@ -335,7 +335,7 @@ mod tests {
     /// rule — never a panic out of the run.
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        let cases: [(&[&str], &str); 35] = [
+        let cases: [(&[&str], &str); 37] = [
             (&["--peers", "0"], "a swarm needs at least one leecher"),
             (&["--bandwidth", "0"], "peer bandwidth must be positive"),
             (&["--bandwidth", "inf"], "bandwidths must be finite"),
@@ -399,6 +399,8 @@ mod tests {
             (&["--tracker", "8"], "--tracker is a flag"),
             (&["--cdn", "2"], "--cdn is a flag"),
             (&["--cdn-only", "x"], "--cdn-only is a flag"),
+            (&["--control-plane", "banana"], "unknown control plane"),
+            (&["--flow-model", "banana"], "unknown flow model"),
         ];
         for (flags, message) in cases {
             for command in [&["run"][..], &["sweep"], &["figure", "fig2"]] {

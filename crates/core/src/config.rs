@@ -127,9 +127,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the swarm control plane: per-segment `Have` broadcasts with
-    /// a fixed-rate pump (default), or coalesced `HaveBundle` dissemination
-    /// with demand-driven pumps for large swarms.
+    /// Selects the swarm control plane: `ControlPlane::LEGACY` (per-segment
+    /// `Have`s and a 2 Hz pump, the default) or `ControlPlane::EVENTFUL`
+    /// (coalesced `HaveBundle`s and deadline-armed pumps, for big swarms).
     pub fn with_control_plane(mut self, plane: splicecast_swarm::ControlPlane) -> Self {
         self.swarm.control_plane = plane;
         self
@@ -142,7 +142,7 @@ impl ExperimentConfig {
     /// still be overridden afterwards.
     pub fn with_scale_profile(self) -> Self {
         self.with_flow_model(splicecast_netsim::FlowModel::Fluid)
-            .with_control_plane(splicecast_swarm::ControlPlane::Eventful)
+            .with_control_plane(splicecast_swarm::ControlPlane::EVENTFUL)
     }
 
     /// Installs a deterministic fault-injection plan (crash-stop churn,
@@ -216,14 +216,14 @@ mod tests {
             .with_splicing(SplicingSpec::Gop)
             .with_policy(splicecast_swarm::PolicyConfig::Fixed(2))
             .with_leechers(5)
-            .with_control_plane(splicecast_swarm::ControlPlane::Eventful);
+            .with_control_plane(splicecast_swarm::ControlPlane::EVENTFUL);
         assert_eq!(cfg.swarm.peer_bandwidth_bytes_per_sec, 256_000.0);
         assert_eq!(cfg.swarm.seeder_bandwidth_bytes_per_sec, 256_000.0);
         assert_eq!(cfg.splicing, SplicingSpec::Gop);
         assert_eq!(cfg.swarm.n_leechers, 5);
         assert_eq!(
             cfg.swarm.control_plane,
-            splicecast_swarm::ControlPlane::Eventful
+            splicecast_swarm::ControlPlane::EVENTFUL
         );
     }
 

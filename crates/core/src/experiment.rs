@@ -351,7 +351,7 @@ mod tests {
         // `Have` floods with coalesced bundles.
         let legacy_cfg = ExperimentConfig::paper_baseline();
         let eventful_cfg = ExperimentConfig::paper_baseline()
-            .with_control_plane(splicecast_swarm::ControlPlane::Eventful);
+            .with_control_plane(splicecast_swarm::ControlPlane::EVENTFUL);
         let legacy = run_averaged(&legacy_cfg, &DEFAULT_SEEDS);
         let eventful = run_averaged(&eventful_cfg, &DEFAULT_SEEDS);
 

@@ -26,12 +26,6 @@ const TOKEN_PUMP: u64 = 2;
 const TOKEN_DEPART: u64 = 3;
 const TOKEN_CRASH: u64 = 4;
 
-/// Fallback-heartbeat cadence of the eventful control plane, in pump
-/// intervals: with nothing armed, a pump still fires this often to keep
-/// playback accounting alive and catch sources that vanished silently.
-/// The legacy plane's heartbeat is one interval: its fixed 2 Hz tick.
-const HEARTBEAT_PUMPS: f64 = 8.0;
-
 /// Tracker re-announce cadence, in pump intervals, on absolute time so it
 /// is independent of pump activity.
 const ANNOUNCE_PUMPS: u64 = 10;
@@ -98,7 +92,7 @@ pub struct LeecherConfig {
     /// Retired: read by nothing; see [`DisseminationMode`].
     pub dissemination: DisseminationMode,
     /// How long completions may wait before a coalesced `HaveBundle`
-    /// flush (eventful mode only).
+    /// flush (read only when the plane bundles Haves).
     pub coalesce_window: SimDuration,
     /// Retired: read by nothing since no leecher keeps a holder index; see
     /// [`SwarmConfig::sparse_holders`](crate::SwarmConfig::sparse_holders).
@@ -213,8 +207,8 @@ pub struct LeecherNode {
     /// [`SegmentList::mean_segment_bytes`] is O(segments); the list is
     /// immutable, so the mean is computed once.
     mean_segment_bytes: u64,
-    /// Completions awaiting a flush: at once on the legacy plane, after
-    /// the coalescing window on the eventful one.
+    /// Completions awaiting a flush: at once when the plane sends single
+    /// `Have`s, after the coalescing window when it bundles them.
     pending_haves: Vec<u32>,
     /// Deadline of the pending flush, if one is open.
     flush_at: Option<SimTime>,
@@ -746,7 +740,7 @@ impl LeecherNode {
                 serving: false,
             },
         );
-        if self.cfg.control_plane == ControlPlane::Eventful {
+        if self.cfg.control_plane.request_deadlines {
             // A pump must run when this request's timeout expires.
             let deadline = ctx.now() + self.cfg.request_timeout;
             self.arm_pump(ctx, deadline);
@@ -919,7 +913,7 @@ impl LeecherNode {
             // Duplicate delivery from a raced re-request — but the
             // `drop_in_flight` above may have freed a pool slot, so the
             // scheduling pass must still run or the slot sits idle until
-            // the next pump (up to 8 intervals in eventful mode).
+            // the next pump (up to `heartbeat_pumps` intervals away).
             self.schedule(ctx);
             return;
         }
@@ -935,23 +929,20 @@ impl LeecherNode {
         self.bitfield_wire = None;
         if self.cfg.p2p {
             self.pending_haves.push(index);
-            match self.cfg.control_plane {
-                ControlPlane::Legacy => self.flush_haves(ctx),
-                ControlPlane::Eventful => {
-                    if self.flush_at.is_none() {
-                        let at = now + self.cfg.coalesce_window;
-                        self.flush_at = Some(at);
-                        self.arm_pump(ctx, at);
-                    }
-                }
+            if !self.cfg.control_plane.bundle_haves {
+                self.flush_haves(ctx);
+            } else if self.flush_at.is_none() {
+                let at = now + self.cfg.coalesce_window;
+                self.flush_at = Some(at);
+                self.arm_pump(ctx, at);
             }
         }
         self.schedule(ctx);
     }
 
-    /// Flushes the pending completions: the legacy plane's one completion
-    /// as a `Have`, the eventful plane's as one `HaveBundle`. Both planes
-    /// announce to the same fellows. The seeder and the CDN hold
+    /// Flushes the pending completions: one completion as a `Have`, or, on
+    /// a plane that bundles Haves, the window's completions as one
+    /// `HaveBundle`. Both go to the same fellows. The seeder and the CDN hold
     /// everything, so no announcement is for them (nor counted as
     /// suppressed); a fellow whose view already shows every index, or
     /// that never completed a handshake (its view of us is seeded by the
@@ -967,8 +958,8 @@ impl LeecherNode {
         indices.sort_unstable();
         indices.dedup();
         let n = indices.len() as u64;
-        // The legacy plane flushes each completion at once: one index.
-        let message = if self.cfg.control_plane == ControlPlane::Eventful {
+        // Without bundling each completion is flushed at once: one index.
+        let message = if self.cfg.control_plane.bundle_haves {
             Message::HaveBundle {
                 indices: std::mem::take(&mut indices),
             }
@@ -1067,7 +1058,6 @@ impl LeecherNode {
                 self.schedule(ctx);
             }
             Message::Have { index } => self.on_haves(ctx, from, std::iter::once(index)),
-            Message::HaveBundle { indices } => self.on_haves(ctx, from, indices.into_iter()),
             // The seeder renders the playlist from the segment list this
             // leecher already holds and sends it reliably: its arrival is
             // all streaming waits for.
@@ -1113,7 +1103,8 @@ impl LeecherNode {
                     .collect();
                 self.greet_all(ctx, &fresh);
             }
-            // Manifest and peer-list requests are the seeder's to answer.
+            // Manifest and peer-list requests are the seeder's to answer;
+            // every `HaveBundle` was read in place above.
             _ => {}
         }
     }
@@ -1193,21 +1184,19 @@ impl LeecherNode {
     /// Arms the next pump at the earliest outstanding deadline, falling
     /// back to the heartbeat while playback is unfinished. With playback
     /// done and nothing pending, no timer is set and the simulation may
-    /// drain. The plane sets two constants: the heartbeat (one interval,
-    /// the 2 Hz tick, on legacy; [`HEARTBEAT_PUMPS`] on eventful) and
-    /// whether an unserved request's timeout is a deadline (eventful only;
-    /// the legacy tick polls it).
+    /// drain. Two of the plane's constants set it: the heartbeat,
+    /// `heartbeat_pumps` intervals (one, the 2 Hz tick, on
+    /// [`ControlPlane::LEGACY`]), and `request_deadlines`, whether an
+    /// unserved request's timeout is a deadline (without it the heartbeat
+    /// polls timeouts).
     fn rearm_pump(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let (heartbeat, request_deadlines) = match self.cfg.control_plane {
-            ControlPlane::Legacy => (1.0, false),
-            ControlPlane::Eventful => (HEARTBEAT_PUMPS, true),
-        };
+        let plane = self.cfg.control_plane;
         let mut next = SimTime::MAX;
         if let Some(at) = self.flush_at {
             next = next.min(at);
         }
-        if request_deadlines {
+        if plane.request_deadlines {
             for f in self.in_flight.values() {
                 if !f.serving {
                     next = next.min(f.requested_at + self.cfg.request_timeout);
@@ -1220,7 +1209,7 @@ impl LeecherNode {
         if self.playback.state() != PlaybackState::Finished {
             // The heartbeat keeps stall/finish accounting moving and is
             // the safety net for anything no deadline covers.
-            next = next.min(now + self.cfg.pump_interval.mul_f64(heartbeat));
+            next = next.min(now + self.cfg.pump_interval * u64::from(plane.heartbeat_pumps));
         }
         if next == SimTime::MAX {
             return;
@@ -1432,7 +1421,7 @@ mod tests {
             w_estimate: WEstimate::MeanSegment,
             p2p: true,
             discovery,
-            control_plane: ControlPlane::Legacy,
+            control_plane: ControlPlane::LEGACY,
             scheduler: SchedulerMode::default(),
             dissemination: DisseminationMode::default(),
             coalesce_window: SimDuration::from_secs_f64(1.0),
@@ -1566,7 +1555,7 @@ mod tests {
     /// neither sent to nor counted.
     #[test]
     fn legacy_have_reaches_fellows_and_counts_only_them() {
-        let ([lacks, _, _, rest], heard, control) = announce_to_fellows(ControlPlane::Legacy);
+        let ([lacks, _, _, rest], heard, control) = announce_to_fellows(ControlPlane::LEGACY);
         let have = Message::Have { index: 0 };
         assert_eq!(heard, [(lacks, have.clone()), (rest, have)]);
         assert_eq!(control.haves_sent, 2);
@@ -1577,7 +1566,7 @@ mod tests {
     /// the same fellows: only the message and its counter differ.
     #[test]
     fn eventful_bundle_reaches_the_same_fellows_and_counts_only_them() {
-        let ([lacks, _, _, rest], heard, control) = announce_to_fellows(ControlPlane::Eventful);
+        let ([lacks, _, _, rest], heard, control) = announce_to_fellows(ControlPlane::EVENTFUL);
         let bundle = Message::HaveBundle { indices: vec![0] };
         assert_eq!(heard, [(lacks, bundle.clone()), (rest, bundle)]);
         assert_eq!(control.have_bundles_sent, 2);
@@ -1812,7 +1801,7 @@ mod tests {
 
         let mut cfg = config(s_id, vec![a_id, b_id, c_id], DiscoveryMode::Full);
         cfg.join_delay = SimDuration::from_secs_f64(0.1);
-        cfg.control_plane = ControlPlane::Eventful;
+        cfg.control_plane = ControlPlane::EVENTFUL;
         let node = Rc::new(RefCell::new(LeecherNode::new(cfg)));
 
         let mut sim = Simulator::new(net.network, 3);
@@ -1952,7 +1941,7 @@ mod tests {
             }
         }
 
-        for plane in [ControlPlane::Legacy, ControlPlane::Eventful] {
+        for plane in [ControlPlane::LEGACY, ControlPlane::EVENTFUL] {
             let spec = LinkSpec::from_bytes_per_sec(1_000_000.0, SimDuration::from_millis(10), 0.0);
             let net = star(&[spec; 4]);
             let (leecher_id, s_id, a_id, b_id) =
@@ -2709,7 +2698,7 @@ mod tests {
 
     fn eventful_config(seeder: NodeId, others: Vec<NodeId>) -> LeecherConfig {
         let mut cfg = config(seeder, others, DiscoveryMode::Full);
-        cfg.control_plane = ControlPlane::Eventful;
+        cfg.control_plane = ControlPlane::EVENTFUL;
         cfg
     }
 

@@ -9,13 +9,13 @@ use splicecast_player::{QoeMetrics, StallEvent};
 /// availability was disseminated and how often the maintenance pump ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlPlaneStats {
-    /// Individual `Have` messages sent (legacy dissemination).
+    /// Individual `Have` messages sent (a plane that does not bundle Haves).
     pub haves_sent: u64,
     /// Per-peer availability announcements skipped because the peer's
     /// view already showed every announced segment or the peer never
     /// completed a handshake.
     pub haves_suppressed: u64,
-    /// `HaveBundle` messages sent (eventful dissemination).
+    /// `HaveBundle` messages sent (a plane that bundles Haves).
     pub have_bundles_sent: u64,
     /// Announcements carried inside bundles (indices × receiving peers).
     pub haves_coalesced: u64,

@@ -33,20 +33,42 @@ pub enum DiscoveryMode {
     Tracker,
 }
 
-/// Which control plane drives availability dissemination and the
-/// maintenance pump. Both run one pump; the plane sets its heartbeat and
-/// whether request timeouts arm it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ControlPlane {
-    /// Every completion broadcasts an immediate `Have` and the pump's
-    /// one-interval heartbeat polls for work: O(peers²) messages per run.
-    #[default]
-    Legacy,
-    /// Completions coalesce into `HaveBundle`s flushed on a short window,
-    /// and pumps fire on armed deadlines (a request timeout arms one)
-    /// with an eight-interval fallback heartbeat. Bundles go to the
-    /// fellows a legacy `Have` would reach.
-    Eventful,
+/// The control plane: how availability is disseminated and when the
+/// maintenance pump fires. Every leecher runs one pump and announces to
+/// the same fellows; a plane is three constants, and only the two presets
+/// [`ControlPlane::LEGACY`] and [`ControlPlane::EVENTFUL`] can be built
+/// outside this crate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ControlPlane {
+    /// The fallback heartbeat, in pump intervals: with nothing armed, a
+    /// pump still fires this often while playback is unfinished, to keep
+    /// stall accounting moving and catch sources that vanished silently.
+    pub(crate) heartbeat_pumps: u32,
+    /// Whether an unserved request's timeout arms a pump; without it the
+    /// heartbeat polls timeouts.
+    pub(crate) request_deadlines: bool,
+    /// Whether completions coalesce into one `HaveBundle` per coalescing
+    /// window; without it every completion is an immediate `Have`.
+    pub(crate) bundle_haves: bool,
+}
+
+impl ControlPlane {
+    /// The paper's client: a 2 Hz tick polls for work and every completion
+    /// is broadcast at once, O(peers²) messages per run.
+    pub const LEGACY: ControlPlane = ControlPlane {
+        heartbeat_pumps: 1,
+        request_deadlines: false,
+        bundle_haves: false,
+    };
+
+    /// The scale variant: pumps fire on armed deadlines (a request timeout
+    /// arms one) with an eight-interval fallback heartbeat, and
+    /// completions go out as one `HaveBundle` per coalescing window.
+    pub const EVENTFUL: ControlPlane = ControlPlane {
+        heartbeat_pumps: 8,
+        request_deadlines: true,
+        bundle_haves: true,
+    };
 }
 
 impl std::str::FromStr for ControlPlane {
@@ -54,8 +76,8 @@ impl std::str::FromStr for ControlPlane {
 
     fn from_str(raw: &str) -> Result<Self, Self::Err> {
         match raw {
-            "legacy" => Ok(ControlPlane::Legacy),
-            "eventful" => Ok(ControlPlane::Eventful),
+            "legacy" => Ok(ControlPlane::LEGACY),
+            "eventful" => Ok(ControlPlane::EVENTFUL),
             other => Err(format!(
                 "unknown control plane `{other}` (legacy | eventful)"
             )),
@@ -156,7 +178,7 @@ pub struct SwarmConfig {
     pub scheduler: SchedulerMode,
     /// Retired: read by nothing, see [`DisseminationMode`].
     pub dissemination: DisseminationMode,
-    /// Coalescing window of the eventful control plane, seconds: how long
+    /// Coalescing window of a plane that bundles Haves, seconds: how long
     /// completions may wait before a `HaveBundle` flush. When unset the
     /// window is auto-tuned to the mean segment duration, clamped to
     /// one-to-four pump intervals (see [`auto_coalesce_secs`]).
@@ -200,7 +222,7 @@ impl Default for SwarmConfig {
             discovery: DiscoveryMode::Full,
             bandwidth_schedule: Vec::new(),
             flow_model: FlowModel::Rounds,
-            control_plane: ControlPlane::Legacy,
+            control_plane: ControlPlane::LEGACY,
             scheduler: SchedulerMode::default(),
             dissemination: DisseminationMode::default(),
             have_coalesce_secs: None,
@@ -356,9 +378,9 @@ pub fn run_swarm(segments: &SegmentList, config: &SwarmConfig, seed: u64) -> Swa
     run_swarm_shared(&std::sync::Arc::new(segments.clone()), config, seed)
 }
 
-/// The eventful plane's `HaveBundle` coalescing window when the config
-/// does not pin one (`have_coalesce_secs: None`): the mean segment
-/// duration, clamped to one-to-four pump intervals.
+/// The `HaveBundle` coalescing window of a plane that bundles Haves,
+/// when the config does not pin one (`have_coalesce_secs: None`): the
+/// mean segment duration, clamped to one-to-four pump intervals.
 ///
 /// Completions arrive roughly once per segment duration per active
 /// download, so a window much shorter than that coalesces nothing (every
@@ -717,7 +739,7 @@ mod tests {
             join_stagger_secs: 30.0,
             peer_bandwidth_bytes_per_sec: 4_000_000.0,
             seeder_bandwidth_bytes_per_sec: 4_000_000.0,
-            control_plane: ControlPlane::Eventful,
+            control_plane: ControlPlane::EVENTFUL,
             flow_model: FlowModel::Fluid,
             discovery: DiscoveryMode::Tracker,
             churn: Some(ChurnConfig::new(0.3, 20.0)),
@@ -809,7 +831,7 @@ mod tests {
         });
         let eventful = SwarmConfig {
             n_leechers: 6,
-            control_plane: ControlPlane::Eventful,
+            control_plane: ControlPlane::EVENTFUL,
             flow_model: FlowModel::Fluid,
             churn,
             ..tiny_config()
@@ -945,7 +967,7 @@ mod tests {
     #[test]
     fn eventful_swarm_streams_to_completion() {
         let config = SwarmConfig {
-            control_plane: ControlPlane::Eventful,
+            control_plane: ControlPlane::EVENTFUL,
             ..tiny_config()
         };
         let metrics = run_swarm(&tiny_segments(), &config, 7);
@@ -964,12 +986,53 @@ mod tests {
     fn eventful_runs_are_deterministic() {
         let segments = tiny_segments();
         let config = SwarmConfig {
-            control_plane: ControlPlane::Eventful,
+            control_plane: ControlPlane::EVENTFUL,
             ..tiny_config()
         };
         let a = run_swarm(&segments, &config, 11);
         let b = run_swarm(&segments, &config, 11);
         assert_eq!(a, b);
+    }
+
+    /// Every plane the three constants spell, the two presets and the six
+    /// mixed ones, streams to completion on both flow models and is
+    /// deterministic, and sends single `Have`s exactly when it does not
+    /// bundle them. The eventful preset also bundles and pumps.
+    #[test]
+    fn every_plane_streams_to_completion() {
+        let segments = tiny_segments();
+        for bits in 0..8u32 {
+            let plane = ControlPlane {
+                heartbeat_pumps: if bits & 1 == 0 { 1 } else { 8 },
+                request_deadlines: bits & 2 != 0,
+                bundle_haves: bits & 4 != 0,
+            };
+            for flow_model in [FlowModel::Rounds, FlowModel::Fluid] {
+                let config = SwarmConfig {
+                    control_plane: plane,
+                    flow_model,
+                    ..tiny_config()
+                };
+                let at = format!("{plane:?} on {flow_model:?}");
+                let metrics = run_swarm(&segments, &config, 7);
+                assert_eq!(metrics.reports.len(), 3, "{at}");
+                assert_eq!(metrics.completion_rate(), 1.0, "{at}");
+                let control = metrics.control_totals();
+                assert_eq!(control.haves_sent == 0, plane.bundle_haves, "{at}");
+                if plane == ControlPlane::EVENTFUL {
+                    assert!(
+                        control.have_bundles_sent > 0,
+                        "{at}: completions must be bundled"
+                    );
+                    assert!(control.pumps() > 0, "{at}");
+                }
+                assert_eq!(
+                    run_swarm(&segments, &config, 7),
+                    metrics,
+                    "{at}: rerun differs"
+                );
+            }
+        }
     }
 
     /// The message-count regression gate in miniature: on a 20-peer swarm
@@ -993,7 +1056,7 @@ mod tests {
         let eventful = run_swarm(
             &segments,
             &SwarmConfig {
-                control_plane: ControlPlane::Eventful,
+                control_plane: ControlPlane::EVENTFUL,
                 ..base
             },
             5,
@@ -1059,7 +1122,7 @@ mod tests {
             peer_bandwidth_bytes_per_sec: 16_000_000.0,
             seeder_bandwidth_bytes_per_sec: 16_000_000.0,
             flow_model: FlowModel::Fluid,
-            control_plane: ControlPlane::Eventful,
+            control_plane: ControlPlane::EVENTFUL,
             ..tiny_config()
         };
         let run_with = |window: Option<f64>| {
@@ -1100,8 +1163,8 @@ mod tests {
 
     /// The paper stack's network and control plane, then the scale stack's.
     const STACKS: [(FlowModel, ControlPlane); 2] = [
-        (FlowModel::Rounds, ControlPlane::Legacy),
-        (FlowModel::Fluid, ControlPlane::Eventful),
+        (FlowModel::Rounds, ControlPlane::LEGACY),
+        (FlowModel::Fluid, ControlPlane::EVENTFUL),
     ];
 
     /// Eq. 1 alone bounds how far ahead a viewer requests. On the paper's

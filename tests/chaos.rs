@@ -391,7 +391,7 @@ fn defended_tracker_swarm_of_600_completes() {
 fn combined_churn_on_eventful_plane_strands_nobody() {
     let mut config = base();
     config.swarm.discovery = DiscoveryMode::Tracker;
-    config.swarm.control_plane = ControlPlane::Eventful;
+    config.swarm.control_plane = ControlPlane::EVENTFUL;
     config.swarm.churn = Some(ChurnConfig::new(0.4, 15.0));
     config.swarm.faults = Some(FaultPlanConfig {
         crash: Some(CrashChurnConfig::new(0.3, 12.0)),
@@ -420,7 +420,7 @@ fn combined_churn_on_eventful_plane_strands_nobody() {
 fn combined_churn_on_32_leechers_strands_nobody() {
     let mut config = base().with_leechers(32);
     config.swarm.discovery = DiscoveryMode::Tracker;
-    config.swarm.control_plane = ControlPlane::Eventful;
+    config.swarm.control_plane = ControlPlane::EVENTFUL;
     config.swarm.churn = Some(ChurnConfig::new(0.4, 15.0));
     config.swarm.faults = Some(FaultPlanConfig {
         crash: Some(CrashChurnConfig::new(0.3, 12.0)),
