@@ -4,6 +4,12 @@ use crate::time::SimDuration;
 
 /// Static properties of one direction of a link.
 ///
+/// Only the capacity may change during a run (see
+/// [`crate::Simulator::schedule_capacity`]); latency and loss are fixed
+/// for it. The control channel's FIFO clamp relies on that: an entry
+/// expires once no later send on its pair can arrive at or before it,
+/// which it reads from the least delay latency and loss allow.
+///
 /// # Examples
 ///
 /// ```

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use crate::error::NetError;
 use crate::event::{EventQueue, Scheduled};
 use crate::fault::{FaultPlane, InjectedFaults, MessageFate, MessageFaults};
-use crate::fifo::FifoRow;
+use crate::fifo::FifoClamp;
 use crate::fluid::{FluidSolver, FluidSolverStats, SolverFlow};
 use crate::id::{DirLinkId, FlowId, NodeId};
 use crate::link::LinkSpec;
@@ -73,10 +73,10 @@ pub(crate) struct World {
     online: Vec<bool>,
     tcp: TcpConfig,
     stats: SimStats,
-    /// Last scheduled delivery per (src, dst), to keep the control channel
-    /// in order like a TCP connection would: one row per source, indexed
-    /// by destination, empty until that source first sends.
-    msg_order: Vec<FifoRow>,
+    /// Last scheduled delivery per (src, dst) while a later send could
+    /// still be clamped behind it, to keep the control channel in order
+    /// like a TCP connection would.
+    msg_order: FifoClamp,
     /// Scratch for the receivers of a multicast that share one delivery
     /// instant.
     scratch_run: Vec<NodeId>,
@@ -614,14 +614,15 @@ impl Ctx<'_> {
     /// The one per-receiver path of every control message: books a
     /// message of `len` payload bytes to `to` and returns its delivery
     /// instant, or `None` when the fault plane dropped it. `memo` keeps the
-    /// last path delay across one multicast's receivers: from one sender,
-    /// receivers whose down links have equal specs have equal paths.
+    /// last path delay and its floor across one multicast's receivers:
+    /// from one sender, receivers whose down links have equal specs have
+    /// equal paths.
     fn book_message(
         &mut self,
         to: NodeId,
         len: usize,
         faulty: bool,
-        memo: &mut Option<(Option<LinkSpec>, SimDuration)>,
+        memo: &mut Option<(Option<LinkSpec>, SimDuration, SimDuration)>,
     ) -> Result<Option<SimTime>, NetError> {
         let w = &mut *self.world;
         if to.index() >= w.online.len() {
@@ -648,12 +649,15 @@ impl Ctx<'_> {
                 }
             }
         }
-        let delay = if to == self.me {
-            LOOPBACK_DELAY
+        // `floor` is the least delay any message on the pair can have: the
+        // path delay without its transmission time, which alone changes
+        // during a run (the FIFO clamp's entries expire by it).
+        let (delay, floor) = if to == self.me {
+            (LOOPBACK_DELAY, LOOPBACK_DELAY)
         } else {
             let down = w.net.down_spec(to).copied();
             match *memo {
-                Some((spec, delay)) if spec == down => delay,
+                Some((spec, delay, floor)) if spec == down => (delay, floor),
                 _ => {
                     let route = w.net.route(self.me, to)?;
                     let props = w.net.path_properties(&route);
@@ -661,21 +665,24 @@ impl Ctx<'_> {
                     let tx = SimDuration::from_secs_f64(
                         wire_bytes as f64 * 8.0 / props.min_capacity_bps,
                     );
-                    let delay = props.latency
-                        + tx
-                        + (props.latency * 2).mul_f64(expected_retransmissions(props.loss));
-                    *memo = Some((down, delay));
-                    delay
+                    let retransmissions =
+                        (props.latency * 2).mul_f64(expected_retransmissions(props.loss));
+                    let delay = props.latency + tx + retransmissions;
+                    let floor = props.latency + retransmissions;
+                    *memo = Some((down, delay, floor));
+                    (delay, floor)
                 }
             }
         };
+        debug_assert!(floor <= delay, "a path delay below its floor");
         // Injected extra delay lands before the FIFO clamp: a delayed
         // message still cannot overtake or be overtaken on its connection.
-        let deliver_at = w.msg_order[self.me.index()].book(
+        let deliver_at = w.msg_order.book(
             w.now,
-            w.online.len(),
+            self.me.index(),
             to.index(),
             w.now + delay + extra,
+            floor,
         );
         w.stats.messages_sent += 1;
         Ok(Some(deliver_at))
@@ -866,7 +873,7 @@ impl Simulator {
                 online: vec![true; node_count],
                 tcp: TcpConfig::default(),
                 stats: SimStats::default(),
-                msg_order: (0..node_count).map(|_| FifoRow::default()).collect(),
+                msg_order: FifoClamp::new(),
                 scratch_run: Vec::new(),
                 failed: Vec::new(),
                 fluid,
@@ -1300,7 +1307,8 @@ mod tests {
     /// (retransmission delays) and the fault plane's injected delays:
     /// every leaf sends numbered messages to every other leaf, round-robin
     /// over the destinations, and each receiver sees each sender's numbers
-    /// in order. The last leaf never sends and so owns no FIFO row.
+    /// in order. Once the queue drains, no clamp entry is live: the table
+    /// holds only what is in flight.
     #[test]
     fn messages_between_a_pair_arrive_in_order() {
         const LEAVES: usize = 6;
@@ -1342,7 +1350,7 @@ mod tests {
             delay_max: SimDuration::from_millis(400),
         });
         sim.add_node(Box::new(crate::node::NullBehavior));
-        let (&silent, talkers) = s.leaves.split_last().unwrap();
+        let (_silent, talkers) = s.leaves.split_last().unwrap();
         for &me in talkers {
             sim.add_node(Box::new(Chatter {
                 peers: s.leaves.iter().copied().filter(|&n| n != me).collect(),
@@ -1361,20 +1369,16 @@ mod tests {
             (LEAVES - 1) * (LEAVES - 1) * PER_PAIR as usize
         );
         assert!(sim.fault_stats().messages_delayed > 0, "delays were on");
-        for &talker in talkers {
-            assert_eq!(sim.world.msg_order[talker.index()].len(), LEAVES + 1);
-        }
-        assert!(sim.world.msg_order[silent.index()].is_empty());
-        assert!(sim.world.msg_order[s.hub.index()].is_empty());
+        assert_eq!(sim.world.msg_order.live(sim.world.now), 0);
     }
 
-    /// The FIFO clamp across its row's `u32` offset rebase at 2³² µs
-    /// (4 295 s): bursts of different lengths from one sender to two
+    /// The FIFO clamp across 2³² µs (4 295 s), where `u32` offsets once
+    /// rebased: bursts of different lengths from one sender to two
     /// receivers, sent before, across and after that instant, arrive in
     /// order at exactly the instants of a `u64` reference per connection,
     /// `max(sent + delay, last + 1 µs)`. A burst to one receiver crosses
-    /// 2³² µs and rebases the row while a clamped chain to the other is in
-    /// flight, and the other's next burst must queue behind that chain.
+    /// 2³² µs while a clamped chain to the other is in flight, and the
+    /// other's next burst must queue behind that chain.
     #[test]
     fn fifo_clamp_holds_across_the_offset_rebase() {
         const WRAP: u64 = 1 << 32;
@@ -1392,48 +1396,18 @@ mod tests {
             (WRAP + 100_000, 1, 1),
             (WRAP + 100_010, 5_000, 0),
         ];
-        struct Burster {
-            to: [NodeId; 2],
-            next: u32,
-        }
-        impl NodeBehavior for Burster {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for (token, &(at, ..)) in BURSTS.iter().enumerate() {
-                    ctx.set_timer(SimDuration::from_micros(at), token as u64);
-                }
-            }
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-                if let NodeEvent::Timer { token } = event {
-                    let (_, len, to) = BURSTS[token as usize];
-                    for _ in 0..len {
-                        let seq = Bytes::copy_from_slice(&self.next.to_le_bytes());
-                        ctx.send(self.to[to], seq).unwrap();
-                        self.next += 1;
-                    }
-                }
-            }
-        }
-        type Log = Rc<RefCell<Vec<(u32, u64)>>>;
-        struct Arrivals(Log);
-        impl NodeBehavior for Arrivals {
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
-                if let NodeEvent::Message { payload, .. } = event {
-                    let seq = u32::from_le_bytes(payload[..].try_into().unwrap());
-                    self.0.borrow_mut().push((seq, ctx.now().as_micros()));
-                }
-            }
-        }
-        let arrivals: [Log; 2] = Default::default();
+        let arrivals: [ArrivalLog; 2] = Default::default();
         let spec = LinkSpec::from_bytes_per_sec(125_000.0, SimDuration::from_millis(25), 0.0);
         let s = star(&[spec; 3]);
         let mut sim = Simulator::new(s.network, 3);
         sim.add_node(Box::new(crate::node::NullBehavior));
         sim.add_node(Box::new(Burster {
-            to: [s.leaves[1], s.leaves[2]],
+            bursts: &BURSTS,
+            to: vec![s.leaves[1], s.leaves[2]],
             next: 0,
         }));
         for log in &arrivals {
-            sim.add_node(Box::new(Arrivals(log.clone())));
+            sim.add_node(Box::new(Numbered(log.clone())));
         }
         sim.run_until_idle(SimTime::from_micros(2 * WRAP));
         let delay = arrivals[0].borrow()[0].1 - BURSTS[0].0;
@@ -1458,6 +1432,137 @@ mod tests {
         assert!(chain_end > BURSTS[2].0 && chain_end < WRAP);
         assert_eq!(expected[1][9_000].1, chain_end + 1);
         assert!(expected[1][9_000].1 > BURSTS[3].0 + delay);
+    }
+
+    /// Arrival log of a [`Numbered`] node: (sequence number, µs).
+    type ArrivalLog = Rc<RefCell<Vec<(u32, u64)>>>;
+
+    /// Logs the `u32` sequence number each message carries and when it
+    /// arrived.
+    struct Numbered(ArrivalLog);
+
+    impl NodeBehavior for Numbered {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            if let NodeEvent::Message { payload, .. } = event {
+                let seq = u32::from_le_bytes(payload[..].try_into().unwrap());
+                self.0.borrow_mut().push((seq, ctx.now().as_micros()));
+            }
+        }
+    }
+
+    /// Sends numbered bursts, `(send instant in µs, burst length,
+    /// receiver)`, one timer each.
+    struct Burster {
+        bursts: &'static [(u64, u32, usize)],
+        to: Vec<NodeId>,
+        next: u32,
+    }
+
+    impl NodeBehavior for Burster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (token, &(at, ..)) in self.bursts.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_micros(at), token as u64);
+            }
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: NodeEvent) {
+            if let NodeEvent::Timer { token } = event {
+                let (_, len, to) = self.bursts[token as usize];
+                for _ in 0..len {
+                    let seq = Bytes::copy_from_slice(&self.next.to_le_bytes());
+                    ctx.send(self.to[to], seq).unwrap();
+                    self.next += 1;
+                }
+            }
+        }
+    }
+
+    /// A message sent at t = 0 whose path delay rounds to 0 µs arrives at
+    /// 1 µs: a pair that never sent reads as delivered at
+    /// [`SimTime::ZERO`], and a delivery comes after the pair's last. A
+    /// message sent later on the pair arrives unclamped.
+    #[test]
+    fn a_zero_delay_send_at_time_zero_arrives_at_one_microsecond() {
+        const BURSTS: [(u64, u32, usize); 2] = [(0, 2, 0), (10, 1, 0)];
+        // No latency, no loss, and a link so fast that a message's
+        // transmission rounds to 0 µs.
+        let spec = LinkSpec::new(1e12, SimDuration::ZERO, 0.0);
+        let s = star(&[spec; 2]);
+        let log = ArrivalLog::default();
+        let mut sim = Simulator::new(s.network, 1);
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Burster {
+            bursts: &BURSTS,
+            to: vec![s.leaves[1]],
+            next: 0,
+        }));
+        sim.add_node(Box::new(Numbered(log.clone())));
+        sim.run_until_idle(SimTime::from_secs_f64(1.0));
+        assert_eq!(*log.borrow(), [(0, 1), (1, 2), (2, 10)]);
+    }
+
+    /// A capacity change moves the transmission time of what is sent after
+    /// it, never the clamp's floor: bursts sent on a slow up link, after it
+    /// sped up and after it slowed again arrive at the instants of the
+    /// dense per-pair model. The fast burst queues behind the slow one,
+    /// which a floor holding the slow transmission time would have let it
+    /// overtake.
+    #[test]
+    fn fifo_clamp_holds_across_capacity_changes() {
+        const SLOW: f64 = 8_000.0;
+        const FAST: f64 = 8_000_000.0;
+        const MS: u64 = 1_000;
+        const BURSTS: [(u64, u32, usize); 6] = [
+            (1_000 * MS, 50, 0),
+            (1_000 * MS, 3, 1),
+            (1_020 * MS, 10, 0),
+            (1_020 * MS, 2, 1),
+            (1_040 * MS, 5, 0),
+            (1_200 * MS, 1, 0),
+        ];
+        let latency = SimDuration::from_millis(10);
+        let slow = LinkSpec::new(SLOW, latency, 0.0);
+        let fast = LinkSpec::new(FAST, latency, 0.0);
+        let s = star(&[slow, fast, fast]);
+        let up = DirLinkId::new_forward(s.links[0]);
+        let logs: [ArrivalLog; 2] = Default::default();
+        let mut sim = Simulator::new(s.network, 5);
+        sim.schedule_capacity(SimTime::from_micros(1_010 * MS), up, FAST);
+        sim.schedule_capacity(SimTime::from_micros(1_030 * MS), up, SLOW);
+        sim.add_node(Box::new(crate::node::NullBehavior));
+        sim.add_node(Box::new(Burster {
+            bursts: &BURSTS,
+            to: s.leaves[1..].to_vec(),
+            next: 0,
+        }));
+        for log in &logs {
+            sim.add_node(Box::new(Numbered(log.clone())));
+        }
+        sim.run_until_idle(SimTime::from_secs_f64(10.0));
+
+        // A message is a 4-byte sequence number and 66 bytes of framing.
+        let mut model = crate::fifo::DenseRows::new(4);
+        let mut expected: [Vec<(u32, u64)>; 2] = Default::default();
+        let mut seq = 0;
+        for (sent, len, to) in BURSTS {
+            let capacity = if (1_010 * MS..1_030 * MS).contains(&sent) {
+                FAST
+            } else {
+                SLOW
+            };
+            let tx = SimDuration::from_secs_f64(70.0 * 8.0 / capacity);
+            let arrives = SimTime::from_micros(sent) + latency * 2 + tx;
+            for _ in 0..len {
+                let at = model.book(1, 2 + to, arrives);
+                expected[to].push((seq, at.as_micros()));
+                seq += 1;
+            }
+        }
+        assert_eq!(*logs[0].borrow(), expected[0]);
+        assert_eq!(*logs[1].borrow(), expected[1]);
+        // The fast burst was clamped behind the slow one; the burst after
+        // the link slowed again was not.
+        assert_eq!(expected[0][50].1, expected[0][49].1 + 1);
+        assert_eq!(expected[0][60].1, 1_040 * MS + 20 * MS + 70 * MS);
     }
 
     /// What a [`Recorder`] saw: (node, event kind, time, bytes).

@@ -62,7 +62,9 @@ impl Network {
 
     /// Replaces the capacity of one direction of a link. Takes effect for
     /// all traffic from the moment it is applied (flows adapt at their next
-    /// round).
+    /// round). There is no setter for latency or loss: they are fixed for
+    /// a run, and the FIFO clamp's expiry depends on that (see
+    /// [`LinkSpec`]).
     ///
     /// # Panics
     ///

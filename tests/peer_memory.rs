@@ -2,7 +2,10 @@
 //!
 //! A swarm's state that grows with the square of its size is what caps
 //! the population a machine can run: every leecher keeps a view of every
-//! node id, and every sender a FIFO clamp entry per destination. Resident
+//! node id. (Every sender once kept a FIFO clamp entry per destination
+//! too; an entry now lives only while a message on its pair can still be
+//! clamped, in one table that a large swarm grows past the counted
+//! sizes.) Resident
 //! memory is noisy, but the allocator's byte count is deterministic per
 //! seed, so the growth of one scale swarm's heap peak between two sizes,
 //! over the growth of its ordered pairs of nodes, pins the bytes per
@@ -22,8 +25,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use splicecast_core::{run_once, ExperimentConfig, SplicingSpec, VideoSpec};
 
 /// The largest allocation counted: eight times a per-node row of these
-/// swarms (a view table, a clamp row or a list of the other nodes is at
-/// most about 2 KiB at 240 leechers), and below every shared table.
+/// swarms (a view table or a list of the other nodes is at most about
+/// 2 KiB at 240 leechers), and below every shared table.
 const ROW_CAP: usize = 16 << 10;
 
 /// The system allocator, counting the bytes live in allocations below
@@ -110,16 +113,17 @@ fn heap_peak_per_ordered_pair_is_the_views_and_the_fifo_clamp() {
     let per_pair =
         (peaks[1] - peaks[0]) as f64 / (ordered_pairs(sizes[1]) - ordered_pairs(sizes[0])) as f64;
     eprintln!("heap peaks {peaks:?} B at {sizes:?} leechers: {per_pair:.2} B per ordered pair");
-    // 20.1 B (19.8–20.1 B over seeds 5 to 10, 19.8 B in a debug build):
-    // the views (8.375 B at up to 64 segments) and the FIFO clamp (4 B),
-    // plus the messages in flight at the peak and their receiver lists,
-    // which also grow with the square of a full mesh. A fresh greeting
-    // frame per reply instead of one shared per node read 24.4–26.9 B; a
-    // 4-byte column per view slot (the old `outstanding`) 23.9–24.2 B;
-    // per-leecher member and scratch lists with 8-byte clamp entries
-    // 42.0 B before both.
+    // 15.8 B (15.7–16.0 B over seeds 5 to 10, 15.5 B in a debug build):
+    // the views (8.375 B at up to 64 segments), plus the messages in
+    // flight at the peak and their receiver lists, which also grow with
+    // the square of a full mesh. The FIFO clamp's dense rows (a 4-byte
+    // entry per ordered pair) read 20.1 B; a fresh greeting frame per
+    // reply instead of one shared per node 24.4–26.9 B; a 4-byte column
+    // per view slot (the old `outstanding`) 23.9–24.2 B; per-leecher
+    // member and scratch lists with 8-byte clamp entries 42.0 B before
+    // those.
     assert!(
-        per_pair < 22.0,
+        per_pair < 18.0,
         "the heap peak grows by {per_pair:.2} B per ordered pair of nodes: \
          a per-leecher (or per-sender) buffer sized by the swarm, or a \
          frame per greeting reply, is back"
