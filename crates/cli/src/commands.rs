@@ -11,7 +11,6 @@ use splicecast_core::{
 };
 
 use crate::args::Args;
-use crate::sharded::channel_runs_seeds;
 
 /// The `help` text.
 pub fn help() -> String {
@@ -50,7 +49,6 @@ COMMON OPTIONS (run / sweep / figure; a figure overwrites what it varies):
                           (scale = fluid + eventful;
                            explicit flags still override)
     --workers N           worker threads for run / sweep / figure  [all cores]
-    --channels C          run C independent channel swarms (sharded)  [off]
     --metric M            sweep metric: stalls|stallsecs|startup  [stalls]
     --chart               draw the sweep (a figure's first table) as an ASCII chart
     --csv                 also print machine-readable rows
@@ -257,43 +255,27 @@ fn workers(args: &Args) -> Result<usize, String> {
 /// `splicecast run`.
 pub fn run_swarm_command(args: &Args) -> Result<String, String> {
     let config = base_config(args)?;
-    // Absent means unsharded; an explicit count must name at least one.
-    let sharded = args.value("channels")?.is_some();
-    let channels: usize = args.num("channels", 0)?;
-    if sharded && channels == 0 {
-        return Err("--channels needs at least 1".to_owned());
-    }
-    let (mut seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv")?);
+    let (seeds, workers, csv) = (seeds(args)?, workers(args)?, args.flag("csv")?);
     args.reject_unread()?;
-    let per_channel = seeds.len();
-    if sharded {
-        seeds = channel_runs_seeds(channels, &seeds);
-    }
     let prepared = [PreparedExperiment::new(&config)];
     let results = run_all(&prepared, &seeds, workers, |_| "the run".to_owned()).remove(0);
     let averaged = AveragedMetrics::from_runs(&results);
-    let mut out = if sharded {
-        channel_lines(&config, &results, per_channel)
-    } else {
-        format!(
-            "streaming {:.0}s of {:.1} Mbps video to {} peers at {:.0} kB/s ({} splicing, {} policy)\n\n  segments:          {}\n  byte overhead:     {:.1}%\n",
-            config.video.duration_secs,
-            PAPER_BITRATE_BPS as f64 / 1e6,
-            config.swarm.n_leechers,
-            config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
-            config.splicing.label(),
-            match config.swarm.policy {
-                PolicyConfig::Adaptive => "adaptive".to_owned(),
-                PolicyConfig::Fixed(k) => format!("fixed-{k}"),
-            },
-            averaged.segment_count,
-            averaged.overhead_ratio * 100.0
-        )
-    };
+    let mut out = format!(
+        "streaming {:.0}s of {:.1} Mbps video to {} peers at {:.0} kB/s ({} splicing, {} policy)\n\n  segments:          {}\n  byte overhead:     {:.1}%\n",
+        config.video.duration_secs,
+        PAPER_BITRATE_BPS as f64 / 1e6,
+        config.swarm.n_leechers,
+        config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
+        config.splicing.label(),
+        match config.swarm.policy {
+            PolicyConfig::Adaptive => "adaptive".to_owned(),
+            PolicyConfig::Fixed(k) => format!("fixed-{k}"),
+        },
+        averaged.segment_count,
+        averaged.overhead_ratio * 100.0
+    );
     out.push_str(&qoe_lines(&averaged, config.swarm.n_leechers));
-    if !sharded {
-        out.push_str(&counter_lines(&averaged));
-    }
+    out.push_str(&counter_lines(&averaged));
     out.push_str(&stuck_block(&results));
     if csv {
         out.push_str(&format!(
@@ -380,34 +362,6 @@ fn stuck_block(runs: &[RunResult]) -> String {
             out.push_str(&format!("  … and {} more\n", stuck - 10));
         }
     }
-    out
-}
-
-/// The head of a `run --channels C` report. A channel is the same
-/// experiment on the seeds derived from its id, so `runs` is every
-/// channel's runs in channel order: one line per channel, then the title of
-/// the aggregate over all of them.
-fn channel_lines(config: &ExperimentConfig, runs: &[RunResult], per_channel: usize) -> String {
-    let mut out = format!(
-        "streaming {:.0}s of {:.1} Mbps video on {} channels × {} peers at {:.0} kB/s\n\n",
-        config.video.duration_secs,
-        PAPER_BITRATE_BPS as f64 / 1e6,
-        runs.len() / per_channel,
-        config.swarm.n_leechers,
-        config.swarm.peer_bandwidth_bytes_per_sec / 1e3,
-    );
-    for (i, channel_runs) in runs.chunks(per_channel).enumerate() {
-        let averaged = AveragedMetrics::from_runs(channel_runs);
-        out.push_str(&format!(
-            "  {:<6} stalls {:>5.1}  stall time {:>6.1} s  startup {:>5.1} s  completion {:>3.0}%\n",
-            format!("ch{i}"),
-            averaged.stalls,
-            averaged.stall_secs,
-            averaged.startup_secs,
-            averaged.completion_rate * 100.0,
-        ));
-    }
-    out.push_str(&format!("\naggregate over {} runs:\n", runs.len()));
     out
 }
 

@@ -18,7 +18,6 @@
 
 mod args;
 mod commands;
-mod sharded;
 
 pub use args::Args;
 
@@ -227,33 +226,6 @@ mod tests {
         assert!(err.contains("unknown profile"), "{err}");
     }
 
-    #[test]
-    fn run_command_sharded_channels() {
-        let text = call(&[
-            "run",
-            "--channels",
-            "2",
-            "--workers",
-            "2",
-            "--peers",
-            "3",
-            "--clip-secs",
-            "12",
-            "--bandwidth",
-            "512",
-            "--seeds",
-            "1",
-            "--csv",
-        ])
-        .unwrap();
-        assert!(text.contains("2 channels"), "{text}");
-        assert!(text.contains("ch0"), "{text}");
-        assert!(text.contains("ch1"), "{text}");
-        assert!(text.contains("aggregate over 2 runs"), "{text}");
-        // The aggregate's row, under the header the unsharded run prints.
-        assert!(text.contains("\ncsv:\nstalls,stall_secs,"), "{text}");
-    }
-
     /// Seeds fan out over `--workers`; the report never depends on the count.
     #[test]
     fn run_command_is_identical_across_worker_counts() {
@@ -449,7 +421,6 @@ mod tests {
                 &["overhead", "--durations", "0"],
                 "segment duration must be positive",
             ),
-            (&["run", "--channels", "0"], "--channels needs at least 1"),
             (
                 &["formula", "--bandwidth", "nan"],
                 "peer bandwidth must be positive",

@@ -1,10 +1,9 @@
 //! Experiment configuration: video, splicing, and swarm in one bundle.
 
-use splicecast_media::{Video, PAPER_CONTENT_SEED};
+use splicecast_media::{SplicingSpec, Video, PAPER_CONTENT_SEED};
 use splicecast_swarm::SwarmConfig;
 
 use crate::rule;
-use crate::splicing::SplicingSpec;
 
 /// Describes the synthetic test video: the paper's clip, 1 Mbps, 30 fps
 /// MPEG-4 with mixed content, of a settable length (2 minutes by default).

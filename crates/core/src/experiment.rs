@@ -4,8 +4,7 @@
 //! the rounded average" (§VI-A), so the unit of work is one seeded run of
 //! one experiment. [`run_all`] is the only place such runs are fanned out
 //! over threads — a [`Grid`](crate::figures::Grid) hands it an experiment
-//! per cell, [`run_averaged`] a single one, a caller that wants independent
-//! channels the same one on derived seeds — and
+//! per cell, [`run_averaged`] a single one — and
 //! [`AveragedMetrics::from_runs`] the only fold. The adaptive-bitrate
 //! baseline's runs go through [`run_abr_all`], on the same pool.
 
@@ -274,7 +273,7 @@ mod tests {
     use crate::config::VideoSpec;
     use crate::figures::Grid;
     use crate::runner::run_once;
-    use crate::splicing::SplicingSpec;
+    use crate::SplicingSpec;
 
     fn quick_config(bandwidth: f64) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::paper_baseline()

@@ -11,17 +11,16 @@
 //! only the *shape* (orderings, trends, crossovers) is expected to match
 //! the paper; `EXPERIMENTS.md` records both.
 
-use splicecast_media::{Ladder, PAPER_BITRATE_BPS};
+use splicecast_media::{Ladder, SplicingSpec, PAPER_BITRATE_BPS};
 use splicecast_swarm::{
-    AbrAlgorithm, AbrConfig, CdnConfig, ChurnConfig, CrossTrafficConfig, PolicyConfig,
+    max_cdn_segment_secs, AbrAlgorithm, AbrConfig, CdnConfig, ChurnConfig, CrossTrafficConfig,
+    PolicyConfig,
 };
 
 use crate::config::ExperimentConfig;
 use crate::experiment::{run_abr_all, run_all, AveragedMetrics};
-use crate::formula::max_cdn_segment_secs;
 use crate::report::Table;
 use crate::runner::PreparedExperiment;
-use crate::splicing::SplicingSpec;
 
 /// A rows × series grid of experiments.
 #[derive(Debug, Clone)]

@@ -107,7 +107,7 @@ impl PreparedExperiment {
 mod tests {
     use super::*;
     use crate::config::VideoSpec;
-    use crate::splicing::SplicingSpec;
+    use crate::SplicingSpec;
 
     fn quick_config() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::paper_baseline()

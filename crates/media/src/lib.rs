@@ -15,11 +15,12 @@
 //!   at its I-frame ([`Video::gop_starts`] reads them off the frames);
 //! - a constant-bitrate synthetic encoder, driven by [`Video::builder`],
 //!   whose one tunable is the bitrate;
-//! - the paper's splicing strategies, each a list of cut frame indices:
-//!   [`GopSplicer`] (§II-A, cuts at GOP starts: zero overhead, wild size
-//!   variance) and [`DurationSplicer`] (§II-B, equal durations, I-frame
-//!   conversion overhead), plus a PPLive-style [`ByteSplicer`] and the
-//!   ramped [`RampSplicer`];
+//! - the splicing an experiment chooses, one [`SplicingSpec`] value whose
+//!   variants each list cut frame indices: the paper's GOP splicing
+//!   (§II-A, [`GopSplicer`]: cuts at GOP starts, zero overhead, wild size
+//!   variance) and duration splicing (§II-B, [`DurationSplicer`]: equal
+//!   durations, I-frame conversion overhead), plus PPLive-style byte
+//!   blocks and the ramped durations of §VIII's future work;
 //! - the HLS-style playlist text ([`SegmentList::to_m3u8`]) the seeder
 //!   serves to joining peers.
 //!
@@ -57,5 +58,5 @@ pub use error::MediaError;
 pub use frame::{Frame, FrameType, MediaTicks, FPS, FRAME_TICKS, TICKS_PER_SEC};
 pub use ladder::{Ladder, LadderBuilder};
 pub use segment::{Segment, SegmentList};
-pub use splicer::{ByteSplicer, DurationSplicer, GopSplicer, RampSplicer, Splicer};
+pub use splicer::{DurationSplicer, GopSplicer, Splicer, SplicingSpec};
 pub use video::{Video, VideoBuilder, PAPER_CONTENT_SEED};

@@ -1,13 +1,119 @@
-//! Splicers: the paper's §II, cutting a video into transferable segments.
+//! Splicing: the paper's §II, cutting a video into transferable segments.
 //!
-//! A splicer only chooses where to cut: each one lists the frame indices
-//! at which segments start, and one builder turns that list into
-//! segments, charging the I-frame conversion of every cut that lands
-//! mid-GOP.
+//! [`SplicingSpec`] is the one splicing value an experiment chooses and
+//! the one place its rules are stated. A splicing only chooses where to
+//! cut: each variant lists the frame indices at which segments start, and
+//! one builder turns that list into segments, charging the I-frame
+//! conversion of every cut that lands mid-GOP.
 
 use crate::frame::{MediaTicks, FRAME_TICKS};
 use crate::segment::{Segment, SegmentList};
 use crate::video::Video;
+
+/// How a video is cut into segments (§II).
+///
+/// # Examples
+///
+/// ```
+/// use splicecast_media::{SplicingSpec, Video};
+///
+/// let video = Video::builder().duration_secs(60.0).seed(1).build();
+/// let ramp = SplicingSpec::Ramp { initial: 1.0, max: 8.0 };
+/// let list = ramp.splice(&video);
+/// // First segment is short, later segments reach the cap.
+/// assert!(list[0].duration().as_secs_f64() <= 1.1);
+/// assert!(list.segments().iter().any(|s| s.duration().as_secs_f64() > 7.0));
+/// assert_eq!(ramp.label(), "ramp(1→8s)");
+/// assert!(SplicingSpec::Bytes(0).check().is_err());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SplicingSpec {
+    /// One segment per closed GOP (§II-A): [`GopSplicer`].
+    Gop,
+    /// Frame-accurate cuts every given number of seconds (§II-B):
+    /// [`DurationSplicer`].
+    Duration(f64),
+    /// PPLive-style fixed-byte blocks (the paper's related work): a cut
+    /// as soon as a segment reaches this many bytes, paying the same
+    /// mid-GOP I-frame conversion as duration splicing.
+    Bytes(u64),
+    /// Durations that grow 1.5× per segment from `initial` up to `max`
+    /// seconds: §VIII's "adaptive splicing" future work. Small segments
+    /// start fastest (Fig. 4) and medium-to-large ones stream most
+    /// efficiently (Figs. 2–3), so the head of the video is cut small.
+    Ramp {
+        /// First segment's target duration, seconds.
+        initial: f64,
+        /// Steady-state target duration, seconds.
+        max: f64,
+    },
+}
+
+impl SplicingSpec {
+    /// The rule a parameter breaks, if any: an `Err` here is exactly a
+    /// panic in [`Self::splice`], with the same message. Callers holding
+    /// outside input (the CLI) check first and report the message.
+    pub fn check(&self) -> Result<(), String> {
+        let shortest_secs = match *self {
+            SplicingSpec::Gop => return Ok(()),
+            SplicingSpec::Bytes(0) => return Err("segment size must be positive".to_owned()),
+            SplicingSpec::Bytes(_) => return Ok(()),
+            SplicingSpec::Duration(secs) if !(secs.is_finite() && secs > 0.0) => {
+                return Err(format!("segment duration must be positive, got {secs}"));
+            }
+            SplicingSpec::Duration(secs) => secs,
+            SplicingSpec::Ramp { initial, max } => {
+                if !(initial.is_finite() && initial > 0.0 && initial <= max) {
+                    return Err(format!("bad ramp range [{initial}, {max}]"));
+                }
+                initial
+            }
+        };
+        // An interval under half a 90 kHz tick rounds to zero ticks, and
+        // the boundary walk of `timed_cuts` would never advance.
+        if MediaTicks::from_secs_f64(shortest_secs).is_zero() {
+            return Err(format!(
+                "segment duration must be at least one media tick, got {shortest_secs}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Cuts `video` into segments that exactly tile its frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Self::check`] fails, with its message.
+    pub fn splice(&self, video: &Video) -> SegmentList {
+        self.assert_valid();
+        match *self {
+            SplicingSpec::Gop => GopSplicer.splice(video),
+            SplicingSpec::Duration(target_secs) => DurationSplicer { target_secs }.splice(video),
+            SplicingSpec::Bytes(target) => build_segments(video, &byte_cuts(video, target)),
+            SplicingSpec::Ramp { initial, max } => {
+                build_segments(video, &timed_cuts(video.frames().len(), initial, max))
+            }
+        }
+    }
+
+    /// Short label for reports: "gop", "4s", "1024B", "ramp(1→8s)".
+    pub fn label(&self) -> String {
+        match *self {
+            SplicingSpec::Gop => "gop".to_owned(),
+            SplicingSpec::Duration(secs) => format!("{}s", secs_text(secs)),
+            SplicingSpec::Bytes(bytes) => format!("{bytes}B"),
+            SplicingSpec::Ramp { initial, max } => {
+                format!("ramp({}→{}s)", secs_text(initial), secs_text(max))
+            }
+        }
+    }
+
+    fn assert_valid(&self) {
+        if let Err(message) = self.check() {
+            panic!("{message}");
+        }
+    }
+}
 
 /// A strategy for cutting a video into segments.
 ///
@@ -80,14 +186,10 @@ impl DurationSplicer {
     ///
     /// # Panics
     ///
-    /// Panics unless `target_secs` is positive, finite and at least one
-    /// media tick.
+    /// Panics where [`SplicingSpec::check`] fails for
+    /// `SplicingSpec::Duration(target_secs)`.
     pub fn new(target_secs: f64) -> Self {
-        assert!(
-            target_secs.is_finite() && target_secs > 0.0,
-            "segment duration must be positive, got {target_secs}"
-        );
-        assert_whole_tick(target_secs);
+        SplicingSpec::Duration(target_secs).assert_valid();
         DurationSplicer { target_secs }
     }
 }
@@ -99,125 +201,12 @@ impl Splicer for DurationSplicer {
     }
 
     fn name(&self) -> String {
-        format_secs(self.target_secs)
+        SplicingSpec::Duration(self.target_secs).label()
     }
 }
 
-/// Fixed-byte splicing: cut as soon as a segment reaches `target_bytes`.
-///
-/// This is how PPLive slices videos (fixed ~20 MB blocks, see the paper's
-/// related work). Cuts are frame-accurate, so mid-GOP cuts pay the same
-/// I-frame conversion overhead as duration-based splicing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ByteSplicer {
-    target_bytes: u64,
-}
-
-impl ByteSplicer {
-    /// Creates a splicer with the given target segment size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_bytes` is zero.
-    pub fn new(target_bytes: u64) -> Self {
-        assert!(target_bytes > 0, "segment size must be positive");
-        ByteSplicer { target_bytes }
-    }
-}
-
-impl Splicer for ByteSplicer {
-    fn splice(&self, video: &Video) -> SegmentList {
-        let frames = video.frames();
-        let mut cuts: Vec<usize> = vec![0];
-        let mut acc: u64 = 0;
-        for (i, frame) in frames.iter().enumerate() {
-            if acc >= self.target_bytes {
-                cuts.push(i);
-                acc = 0;
-            }
-            acc += u64::from(frame.bytes);
-        }
-        cuts.push(frames.len());
-        build_segments(video, &cuts)
-    }
-
-    fn name(&self) -> String {
-        format!("{}B", self.target_bytes)
-    }
-}
-
-/// Ramped splicing: segment durations grow 1.5× per segment from
-/// `initial_secs` up to `max_secs`.
-///
-/// This implements the "adaptive splicing technique" the paper leaves as
-/// future work (§VIII: "We did not propose an algorithm to determine the
-/// optimal segment size"): Fig. 4 shows small segments start fastest while
-/// Figs. 2–3 show medium-to-large segments stream most efficiently — so
-/// cut the head of the video small and grow toward the efficient size,
-/// the way low-latency DASH deployments ramp their segment ladder.
-///
-/// # Examples
-///
-/// ```
-/// use splicecast_media::{RampSplicer, Splicer, Video};
-///
-/// let video = Video::builder().duration_secs(60.0).seed(1).build();
-/// let ramp = RampSplicer::new(1.0, 8.0).splice(&video);
-/// // First segment is short, later segments reach the cap.
-/// assert!(ramp[0].duration().as_secs_f64() <= 1.1);
-/// assert!(ramp.segments().iter().any(|s| s.duration().as_secs_f64() > 7.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RampSplicer {
-    initial_secs: f64,
-    max_secs: f64,
-}
-
-impl RampSplicer {
-    /// Creates a ramp from `initial_secs` to `max_secs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < initial_secs <= max_secs` and `initial_secs` is
-    /// at least one media tick.
-    pub fn new(initial_secs: f64, max_secs: f64) -> Self {
-        assert!(
-            initial_secs.is_finite() && initial_secs > 0.0 && initial_secs <= max_secs,
-            "bad ramp range [{initial_secs}, {max_secs}]"
-        );
-        assert_whole_tick(initial_secs);
-        RampSplicer {
-            initial_secs,
-            max_secs,
-        }
-    }
-}
-
-impl Splicer for RampSplicer {
-    fn splice(&self, video: &Video) -> SegmentList {
-        let cuts = timed_cuts(video.frames().len(), self.initial_secs, self.max_secs);
-        build_segments(video, &cuts)
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "ramp({}→{}s)",
-            format_secs_bare(self.initial_secs),
-            format_secs_bare(self.max_secs)
-        )
-    }
-}
-
-/// A cut interval that rounds to zero ticks would never advance the
-/// boundary walk of [`timed_cuts`].
-fn assert_whole_tick(secs: f64) {
-    assert!(
-        !MediaTicks::from_secs_f64(secs).is_zero(),
-        "segment duration must be at least one media tick, got {secs}"
-    );
-}
-
-fn format_secs_bare(secs: f64) -> String {
+/// Seconds as a label writes them: whole ones without a fraction.
+fn secs_text(secs: f64) -> String {
     if (secs - secs.round()).abs() < 1e-9 {
         format!("{}", secs.round() as u64)
     } else {
@@ -225,11 +214,28 @@ fn format_secs_bare(secs: f64) -> String {
     }
 }
 
-/// A [`RampSplicer`]'s growth: each segment's target duration is 1.5×
-/// its predecessor's, up to the cap.
+/// A [`SplicingSpec::Ramp`]'s growth: each segment's target duration is
+/// 1.5× its predecessor's, up to the cap.
 const RAMP_GROWTH: f64 = 1.5;
 
-/// The cut points of the timed splicers: a cut at the first frame that
+/// The cut points of [`SplicingSpec::Bytes`]: a cut at the first frame
+/// after the segment so far reached `target_bytes`.
+fn byte_cuts(video: &Video, target_bytes: u64) -> Vec<usize> {
+    let frames = video.frames();
+    let mut cuts: Vec<usize> = vec![0];
+    let mut acc: u64 = 0;
+    for (i, frame) in frames.iter().enumerate() {
+        if acc >= target_bytes {
+            cuts.push(i);
+            acc = 0;
+        }
+        acc += u64::from(frame.bytes);
+    }
+    cuts.push(frames.len());
+    cuts
+}
+
+/// The cut points of the timed splicings: a cut at the first frame that
 /// starts at or after each boundary, boundaries `initial_secs` apart at
 /// first and 1.5× further apart after each cut, up to `max_secs`
 /// (`initial_secs == max_secs` cuts every `max_secs`).
@@ -285,14 +291,6 @@ fn build_segments(video: &Video, cuts: &[usize]) -> SegmentList {
         }
     });
     SegmentList::new(segments.collect())
-}
-
-fn format_secs(secs: f64) -> String {
-    if (secs - secs.round()).abs() < 1e-9 {
-        format!("{}s", secs.round() as u64)
-    } else {
-        format!("{secs}s")
-    }
 }
 
 #[cfg(test)]
@@ -404,9 +402,8 @@ mod tests {
     fn byte_splicer_tiles_and_bounds_sizes() {
         let v = video();
         let target = 100_000;
-        let list = ByteSplicer::new(target).splice(&v);
+        let list = SplicingSpec::Bytes(target).splice(&v);
         list.validate(&v).unwrap();
-        assert_eq!(ByteSplicer::new(target).name(), "100000B");
         // Segments exceed the target by at most one frame plus conversion
         // overhead; sanity-bound at 2x.
         for (i, seg) in list.segments()[..list.len() - 1].iter().enumerate() {
@@ -417,10 +414,12 @@ mod tests {
     #[test]
     fn ramp_splicer_tiles_and_ramps() {
         let v = video();
-        let ramp = RampSplicer::new(1.0, 8.0);
-        let list = ramp.splice(&v);
+        let list = SplicingSpec::Ramp {
+            initial: 1.0,
+            max: 8.0,
+        }
+        .splice(&v);
         list.validate(&v).unwrap();
-        assert_eq!(ramp.name(), "ramp(1→8s)");
         let frame = 1.0 / f64::from(FPS);
         // Durations are non-decreasing (within a frame) and bounded.
         let durs: Vec<f64> = list.segments()[..list.len() - 1]
@@ -433,14 +432,82 @@ mod tests {
         assert!(durs[0] <= 1.0 + frame + 1e-9);
         assert!(durs.iter().all(|&d| d <= 8.0 + frame + 1e-9));
         // A ramp that starts at its cap is duration splicing.
-        let flat = RampSplicer::new(4.0, 4.0).splice(&v);
-        assert_eq!(flat, DurationSplicer::new(4.0).splice(&v));
+        let flat = SplicingSpec::Ramp {
+            initial: 4.0,
+            max: 4.0,
+        };
+        assert_eq!(flat.splice(&v), DurationSplicer::new(4.0).splice(&v));
+    }
+
+    #[test]
+    fn labels_are_pinned() {
+        let ramp = SplicingSpec::Ramp {
+            initial: 1.0,
+            max: 8.0,
+        };
+        let specs = [
+            SplicingSpec::Gop,
+            SplicingSpec::Duration(2.0),
+            SplicingSpec::Bytes(1024),
+            ramp,
+        ];
+        let labels: Vec<String> = specs.iter().map(SplicingSpec::label).collect();
+        assert_eq!(labels, ["gop", "2s", "1024B", "ramp(1→8s)"]);
+    }
+
+    /// The message `f` panics with, if it panics.
+    fn panic_message<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Option<String> {
+        let payload = std::panic::catch_unwind(f).err()?;
+        Some(*payload.downcast::<String>().expect("a formatted panic"))
+    }
+
+    /// Every invalid input of each variant fails `check()`, and `splice()`
+    /// (and `DurationSplicer::new`) panics with that same message.
+    #[test]
+    fn check_states_every_rule_splice_panics_on() {
+        let v = Video::builder().duration_secs(4.0).seed(1).build();
+        let ramp = |initial, max| SplicingSpec::Ramp { initial, max };
+        let bad = [
+            (SplicingSpec::Duration(0.0), "must be positive"),
+            (SplicingSpec::Duration(-2.0), "must be positive"),
+            (SplicingSpec::Duration(f64::NAN), "must be positive"),
+            (SplicingSpec::Duration(f64::INFINITY), "must be positive"),
+            // Under half a 90 kHz tick (~5.6 µs): zero ticks.
+            (SplicingSpec::Duration(1e-6), "at least one media tick"),
+            (SplicingSpec::Bytes(0), "segment size must be positive"),
+            (ramp(8.0, 1.0), "bad ramp range"),
+            (ramp(0.0, 1.0), "bad ramp range"),
+            (ramp(1.0, f64::NAN), "bad ramp range"),
+            (ramp(1e-6, 1.0), "at least one media tick"),
+        ];
+        for (spec, rule) in bad {
+            let message = spec.check().expect_err(&format!("{spec:?}"));
+            assert!(message.contains(rule), "{spec:?}: {message}");
+            assert_eq!(panic_message(|| spec.splice(&v)), Some(message.clone()));
+            if let SplicingSpec::Duration(secs) = spec {
+                assert_eq!(panic_message(|| DurationSplicer::new(secs)), Some(message));
+            }
+        }
+        for spec in [
+            SplicingSpec::Gop,
+            SplicingSpec::Duration(0.5),
+            SplicingSpec::Duration(1e-5),
+            SplicingSpec::Bytes(1),
+            ramp(2.0, 2.0),
+        ] {
+            assert_eq!(spec.check(), Ok(()), "{spec:?}");
+            assert_eq!(panic_message(|| spec.splice(&v)), None, "{spec:?}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "bad ramp range")]
     fn inverted_ramp_panics() {
-        let _ = RampSplicer::new(8.0, 2.0);
+        let _ = SplicingSpec::Ramp {
+            initial: 8.0,
+            max: 2.0,
+        }
+        .splice(&video());
     }
 
     #[test]
@@ -453,17 +520,19 @@ mod tests {
     /// (refused), above it every frame is its own segment.
     #[test]
     fn sub_tick_durations_panic_and_one_tick_splices_per_frame() {
-        let refused: [fn() -> String; 2] = [
-            || DurationSplicer::new(1e-6).name(),
-            || RampSplicer::new(1e-6, 1.0).name(),
-        ];
-        for build in refused {
-            let payload = std::panic::catch_unwind(build).expect_err("must refuse");
-            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
-            assert!(msg.contains("at least one media tick"), "{msg}");
-        }
         let video = Video::builder().duration_secs(1.0).seed(1).build();
-        let list = DurationSplicer::new(1e-5).splice(&video);
+        let ramp = SplicingSpec::Ramp {
+            initial: 1e-6,
+            max: 1.0,
+        };
+        for message in [
+            panic_message(|| DurationSplicer::new(1e-6)),
+            panic_message(|| ramp.splice(&video)),
+        ] {
+            let message = message.expect("must refuse");
+            assert!(message.contains("at least one media tick"), "{message}");
+        }
+        let list = SplicingSpec::Duration(1e-5).splice(&video);
         list.validate(&video).unwrap();
         assert_eq!(list.len(), video.frames().len());
     }
@@ -471,6 +540,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_bytes_panics() {
-        let _ = ByteSplicer::new(0);
+        let _ = SplicingSpec::Bytes(0).splice(&video());
+    }
+
+    #[test]
+    fn specs_splice_consistently() {
+        let video = Video::builder().duration_secs(20.0).seed(1).build();
+        for spec in [
+            SplicingSpec::Gop,
+            SplicingSpec::Duration(4.0),
+            SplicingSpec::Bytes(200_000),
+            SplicingSpec::Ramp {
+                initial: 1.0,
+                max: 8.0,
+            },
+        ] {
+            let list = spec.splice(&video);
+            list.validate(&video).unwrap();
+            assert!(!list.is_empty());
+        }
     }
 }

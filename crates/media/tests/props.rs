@@ -133,8 +133,8 @@ proptest! {
         let lists = [
             gop,
             DurationSplicer::new(d).splice(&video),
-            RampSplicer::new(d, 2.0 * d).splice(&video),
-            ByteSplicer::new(b).splice(&video),
+            SplicingSpec::Ramp { initial: d, max: 2.0 * d }.splice(&video),
+            SplicingSpec::Bytes(b).splice(&video),
         ];
         for list in &lists {
             for seg in list {
@@ -161,7 +161,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let video = Video::builder().duration_secs(secs).seed(seed).build();
-        let list = ByteSplicer::new(target).splice(&video);
+        let list = SplicingSpec::Bytes(target).splice(&video);
         list.validate(&video).unwrap();
         // Every segment except the last reaches the target.
         for seg in &list.segments()[..list.len() - 1] {

@@ -149,11 +149,13 @@ impl FifoClamp {
     }
 
     /// Puts a live entry its home slot did not keep in the overflow map.
+    /// A sweep rebuilds the map from its live entries, so that its
+    /// allocation follows what it holds rather than its peak.
     #[cold]
     fn shed(&mut self, now: u64, pair: u64, expires: u64) {
         self.overflow.insert(pair, expires);
         if self.overflow.len() * 4 > self.slots.len() {
-            self.overflow.retain(|_, expires| *expires >= now);
+            self.overflow = self.overflow.drain().filter(|&(_, e)| e >= now).collect();
             if self.overflow.len() * 8 > self.slots.len() {
                 self.grow(now);
             }

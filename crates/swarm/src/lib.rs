@@ -11,7 +11,8 @@
 //!   pooling or a fixed pool), with [`optimal_pool_size`] implementing
 //!   Eq. 1 directly;
 //! - [`ChurnConfig`]: peers leaving mid-stream; [`CdnConfig`]: the §IV
-//!   hybrid-CDN mode with the [`max_cdn_segment_bytes`] sizing bound;
+//!   hybrid-CDN mode with its sizing bounds, [`max_cdn_segment_bytes`] and
+//!   [`max_cdn_segment_secs`];
 //! - [`FaultPlanConfig`] / [`DefenseConfig`]: deterministic fault injection
 //!   (crash-stop churn, control-message loss/delay, link flaps, CDN
 //!   outages) and the peer-side defense it exercises (source backoff
@@ -93,7 +94,7 @@ fn must(checked: Result<(), String>) {
 }
 
 pub use abr::{run_abr, AbrAlgorithm, AbrConfig, AbrMetrics, AbrReport};
-pub use cdn::{max_cdn_segment_bytes, CdnConfig};
+pub use cdn::{max_cdn_segment_bytes, max_cdn_segment_secs, CdnConfig};
 pub use churn::ChurnConfig;
 pub use cross::{CrossTrafficConfig, CrossTrafficNode};
 pub use fault::{

@@ -105,13 +105,6 @@ pub struct DisseminationStats {
     pub fold_inserts: u64,
 }
 
-impl DisseminationStats {
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &DisseminationStats) {
-        self.fold_inserts += other.fold_inserts;
-    }
-}
-
 /// Memory-footprint accounting for one leecher, sampled when its report is
 /// written: allocator-visible bytes behind the peer's swarm state.
 /// Deterministic for a given (segments, config, seed) — capacities follow
@@ -196,8 +189,6 @@ pub struct PeerReport {
     pub sched: SchedulerStats,
     /// Fault and defense counters for this peer.
     pub fault: PeerFaultStats,
-    /// Deferred-fold counters for this peer.
-    pub dissem: DisseminationStats,
     /// Memory-footprint accounting for this peer.
     pub mem: PeerMemStats,
 }
@@ -277,13 +268,9 @@ impl SwarmMetrics {
         total
     }
 
-    /// Summed retired dissemination counters over every report: all 0.
+    /// The retired dissemination counters: all 0.
     pub fn dissem_totals(&self) -> DisseminationStats {
-        let mut total = DisseminationStats::default();
-        for report in &self.reports {
-            total.absorb(&report.dissem);
-        }
-        total
+        DisseminationStats::default()
     }
 
     /// Summed fault and defense counters over every report.
@@ -486,22 +473,6 @@ mod tests {
         assert_eq!(total.views, 10);
         assert_eq!(total.aux_bytes, 50);
         assert_eq!(total.total_bytes(), 650);
-    }
-
-    #[test]
-    fn dissem_totals_sum_over_all_reports() {
-        let mut a = report(0, 0, 0.0, false);
-        a.dissem.fold_inserts = 3;
-        let mut b = report(1, 0, 0.0, true); // churners count too
-        b.dissem.fold_inserts = 9;
-        let m = SwarmMetrics {
-            reports: vec![a, b],
-            sim_end_secs: 1.0,
-            net: Default::default(),
-            injected: Default::default(),
-        };
-        let total = m.dissem_totals();
-        assert_eq!(total.fold_inserts, 12);
     }
 
     #[test]

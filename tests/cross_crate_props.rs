@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 
 use splicecast_core::optimal_pool_size;
-use splicecast_media::{
-    ByteSplicer, ContentProfile, DurationSplicer, GopSplicer, SceneClass, Splicer, Video,
-};
+use splicecast_media::{ContentProfile, SceneClass, SplicingSpec, Video};
 use splicecast_player::Playback;
 use splicecast_protocol::{decode_single, encode_to_bytes, Bitfield, Message};
 
@@ -38,18 +36,19 @@ proptest! {
     #[test]
     fn every_splicer_tiles_every_video(video in arbitrary_video(), d in 0.5f64..12.0, b in 20_000u64..2_000_000) {
         prop_assert_eq!(Video::from_parts(video.frames().to_vec()), Ok(video.clone()));
-        for splicer in [
-            Box::new(GopSplicer) as Box<dyn Splicer>,
-            Box::new(DurationSplicer::new(d)),
-            Box::new(ByteSplicer::new(b)),
+        for splicing in [
+            SplicingSpec::Gop,
+            SplicingSpec::Duration(d),
+            SplicingSpec::Bytes(b),
+            SplicingSpec::Ramp { initial: d, max: 2.0 * d },
         ] {
-            let list = splicer.splice(&video);
-            prop_assert!(list.validate(&video).is_ok(), "{} failed", splicer.name());
+            let list = splicing.splice(&video);
+            prop_assert!(list.validate(&video).is_ok(), "{} failed", splicing.label());
             prop_assert!(list.total_bytes() >= video.total_bytes());
             prop_assert_eq!(list.total_duration(), video.duration());
         }
         // GOP splicing specifically is overhead-free.
-        prop_assert_eq!(GopSplicer.splice(&video).total_bytes(), video.total_bytes());
+        prop_assert_eq!(SplicingSpec::Gop.splice(&video).total_bytes(), video.total_bytes());
     }
 
     #[test]
@@ -59,7 +58,7 @@ proptest! {
         mut order_seed in any::<u64>(),
         gaps in prop::collection::vec(0.0f64..6.0, 1..64),
     ) {
-        let list = DurationSplicer::new(d).splice(&video);
+        let list = SplicingSpec::Duration(d).splice(&video);
         let mut playback = Playback::new(list.clone());
         // A deterministic shuffle of arrival order.
         let mut indices: Vec<usize> = (0..list.len()).collect();
